@@ -19,9 +19,8 @@ from repro.dist.network import NetworkLink
 from repro.env.base import Env
 from repro.lsm.envelope import FILE_KIND_SST
 from repro.lsm.filecrypto import CryptoProvider
-from repro.lsm.iterator import merge_entries, newest_visible
 from repro.lsm.options import Options
-from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader
+from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
 from repro.util.stats import StatsRegistry
 
 #: allocator: () -> (file_number, output_path); supplied by the DB owner so
@@ -77,40 +76,27 @@ class CompactionService:
             SSTReader(self.env, path, self.provider, self.options)
             for path in request.input_paths
         ]
+
+        def open_output() -> tuple[int, SSTBuilder]:
+            number, out_path = allocate_output()
+            crypto = self.provider.for_new_file(FILE_KIND_SST, out_path)
+            return number, SSTBuilder(self.env, out_path, crypto, self.options)
+
         try:
-            merged = newest_visible(
-                merge_entries([reader.entries() for reader in readers]),
+            outputs = merge_tables(
+                [reader.raw_entries() for reader in readers],
+                open_output,
                 keep_tombstones=not request.bottommost,
+                split_size=(
+                    request.target_file_size if request.split_outputs else None
+                ),
             )
-            results: list[CompactionResult] = []
-            builder: SSTBuilder | None = None
-            builder_number = 0
-
-            def finish_builder():
-                nonlocal builder
-                if builder is None or builder.num_entries == 0:
-                    builder = None
-                    return
-                info = builder.finish()
-                results.append(CompactionResult(builder_number, info))
-                self.stats.counter("service.bytes_written").add(info.file_size)
-                builder = None
-
-            for key, seq, vtype, value in merged:
-                if builder is None:
-                    builder_number, out_path = allocate_output()
-                    crypto = self.provider.for_new_file(FILE_KIND_SST, out_path)
-                    builder = SSTBuilder(self.env, out_path, crypto, self.options)
-                builder.add(key, seq, vtype, value)
-                if (
-                    request.split_outputs
-                    and builder.estimated_size() >= request.target_file_size
-                ):
-                    finish_builder()
-            finish_builder()
         finally:
             for reader in readers:
                 reader.close()
+        results = [CompactionResult(number, info) for number, info in outputs]
+        for result in results:
+            self.stats.counter("service.bytes_written").add(result.info.file_size)
         self.stats.counter("service.jobs").add(1)
 
         if self.dispatch_link is not None:

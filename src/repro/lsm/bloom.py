@@ -7,10 +7,13 @@ import zlib
 from repro.util.coding import decode_varint64, encode_varint64
 
 
+_HASH_SEED = 0xBC9F1D34
+_ZERO_HASH = 0x9E3779B9  # stands in for a CRC of 0, which would never step
+
+
 def _base_hash(key: bytes) -> int:
-    # CRC-32 seeded twice gives a well-mixed 32-bit hash at C speed.
-    h = zlib.crc32(key, 0xBC9F1D34) & 0xFFFFFFFF
-    return h if h != 0 else 0x9E3779B9
+    # A seeded CRC-32 gives a well-mixed 32-bit hash at C speed.
+    return zlib.crc32(key, _HASH_SEED) or _ZERO_HASH
 
 
 class BloomFilter:
@@ -28,12 +31,16 @@ class BloomFilter:
         nbytes = (nbits + 7) // 8
         bits = bytearray(nbytes)
         nbits = nbytes * 8
+        # One pass per SST over every key it holds: keep the loop free of
+        # global lookups and per-key object construction.
+        crc32 = zlib.crc32
+        probes = range(num_probes)
         for key in keys:
-            h = _base_hash(key)
+            h = crc32(key, _HASH_SEED) or _ZERO_HASH
             delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
-            for _ in range(num_probes):
+            for _ in probes:
                 position = h % nbits
-                bits[position // 8] |= 1 << (position % 8)
+                bits[position >> 3] |= 1 << (position & 7)
                 h = (h + delta) & 0xFFFFFFFF
         return cls(bits, num_probes)
 

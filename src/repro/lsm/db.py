@@ -15,6 +15,7 @@ The structure mirrors Figure 1 of the paper:
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.env.base import Env
@@ -42,7 +43,7 @@ from repro.lsm.filename import (
 from repro.lsm.iterator import merge_entries, newest_visible
 from repro.lsm.memtable import Memtable, make_memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
-from repro.lsm.sst import SSTBuilder, SSTReader
+from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
 from repro.lsm.version import FileMetadata, VersionEdit, VersionSet
 from repro.lsm.wal import WALWriter, read_wal_records
 from repro.lsm.write_batch import WriteBatch
@@ -620,8 +621,6 @@ class DB:
         write pays a small delay; above the *stop* trigger (or with too many
         immutable memtables) writers block until background work catches up.
         """
-        import time
-
         stalled_at = None
         # A background error ends the stall: the flush/compaction that
         # would relieve it is dead, so waiting would hang the writer
@@ -718,6 +717,9 @@ class DB:
         info = builder.finish()
         self.stats.counter("db.flush_bytes").add(info.file_size)
         self.stats.counter("db.flushes").add(1)
+        return self._file_metadata(number, info)
+
+    def _file_metadata(self, number: int, info: SSTFileInfo) -> FileMetadata:
         return FileMetadata(
             number=number,
             size=info.file_size,
@@ -906,17 +908,7 @@ class DB:
         )
         results = self.options.compaction_service.compact(request, allocate_output)
         return [
-            FileMetadata(
-                number=result.file_number,
-                size=result.info.file_size,
-                smallest=result.info.smallest_key,
-                largest=result.info.largest_key,
-                smallest_seq=result.info.smallest_seq,
-                largest_seq=result.info.largest_seq,
-                num_entries=result.info.num_entries,
-                dek_id=result.info.dek_id,
-                created_at=self._clock.now(),
-            )
+            self._file_metadata(result.file_number, result.info)
             for result in results
         ]
 
@@ -930,57 +922,26 @@ class DB:
         return job.output_level >= 1
 
     def _merge_locally(self, job: CompactionJob) -> list[FileMetadata]:
-        merged = newest_visible(
-            merge_entries(
-                [
-                    self._guarded_entries_from(meta, b"")
-                    for __, meta in job.input_files()
-                ]
-            ),
+        def open_output() -> tuple[int, SSTBuilder]:
+            with self._mutex:
+                number = self._versions.new_file_number()
+            path = sst_path(self.path, number)
+            crypto = self.provider.for_new_file(FILE_KIND_SST, path)
+            return number, SSTBuilder(self.env, path, crypto, self.options)
+
+        results = merge_tables(
+            [
+                self._guarded(meta, SSTReader.raw_entries)
+                for __, meta in job.input_files()
+            ],
+            open_output,
             keep_tombstones=not job.bottommost,
+            split_size=(
+                self.options.target_file_size
+                if self._split_outputs(job) else None
+            ),
         )
-
-        outputs: list[FileMetadata] = []
-        builder: SSTBuilder | None = None
-        builder_number = 0
-
-        def finish_builder():
-            nonlocal builder
-            if builder is None or builder.num_entries == 0:
-                builder = None
-                return
-            info = builder.finish()
-            outputs.append(
-                FileMetadata(
-                    number=builder_number,
-                    size=info.file_size,
-                    smallest=info.smallest_key,
-                    largest=info.largest_key,
-                    smallest_seq=info.smallest_seq,
-                    largest_seq=info.largest_seq,
-                    num_entries=info.num_entries,
-                    dek_id=info.dek_id,
-                    created_at=self._clock.now(),
-                )
-            )
-            builder = None
-
-        split_outputs = self._split_outputs(job)
-        for key, seq, vtype, value in merged:
-            if builder is None:
-                with self._mutex:
-                    builder_number = self._versions.new_file_number()
-                out_path = sst_path(self.path, builder_number)
-                crypto = self.provider.for_new_file(FILE_KIND_SST, out_path)
-                builder = SSTBuilder(self.env, out_path, crypto, self.options)
-            builder.add(key, seq, vtype, value)
-            if (
-                split_outputs
-                and builder.estimated_size() >= self.options.target_file_size
-            ):
-                finish_builder()
-        finish_builder()
-        return outputs
+        return [self._file_metadata(number, info) for number, info in results]
 
     # ------------------------------------------------------------------
     # File/table management
@@ -1001,11 +962,11 @@ class DB:
         with self._table_lock:
             return self._table_cache.setdefault(meta.number, reader)
 
-    def _guarded_entries_from(self, meta: FileMetadata, start: bytes):
-        """Stream a file's entries, attributing any auth failure to it."""
+    def _guarded(self, meta: FileMetadata, stream):
+        """Stream ``stream(reader)`` for a file's reader, attributing any
+        authentication failure to that file."""
         try:
-            reader = self._get_reader(meta)
-            yield from reader.entries_from(start)
+            yield from stream(self._get_reader(meta))
         except AuthenticationError:
             self._quarantine_table(meta.number)
             raise
@@ -1033,7 +994,11 @@ class DB:
         with self._table_lock:
             # The reader object is dropped without close(): concurrent point
             # reads holding it keep working (POSIX unlink semantics).
-            self._table_cache.pop(meta.number, None)
+            reader = self._table_cache.pop(meta.number, None)
+        if reader is not None:
+            # Its cached blocks can never be asked for again; left behind
+            # they would squat in the cache until LRU pressure found them.
+            reader.purge_cached_blocks()
         self._delete_db_file(sst_path(self.path, meta.number), dek_id=meta.dek_id)
 
     def _delete_db_file(self, path: str, dek_id: str | None = None) -> None:
@@ -1197,7 +1162,9 @@ class DB:
                 continue
             if meta.largest < start:
                 continue
-            sources.append(self._guarded_entries_from(meta, start))
+            sources.append(
+                self._guarded(meta, lambda reader: reader.entries_from(start))
+            )
 
         results: list[tuple[bytes, bytes]] = []
         merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)

@@ -21,21 +21,23 @@ touching any data (Section 5.4).
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from repro.env.base import Env
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import (
+    Block,
     Entry,
-    decode_block,
+    RawEntry,
     encode_entry,
-    search_block,
     unwrap_block,
     wrap_block,
 )
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.chunked import encrypt_chunked, seal_units
-from repro.lsm.dbformat import MAX_SEQUENCE
+from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE
 from repro.lsm.envelope import (
     FILE_KIND_SST,
     MAX_ENVELOPE_SIZE,
@@ -100,31 +102,43 @@ class SSTBuilder:
         self._current = bytearray()
         self._payload_bytes = 0
         self._keys: list[bytes] = []
-        self._last_added: tuple[bytes, int] | None = None
         self._smallest_key: bytes | None = None
         self._largest_key: bytes | None = None
+        self._last_seq = 0
         self._smallest_seq = MAX_SEQUENCE
         self._largest_seq = 0
-        self._last_key_in_block: bytes = b""
         self.num_entries = 0
         self._finished = False
 
     def add(self, key: bytes, seq: int, vtype: int, value: bytes) -> None:
-        order = (key, MAX_SEQUENCE - seq)
-        if self._last_added is not None and order <= self._last_added:
-            raise InvalidArgumentError("SST entries must be added in order")
-        self._last_added = order
-        self._current.extend(encode_entry(key, seq, vtype, value))
-        self._last_key_in_block = key
-        if not self._keys or self._keys[-1] != key:
-            self._keys.append(key)
-        if self._smallest_key is None:
+        self.add_encoded(key, seq, encode_entry(key, seq, vtype, value))
+
+    def add_encoded(self, key: bytes, seq: int, encoded: bytes) -> None:
+        """Append an entry already in block encoding (``encode_entry``).
+
+        ``encoded`` must be the encoding of an entry with this key and
+        sequence number; compaction passes the bytes of a verified input
+        block straight through.  Ordering is enforced here as in ``add``.
+        """
+        if self.num_entries:
+            last_key = self._largest_key
+            if key > last_key:
+                self._keys.append(key)
+            elif key < last_key or seq >= self._last_seq:
+                raise InvalidArgumentError("SST entries must be added in order")
+        else:
             self._smallest_key = key
+            self._keys.append(key)
         self._largest_key = key
-        self._smallest_seq = min(self._smallest_seq, seq)
-        self._largest_seq = max(self._largest_seq, seq)
+        self._last_seq = seq
+        if seq < self._smallest_seq:
+            self._smallest_seq = seq
+        if seq > self._largest_seq:
+            self._largest_seq = seq
         self.num_entries += 1
-        if len(self._current) >= self._options.block_size:
+        current = self._current
+        current += encoded
+        if len(current) >= self._options.block_size:
             self._finish_block()
 
     def _finish_block(self) -> None:
@@ -133,7 +147,7 @@ class SSTBuilder:
         block = wrap_block(bytes(self._current), self._options.compression)
         self._current.clear()
         self._index.append(
-            (self._last_key_in_block, self._payload_bytes, len(block),
+            (self._largest_key, self._payload_bytes, len(block),
              masked_crc32(block))
         )
         self._blocks.append(block)
@@ -375,25 +389,30 @@ class SSTReader:
     def dek_id(self) -> str:
         return self.envelope.dek_id
 
-    def _load_block(self, block_index: int) -> list[Entry]:
+    def _read_block(self, block_index: int) -> Block:
+        """Read, authenticate/verify and parse one data block (no cache)."""
         __, offset, size, crc = self._index[block_index]
-        cache_key = (self.path, offset)
-        span = TRACER.current()
-        if self._cache is not None:
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                if span is not None:
-                    span.incr("block_cache_hits")
-                return cached
-        if span is not None:
-            span.incr("block_cache_misses")
         raw = self._read_payload(offset, size)
         if self._options.verify_checksums and masked_crc32(raw) != crc:
             raise CorruptionError(f"{self.path}: block checksum mismatch at {offset}")
-        entries = decode_block(unwrap_block(raw))
-        if self._cache is not None:
-            self._cache.put(cache_key, entries, charge=size)
-        return entries
+        return Block(unwrap_block(raw))
+
+    def _load_block(self, block_index: int) -> Block:
+        if self._cache is None:
+            return self._read_block(block_index)
+        __, offset, size, ___ = self._index[block_index]
+        cache_key = (self.path, offset)
+        span = TRACER.current()
+        block = self._cache.get(cache_key)
+        if block is not None:
+            if span is not None:
+                span.incr("block_cache_hits")
+            return block
+        if span is not None:
+            span.incr("block_cache_misses")
+        block = self._read_block(block_index)
+        self._cache.put(cache_key, block, charge=size)
+        return block
 
     def get(self, key: bytes, max_seq: int = MAX_SEQUENCE):
         """Point lookup: (vtype, value) of the newest visible version, or None."""
@@ -402,20 +421,75 @@ class SSTReader:
         block_index = bisect.bisect_left(self._index_keys, key)
         if block_index >= len(self._index):
             return None
-        return search_block(self._load_block(block_index), key, max_seq)
+        return self._load_block(block_index).get(key, max_seq)
 
-    def entries(self):
-        """Yield every entry in order (compaction / full scans)."""
+    def entries(self) -> Iterator[Entry]:
+        """Yield every entry in order (full scans, tools)."""
         for block_index in range(len(self._index)):
-            yield from self._load_block(block_index)
+            yield from self._load_block(block_index).entries()
 
-    def entries_from(self, start_key: bytes):
+    def entries_from(self, start_key: bytes) -> Iterator[Entry]:
         """Yield entries with key >= start_key (range scans)."""
-        block_index = bisect.bisect_left(self._index_keys, start_key)
-        for index in range(block_index, len(self._index)):
-            for entry in self._load_block(index):
-                if entry[0] >= start_key:
-                    yield entry
+        first = bisect.bisect_left(self._index_keys, start_key)
+        for block_index in range(first, len(self._index)):
+            yield from self._load_block(block_index).entries(start_key)
+            start_key = None  # only the first block can hold smaller keys
+
+    def raw_entries(self) -> Iterator[RawEntry]:
+        """Yield every entry as (key, MAX_SEQUENCE - seq, vtype, encoded).
+
+        Compaction's input stream.  It bypasses the block cache in both
+        directions: a bulk rewrite of a file about to be deleted must not
+        push the foreground's working set out.
+        """
+        for block_index in range(len(self._index)):
+            yield from self._read_block(block_index).raw_entries()
+
+    def purge_cached_blocks(self) -> None:
+        """Drop this file's blocks from the block cache (the file is dead)."""
+        if self._cache is not None:
+            for __, offset, ___, ____ in self._index:
+                self._cache.remove((self.path, offset))
 
     def close(self) -> None:
         self._file.close()
+
+
+#: () -> (file number, builder for that file), called once per output.
+OutputOpener = Callable[[], tuple[int, SSTBuilder]]
+
+
+def merge_tables(
+    sources: list[Iterable[RawEntry]],
+    open_output: OutputOpener,
+    keep_tombstones: bool,
+    split_size: int | None,
+) -> list[tuple[int, SSTFileInfo]]:
+    """Merge raw-entry streams into fresh SSTs: the one compaction loop.
+
+    Keeps the newest version of each key, drops it when it is a tombstone
+    unless ``keep_tombstones`` (a non-bottommost output must keep shadowing
+    older versions below it), and forwards each survivor's encoded bytes
+    unchanged -- sequence numbers and types survive compaction, so there
+    is nothing to re-encode.  Outputs roll over at ``split_size`` bytes
+    (None: a single output).  Returns (file number, info) per output.
+    """
+    outputs: list[tuple[int, SSTFileInfo]] = []
+    builder: SSTBuilder | None = None
+    number = 0
+    previous_key = None
+    for key, inverted_seq, vtype, encoded in heapq.merge(*sources):
+        if key == previous_key:
+            continue  # an older version of a key already decided
+        previous_key = key
+        if vtype == TYPE_DELETE and not keep_tombstones:
+            continue
+        if builder is None:
+            number, builder = open_output()
+        builder.add_encoded(key, MAX_SEQUENCE - inverted_seq, encoded)
+        if split_size is not None and builder.estimated_size() >= split_size:
+            outputs.append((number, builder.finish()))
+            builder = None
+    if builder is not None:
+        outputs.append((number, builder.finish()))
+    return outputs

@@ -39,8 +39,13 @@ def decode_fixed64(buf: bytes, offset: int = 0) -> tuple[int, int]:
     return _FIXED64.unpack_from(buf, offset)[0], offset + 8
 
 
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+
+
 def encode_varint64(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128 varint (up to 10 bytes)."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]  # lengths and small counts: the common case
     if value < 0:
         raise ValueError("varints encode non-negative integers only")
     out = bytearray()
@@ -58,6 +63,10 @@ encode_varint32 = encode_varint64
 
 def decode_varint64(buf: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint at ``offset``; return (value, new_offset)."""
+    if offset < len(buf):
+        byte = buf[offset]
+        if byte < 0x80:
+            return byte, offset + 1  # one byte: the common case
     result = 0
     shift = 0
     pos = offset

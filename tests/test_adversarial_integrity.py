@@ -262,3 +262,45 @@ def test_repair_reanchors_trusted_counter():
             _shield(pre_repair_kds, counter=counter),
             _options(pre_repair),
         )
+
+
+def test_compaction_over_tampered_input_quarantines_and_aborts():
+    """Compaction reads its inputs as raw entries, outside the block cache;
+    the tag is still checked before any block is parsed.  A tampered input
+    quarantines that file and aborts the job -- inputs stay live, nothing
+    is written from unauthenticated bytes, and the engine keeps serving
+    (no background error)."""
+    env = MemEnv()
+    options = _options(env)
+    options.level0_file_num_compaction_trigger = 3
+    db = open_shield_db("/adv", _shield(InMemoryKDS()), options)
+    try:
+        for batch in range(2):
+            for i in range(100):
+                db.put(b"key-%d-%04d" % (batch, i), b"value-%04d" % i)
+            db.flush()
+        inputs = _sst_paths(env, "/adv")
+        assert len(inputs) == 2
+        _flip_payload_byte(env, inputs[0], skew=0.3)  # inside a data block
+
+        for i in range(100):
+            db.put(b"key-2-%04d" % i, b"value-%04d" % i)
+        db.flush()  # third L0 file: the picker now wants all three merged
+        db.wait_for_compaction()
+
+        snap = db.stats_snapshot()
+        assert snap["integrity.compaction_auth_aborts"] >= 1
+        assert snap["integrity.quarantines"] == 1
+        assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == inputs[:1]
+        assert db.health()["reason"] == "quarantined-sst"
+        # The job left no trace: same live files, no half-written output.
+        assert _sst_paths(env, "/adv")[:2] == inputs
+        assert len(_sst_paths(env, "/adv")) == 3
+
+        # No bg_error: writes, flushes and reads of clean files carry on.
+        db.put(b"after", b"still-writable")
+        db.flush()
+        assert db.get(b"after") == b"still-writable"
+        assert db.get(b"key-1-0042") == b"value-0042"
+    finally:
+        db.close()

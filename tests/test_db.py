@@ -332,3 +332,51 @@ def test_wal_files_cleaned_after_flush():
         db.flush()
         wal_files = [n for n in env.list_dir("/db") if n.endswith(".log")]
         assert len(wal_files) == 1  # only the active WAL remains
+
+
+def _cache_stats(db: DB) -> tuple[int, int, int]:
+    snap = db.stats_snapshot()
+    return (
+        snap["db.block_cache.hits"],
+        snap["db.block_cache.misses"],
+        snap["db.block_cache.usage_bytes"],
+    )
+
+
+def test_compaction_leaves_the_block_cache_alone():
+    """Compaction neither looks its inputs up in the block cache nor puts
+    them there: what the foreground cached of live files stays as it was."""
+    options = _small_options(level0_file_num_compaction_trigger=2)
+    with DB("/db", options) as db:
+        for i in range(300):
+            db.put(b"a-%04d" % i, b"value-%04d" % i)
+        db.force_compaction()  # one live file at the bottom level
+        for i in range(300):
+            assert db.get(b"a-%04d" % i) == b"value-%04d" % i
+        before = _cache_stats(db)
+        assert before[2] > 0
+
+        # Two L0 files in a key range of their own: the compaction they
+        # trigger reads and drops only files the foreground never read.
+        for batch in range(2):
+            for i in range(40):
+                db.put(b"b-%d-%04d" % (batch, i), b"x" * 20)
+            db.flush()
+        db.wait_for_compaction()
+        assert db.stats_snapshot()["db.compactions"] >= 2
+        assert _cache_stats(db) == before
+
+
+def test_dropped_sst_takes_its_blocks_out_of_the_cache():
+    with DB("/db", _small_options()) as db:
+        for i in range(300):
+            db.put(b"key-%04d" % i, b"value-%04d" % i)
+        db.flush()
+        for i in range(300):
+            assert db.get(b"key-%04d" % i) == b"value-%04d" % i
+        assert db.get_property("repro.block-cache-usage") > 0
+        # Rewrites every file; the old ones die with blocks still cached.
+        db.force_compaction()
+        assert db.get_property("repro.block-cache-usage") == 0
+        assert db.get(b"key-0007") == b"value-0007"
+        assert db.get_property("repro.block-cache-usage") > 0

@@ -12,8 +12,13 @@ from repro.dist.deployment import build_ds_deployment
 from repro.dist.network import NetworkConfig
 from repro.keys.cache import SecureDEKCache
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
+from repro.lsm.compaction import CompactionJob
 from repro.lsm.db import DB
+from repro.lsm.dbformat import TYPE_DELETE
+from repro.lsm.filename import sst_path
+from repro.lsm.iterator import merge_entries, newest_visible
 from repro.lsm.options import Options
+from repro.lsm.sst import SSTReader
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import VirtualClock
 
@@ -43,6 +48,54 @@ def test_offloaded_compaction_plaintext():
         assert service.stats.counter("service.bytes_written").value > 0
         for i in range(600):
             assert db.get(b"key-%05d" % i) == b"v" * 50
+
+
+@pytest.mark.parametrize("bottommost", [False, True])
+def test_local_and_offloaded_merges_write_the_same_entries(bottommost):
+    """One job, merged by the DB itself and by the worker: same entries in
+    the same output files, and both equal the entry-at-a-time reference
+    (merge, newest version per key, tombstones kept unless bottommost)."""
+    deployment = build_ds_deployment(clock=VirtualClock())
+    options = deployment.db_options(_engine_options(
+        level0_file_num_compaction_trigger=100,  # no compaction of its own
+        level0_slowdown_writes_trigger=100,
+        level0_stop_writes_trigger=100,
+    ))
+    options.compaction_service = deployment.compaction_service(options=options)
+    with DB("/db", options) as db:
+        for run in range(3):  # overlapping runs: overwrites and deletes
+            for i in range(run, 240, run + 1):
+                db.put(b"key-%04d" % i, b"run-%d-%04d" % (run, i) * 3)
+            for i in range(run * 5, 260, 11):
+                db.delete(b"key-%04d" % i)
+            db.flush()
+        inputs = list(db._versions.current.levels[0])
+        assert len(inputs) >= 3
+
+        def read(metas):
+            return [
+                list(SSTReader(
+                    options.env, sst_path("/db", meta.number),
+                    db.provider, options,
+                ).entries())
+                for meta in metas
+            ]
+
+        # The private halves of DB._run_merge_compaction, on the same job.
+        job = CompactionJob(
+            inputs={0: inputs}, output_level=1, bottommost=bottommost
+        )
+        local = read(db._merge_locally(job))
+        offloaded = read(db._merge_via_service(job))
+
+        assert len(local) > 1  # outputs split at target_file_size
+        assert local == offloaded
+        merged = [entry for output in local for entry in output]
+        assert merged == list(newest_visible(
+            merge_entries(read(inputs)), keep_tombstones=not bottommost
+        ))
+        has_tombstones = any(vtype == TYPE_DELETE for __, ___, vtype, ____ in merged)
+        assert has_tombstones != bottommost
 
 
 def test_offloaded_compaction_data_stays_off_the_link():

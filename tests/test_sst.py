@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.crypto.cipher import generate_key
+from repro.crypto.cipher import generate_key, spec_for
 from repro.env.mem import MemEnv
 from repro.errors import CorruptionError, EncryptionError, InvalidArgumentError
-from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
-from repro.lsm.filecrypto import PlaintextCryptoProvider, SingleKeyCryptoProvider
+from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
+from repro.lsm.filecrypto import (
+    PlaintextCryptoProvider,
+    SingleKeyCryptoProvider,
+    make_file_crypto,
+)
 from repro.lsm.envelope import FILE_KIND_SST
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTBuilder, SSTReader
@@ -171,3 +175,45 @@ def test_multithreaded_chunked_encryption_matches_sequential():
     reader = SSTReader(env, "/thr.sst", provider, threaded_options)
     assert reader.get(b"key-000321") == (TYPE_PUT, b"value-000321")
     assert info_seq.num_entries == info_thr.num_entries
+
+
+@pytest.mark.parametrize("scheme", ["shake-ctr", "shake-etm"])  # format v1, v2
+def test_forwarded_entries_rebuild_the_same_file(scheme):
+    """An SST rebuilt through add_encoded from another's raw_entries() is
+    that file again, byte for byte, under the same DEK and nonce: forwarding
+    stored entries changes nothing compaction writes."""
+    spec = spec_for(scheme)
+    key = bytes(range(spec.key_size))
+    nonce = bytes(range(spec.nonce_size))
+    env = MemEnv()
+    options = Options(block_size=512)
+
+    def builder(path):
+        crypto = make_file_crypto(spec.scheme_id, "dek-pinned", key, nonce)
+        return SSTBuilder(env, path, crypto, options)
+
+    built = builder("/a.sst")
+    seq = 1 << 21
+    for i in range(400):
+        user_key = b"key-%06d" % i
+        for version in range(1 + i % 3):  # newest first, 1-3 versions
+            seq -= 1
+            if (i + version) % 7 == 0:
+                built.add(user_key, seq, TYPE_DELETE, b"")
+            else:
+                built.add(user_key, seq, TYPE_PUT, b"v%d" % i * (1 + i % 40))
+    built_info = built.finish()
+
+    provider = SingleKeyCryptoProvider(scheme, key, dek_id="dek-pinned")
+    reader = SSTReader(env, "/a.sst", provider, options)
+    forwarded = builder("/b.sst")
+    for user_key, inverted_seq, __, encoded in reader.raw_entries():
+        forwarded.add_encoded(user_key, MAX_SEQUENCE - inverted_seq, encoded)
+    forwarded_info = forwarded.finish()
+
+    assert env.read_file("/b.sst") == env.read_file("/a.sst")
+    forwarded_info.path = built_info.path
+    assert forwarded_info == built_info
+    assert list(SSTReader(env, "/b.sst", provider, options).entries()) == list(
+        reader.entries()
+    )
