@@ -46,7 +46,7 @@ def main() -> None:
     print(f"  get(user:01234) -> {cluster.get(b'user:01234')}")
     print(f"  cross-shard scan: {len(cluster.scan(b'user:00100', b'user:00200'))} rows")
 
-    totals = cluster.stats_totals()
+    totals = cluster.stats_snapshot()
     print(f"  total writes across shards: {totals['db.writes']:,.0f}")
     print(f"  DEKs in the shared cache  : {len(shared_cache)}")
     kds_time_load = clock.total_slept

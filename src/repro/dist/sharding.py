@@ -36,22 +36,8 @@ def shard_for_key(key: bytes, num_shards: int) -> int:
     return int.from_bytes(digest, "big") % num_shards
 
 
-def merge_numeric(dicts) -> dict:
-    """Union of keys across stat snapshots; numeric values are summed,
-    the first occurrence wins for anything else."""
-    out: dict = {}
-    for snapshot in dicts:
-        for key, value in snapshot.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                out.setdefault(key, value)
-            elif isinstance(out.get(key), (int, float)):
-                out[key] = out[key] + value
-            else:
-                out[key] = value
-    return out
-
-
-_HEALTH_RANK = {"healthy": 0, "degraded": 1, "failed": 2}
+#: Severity order of health states; unknown states rank as failed.
+HEALTH_RANK = {"healthy": 0, "degraded": 1, "failed": 2}
 
 
 def merge_health(verdicts) -> dict:
@@ -61,11 +47,89 @@ def merge_health(verdicts) -> dict:
         if not verdict:
             continue
         if (
-            _HEALTH_RANK.get(verdict.get("state"), 2)
-            > _HEALTH_RANK.get(worst.get("state"), 0)
+            HEALTH_RANK.get(verdict.get("state"), 2)
+            > HEALTH_RANK.get(worst.get("state"), 0)
         ):
             worst = verdict
     return worst
+
+
+#: OP_STATS sections that are flat ``name -> number`` maps.
+_COUNTER_SECTIONS = ("server", "engine", "crypto", "integrity", "keyclient")
+
+
+def _sum_numeric(dicts) -> dict:
+    """Union of keys across flat stat maps; numbers are summed, the first
+    occurrence wins for anything else."""
+    out: dict = {}
+    for snapshot in dicts:
+        for key, value in snapshot.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                out.setdefault(key, value)
+            elif isinstance(out.get(key), (int, float)):
+                out[key] += value
+            else:
+                out[key] = value
+    return out
+
+
+def _merge_obs(parts) -> dict:
+    """``obs`` sections merged: summed/worst-of signals plus a per-policy
+    controller summary (see repro.obs.signals)."""
+    from repro.obs.controller import merge_controller_states
+    from repro.obs.signals import merge_signals
+
+    obs = {"signals": merge_signals([p.get("signals", {}) for p in parts])}
+    controllers = merge_controller_states(
+        [p.get("controller", {}) for p in parts]
+    )
+    if controllers:
+        obs["controller"] = controllers
+    return obs
+
+
+def merge_stats(snapshots) -> dict:
+    """Merge the OP_STATS snapshots of disjoint shards into one snapshot.
+
+    The layout is fixed and each rule applies at its own place only: the
+    counter sections and ``committed_sequence`` are summed, ``health`` is
+    worst-of, ``obs`` merges by its own rules, and ``replication`` is
+    empty because positions live in each engine's own sequence space.
+    Anything else (``workers``, ``endpoints``) describes one endpoint and
+    is dropped.
+    """
+    snapshots = list(snapshots)
+    out: dict = {
+        "committed_sequence": sum(
+            snap.get("committed_sequence", 0) for snap in snapshots
+        ),
+        "health": merge_health(snap.get("health") for snap in snapshots),
+        "replication": {},
+    }
+    for section in _COUNTER_SECTIONS:
+        parts = [snap[section] for snap in snapshots if section in snap]
+        if parts:
+            out[section] = _sum_numeric(parts)
+    obs_parts = [snap["obs"] for snap in snapshots if "obs" in snap]
+    if obs_parts:
+        out["obs"] = _merge_obs(obs_parts)
+    return out
+
+
+def split_batch(batch: WriteBatch, route) -> dict:
+    """Split a batch into one sub-batch per ``route(key)`` value.
+
+    Atomicity holds per shard (as in production sharded deployments,
+    cross-shard writes are not atomic); entry order is kept within each.
+    """
+    per_shard: dict = {}
+    for vtype, key, value in batch.items():
+        sub_batch = per_shard.setdefault(route(key), WriteBatch())
+        if vtype:
+            sub_batch.put(key, value)
+        else:
+            sub_batch.delete(key)
+    return per_shard
 
 
 def merge_scan_results(per_shard, limit: int | None):
@@ -186,20 +250,11 @@ class ShardedDB:
         self._shard(key).delete(key, opts)
 
     def write(self, batch: WriteBatch, opts: WriteOptions | None = None) -> None:
-        """Split a batch by shard; atomicity holds per shard (as in
-        production sharded deployments, cross-shard writes are not atomic)."""
+        """Split a batch by shard (see :func:`split_batch`)."""
         if self._closed:
             raise IOError_("sharded database is closed")
-        per_shard: dict[int, WriteBatch] = {}
-        for vtype, key, value in batch.items():
-            index = shard_for_key(key, self.num_shards)
-            sub_batch = per_shard.setdefault(index, WriteBatch())
-            if vtype:
-                sub_batch.put(key, value)
-            else:
-                sub_batch.delete(key)
-        for index, sub_batch in per_shard.items():
-            self.shards[index].write(sub_batch, opts)
+        for shard, sub_batch in split_batch(batch, self._shard).items():
+            shard.write(sub_batch, opts)
 
     def scan(
         self,
@@ -244,30 +299,18 @@ class ShardedDB:
             recovered = shard.try_recover() and recovered
         return recovered
 
-    def stats_totals(self) -> dict[str, float]:
-        """Sum each counter across shards."""
-        totals: dict[str, float] = {}
-        for shard in self.shards:
-            for name, value in shard.stats.snapshot().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+    def committed_sequence(self) -> int:
+        """Entries committed across all shards (each shard numbers its
+        own writes, so the sum counts every committed entry once)."""
+        return sum(shard.committed_sequence() for shard in self.shards)
+
+    def stats_snapshot(self) -> dict:
+        """Each shard's :meth:`DB.stats_snapshot`, summed."""
+        return _sum_numeric(shard.stats_snapshot() for shard in self.shards)
 
     def obs_dict(self) -> dict:
-        """Merged ``obs`` section: summed/worst-of signals across shards
-        plus a per-policy controller summary (see repro.obs.signals)."""
-        from repro.obs.controller import merge_controller_states
-        from repro.obs.signals import merge_signals
-
-        parts = [shard.obs_dict() for shard in self.shards]
-        out = {
-            "signals": merge_signals([p.get("signals", {}) for p in parts])
-        }
-        controllers = merge_controller_states(
-            [p.get("controller", {}) for p in parts]
-        )
-        if controllers:
-            out["controller"] = controllers
-        return out
+        """Each shard's ``obs`` section, merged as :func:`merge_stats` does."""
+        return _merge_obs([shard.obs_dict() for shard in self.shards])
 
     def close(self) -> None:
         """Close every shard; idempotent, and closes the rest even if one

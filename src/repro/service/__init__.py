@@ -8,10 +8,12 @@ read-only compute instances over shared state):
   binary wire format (GET/PUT/DELETE/WRITE_BATCH/SCAN/STATS plus the
   replication handshake), built from the same coding/checksum primitives
   as the storage formats;
-- :mod:`repro.service.server` -- a threaded socket server fronting a
-  ``DB`` or ``ShardedDB`` with per-connection pipelining, a bounded
-  request queue with explicit BUSY backpressure, per-connection KDS
-  authorization, and graceful drain;
+- :mod:`repro.service.server` -- the serving core every deployment
+  shape shares (``execute(db, msg)``, the OP_STATS sections, the health /
+  auto-recovery loop, the KDS authorization decisions) and the threaded
+  socket server built on it: a ``DB`` or ``ShardedDB`` behind
+  per-connection pipelining, a bounded request queue with explicit BUSY
+  backpressure, and graceful drain;
 - :mod:`repro.service.client` -- a pooled client with timeouts,
   retry-with-backoff on BUSY/transient socket errors, and a batched
   pipeline API; duck-types the ``DB`` read/write surface so the existing
@@ -22,11 +24,12 @@ read-only compute instances over shared state):
   replica never sees plaintext) to read replicas that serve from
   ReadOnlyInstance-style state and resume from their last applied
   sequence after a reconnect;
-- :mod:`repro.service.workers` -- the shared-nothing, shard-per-core
-  server: a selectors event-loop front-end routing framed requests to N
-  forked worker processes, each owning one shard (its own WAL, block
-  cache, DEK cache, and KeyClient), with per-worker BUSY backpressure,
-  crash detection + respawn, and scatter-gathered cross-shard operations.
+- :mod:`repro.service.workers` -- the second transport over the same
+  core, shared-nothing and shard-per-core: a selectors event-loop
+  front-end routing framed requests to N forked worker processes, each
+  owning one shard (its own WAL, block cache, DEK cache, and KeyClient),
+  with per-worker BUSY backpressure, crash detection + respawn, and
+  scatter-gathered cross-shard operations.
 """
 
 from repro.service.client import KVClient, Pipeline, ShardedKVClient

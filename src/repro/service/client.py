@@ -30,9 +30,10 @@ import time
 from repro.dist.sharding import (
     HashRing,
     merge_health,
-    merge_numeric,
     merge_scan_results,
+    merge_stats,
     shard_for_key,
+    split_batch,
 )
 from repro.errors import BusyError, DegradedError, ServiceError
 from repro.lsm.write_batch import WriteBatch
@@ -164,9 +165,6 @@ class KVClient:
         not retry in lockstep against a recovering server."""
         ceiling = min(self.backoff_base_s * (2 ** attempt), self.backoff_max_s)
         return self._rng.uniform(0.0, ceiling)
-
-    def _backoff(self, attempt: int) -> None:
-        time.sleep(self._backoff_s(attempt))
 
     def _sleep_within_deadline(self, started_at: float, attempt: int) -> bool:
         """Sleep the jittered backoff; False when the request's deadline
@@ -425,8 +423,6 @@ class ShardedKVClient:
         **client_kwargs,
     ):
         if isinstance(endpoints, dict):
-            if not endpoints:
-                raise ServiceError("at least one endpoint is required")
             self._names = sorted(endpoints)
             self._ring = ring if ring is not None else HashRing(self._names)
             missing = self._ring.nodes - set(self._names)
@@ -434,24 +430,22 @@ class ShardedKVClient:
                 raise ServiceError(
                     f"ring nodes without an endpoint: {sorted(missing)}"
                 )
-            self._clients = {
-                name: KVClient(host, port, **client_kwargs)
-                for name, (host, port) in endpoints.items()
-            }
         else:
-            endpoints = list(endpoints)
-            if not endpoints:
-                raise ServiceError("at least one endpoint is required")
             if ring is not None:
                 raise ServiceError(
                     "a HashRing needs named endpoints (pass a dict)"
                 )
-            self._names = [str(index) for index in range(len(endpoints))]
-            self._ring = None
-            self._clients = {
-                name: KVClient(host, port, **client_kwargs)
-                for name, (host, port) in zip(self._names, endpoints)
+            endpoints = {
+                str(index): pair for index, pair in enumerate(endpoints)
             }
+            self._names = list(endpoints)  # shard order
+            self._ring = None
+        if not endpoints:
+            raise ServiceError("at least one endpoint is required")
+        self._clients = {
+            name: KVClient(host, port, **client_kwargs)
+            for name, (host, port) in endpoints.items()
+        }
 
     @property
     def num_shards(self) -> int:
@@ -481,15 +475,8 @@ class ShardedKVClient:
         self.client_for_key(key).delete(key)
 
     def write(self, batch: WriteBatch, opts=None) -> None:
-        per_shard: dict[str, WriteBatch] = {}
-        for vtype, key, value in batch.items():
-            sub = per_shard.setdefault(self._route(key), WriteBatch())
-            if vtype:
-                sub.put(key, value)
-            else:
-                sub.delete(key)
-        for name, sub in per_shard.items():
-            self._clients[name].write(sub)
+        for client, sub in split_batch(batch, self.client_for_key).items():
+            client.write(sub)
 
     def scan(
         self,
@@ -504,40 +491,19 @@ class ShardedKVClient:
 
     def stats(self) -> dict:
         """Cross-endpoint merge with the same section layout as one
-        server's OP_STATS (summed gauges, worst-of health), plus an
+        server's OP_STATS (see :func:`merge_stats`), plus an
         ``endpoints`` section keyed by node name."""
         per_endpoint = {
             name: self._clients[name].stats() for name in self._names
         }
-        snapshots = list(per_endpoint.values())
-        merged = {
-            "server": merge_numeric(
-                [s.get("server", {}) for s in snapshots]
-            ),
-            "engine": merge_numeric(
-                [s.get("engine", {}) for s in snapshots]
-            ),
-            "crypto": merge_numeric(
-                [s.get("crypto", {}) for s in snapshots]
-            ),
-            "replication": {},
-            "committed_sequence": sum(
-                s.get("committed_sequence", 0) for s in snapshots
-            ),
-            "health": merge_health([s.get("health", {}) for s in snapshots]),
-            "endpoints": {
-                name: {
-                    "health": snapshot.get("health", {}),
-                    "committed_sequence": snapshot.get(
-                        "committed_sequence", 0
-                    ),
-                }
-                for name, snapshot in per_endpoint.items()
-            },
+        merged = merge_stats(per_endpoint.values())
+        merged["endpoints"] = {
+            name: {
+                "health": snapshot.get("health", {}),
+                "committed_sequence": snapshot.get("committed_sequence", 0),
+            }
+            for name, snapshot in per_endpoint.items()
         }
-        keyclients = [s["keyclient"] for s in snapshots if "keyclient" in s]
-        if keyclients:
-            merged["keyclient"] = merge_numeric(keyclients)
         return merged
 
     def flush(self) -> None:

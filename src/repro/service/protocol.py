@@ -133,27 +133,94 @@ def encode_frame(msg: Message) -> bytes:
     )
 
 
+def _frame_length(buf) -> int:
+    """The length prefix at the head of ``buf``, rejected unless plausible."""
+    length, __ = decode_fixed32(buf, 0)
+    if length < 4 or length > MAX_FRAME_SIZE:
+        raise ProtocolError(f"implausible frame length {length}")
+    return length
+
+
+def _parse_header(buf, pos: int) -> tuple[int, int, bytes, int]:
+    """Parse the frame header starting at the opcode byte.
+
+    Returns ``(opcode, request_id, trace, payload_offset)`` with the trace
+    flag already masked out of the opcode.
+    """
+    try:
+        opcode = buf[pos]
+        request_id, pos = decode_varint64(buf, pos + 1)
+        trace = b""
+        if opcode & TRACE_FLAG:
+            opcode &= ~TRACE_FLAG
+            trace, pos = decode_length_prefixed(buf, pos)
+    except (IndexError, CorruptionError) as exc:
+        raise ProtocolError(f"truncated frame header: {exc}") from None
+    return opcode, request_id, trace, pos
+
+
+def _check_crc(buf, crc_offset: int) -> None:
+    # A view, not a slice: a frame may be MAX_FRAME_SIZE long and the
+    # front-end checks every request frame it forwards.
+    crc, body_offset = decode_fixed32(buf, crc_offset)
+    if masked_crc32(memoryview(buf)[body_offset:]) != crc:
+        raise ProtocolError("frame checksum mismatch")
+
+
 def decode_frame_body(body: bytes) -> Message:
     """Parse the bytes after the length prefix (crc + header + payload)."""
-    crc, offset = decode_fixed32(body, 0)
-    rest = body[offset:]
-    if masked_crc32(rest) != crc:
-        raise ProtocolError("frame checksum mismatch")
-    if not rest:
-        raise ProtocolError("empty frame body")
-    opcode = rest[0]
-    request_id, pos = decode_varint64(rest, 1)
-    trace = b""
-    if opcode & TRACE_FLAG:
-        opcode &= ~TRACE_FLAG
-        trace_raw, pos = decode_length_prefixed(rest, pos)
-        trace = bytes(trace_raw)
-    return Message(
-        opcode=opcode,
-        request_id=request_id,
-        payload=bytes(rest[pos:]),
-        trace=trace,
-    )
+    _check_crc(body, 0)
+    opcode, request_id, trace, pos = _parse_header(body, 4)
+    return Message(opcode, request_id, body[pos:], trace)
+
+
+class Frame:
+    """One complete frame kept as raw bytes, with only its header parsed.
+
+    A proxy that forwards frames verbatim needs the opcode, the request
+    id and -- for routed ops -- the key at the head of the payload; that
+    costs a fraction of a full decode + re-encode per hop.  The CRC is not
+    checked on construction: call :meth:`verify` at the trust boundary.
+    """
+
+    __slots__ = ("raw", "opcode", "request_id", "trace", "_payload_off")
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        header = _parse_header(raw, 8)
+        self.opcode, self.request_id, self.trace, self._payload_off = header
+
+    def verify(self) -> None:
+        _check_crc(self.raw, 4)
+
+    def payload(self) -> bytes:
+        return self.raw[self._payload_off:]
+
+    def message(self) -> Message:
+        return Message(self.opcode, self.request_id, self.payload(), self.trace)
+
+
+class FrameSplitter:
+    """Incremental splitter for non-blocking sockets: feed whatever
+    ``recv`` returned, iterate the complete :class:`Frame`s so far."""
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+
+    def frames(self):
+        buf = self._buf
+        while len(buf) >= 4:
+            end = 4 + _frame_length(buf)
+            if len(buf) < end:
+                return
+            raw = bytes(buf[:end])
+            del buf[:end]
+            yield Frame(raw)
 
 
 def recv_exact(sock: socket.socket, nbytes: int) -> bytes | None:
@@ -176,10 +243,7 @@ def read_message(sock: socket.socket) -> Message | None:
     head = recv_exact(sock, 4)
     if head is None:
         return None
-    length, __ = decode_fixed32(head, 0)
-    if length < 4 or length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"implausible frame length {length}")
-    body = recv_exact(sock, length)
+    body = recv_exact(sock, _frame_length(head))
     if body is None:
         raise ProtocolError("connection closed mid-frame")
     return decode_frame_body(body)
@@ -324,6 +388,10 @@ def encode_error(exc: BaseException) -> bytes:
         encode_length_prefixed(type(exc).__name__.encode())
         + encode_length_prefixed(str(exc).encode())
     )
+
+
+def error_reply(request_id: int, exc: BaseException) -> Message:
+    return Message(RESP_ERROR, request_id, encode_error(exc))
 
 
 #: Exception classes a server may legitimately put on the wire, by name.

@@ -1,13 +1,27 @@
-"""A threaded socket server fronting a ``DB`` (or ``ShardedDB``).
+"""The serving core, and the threaded socket server built on it.
 
-Architecture::
+**The core** is everything between "a decoded request" and "a reply
+message", written once for every deployment shape: :func:`execute` (the
+opcode switch, with degraded-mode write failures mapped to the retriable
+``RESP_DEGRADED``), :func:`stats_sections` (an engine's OP_STATS
+sections), :func:`health_loop` (health polling and auto-recovery) and
+the KDS authorization decisions (:func:`authenticate`,
+:func:`require_authenticated`).  It serves any engine with the ``DB``
+surface -- a ``DB``, a ``ShardedDB``, one shard inside a forked worker --
+and never looks at which transport called it.
+
+**Two transports** carry requests to the core.  This module's
+:class:`KVServer` is threads and a bounded queue over an in-process
+engine (so it can stream replication from the engine's commit hook);
+:mod:`repro.service.workers` is a selectors front-end forwarding frames
+byte-for-byte to forked shard workers.  KVServer's architecture::
 
     accept thread ── one reader thread per connection
                          │  parses frames, answers AUTH inline,
                          │  hands replication subscriptions to a streamer,
                          ▼
-                 bounded request queue ── N worker threads execute against
-                                          the engine and write responses
+                 bounded request queue ── N worker threads call execute()
+                                          and write responses
 
 Backpressure is explicit: when the queue is full the *reader* thread
 answers ``RESP_BUSY`` immediately instead of buffering unboundedly --
@@ -29,9 +43,10 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.cipher import CRYPTO_STATS
+from repro.dist.sharding import HEALTH_RANK
 from repro.errors import (
     AuthorizationError,
     InvalidArgumentError,
@@ -40,12 +55,16 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.lsm.db import HEALTH_DEGRADED, HEALTH_HEALTHY
+from repro.lsm.db import HEALTH_DEGRADED
+from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.service import protocol
 from repro.service.protocol import Message
 from repro.service.replica import ReplicationSource, stream_to_replica
 from repro.util.stats import StatsRegistry
+
+#: ``listen()`` backlog of both servers' accept sockets.
+ACCEPT_BACKLOG = 64
 
 
 @dataclass
@@ -61,9 +80,189 @@ class ServiceConfig:
     socket_timeout_s: float | None = None
     drain_timeout_s: float = 5.0     # graceful-shutdown drain budget
     repl_chunk_entries: int = 256    # snapshot catch-up batch size
-    accept_backlog: int = 64
     health_check_interval_s: float = 0.2  # health-monitor poll cadence
     auto_recover: bool = True        # clear transient bg errors automatically
+
+
+# ---------------------------------------------------------------------------
+# The serving core
+# ---------------------------------------------------------------------------
+
+
+def _key_client_of(db):
+    """The engine's KeyClient, or None (plaintext engines, ``ShardedDB``)."""
+    return getattr(getattr(db, "provider", None), "key_client", None)
+
+
+def is_authorized(kds, server_id: str) -> bool:
+    check = getattr(kds, "is_authorized", None)
+    if check is None:
+        return True  # no authorization machinery configured
+    return bool(check(server_id))
+
+
+def authenticate(kds, stats: StatsRegistry, conn, payload: bytes) -> None:
+    """OP_AUTH: record the server ID on ``conn`` if the KDS authorizes it,
+    raise :class:`AuthorizationError` otherwise."""
+    server_id = protocol.decode_auth(payload)
+    if not is_authorized(kds, server_id):
+        stats.counter("service.auth_rejections").add(1)
+        raise AuthorizationError(
+            f"server {server_id!r} is not authorized by the KDS"
+        )
+    conn.server_id = server_id
+    stats.counter("service.auth_accepted").add(1)
+
+
+def require_authenticated(config: ServiceConfig, conn) -> None:
+    if config.require_auth and conn.server_id is None:
+        raise AuthorizationError(
+            "connection is not authenticated; send AUTH first"
+        )
+
+
+def _apply_write(db, rid: int, fn) -> Message:
+    """Run a write; map degraded-mode failures to a retriable response.
+
+    A write that fails while the engine reports *degraded* (transient
+    background error, KDS outage) answers ``RESP_DEGRADED`` with the
+    health verdict instead of a terminal error or a dropped connection
+    -- the client backs off and retries, and succeeds once the health
+    loop has recovered the engine.  Failures outside degraded mode
+    propagate unchanged.
+    """
+    try:
+        fn()
+    except (IOError_, KeyManagementError):
+        health = db.health()
+        if health.get("state") == HEALTH_DEGRADED:
+            return Message(
+                protocol.RESP_DEGRADED, rid, protocol.encode_health(health)
+            )
+        raise
+    return Message(
+        protocol.RESP_OK, rid, protocol.encode_sequence(db.committed_sequence())
+    )
+
+
+def execute(db, msg: Message) -> Message:
+    """Execute one request against an engine; engine errors propagate."""
+    op = msg.opcode
+    rid = msg.request_id
+    if op == protocol.OP_GET:
+        value = db.get(protocol.decode_key(msg.payload))
+        if value is None:
+            return Message(protocol.RESP_NOT_FOUND, rid)
+        return Message(protocol.RESP_VALUE, rid, protocol.encode_value(value))
+    if op == protocol.OP_PUT:
+        key, value = protocol.decode_put(msg.payload)
+        return _apply_write(db, rid, lambda: db.put(key, value))
+    if op == protocol.OP_DELETE:
+        key = protocol.decode_key(msg.payload)
+        return _apply_write(db, rid, lambda: db.delete(key))
+    if op == protocol.OP_WRITE_BATCH:
+        __, batch = WriteBatch.deserialize(msg.payload)
+        return _apply_write(db, rid, lambda: db.write(batch))
+    if op == protocol.OP_SCAN:
+        start, end, limit = protocol.decode_scan(msg.payload)
+        pairs = db.scan(start, end, limit)
+        return Message(protocol.RESP_PAIRS, rid, protocol.encode_pairs(pairs))
+    if op == protocol.OP_STATS:
+        return Message(
+            protocol.RESP_STATS, rid, protocol.encode_stats(stats_sections(db))
+        )
+    if op == protocol.OP_FLUSH:
+        db.flush()
+        return Message(protocol.RESP_OK, rid)
+    if op == protocol.OP_COMPACT:
+        compact = getattr(db, "compact_range", None) or getattr(
+            db, "compact_all"
+        )
+        compact()
+        return Message(protocol.RESP_OK, rid)
+    if op == protocol.OP_PING:
+        return Message(protocol.RESP_OK, rid)
+    if op == protocol.OP_HEALTH:
+        return Message(
+            protocol.RESP_STATS, rid, protocol.encode_health(db.health())
+        )
+    raise InvalidArgumentError(f"unknown opcode {op}")
+
+
+def stats_sections(db) -> dict:
+    """One engine's OP_STATS sections.
+
+    ``engine`` (counters, block cache, tree shape), ``crypto`` (context
+    inits, bytes, init-vs-bulk seconds), ``integrity`` (tag verification
+    totals plus the engine's ``integrity.*`` gauges: quarantines,
+    freshness checks, trusted-counter value), ``keyclient`` (KDS
+    round-trips and cache hits), ``obs`` (derived signals, controller
+    state), ``health`` and ``committed_sequence``.  Each transport adds
+    its own ``server`` section on top.
+    """
+    engine = db.stats_snapshot()
+    crypto = CRYPTO_STATS.snapshot()
+    integrity = {
+        "integrity.auth_ok_total": crypto.get("crypto.auth_ok", 0),
+        "integrity.auth_fail_total": crypto.get("crypto.auth_fail", 0),
+    }
+    for name, value in engine.items():
+        if name.startswith("integrity."):
+            integrity[name] = value
+    out = {
+        "engine": engine,
+        "crypto": crypto,
+        "integrity": integrity,
+        "committed_sequence": db.committed_sequence(),
+        "health": db.health(),
+        "obs": db.obs_dict(),
+    }
+    key_client = _key_client_of(db)
+    if key_client is not None:
+        out["keyclient"] = key_client.stats.snapshot()
+    return out
+
+
+def health_loop(db, stop: threading.Event, config: ServiceConfig,
+                stats: StatsRegistry) -> None:
+    """Poll engine health until ``stop``; auto-recover from transient
+    degradation.
+
+    ``try_recover`` only clears *transient* background errors and
+    reschedules the interrupted jobs -- if the cause persists they fail
+    again and the engine re-degrades, so this loop converges instead of
+    masking a real fault.  Deferred DEK retires are drained once the KDS
+    answers again.  A tick that raises is counted and the loop carries
+    on: one bad probe must not end recovery for the life of the process.
+    """
+    key_client = _key_client_of(db)
+    while not stop.wait(config.health_check_interval_s):
+        try:
+            health = db.health()
+            recovered = (
+                config.auto_recover
+                and health.get("state") == HEALTH_DEGRADED
+                and health.get("reason") == "background-error"
+                and db.try_recover()
+            )
+            stats.gauge("service.health").set(
+                HEALTH_RANK.get(health.get("state"), 2)
+            )
+            if recovered:
+                stats.counter("service.recoveries").add(1)
+            if (
+                key_client is not None
+                and key_client.pending_retires
+                and key_client.available()
+            ):
+                key_client.drain_pending_retires()
+        except Exception:  # noqa: BLE001 - the health loop must never die
+            stats.counter("service.health_check_errors").add(1)
+
+
+# ---------------------------------------------------------------------------
+# The threaded transport
+# ---------------------------------------------------------------------------
 
 
 class _Connection:
@@ -115,7 +314,7 @@ class KVServer:
         self._source: ReplicationSource | None = (
             ReplicationSource(db) if hasattr(db, "add_commit_listener") else None
         )
-        self._key_client = getattr(getattr(db, "provider", None), "key_client", None)
+        self._key_client = _key_client_of(db)
         self._health_thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -132,7 +331,7 @@ class KVServer:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(self.config.accept_backlog)
+        self._listener.listen(ACCEPT_BACKLOG)
         for index in range(self.config.num_workers):
             worker = threading.Thread(
                 target=self._worker_loop, name=f"kv-worker-{index}", daemon=True
@@ -144,7 +343,8 @@ class KVServer:
         )
         self._accept_thread.start()
         self._health_thread = threading.Thread(
-            target=self._health_loop, name="kv-health", daemon=True
+            target=health_loop, name="kv-health", daemon=True,
+            args=(self.db, self._stopping, self.config, self.stats),
         )
         self._health_thread.start()
         self._started = True
@@ -229,9 +429,6 @@ class KVServer:
                     return
                 if msg is None:
                     return
-                if msg.opcode == protocol.OP_AUTH:
-                    self._handle_auth(conn, msg)
-                    continue
                 if msg.opcode == protocol.OP_REPL_SUBSCRIBE:
                     # Exempt from the require_auth gate: the subscription
                     # carries its own server ID, which _handle_subscribe
@@ -241,13 +438,16 @@ class KVServer:
                     # streamer.
                     self._handle_subscribe(conn, msg)
                     return
-                if not self._connection_authorized(conn):
-                    conn.send(Message(
-                        protocol.RESP_ERROR, msg.request_id,
-                        protocol.encode_error(AuthorizationError(
-                            "connection is not authenticated; send AUTH first"
-                        )),
-                    ))
+                try:
+                    if msg.opcode == protocol.OP_AUTH:
+                        authenticate(
+                            self._auth_kds(), self.stats, conn, msg.payload
+                        )
+                        conn.send(Message(protocol.RESP_OK, msg.request_id))
+                        continue
+                    require_authenticated(self.config, conn)
+                except AuthorizationError as exc:
+                    conn.send(protocol.error_reply(msg.request_id, exc))
                     continue
                 try:
                     self._queue.put_nowait((conn, msg, time.perf_counter()))
@@ -262,58 +462,25 @@ class KVServer:
             with self._conn_lock:
                 self._connections.discard(conn)
 
-    # -- authorization -----------------------------------------------------
-
     def _auth_kds(self):
         if self.config.kds is not None:
             return self.config.kds
         return getattr(self._key_client, "kds", None)
-
-    def _is_authorized(self, server_id: str) -> bool:
-        kds = self._auth_kds()
-        check = getattr(kds, "is_authorized", None)
-        if check is None:
-            return True  # no authorization machinery configured
-        return bool(check(server_id))
-
-    def _connection_authorized(self, conn: _Connection) -> bool:
-        return not self.config.require_auth or conn.server_id is not None
-
-    def _handle_auth(self, conn: _Connection, msg: Message) -> None:
-        server_id = protocol.decode_auth(msg.payload)
-        if not self._is_authorized(server_id):
-            self.stats.counter("service.auth_rejections").add(1)
-            conn.send(Message(
-                protocol.RESP_ERROR, msg.request_id,
-                protocol.encode_error(AuthorizationError(
-                    f"server {server_id!r} is not authorized by the KDS"
-                )),
-            ))
-            return
-        conn.server_id = server_id
-        self.stats.counter("service.auth_accepted").add(1)
-        conn.send(Message(protocol.RESP_OK, msg.request_id))
 
     # -- replication -------------------------------------------------------
 
     def _handle_subscribe(self, conn: _Connection, msg: Message) -> None:
         server_id, resume_seq = protocol.decode_repl_subscribe(msg.payload)
         if self._source is None:
-            conn.send(Message(
-                protocol.RESP_ERROR, msg.request_id,
-                protocol.encode_error(InvalidArgumentError(
-                    "this server's engine does not support WAL shipping"
-                )),
-            ))
+            conn.send(protocol.error_reply(msg.request_id, InvalidArgumentError(
+                "this server's engine does not support WAL shipping"
+            )))
             return
-        if not self._is_authorized(server_id):
+        if not is_authorized(self._auth_kds(), server_id):
             self.stats.counter("service.auth_rejections").add(1)
-            conn.send(Message(
-                protocol.RESP_ERROR, msg.request_id,
-                protocol.encode_error(AuthorizationError(
-                    f"replica {server_id!r} is not authorized by the KDS"
-                )),
-            ))
+            conn.send(protocol.error_reply(msg.request_id, AuthorizationError(
+                f"replica {server_id!r} is not authorized by the KDS"
+            )))
             return
         self.stats.counter("service.replica_subscriptions").add(1)
         try:
@@ -334,79 +501,11 @@ class KVServer:
             # resubscribes from its preserved resume position.
             self.stats.counter("service.repl_refusals").add(1)
             try:
-                conn.send(Message(
-                    protocol.RESP_ERROR, msg.request_id,
-                    protocol.encode_error(exc),
-                ))
+                conn.send(protocol.error_reply(msg.request_id, exc))
             except OSError:
                 pass
 
-    # -- health ------------------------------------------------------------
-
-    _HEALTH_CODES = {"healthy": 0, "degraded": 1, "failed": 2}
-
-    def _health_dict(self) -> dict:
-        probe = getattr(self.db, "health", None)
-        if probe is None:
-            return {"state": HEALTH_HEALTHY, "reason": "", "error": None}
-        return probe()
-
-    def _health_loop(self) -> None:
-        """Poll engine health; auto-recover from transient degradation.
-
-        ``DB.try_recover`` only clears *transient* background errors and
-        reschedules the interrupted jobs -- if the cause persists they fail
-        again and the engine re-degrades, so this loop converges instead of
-        masking a real fault.  Deferred DEK retires are drained once the
-        KDS answers again.
-        """
-        while not self._stopping.wait(self.config.health_check_interval_s):
-            health = self._health_dict()
-            self.stats.gauge("service.health").set(
-                self._HEALTH_CODES.get(health.get("state"), 2)
-            )
-            if (
-                self.config.auto_recover
-                and health.get("state") == HEALTH_DEGRADED
-                and health.get("reason") == "background-error"
-            ):
-                recover = getattr(self.db, "try_recover", None)
-                if recover is not None and recover():
-                    self.stats.counter("service.recoveries").add(1)
-            key_client = self._key_client
-            if (
-                key_client is not None
-                and getattr(key_client, "pending_retires", None)
-                and key_client.available()
-            ):
-                key_client.drain_pending_retires()
-
     # -- execute path ------------------------------------------------------
-
-    def _apply_write(self, rid: int, fn) -> Message:
-        """Run a write; map degraded-mode failures to a retriable response.
-
-        A write that fails while the engine reports *degraded* (transient
-        background error, KDS outage) answers ``RESP_DEGRADED`` with the
-        health verdict instead of a terminal error or a dropped connection
-        -- the client backs off and retries, and succeeds once the health
-        monitor has recovered the engine.  Failures outside degraded mode
-        propagate unchanged.
-        """
-        try:
-            fn()
-        except (IOError_, KeyManagementError):
-            health = self._health_dict()
-            if health.get("state") == HEALTH_DEGRADED:
-                self.stats.counter("service.degraded_rejections").add(1)
-                return Message(
-                    protocol.RESP_DEGRADED, rid, protocol.encode_health(health)
-                )
-            raise
-        return Message(
-            protocol.RESP_OK, rid,
-            protocol.encode_sequence(self._committed_sequence()),
-        )
 
     def _worker_loop(self) -> None:
         while True:
@@ -431,14 +530,19 @@ class KVServer:
                 attributes={"queue_wait_s": queue_wait},
             ) as span:
                 try:
-                    reply = self._execute(msg)
+                    if msg.opcode == protocol.OP_STATS:
+                        reply = Message(
+                            protocol.RESP_STATS, msg.request_id,
+                            protocol.encode_stats(self._stats_dict()),
+                        )
+                    else:
+                        reply = execute(self.db, msg)
                 except Exception as exc:  # noqa: BLE001 - every error goes on the wire
                     self.stats.counter("service.errors").add(1)
                     span.set_attribute("error", type(exc).__name__)
-                    reply = Message(
-                        protocol.RESP_ERROR, msg.request_id,
-                        protocol.encode_error(exc),
-                    )
+                    reply = protocol.error_reply(msg.request_id, exc)
+            if reply.opcode == protocol.RESP_DEGRADED:
+                self.stats.counter("service.degraded_rejections").add(1)
             self.stats.counter(f"service.{op_name}").add(1)
             self.stats.histogram(f"service.latency.{op_name}").record(
                 time.perf_counter() - started
@@ -449,107 +553,21 @@ class KVServer:
                 except OSError:
                     conn.close()
 
-    def _committed_sequence(self) -> int:
-        accessor = getattr(self.db, "committed_sequence", None)
-        return accessor() if accessor is not None else 0
-
-    def _execute(self, msg: Message) -> Message:
-        op = msg.opcode
-        rid = msg.request_id
-        if op == protocol.OP_GET:
-            value = self.db.get(protocol.decode_key(msg.payload))
-            if value is None:
-                return Message(protocol.RESP_NOT_FOUND, rid)
-            return Message(protocol.RESP_VALUE, rid, protocol.encode_value(value))
-        if op == protocol.OP_PUT:
-            key, value = protocol.decode_put(msg.payload)
-            return self._apply_write(rid, lambda: self.db.put(key, value))
-        if op == protocol.OP_DELETE:
-            key = protocol.decode_key(msg.payload)
-            return self._apply_write(rid, lambda: self.db.delete(key))
-        if op == protocol.OP_WRITE_BATCH:
-            from repro.lsm.write_batch import WriteBatch
-
-            __, batch = WriteBatch.deserialize(msg.payload)
-            return self._apply_write(rid, lambda: self.db.write(batch))
-        if op == protocol.OP_SCAN:
-            start, end, limit = protocol.decode_scan(msg.payload)
-            pairs = self.db.scan(start, end, limit)
-            return Message(protocol.RESP_PAIRS, rid, protocol.encode_pairs(pairs))
-        if op == protocol.OP_STATS:
-            return Message(
-                protocol.RESP_STATS, rid, protocol.encode_stats(self._stats_dict())
-            )
-        if op == protocol.OP_FLUSH:
-            self.db.flush()
-            return Message(protocol.RESP_OK, rid)
-        if op == protocol.OP_COMPACT:
-            compact = getattr(self.db, "compact_range", None) or getattr(
-                self.db, "compact_all"
-            )
-            compact()
-            return Message(protocol.RESP_OK, rid)
-        if op == protocol.OP_PING:
-            return Message(protocol.RESP_OK, rid)
-        if op == protocol.OP_HEALTH:
-            return Message(
-                protocol.RESP_STATS, rid,
-                protocol.encode_health(self._health_dict()),
-            )
-        raise InvalidArgumentError(f"unknown opcode {op}")
-
     def _stats_dict(self) -> dict:
-        """The merged OP_STATS snapshot: every layer this server can see.
-
-        Sections: ``server`` (queue/latency/backpressure), ``engine``
-        (counters, block cache, tree shape), ``crypto`` (context inits,
-        bytes, init-vs-bulk seconds), ``integrity`` (tag verification
-        totals, quarantines, freshness checks, trusted-counter value),
-        ``keyclient`` (KDS round-trips and cache hits), ``replication``
-        (per-replica stream position and lag derived from the position
-        gauges), plus ``committed_sequence``.
-        """
-        if hasattr(self.db, "stats_snapshot"):
-            engine = self.db.stats_snapshot()
-        elif getattr(self.db, "stats", None) is not None:
-            engine = self.db.stats.snapshot()
-        elif hasattr(self.db, "stats_totals"):
-            engine = self.db.stats_totals()
-        else:
-            engine = {}
-        committed = self._committed_sequence()
+        """OP_STATS: the engine's sections plus this transport's own --
+        ``server`` (queue/latency/backpressure counters) and
+        ``replication`` (per-replica stream position, and lag derived
+        from the position gauges against the committed sequence)."""
+        out = stats_sections(self.db)
         server = self.stats.snapshot()
         prefix = "service.repl_position."
-        replication = {}
-        for name, value in server.items():
-            if name.startswith(prefix):
-                replica_id = name[len(prefix):]
-                replication[replica_id] = {
-                    "position": value,
-                    "lag": max(0, committed - value),
-                }
-        crypto = CRYPTO_STATS.snapshot()
-        # The SHIELD++ integrity gauges: registry-level tag verification
-        # totals plus whatever integrity.* counters the engine exported
-        # (quarantines, freshness checks/advances, trusted-counter value).
-        integrity = {
-            "integrity.auth_ok_total": crypto.get("crypto.auth_ok", 0),
-            "integrity.auth_fail_total": crypto.get("crypto.auth_fail", 0),
+        out["server"] = server
+        out["replication"] = {
+            name[len(prefix):]: {
+                "position": value,
+                "lag": max(0, out["committed_sequence"] - value),
+            }
+            for name, value in server.items()
+            if name.startswith(prefix)
         }
-        for name, value in engine.items():
-            if name.startswith("integrity."):
-                integrity[name] = value
-        out = {
-            "server": server,
-            "engine": engine,
-            "crypto": crypto,
-            "integrity": integrity,
-            "replication": replication,
-            "committed_sequence": committed,
-            "health": self._health_dict(),
-        }
-        if self._key_client is not None and hasattr(self._key_client, "stats"):
-            out["keyclient"] = self._key_client.stats.snapshot()
-        if hasattr(self.db, "obs_dict"):
-            out["obs"] = self.db.obs_dict()
         return out

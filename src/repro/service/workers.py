@@ -1,18 +1,20 @@
 """Shard-per-core serving: a multi-process KVServer.
 
 The threaded :class:`~repro.service.server.KVServer` executes every byte
-of framing, crypto, and LSM work under one GIL.  This module splits the
-serving tier along the seams SHIELD's per-file DEK model already provides
-(each LSM component encrypts independently, so each shard is
-self-contained):
+of framing, crypto, and LSM work under one GIL.  This module is the
+second transport over the same serving core (``server.execute``,
+``stats_sections``, ``health_loop``, the authorization decisions), split
+along the seams SHIELD's per-file DEK model already provides (each LSM
+component encrypts independently, so each shard is self-contained):
 
 - N **worker processes**, each owning exactly one shard -- its own engine,
   WAL, block cache, DEK cache, and KeyClient.  A worker speaks the normal
-  wire protocol over an inherited ``socketpair``; it is single-threaded on
-  the request path (shared-nothing, shard-per-core), with a small health
-  thread mirroring the threaded server's auto-recovery loop.
+  wire protocol over an inherited ``socketpair`` and answers each request
+  with ``execute(db, msg)``; it is single-threaded on the request path
+  (shared-nothing, shard-per-core), with the core's health loop on a
+  small side thread.
 - one **event-loop front-end** (``selectors``) that accepts TCP
-  connections, parses frames, routes single-key operations by
+  connections, splits frames, routes single-key operations by
   :func:`~repro.dist.sharding.shard_for_key`, scatter-gathers the
   cross-shard operations (SCAN, STATS, FLUSH, COMPACT, HEALTH), splits
   WRITE_BATCH per shard, and never touches an engine itself.
@@ -25,11 +27,11 @@ request it still owed is answered with the *retriable* ``RESP_BUSY`` --
 never a terminal error -- and the worker is respawned on the same shard
 path, so a crash costs the client one backoff, not an error.
 
-``OP_STATS`` merges the per-worker snapshots the way ``ShardedDB`` does:
-numeric gauges/counters are summed, health is worst-of, and the section
-layout (``server`` / ``engine`` / ``crypto`` / ``keyclient`` /
-``replication``) matches the threaded server so ``repro-stats`` and the
-chaos harness keep working unchanged.
+``OP_STATS`` merges the per-worker sections with
+:func:`~repro.dist.sharding.merge_stats`, the same merge ``ShardedDB``
+and ``ShardedKVClient`` use, and adds the front-end's own ``server``
+section, so the layout matches the threaded server and ``repro-stats``
+and the chaos harness keep working unchanged.
 
 Replication subscriptions are refused here: WAL shipping needs the
 engine's commit hook, which lives in the worker processes.  Point
@@ -46,30 +48,25 @@ import threading
 import time
 from collections import deque
 
-from repro.crypto.cipher import CRYPTO_STATS
 from repro.dist.sharding import (
     merge_health,
-    merge_numeric,
     merge_scan_results,
+    merge_stats,
     shard_for_key,
+    split_batch,
 )
-from repro.errors import (
-    AuthorizationError,
-    InvalidArgumentError,
-    IOError_,
-    KeyManagementError,
-    ServiceError,
-)
-from repro.lsm.db import HEALTH_DEGRADED, HEALTH_HEALTHY
+from repro.errors import InvalidArgumentError, ServiceError
+from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.service import protocol
-from repro.service.protocol import Message
-from repro.service.server import ServiceConfig
-from repro.util.checksum import masked_crc32
-from repro.util.coding import (
-    decode_fixed32,
-    decode_length_prefixed,
-    decode_varint64,
+from repro.service.protocol import Frame, FrameSplitter, Message
+from repro.service.server import (
+    ACCEPT_BACKLOG,
+    ServiceConfig,
+    authenticate,
+    execute,
+    health_loop,
+    require_authenticated,
 )
 from repro.util.stats import StatsRegistry
 
@@ -78,106 +75,6 @@ _GATHER_OPS = frozenset({
     protocol.OP_SCAN, protocol.OP_STATS, protocol.OP_FLUSH,
     protocol.OP_COMPACT, protocol.OP_HEALTH, protocol.OP_WRITE_BATCH,
 })
-
-
-# ---------------------------------------------------------------------------
-# Frame reassembly for non-blocking sockets
-# ---------------------------------------------------------------------------
-
-
-class FrameBuffer:
-    """Incremental frame parser: feed raw bytes, pop complete messages."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
-
-    def messages(self):
-        """Yield every complete frame currently buffered."""
-        while True:
-            if len(self._buf) < 4:
-                return
-            length, __ = decode_fixed32(self._buf, 0)
-            if length < 4 or length > protocol.MAX_FRAME_SIZE:
-                raise protocol.ProtocolError(
-                    f"implausible frame length {length}"
-                )
-            if len(self._buf) < 4 + length:
-                return
-            body = bytes(self._buf[4:4 + length])
-            del self._buf[:4 + length]
-            yield protocol.decode_frame_body(body)
-
-
-class RawFrame:
-    """One complete frame kept as raw bytes, header parsed lazily.
-
-    The front-end forwards most frames verbatim (see the pass-through
-    notes on :class:`MultiProcessKVServer`), so it only ever needs the
-    opcode, the request id, and -- for routed ops -- the key prefix of
-    the payload.  Parsing just that header costs a fraction of a full
-    ``decode_frame_body`` + ``encode_frame`` round trip per hop.
-    """
-
-    __slots__ = ("raw", "opcode", "request_id", "_payload_off")
-
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        opcode = raw[8]
-        request_id, pos = decode_varint64(raw, 9)
-        if opcode & protocol.TRACE_FLAG:
-            opcode &= ~protocol.TRACE_FLAG
-            __, pos = decode_length_prefixed(raw, pos)
-        self.opcode = opcode
-        self.request_id = request_id
-        self._payload_off = pos
-
-    def verify(self) -> None:
-        """Check the frame CRC (done once, at the trust boundary)."""
-        crc, __ = decode_fixed32(self.raw, 4)
-        if masked_crc32(memoryview(self.raw)[8:]) != crc:
-            raise protocol.ProtocolError("frame checksum mismatch")
-
-    def payload(self) -> bytes:
-        return self.raw[self._payload_off:]
-
-    def message(self) -> Message:
-        """Full decode, for the few frames the front-end must interpret."""
-        return protocol.decode_frame_body(self.raw[4:])
-
-
-class RawFrameBuffer:
-    """Incremental splitter yielding :class:`RawFrame`s (no CRC check)."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
-
-    def frames(self):
-        while True:
-            if len(self._buf) < 4:
-                return
-            length, __ = decode_fixed32(self._buf, 0)
-            if length < 4 or length > protocol.MAX_FRAME_SIZE:
-                raise protocol.ProtocolError(
-                    f"implausible frame length {length}"
-                )
-            if len(self._buf) < 4 + length:
-                return
-            raw = bytes(self._buf[:4 + length])
-            del self._buf[:4 + length]
-            try:
-                yield RawFrame(raw)
-            except (IndexError, ValueError) as exc:
-                raise protocol.ProtocolError(f"truncated frame header: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,151 +95,16 @@ def _reset_fork_locks() -> None:
             sink._lock = threading.Lock()
 
 
-def _shard_stats_dict(db) -> dict:
-    """One worker's contribution to the merged OP_STATS snapshot."""
-    if hasattr(db, "stats_snapshot"):
-        engine = db.stats_snapshot()
-    elif getattr(db, "stats", None) is not None:
-        engine = db.stats.snapshot()
-    else:
-        engine = {}
-    health_probe = getattr(db, "health", None)
-    committed = getattr(db, "committed_sequence", None)
-    out = {
-        "engine": engine,
-        "crypto": CRYPTO_STATS.snapshot(),
-        "health": (
-            health_probe()
-            if health_probe is not None
-            else {"state": HEALTH_HEALTHY, "reason": "", "error": None}
-        ),
-        "committed_sequence": committed() if committed is not None else 0,
-    }
-    key_client = getattr(getattr(db, "provider", None), "key_client", None)
-    if key_client is None:
-        key_client = getattr(
-            getattr(getattr(db, "options", None), "crypto_provider", None),
-            "key_client", None,
-        )
-    if key_client is not None and hasattr(key_client, "stats"):
-        out["keyclient"] = key_client.stats.snapshot()
-    if hasattr(db, "obs_dict"):
-        out["obs"] = db.obs_dict()
-    return out
-
-
-def _apply_shard_write(db, rid: int, fn) -> Message:
-    """Run a write; map degraded-mode failures to the retriable response
-    (same contract as the threaded server's ``_apply_write``)."""
-    try:
-        fn()
-    except (IOError_, KeyManagementError):
-        health_probe = getattr(db, "health", None)
-        health = health_probe() if health_probe is not None else {}
-        if health.get("state") == HEALTH_DEGRADED:
-            return Message(
-                protocol.RESP_DEGRADED, rid, protocol.encode_health(health)
-            )
-        raise
-    committed = getattr(db, "committed_sequence", None)
-    return Message(
-        protocol.RESP_OK, rid,
-        protocol.encode_sequence(committed() if committed is not None else 0),
-    )
-
-
-def _execute_on_shard(db, msg: Message) -> Message:
-    """Execute one request against this worker's shard engine."""
-    op = msg.opcode
-    rid = msg.request_id
-    if op == protocol.OP_GET:
-        value = db.get(protocol.decode_key(msg.payload))
-        if value is None:
-            return Message(protocol.RESP_NOT_FOUND, rid)
-        return Message(protocol.RESP_VALUE, rid, protocol.encode_value(value))
-    if op == protocol.OP_PUT:
-        key, value = protocol.decode_put(msg.payload)
-        return _apply_shard_write(db, rid, lambda: db.put(key, value))
-    if op == protocol.OP_DELETE:
-        key = protocol.decode_key(msg.payload)
-        return _apply_shard_write(db, rid, lambda: db.delete(key))
-    if op == protocol.OP_WRITE_BATCH:
-        from repro.lsm.write_batch import WriteBatch
-
-        __, batch = WriteBatch.deserialize(msg.payload)
-        return _apply_shard_write(db, rid, lambda: db.write(batch))
-    if op == protocol.OP_SCAN:
-        start, end, limit = protocol.decode_scan(msg.payload)
-        pairs = db.scan(start, end, limit)
-        return Message(protocol.RESP_PAIRS, rid, protocol.encode_pairs(pairs))
-    if op == protocol.OP_STATS:
-        return Message(
-            protocol.RESP_STATS, rid, protocol.encode_stats(_shard_stats_dict(db))
-        )
-    if op == protocol.OP_FLUSH:
-        db.flush()
-        return Message(protocol.RESP_OK, rid)
-    if op == protocol.OP_COMPACT:
-        compact = getattr(db, "compact_range", None) or getattr(
-            db, "compact_all"
-        )
-        compact()
-        return Message(protocol.RESP_OK, rid)
-    if op == protocol.OP_HEALTH:
-        health_probe = getattr(db, "health", None)
-        health = (
-            health_probe()
-            if health_probe is not None
-            else {"state": HEALTH_HEALTHY, "reason": "", "error": None}
-        )
-        return Message(
-            protocol.RESP_STATS, rid, protocol.encode_health(health)
-        )
-    if op == protocol.OP_PING:
-        return Message(protocol.RESP_OK, rid)
-    raise InvalidArgumentError(f"unknown worker opcode {op}")
-
-
-def _shard_health_loop(db, stop: threading.Event, interval_s: float) -> None:
-    """The worker's copy of the threaded server's auto-recovery loop."""
-    while not stop.wait(interval_s):
-        try:
-            probe = getattr(db, "health", None)
-            if probe is None:
-                continue
-            health = probe()
-            if (
-                health.get("state") == HEALTH_DEGRADED
-                and health.get("reason") == "background-error"
-            ):
-                recover = getattr(db, "try_recover", None)
-                if recover is not None:
-                    recover()
-            key_client = getattr(
-                getattr(db, "provider", None), "key_client", None
-            )
-            if (
-                key_client is not None
-                and getattr(key_client, "pending_retires", None)
-                and key_client.available()
-            ):
-                key_client.drain_pending_retires()
-        except Exception:  # noqa: BLE001 - the health loop must never die
-            pass
-
-
 def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
     """The worker's request loop: read frame, execute, reply.  Exits on
     EOF (the front-end closed the pipe: graceful shutdown)."""
     stop = threading.Event()
-    health_thread = None
-    if config.auto_recover:
-        health_thread = threading.Thread(
-            target=_shard_health_loop,
-            args=(db, stop, config.health_check_interval_s),
-            name="shard-health", daemon=True,
-        )
-        health_thread.start()
+    # The loop's gauge and counters stay in this process, out of OP_STATS.
+    health_thread = threading.Thread(
+        target=health_loop, args=(db, stop, config, StatsRegistry()),
+        name="shard-health", daemon=True,
+    )
+    health_thread.start()
     try:
         while True:
             try:
@@ -356,20 +118,16 @@ def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
                 f"worker.{op_name}", parent=TRACER.extract(msg.trace)
             ):
                 try:
-                    reply = _execute_on_shard(db, msg)
+                    reply = execute(db, msg)
                 except Exception as exc:  # noqa: BLE001 - goes on the wire
-                    reply = Message(
-                        protocol.RESP_ERROR, msg.request_id,
-                        protocol.encode_error(exc),
-                    )
+                    reply = protocol.error_reply(msg.request_id, exc)
             try:
                 protocol.send_message(sock, reply)
             except OSError:
                 return
     finally:
         stop.set()
-        if health_thread is not None:
-            health_thread.join(timeout=1.0)
+        health_thread.join(timeout=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +148,7 @@ class _WorkerHandle:
         self.path = path
         self.pid: int | None = None
         self.sock: socket.socket | None = None
-        self.frames = RawFrameBuffer()
+        self.frames = FrameSplitter()
         self.outbuf = bytearray()
         # The worker serves its socket with one blocking loop, so its
         # responses come back in exactly the order requests were sent:
@@ -411,7 +169,7 @@ class _ClientConn:
     def __init__(self, sock: socket.socket, addr):
         self.sock = sock
         self.addr = addr
-        self.frames = RawFrameBuffer()
+        self.frames = FrameSplitter()
         self.outbuf = bytearray()
         self.server_id: str | None = None
         self.alive = True
@@ -500,7 +258,7 @@ class MultiProcessKVServer:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(self.config.accept_backlog)
+        self._listener.listen(ACCEPT_BACKLOG)
         self._listener.setblocking(False)
         for worker in self._workers:
             self._spawn_worker(worker)
@@ -631,7 +389,7 @@ class MultiProcessKVServer:
         parent_sock.setblocking(False)
         worker.pid = pid
         worker.sock = parent_sock
-        worker.frames = RawFrameBuffer()
+        worker.frames = FrameSplitter()
         worker.outbuf = bytearray()
         worker.pending = deque()
         worker.generation += 1
@@ -818,7 +576,7 @@ class MultiProcessKVServer:
             except protocol.ProtocolError:
                 self._handle_worker_crash(worker)
 
-    def _on_worker_response(self, worker: _WorkerHandle, resp: RawFrame) -> None:
+    def _on_worker_response(self, worker: _WorkerHandle, resp: Frame) -> None:
         if not worker.pending:
             # A response with nothing in flight: the pipe is out of sync.
             self._handle_worker_crash(worker)
@@ -829,11 +587,16 @@ class MultiProcessKVServer:
             # (the frame went through untouched), so its response frame --
             # CRC computed worker-side and still intact -- goes back as-is.
             __, conn, __rid = entry
+            if resp.opcode == protocol.RESP_DEGRADED:
+                self.stats.counter("service.degraded_rejections").add(1)
             self._reply_raw(conn, resp.raw)
             return
         __, gather, worker_index = entry
         if gather.done:
             return
+        # Gathered parts are re-encoded into one merged reply, so unlike a
+        # pass-through frame their CRC would not reach the client: check it.
+        resp.verify()
         gather.parts.append((worker_index, resp.message()))
         gather.remaining -= 1
         if gather.remaining == 0:
@@ -856,9 +619,7 @@ class MultiProcessKVServer:
 
     def _reply_error(self, conn: _ClientConn, rid: int, exc: Exception) -> None:
         self.stats.counter("service.errors").add(1)
-        self._reply(conn, Message(
-            protocol.RESP_ERROR, rid, protocol.encode_error(exc)
-        ))
+        self._reply(conn, protocol.error_reply(rid, exc))
 
     def _reply_busy(self, conn: _ClientConn, rid: int) -> None:
         self.stats.counter("service.busy_rejections").add(1)
@@ -880,28 +641,17 @@ class MultiProcessKVServer:
             return
         self._set_events(worker.sock, ("worker", worker), bool(worker.outbuf))
 
-    def _is_authorized(self, server_id: str) -> bool:
-        check = getattr(self.config.kds, "is_authorized", None)
-        if check is None:
-            return True  # no authorization machinery configured
-        return bool(check(server_id))
+    def _worker_for_key(self, key: bytes) -> _WorkerHandle:
+        return self._workers[shard_for_key(key, self.num_workers)]
 
-    def _dispatch(self, conn: _ClientConn, frame: RawFrame) -> None:
+    def _dispatch(self, conn: _ClientConn, frame: Frame) -> None:
         op = frame.opcode
         rid = frame.request_id
         op_name = protocol.OPCODE_NAMES.get(op, f"op{op}")
         self.stats.counter(f"service.{op_name}").add(1)
         try:
             if op == protocol.OP_AUTH:
-                server_id = protocol.decode_auth(frame.payload())
-                if not self._is_authorized(server_id):
-                    self.stats.counter("service.auth_rejections").add(1)
-                    self._reply_error(conn, rid, AuthorizationError(
-                        f"server {server_id!r} is not authorized by the KDS"
-                    ))
-                    return
-                conn.server_id = server_id
-                self.stats.counter("service.auth_accepted").add(1)
+                authenticate(self.config.kds, self.stats, conn, frame.payload())
                 self._reply(conn, Message(protocol.RESP_OK, rid))
                 return
             if op == protocol.OP_PING:
@@ -913,14 +663,11 @@ class MultiProcessKVServer:
                     "subscribe to a per-shard server instead"
                 ))
                 return
-            if self.config.require_auth and conn.server_id is None:
-                self._reply_error(conn, rid, AuthorizationError(
-                    "connection is not authenticated; send AUTH first"
-                ))
-                return
+            require_authenticated(self.config, conn)
             if op in (protocol.OP_GET, protocol.OP_PUT, protocol.OP_DELETE):
-                key = protocol.decode_key(frame.payload())
-                worker = self._workers[shard_for_key(key, self.num_workers)]
+                worker = self._worker_for_key(
+                    protocol.decode_key(frame.payload())
+                )
                 if not self._worker_available(worker):
                     self._reply_busy(conn, rid)
                     return
@@ -943,7 +690,7 @@ class MultiProcessKVServer:
         except Exception as exc:  # noqa: BLE001 - every error goes on the wire
             self._reply_error(conn, rid, exc)
 
-    def _dispatch_gather(self, conn: _ClientConn, frame: RawFrame) -> None:
+    def _dispatch_gather(self, conn: _ClientConn, frame: Frame) -> None:
         """Fan one request out to every worker; merged on the way back."""
         rid = frame.request_id
         if not all(self._worker_available(w) for w in self._workers):
@@ -962,43 +709,27 @@ class MultiProcessKVServer:
             if gather.done:
                 return  # a crash mid-fanout already answered BUSY
 
-    def _dispatch_write_batch(self, conn: _ClientConn, frame: RawFrame) -> None:
+    def _dispatch_write_batch(self, conn: _ClientConn, frame: Frame) -> None:
         """Split a batch by shard; per-shard atomicity, like ShardedDB."""
-        from repro.lsm.write_batch import WriteBatch
-
         rid = frame.request_id
-        msg = frame.message()
-        __, batch = WriteBatch.deserialize(msg.payload)
-        per_shard: dict[int, WriteBatch] = {}
-        for vtype, key, value in batch.items():
-            index = shard_for_key(key, self.num_workers)
-            sub = per_shard.setdefault(index, WriteBatch())
-            if vtype:
-                sub.put(key, value)
-            else:
-                sub.delete(key)
-        if not per_shard:
+        __, batch = WriteBatch.deserialize(frame.payload())
+        per_worker = split_batch(batch, self._worker_for_key)
+        if not per_worker:
             self._reply(conn, Message(
                 protocol.RESP_OK, rid, protocol.encode_sequence(0)
             ))
             return
-        targets = [self._workers[index] for index in per_shard]
-        if not all(self._worker_available(w) for w in targets):
+        if not all(self._worker_available(w) for w in per_worker):
             self._reply_busy(conn, rid)
             return
-        gather = _Gather(conn, rid, msg.opcode, len(per_shard))
-        if len(per_shard) == 1:
-            # Whole batch lands on one shard: forward the original frame.
-            (index,) = per_shard
-            self._forward(self._workers[index], frame.raw,
-                          ("gather", gather, index))
-            return
-        for index, sub in per_shard.items():
-            worker = self._workers[index]
-            raw = protocol.encode_frame(
-                Message(msg.opcode, rid, sub.serialize(0), msg.trace)
-            )
-            self._forward(worker, raw, ("gather", gather, index))
+        gather = _Gather(conn, rid, frame.opcode, len(per_worker))
+        for worker, sub in per_worker.items():
+            raw = frame.raw  # whole batch on one shard: forwarded verbatim
+            if len(per_worker) > 1:
+                raw = protocol.encode_frame(
+                    Message(frame.opcode, rid, sub.serialize(0), frame.trace)
+                )
+            self._forward(worker, raw, ("gather", gather, worker.index))
             if gather.done:
                 return
 
@@ -1063,9 +794,10 @@ class MultiProcessKVServer:
         self._reply(conn, Message(protocol.RESP_OK, rid))
 
     def _merged_stats(self, snapshots: list[tuple[int, dict]]) -> dict:
-        """The cross-worker OP_STATS merge: summed gauges, worst-of health,
-        same section layout as the threaded server."""
-        server = self.stats.snapshot()
+        """The workers' sections merged (see ``merge_stats``) plus the
+        front-end's own: ``server`` and a per-worker ``workers`` summary."""
+        merged = merge_stats(snapshot for __, snapshot in snapshots)
+        server = merged["server"] = self.stats.snapshot()
         for worker in self._workers:
             server[f"service.worker_inflight.{worker.index}"] = len(
                 worker.pending
@@ -1073,41 +805,11 @@ class MultiProcessKVServer:
             server[f"service.worker_generation.{worker.index}"] = (
                 worker.generation
             )
-        parts = [snapshot for __, snapshot in snapshots]
-        merged = {
-            "server": server,
-            "engine": merge_numeric([p.get("engine", {}) for p in parts]),
-            "crypto": merge_numeric([p.get("crypto", {}) for p in parts]),
-            "replication": {},
-            "committed_sequence": sum(
-                p.get("committed_sequence", 0) for p in parts
-            ),
-            "health": merge_health([p.get("health", {}) for p in parts]),
-            "workers": {
-                str(index): {
-                    "health": snapshot.get("health", {}),
-                    "committed_sequence": snapshot.get("committed_sequence", 0),
-                }
-                for index, snapshot in snapshots
-            },
-        }
-        keyclients = [p["keyclient"] for p in parts if "keyclient" in p]
-        if keyclients:
-            merged["keyclient"] = merge_numeric(keyclients)
-        obs_parts = [p["obs"] for p in parts if "obs" in p]
-        if obs_parts:
-            from repro.obs.controller import merge_controller_states
-            from repro.obs.signals import merge_signals
-
-            obs = {
-                "signals": merge_signals(
-                    [p.get("signals", {}) for p in obs_parts]
-                )
+        merged["workers"] = {
+            str(index): {
+                "health": snapshot.get("health", {}),
+                "committed_sequence": snapshot.get("committed_sequence", 0),
             }
-            controllers = merge_controller_states(
-                [p.get("controller", {}) for p in obs_parts]
-            )
-            if controllers:
-                obs["controller"] = controllers
-            merged["obs"] = obs
+            for index, snapshot in snapshots
+        }
         return merged

@@ -15,7 +15,7 @@ import pytest
 from repro.dist.sharding import shard_for_key
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthorizationError, ServiceError
+from repro.errors import AuthorizationError, IOError_, ServiceError
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
@@ -24,7 +24,7 @@ from repro.service import protocol
 from repro.service.client import KVClient, ShardedKVClient
 from repro.service.protocol import Message
 from repro.service.server import KVServer, ServiceConfig
-from repro.service.workers import FrameBuffer, MultiProcessKVServer
+from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
 
 
@@ -294,17 +294,92 @@ def test_replication_subscribe_is_rejected(tmp_path):
             sock.close()
 
 
-def test_frame_buffer_reassembles_split_frames():
-    frames = b"".join(
-        protocol.encode_frame(Message(protocol.OP_PING, rid, b""))
-        for rid in range(1, 4)
-    )
-    buf = FrameBuffer()
+def test_frame_splitter_reassembles_split_frames():
+    messages = [
+        Message(protocol.OP_PING, 1),
+        Message(protocol.OP_PUT, 300, protocol.encode_put(b"k", b"v" * 40),
+                trace=b"\x07" * 17),
+        Message(protocol.RESP_VALUE, 2**40, protocol.encode_value(b"")),
+    ]
+    stream = b"".join(protocol.encode_frame(msg) for msg in messages)
+    splitter = protocol.FrameSplitter()
     seen = []
-    for i in range(0, len(frames), 3):  # drip-feed 3 bytes at a time
-        buf.feed(frames[i:i + 3])
-        seen.extend(msg.request_id for msg in buf.messages())
-    assert seen == [1, 2, 3]
+    for i in range(0, len(stream), 3):  # drip-feed 3 bytes at a time
+        splitter.feed(stream[i:i + 3])
+        for frame in splitter.frames():
+            frame.verify()
+            # The lazily parsed header agrees with the full decode.
+            assert frame.message() == protocol.decode_frame_body(frame.raw[4:])
+            assert (frame.opcode, frame.request_id) == (
+                frame.message().opcode, frame.message().request_id
+            )
+            seen.append(frame.message())
+    assert seen == messages
+
+
+@pytest.mark.parametrize("stream, complaint", [
+    (b"\x03\x00\x00\x00" + b"\x00" * 3, "implausible frame length"),
+    (b"\xff\xff\xff\xff", "implausible frame length"),
+    # Length 4: a CRC and nothing else -- no opcode byte.
+    (b"\x04\x00\x00\x00" + b"\x00" * 4, "truncated frame header"),
+    # Length 5: an opcode but no request id.
+    (b"\x05\x00\x00\x00" + b"\x00" * 4 + b"\x01", "truncated frame header"),
+    # A traced opcode whose trace header runs past the frame.
+    (b"\x07\x00\x00\x00" + b"\x00" * 4 + b"\x41\x01\x09",
+     "truncated frame header"),
+])
+def test_frame_splitter_rejects_malformed_frames(stream, complaint):
+    splitter = protocol.FrameSplitter()
+    splitter.feed(stream)
+    with pytest.raises(protocol.ProtocolError, match=complaint):
+        list(splitter.frames())
+
+
+def test_front_end_survives_a_frame_with_a_truncated_header(tmp_path):
+    """A 9-byte frame (opcode, no request id) used to escape the
+    front-end's ProtocolError handling and end its event loop."""
+    base = str(tmp_path / "mp")
+    with MultiProcessKVServer(base, 2, _mem_factory()) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"\x05\x00\x00\x00" + b"\x00" * 4 + b"\x01")
+            assert sock.recv(16) == b""  # dropped, not answered
+        with _retrying_client(server) as client:
+            client.ping()
+
+
+def test_passthrough_degraded_write_is_counted_by_the_front_end(tmp_path):
+    """A single-key write travels verbatim in both directions; the
+    front-end still has to see that the worker bounced it DEGRADED."""
+
+    def degraded_factory(index, path):
+        db = DB(path, Options(env=MemEnv()))
+
+        class _DegradedDB:
+            def put(self, key, value, opts=None):
+                raise IOError_("disk blip")
+
+            def health(self):
+                return {"state": "degraded", "reason": "kds-unavailable",
+                        "error": None}
+
+            def __getattr__(self, name):
+                return getattr(db, name)
+
+        return _DegradedDB()
+
+    base = str(tmp_path / "mp")
+    with MultiProcessKVServer(base, 2, degraded_factory) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            protocol.send_message(sock, Message(
+                protocol.OP_PUT, 1, protocol.encode_put(b"k", b"v")
+            ))
+            reply = protocol.read_message(sock)
+        assert reply.opcode == protocol.RESP_DEGRADED
+        assert protocol.decode_health(reply.payload)["state"] == "degraded"
+        with _retrying_client(server) as client:
+            stats = client.stats()
+        assert stats["server"]["service.degraded_rejections"] == 1
+        assert stats["health"]["state"] == "degraded"
 
 
 # -- encrypted shards --------------------------------------------------------

@@ -8,7 +8,9 @@ from repro.dist.sharding import (
     HashRing,
     ShardedDB,
     merge_scan_results,
+    merge_stats,
     shard_for_key,
+    split_batch,
 )
 from repro.env.mem import MemEnv
 from repro.keys.cache import SecureDEKCache
@@ -81,12 +83,98 @@ def test_invalid_shard_count():
         ShardedDB("/c", 0, lambda i, p: None)
 
 
-def test_stats_totals_aggregate():
+def test_stats_and_sequence_aggregate_across_shards():
     with _plain_sharded(num_shards=2) as cluster:
         for i in range(100):
             cluster.put(b"key-%04d" % i, b"v")
-        totals = cluster.stats_totals()
-        assert totals["db.writes"] == 100
+        snapshot = cluster.stats_snapshot()
+        assert snapshot["db.writes"] == 100
+        # The gauges DB.stats_snapshot adds on top of the counters sum too.
+        assert snapshot["db.last_sequence"] == 100
+        assert snapshot["integrity.quarantined_files"] == 0
+        assert cluster.committed_sequence() == 100
+        assert cluster.committed_sequence() == sum(
+            shard.committed_sequence() for shard in cluster.shards
+        )
+
+
+def test_split_batch_routes_every_entry_and_keeps_order():
+    batch = WriteBatch()
+    for i in range(20):
+        batch.put(b"k-%02d" % i, b"v-%02d" % i)
+    batch.delete(b"k-03")
+    batch.put(b"k-03", b"again")
+
+    parts = split_batch(batch, lambda key: shard_for_key(key, 3))
+    assert set(parts) == {shard_for_key(b"k-%02d" % i, 3) for i in range(20)}
+    for index, part in parts.items():
+        entries = list(part.items())
+        assert all(shard_for_key(key, 3) == index for __, key, __v in entries)
+        # Same relative order as the source batch.
+        assert entries == [
+            entry for entry in batch.items()
+            if shard_for_key(entry[1], 3) == index
+        ]
+    assert sum(len(part) for part in parts.values()) == len(batch)
+    assert split_batch(WriteBatch(), lambda key: 0) == {}
+    # The route's return value is the key, whatever it is.
+    assert set(split_batch(batch, lambda key: "only")) == {"only"}
+
+
+def test_merge_stats_merges_an_op_stats_snapshot_section_by_section():
+    def snapshot(writes, state, write_amp, policy):
+        return {
+            "engine": {"db.writes": writes, "db.flag": True},
+            "integrity": {"integrity.auth_ok_total": writes},
+            "committed_sequence": writes,
+            "health": {"state": state, "reason": "", "error": None},
+            "replication": {"replica-1": {"position": writes, "lag": 0}},
+            "obs": {
+                "signals": {"write_amp": write_amp, "flush_bytes": 10},
+                "controller": {"policy": policy, "ticks": 1},
+            },
+        }
+
+    merged = merge_stats([
+        snapshot(3, "healthy", 2.0, "leveled"),
+        snapshot(4, "degraded", 5.0, "universal"),
+    ])
+    assert merged["engine"] == {"db.writes": 7, "db.flag": True}
+    assert merged["integrity"] == {"integrity.auth_ok_total": 7}
+    assert merged["committed_sequence"] == 7
+    assert merged["health"]["state"] == "degraded"        # worst-of
+    assert merged["replication"] == {}     # per-engine sequence spaces
+    assert merged["obs"]["signals"] == {"write_amp": 5.0, "flush_bytes": 20}
+    assert merged["obs"]["controller"]["policies"] == {
+        "leveled": 1, "universal": 1,
+    }
+
+    # A section only some shards report is still merged; none -> absent.
+    partial = merge_stats([{"keyclient": {"keyclient.provisions": 2}}, {}])
+    assert partial["keyclient"] == {"keyclient.provisions": 2}
+    assert "engine" not in partial and "obs" not in partial
+    no_controller = merge_stats([{"obs": {"signals": {}}}] * 2)
+    assert "controller" not in no_controller["obs"]
+    assert merge_stats([]) == {
+        "committed_sequence": 0,
+        "health": {"state": "healthy", "reason": "", "error": None},
+        "replication": {},
+    }
+
+
+def test_merge_stats_applies_each_rule_at_its_own_place_only():
+    """A counter that happens to be called ``health`` or ``signals`` is a
+    counter, and per-endpoint detail is never merged positionally."""
+    def endpoint(name):
+        return {
+            "engine": {"health": 2, "signals": 3, "replication": 4},
+            "workers": {"0": {"committed_sequence": 7}},
+            "endpoints": {name: {"committed_sequence": 7}},
+        }
+
+    merged = merge_stats([endpoint("a"), endpoint("b")])
+    assert merged["engine"] == {"health": 4, "signals": 6, "replication": 8}
+    assert "workers" not in merged and "endpoints" not in merged
 
 
 def test_colocated_shards_share_secure_cache(tmp_path):
