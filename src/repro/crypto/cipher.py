@@ -63,12 +63,8 @@ class CipherSpec:
     tag_size: int = 0
 
 
-def _make_aes128(key: bytes, nonce: bytes) -> StreamCipher:
-    return CtrCipher(AES(key), nonce)
-
-
-def _make_aes256(key: bytes, nonce: bytes) -> StreamCipher:
-    return CtrCipher(AES(key), nonce)
+def _make_aes_ctr(key: bytes, nonce: bytes) -> StreamCipher:
+    return CtrCipher(AES(key), nonce)  # the key length picks AES-128/256
 
 
 _SPECS: dict[str, CipherSpec] = {}
@@ -82,8 +78,8 @@ def _register(spec: CipherSpec) -> None:
     _SPECS_BY_ID[spec.scheme_id] = spec
 
 
-_register(CipherSpec("aes-128-ctr", 1, 16, 12, _make_aes128))
-_register(CipherSpec("aes-256-ctr", 2, 32, 12, _make_aes256))
+_register(CipherSpec("aes-128-ctr", 1, 16, 12, _make_aes_ctr))
+_register(CipherSpec("aes-256-ctr", 2, 32, 12, _make_aes_ctr))
 _register(CipherSpec("chacha20", 3, 32, 12, ChaCha20Cipher))
 _register(CipherSpec("shake-ctr", 4, 32, 16, ShakeCtrCipher))
 _register(CipherSpec("aes-256-gcm", 5, 32, 12, AesGcm,
@@ -97,11 +93,6 @@ _register(CipherSpec("shake-etm", 7, 32, 16, ShakeEtm,
 def available_schemes() -> list[str]:
     """Names of every registered scheme."""
     return sorted(_SPECS)
-
-
-def is_aead(scheme: str | int) -> bool:
-    """Whether a scheme authenticates (tags) what it encrypts."""
-    return spec_for(scheme).aead
 
 
 def default_at_rest_scheme() -> str:
@@ -216,7 +207,8 @@ class _MeteredAead:
         return out
 
 
-def _check_material(spec: CipherSpec, key: bytes, nonce: bytes) -> None:
+def _new_context(spec: CipherSpec, key: bytes, nonce: bytes):
+    """Check the material and build one context, counted and timed as an init."""
     if len(key) != spec.key_size:
         raise EncryptionError(
             f"{spec.name} needs a {spec.key_size}-byte key, got {len(key)}"
@@ -225,6 +217,13 @@ def _check_material(spec: CipherSpec, key: bytes, nonce: bytes) -> None:
         raise EncryptionError(
             f"{spec.name} needs a {spec.nonce_size}-byte nonce, got {len(nonce)}"
         )
+    start = time.perf_counter()
+    context = spec.factory(key, nonce)
+    elapsed = time.perf_counter() - start
+    CRYPTO_STATS.counter("crypto.context_inits").add(1)
+    CRYPTO_STATS.histogram("crypto.init_s").record(elapsed)
+    costs.charge("encrypt_init", elapsed)
+    return context
 
 
 def create_cipher(scheme: str | int, key: bytes, nonce: bytes) -> StreamCipher:
@@ -235,14 +234,7 @@ def create_cipher(scheme: str | int, key: bytes, nonce: bytes) -> StreamCipher:
             f"{spec.name} is an AEAD scheme: use create_aead (sealed units), "
             "not the seekable stream-cipher interface"
         )
-    _check_material(spec, key, nonce)
-    start = time.perf_counter()
-    context = spec.factory(key, nonce)
-    elapsed = time.perf_counter() - start
-    CRYPTO_STATS.counter("crypto.context_inits").add(1)
-    CRYPTO_STATS.histogram("crypto.init_s").record(elapsed)
-    costs.charge("encrypt_init", elapsed)
-    return _MeteredCipher(context)
+    return _MeteredCipher(_new_context(spec, key, nonce))
 
 
 def create_aead(scheme: str | int, key: bytes, nonce: bytes) -> _MeteredAead:
@@ -252,11 +244,4 @@ def create_aead(scheme: str | int, key: bytes, nonce: bytes) -> _MeteredAead:
         raise EncryptionError(
             f"{spec.name} is a stream cipher, not an AEAD scheme"
         )
-    _check_material(spec, key, nonce)
-    start = time.perf_counter()
-    context = spec.factory(key, nonce)
-    elapsed = time.perf_counter() - start
-    CRYPTO_STATS.counter("crypto.context_inits").add(1)
-    CRYPTO_STATS.histogram("crypto.init_s").record(elapsed)
-    costs.charge("encrypt_init", elapsed)
-    return _MeteredAead(context)
+    return _MeteredAead(_new_context(spec, key, nonce))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.env.base import Env
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_PUT
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
-from repro.lsm.iterator import merge_entries, newest_visible
+from repro.lsm.iterator import key_range, merge_entries, newest_visible
 from repro.lsm.memtable import make_memtable
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
@@ -63,10 +63,7 @@ class ReadOnlyInstance:
                 self.env, f"{self.path}/{name}", self.provider
             ):
                 first_seq, batch = WriteBatch.deserialize(payload)
-                seq = first_seq
-                for vtype, key, value in batch.items():
-                    mem.add(seq, vtype, key, value)
-                    seq += 1
+                batch.insert_into(mem, first_seq)
         self._mem = mem
 
     def _reader(self, number: int) -> SSTReader:
@@ -106,16 +103,8 @@ class ReadOnlyInstance:
             if meta.largest < start:
                 continue
             sources.append(self._reader(meta.number).entries_from(start))
-        results: list[tuple[bytes, bytes]] = []
-        for key, __, ___, value in newest_visible(merge_entries(sources)):
-            if key < start:
-                continue
-            if end is not None and key >= end:
-                break
-            results.append((key, value))
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        merged = newest_visible(merge_entries(sources))
+        return list(key_range(merged, start, end, limit))
 
     def close(self) -> None:
         for reader in self._readers.values():

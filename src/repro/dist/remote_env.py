@@ -14,6 +14,7 @@ from typing import Callable
 
 from repro.dist.network import NetworkLink
 from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import EnvWrapper, RandomAccessFileWrapper, WritableFileWrapper
 from repro.env.mem import MemEnv
 from repro.env.metered import classify_path
 
@@ -31,9 +32,9 @@ class StorageServer:
         return self.env
 
 
-class _RemoteWritableFile(WritableFile):
+class _RemoteWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, link: NetworkLink):
-        self._inner = inner
+        super().__init__(inner)
         self._link = link
 
     def append(self, data: bytes) -> None:
@@ -44,16 +45,10 @@ class _RemoteWritableFile(WritableFile):
         self._link.ping()
         self._inner.sync()
 
-    def close(self) -> None:
-        self._inner.close()
 
-    def tell(self) -> int:
-        return self._inner.tell()
-
-
-class _RemoteRandomAccessFile(RandomAccessFile):
+class _RemoteRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, link: NetworkLink):
-        self._inner = inner
+        super().__init__(inner)
         self._link = link
 
     def read(self, offset: int, length: int) -> bytes:
@@ -61,53 +56,48 @@ class _RemoteRandomAccessFile(RandomAccessFile):
         self._link.receive(len(data))
         return data
 
-    def size(self) -> int:
-        return self._inner.size()
 
-    def close(self) -> None:
-        self._inner.close()
-
-
-class RemoteEnv(Env):
+class RemoteEnv(EnvWrapper):
     """Compute-side view of the storage server, through the link."""
 
     def __init__(self, server: StorageServer, link: NetworkLink):
+        super().__init__(server.env)
         self.server = server
         self.link = link
 
     def new_writable_file(self, path: str) -> WritableFile:
         self.link.ping()
-        return _RemoteWritableFile(self.server.env.new_writable_file(path), self.link)
+        return _RemoteWritableFile(self.inner.new_writable_file(path), self.link)
 
     def new_random_access_file(self, path: str) -> RandomAccessFile:
         self.link.ping()
         return _RemoteRandomAccessFile(
-            self.server.env.new_random_access_file(path), self.link
+            self.inner.new_random_access_file(path), self.link
         )
 
     def delete_file(self, path: str) -> None:
         self.link.ping()
-        self.server.env.delete_file(path)
+        self.inner.delete_file(path)
 
     def rename_file(self, src: str, dst: str) -> None:
         self.link.ping()
-        self.server.env.rename_file(src, dst)
+        self.inner.rename_file(src, dst)
 
     def file_exists(self, path: str) -> bool:
         self.link.ping()
-        return self.server.env.file_exists(path)
+        return self.inner.file_exists(path)
 
     def list_dir(self, path: str) -> list[str]:
         self.link.ping()
-        return self.server.env.list_dir(path)
+        return self.inner.list_dir(path)
 
     def file_size(self, path: str) -> int:
         self.link.ping()
-        return self.server.env.file_size(path)
+        return self.inner.file_size(path)
 
     def mkdirs(self, path: str) -> None:
         self.link.ping()
-        self.server.env.mkdirs(path)
+        self.inner.mkdirs(path)
 
 
 class TieredEnv(Env):

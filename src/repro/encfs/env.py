@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from repro.crypto.cipher import create_cipher, generate_nonce, spec_for
 from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import EnvWrapper, RandomAccessFileWrapper, WritableFileWrapper
 from repro.errors import CorruptionError, EncryptionError
 
 _MAGIC = b"ENCF"
 
 
-class _EncryptedWritableFile(WritableFile):
+class _EncryptedWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, scheme_id: int, key: bytes, nonce: bytes):
-        self._inner = inner
+        super().__init__(inner)
         self._scheme_id = scheme_id
         self._key = key
         self._nonce = nonce
@@ -32,19 +33,13 @@ class _EncryptedWritableFile(WritableFile):
         self._inner.append(context.xor_at(data, self._offset))
         self._offset += len(data)
 
-    def sync(self) -> None:
-        self._inner.sync()
-
-    def close(self) -> None:
-        self._inner.close()
-
     def tell(self) -> int:
         return self._offset
 
 
-class _EncryptedRandomAccessFile(RandomAccessFile):
+class _EncryptedRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, key: bytes, expected_scheme: int):
-        self._inner = inner
+        super().__init__(inner)
         header_size = 5
         header = inner.read(0, header_size)
         if len(header) < header_size or header[:4] != _MAGIC:
@@ -71,11 +66,8 @@ class _EncryptedRandomAccessFile(RandomAccessFile):
     def size(self) -> int:
         return max(0, self._inner.size() - self._header_size)
 
-    def close(self) -> None:
-        self._inner.close()
 
-
-class EncryptedEnv(Env):
+class EncryptedEnv(EnvWrapper):
     """Wrap any Env so every byte on storage is ciphertext.
 
     The DEK is supplied once at construction (the paper: "a user-provided
@@ -95,7 +87,7 @@ class EncryptedEnv(Env):
             raise EncryptionError(
                 f"{scheme} needs a {spec.key_size}-byte key, got {len(key)}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.scheme = scheme
         self._scheme_id = spec.scheme_id
         self._key = key
@@ -112,23 +104,8 @@ class EncryptedEnv(Env):
             self.inner.new_random_access_file(path), self._key, self._scheme_id
         )
 
-    def delete_file(self, path: str) -> None:
-        self.inner.delete_file(path)
-
-    def rename_file(self, src: str, dst: str) -> None:
-        self.inner.rename_file(src, dst)
-
-    def file_exists(self, path: str) -> bool:
-        return self.inner.file_exists(path)
-
-    def list_dir(self, path: str) -> list[str]:
-        return self.inner.list_dir(path)
-
     def file_size(self, path: str) -> int:
         return max(0, self.inner.file_size(path) - self._header_size)
-
-    def mkdirs(self, path: str) -> None:
-        self.inner.mkdirs(path)
 
 
 def reencrypt_file(env: EncryptedEnv, path: str, new_env: EncryptedEnv) -> None:

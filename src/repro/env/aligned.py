@@ -14,17 +14,17 @@ property ``test_encfs_preserves_alignment`` pins down.
 
 from __future__ import annotations
 
-from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import Env, EnvWrapper, RandomAccessFile, RandomAccessFileWrapper
 from repro.errors import InvalidArgumentError
 from repro.util.stats import StatsRegistry
 
 DEFAULT_ALIGNMENT = 4096
 
 
-class _AlignedRandomAccessFile(RandomAccessFile):
+class _AlignedRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, alignment: int,
                  stats: StatsRegistry):
-        self._inner = inner
+        super().__init__(inner)
         self._alignment = alignment
         self._stats = stats
 
@@ -41,20 +41,14 @@ class _AlignedRandomAccessFile(RandomAccessFile):
         start_in_raw = offset - aligned_start
         return raw[start_in_raw:start_in_raw + length]
 
-    def size(self) -> int:
-        return self._inner.size()
 
-    def close(self) -> None:
-        self._inner.close()
-
-
-class AlignedReadEnv(Env):
+class AlignedReadEnv(EnvWrapper):
     """Enforce aligned physical reads (direct-I/O device model)."""
 
     def __init__(self, inner: Env, alignment: int = DEFAULT_ALIGNMENT):
         if alignment <= 0 or alignment & (alignment - 1):
             raise InvalidArgumentError("alignment must be a power of two")
-        self.inner = inner
+        super().__init__(inner)
         self.alignment = alignment
         self.stats = StatsRegistry()
 
@@ -63,28 +57,7 @@ class AlignedReadEnv(Env):
         physical = self.stats.counter("alignedio.physical_bytes").value
         return physical / requested if requested else 1.0
 
-    def new_writable_file(self, path: str) -> WritableFile:
-        return self.inner.new_writable_file(path)
-
     def new_random_access_file(self, path: str) -> RandomAccessFile:
         return _AlignedRandomAccessFile(
             self.inner.new_random_access_file(path), self.alignment, self.stats
         )
-
-    def delete_file(self, path: str) -> None:
-        self.inner.delete_file(path)
-
-    def rename_file(self, src: str, dst: str) -> None:
-        self.inner.rename_file(src, dst)
-
-    def file_exists(self, path: str) -> bool:
-        return self.inner.file_exists(path)
-
-    def list_dir(self, path: str) -> list[str]:
-        return self.inner.list_dir(path)
-
-    def file_size(self, path: str) -> int:
-        return self.inner.file_size(path)
-
-    def mkdirs(self, path: str) -> None:
-        self.inner.mkdirs(path)

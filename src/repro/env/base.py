@@ -1,4 +1,9 @@
-"""Abstract Env interface and file handle types."""
+"""Abstract Env interface, file handle types, and their forwarding wrappers.
+
+Layers that decorate an Env (metering, latency, faults, encryption, the
+network link) subclass :class:`EnvWrapper` and the two file wrappers --
+RocksDB's ``EnvWrapper`` idiom -- and override only the calls they change.
+"""
 
 from __future__ import annotations
 
@@ -90,3 +95,74 @@ class Env:
         with self.new_writable_file(path) as handle:
             handle.append(data)
             handle.sync()
+
+
+class WritableFileWrapper(WritableFile):
+    """Forwards every call to ``inner``."""
+
+    def __init__(self, inner: WritableFile):
+        self._inner = inner
+
+    def append(self, data: bytes) -> None:
+        self._inner.append(data)
+
+    def sync(self) -> None:
+        self._inner.sync()
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def tell(self) -> int:
+        return self._inner.tell()
+
+
+class RandomAccessFileWrapper(RandomAccessFile):
+    """Forwards every call to ``inner``."""
+
+    def __init__(self, inner: RandomAccessFile):
+        self._inner = inner
+
+    def read(self, offset: int, length: int) -> bytes:
+        return self._inner.read(offset, length)
+
+    def size(self) -> int:
+        return self._inner.size()
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+class EnvWrapper(Env):
+    """Forwards every call to ``inner``.
+
+    ``read_file``/``write_file`` are not forwarded: they stay built on this
+    object's own ``new_*_file``, so a subclass that wraps file handles
+    (decrypts, meters, delays) covers whole-file access too.
+    """
+
+    def __init__(self, inner: Env):
+        self.inner = inner
+
+    def new_writable_file(self, path: str) -> WritableFile:
+        return self.inner.new_writable_file(path)
+
+    def new_random_access_file(self, path: str) -> RandomAccessFile:
+        return self.inner.new_random_access_file(path)
+
+    def delete_file(self, path: str) -> None:
+        self.inner.delete_file(path)
+
+    def rename_file(self, src: str, dst: str) -> None:
+        self.inner.rename_file(src, dst)
+
+    def file_exists(self, path: str) -> bool:
+        return self.inner.file_exists(path)
+
+    def list_dir(self, path: str) -> list[str]:
+        return self.inner.list_dir(path)
+
+    def file_size(self, path: str) -> int:
+        return self.inner.file_size(path)
+
+    def mkdirs(self, path: str) -> None:
+        self.inner.mkdirs(path)

@@ -27,14 +27,15 @@ import threading
 from typing import Callable
 
 from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import EnvWrapper, RandomAccessFileWrapper, WritableFileWrapper
 from repro.errors import IOError_
 
 
-class FaultInjectionEnv(Env):
+class FaultInjectionEnv(EnvWrapper):
     """Env wrapper that injects storage failures on demand."""
 
     def __init__(self, inner: Env, seed: int = 0):
-        self.inner = inner
+        super().__init__(inner)
         self._lock = threading.Lock()
         self._rng = random.Random(seed)
         # write-side
@@ -254,22 +255,7 @@ class FaultInjectionEnv(Env):
         self._check_write(dst)
         self.inner.rename_file(src, dst)
 
-    def file_exists(self, path: str) -> bool:
-        return self.inner.file_exists(path)
-
-    def list_dir(self, path: str) -> list[str]:
-        return self.inner.list_dir(path)
-
-    def file_size(self, path: str) -> int:
-        return self.inner.file_size(path)
-
-    def mkdirs(self, path: str) -> None:
-        self.inner.mkdirs(path)
-
     # -- crash plumbing ------------------------------------------------------
-
-    def crash_process(self) -> None:
-        self.inner.crash_process()
 
     def crash_system(self) -> None:
         """Crash the inner env, then make every recorded torn sync true:
@@ -283,19 +269,16 @@ class FaultInjectionEnv(Env):
             data = self.inner.read_file(path)
             kept = data[: max(0, len(data) - drop)]
             self.inner.delete_file(path)
-            handle = self.inner.new_writable_file(path)
-            handle.append(kept)
-            handle.sync()
-            handle.close()
+            self.inner.write_file(path, kept)
 
     def __getattr__(self, name):
         # Inspection helpers of the wrapped env (fork, sync_count, ...).
         return getattr(self.inner, name)
 
 
-class _FaultyWritableFile(WritableFile):
+class _FaultyWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, env: FaultInjectionEnv, path: str):
-        self._inner = inner
+        super().__init__(inner)
         self._env = env
         self._path = path
 
@@ -312,13 +295,10 @@ class _FaultyWritableFile(WritableFile):
         self._env._check_write(self._path)
         self._inner.close()
 
-    def tell(self) -> int:
-        return self._inner.tell()
 
-
-class _FaultyRandomAccessFile(RandomAccessFile):
+class _FaultyRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, env: FaultInjectionEnv, path: str):
-        self._inner = inner
+        super().__init__(inner)
         self._env = env
         self._path = path
 
@@ -326,9 +306,3 @@ class _FaultyRandomAccessFile(RandomAccessFile):
         return self._env._check_read(
             self._path, self._inner.read(offset, length)
         )
-
-    def size(self) -> int:
-        return self._inner.size()
-
-    def close(self) -> None:
-        self._inner.close()

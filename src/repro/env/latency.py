@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import EnvWrapper, RandomAccessFileWrapper, WritableFileWrapper
 from repro.util.clock import Clock, RealClock
 
 
@@ -35,9 +36,9 @@ class LatencyModel:
         return nbytes / self.bandwidth_bytes_per_s
 
 
-class _LatencyWritableFile(WritableFile):
+class _LatencyWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, model: LatencyModel, clock: Clock):
-        self._inner = inner
+        super().__init__(inner)
         self._model = model
         self._clock = clock
 
@@ -49,16 +50,10 @@ class _LatencyWritableFile(WritableFile):
         self._clock.sleep(self._model.write_op_s)
         self._inner.sync()
 
-    def close(self) -> None:
-        self._inner.close()
 
-    def tell(self) -> int:
-        return self._inner.tell()
-
-
-class _LatencyRandomAccessFile(RandomAccessFile):
+class _LatencyRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, model: LatencyModel, clock: Clock):
-        self._inner = inner
+        super().__init__(inner)
         self._model = model
         self._clock = clock
 
@@ -67,18 +62,12 @@ class _LatencyRandomAccessFile(RandomAccessFile):
         self._clock.sleep(self._model.read_cost(len(data)))
         return data
 
-    def size(self) -> int:
-        return self._inner.size()
 
-    def close(self) -> None:
-        self._inner.close()
-
-
-class LatencyEnv(Env):
+class LatencyEnv(EnvWrapper):
     """Wrap any Env, charging latency for every data operation."""
 
     def __init__(self, inner: Env, model: LatencyModel, clock: Clock | None = None):
-        self.inner = inner
+        super().__init__(inner)
         self.model = model
         self.clock = clock or RealClock()
 
@@ -101,15 +90,3 @@ class LatencyEnv(Env):
     def rename_file(self, src: str, dst: str) -> None:
         self.clock.sleep(self.model.write_op_s)
         self.inner.rename_file(src, dst)
-
-    def file_exists(self, path: str) -> bool:
-        return self.inner.file_exists(path)
-
-    def list_dir(self, path: str) -> list[str]:
-        return self.inner.list_dir(path)
-
-    def file_size(self, path: str) -> int:
-        return self.inner.file_size(path)
-
-    def mkdirs(self, path: str) -> None:
-        self.inner.mkdirs(path)

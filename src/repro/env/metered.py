@@ -15,6 +15,7 @@ import time
 from typing import Callable
 
 from repro.env.base import Env, RandomAccessFile, WritableFile
+from repro.env.base import EnvWrapper, RandomAccessFileWrapper, WritableFileWrapper
 from repro.obs import costs
 from repro.util.stats import StatsRegistry
 
@@ -31,9 +32,9 @@ def classify_path(path: str) -> str:
     return "other"
 
 
-class _MeteredWritableFile(WritableFile):
+class _MeteredWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, stats: StatsRegistry, file_class: str):
-        self._inner = inner
+        super().__init__(inner)
         self._stats = stats
         self._class = file_class
 
@@ -54,16 +55,10 @@ class _MeteredWritableFile(WritableFile):
         self._stats.histogram(f"io.sync_s.{self._class}").record(elapsed)
         costs.charge("io", elapsed)
 
-    def close(self) -> None:
-        self._inner.close()
 
-    def tell(self) -> int:
-        return self._inner.tell()
-
-
-class _MeteredRandomAccessFile(RandomAccessFile):
+class _MeteredRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, stats: StatsRegistry, file_class: str):
-        self._inner = inner
+        super().__init__(inner)
         self._stats = stats
         self._class = file_class
 
@@ -77,14 +72,8 @@ class _MeteredRandomAccessFile(RandomAccessFile):
         costs.charge("io", elapsed, len(data))
         return data
 
-    def size(self) -> int:
-        return self._inner.size()
 
-    def close(self) -> None:
-        self._inner.close()
-
-
-class MeteredEnv(Env):
+class MeteredEnv(EnvWrapper):
     """Wrap any Env, counting per-class read/write bytes and operations."""
 
     def __init__(
@@ -93,7 +82,7 @@ class MeteredEnv(Env):
         stats: StatsRegistry | None = None,
         classify: Callable[[str], str] = classify_path,
     ):
-        self.inner = inner
+        super().__init__(inner)
         self.stats = stats or StatsRegistry()
         self._classify = classify
 
@@ -115,18 +104,9 @@ class MeteredEnv(Env):
         self.stats.counter(f"io.rename.ops.{self._classify(dst)}").add(1)
         self.inner.rename_file(src, dst)
 
-    def file_exists(self, path: str) -> bool:
-        return self.inner.file_exists(path)
-
     def list_dir(self, path: str) -> list[str]:
         self.stats.counter("io.list.ops").add(1)
         return self.inner.list_dir(path)
-
-    def file_size(self, path: str) -> int:
-        return self.inner.file_size(path)
-
-    def mkdirs(self, path: str) -> None:
-        self.inner.mkdirs(path)
 
     # -- reporting ----------------------------------------------------------
 

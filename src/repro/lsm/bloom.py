@@ -7,6 +7,8 @@ import zlib
 from repro.util.coding import decode_varint64, encode_varint64
 
 
+#: Filter bits per key in every SST (LevelDB's default: ~1% false positives).
+BITS_PER_KEY = 10
 _HASH_SEED = 0xBC9F1D34
 _ZERO_HASH = 0x9E3779B9  # stands in for a CRC of 0, which would never step
 
@@ -24,7 +26,9 @@ class BloomFilter:
         self.num_probes = num_probes
 
     @classmethod
-    def build(cls, keys: list[bytes], bits_per_key: int) -> "BloomFilter":
+    def build(
+        cls, keys: list[bytes], bits_per_key: int = BITS_PER_KEY
+    ) -> "BloomFilter":
         # k = bits_per_key * ln(2), clamped like LevelDB.
         num_probes = max(1, min(30, int(bits_per_key * 0.69)))
         nbits = max(64, len(keys) * bits_per_key)

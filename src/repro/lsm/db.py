@@ -40,7 +40,7 @@ from repro.lsm.filename import (
     sst_path,
     wal_path,
 )
-from repro.lsm.iterator import merge_entries, newest_visible
+from repro.lsm.iterator import key_range, merge_entries, newest_visible
 from repro.lsm.memtable import Memtable, make_memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
@@ -144,7 +144,7 @@ class DB:
         self._bg_error: BaseException | None = None
         self._commit_listeners: list = []
 
-        self._mem: Memtable = make_memtable(self.options.memtable_impl)
+        self._mem: Memtable = make_memtable("skiplist")
         # (memtable, wal_number, wal_dek_id) awaiting flush, oldest first.
         self._imm: list[tuple[Memtable, int, str]] = []
         self._wal: WALWriter | None = None
@@ -362,16 +362,13 @@ class DB:
         return sorted(wals)
 
     def _replay_wals(self, wals: list[tuple[int, str]]) -> Memtable:
-        mem = make_memtable(self.options.memtable_impl)
+        mem = make_memtable("skiplist")
         for __, path in wals:
             for payload in read_wal_records(self.env, path, self.provider):
                 first_seq, batch = WriteBatch.deserialize(payload)
-                seq = first_seq
-                for vtype, key, value in batch.items():
-                    mem.add(seq, vtype, key, value)
-                    seq += 1
                 self._versions.last_sequence = max(
-                    self._versions.last_sequence, seq - 1
+                    self._versions.last_sequence,
+                    batch.insert_into(mem, first_seq),
                 )
         return mem
 
@@ -468,16 +465,13 @@ class DB:
                         payload = request.batch.serialize(first_seq)
                         self._wal.add_record(payload)
                         want_sync = want_sync or request.opts.sync
-                    seq = first_seq
-                    for vtype, key, value in request.batch.items():
-                        self._mem.add(seq, vtype, key, value)
-                        seq += 1
+                    last_seq = request.batch.insert_into(self._mem, first_seq)
                     total_ops += len(request.batch)
                     total_bytes += request.batch.byte_size()
                     if self._commit_listeners:
                         if payload is None:
                             payload = request.batch.serialize(first_seq)
-                        committed.append((first_seq, seq - 1, payload))
+                        committed.append((first_seq, last_seq, payload))
                 if want_sync and self.options.wal_enabled:
                     self._wal.sync()
                 self._notify_commit_listeners(committed)
@@ -676,7 +670,7 @@ class DB:
         self._open_new_wal(self._versions.new_file_number())
         old_wal.close()
         self._imm.append((self._mem, old_number, old_dek_id))
-        self._mem = make_memtable(self.options.memtable_impl)
+        self._mem = make_memtable("skiplist")
         SYNC.process(SP_WAL_AFTER_ROTATE)
         self._schedule_bg(self._flush_job)
 
@@ -1020,38 +1014,46 @@ class DB:
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
         self.stats.counter("db.gets").add(1)
-        # Version snapshots carry no file refcounts; a concurrent compaction
-        # may unlink a file we are about to open, or retire its DEK from the
-        # KDS.  Retrying with a fresh version is always correct: the data
-        # moved, it didn't disappear.
+        self._read_tick()
+        with TRACER.span("db.get") as span:
+            value = self._retrying(span, self._get_once, key, snapshot)
+            span.set_attribute("found", value is not None)
+            return value
+
+    def _read_tick(self) -> None:
+        """Read-mostly phases produce no flushes to tick the control loop,
+        so the read path checks in occasionally.  The counter is racy on
+        purpose: a lost increment only delays a check."""
         if self._controller is not None:
-            # Read-mostly phases produce no flushes to tick the control
-            # loop, so the read path checks in occasionally.  The counter
-            # is racy on purpose: a lost increment only delays a check.
             self._reads_since_tick += 1
             if self._reads_since_tick >= 64:
                 self._reads_since_tick = 0
                 self._controller_tick("read")
-        with TRACER.span("db.get") as span:
-            for _attempt in range(8):
-                try:
-                    value = self._get_once(key, snapshot)
-                    span.set_attribute("found", value is not None)
-                    return value
-                except AuthenticationError:
-                    # A failed tag is tampering evidence, never a value to
-                    # retry toward: fail fast (the file is now quarantined).
-                    raise
-                except (
-                    CorruptionError, IOError_, NotFoundError, KeyManagementError
-                ):
-                    # CorruptionError included: a transient device-level
-                    # flip (or injected read chaos) corrupts one read, not
-                    # the file; persistent corruption still surfaces after
-                    # the retries are exhausted.
-                    span.incr("retries")
-                    continue
-            return self._get_once(key, snapshot)
+
+    def _retrying(self, span, read_once, *args):
+        """``read_once(*args)``, retried on errors a fresh version can cure.
+
+        Version snapshots carry no file refcounts; a concurrent compaction
+        may unlink a file we are about to open, or retire its DEK from the
+        KDS.  Retrying with a fresh version is always correct: the data
+        moved, it didn't disappear.
+        """
+        for _attempt in range(8):
+            try:
+                return read_once(*args)
+            except AuthenticationError:
+                # A failed tag is tampering evidence, never a value to
+                # retry toward: fail fast (the file is now quarantined).
+                raise
+            except (
+                CorruptionError, IOError_, NotFoundError, KeyManagementError
+            ):
+                # CorruptionError included: a transient device-level
+                # flip (or injected read chaos) corrupts one read, not
+                # the file; persistent corruption still surfaces after
+                # the retries are exhausted.
+                span.incr("retries")
+        return read_once(*args)
 
     def _get_once(self, key: bytes, snapshot: int) -> bytes | None:
         with self._mutex:
@@ -1097,21 +1099,9 @@ class DB:
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
         results: dict[bytes, bytes | None] = {}
-        with TRACER.span("db.multi_get", attributes={"keys": len(keys)}):
+        with TRACER.span("db.multi_get", attributes={"keys": len(keys)}) as span:
             for key in sorted(set(keys)):
-                for _attempt in range(8):
-                    try:
-                        results[key] = self._get_once(key, snapshot)
-                        break
-                    except AuthenticationError:
-                        raise
-                    except (
-                        CorruptionError, IOError_, NotFoundError,
-                        KeyManagementError,
-                    ):
-                        continue
-                else:
-                    results[key] = self._get_once(key, snapshot)
+                results[key] = self._retrying(span, self._get_once, key, snapshot)
         self.stats.counter("db.multigets").add(1)
         return results
 
@@ -1125,25 +1115,13 @@ class DB:
         """Range scan: [start, end) up to ``limit`` pairs."""
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
-        if self._controller is not None:
-            self._reads_since_tick += 1
-            if self._reads_since_tick >= 64:
-                self._reads_since_tick = 0
-                self._controller_tick("read")
+        self._read_tick()
         with TRACER.span("db.scan") as span:
-            for _attempt in range(8):
-                try:
-                    results = self._scan_once(start, end, limit, snapshot)
-                    span.set_attribute("results", len(results))
-                    return results
-                except AuthenticationError:
-                    raise
-                except (
-                    CorruptionError, IOError_, NotFoundError, KeyManagementError
-                ):
-                    span.incr("retries")
-                    continue
-            return self._scan_once(start, end, limit, snapshot)
+            results = self._retrying(
+                span, self._scan_once, start, end, limit, snapshot
+            )
+            span.set_attribute("results", len(results))
+            return results
 
     def _scan_once(
         self,
@@ -1166,16 +1144,8 @@ class DB:
                 self._guarded(meta, lambda reader: reader.entries_from(start))
             )
 
-        results: list[tuple[bytes, bytes]] = []
         merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)
-        for key, __, vtype, value in merged:
-            if key < start:
-                continue
-            if end is not None and key >= end:
-                break
-            results.append((key, value))
-            if limit is not None and len(results) >= limit:
-                break
+        results = list(key_range(merged, start, end, limit))
         self.stats.counter("db.scans").add(1)
         return results
 
@@ -1235,17 +1205,8 @@ class DB:
                     continue
                 readers.append(self._get_reader(meta))
         sources.extend(reader.entries_from(start) for reader in readers)
-
-        def generate():
-            merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)
-            for key, __, ___, value in merged:
-                if key < start:
-                    continue
-                if end is not None and key >= end:
-                    return
-                yield (key, value)
-
-        return generate()
+        merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)
+        return key_range(merged, start, end)
 
     def stats_string(self) -> str:
         """A human-readable engine status dump (RocksDB's GetProperty
@@ -1313,8 +1274,7 @@ class DB:
         key, so snapshots are best-effort once compaction touches the range
         (documented engine simplification).
         """
-        with self._mutex:
-            return self._versions.last_sequence
+        return self.committed_sequence()
 
     # ------------------------------------------------------------------
     # Maintenance

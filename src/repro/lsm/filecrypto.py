@@ -1,12 +1,18 @@
 """The encryption seam between the LSM engine and the crypto substrate.
 
-A :class:`FileCrypto` handles exactly one file's payload.  Each
-``encrypt``/``decrypt`` call constructs a fresh cipher context from the
-(key, nonce) pair -- deliberately mirroring how OpenSSL EVP contexts are
-re-initialized per operation, which is the repeated "encryption
-initialization" cost the paper identifies as the WAL bottleneck
-(Section 3.2).  It also makes FileCrypto stateless and therefore safe for
-SHIELD's multi-threaded chunk encryption.
+A :class:`FileCrypto` handles exactly one file's payload as a sequence of
+*units* (an SST block, a WAL write, the footer): ``seal`` turns a unit into
+what is stored at its payload offset, ``tag_size`` bytes longer, and
+``open`` turns it back.  Stream ciphers XOR at the offset with tag 0, AEAD
+schemes append and verify a tag; the writers and readers above this seam
+see only the contract, never the flavour.
+
+Each call constructs a fresh cipher context from the (key, nonce) pair --
+deliberately mirroring how OpenSSL EVP contexts are re-initialized per
+operation, which is the repeated "encryption initialization" cost the
+paper identifies as the WAL bottleneck (Section 3.2).  It also makes
+FileCrypto stateless and therefore safe for SHIELD's multi-threaded chunk
+encryption.
 
 A :class:`CryptoProvider` decides the policy:
 
@@ -18,6 +24,8 @@ A :class:`CryptoProvider` decides the policy:
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.crypto.aead import derive_nonce
 from repro.crypto.cipher import (
@@ -31,11 +39,28 @@ from repro.errors import EncryptionError
 from repro.lsm.envelope import Envelope
 
 
-class FileCrypto:
-    """Per-file payload encryption; offset 0 is the first payload byte."""
+def _fan_out(seal, calls: list[tuple], threads: int) -> bytes:
+    """Join ``seal(*call)`` for every call, on up to ``threads`` threads.
 
-    #: Stream-cipher files have no per-unit tags.
-    is_aead = False
+    In CPython, hashlib releases the GIL for inputs >= 2 KiB, so SHAKE-based
+    sealing genuinely overlaps across threads for realistic chunk sizes;
+    pure-Python AES threads interleave without speedup (documented in
+    DESIGN.md's fidelity notes).
+    """
+    if threads <= 1 or len(calls) <= 1:
+        return b"".join(seal(*call) for call in calls)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return b"".join(pool.map(lambda call: seal(*call), calls))
+
+
+class FileCrypto:
+    """Per-file payload encryption; offset 0 is the first payload byte.
+
+    This class is the plaintext and stream-cipher flavour of the contract:
+    no tag, ``aad`` unused, and a seekable XOR keystream, so sealing is
+    length-preserving and unit boundaries leave no trace in the bytes.
+    """
+
     tag_size = 0
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):
@@ -48,13 +73,33 @@ class FileCrypto:
     def encrypted(self) -> bool:
         return self.scheme_id != SCHEME_NONE
 
-    def encrypt(self, data: bytes, offset: int) -> bytes:
+    def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
         if not self.encrypted or not data:
             return data
         context = create_cipher(self.scheme_id, self._key, self.nonce)
         return context.xor_at(data, offset)
 
-    decrypt = encrypt  # CTR-style stream ciphers are involutions
+    open = seal  # CTR-style stream ciphers are involutions
+
+    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
+        """Seal a back-to-back run of ``(data, offset, aad)`` units -- the
+        arguments of one ``seal`` each; returns the stored bytes.
+
+        SHIELD encrypts compaction/flush output "in user-configurable-sized
+        chunks for finer-grained control", optionally in parallel (Section
+        5.2, Figure 13).  CTR streams make this trivially correct: each
+        chunk encrypts independently at its own payload offset and the
+        concatenation is identical to one sequential pass.
+        """
+        payload = b"".join(data for data, __, ___ in units)
+        if not self.encrypted or not payload:
+            return payload
+        base = units[0][1]
+        chunks = [
+            (payload[start:start + chunk_size], base + start)
+            for start in range(0, len(payload), chunk_size)
+        ]
+        return _fan_out(self.seal, chunks, threads)
 
     def envelope(self, file_kind: int) -> Envelope:
         return Envelope(
@@ -68,39 +113,35 @@ class FileCrypto:
 class AeadFileCrypto(FileCrypto):
     """Per-file AEAD: the payload is a sequence of independently sealed units.
 
-    Each unit (an SST block, a WAL flush batch, the footer) is sealed under
-    a nonce derived from the per-file base nonce and the unit's payload
-    offset, so a unit cannot be relocated, swapped, or bit-flipped without
-    failing its tag.  Like the stream path, a fresh context per call mirrors
-    per-operation EVP initialization and keeps the object stateless for
-    multi-threaded sealing.
+    Each unit is sealed under a nonce derived from the per-file base nonce
+    and the unit's payload offset, so a unit cannot be relocated, swapped,
+    or bit-flipped without failing its tag.  Like the stream path, a fresh
+    context per call mirrors per-operation EVP initialization and keeps the
+    object stateless for multi-threaded sealing.
     """
-
-    is_aead = True
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):
         super().__init__(scheme_id, dek_id, key, nonce)
         self.tag_size = spec_for(scheme_id).tag_size
 
-    def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        context = create_aead(
+    def _context(self, offset: int):
+        return create_aead(
             self.scheme_id, self._key, derive_nonce(self.nonce, offset)
         )
-        return context.seal(data, aad)
+
+    def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+        return self._context(offset).seal(data, aad)
 
     def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        context = create_aead(
-            self.scheme_id, self._key, derive_nonce(self.nonce, offset)
-        )
-        return context.open(data, aad)
+        """Authenticate, then decrypt: ``AuthenticationError`` on any flipped
+        bit, relocated unit or wrong ``aad``."""
+        return self._context(offset).open(data, aad)
 
-    def encrypt(self, data: bytes, offset: int) -> bytes:
-        raise EncryptionError(
-            "AEAD files are sealed per unit; the seekable stream interface "
-            "does not apply (use seal/open)"
-        )
-
-    decrypt = encrypt
+    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
+        """One context per unit whatever ``chunk_size``: the tag is fixed-size,
+        so every offset is known up front and units seal independently -- the
+        same parallelism the stream flavour gets from chunks."""
+        return _fan_out(self.seal, units, threads)
 
 
 def make_file_crypto(

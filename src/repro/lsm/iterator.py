@@ -44,3 +44,23 @@ def newest_visible(
         if vtype == TYPE_DELETE and not keep_tombstones:
             continue
         yield (key, seq, vtype, value)
+
+
+def key_range(
+    entries: Iterable[Entry],
+    start: bytes,
+    end: bytes | None,
+    limit: int | None = None,
+) -> Iterator[tuple[bytes, bytes]]:
+    """The (key, value) pairs of a key-ordered stream within [start, end),
+    stopping after ``limit`` pairs."""
+    count = 0
+    for key, __, ___, value in entries:
+        if key < start:
+            continue
+        if end is not None and key >= end:
+            return
+        yield (key, value)
+        count += 1
+        if limit is not None and count >= limit:
+            return

@@ -165,7 +165,8 @@ class DictMemtable(Memtable):
 
 
 def make_memtable(impl: str) -> Memtable:
-    """Factory used by the engine (`Options.memtable_impl`)."""
+    """The engine's skiplist, or the hash + lazy-sort table replay-only
+    holders (replica, read-only instance) use."""
     if impl == "skiplist":
         return SkipListMemtable()
     if impl == "dict":

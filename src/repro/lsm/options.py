@@ -44,8 +44,6 @@ class Options:
     create_if_missing: bool = True
     # Memtable switches to immutable at this size.
     write_buffer_size: int = 256 * 1024
-    # "skiplist" (authentic structure) or "dict" (hash + lazy sort).
-    memtable_impl: str = "skiplist"
     # SST data block payload target (RocksDB default 4 KiB).
     block_size: int = 4096
     # Level size fanout (RocksDB/LevelDB default 10).
@@ -91,7 +89,6 @@ class Options:
     max_background_jobs: int = 2
     # Block cache capacity in bytes (0 disables).
     block_cache_size: int = 8 * 1024 * 1024
-    bloom_bits_per_key: int = 10
 
     # WAL behaviour.
     wal_enabled: bool = True
@@ -107,9 +104,6 @@ class Options:
     # SST data-block compression ("none" or "zlib"), applied before
     # encryption -- ciphertext does not compress.
     compression: str = "none"
-
-    # Paranoia: verify block checksums on read.
-    verify_checksums: bool = True
 
     # Offloaded compaction: when set, merge compactions are shipped to this
     # service (a repro.dist.CompactionService) instead of running locally.
@@ -138,8 +132,6 @@ class Options:
             raise InvalidArgumentError(
                 f"unknown compaction style: {self.compaction_style}"
             )
-        if self.memtable_impl not in ("skiplist", "dict"):
-            raise InvalidArgumentError(f"unknown memtable impl: {self.memtable_impl}")
         if self.write_buffer_size <= 0:
             raise InvalidArgumentError("write_buffer_size must be positive")
         if self.block_size <= 0:
@@ -173,5 +165,3 @@ class ReadOptions:
     """Per-read options."""
 
     snapshot: Optional[int] = None   # sequence number to read at
-    fill_cache: bool = True
-    verify_checksums: bool = True

@@ -11,8 +11,12 @@ that gets encrypted)::
     footer (56 bytes) index_off f64 | index_sz f64 | bloom_off f64 |
                       bloom_sz f64 | props_off f64 | props_sz f64 | magic f64
 
-Offsets are payload-relative so CTR decryption of any block needs only the
-envelope's nonce and the block's position.  The properties block repeats
+Every unit above is sealed on its own by the file's ``FileCrypto`` and is
+``tag_size`` bytes longer on disk; offsets and sizes in the index and the
+footer are payload-relative and refer to the *stored* units, so opening any
+block needs only the envelope's nonce and the block's position.  With a
+stream cipher the tag size is 0 and the stored payload is the plaintext
+layout XORed with one keystream.  The properties block repeats
 the DEK-ID (`shield.dek_id`): SST metadata is read before data blocks, so a
 remote server doing offloaded compaction learns which DEK to request before
 touching any data (Section 5.4).
@@ -36,7 +40,6 @@ from repro.lsm.block import (
     wrap_block,
 )
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.chunked import encrypt_chunked, seal_units
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE
 from repro.lsm.envelope import (
     FILE_KIND_SST,
@@ -61,10 +64,8 @@ from repro.util.lru import LRUCache
 
 FOOTER_SIZE = 56
 SST_MAGIC = 0x5354_4C44_4549_4853  # "SHIELDLS" as little-endian-ish tag
-#: Format v2 (AEAD): every unit is independently sealed and tagged; the
-#: footer's offsets/sizes refer to *sealed* units (tag included).  A file's
-#: format version is decided by its envelope scheme -- AEAD schemes write
-#: v2, stream/plaintext schemes write v1 byte-identically to before.
+#: Written, and expected, when the file's units carry a tag (AEAD schemes):
+#: the footer's and the index's offsets/sizes then count every unit's tag.
 SST_MAGIC_V2 = 0x5354_4C44_4549_4832  # "2HIELDLS"
 
 #: Role AADs binding each metadata unit to its purpose (defense in depth on
@@ -181,80 +182,44 @@ class SSTBuilder:
             props_parts.append(encode_length_prefixed(properties[prop_key].encode()))
         return b"".join(props_parts)
 
-    @staticmethod
-    def _encode_footer(
-        index_offset: int, index_size: int,
-        bloom_offset: int, bloom_size: int,
-        props_offset: int, props_size: int,
-        magic: int,
-    ) -> bytes:
-        return (
-            encode_fixed64(index_offset)
-            + encode_fixed64(index_size)
-            + encode_fixed64(bloom_offset)
-            + encode_fixed64(bloom_size)
-            + encode_fixed64(props_offset)
-            + encode_fixed64(props_size)
-            + encode_fixed64(magic)
-        )
-
-    def _assemble_v1(self, bloom_block: bytes, props_block: bytes) -> bytes:
-        bloom_offset = self._payload_bytes
-        index_block = self._encode_index_block(self._index)
-        index_offset = bloom_offset + len(bloom_block)
-        props_offset = index_offset + len(index_block)
-        footer = self._encode_footer(
-            index_offset, len(index_block),
-            bloom_offset, len(bloom_block),
-            props_offset, len(props_block),
-            SST_MAGIC,
-        )
-        payload = b"".join(self._blocks) + bloom_block + index_block \
-            + props_block + footer
-        return encrypt_chunked(
-            self._crypto,
-            payload,
-            self._options.encryption_chunk_size,
-            self._options.encryption_threads,
-        )
-
-    def _assemble_v2(self, bloom_block: bytes, props_block: bytes) -> bytes:
-        """Seal every unit independently: format v2, AEAD schemes only.
+    def _assemble(self, bloom_block: bytes, props_block: bytes) -> bytes:
+        """Lay out and seal every unit; returns the stored payload.
 
         Sealing is length-preserving plus a fixed tag per unit, so every
-        sealed offset is computable before any sealing happens and data
-        blocks seal in parallel.  The index and footer record *sealed*
+        stored offset is computable before any sealing happens and units
+        seal in parallel.  The index and footer record *stored*
         offsets/sizes; the plaintext CRC per data block is kept unchanged
         (it is verified after ``open`` as a cheap decode sanity check --
-        the tag, not the CRC, is the integrity boundary).
+        where there is a tag, the tag is the integrity boundary).
         """
         tag = self._crypto.tag_size
-        sealed_index: list[tuple[bytes, int, int, int]] = []
+        index: list[tuple[bytes, int, int, int]] = []
         offset = 0
         for last_key, _, size, crc in self._index:
-            sealed_index.append((last_key, offset, size + tag, crc))
+            index.append((last_key, offset, size + tag, crc))
             offset += size + tag
         bloom_offset = offset
-        index_block = self._encode_index_block(sealed_index)
+        index_block = self._encode_index_block(index)
         index_offset = bloom_offset + len(bloom_block) + tag
         props_offset = index_offset + len(index_block) + tag
         footer_offset = props_offset + len(props_block) + tag
-        footer = self._encode_footer(
+        footer = b"".join(map(encode_fixed64, (
             index_offset, len(index_block) + tag,
             bloom_offset, len(bloom_block) + tag,
             props_offset, len(props_block) + tag,
-            SST_MAGIC_V2,
-        )
+            SST_MAGIC_V2 if tag else SST_MAGIC,
+        )))
         units = [
-            (entry[1], block, b"")
-            for entry, block in zip(sealed_index, self._blocks)
+            (block, entry[1], b"") for entry, block in zip(index, self._blocks)
         ]
-        units.append((bloom_offset, bloom_block, _AAD_BLOOM))
-        units.append((index_offset, index_block, _AAD_INDEX))
-        units.append((props_offset, props_block, _AAD_PROPS))
-        units.append((footer_offset, footer, _AAD_FOOTER))
-        return b"".join(
-            seal_units(self._crypto, units, self._options.encryption_threads)
+        units.append((bloom_block, bloom_offset, _AAD_BLOOM))
+        units.append((index_block, index_offset, _AAD_INDEX))
+        units.append((props_block, props_offset, _AAD_PROPS))
+        units.append((footer, footer_offset, _AAD_FOOTER))
+        return self._crypto.seal_units(
+            units,
+            self._options.encryption_chunk_size,
+            self._options.encryption_threads,
         )
 
     def finish(self) -> SSTFileInfo:
@@ -266,14 +231,11 @@ class SSTBuilder:
         self._finished = True
         self._finish_block()
 
-        bloom = BloomFilter.build(self._keys, self._options.bloom_bits_per_key)
+        bloom = BloomFilter.build(self._keys)
         bloom_block = bloom.encode()
         props_block = self._encode_props_block()
 
-        if self._crypto.is_aead:
-            encrypted = self._assemble_v2(bloom_block, props_block)
-        else:
-            encrypted = self._assemble_v1(bloom_block, props_block)
+        encrypted = self._assemble(bloom_block, props_block)
         header = self._crypto.envelope(FILE_KIND_SST).encode()
         with self._env.new_writable_file(self.path) as handle:
             handle.append(header)
@@ -326,8 +288,7 @@ class SSTReader:
         props_offset, pos = decode_fixed64(footer, pos)
         props_size, pos = decode_fixed64(footer, pos)
         magic, pos = decode_fixed64(footer, pos)
-        expected_magic = SST_MAGIC_V2 if self._crypto.is_aead else SST_MAGIC
-        if magic != expected_magic:
+        if magic != (SST_MAGIC_V2 if self._crypto.tag_size else SST_MAGIC):
             raise CorruptionError(f"{path}: bad SST magic (wrong key or corrupt)")
 
         self._index = self._parse_index(
@@ -349,11 +310,7 @@ class SSTReader:
         raw = self._file.read(self._payload_base + offset, length)
         if len(raw) != length:
             raise CorruptionError(f"{self.path}: short read at {offset}")
-        if self._crypto.is_aead:
-            # A whole sealed unit; open() authenticates before returning
-            # plaintext (raises AuthenticationError on any flipped bit).
-            return self._crypto.open(raw, offset, aad)
-        return self._crypto.decrypt(raw, offset)
+        return self._crypto.open(raw, offset, aad)
 
     def _parse_index(self, buf: bytes) -> list[tuple[bytes, int, int, int]]:
         try:
@@ -393,7 +350,7 @@ class SSTReader:
         """Read, authenticate/verify and parse one data block (no cache)."""
         __, offset, size, crc = self._index[block_index]
         raw = self._read_payload(offset, size)
-        if self._options.verify_checksums and masked_crc32(raw) != crc:
+        if masked_crc32(raw) != crc:
             raise CorruptionError(f"{self.path}: block checksum mismatch at {offset}")
         return Block(unwrap_block(raw))
 

@@ -19,11 +19,13 @@ Two encryption granularities, selected by ``buffer_size``:
   Section 5.3).  Records still in the buffer are lost if the process
   crashes; whatever reaches storage is always encrypted and whole.
 
-AEAD schemes switch the file to format v2: each write unit (one frame
-unbuffered, one buffer flush buffered) becomes an independently sealed
-unit framed as ``sealed_len fixed32 | ciphertext+tag``, with the unit's
-nonce derived from its payload offset.  Replay stops silently at a torn
-(incomplete) trailing unit, exactly like v1's torn-tail tolerance -- but a
+Schemes whose units carry a tag (``FileCrypto.tag_size > 0``) need a second
+framing: a tagged unit must be opened whole, so replay has to know where
+each write unit (one frame unbuffered, one buffer flush buffered) ends
+before it can read any frame inside it.  Each unit is stored as
+``sealed_len fixed32 | ciphertext+tag``, with the unit's nonce derived from
+its payload offset.  Replay stops silently at a torn (incomplete) trailing
+unit, exactly like the stream framing's torn-tail tolerance -- but a
 *complete* unit whose tag fails to verify is tampering, not a crash
 artifact, and raises ``AuthenticationError``.
 """
@@ -100,15 +102,15 @@ class WALWriter:
 
     def _append_unit(self, chunk: bytes) -> None:
         """Persist one write unit at the current payload offset."""
-        if self._crypto.is_aead:
-            # Format v2: the unit's nonce derives from the offset of its
-            # ciphertext (just past the fixed32 length prefix).
+        if self._crypto.tag_size:
+            # The unit's nonce derives from the offset of its ciphertext
+            # (just past the fixed32 length prefix).
             sealed = self._crypto.seal(chunk, self._payload_offset + 4)
-            self._file.append(encode_fixed32(len(sealed)) + sealed)
-            self._payload_offset += 4 + len(sealed)
+            stored = encode_fixed32(len(sealed)) + sealed
         else:
-            self._file.append(self._crypto.encrypt(chunk, self._payload_offset))
-            self._payload_offset += len(chunk)
+            stored = self._crypto.seal(chunk, self._payload_offset)
+        self._file.append(stored)
+        self._payload_offset += len(stored)
 
     def flush_buffer(self) -> None:
         """Encrypt and persist everything currently buffered (one context)."""
@@ -158,9 +160,9 @@ def read_wal_records(env: Env, path: str, provider: CryptoProvider) -> list[byte
         return []
     crypto = provider.for_existing_file(envelope, path)
     body = bytes(raw[envelope.header_size:])
-    if crypto.is_aead:
+    if crypto.tag_size:
         return _replay_sealed_units(crypto, body)
-    records, _ = _parse_frames(crypto.decrypt(body, 0))
+    records, _ = _parse_frames(crypto.open(body, 0))
     return records
 
 
@@ -188,10 +190,10 @@ def _parse_frames(payload: bytes) -> tuple[list[bytes], bool]:
 
 
 def _replay_sealed_units(crypto: FileCrypto, raw_payload: bytes) -> list[bytes]:
-    """Replay format-v2 sealed units.
+    """Replay length-prefixed sealed units.
 
     An incomplete trailing unit is a torn write and ends replay silently,
-    like v1.  A *complete* unit with a bad tag cannot come from a crash
+    like a torn frame.  A *complete* unit with a bad tag cannot come from a crash
     (storage appends are all-or-nothing per unit once the length prefix is
     whole), so it propagates as ``AuthenticationError``.
     """

@@ -61,6 +61,13 @@ class WriteBatch:
         """Yield (type, key, value) in insertion order."""
         return iter(self._ops)
 
+    def insert_into(self, mem, first_seq: int) -> int:
+        """Add every operation to memtable ``mem`` at consecutive sequence
+        numbers from ``first_seq``; returns the last one used."""
+        for seq, (vtype, key, value) in enumerate(self._ops, first_seq):
+            mem.add(seq, vtype, key, value)
+        return first_seq + len(self._ops) - 1
+
     # -- serialization -------------------------------------------------------
 
     def serialize(self, sequence: int) -> bytes:

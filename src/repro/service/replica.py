@@ -39,7 +39,7 @@ from repro.errors import (
 )
 from repro.lsm.dbformat import TYPE_PUT
 from repro.lsm.filecrypto import FileCrypto, NULL_CRYPTO
-from repro.lsm.iterator import newest_visible
+from repro.lsm.iterator import key_range, newest_visible
 from repro.lsm.memtable import make_memtable
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
@@ -172,7 +172,7 @@ def stream_to_replica(
     def push(opcode: int, plain: bytes) -> None:
         nonlocal offset
         if opcode == protocol.RESP_REPL_FRAME:
-            payload = crypto.encrypt(plain, offset)
+            payload = crypto.seal(plain, offset)
             offset += len(plain)
         else:
             payload = plain
@@ -251,11 +251,8 @@ class ReplicaState:
 
     def apply(self, first_seq: int, batch: WriteBatch) -> None:
         with self._lock:
-            seq = first_seq
-            for vtype, key, value in batch.items():
-                self._mem.add(seq, vtype, key, value)
-                seq += 1
-            self.last_applied = max(self.last_applied, seq - 1)
+            last_seq = batch.insert_into(self._mem, first_seq)
+            self.last_applied = max(self.last_applied, last_seq)
             self.records_applied += 1
 
     def advance_to(self, seq: int) -> None:
@@ -279,16 +276,7 @@ class ReplicaState:
     ) -> list[tuple[bytes, bytes]]:
         with self._lock:
             entries = list(self._mem.entries())
-        results: list[tuple[bytes, bytes]] = []
-        for key, __, ___, value in newest_visible(iter(entries)):
-            if key < start:
-                continue
-            if end is not None and key >= end:
-                break
-            results.append((key, value))
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        return list(key_range(newest_visible(iter(entries)), start, end, limit))
 
     def __len__(self) -> int:
         with self._lock:
@@ -480,7 +468,7 @@ class Replica:
                 if msg is None:
                     raise ReplicationError("primary closed the stream")
                 if msg.opcode == protocol.RESP_REPL_FRAME:
-                    plain = crypto.decrypt(msg.payload, offset)
+                    plain = crypto.open(msg.payload, offset)
                     offset += len(msg.payload)
                     first_seq, batch = WriteBatch.deserialize(plain)
                     self.state.apply(first_seq, batch)

@@ -145,8 +145,12 @@ def _apply_write(db, rid: int, fn) -> Message:
     )
 
 
-def execute(db, msg: Message) -> Message:
-    """Execute one request against an engine; engine errors propagate."""
+def execute(db, msg: Message, transport_sections=None) -> Message:
+    """Execute one request against an engine; engine errors propagate.
+
+    ``transport_sections(sections)`` returns what the calling transport adds
+    to the engine's OP_STATS sections: at least its ``server`` counters.
+    """
     op = msg.opcode
     rid = msg.request_id
     if op == protocol.OP_GET:
@@ -168,9 +172,10 @@ def execute(db, msg: Message) -> Message:
         pairs = db.scan(start, end, limit)
         return Message(protocol.RESP_PAIRS, rid, protocol.encode_pairs(pairs))
     if op == protocol.OP_STATS:
-        return Message(
-            protocol.RESP_STATS, rid, protocol.encode_stats(stats_sections(db))
-        )
+        sections = stats_sections(db)
+        if transport_sections is not None:
+            sections.update(transport_sections(sections))
+        return Message(protocol.RESP_STATS, rid, protocol.encode_stats(sections))
     if op == protocol.OP_FLUSH:
         db.flush()
         return Message(protocol.RESP_OK, rid)
@@ -530,13 +535,7 @@ class KVServer:
                 attributes={"queue_wait_s": queue_wait},
             ) as span:
                 try:
-                    if msg.opcode == protocol.OP_STATS:
-                        reply = Message(
-                            protocol.RESP_STATS, msg.request_id,
-                            protocol.encode_stats(self._stats_dict()),
-                        )
-                    else:
-                        reply = execute(self.db, msg)
+                    reply = execute(self.db, msg, self._transport_sections)
                 except Exception as exc:  # noqa: BLE001 - every error goes on the wire
                     self.stats.counter("service.errors").add(1)
                     span.set_attribute("error", type(exc).__name__)
@@ -553,21 +552,21 @@ class KVServer:
                 except OSError:
                     conn.close()
 
-    def _stats_dict(self) -> dict:
-        """OP_STATS: the engine's sections plus this transport's own --
+    def _transport_sections(self, sections: dict) -> dict:
+        """OP_STATS: this transport's own sections on top of the engine's --
         ``server`` (queue/latency/backpressure counters) and
         ``replication`` (per-replica stream position, and lag derived
         from the position gauges against the committed sequence)."""
-        out = stats_sections(self.db)
         server = self.stats.snapshot()
         prefix = "service.repl_position."
-        out["server"] = server
-        out["replication"] = {
-            name[len(prefix):]: {
-                "position": value,
-                "lag": max(0, out["committed_sequence"] - value),
-            }
-            for name, value in server.items()
-            if name.startswith(prefix)
+        return {
+            "server": server,
+            "replication": {
+                name[len(prefix):]: {
+                    "position": value,
+                    "lag": max(0, sections["committed_sequence"] - value),
+                }
+                for name, value in server.items()
+                if name.startswith(prefix)
+            },
         }
-        return out

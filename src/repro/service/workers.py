@@ -99,12 +99,21 @@ def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
     """The worker's request loop: read frame, execute, reply.  Exits on
     EOF (the front-end closed the pipe: graceful shutdown)."""
     stop = threading.Event()
-    # The loop's gauge and counters stay in this process, out of OP_STATS.
+    health_stats = StatsRegistry()
     health_thread = threading.Thread(
-        target=health_loop, args=(db, stop, config, StatsRegistry()),
+        target=health_loop, args=(db, stop, config, health_stats),
         name="shard-health", daemon=True,
     )
     health_thread.start()
+
+    def transport_sections(sections: dict) -> dict:
+        # The health loop's counters, which the front-end sums across
+        # workers.  The loop's gauge stays here: it is one engine's health
+        # rank, and the merged ``health`` section carries the worst-of verdict.
+        server = health_stats.snapshot()
+        server.pop("service.health", None)
+        return {"server": server}
+
     try:
         while True:
             try:
@@ -118,7 +127,7 @@ def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
                 f"worker.{op_name}", parent=TRACER.extract(msg.trace)
             ):
                 try:
-                    reply = execute(db, msg)
+                    reply = execute(db, msg, transport_sections)
                 except Exception as exc:  # noqa: BLE001 - goes on the wire
                     reply = protocol.error_reply(msg.request_id, exc)
             try:
@@ -654,9 +663,6 @@ class MultiProcessKVServer:
                 authenticate(self.config.kds, self.stats, conn, frame.payload())
                 self._reply(conn, Message(protocol.RESP_OK, rid))
                 return
-            if op == protocol.OP_PING:
-                self._reply(conn, Message(protocol.RESP_OK, rid))
-                return
             if op == protocol.OP_REPL_SUBSCRIBE:
                 self._reply_error(conn, rid, InvalidArgumentError(
                     "the multi-process server does not stream replication; "
@@ -664,6 +670,9 @@ class MultiProcessKVServer:
                 ))
                 return
             require_authenticated(self.config, conn)
+            if op == protocol.OP_PING:
+                self._reply(conn, Message(protocol.RESP_OK, rid))
+                return
             if op in (protocol.OP_GET, protocol.OP_PUT, protocol.OP_DELETE):
                 worker = self._worker_for_key(
                     protocol.decode_key(frame.payload())
@@ -795,9 +804,11 @@ class MultiProcessKVServer:
 
     def _merged_stats(self, snapshots: list[tuple[int, dict]]) -> dict:
         """The workers' sections merged (see ``merge_stats``) plus the
-        front-end's own: ``server`` and a per-worker ``workers`` summary."""
+        front-end's own: its counters on top of the workers' in ``server``,
+        and a per-worker ``workers`` summary."""
         merged = merge_stats(snapshot for __, snapshot in snapshots)
-        server = merged["server"] = self.stats.snapshot()
+        server = merged.setdefault("server", {})
+        server.update(self.stats.snapshot())
         for worker in self._workers:
             server[f"service.worker_inflight.{worker.index}"] = len(
                 worker.pending

@@ -231,3 +231,138 @@ def test_latency_env_charges_clock():
     assert clock.now() == pytest.approx(4.0)
     env.read_file("/f.sst")  # open(0.5) + read(0.5 + 1.0)
     assert clock.now() == pytest.approx(6.0)
+
+
+# -- the forwarding wrappers under every decorator ---------------------------
+
+
+class _Spy:
+    """Delegate to ``target``, recording ``<kind>.<method>`` per call."""
+
+    def __init__(self, target, calls, kind="Env"):
+        self._target, self._calls, self._kind = target, calls, kind
+
+    def __enter__(self):  # an unwrapped handle reaches ``with`` as the spy
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            self._calls.append(f"{self._kind}.{name}")
+            result = attr(*args, **kwargs)
+            if name == "new_writable_file":
+                return _Spy(result, self._calls, "WritableFile")
+            if name == "new_random_access_file":
+                return _Spy(result, self._calls, "RandomAccessFile")
+            return result
+
+        return call
+
+
+def _decorators():
+    from repro.dist.network import NetworkConfig, NetworkLink
+    from repro.dist.remote_env import RemoteEnv, StorageServer
+    from repro.encfs import EncryptedEnv
+    from repro.env.aligned import AlignedReadEnv
+    from repro.env.base import (
+        EnvWrapper,
+        RandomAccessFileWrapper,
+        WritableFileWrapper,
+    )
+    from repro.env.faulty import FaultInjectionEnv
+
+    class BareWrappers(EnvWrapper):
+        """The three bases with nothing overridden but the handle types."""
+
+        def new_writable_file(self, path):
+            return WritableFileWrapper(super().new_writable_file(path))
+
+        def new_random_access_file(self, path):
+            return RandomAccessFileWrapper(super().new_random_access_file(path))
+
+    return {
+        "BareWrappers": BareWrappers,
+        "MeteredEnv": MeteredEnv,
+        "LatencyEnv": lambda inner: LatencyEnv(inner, LatencyModel(), VirtualClock()),
+        "AlignedReadEnv": AlignedReadEnv,
+        "FaultInjectionEnv": FaultInjectionEnv,
+        "RemoteEnv": lambda inner: RemoteEnv(
+            StorageServer(inner), NetworkLink(NetworkConfig(rtt_s=0.0))
+        ),
+        "EncryptedEnv": lambda inner: EncryptedEnv(inner, b"k" * 32),
+    }
+
+
+def _public_methods(cls):
+    return [
+        name for name, attr in vars(cls).items()
+        if callable(attr) and not name.startswith("_")
+    ]
+
+
+def _interface():
+    from repro.env.base import Env, RandomAccessFile, WritableFile
+
+    return [
+        (cls.__name__, name)
+        for cls in (Env, WritableFile, RandomAccessFile)
+        for name in _public_methods(cls)
+    ]
+
+
+#: Sample arguments per interface method.  A method added to an interface
+#: needs a row here, which is the point: the test below then proves every
+#: decorator forwards it.
+_ARGS = {
+    "new_writable_file": ("/d/new",),
+    "new_random_access_file": ("/d/f",),
+    "delete_file": ("/d/f",),
+    "rename_file": ("/d/f", "/d/g"),
+    "file_exists": ("/d/f",),
+    "list_dir": ("/d",),
+    "file_size": ("/d/f",),
+    "mkdirs": ("/d/sub",),
+    "read_file": ("/d/f",),
+    "write_file": ("/d/new", b"data"),
+    "append": (b"data",),
+    "sync": (),
+    "close": (),
+    "tell": (),
+    "read": (0, 4),
+    "size": (),
+}
+#: What the wrapped object sees, where it is not the same call: the two
+#: whole-file helpers are built on the decorator's own file handles.
+_REACHES = {
+    ("Env", "read_file"): "Env.new_random_access_file",
+    ("Env", "write_file"): "Env.new_writable_file",
+}
+#: Answered from the decorator's own state by design: EncFS reports the
+#: logical length, which excludes the header it prepended.
+_ANSWERED_LOCALLY = {("EncryptedEnv", "WritableFile", "tell")}
+
+
+@pytest.mark.parametrize("kind,method", _interface())
+@pytest.mark.parametrize("decorator", sorted(_decorators()))
+def test_every_decorator_forwards_every_interface_method(decorator, kind, method):
+    calls = []
+    env = _decorators()[decorator](_Spy(MemEnv(), calls))
+    env.mkdirs("/d")
+    env.write_file("/d/f", b"payload!")
+    target = {
+        "Env": lambda: env,
+        "WritableFile": lambda: env.new_writable_file("/d/new"),
+        "RandomAccessFile": lambda: env.new_random_access_file("/d/f"),
+    }[kind]()
+    calls.clear()
+    getattr(target, method)(*_ARGS[method])
+    if (decorator, kind, method) in _ANSWERED_LOCALLY:
+        assert calls == []
+    else:
+        assert _REACHES.get((kind, method), f"{kind}.{method}") in calls

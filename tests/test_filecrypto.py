@@ -1,17 +1,23 @@
-"""Tests for the FileCrypto seam and chunked encryption."""
+"""Tests for the FileCrypto seam: the seal/open unit contract per flavour."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.cipher import generate_key, generate_nonce, scheme_id
-from repro.errors import EncryptionError
-from repro.lsm.chunked import encrypt_chunked
+from repro.crypto.cipher import (
+    SCHEME_NONE,
+    generate_key,
+    generate_nonce,
+    scheme_id,
+    spec_for,
+)
+from repro.errors import AuthenticationError, EncryptionError
 from repro.lsm.envelope import FILE_KIND_SST
 from repro.lsm.filecrypto import (
     FileCrypto,
     NULL_CRYPTO,
     PlaintextCryptoProvider,
     SingleKeyCryptoProvider,
+    make_file_crypto,
 )
 
 
@@ -24,17 +30,38 @@ def _crypto():
     )
 
 
+def _flavour(scheme):
+    if scheme == "none":
+        return make_file_crypto(SCHEME_NONE, "", b"", b"")
+    spec = spec_for(scheme)
+    return make_file_crypto(
+        spec.scheme_id, "dek-f", b"k" * spec.key_size, b"n" * spec.nonce_size
+    )
+
+
 def test_null_crypto_passthrough():
-    assert NULL_CRYPTO.encrypt(b"data", 0) == b"data"
-    assert NULL_CRYPTO.decrypt(b"data", 99) == b"data"
+    assert NULL_CRYPTO.seal(b"data", 0) == b"data"
+    assert NULL_CRYPTO.open(b"data", 99) == b"data"
     assert not NULL_CRYPTO.encrypted
 
 
-def test_encrypt_decrypt_involution():
-    crypto = _crypto()
-    blob = crypto.encrypt(b"payload", 1234)
-    assert blob != b"payload"
-    assert crypto.decrypt(blob, 1234) == b"payload"
+@pytest.mark.parametrize(
+    "scheme", ["none", "shake-ctr", "chacha20", "shake-etm", "chacha20-poly1305"]
+)
+def test_open_inverts_seal_and_only_tagged_flavours_bind_aad(scheme):
+    crypto = _flavour(scheme)
+    sealed = crypto.seal(b"payload", 1234, b"role")
+    assert len(sealed) == len(b"payload") + crypto.tag_size
+    assert (sealed != b"payload") == crypto.encrypted
+    assert crypto.open(sealed, 1234, b"role") == b"payload"
+    if crypto.tag_size:
+        with pytest.raises(AuthenticationError):
+            crypto.open(sealed, 1234, b"other-role")
+        with pytest.raises(AuthenticationError):
+            crypto.open(sealed, 1235, b"role")
+    else:
+        assert crypto.open(sealed, 1234, b"other-role") == b"payload"
+    assert not hasattr(crypto, "encrypt") and not hasattr(crypto, "decrypt")
 
 
 def test_envelope_from_crypto():
@@ -68,25 +95,60 @@ def test_plaintext_provider_accepts_plain():
         is not None
 
 
+def _units(payload, cuts, base_offset, tag_size):
+    """Split ``payload`` at ``cuts`` into back-to-back (data, offset, aad)."""
+    units, offset = [], base_offset
+    bounds = [0, *sorted(c % (len(payload) + 1) for c in cuts), len(payload)]
+    for start, end in zip(bounds, bounds[1:]):
+        units.append((payload[start:end], offset, b"u%d" % len(units)))
+        offset += end - start + tag_size
+    return units
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     payload=st.binary(max_size=100_000),
+    cuts=st.lists(st.integers(min_value=0, max_value=100_000), max_size=6),
     chunk_size=st.integers(min_value=1, max_value=8192),
     threads=st.integers(min_value=1, max_value=4),
     base_offset=st.integers(min_value=0, max_value=100_000),
 )
-def test_chunked_encryption_equals_single_pass(payload, chunk_size, threads,
-                                               base_offset):
-    """encrypt_chunked must equal one whole-payload pass, for any chunking,
-    threading, and offset -- CTR's position addressing guarantees it."""
+def test_stream_seal_units_equals_single_pass(payload, cuts, chunk_size,
+                                              threads, base_offset):
+    """seal_units must equal one whole-payload pass, for any unit
+    boundaries, chunking, threading, and offset -- CTR's position
+    addressing guarantees it."""
     crypto = FileCrypto(
         scheme_id("shake-ctr"), "dek-p", b"k" * 32, b"n" * 16
     )
-    chunked = encrypt_chunked(crypto, payload, chunk_size, threads, base_offset)
-    whole = crypto.encrypt(payload, base_offset)
-    assert chunked == whole
+    units = _units(payload, cuts, base_offset, 0)
+    assert crypto.seal_units(units, chunk_size, threads) \
+        == crypto.seal(payload, base_offset)
+    assert NULL_CRYPTO.seal_units(units, chunk_size, threads) == payload
 
 
-def test_chunked_plaintext_is_identity():
-    assert encrypt_chunked(NULL_CRYPTO, b"abc", 2, 4) == b"abc"
-    assert encrypt_chunked(_crypto(), b"", 16, 2) == b""
+@settings(max_examples=20, deadline=None)
+@given(
+    payload=st.binary(max_size=20_000),
+    cuts=st.lists(st.integers(min_value=0, max_value=20_000), max_size=6),
+    chunk_size=st.integers(min_value=1, max_value=8192),
+    threads=st.integers(min_value=1, max_value=4),
+    base_offset=st.integers(min_value=0, max_value=100_000),
+)
+def test_aead_seal_units_is_each_unit_sealed_in_place(payload, cuts, chunk_size,
+                                                      threads, base_offset):
+    """Whatever the chunk size and thread count, the stored run is every
+    unit sealed at its own offset under its own aad, back to back."""
+    crypto = _flavour("shake-etm")
+    units = _units(payload, cuts, base_offset, crypto.tag_size)
+    stored = crypto.seal_units(units, chunk_size, threads)
+    assert stored == b"".join(crypto.seal(*unit) for unit in units)
+    for data, offset, aad in units:
+        start = offset - base_offset
+        sealed = stored[start:start + len(data) + crypto.tag_size]
+        assert crypto.open(sealed, offset, aad) == data
+
+
+def test_seal_units_of_nothing_is_empty():
+    assert NULL_CRYPTO.seal_units([], 2, 4) == b""
+    assert _crypto().seal_units([(b"", 7, b"")], 16, 2) == b""

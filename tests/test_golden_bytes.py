@@ -1,0 +1,153 @@
+"""Golden on-disk bytes: the SST and WAL writers under every crypto flavour.
+
+A fixed key and nonce through ``make_file_crypto``, deterministic entries
+through ``SSTBuilder`` and deterministic records through ``WALWriter`` on a
+``MemEnv``.  The sha256 of each file and the number of cipher contexts its
+writer initialised are pinned, so a refactor of the encryption seam that
+moves one byte, or initialises one context more or fewer, fails here.
+``python tests/test_golden_bytes.py`` prints the table to re-record it.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.crypto.cipher import CRYPTO_STATS, SCHEME_NONE, spec_for
+from repro.env.mem import MemEnv
+from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
+from repro.lsm.filecrypto import make_file_crypto
+from repro.lsm.options import Options
+from repro.lsm.sst import SSTBuilder
+from repro.lsm.wal import WALWriter
+
+SCHEMES = ["none", "shake-ctr", "chacha20", "shake-etm", "chacha20-poly1305"]
+#: (encryption_threads, encryption_chunk_size)
+SST_CONFIGS = [(1, 64 * 1024), (3, 5000)]
+WAL_BUFFER_SIZES = [0, 512]
+
+#: (scheme, threads, chunk) -> (sha256 of the SST file, context inits)
+GOLDEN_SST = {
+    ("none", 1, 65536): (
+        "cfc1ca7e8eab3fc40761506b7a290d724862e2c0780624a10a38feecba0c412b", 0),
+    ("none", 3, 5000): (
+        "cfc1ca7e8eab3fc40761506b7a290d724862e2c0780624a10a38feecba0c412b", 0),
+    ("shake-ctr", 1, 65536): (
+        "39afa67b424a9277da3b04fcd38cd560e62c4552072de6bc1c3b20de95a0b245", 5),
+    ("shake-ctr", 3, 5000): (
+        "39afa67b424a9277da3b04fcd38cd560e62c4552072de6bc1c3b20de95a0b245", 63),
+    ("chacha20", 1, 65536): (
+        "16517686be1a34cbecdef20b3c880e188082f8a36f801f82b0c622b40f668eed", 5),
+    ("chacha20", 3, 5000): (
+        "16517686be1a34cbecdef20b3c880e188082f8a36f801f82b0c622b40f668eed", 63),
+    ("shake-etm", 1, 65536): (
+        "46fe4ebcb376a65f7bf1b6ce9ed0526865ed5429081c9a43d5f1b7d32d6e8f19", 78),
+    ("shake-etm", 3, 5000): (
+        "46fe4ebcb376a65f7bf1b6ce9ed0526865ed5429081c9a43d5f1b7d32d6e8f19", 78),
+    ("chacha20-poly1305", 1, 65536): (
+        "a3b056e9709d24e881bed6584431e594e497029fe64ffc5428eac00310ebaf95", 78),
+    ("chacha20-poly1305", 3, 5000): (
+        "a3b056e9709d24e881bed6584431e594e497029fe64ffc5428eac00310ebaf95", 78),
+}
+#: (scheme, buffer_size) -> (sha256 of the WAL file, context inits)
+GOLDEN_WAL = {
+    ("none", 0): (
+        "5406a55220a2ddf2d05ecd414ced1d60a75c3c49563da2b319900d3718081ea1", 0),
+    ("none", 512): (
+        "5406a55220a2ddf2d05ecd414ced1d60a75c3c49563da2b319900d3718081ea1", 0),
+    ("shake-ctr", 0): (
+        "9f209855dd4b4a77749a131bf9970c6909ea9b2d14b17a37a31f7591309f5593", 200),
+    ("shake-ctr", 512): (
+        "9f209855dd4b4a77749a131bf9970c6909ea9b2d14b17a37a31f7591309f5593", 24),
+    ("chacha20", 0): (
+        "57934eb91fad9812c6fee6d752f0a47086c93f3458577142bc43bf97c0aef69d", 200),
+    ("chacha20", 512): (
+        "57934eb91fad9812c6fee6d752f0a47086c93f3458577142bc43bf97c0aef69d", 24),
+    ("shake-etm", 0): (
+        "58c42b5b9cb8d00f3fae270d9c7387c656803fb8ca52fc6002c74dc281b6abda", 200),
+    ("shake-etm", 512): (
+        "0685938075a8cecbc3a3d4a5a2b6994fb6342edda238999c616dc32d113ba4dd", 24),
+    ("chacha20-poly1305", 0): (
+        "1d280dbbf344a324189aacde0471f59af2c5683cb65b2b926a976551544023ec", 200),
+    ("chacha20-poly1305", 512): (
+        "2b955c11c7a6eec42ce7fec52980e0c09f428f13d95ca944eea4e9f410b62dda", 24),
+}
+
+
+def _crypto(scheme):
+    if scheme == "none":
+        return make_file_crypto(SCHEME_NONE, "", b"", b"")
+    spec = spec_for(scheme)
+    return make_file_crypto(
+        spec.scheme_id,
+        "dek-golden",
+        bytes(range(spec.key_size)),
+        bytes(range(100, 100 + spec.nonce_size)),
+    )
+
+
+def _measure(env, path, write):
+    """Run ``write``; return (sha256 of ``path``, contexts initialised)."""
+    inits = CRYPTO_STATS.counter("crypto.context_inits")
+    before = inits.value
+    write()
+    digest = hashlib.sha256(env.read_file(path)).hexdigest()
+    return digest, inits.value - before
+
+
+def build_sst(scheme, threads, chunk):
+    env = MemEnv()
+    options = Options(encryption_threads=threads, encryption_chunk_size=chunk)
+
+    def write():
+        builder = SSTBuilder(env, "/golden.sst", _crypto(scheme), options)
+        for i in range(3000):
+            key = b"key-%06d" % i
+            if i % 11 == 0:
+                builder.add(key, i + 1, TYPE_DELETE, b"")
+            else:
+                builder.add(key, i + 1, TYPE_PUT, b"v%d" % i * (1 + i % 40))
+        builder.finish()
+
+    return _measure(env, "/golden.sst", write)
+
+
+def write_wal(scheme, buffer_size):
+    env = MemEnv()
+
+    def write():
+        wal = WALWriter(
+            env, "/golden.log", _crypto(scheme), buffer_size=buffer_size
+        )
+        for i in range(200):
+            wal.add_record(b"record-%04d-" % i + bytes([i % 251]) * (i % 97))
+        wal.close()
+
+    return _measure(env, "/golden.log", write)
+
+
+@pytest.mark.parametrize("threads,chunk", SST_CONFIGS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sst_bytes_and_context_inits_are_pinned(scheme, threads, chunk):
+    assert build_sst(scheme, threads, chunk) == GOLDEN_SST[scheme, threads, chunk]
+
+
+@pytest.mark.parametrize("buffer_size", WAL_BUFFER_SIZES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_wal_bytes_and_context_inits_are_pinned(scheme, buffer_size):
+    assert write_wal(scheme, buffer_size) == GOLDEN_WAL[scheme, buffer_size]
+
+
+if __name__ == "__main__":
+    print("GOLDEN_SST = {")
+    for scheme in SCHEMES:
+        for threads, chunk in SST_CONFIGS:
+            digest, inits = build_sst(scheme, threads, chunk)
+            print(f'    ("{scheme}", {threads}, {chunk}): (\n'
+                  f'        "{digest}", {inits}),')
+    print("}\nGOLDEN_WAL = {")
+    for scheme in SCHEMES:
+        for buffer_size in WAL_BUFFER_SIZES:
+            digest, inits = write_wal(scheme, buffer_size)
+            print(f'    ("{scheme}", {buffer_size}): (\n'
+                  f'        "{digest}", {inits}),')
+    print("}")

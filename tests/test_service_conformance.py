@@ -112,8 +112,9 @@ GOLDEN = {
         "6f6e6e656374696f6e206973206e6f742061757468656e746963617465643b"
         "2073656e642041555448206669727374"
     ),
-    # The threaded servers' answer; the multi-process front-end answers PING
-    # before its authentication gate (see GOLDEN_BY_SHAPE).
+    # Re-recorded for the multi-process front-end, which answered RESP_OK
+    # ("060000008113b4798002") before its authentication gate at the parent;
+    # every server now refuses, with KVServer's bytes.
     "unauthenticated-ping": (
         "4a0000003d832fed850212417574686f72697a6174696f6e4572726f723063"
         "6f6e6e656374696f6e206973206e6f742061757468656e746963617465643b"
@@ -169,9 +170,6 @@ GOLDEN_BY_SHAPE = {
             "637269626520746f2061207065722d73686172642073657276657220696e"
             "7374656164"
         ),
-        # A known difference kept as at the parent (ROADMAP open item): the
-        # front-end answers an unauthenticated PING, KVServer refuses it.
-        "unauthenticated-ping": "060000008113b4798002",
     },
 }
 
@@ -361,14 +359,10 @@ def test_auth_decisions_are_the_same_in_every_shape(tmp_path):
         for step, __, __payload in AUTH_SESSION:
             assert got[step][0] == golden[step], (name, step)
         answers = {step: answer for step, (__, answer) in got.items()}
-        ping = answers.pop("unauthenticated-ping")
-        if name == "multiprocess":
-            assert ping == ("ok",)
-        else:
-            assert ping == answers["unauthenticated-get"]
         expected = expected or answers
         assert answers == expected, name
     assert expected["unauthenticated-get"][:2] == ("error", "AuthorizationError")
+    assert expected["unauthenticated-ping"] == expected["unauthenticated-get"]
     assert expected["auth-rejected"][:2] == ("error", "AuthorizationError")
     assert expected["auth-accepted"] == ("ok",)
     assert expected["authenticated-get"] == ("value", None)

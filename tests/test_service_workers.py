@@ -8,6 +8,7 @@ child after the fork (closures are inherited by fork, nothing is pickled).
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -380,6 +381,40 @@ def test_passthrough_degraded_write_is_counted_by_the_front_end(tmp_path):
             stats = client.stats()
         assert stats["server"]["service.degraded_rejections"] == 1
         assert stats["health"]["state"] == "degraded"
+
+
+def test_worker_health_loop_counters_reach_the_front_end_stats(tmp_path):
+    """Each worker runs its own health loop; what it counts is summed into
+    the front-end's ``server`` section like any other worker counter."""
+
+    def flaky_probe_factory(index, path):
+        db = DB(path, Options(env=MemEnv()))
+
+        class _FlakyProbeDB:
+            def health(self):
+                if threading.current_thread().name == "shard-health":
+                    raise RuntimeError("probe blew up")
+                return db.health()
+
+            def __getattr__(self, name):
+                return getattr(db, name)
+
+        return _FlakyProbeDB()
+
+    config = ServiceConfig(port=0, health_check_interval_s=0.01)
+    base = str(tmp_path / "mp")
+    with MultiProcessKVServer(base, 2, flaky_probe_factory, config) as server:
+        with _retrying_client(server) as client:
+            deadline = time.monotonic() + 10.0
+            while True:
+                stats = client.stats()
+                if stats["server"].get("service.health_check_errors", 0) >= 2:
+                    break
+                assert time.monotonic() < deadline, stats["server"]
+                time.sleep(0.01)
+        assert "service.health" not in stats["server"]
+        assert stats["server"]["service.stats"] >= 1  # the front-end's own
+        assert stats["health"]["state"] == "healthy"
 
 
 # -- encrypted shards --------------------------------------------------------
