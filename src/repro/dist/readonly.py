@@ -96,7 +96,7 @@ class ReadOnlyInstance:
         end: bytes | None = None,
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        sources = [self._mem.entries()]
+        sources = [self._mem.entries(start)]
         for __, meta in self._versions.current.all_files():
             if end is not None and meta.smallest >= end:
                 continue

@@ -1132,8 +1132,8 @@ class DB:
     ) -> list[tuple[bytes, bytes]]:
         with self._mutex:
             self._check_open()
-            sources = [self._mem.entries()]
-            sources.extend(entry[0].entries() for entry in self._imm)
+            sources = [self._mem.entries(start)]
+            sources.extend(entry[0].entries(start) for entry in self._imm)
             version = self._versions.current
         for __, meta in version.all_files():
             if end is not None and meta.smallest >= end:
@@ -1194,8 +1194,8 @@ class DB:
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
         with self._mutex:
             self._check_open()
-            sources = [self._mem.entries()]
-            sources.extend(entry[0].entries() for entry in self._imm)
+            sources = [self._mem.entries(start)]
+            sources.extend(entry[0].entries(start) for entry in self._imm)
             version = self._versions.current
             readers = []
             for __, meta in version.all_files():

@@ -32,8 +32,11 @@ class Memtable:
         below ``max_seq``, or None if the key is absent."""
         raise NotImplementedError
 
-    def entries(self) -> Iterator[tuple[bytes, int, int, bytes]]:
-        """Yield every (key, seq, vtype, value), sorted (key asc, seq desc)."""
+    def entries(
+        self, start: bytes = b""
+    ) -> Iterator[tuple[bytes, int, int, bytes]]:
+        """Yield every (key, seq, vtype, value) with ``key >= start``,
+        sorted (key asc, seq desc), without visiting the keys before it."""
         raise NotImplementedError
 
     def approximate_size(self) -> int:
@@ -92,31 +95,36 @@ class SkipListMemtable(Memtable):
         self._count += 1
         self._bytes += len(key) + len(value) + _ENTRY_OVERHEAD
 
-    def get(self, key: bytes, max_seq: int = MAX_SEQUENCE):
-        # The newest visible version sorts first at (key, MAX_SEQ - max_seq).
-        #
-        # Lock-free read discipline: every forward pointer is read exactly
-        # once into a local before being tested *and* used.  Re-reading the
-        # pointer after the test races with a concurrent insert (writers are
-        # serialized by the DB mutex, readers are not) and can surface a
-        # just-inserted smaller key as the candidate.
-        target = (key, MAX_SEQUENCE - max_seq)
+    def _seek(self, target: tuple[bytes, int]) -> _SkipNode | None:
+        """The first node whose sort key is >= ``target``.
+
+        Lock-free read discipline: every forward pointer is read exactly
+        once into a local before being tested *and* used.  Re-reading the
+        pointer after the test races with a concurrent insert (writers are
+        serialized by the DB mutex, readers are not) and can surface a
+        just-inserted smaller key as the result.
+        """
         node = self._head
-        candidate = None
+        next_node = None
         for level in range(self._level - 1, -1, -1):
             next_node = node.forward[level]
             while next_node is not None and next_node.sort_key < target:
                 node = next_node
                 next_node = node.forward[level]
-            if level == 0:
-                candidate = next_node
+        return next_node
+
+    def get(self, key: bytes, max_seq: int = MAX_SEQUENCE):
+        # The newest visible version sorts first at (key, MAX_SEQ - max_seq).
+        candidate = self._seek((key, MAX_SEQUENCE - max_seq))
         if candidate is not None and candidate.entry[0] == key:
             __, _seq, vtype, value = candidate.entry
             return (vtype, value)
         return None
 
-    def entries(self) -> Iterator[tuple[bytes, int, int, bytes]]:
-        node = self._head.forward[0]
+    def entries(
+        self, start: bytes = b""
+    ) -> Iterator[tuple[bytes, int, int, bytes]]:
+        node = self._seek((start, 0))  # sorts at or before every version of start
         while node is not None:
             yield node.entry
             node = node.forward[0]
@@ -152,8 +160,10 @@ class DictMemtable(Memtable):
                 return (vtype, value)
         return None
 
-    def entries(self) -> Iterator[tuple[bytes, int, int, bytes]]:
-        for key in sorted(self._table):
+    def entries(
+        self, start: bytes = b""
+    ) -> Iterator[tuple[bytes, int, int, bytes]]:
+        for key in sorted(key for key in self._table if key >= start):
             for seq, vtype, value in sorted(self._table[key], reverse=True):
                 yield (key, seq, vtype, value)
 

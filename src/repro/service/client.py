@@ -50,6 +50,7 @@ class _PooledConnection:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock.settimeout(timeout_s)
+        self._reader = protocol.FrameReader(self.sock)
         self._request_ids = request_ids
         if server_id is not None:
             response = self.request(
@@ -65,7 +66,7 @@ class _PooledConnection:
         protocol.send_message(self.sock, msg)
 
     def read(self) -> Message:
-        msg = protocol.read_message(self.sock)
+        msg = self._reader.read()
         if msg is None:
             raise ConnectionError("server closed the connection")
         return msg

@@ -95,6 +95,9 @@ OPCODE_NAMES = {
 #: Upper bound on one frame; anything larger is treated as stream corruption.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
 
+#: Upper bound on one ``recv``: CPython allocates (then trims) this much per call.
+RECV_SIZE = 64 * 1024
+
 
 class ProtocolError(CorruptionError):
     """The byte stream violated the frame format (bad CRC, bad length)."""
@@ -131,14 +134,6 @@ def encode_frame(msg: Message) -> bytes:
         + encode_fixed32(masked_crc32(body))
         + body
     )
-
-
-def _frame_length(buf) -> int:
-    """The length prefix at the head of ``buf``, rejected unless plausible."""
-    length, __ = decode_fixed32(buf, 0)
-    if length < 4 or length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"implausible frame length {length}")
-    return length
 
 
 def _parse_header(buf, pos: int) -> tuple[int, int, bytes, int]:
@@ -178,9 +173,10 @@ class Frame:
     """One complete frame kept as raw bytes, with only its header parsed.
 
     A proxy that forwards frames verbatim needs the opcode, the request
-    id and -- for routed ops -- the key at the head of the payload; that
-    costs a fraction of a full decode + re-encode per hop.  The CRC is not
-    checked on construction: call :meth:`verify` at the trust boundary.
+    id and -- for routed ops -- the key at the head of the payload, all
+    read in place; that costs a fraction of a full decode + re-encode per
+    hop.  The CRC is not checked on construction: call :meth:`verify` at
+    the trust boundary.
     """
 
     __slots__ = ("raw", "opcode", "request_id", "trace", "_payload_off")
@@ -193,6 +189,10 @@ class Frame:
     def verify(self) -> None:
         _check_crc(self.raw, 4)
 
+    def key(self) -> bytes:
+        """The key at the head of a GET/PUT/DELETE payload, read in place."""
+        return decode_length_prefixed(self.raw, self._payload_off)[0]
+
     def payload(self) -> bytes:
         return self.raw[self._payload_off:]
 
@@ -201,52 +201,71 @@ class Frame:
 
 
 class FrameSplitter:
-    """Incremental splitter for non-blocking sockets: feed whatever
-    ``recv`` returned, iterate the complete :class:`Frame`s so far."""
+    """The one place a length prefix is read off a byte stream: feed
+    whatever ``recv`` returned, take the complete :class:`Frame`s so far.
 
-    __slots__ = ("_buf",)
+    The cursor lives on the splitter and the consumed prefix is trimmed
+    once per :meth:`feed`: a pipelined burst costs one pass, and an
+    iteration abandoned midway (or ended by a :class:`ProtocolError`)
+    leaves exactly the unconsumed tail buffered.
+    """
+
+    __slots__ = ("_buf", "_pos")
 
     def __init__(self):
         self._buf = bytearray()
+        self._pos = 0
 
     def feed(self, data: bytes) -> None:
+        if self._pos:
+            del self._buf[:self._pos]
+            self._pos = 0
         self._buf += data
 
-    def frames(self):
+    def next_frame(self) -> Frame | None:
+        """The next complete frame, or None until more bytes are fed."""
         buf = self._buf
-        while len(buf) >= 4:
-            end = 4 + _frame_length(buf)
-            if len(buf) < end:
-                return
-            raw = bytes(buf[:end])
-            del buf[:end]
-            yield Frame(raw)
-
-
-def recv_exact(sock: socket.socket, nbytes: int) -> bytes | None:
-    """Read exactly ``nbytes``; None on clean EOF before the first byte."""
-    chunks: list[bytes] = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise ProtocolError("connection closed mid-frame")
+        pos = self._pos
+        if len(buf) - pos < 4:
             return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        length, __ = decode_fixed32(buf, pos)
+        if length < 4 or length > MAX_FRAME_SIZE:
+            raise ProtocolError(f"implausible frame length {length}")
+        end = pos + 4 + length
+        if len(buf) < end:
+            return None
+        self._pos = end
+        return Frame(bytes(buf[pos:end]))
+
+    def frames(self):
+        while (frame := self.next_frame()) is not None:
+            yield frame
 
 
-def read_message(sock: socket.socket) -> Message | None:
-    """Read one frame from a socket; None when the peer closed cleanly."""
-    head = recv_exact(sock, 4)
-    if head is None:
-        return None
-    body = recv_exact(sock, _frame_length(head))
-    if body is None:
-        raise ProtocolError("connection closed mid-frame")
-    return decode_frame_body(body)
+class FrameReader(FrameSplitter):
+    """Blocking reader: a splitter fed by bounded ``recv``s -- one ``recv``
+    per frame, or per pipelined burst.  It buffers whatever arrived behind
+    the frame it returns, so it owns its socket's inbound bytes: one
+    reader per socket, for the socket's life."""
+
+    __slots__ = ("_sock",)
+
+    def __init__(self, sock: socket.socket):
+        super().__init__()
+        self._sock = sock
+
+    def read(self) -> Message | None:
+        """The next message, CRC-checked; None when the peer closed
+        cleanly (between frames)."""
+        while (frame := self.next_frame()) is None:
+            data = self._sock.recv(RECV_SIZE)
+            if not data:
+                if len(self._buf) > self._pos:
+                    raise ProtocolError("connection closed mid-frame")
+                return None
+            self.feed(data)
+        frame.verify()
+        return frame.message()
 
 
 def send_message(sock: socket.socket, msg: Message) -> None:

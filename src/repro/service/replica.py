@@ -275,7 +275,7 @@ class ReplicaState:
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
         with self._lock:
-            entries = list(self._mem.entries())
+            entries = list(self._mem.entries(start))
         return list(key_range(newest_visible(iter(entries)), start, end, limit))
 
     def __len__(self) -> int:
@@ -436,7 +436,9 @@ class Replica:
                 1,
                 protocol.encode_repl_subscribe(self.server_id, resume),
             ))
-            accept = protocol.read_message(sock)
+            # Handshake and stream share it: it may hold frames behind the accept.
+            reader = protocol.FrameReader(sock)
+            accept = reader.read()
             if accept is None:
                 raise ReplicationError("primary closed during handshake")
             if accept.opcode == protocol.RESP_ERROR:
@@ -464,7 +466,7 @@ class Replica:
 
             offset = 0
             while not self._stop.is_set():
-                msg = protocol.read_message(sock)
+                msg = reader.read()
                 if msg is None:
                     raise ReplicationError("primary closed the stream")
                 if msg.opcode == protocol.RESP_REPL_FRAME:

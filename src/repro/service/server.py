@@ -426,10 +426,11 @@ class KVServer:
             self._conn_threads.append(thread)
 
     def _reader_loop(self, conn: _Connection) -> None:
+        reader = protocol.FrameReader(conn.sock)
         try:
             while conn.alive and not self._stopping.is_set():
                 try:
-                    msg = protocol.read_message(conn.sock)
+                    msg = reader.read()
                 except (protocol.ProtocolError, OSError):
                     return
                 if msg is None:

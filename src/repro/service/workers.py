@@ -114,10 +114,11 @@ def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
         server.pop("service.health", None)
         return {"server": server}
 
+    reader = protocol.FrameReader(sock)
     try:
         while True:
             try:
-                msg = protocol.read_message(sock)
+                msg = reader.read()
             except (protocol.ProtocolError, OSError):
                 return
             if msg is None:
@@ -168,6 +169,10 @@ class _WorkerHandle:
         self.spawned_at = 0.0
         self.strikes = 0              # consecutive crashes shortly after spawn
         self.respawn_at: float | None = None
+
+    @property
+    def alive(self) -> bool:
+        return self.sock is not None
 
 
 class _ClientConn:
@@ -245,6 +250,8 @@ class MultiProcessKVServer:
             for index in range(num_workers)
         ]
         self._clients: set[_ClientConn] = set()
+        self._op_counters: dict = {}  # opcode -> its service.<op> Counter
+        self._awaiting_respawn: list[_WorkerHandle] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -271,8 +278,7 @@ class MultiProcessKVServer:
         self._listener.setblocking(False)
         for worker in self._workers:
             self._spawn_worker(worker)
-        self._sel.register(self._listener, selectors.EVENT_READ,
-                           ("accept", None))
+        self._sel.register(self._listener, selectors.EVENT_READ)
         self._loop_thread = threading.Thread(
             target=self._loop, name="kv-frontend", daemon=True
         )
@@ -289,23 +295,12 @@ class MultiProcessKVServer:
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=2.0)
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._close_sock(self._listener)
         for conn in list(self._clients):
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-            conn.alive = False
-        self._clients.clear()
+            self._close_client(conn)
         for worker in self._workers:
             if worker.sock is not None:
-                try:
-                    worker.sock.close()
-                except OSError:
-                    pass
+                self._close_sock(worker.sock)
                 worker.sock = None
         deadline = time.monotonic() + self.config.drain_timeout_s
         for worker in self._workers:
@@ -404,22 +399,16 @@ class MultiProcessKVServer:
         worker.generation += 1
         worker.spawned_at = time.monotonic()
         worker.respawn_at = None
-        self._sel.register(parent_sock, selectors.EVENT_READ,
-                           ("worker", worker))
+        self._sel.register(parent_sock, selectors.EVENT_READ, (
+            worker, self._on_worker_response, self._handle_worker_crash
+        ))
 
     def _handle_worker_crash(self, worker: _WorkerHandle) -> None:
         """EOF/error on a worker pipe: fail its in-flight requests with
         the retriable BUSY status, reap the corpse, respawn on the same
         shard path."""
         if worker.sock is not None:
-            try:
-                self._sel.unregister(worker.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                worker.sock.close()
-            except OSError:
-                pass
+            self._close_sock(worker.sock)
             worker.sock = None
         pending, worker.pending = worker.pending, deque()
         for entry in pending:
@@ -451,6 +440,7 @@ class MultiProcessKVServer:
             self._respawn(worker)
         else:
             worker.respawn_at = now + min(0.05 * (2 ** worker.strikes), 2.0)
+            self._awaiting_respawn.append(worker)
 
     def _respawn(self, worker: _WorkerHandle) -> None:
         self._spawn_worker(worker)
@@ -458,9 +448,9 @@ class MultiProcessKVServer:
 
     def _check_respawns(self) -> None:
         now = time.monotonic()
-        for worker in self._workers:
-            if worker.respawn_at is not None and now >= worker.respawn_at:
-                worker.respawn_at = None
+        for worker in list(self._awaiting_respawn):
+            if now >= worker.respawn_at:
+                self._awaiting_respawn.remove(worker)
                 self._respawn(worker)
 
     # -- event loop --------------------------------------------------------
@@ -472,14 +462,12 @@ class MultiProcessKVServer:
             except OSError:
                 return
             for key, mask in events:
-                kind, obj = key.data
-                if kind == "accept":
+                if key.data is None:
                     self._on_accept()
-                elif kind == "client":
-                    self._on_client_event(obj, mask)
-                elif kind == "worker":
-                    self._on_worker_event(obj, mask)
-            self._check_respawns()
+                else:
+                    self._on_peer_event(mask, *key.data)
+            if self._awaiting_respawn:
+                self._check_respawns()
 
     def _on_accept(self) -> None:
         while True:
@@ -492,98 +480,95 @@ class MultiProcessKVServer:
             conn = _ClientConn(sock, addr)
             self._clients.add(conn)
             self.stats.counter("service.connections").add(1)
-            self._sel.register(sock, selectors.EVENT_READ, ("client", conn))
+            self._sel.register(sock, selectors.EVENT_READ, (
+                conn, self._dispatch, self._close_client
+            ))
+
+    def _close_sock(self, sock: socket.socket) -> None:
+        try:
+            self._sel.unregister(sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
 
     def _close_client(self, conn: _ClientConn) -> None:
         conn.alive = False
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        self._close_sock(conn.sock)
         self._clients.discard(conn)
 
-    def _set_events(self, sock: socket.socket, data, want_write: bool) -> None:
-        events = selectors.EVENT_READ
-        if want_write:
-            events |= selectors.EVENT_WRITE
+    def _watch_writable(self, peer, on: bool) -> None:
+        """(Un)register EVENT_WRITE for a client or worker socket; called
+        only when "``peer.outbuf`` holds unsent bytes" flips."""
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if on else 0)
         try:
-            self._sel.modify(sock, events, data)
+            data = self._sel.get_key(peer.sock).data
+            self._sel.modify(peer.sock, events, data)
         except (KeyError, ValueError):
             pass
 
-    def _flush(self, sock: socket.socket, outbuf: bytearray) -> bool:
-        """Drain as much of ``outbuf`` as the socket accepts; False on a
-        fatal socket error."""
-        while outbuf:
-            try:
-                sent = sock.send(memoryview(outbuf)[:262144])
-            except (BlockingIOError, InterruptedError):
-                return True
-            except OSError:
-                return False
-            del outbuf[:sent]
+    def _send(self, peer, raw: bytes) -> bool:
+        """Hand a frame straight to the socket; what it does not take is
+        buffered (behind anything already waiting) for EVENT_WRITE to
+        drain.  False on a fatal socket error."""
+        if peer.outbuf:
+            peer.outbuf += raw
+            return True
+        try:
+            sent = peer.sock.send(raw)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            return False
+        if sent < len(raw):
+            peer.outbuf += memoryview(raw)[sent:]
+            self._watch_writable(peer, True)
         return True
 
-    def _on_client_event(self, conn: _ClientConn, mask: int) -> None:
-        if not conn.alive:
-            return
-        if mask & selectors.EVENT_WRITE:
-            if not self._flush(conn.sock, conn.outbuf):
-                self._close_client(conn)
-                return
-            self._set_events(conn.sock, ("client", conn), bool(conn.outbuf))
-        if mask & selectors.EVENT_READ:
-            try:
-                data = conn.sock.recv(262144)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._close_client(conn)
-                return
-            if not data:
-                self._close_client(conn)
-                return
-            conn.frames.feed(data)
-            try:
-                for frame in conn.frames.frames():
-                    frame.verify()  # the TCP edge is the trust boundary
-                    self._dispatch(conn, frame)
-                    if not conn.alive:
-                        return
-            except protocol.ProtocolError:
-                self._close_client(conn)
+    def _flush(self, peer) -> bool:
+        """EVENT_WRITE: drain as much of the unsent tail as the socket
+        accepts; False on a fatal socket error."""
+        outbuf = peer.outbuf
+        try:
+            while outbuf:
+                del outbuf[:peer.sock.send(outbuf)]
+        except (BlockingIOError, InterruptedError):
+            return True
+        except OSError:
+            return False
+        self._watch_writable(peer, False)
+        return True
 
-    def _on_worker_event(self, worker: _WorkerHandle, mask: int) -> None:
-        if worker.sock is None:
+    def _on_peer_event(self, mask: int, peer, on_frame, drop) -> None:
+        """A client or worker socket is ready: drain its unsent bytes, read
+        one bounded chunk, handle every whole frame in it.  ``drop`` is how
+        this kind of peer dies (close the client / crash-handle the worker)."""
+        if not peer.alive:
             return
-        if mask & selectors.EVENT_WRITE:
-            if not self._flush(worker.sock, worker.outbuf):
-                self._handle_worker_crash(worker)
-                return
-            self._set_events(
-                worker.sock, ("worker", worker), bool(worker.outbuf)
-            )
-        if mask & selectors.EVENT_READ:
-            try:
-                data = worker.sock.recv(262144)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self._handle_worker_crash(worker)
-                return
-            if not data:
-                self._handle_worker_crash(worker)
-                return
-            worker.frames.feed(data)
-            try:
-                for resp in worker.frames.frames():
-                    self._on_worker_response(worker, resp)
-            except protocol.ProtocolError:
-                self._handle_worker_crash(worker)
+        if mask & selectors.EVENT_WRITE and not self._flush(peer):
+            drop(peer)
+            return
+        if not mask & selectors.EVENT_READ:
+            return
+        try:
+            data = peer.sock.recv(protocol.RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            drop(peer)
+            return
+        peer.frames.feed(data)
+        try:
+            for frame in peer.frames.frames():
+                on_frame(peer, frame)
+                if not peer.alive:
+                    return
+        except protocol.ProtocolError:
+            drop(peer)
 
     def _on_worker_response(self, worker: _WorkerHandle, resp: Frame) -> None:
         if not worker.pending:
@@ -618,13 +603,8 @@ class MultiProcessKVServer:
         self._reply_raw(conn, protocol.encode_frame(msg))
 
     def _reply_raw(self, conn: _ClientConn, raw: bytes) -> None:
-        if not conn.alive:
-            return
-        conn.outbuf += raw
-        if not self._flush(conn.sock, conn.outbuf):
+        if conn.alive and not self._send(conn, raw):
             self._close_client(conn)
-            return
-        self._set_events(conn.sock, ("client", conn), bool(conn.outbuf))
 
     def _reply_error(self, conn: _ClientConn, rid: int, exc: Exception) -> None:
         self.stats.counter("service.errors").add(1)
@@ -635,29 +615,28 @@ class MultiProcessKVServer:
         self._reply(conn, Message(protocol.RESP_BUSY, rid))
 
     def _worker_available(self, worker: _WorkerHandle) -> bool:
-        return (
-            worker.sock is not None
-            and len(worker.pending) < self.config.max_queue_depth
-        )
+        return worker.alive and len(worker.pending) < self.config.max_queue_depth
 
     def _forward(self, worker: _WorkerHandle, raw: bytes,
                  entry: tuple) -> None:
         """Send an already-framed request; FIFO order is the match key."""
         worker.pending.append(entry)
-        worker.outbuf += raw
-        if not self._flush(worker.sock, worker.outbuf):
+        if not self._send(worker, raw):
             self._handle_worker_crash(worker)
-            return
-        self._set_events(worker.sock, ("worker", worker), bool(worker.outbuf))
 
     def _worker_for_key(self, key: bytes) -> _WorkerHandle:
         return self._workers[shard_for_key(key, self.num_workers)]
 
     def _dispatch(self, conn: _ClientConn, frame: Frame) -> None:
+        frame.verify()  # the TCP edge is the trust boundary
         op = frame.opcode
         rid = frame.request_id
-        op_name = protocol.OPCODE_NAMES.get(op, f"op{op}")
-        self.stats.counter(f"service.{op_name}").add(1)
+        counter = self._op_counters.get(op)
+        if counter is None:
+            op_name = protocol.OPCODE_NAMES.get(op, f"op{op}")
+            counter = self.stats.counter(f"service.{op_name}")
+            self._op_counters[op] = counter
+        counter.add(1)
         try:
             if op == protocol.OP_AUTH:
                 authenticate(self.config.kds, self.stats, conn, frame.payload())
@@ -674,9 +653,7 @@ class MultiProcessKVServer:
                 self._reply(conn, Message(protocol.RESP_OK, rid))
                 return
             if op in (protocol.OP_GET, protocol.OP_PUT, protocol.OP_DELETE):
-                worker = self._worker_for_key(
-                    protocol.decode_key(frame.payload())
-                )
+                worker = self._worker_for_key(frame.key())
                 if not self._worker_available(worker):
                     self._reply_busy(conn, rid)
                     return

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
+from repro.lsm.iterator import key_range, merge_entries, newest_visible
 from repro.lsm.memtable import DictMemtable, SkipListMemtable, make_memtable
 
 
@@ -85,3 +86,86 @@ def test_implementations_agree(ops):
     assert list(skip.entries()) == list(dct.entries())
     for __, (key, _v) in enumerate(ops):
         assert skip.get(key) == dct.get(key)
+
+
+# -- entries(start): the seek a scan starts with ------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=3),  # few distinct keys: versions pile up
+            st.sampled_from([TYPE_PUT, TYPE_DELETE]),
+            st.binary(max_size=4),
+        ),
+        max_size=60,
+    ),
+    start=st.binary(max_size=4),
+)
+def test_entries_from_start_is_a_suffix_of_entries(ops, start):
+    """Seeking equals iterating from the head and dropping keys < start."""
+    for impl in ("skiplist", "dict"):
+        mem = make_memtable(impl)
+        for seq, (key, vtype, value) in enumerate(ops, start=1):
+            mem.add(seq, vtype, key, value if vtype == TYPE_PUT else b"")
+        everything = list(mem.entries())
+        for probe in (start, b"", b"\xff" * 5, *(key for key, __, ___ in ops)):
+            assert list(mem.entries(probe)) == [
+                entry for entry in everything if entry[0] >= probe
+            ]
+
+
+def _filled(impl: str, keys: int, versions: int):
+    mem = make_memtable(impl)
+    seq = 0
+    for version in range(versions):
+        for index in range(keys):
+            seq += 1
+            mem.add(seq, TYPE_PUT, b"key-%06d" % index, b"v%d" % version)
+    return mem
+
+
+@pytest.mark.parametrize("impl", ["skiplist", "dict"])
+def test_a_limited_scan_pulls_limit_plus_versions_entries(impl):
+    """What a scan(start, limit) takes from the memtable is bounded by the
+    limit and the versions of the keys it returns, not by what lies before
+    ``start``."""
+    keys, versions, limit = 3000, 3, 20
+    mem = _filled(impl, keys, versions)
+    start = b"key-%06d" % (keys - 100)
+    pulled = []
+
+    def counted(entries):
+        for entry in entries:
+            pulled.append(entry)
+            yield entry
+
+    merged = newest_visible(merge_entries([counted(mem.entries(start))]))
+    results = list(key_range(merged, start, None, limit))
+    assert [key for key, __ in results] == [
+        b"key-%06d" % index for index in range(keys - 100, keys - 100 + limit)
+    ]
+    assert all(value == b"v%d" % (versions - 1) for __, value in results)
+    assert len(pulled) <= limit * versions
+    assert pulled[0][0] == start
+
+
+def test_skiplist_seek_descends_instead_of_walking():
+    class CountedKey(bytes):
+        compared = 0
+
+        def __eq__(self, other):
+            CountedKey.compared += 1
+            return bytes.__eq__(self, other)
+
+        __hash__ = bytes.__hash__
+
+    mem = SkipListMemtable(seed=11)
+    count = 4096
+    for index in range(count):
+        mem.add(index + 1, TYPE_PUT, CountedKey(b"key-%06d" % index), b"v")
+    CountedKey.compared = 0
+    first = next(mem.entries(b"key-%06d" % (count - 10)))
+    assert first[0] == b"key-%06d" % (count - 10)
+    assert CountedKey.compared < count // 16

@@ -230,14 +230,25 @@ def _canonical(reply: p.Message):
     return ("error", type(exc).__name__, str(exc))
 
 
+def _recv_exact(sock, nbytes: int) -> bytes:
+    """Exactly ``nbytes`` off the socket: the recorded hex needs the raw
+    reply bytes, which ``FrameReader`` does not hand out."""
+    data = b""
+    while len(data) < nbytes:
+        chunk = sock.recv(nbytes - len(data))
+        assert chunk, "server closed mid-reply"
+        data += chunk
+    return data
+
+
 def _run_raw(address, session):
     """Send each step as a frame; return ``{step: (frame_hex, answer)}``."""
     out = {}
     with socket.create_connection(address, timeout=10.0) as sock:
         for rid, (step, opcode, payload) in enumerate(session, start=1):
             p.send_message(sock, p.Message(opcode, rid, payload))
-            head = p.recv_exact(sock, 4)
-            body = p.recv_exact(sock, int.from_bytes(head, "little"))
+            head = _recv_exact(sock, 4)
+            body = _recv_exact(sock, int.from_bytes(head, "little"))
             reply = p.decode_frame_body(body)
             assert reply.request_id == rid
             out[step] = ((head + body).hex(), _canonical(reply))

@@ -71,24 +71,26 @@ def test_corrupted_frame_fails_crc(flip_at):
         protocol.decode_frame_body(bytes(frame[4:]))
 
 
-def test_read_message_over_socket():
+def test_frame_reader_over_socket():
     msg = Message(protocol.OP_SCAN, 3, b"xyz")
     sock = _roundtrip_over_socket(protocol.encode_frame(msg))
+    reader = protocol.FrameReader(sock)
     try:
-        assert protocol.read_message(sock) == msg
-        assert protocol.read_message(sock) is None  # clean EOF
+        assert reader.read() == msg
+        assert reader.read() is None  # clean EOF
     finally:
         sock.close()
 
 
-def test_read_message_pipelined_stream():
+def test_frame_reader_pipelined_stream():
     messages = [Message(protocol.OP_GET, i, b"k%d" % i) for i in range(20)]
     sock = _roundtrip_over_socket(
         b"".join(protocol.encode_frame(m) for m in messages)
     )
+    reader = protocol.FrameReader(sock)
     try:
         for expected in messages:
-            assert protocol.read_message(sock) == expected
+            assert reader.read() == expected
     finally:
         sock.close()
 
@@ -98,7 +100,7 @@ def test_truncated_frame_raises_mid_frame():
     sock = _roundtrip_over_socket(frame[: len(frame) - 2])
     try:
         with pytest.raises(ProtocolError):
-            protocol.read_message(sock)
+            protocol.FrameReader(sock).read()
     finally:
         sock.close()
 
@@ -111,12 +113,12 @@ def test_implausible_length_rejected():
     )
     try:
         with pytest.raises(ProtocolError):
-            protocol.read_message(sock)
+            protocol.FrameReader(sock).read()
     finally:
         sock.close()
 
 
-def test_send_message_is_read_message_inverse():
+def test_send_message_is_frame_reader_inverse():
     left, right = socket.socketpair()
     msg = Message(protocol.OP_WRITE_BATCH, 99, bytes(range(256)))
     try:
@@ -124,7 +126,7 @@ def test_send_message_is_read_message_inverse():
             target=protocol.send_message, args=(left, msg)
         )
         writer.start()
-        assert protocol.read_message(right) == msg
+        assert protocol.FrameReader(right).read() == msg
         writer.join()
     finally:
         left.close()

@@ -173,8 +173,9 @@ def test_raw_pipelined_requests_match_by_id():
                     protocol.encode_put(b"r-%d" % i, b"v-%d" % i),
                 ))
             seen = set()
+            reader = protocol.FrameReader(sock)
             for __ in range(10):
-                response = protocol.read_message(sock)
+                response = reader.read()
                 assert response.opcode == protocol.RESP_OK
                 seen.add(response.request_id)
             assert seen == {100 + i for i in range(10)}
@@ -211,7 +212,8 @@ def test_queue_overflow_returns_busy_for_excess_request():
             protocol.send_message(sock, Message(
                 protocol.OP_GET, 99, protocol.encode_key(b"overflow")
             ))
-            response = protocol.read_message(sock)
+            reader = protocol.FrameReader(sock)
+            response = reader.read()
             assert response.opcode == protocol.RESP_BUSY
             assert response.request_id == 99
             assert server.stats.counter("service.busy_rejections").value == 1
@@ -219,7 +221,7 @@ def test_queue_overflow_returns_busy_for_excess_request():
             blocking.release.set()
             done = {response.request_id}
             while len(done) < 1 + depth + 1:
-                done.add(protocol.read_message(sock).request_id)
+                done.add(reader.read().request_id)
             assert done == {1, 99} | {2 + i for i in range(depth)}
     blocking.db.close()
 

@@ -1,0 +1,312 @@
+"""The wire path's budget, as counts: ``recv``s per frame on every blocking
+socket, and selector calls per forwarded frame in the front-end.
+
+Nothing here sleeps or times anything: the blocking reader runs over a
+scripted socket that records what was asked of it, and the front-end runs
+over a selector that records every ``modify`` and signals the test through
+events (an empty ``select`` means the loop has consumed all there was).
+"""
+
+import os
+import selectors
+import socket
+import threading
+from collections import deque
+
+import pytest
+
+from repro.env.mem import MemEnv
+from repro.errors import CorruptionError
+from repro.lsm.db import DB
+from repro.lsm.options import Options
+from repro.service import protocol
+from repro.service.client import KVClient
+from repro.service.protocol import FrameReader, FrameSplitter, Message, ProtocolError
+from repro.service.server import ServiceConfig
+from repro.service.workers import MultiProcessKVServer
+
+READ = selectors.EVENT_READ
+READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+WAIT_S = 20.0
+
+MESSAGES = [
+    Message(protocol.OP_PING, 1),
+    Message(protocol.OP_PUT, 300, protocol.encode_put(b"k", b"v" * 40),
+            trace=b"\x07" * 17),
+    Message(protocol.RESP_VALUE, 2**40, protocol.encode_value(b"")),
+]
+FRAMES = [protocol.encode_frame(msg) for msg in MESSAGES]
+
+
+class ScriptedSocket:
+    """``recv`` hands out the scripted chunks in order (a chunk longer than
+    the caller asked for is cut there), then a clean EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = deque(chunks)
+        self.asked: list[int] = []
+
+    def recv(self, nbytes: int) -> bytes:
+        self.asked.append(nbytes)
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.popleft()
+        if len(chunk) > nbytes:
+            self.chunks.appendleft(chunk[nbytes:])
+        return chunk[:nbytes]
+
+
+# -- the blocking reader -----------------------------------------------------
+
+
+def test_reader_reassembles_a_one_byte_drip():
+    stream = b"".join(FRAMES)
+    sock = ScriptedSocket(stream[i:i + 1] for i in range(len(stream)))
+    reader = FrameReader(sock)
+    assert [reader.read() for __ in MESSAGES] == MESSAGES
+    assert len(sock.asked) == len(stream)
+    assert reader.read() is None  # clean EOF, between frames
+
+
+def test_three_frames_in_one_chunk_cost_one_recv():
+    sock = ScriptedSocket([b"".join(FRAMES)])
+    reader = FrameReader(sock)
+    assert [reader.read() for __ in MESSAGES] == MESSAGES
+    assert len(sock.asked) == 1
+
+
+def test_exactly_one_recv_per_whole_frame():
+    sock = ScriptedSocket(FRAMES)
+    reader = FrameReader(sock)
+    for count, expected in enumerate(MESSAGES, start=1):
+        assert reader.read() == expected
+        assert len(sock.asked) == count
+
+
+def test_no_recv_asks_for_more_than_64_kib():
+    big = Message(protocol.OP_PUT, 9, protocol.encode_put(b"k", b"x" * 300_000))
+    stream = protocol.encode_frame(big) + FRAMES[0]
+    sock = ScriptedSocket([stream])
+    reader = FrameReader(sock)
+    assert reader.read() == big
+    assert reader.read() == MESSAGES[0]
+    assert reader.read() is None
+    assert max(sock.asked) <= 64 * 1024
+    assert len(sock.asked) == -(-len(stream) // 65536) + 1  # + the EOF
+
+
+@pytest.mark.parametrize("stream, complaint", [
+    (FRAMES[1][:-2], "closed mid-frame"),
+    (FRAMES[0] + FRAMES[1][:3], "closed mid-frame"),
+    (b"\x03\x00\x00\x00" + b"\x00" * 8, "implausible frame length"),
+    (b"\xff\xff\xff\xff" + b"\x00" * 8, "implausible frame length"),
+    (FRAMES[1][:-1] + bytes([FRAMES[1][-1] ^ 0x40]), "checksum mismatch"),
+])
+def test_reader_rejects_a_damaged_stream(stream, complaint):
+    reader = FrameReader(ScriptedSocket([stream]))
+    with pytest.raises(ProtocolError, match=complaint):
+        while reader.read() is not None:
+            pass
+
+
+# -- the splitter under it ---------------------------------------------------
+
+
+def test_splitter_splits_a_pipelined_burst_in_order():
+    messages = [
+        Message(protocol.OP_GET, rid, protocol.encode_key(b"key-%d" % rid))
+        for rid in range(1, 501)
+    ]
+    stream = b"".join(protocol.encode_frame(msg) for msg in messages)
+    splitter = FrameSplitter()
+    splitter.feed(stream[:-5])  # the last frame is still short
+    seen = [frame.message() for frame in splitter.frames()]
+    splitter.feed(stream[-5:])
+    seen += [frame.message() for frame in splitter.frames()]
+    assert seen == messages
+
+
+def test_abandoned_iteration_keeps_exactly_the_unconsumed_tail():
+    splitter = FrameSplitter()
+    splitter.feed(b"".join(FRAMES) + FRAMES[0][:6])
+    for frame in splitter.frames():
+        assert frame.message() == MESSAGES[0]
+        break  # e.g. the front-end returns when conn.alive flips
+    assert [f.message() for f in splitter.frames()] == MESSAGES[1:]
+    splitter.feed(FRAMES[0][6:])
+    assert [f.message() for f in splitter.frames()] == MESSAGES[:1]
+    assert list(splitter.frames()) == []
+
+
+def test_an_error_in_the_consumer_loses_no_later_frame():
+    splitter = FrameSplitter()
+    splitter.feed(b"".join(FRAMES))
+    with pytest.raises(ProtocolError):
+        for frame in splitter.frames():
+            raise ProtocolError("the consumer's own check failed")
+    assert [f.message() for f in splitter.frames()] == MESSAGES[1:]
+
+
+def test_a_bad_length_mid_burst_surfaces_after_the_good_frames():
+    splitter = FrameSplitter()
+    splitter.feed(FRAMES[0] + FRAMES[1] + b"\x01\x00\x00\x00" + FRAMES[2])
+    seen = []
+    with pytest.raises(ProtocolError, match="implausible frame length"):
+        for frame in splitter.frames():
+            seen.append(frame.message())
+    assert seen == MESSAGES[:2]
+
+
+def test_frame_key_is_read_in_place():
+    put = protocol.encode_frame(Message(
+        protocol.OP_PUT, 2**20, protocol.encode_put(b"routed", b"v" * 500),
+        trace=b"\x01" * 17,
+    ))
+    frame = protocol.Frame(put)
+    assert frame.key() == b"routed" == protocol.decode_key(frame.payload())
+    with pytest.raises(CorruptionError):
+        protocol.Frame(protocol.encode_frame(
+            Message(protocol.OP_GET, 1, b"\x09abc")  # key runs past the frame
+        )).key()
+
+
+# -- the front-end's selector traffic ----------------------------------------
+
+
+class CountingSelector(selectors.DefaultSelector):
+    """Records every ``modify``; ``idle`` is set whenever ``select`` comes
+    back empty, ``cleared`` whenever a socket stops being write-watched."""
+
+    def __init__(self):
+        super().__init__()
+        self.modifies: list[int] = []
+        self.idle = threading.Event()
+        self.cleared = threading.Event()
+
+    def modify(self, fileobj, events, data=None):
+        self.modifies.append(events)
+        key = super().modify(fileobj, events, data)
+        if events == READ:
+            self.cleared.set()
+        return key
+
+    def select(self, timeout=None):
+        ready = super().select(timeout)
+        if not ready:
+            self.idle.set()
+        return ready
+
+
+def _mem_shard(index, path):
+    return DB(path, Options(env=MemEnv()))
+
+
+def _await_quiet_frontend(server) -> None:
+    """Block until the loop has consumed every byte sent so far."""
+    server._sel.idle.clear()
+    assert server._sel.idle.wait(WAIT_S)
+
+
+def _await_quiet(server) -> None:
+    """... and every worker has answered what was forwarded to it."""
+    _await_quiet_frontend(server)
+    while any(worker.pending for worker in server._workers):
+        _await_quiet_frontend(server)
+
+
+@pytest.fixture
+def counting_selector(monkeypatch):
+    monkeypatch.setattr(selectors, "DefaultSelector", CountingSelector)
+
+
+def test_steady_state_forwarding_never_modifies_the_selector(
+    tmp_path, counting_selector
+):
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
+        with KVClient(*server.address) as client:
+            for i in range(50):
+                client.put(b"key-%03d" % i, b"value-%03d" % i)
+            for i in range(500):
+                assert client.get(b"key-%03d" % (i % 50)) == b"value-%03d" % (i % 50)
+            assert client.scan(b"key-010", None, 3)[0] == (b"key-010", b"value-010")
+        assert server._sel.modifies == []
+
+
+def test_replies_to_a_client_that_is_not_reading_arrive_intact_and_in_order(
+    tmp_path, counting_selector
+):
+    value = bytes(range(256)) * 256  # 64 KiB
+    count = 128                      # 8 MiB of replies: more than the socket buffers hold
+    config = ServiceConfig(max_queue_depth=count)
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard, config) as server:
+        with KVClient(*server.address) as client:
+            client.put(b"big", value)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            sock.settimeout(WAIT_S)
+            sock.connect(server.address)
+            sock.sendall(b"".join(
+                protocol.encode_frame(
+                    Message(protocol.OP_GET, rid, protocol.encode_key(b"big"))
+                )
+                for rid in range(1, count + 1)
+            ))
+            _await_quiet(server)  # every reply is now in the kernel or the outbuf
+            assert server._sel.modifies == [READ_WRITE]
+            reader = FrameReader(sock)
+            for rid in range(1, count + 1):
+                reply = reader.read()
+                assert (reply.opcode, reply.request_id) == (protocol.RESP_VALUE, rid)
+                assert protocol.decode_value(reply.payload) == value
+            assert server._sel.cleared.wait(WAIT_S)
+            assert server._sel.modifies == [READ_WRITE, READ]
+        finally:
+            sock.close()
+
+
+def test_large_puts_into_a_full_worker_pipe_all_land(tmp_path, counting_selector):
+    gate_r, gate_w = os.pipe()  # the forked worker inherits both ends
+
+    def gated_shard(index, path):
+        db = _mem_shard(index, path)
+
+        class _GatedDB:
+            def put(self, key, value, opts=None):
+                os.read(gate_r, 1)  # one byte lets one put through
+                return db.put(key, value, opts)
+
+            def __getattr__(self, name):
+                return getattr(db, name)
+
+        return _GatedDB()
+
+    count = 16
+    values = {b"big-%02d" % i: bytes([i]) * (256 * 1024) for i in range(count)}
+    try:
+        with MultiProcessKVServer(str(tmp_path / "mp"), 1, gated_shard) as server:
+            with socket.create_connection(server.address, timeout=WAIT_S) as sock:
+                # The worker stops inside this put, so it reads nothing more.
+                protocol.send_message(sock, Message(
+                    protocol.OP_PUT, 1, protocol.encode_put(b"small", b"v")
+                ))
+                _await_quiet_frontend(server)
+                for rid, (key, value) in enumerate(values.items(), start=2):
+                    protocol.send_message(sock, Message(
+                        protocol.OP_PUT, rid, protocol.encode_put(key, value)
+                    ))
+                _await_quiet_frontend(server)  # 4 MiB sit behind a ~200 KiB pipe
+                assert server._sel.modifies == [READ_WRITE]
+                os.write(gate_w, b"g" * (count + 1))
+                reader = FrameReader(sock)
+                for rid in range(1, count + 2):
+                    reply = reader.read()
+                    assert (reply.opcode, reply.request_id) == (protocol.RESP_OK, rid)
+                assert server._sel.cleared.wait(WAIT_S)
+                assert server._sel.modifies == [READ_WRITE, READ]
+            with KVClient(*server.address) as client:
+                for key, value in values.items():
+                    assert client.get(key) == value
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)

@@ -236,10 +236,8 @@ def test_busy_backpressure_per_worker_queue(tmp_path):
                 for rid in range(1, 11)
             )
             sock.sendall(blob)
-            opcodes = []
-            for _ in range(10):
-                msg = protocol.read_message(sock)
-                opcodes.append(msg.opcode)
+            reader = protocol.FrameReader(sock)
+            opcodes = [reader.read().opcode for _ in range(10)]
             assert opcodes.count(protocol.RESP_BUSY) >= 1
             assert opcodes.count(protocol.RESP_OK) >= 1
             assert len(opcodes) == 10  # every request was answered
@@ -273,7 +271,8 @@ def test_require_auth_gates_operations(tmp_path):
             protocol.send_message(sock, Message(
                 protocol.OP_GET, 1, protocol.encode_key(b"k")
             ))
-            assert protocol.read_message(sock).opcode == protocol.RESP_ERROR
+            reply = protocol.FrameReader(sock).read()
+            assert reply.opcode == protocol.RESP_ERROR
         finally:
             sock.close()
 
@@ -287,7 +286,7 @@ def test_replication_subscribe_is_rejected(tmp_path):
                 protocol.OP_REPL_SUBSCRIBE, 1,
                 protocol.encode_repl_subscribe("replica-1", 0),
             ))
-            resp = protocol.read_message(sock)
+            resp = protocol.FrameReader(sock).read()
             assert resp.opcode == protocol.RESP_ERROR
             with pytest.raises(Exception, match="per-shard"):
                 raise protocol.decode_error(resp.payload)
@@ -374,7 +373,7 @@ def test_passthrough_degraded_write_is_counted_by_the_front_end(tmp_path):
             protocol.send_message(sock, Message(
                 protocol.OP_PUT, 1, protocol.encode_put(b"k", b"v")
             ))
-            reply = protocol.read_message(sock)
+            reply = protocol.FrameReader(sock).read()
         assert reply.opcode == protocol.RESP_DEGRADED
         assert protocol.decode_health(reply.payload)["state"] == "degraded"
         with _retrying_client(server) as client:
