@@ -142,7 +142,9 @@ class _MeteredCipher:
     Bulk work is also wall-timed: ``crypto.bulk_s`` (together with
     ``crypto.init_s`` from :func:`create_cipher`) is the paper's
     EVP-init-vs-bulk decomposition, and the same duration is charged to
-    any active cost-attribution context as ``encrypt``.
+    any active cost-attribution context as ``encrypt``.  It holds nothing
+    but the immutable inner context, so ``FileCrypto.open`` shares one
+    instance between a file's concurrent readers.
     """
 
     def __init__(self, inner: StreamCipher):

@@ -39,16 +39,16 @@ class ShakeCtrCipher:
     def keystream(self, offset: int, length: int) -> bytes:
         if length <= 0:
             return b""
-        first = offset // SEGMENT_SIZE
-        last = (offset + length - 1) // SEGMENT_SIZE
+        first, start = divmod(offset, SEGMENT_SIZE)
+        last, tail = divmod(offset + length - 1, SEGMENT_SIZE)
         if first == last:
-            # Common case: ask the XOF for exactly the bytes we need.
-            start = offset - first * SEGMENT_SIZE
-            return self._segment(first, start + length)[start:]
-        parts = [self._segment(i) for i in range(first, last + 1)]
-        stream = b"".join(parts)
-        start = offset - first * SEGMENT_SIZE
-        return stream[start:start + length]
+            return self._segment(first, tail + 1)[start:]
+        # Ask the XOF for exactly the bytes the last segment contributes:
+        # digest(n) is a prefix of digest(m), so the stream is unchanged.
+        parts = [self._segment(first)[start:]]
+        parts += [self._segment(i) for i in range(first + 1, last)]
+        parts.append(self._segment(last, tail + 1))
+        return b"".join(parts)
 
     def xor_at(self, data: bytes, offset: int) -> bytes:
         ks = self.keystream(offset, len(data))

@@ -772,10 +772,11 @@ class DB:
         finally:
             with self._mutex:
                 self._flushing.discard(wal_number)
-                more_flushes = bool(self._imm)
-            if more_flushes:
-                with self._mutex:
-                    self._schedule_bg(self._flush_job)
+        # Only a successful flush chains the next: after a failure ``target``
+        # is still queued, so this would spin on the KDS; try_recover() retries.
+        with self._mutex:
+            if self._imm:
+                self._schedule_bg(self._flush_job)
         self._delete_db_file(wal_path(self.path, wal_number), dek_id=wal_dek)
         self._maybe_schedule_compaction()
 

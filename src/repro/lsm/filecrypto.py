@@ -7,12 +7,14 @@ what is stored at its payload offset, ``tag_size`` bytes longer, and
 schemes append and verify a tag; the writers and readers above this seam
 see only the contract, never the flavour.
 
-Each call constructs a fresh cipher context from the (key, nonce) pair --
-deliberately mirroring how OpenSSL EVP contexts are re-initialized per
-operation, which is the repeated "encryption initialization" cost the
-paper identifies as the WAL bottleneck (Section 3.2).  It also makes
-FileCrypto stateless and therefore safe for SHIELD's multi-threaded chunk
-encryption.
+``seal`` builds a fresh cipher context from the (key, nonce) pair on every
+call -- mirroring how OpenSSL EVP contexts are re-initialized per operation,
+the "encryption initialization" cost the paper identifies as the WAL
+bottleneck and amortises with the WAL buffer (Section 3.2) -- so sealing
+shares no state across SHIELD's multi-threaded chunk encryption.  The stream
+flavour's ``open`` pays that init once per file: the context is immutable and
+lives exactly as long as the FileCrypto holding the key.  AEAD keeps one
+context per unit both ways: the derived nonce *is* the unit's identity.
 
 A :class:`CryptoProvider` decides the policy:
 
@@ -68,6 +70,7 @@ class FileCrypto:
         self.dek_id = dek_id
         self._key = key
         self.nonce = nonce
+        self._open_context = None  # built by the first open()
 
     @property
     def encrypted(self) -> bool:
@@ -79,7 +82,14 @@ class FileCrypto:
         context = create_cipher(self.scheme_id, self._key, self.nonce)
         return context.xor_at(data, offset)
 
-    open = seal  # CTR-style stream ciphers are involutions
+    def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+        """``seal``'s involution, through one context per file: stream
+        contexts are immutable, so concurrent readers share it unlocked."""
+        if not self.encrypted or not data:
+            return data
+        if self._open_context is None:
+            self._open_context = create_cipher(self.scheme_id, self._key, self.nonce)
+        return self._open_context.xor_at(data, offset)
 
     def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
         """Seal a back-to-back run of ``(data, offset, aad)`` units -- the
@@ -115,9 +125,8 @@ class AeadFileCrypto(FileCrypto):
 
     Each unit is sealed under a nonce derived from the per-file base nonce
     and the unit's payload offset, so a unit cannot be relocated, swapped,
-    or bit-flipped without failing its tag.  Like the stream path, a fresh
-    context per call mirrors per-operation EVP initialization and keeps the
-    object stateless for multi-threaded sealing.
+    or bit-flipped without failing its tag.  A context is bound to that
+    derived nonce, so there is one per unit for ``open`` as for ``seal``.
     """
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):

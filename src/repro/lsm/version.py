@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.env.base import Env
 from repro.errors import CorruptionError, RecoveryError
@@ -52,6 +53,7 @@ _TAG_NEXT_FILE = 2
 _TAG_LAST_SEQ = 3
 _TAG_DELETED_FILE = 4
 _TAG_NEW_FILE = 5
+_largest = attrgetter("largest")  # bisect key over a level's sorted files
 
 
 @dataclass(frozen=True)
@@ -258,7 +260,7 @@ class Version:
             files = self.levels[level]
             if not files:
                 continue
-            index = bisect.bisect_left([f.largest for f in files], key)
+            index = bisect.bisect_left(files, key, key=_largest)
             if index < len(files) and files[index].smallest <= key:
                 candidates.append((level, files[index]))
         return candidates

@@ -86,6 +86,7 @@ class Histogram:
     """
 
     _GROWTH = 1.05
+    _LOG_GROWTH = math.log(_GROWTH)
     #: Window sub-division: finer slices cost memory, coarser slices make
     #: the window boundary fuzzier.  8 slices keeps the error under 1/8th
     #: of the window while the ring stays tiny.
@@ -109,14 +110,17 @@ class Histogram:
     def record(self, value: float) -> None:
         if value < 0:
             value = 0.0
-        bucket = 0 if value < 1e-9 else int(math.log(value / 1e-9, self._GROWTH)) + 1
+        # log(x) / log(growth) is exactly what two-argument math.log computes.
+        bucket = 0 if value < 1e-9 else int(math.log(value / 1e-9) / self._LOG_GROWTH) + 1
         now = self._time_fn()
         with self._lock:
             self._counts[bucket] = self._counts.get(bucket, 0) + 1
             self._n += 1
             self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
             cur = self._slices[-1] if self._slices else None
             if cur is None or now - cur.start >= self._slice_len:
                 cur = _Slice(now)
@@ -128,7 +132,8 @@ class Histogram:
             cur.counts[bucket] = cur.counts.get(bucket, 0) + 1
             cur.n += 1
             cur.sum += value
-            cur.max = max(cur.max, value)
+            if value > cur.max:
+                cur.max = value
 
     def _bucket_upper(self, bucket: int) -> float:
         if bucket == 0:
@@ -257,23 +262,28 @@ class StatsRegistry:
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
+    # An existing metric is one dict read (atomic under the GIL; entries are
+    # never removed); the lock is taken only to create one.
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            if name not in self._counters:
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        metric = self._counters.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._counters.setdefault(name, Counter(name))
+        return metric
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            if name not in self._gauges:
-                self._gauges[name] = Gauge(name)
-            return self._gauges[name]
+        metric = self._gauges.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._gauges.setdefault(name, Gauge(name))
+        return metric
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(name)
-            return self._histograms[name]
+        metric = self._histograms.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._histograms.setdefault(name, Histogram(name))
+        return metric
 
     def snapshot(self) -> dict[str, float]:
         """Flatten every metric into a name -> value mapping.

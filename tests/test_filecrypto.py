@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import (
+    CRYPTO_STATS,
     SCHEME_NONE,
     generate_key,
     generate_nonce,
@@ -152,3 +153,48 @@ def test_aead_seal_units_is_each_unit_sealed_in_place(payload, cuts, chunk_size,
 def test_seal_units_of_nothing_is_empty():
     assert NULL_CRYPTO.seal_units([], 2, 4) == b""
     assert _crypto().seal_units([(b"", 7, b"")], 16, 2) == b""
+
+
+def _inits():
+    return CRYPTO_STATS.counter("crypto.context_inits").value
+
+
+@pytest.mark.parametrize("scheme", ["shake-ctr", "aes-128-ctr", "chacha20"])
+def test_stream_open_builds_one_context_per_file_and_seal_one_per_call(scheme):
+    crypto = _flavour(scheme)
+    before = _inits()
+    sealed = [crypto.seal(b"unit-%d" % i, 100 * i) for i in range(5)]
+    assert _inits() - before == 5  # the modelled per-operation EVP init
+    before = _inits()
+    for i, unit in enumerate(sealed):
+        assert crypto.open(unit, 100 * i) == b"unit-%d" % i
+    assert _inits() - before == 1  # the file's one read context
+    # A second FileCrypto over the same file pays its own init.
+    again = _flavour(scheme)
+    before = _inits()
+    assert again.open(sealed[3], 300) == b"unit-3"
+    assert _inits() - before == 1
+
+
+def test_aead_open_builds_one_context_per_unit():
+    crypto = _flavour("shake-etm")
+    sealed = [crypto.seal(b"unit-%d" % i, 100 * i, b"aad") for i in range(5)]
+    before = _inits()
+    for i, unit in enumerate(sealed):
+        assert crypto.open(unit, 100 * i, b"aad") == b"unit-%d" % i
+    assert _inits() - before == 5  # the derived nonce is the unit's identity
+
+
+def test_plaintext_open_builds_no_context():
+    before = _inits()
+    assert NULL_CRYPTO.open(b"data", 0) == b"data"
+    assert _inits() == before
+
+
+@pytest.mark.parametrize("key, nonce", [(b"k" * 31, b"n" * 16), (b"k" * 32, b"n" * 15)])
+def test_bad_key_material_still_fails_the_first_open_and_every_later_one(key, nonce):
+    crypto = FileCrypto(scheme_id("shake-ctr"), "dek-bad", key, nonce)
+    for __ in range(2):
+        with pytest.raises(EncryptionError):
+            crypto.open(b"data", 0)
+

@@ -4,9 +4,17 @@ secure-cache wiring, and the ablation flags."""
 import pytest
 
 from repro.env.mem import MemEnv
+from repro.errors import IOError_
 from repro.keys.cache import SecureDEKCache
+from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
-from repro.lsm.db import DB
+from repro.lsm.db import (
+    DB,
+    HEALTH_DEGRADED,
+    HEALTH_FAILED,
+    HEALTH_HEALTHY,
+    SP_FLUSH_BEFORE_SST,
+)
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.options import Options
 from repro.shield import (
@@ -16,6 +24,7 @@ from repro.shield import (
     rotation_report,
 )
 from repro.util.clock import VirtualClock
+from repro.util.syncpoint import SYNC
 
 
 def _base_options(env=None, **overrides):
@@ -240,14 +249,56 @@ def test_revoked_server_blocked_mid_flight(tmp_path):
     kds = SimulatedKDS(clock=VirtualClock())
     kds.authorize_server("s1")
     db = open_shield_db("/db", _shield(kds, server_id="s1"), _base_options(env=env))
-    db.put(b"k", b"v" * 5000)  # enough to need another file soon
-    kds.revoke_server("s1")
-    from repro.errors import IOError_
+    with db:
+        db.put(b"k", b"v" * 5000)  # enough to need another file soon
+        kds.revoke_server("s1")
+        with pytest.raises(Exception):
+            for i in range(5000):
+                db.put(b"key-%05d" % i, b"v" * 50)
+            db.flush()
 
-    with pytest.raises(Exception):
-        for i in range(5000):
-            db.put(b"key-%05d" % i, b"v" * 50)
-        db.flush()
+
+def _wait_until(db, predicate):
+    """Block on the engine's own condition variable (no polling sleeps)."""
+    with db._cond:
+        assert db._cond.wait_for(predicate, timeout=20)
+
+
+@pytest.mark.parametrize("cause", ["revoked", "outage"])
+def test_failed_flush_goes_quiet_until_try_recover(cause):
+    """A flush that cannot get its DEK must not reschedule itself: the
+    memtable it failed on is still queued, so it would spin a background
+    thread against the KDS forever.  The retry belongs to try_recover()."""
+    kds = FaultyKDS(SimulatedKDS(clock=VirtualClock(), request_latency_s=0.0))
+    kds.authorize_server("s1")
+    cut = kds.go_down if cause == "outage" else lambda: kds.revoke_server("s1")
+    SYNC.set_callback(SP_FLUSH_BEFORE_SST, cut)
+    db = open_shield_db("/db", _shield(kds, server_id="s1"), _base_options())
+    try:
+        db.put(b"k", b"v")
+        SYNC.enable()
+        with pytest.raises(IOError_):
+            db.flush()
+        SYNC.clear()
+        _wait_until(db, lambda: db._bg_jobs == 0)
+        calls = kds.requests
+        expected = HEALTH_DEGRADED if cause == "outage" else HEALTH_FAILED
+        assert db.health()["state"] == expected
+        assert len(db._imm) == 1 and db._bg_jobs == 0  # queued, nobody retrying
+        assert kds.requests == calls
+        if cause == "revoked":
+            assert not db.try_recover()
+            assert db._bg_jobs == 0 and kds.requests == calls
+            return
+        kds.come_up()
+        assert db.try_recover()
+        _wait_until(db, lambda: not db._imm and db._bg_jobs == 0)
+        assert db.health()["state"] == HEALTH_HEALTHY
+        assert len(db._versions.current.levels[0]) == 1
+        assert db.get(b"k") == b"v"
+    finally:
+        SYNC.clear()
+        db.close()
 
 
 def test_provider_counters():

@@ -1,11 +1,17 @@
 """Tests for SST building and reading, plaintext and encrypted."""
 
+import random
+import sys
+import threading
+
 import pytest
 
-from repro.crypto.cipher import generate_key, spec_for
+from repro.crypto.cipher import CRYPTO_STATS, create_cipher, generate_key, spec_for
 from repro.env.mem import MemEnv
 from repro.errors import CorruptionError, EncryptionError, InvalidArgumentError
+from repro.lsm.db import DB
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
+from repro.lsm.filename import sst_path
 from repro.lsm.filecrypto import (
     PlaintextCryptoProvider,
     SingleKeyCryptoProvider,
@@ -217,3 +223,82 @@ def test_forwarded_entries_rebuild_the_same_file(scheme):
     assert list(SSTReader(env, "/b.sst", provider, options).entries()) == list(
         reader.entries()
     )
+
+
+def _context_inits():
+    return CRYPTO_STATS.counter("crypto.context_inits").value
+
+
+def test_point_reads_share_the_readers_one_cipher_context():
+    env = MemEnv()
+    provider = SingleKeyCryptoProvider("shake-ctr", generate_key("shake-ctr"))
+    info, options = _build(env, provider, n=2000)
+    before = _context_inits()
+    reader = SSTReader(env, info.path, provider, options)  # no block cache
+    for i in range(0, 2000, 10):
+        assert reader.get(b"key-%06d" % i) == (TYPE_PUT, b"value-%06d" % i)
+    assert _context_inits() - before == 1
+
+
+@pytest.mark.parametrize("scheme", ["shake-ctr", "aes-128-ctr", "chacha20"])
+def test_concurrent_block_reads_share_one_context_and_match_fresh_ones(scheme):
+    env, key = MemEnv(), generate_key(scheme)
+    provider = SingleKeyCryptoProvider(scheme, key)
+    info, options = _build(env, provider, n=400, options=Options(block_size=512))
+    before = _context_inits()
+    reader = SSTReader(env, info.path, provider, options)
+    assert _context_inits() - before == 1  # footer, index, bloom, props
+    stored = env.read_file(info.path)[reader._payload_base:]
+    blocks = [(offset, size) for __, offset, size, ___ in reader._index]
+    assert len(blocks) > 8
+    wrong = []
+
+    def read_blocks(seed):
+        rng = random.Random(seed)
+        for __ in range(40):
+            offset, size = rng.choice(blocks)
+            fresh = create_cipher(scheme, key, reader.envelope.nonce)
+            expected = fresh.xor_at(stored[offset:offset + size], offset)
+            if reader._read_payload(offset, size) != expected:
+                wrong.append((seed, offset))
+
+    threads = [threading.Thread(target=read_blocks, args=(s,)) for s in range(8)]
+    before = _context_inits()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert _context_inits() - before == 8 * 40  # only the test's fresh contexts
+
+
+@pytest.mark.parametrize("forget", ["_drop_table", "_quarantine_table"])
+def test_a_reader_recreated_after_drop_or_quarantine_initialises_again(forget):
+    provider = SingleKeyCryptoProvider("shake-ctr", generate_key("shake-ctr"))
+    options = Options(env=MemEnv(), crypto_provider=provider, block_cache_size=0)
+    with DB("/db", options) as db:
+        for i in range(300):
+            db.put(b"key-%06d" % i, b"value-%06d" % i)
+        db.flush()
+        (meta,) = db._versions.current.levels[0]
+        db.get(b"key-000001")
+        before = _context_inits()
+        db.get(b"key-000002")
+        assert _context_inits() == before  # the cached reader's context
+        # The context dies with the reader that held the key ...
+        if forget == "_drop_table":
+            data = db.env.read_file(sst_path(db.path, meta.number))
+            db._drop_table(meta)
+            db.env.write_file(sst_path(db.path, meta.number), data)
+        else:
+            db._quarantine_table(meta.number)
+        assert meta.number not in db._table_cache
+        # ... and the next reader of the same file pays one init of its own.
+        assert db._get_reader(meta).get(b"key-000003") == (TYPE_PUT, b"value-000003")
+        assert _context_inits() - before == 1

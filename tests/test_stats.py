@@ -1,5 +1,11 @@
 """Tests for counters, gauges, histograms, and the stats registry."""
 
+import math
+import sys
+import threading
+
+import pytest
+
 from repro.util.stats import (
     Counter,
     Gauge,
@@ -227,3 +233,60 @@ def test_reset_clears_window():
     assert hist.window_summary()["count"] == 0
     hist.record(0.25)
     assert hist.window_summary()["count"] == 1
+
+
+def test_racing_lookups_of_a_new_metric_share_one_object_and_lose_no_increment():
+    registry = StatsRegistry()
+    start = threading.Barrier(8)
+    seen = []
+
+    def worker():
+        start.wait(timeout=30)
+        for __ in range(2000):
+            registry.counter("x").add(1)
+            registry.histogram("h").record(1e-6)
+            registry.gauge("g").add(1)
+        seen.append((registry.counter("x"), registry.histogram("h"), registry.gauge("g")))
+
+    threads = [threading.Thread(target=worker) for __ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 8 and all(handles == seen[0] for handles in seen)
+    assert all(a is b for handles in seen for a, b in zip(handles, seen[0]))
+    assert registry.counter("x").value == 16000
+    assert registry.histogram("h").count == 16000
+    assert registry.gauge("g").value == 16000
+
+
+def _two_argument_log_bucket(value):
+    """Histogram.record's bucket index as it was written before the
+    one-argument form -- the reference the fast path must match bit for bit."""
+    return 0 if value < 1e-9 else int(math.log(value / 1e-9, 1.05)) + 1
+
+
+def test_histogram_buckets_match_the_two_argument_log_form():
+    edges = [1e-9 * 1.05 ** k for k in range(0, 430)]  # 1 ns .. ~1.3 s
+    sweep = [m * 10.0 ** e for e in range(-9, 1) for m in (1.0, 1.7, 2.5, 3.3, 4.9, 7.1, 9.99)]
+    values = edges + [math.nextafter(v, 0.0) for v in edges] \
+        + [math.nextafter(v, math.inf) for v in edges] + sweep + [0.0, 5e-10]
+    expected = {}
+    hist = Histogram(time_fn=lambda: 0.0)
+    for value in values:
+        bucket = _two_argument_log_bucket(value)
+        expected[bucket] = expected.get(bucket, 0) + 1
+        hist.record(value)
+    assert hist._counts == expected
+    assert hist._slices[0].counts == expected
+    assert hist.min == 0.0 and hist.max == max(values)
+    summary = hist.summary()
+    assert summary["count"] == len(values) and summary["max"] == max(values)
+    assert summary["sum"] == pytest.approx(math.fsum(values))
+    assert hist.window_summary() == summary

@@ -1,6 +1,9 @@
 """Tests for FileMetadata, VersionEdit serialization, Version, VersionSet."""
 
+import bisect
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.env.mem import MemEnv
 from repro.errors import RecoveryError
@@ -82,6 +85,46 @@ def test_candidates_for_key():
     numbers = [meta.number for __, meta in candidates]
     assert numbers == [2, 1, 4]  # L0 newest first, then the one L1 file
     assert [meta.number for __, meta in version.candidates_for_key(b"q")] == [2]
+
+
+def _candidates_by_list_building(version, key):
+    """candidates_for_key as it was written with a per-level key list."""
+    candidates = [
+        (0, meta) for meta in version.levels[0]
+        if meta.smallest <= key <= meta.largest
+    ]
+    for level in range(1, len(version.levels)):
+        files = version.levels[level]
+        index = bisect.bisect_left([f.largest for f in files], key)
+        if index < len(files) and files[index].smallest <= key:
+            candidates.append((level, files[index]))
+    return candidates
+
+
+_keys = st.binary(min_size=0, max_size=2)
+
+
+@given(
+    l0=st.lists(st.tuples(_keys, _keys), max_size=4),
+    bounds=st.lists(st.lists(_keys, max_size=12, unique=True), min_size=2, max_size=3),
+    probes=st.lists(_keys, min_size=1, max_size=20),
+)
+def test_candidates_for_key_equals_the_list_building_form(l0, bounds, probes):
+    edit = VersionEdit()
+    number = 0
+    for a, b in l0:
+        number += 1
+        edit.add_file(0, _meta(number, min(a, b), max(a, b)))
+    for level, keys in enumerate(bounds, start=1):
+        keys = sorted(keys)
+        # Disjoint files: consecutive pairs of the sorted, distinct bounds.
+        for smallest, largest in zip(keys[0::2], keys[1::2]):
+            number += 1
+            edit.add_file(level, _meta(number, smallest, largest))
+    version = Version(7).apply(edit)
+    for key in probes + [b for pair in l0 for b in pair] + sum(bounds, []):
+        assert version.candidates_for_key(key) \
+            == _candidates_by_list_building(version, key)
 
 
 def test_overlapping_files():

@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.crypto.xof import SEGMENT_SIZE, ShakeCtrCipher
 from repro.errors import EncryptionError
@@ -59,3 +59,29 @@ def test_empty():
 def test_involution(data, offset):
     cipher = ShakeCtrCipher(bytes(32), bytes(16))
     assert cipher.xor_at(cipher.xor_at(data, offset), offset) == data
+
+
+@given(
+    st.integers(min_value=0, max_value=4 * SEGMENT_SIZE - 1),
+    st.integers(min_value=0, max_value=4 * SEGMENT_SIZE),
+)
+@example(SEGMENT_SIZE + 3900, 4150)  # a ~4 KiB SST block straddling a boundary
+def test_keystream_is_the_slice_of_full_segments_and_asks_for_no_more(offset, length):
+    length = min(length, 4 * SEGMENT_SIZE - offset)
+    cipher = ShakeCtrCipher(bytes(range(32)), bytes(range(16)))
+    reference = b"".join(cipher._segment(i) for i in range(4))
+    asked = []  # (segment index, bytes requested from the XOF)
+    segment = cipher._segment
+
+    def counting_segment(index, size=SEGMENT_SIZE):
+        asked.append((index, size))
+        return segment(index, size)
+
+    cipher._segment = counting_segment
+    assert cipher.keystream(offset, length) == reference[offset:offset + length]
+    # An XOF can only be read from a segment's start, so the head of the first
+    # segment is unavoidable; nothing is produced past the range's end.
+    assert sum(size for __, size in asked) <= offset % SEGMENT_SIZE + length
+    for index, size in asked:
+        assert index * SEGMENT_SIZE + size <= offset + length
+
