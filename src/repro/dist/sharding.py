@@ -58,7 +58,7 @@ def merge_health(verdicts) -> dict:
 _COUNTER_SECTIONS = ("server", "engine", "crypto", "integrity", "keyclient")
 
 
-def _sum_numeric(dicts) -> dict:
+def sum_numeric(dicts) -> dict:
     """Union of keys across flat stat maps; numbers are summed, the first
     occurrence wins for anything else."""
     out: dict = {}
@@ -109,7 +109,7 @@ def merge_stats(snapshots) -> dict:
     for section in _COUNTER_SECTIONS:
         parts = [snap[section] for snap in snapshots if section in snap]
         if parts:
-            out[section] = _sum_numeric(parts)
+            out[section] = sum_numeric(parts)
     obs_parts = [snap["obs"] for snap in snapshots if "obs" in snap]
     if obs_parts:
         out["obs"] = _merge_obs(obs_parts)
@@ -306,7 +306,7 @@ class ShardedDB:
 
     def stats_snapshot(self) -> dict:
         """Each shard's :meth:`DB.stats_snapshot`, summed."""
-        return _sum_numeric(shard.stats_snapshot() for shard in self.shards)
+        return sum_numeric(shard.stats_snapshot() for shard in self.shards)
 
     def obs_dict(self) -> dict:
         """Each shard's ``obs`` section, merged as :func:`merge_stats` does."""

@@ -17,6 +17,25 @@ over the socket unchanged.  Transient failures are retried:
 ``pipeline()`` batches many requests onto one connection and matches the
 out-of-order responses by request ID -- the network round-trip is paid
 once per batch instead of once per operation.
+
+**Routing.**  A ``KVClient`` is given one address.  On its first keyed
+op it asks that server's topology once (``OP_TOPOLOGY``, over the normal
+pooled, already-AUTHed connection).  A multi-process server answers with
+its shard workers' endpoints; the client then holds one
+:class:`ShardedKVClient` over them -- the same per-endpoint clients and
+the same ``shard_for_key`` routing a user-built ``ShardedKVClient`` has --
+and sends GET/PUT/DELETE through the owning worker's pool and scatters
+SCAN over all of them (every part sent, then every part read, merged
+here).  WRITE_BATCH, STATS, FLUSH, COMPACT, HEALTH, PING and
+``pipeline()`` stay on the given address.  An empty answer (threaded
+server, shard worker), an error answer (an older server) or a worker
+endpoint that refuses the first connection (its port is not reachable
+from here) leaves the client on the given address for good, exactly as
+before.  There is nothing to configure, and the retry budget, backoff,
+deadline and ``retries``/``busy_retries``/``degraded_retries`` counters
+are the one client's whichever pool carried the request: a worker killed
+mid-request resets the direct connection, which is a transient socket
+error like any other.
 """
 
 from __future__ import annotations
@@ -35,7 +54,7 @@ from repro.dist.sharding import (
     shard_for_key,
     split_batch,
 )
-from repro.errors import BusyError, DegradedError, ServiceError
+from repro.errors import BusyError, DegradedError, ReproError, ServiceError
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.service import protocol
@@ -92,7 +111,14 @@ class _PooledConnection:
 
 
 class KVClient:
-    """A thread-safe client for one KVServer endpoint."""
+    """A thread-safe client for one server address.
+
+    Behind a :class:`~repro.service.workers.MultiProcessKVServer` the
+    address is only where the client *starts*: on its first keyed op it
+    asks the server's topology (``OP_TOPOLOGY``, once) and from then on
+    sends GET/PUT/DELETE straight to the owning shard worker and scatters
+    SCAN over all of them -- see the module docstring.
+    """
 
     def __init__(
         self,
@@ -124,6 +150,11 @@ class KVClient:
         self._pool: list[_PooledConnection] = []
         self._pool_lock = threading.Lock()
         self._closed = False
+        # One client per shard worker behind this address, once asked for;
+        # None after asking = there are none (or they cannot be reached).
+        self._shards: ShardedKVClient | None = None
+        self._shards_asked = False
+        self._shards_lock = threading.Lock()
 
     # -- connection pool ---------------------------------------------------
 
@@ -151,6 +182,85 @@ class KVClient:
             pool, self._pool = self._pool, []
         for conn in pool:
             conn.close()
+        if self._shards is not None:
+            self._shards.close()
+
+    # -- direct routing ----------------------------------------------------
+
+    def _direct(self) -> "ShardedKVClient | None":
+        """The per-worker clients, learned on first use and kept for good (a
+        server's topology never changes); None when every op goes through
+        ``(host, port)``."""
+        if not self._shards_asked:
+            with self._shards_lock:
+                if not self._shards_asked:
+                    self._shards = self._learn_shards()
+                    self._shards_asked = True
+        return self._shards
+
+    def _learn_shards(self) -> "ShardedKVClient | None":
+        """Ask the topology and connect to every endpoint in it.
+
+        An empty topology (a threaded server, a shard worker), an error
+        reply (an older server: "unknown opcode") and a worker endpoint
+        that cannot be connected to (its port is firewalled) all mean the
+        same: stay on the one address, where nothing is lost but a hop.
+        """
+        try:
+            endpoints = protocol.decode_topology(
+                self._request(protocol.OP_TOPOLOGY).payload
+            )
+        except ReproError:
+            return None
+        if not endpoints:
+            return None
+        shards = ShardedKVClient(
+            endpoints, pool_size=self.pool_size, timeout_s=self.timeout_s,
+            server_id=self.server_id,
+        )
+        try:
+            for client in shards._all():
+                client._release(client._acquire())
+        except (OSError, ReproError):
+            shards.close()
+            return None
+        return shards
+
+    def _begin(self, opcode: int, payload: bytes, trace: bytes):
+        """Send one request on a pooled connection without waiting for the
+        reply; None when the socket failed."""
+        try:
+            conn = self._acquire()
+        except OSError:
+            return None
+        request_id = conn.next_request_id()
+        try:
+            conn.send(Message(opcode, request_id, payload, trace))
+        except OSError:
+            conn.close()
+            return None
+        return conn, request_id
+
+    def _finish(self, sent) -> Message | None:
+        """The reply to what :meth:`_begin` sent; None when there is none to
+        be had on that connection (which is then discarded)."""
+        if sent is None:
+            return None
+        conn, request_id = sent
+        try:
+            response = conn.read()
+        except (OSError, protocol.ProtocolError):
+            response = None
+        if response is None or response.request_id != request_id:
+            conn.close()
+            return None
+        self._release(conn)
+        return response
+
+    def _via(self, key: bytes) -> "KVClient":
+        """The client whose pool reaches ``key``'s engine in one hop."""
+        shards = self._direct()
+        return self if shards is None else shards.client_for_key(key)
 
     def __enter__(self) -> "KVClient":
         return self
@@ -179,9 +289,13 @@ class KVClient:
         time.sleep(delay)
         return True
 
-    def _request(self, opcode: int, payload: bytes = b"") -> Message:
+    def _request(self, opcode: int, payload: bytes = b"",
+                 via: "KVClient | None" = None) -> Message:
         """Send one request, retrying BUSY/DEGRADED and transient socket
-        errors under the per-request deadline."""
+        errors under the per-request deadline.  ``via`` is the client whose
+        connection pool carries it (a shard worker's; default this one's):
+        the retry budget, backoff and counters are always this client's."""
+        pool = via or self
         op_name = protocol.OPCODE_NAMES.get(opcode, str(opcode))
         started_at = time.monotonic()
         with TRACER.span(f"client.{op_name}") as span:
@@ -189,7 +303,7 @@ class KVClient:
             last_error: Exception | None = None
             for attempt in range(self.max_retries + 1):
                 try:
-                    conn = self._acquire()
+                    conn = pool._acquire()
                 except OSError as exc:
                     last_error = exc
                     self.retries += 1
@@ -208,7 +322,7 @@ class KVClient:
                         break
                     continue
                 if response.opcode == protocol.RESP_BUSY:
-                    self._release(conn)
+                    pool._release(conn)
                     last_error = BusyError("server queue full")
                     self.busy_retries += 1
                     span.incr("busy_retries")
@@ -216,7 +330,7 @@ class KVClient:
                         break
                     continue
                 if response.opcode == protocol.RESP_DEGRADED:
-                    self._release(conn)
+                    pool._release(conn)
                     health = protocol.decode_health(response.payload)
                     last_error = DegradedError(
                         f"server degraded ({health.get('reason') or 'unknown'})"
@@ -226,7 +340,7 @@ class KVClient:
                     if not self._sleep_within_deadline(started_at, attempt):
                         break
                     continue
-                self._release(conn)
+                pool._release(conn)
                 if response.opcode == protocol.RESP_ERROR:
                     raise protocol.decode_error(response.payload)
                 return response
@@ -239,16 +353,22 @@ class KVClient:
     # -- DB-shaped surface -------------------------------------------------
 
     def put(self, key: bytes, value: bytes, opts=None) -> None:
-        self._request(protocol.OP_PUT, protocol.encode_put(key, value))
+        self._request(
+            protocol.OP_PUT, protocol.encode_put(key, value), self._via(key)
+        )
 
     def get(self, key: bytes, opts=None) -> bytes | None:
-        response = self._request(protocol.OP_GET, protocol.encode_key(key))
+        response = self._request(
+            protocol.OP_GET, protocol.encode_key(key), self._via(key)
+        )
         if response.opcode == protocol.RESP_NOT_FOUND:
             return None
         return protocol.decode_value(response.payload)
 
     def delete(self, key: bytes, opts=None) -> None:
-        self._request(protocol.OP_DELETE, protocol.encode_key(key))
+        self._request(
+            protocol.OP_DELETE, protocol.encode_key(key), self._via(key)
+        )
 
     def write(self, batch: WriteBatch, opts=None) -> None:
         self._request(protocol.OP_WRITE_BATCH, batch.serialize(0))
@@ -260,10 +380,13 @@ class KVClient:
         limit: int | None = None,
         opts=None,
     ) -> list[tuple[bytes, bytes]]:
-        response = self._request(
-            protocol.OP_SCAN, protocol.encode_scan(start, end, limit)
+        payload = protocol.encode_scan(start, end, limit)
+        shards = self._direct()
+        if shards is not None:
+            return _scatter_scan(self, shards._all(), payload, limit)
+        return protocol.decode_pairs(
+            self._request(protocol.OP_SCAN, payload).payload
         )
-        return protocol.decode_pairs(response.payload)
 
     def stats(self) -> dict:
         response = self._request(protocol.OP_STATS)
@@ -393,6 +516,44 @@ class Pipeline:
         return None
 
 
+def _scatter_scan(owner: "KVClient | None", clients: "list[KVClient]",
+                  payload: bytes, limit: int | None):
+    """One SCAN over disjoint shards: send every part, then read every
+    part (the shards work in parallel), k-way merge, limit applied once.
+
+    A part that bounced BUSY/DEGRADED or lost its socket is retried alone
+    through the backoff path, as ``Pipeline.execute`` does -- ``owner``'s
+    when the endpoints are one client's shard workers, else the
+    endpoint's own.
+    """
+    with TRACER.span("client.scan", attributes={"parts": len(clients)}):
+        trace = TRACER.inject()
+        inflight = [
+            client._begin(protocol.OP_SCAN, payload, trace) for client in clients
+        ]
+        responses = [
+            client._finish(sent) for client, sent in zip(clients, inflight)
+        ]
+        parts = []
+        for client, response in zip(clients, responses):
+            retrier = owner or client
+            if response is None:
+                retrier.retries += 1
+            elif response.opcode == protocol.RESP_BUSY:
+                retrier.busy_retries += 1
+            elif response.opcode == protocol.RESP_DEGRADED:
+                retrier.degraded_retries += 1
+            elif response.opcode == protocol.RESP_ERROR:
+                raise protocol.decode_error(response.payload)
+            else:
+                parts.append(protocol.decode_pairs(response.payload))
+                continue
+            parts.append(protocol.decode_pairs(retrier._request(
+                protocol.OP_SCAN, payload, client
+            ).payload))
+        return merge_scan_results(parts, limit)
+
+
 class ShardedKVClient:
     """Client-side shard routing across several KVServer endpoints.
 
@@ -486,8 +647,8 @@ class ShardedKVClient:
         limit: int | None = None,
         opts=None,
     ) -> list[tuple[bytes, bytes]]:
-        return merge_scan_results(
-            [client.scan(start, end, limit) for client in self._all()], limit
+        return _scatter_scan(
+            None, self._all(), protocol.encode_scan(start, end, limit), limit
         )
 
     def stats(self) -> dict:

@@ -61,6 +61,7 @@ OP_COMPACT = 8
 OP_AUTH = 9
 OP_PING = 10
 OP_HEALTH = 11
+OP_TOPOLOGY = 12
 OP_REPL_SUBSCRIBE = 16
 
 # -- response opcodes --------------------------------------------------------
@@ -89,6 +90,7 @@ OPCODE_NAMES = {
     OP_AUTH: "auth",
     OP_PING: "ping",
     OP_HEALTH: "health",
+    OP_TOPOLOGY: "topology",
     OP_REPL_SUBSCRIBE: "repl_subscribe",
 }
 
@@ -327,6 +329,27 @@ def encode_auth(server_id: str) -> bytes:
 def decode_auth(payload: bytes) -> str:
     raw, __ = decode_length_prefixed(payload, 0)
     return raw.decode()
+
+
+def encode_topology(endpoints) -> bytes:
+    """OP_TOPOLOGY response body: the shard workers' ``(host, port)``
+    endpoints in shard order; empty when the server is its own only
+    endpoint (the threaded server, a shard worker)."""
+    parts = [encode_varint64(len(endpoints))]
+    for host, port in endpoints:
+        parts.append(encode_length_prefixed(host.encode()))
+        parts.append(encode_varint64(port))
+    return b"".join(parts)
+
+
+def decode_topology(payload: bytes) -> list[tuple[str, int]]:
+    count, offset = decode_varint64(payload, 0)
+    endpoints = []
+    for __ in range(count):
+        host, offset = decode_length_prefixed(payload, offset)
+        port, offset = decode_varint64(payload, offset)
+        endpoints.append((host.decode(), port))
+    return endpoints
 
 
 def encode_repl_subscribe(server_id: str, last_applied_seq: int) -> bytes:

@@ -191,6 +191,11 @@ def execute(db, msg: Message, transport_sections=None) -> Message:
         return Message(
             protocol.RESP_STATS, rid, protocol.encode_health(db.health())
         )
+    if op == protocol.OP_TOPOLOGY:
+        # Whoever executes requests against an engine is a leaf: there is no
+        # endpoint behind it to route to.  (The multi-process front-end
+        # answers this opcode itself, with its workers' endpoints.)
+        return Message(protocol.RESP_OK, rid, protocol.encode_topology(()))
     raise InvalidArgumentError(f"unknown opcode {op}")
 
 

@@ -8,30 +8,54 @@ along the seams SHIELD's per-file DEK model already provides (each LSM
 component encrypts independently, so each shard is self-contained):
 
 - N **worker processes**, each owning exactly one shard -- its own engine,
-  WAL, block cache, DEK cache, and KeyClient.  A worker speaks the normal
-  wire protocol over an inherited ``socketpair`` and answers each request
-  with ``execute(db, msg)``; it is single-threaded on the request path
-  (shared-nothing, shard-per-core), with the core's health loop on a
-  small side thread.
+  WAL, block cache, DEK cache, and KeyClient -- and each a first-class
+  **endpoint**: it answers the normal wire protocol with
+  ``execute(db, msg)`` on an inherited ``socketpair`` from the front-end
+  *and* on TCP connections to its own listening port.  It is
+  single-threaded on the request path (shared-nothing, shard-per-core; one
+  small selector loop over all its sockets), with the core's health loop
+  on a small side thread.
 - one **event-loop front-end** (``selectors``) that accepts TCP
   connections, splits frames, routes single-key operations by
   :func:`~repro.dist.sharding.shard_for_key`, scatter-gathers the
   cross-shard operations (SCAN, STATS, FLUSH, COMPACT, HEALTH), splits
   WRITE_BATCH per shard, and never touches an engine itself.
 
+**Two routes.**  The front-end is the full-service path: any client, any
+opcode, one address.  ``OP_TOPOLOGY`` tells a client the workers'
+endpoints (in shard order), and :class:`~repro.service.client.KVClient`
+then sends GET/PUT/DELETE straight to the owning worker and scatters SCAN
+itself: one round trip and two process wake-ups per op instead of two and
+four.  Everything else stays on the front-end.  A worker's listener is
+created by the parent *once*, before the first fork (``config.host``,
+ephemeral port), and inherited by every incarnation of that worker, so
+the port is stable for the life of the server: the topology never changes
+and there is nothing to re-discover.  A direct connection is a TCP edge
+with the front-end's rules (frame CRC, ``require_auth`` against the same
+KDS, the same counters, in the worker's ``server`` section), and because
+one thread serves all of a worker's sockets, per-shard ordering holds
+across routes.
+
 Backpressure is per worker queue: when a worker has
-``config.max_queue_depth`` requests in flight, new requests routed to it
-answer ``RESP_BUSY`` immediately (the client backs off and retries).  A
+``config.max_queue_depth`` forwarded requests in flight, new requests
+routed to it answer ``RESP_BUSY`` immediately (the client backs off and
+retries); direct requests queue in the connection's socket buffer.  A
 worker that dies mid-request is detected by EOF on its pipe; every
-request it still owed is answered with the *retriable* ``RESP_BUSY`` --
-never a terminal error -- and the worker is respawned on the same shard
-path, so a crash costs the client one backoff, not an error.
+forwarded request it still owed is answered with the *retriable*
+``RESP_BUSY`` -- never a terminal error -- and the worker is respawned on
+the same shard path and the same listener, so a crash costs the client
+one backoff, not an error.  A direct request in flight sees its
+connection reset -- a transient socket error under the client's retry
+loop -- and the reconnect queues in the (still open) listener's backlog
+until the respawned worker accepts it.
 
 ``OP_STATS`` merges the per-worker sections with
 :func:`~repro.dist.sharding.merge_stats`, the same merge ``ShardedDB``
 and ``ShardedKVClient`` use, and adds the front-end's own ``server``
-section, so the layout matches the threaded server and ``repro-stats``
-and the chaos harness keep working unchanged.
+counters to the workers' (``service.get`` = forwarded + direct;
+``service.forwarded`` / ``service.direct`` / ``service.direct_connections``
+say which route traffic takes), so the layout matches the threaded server
+and ``repro-stats`` and the chaos harness keep working unchanged.
 
 Replication subscriptions are refused here: WAL shipping needs the
 engine's commit hook, which lives in the worker processes.  Point
@@ -41,7 +65,6 @@ replicas at per-shard servers instead (DESIGN.md §10).
 from __future__ import annotations
 
 import os
-import selectors
 import signal
 import socket
 import threading
@@ -54,11 +77,13 @@ from repro.dist.sharding import (
     merge_stats,
     shard_for_key,
     split_batch,
+    sum_numeric,
 )
 from repro.errors import InvalidArgumentError, ServiceError
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.service import protocol
+from repro.service.peers import Peer, PeerLoop
 from repro.service.protocol import Frame, FrameSplitter, Message
 from repro.service.server import (
     ACCEPT_BACKLOG,
@@ -95,49 +120,132 @@ def _reset_fork_locks() -> None:
             sink._lock = threading.Lock()
 
 
-def _serve_shard(db, sock: socket.socket, config: ServiceConfig) -> None:
-    """The worker's request loop: read frame, execute, reply.  Exits on
-    EOF (the front-end closed the pipe: graceful shutdown)."""
-    stop = threading.Event()
-    health_stats = StatsRegistry()
-    health_thread = threading.Thread(
-        target=health_loop, args=(db, stop, config, health_stats),
-        name="shard-health", daemon=True,
-    )
-    health_thread.start()
+class _ShardServer:
+    """A shard worker's serving loop: one engine, one thread, three kinds of
+    socket -- the pipe to the front-end, the shard's listener, and the
+    direct connections accepted from it.
 
-    def transport_sections(sections: dict) -> dict:
-        # The health loop's counters, which the front-end sums across
-        # workers.  The loop's gauge stays here: it is one engine's health
-        # rank, and the merged ``health`` section carries the worst-of verdict.
-        server = health_stats.snapshot()
+    A direct connection is a TCP edge like the front-end's: frame CRCs are
+    verified, ``require_auth`` is enforced, and ops, connections, errors
+    and auth decisions are counted -- in this process's own registry, which
+    reaches clients through OP_STATS (the front-end sums the workers'
+    ``server`` sections).  Sends never block: a direct client that stops
+    reading grows its own out-buffer, not the shard's latency.
+    """
+
+    def __init__(self, db, pipe: socket.socket, listener: socket.socket,
+                 config: ServiceConfig):
+        self.db = db
+        self.config = config
+        self.stats = StatsRegistry()
+        self._listener = listener
+        self._io = PeerLoop()
+        self._running = True
+        self._direct: set[Peer] = set()
+        self._op_counters: dict = {}  # opcode -> its service.<op> Counter
+        self._direct_ops = self.stats.counter("service.direct")
+        self._direct_open = self.stats.gauge("service.direct_connections")
+        pipe.setblocking(False)
+        self._io.add_peer(Peer(pipe), self._on_forwarded, self._on_pipe_closed)
+        self._io.add_listener(listener, self._on_accept)
+
+    def serve(self) -> None:
+        """Serve until the front-end closes the pipe (graceful shutdown)."""
+        stop = threading.Event()
+        health_thread = threading.Thread(
+            target=health_loop, args=(self.db, stop, self.config, self.stats),
+            name="shard-health", daemon=True,
+        )
+        health_thread.start()
+        try:
+            while self._running and self._io.poll(None):
+                pass
+        finally:
+            stop.set()
+            health_thread.join(timeout=1.0)
+            for peer in list(self._direct):
+                self._close_direct(peer)  # a prompt EOF, not a wait on close()
+            self._io.close()
+
+    def _transport_sections(self, sections: dict) -> dict:
+        # What the front-end sums across workers.  The health loop's gauge
+        # stays here: it is one engine's health rank, and the merged
+        # ``health`` section carries the worst-of verdict.
+        server = self.stats.snapshot()
         server.pop("service.health", None)
         return {"server": server}
 
-    reader = protocol.FrameReader(sock)
-    try:
-        while True:
+    def _answer(self, msg: Message) -> Message:
+        op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
+        with TRACER.span(
+            f"worker.{op_name}", parent=TRACER.extract(msg.trace)
+        ):
             try:
-                msg = reader.read()
-            except (protocol.ProtocolError, OSError):
-                return
-            if msg is None:
-                return
-            op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
-            with TRACER.span(
-                f"worker.{op_name}", parent=TRACER.extract(msg.trace)
-            ):
-                try:
-                    reply = execute(db, msg, transport_sections)
-                except Exception as exc:  # noqa: BLE001 - goes on the wire
-                    reply = protocol.error_reply(msg.request_id, exc)
-            try:
-                protocol.send_message(sock, reply)
-            except OSError:
-                return
-    finally:
-        stop.set()
-        health_thread.join(timeout=1.0)
+                return execute(self.db, msg, self._transport_sections)
+            except Exception as exc:  # noqa: BLE001 - goes on the wire
+                return protocol.error_reply(msg.request_id, exc)
+
+    # -- the front-end's pipe ----------------------------------------------
+
+    def _on_forwarded(self, pipe: Peer, frame: Frame) -> None:
+        """A request the front-end routed here: it was counted and
+        authenticated at the front-end's TCP edge."""
+        frame.verify()
+        reply = self._answer(frame.message())
+        if not self._io.send(pipe, protocol.encode_frame(reply)):
+            self._on_pipe_closed(pipe)
+
+    def _on_pipe_closed(self, pipe: Peer) -> None:
+        pipe.alive = False
+        self._running = False
+
+    # -- direct connections ------------------------------------------------
+
+    def _on_accept(self) -> None:
+        for peer in self._io.accept(
+            self._listener, self._on_direct, self._close_direct
+        ):
+            self._direct.add(peer)
+            self.stats.counter("service.connections").add(1)
+            self._direct_open.set(len(self._direct))
+
+    def _close_direct(self, peer: Peer) -> None:
+        peer.alive = False
+        self._io.close_sock(peer.sock)
+        self._direct.discard(peer)
+        self._direct_open.set(len(self._direct))
+
+    def _on_direct(self, peer: Peer, frame: Frame) -> None:
+        frame.verify()  # this socket is a TCP edge: the trust boundary
+        msg = frame.message()
+        _count_op(self.stats, self._op_counters, msg.opcode)
+        try:
+            if msg.opcode == protocol.OP_AUTH:
+                authenticate(self.config.kds, self.stats, peer, msg.payload)
+                reply = Message(protocol.RESP_OK, msg.request_id)
+            else:
+                require_authenticated(self.config, peer)
+                self._direct_ops.add(1)
+                reply = self._answer(msg)
+        except Exception as exc:  # noqa: BLE001 - every error goes on the wire
+            reply = protocol.error_reply(msg.request_id, exc)
+        if reply.opcode == protocol.RESP_ERROR:
+            self.stats.counter("service.errors").add(1)
+        elif reply.opcode == protocol.RESP_DEGRADED:
+            self.stats.counter("service.degraded_rejections").add(1)
+        if not self._io.send(peer, protocol.encode_frame(reply)):
+            self._close_direct(peer)
+
+
+def _count_op(stats: StatsRegistry, counters: dict, opcode: int) -> None:
+    """``service.<op>`` += 1 at a TCP edge; ``counters`` keeps each opcode's
+    Counter after its first use (no name formatting or registry probe per
+    request, and OP_STATS gains no zero rows)."""
+    counter = counters.get(opcode)
+    if counter is None:
+        op_name = protocol.OPCODE_NAMES.get(opcode, f"op{opcode}")
+        counter = counters[opcode] = stats.counter(f"service.{op_name}")
+    counter.add(1)
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +257,22 @@ class _WorkerHandle:
     """Parent-side state for one shard worker process."""
 
     __slots__ = (
-        "index", "path", "pid", "sock", "frames", "outbuf", "pending",
-        "generation", "spawned_at", "strikes", "respawn_at",
+        "index", "path", "listener", "pid", "sock", "frames", "outbuf",
+        "pending", "generation", "spawned_at", "strikes", "respawn_at",
     )
 
     def __init__(self, index: int, path: str):
         self.index = index
         self.path = path
+        # The shard's direct endpoint: bound once by the parent, before the
+        # first fork, and inherited by every incarnation of the worker, so
+        # the port outlives a crash and connects queue while it respawns.
+        self.listener: socket.socket | None = None
         self.pid: int | None = None
         self.sock: socket.socket | None = None
         self.frames = FrameSplitter()
         self.outbuf = bytearray()
-        # The worker serves its socket with one blocking loop, so its
+        # The worker serves its pipe in arrival order on one thread, so its
         # responses come back in exactly the order requests were sent:
         # in-flight bookkeeping is a FIFO of
         # ("single", conn, rid) | ("gather", g, idx), matched by order.
@@ -175,27 +287,13 @@ class _WorkerHandle:
         return self.sock is not None
 
 
-class _ClientConn:
-    """Parent-side state for one accepted TCP connection."""
-
-    __slots__ = ("sock", "addr", "frames", "outbuf", "server_id", "alive")
-
-    def __init__(self, sock: socket.socket, addr):
-        self.sock = sock
-        self.addr = addr
-        self.frames = FrameSplitter()
-        self.outbuf = bytearray()
-        self.server_id: str | None = None
-        self.alive = True
-
-
 class _Gather:
     """One scatter-gathered request awaiting its per-worker parts."""
 
     __slots__ = ("conn", "request_id", "opcode", "remaining", "parts",
                  "done", "limit")
 
-    def __init__(self, conn: _ClientConn, request_id: int, opcode: int,
+    def __init__(self, conn: Peer, request_id: int, opcode: int,
                  remaining: int, limit: int | None = None):
         self.conn = conn
         self.request_id = request_id
@@ -221,9 +319,9 @@ class MultiProcessKVServer:
     and a respawned worker reopens the same path, so on a durable env a
     crash loses nothing that was acked with a synced WAL.
 
-    **Pass-through forwarding.**  Each worker serves its pipe with one
-    blocking loop, so its responses arrive in exactly the order requests
-    were sent.  The front-end exploits that: in-flight bookkeeping is a
+    **Pass-through forwarding.**  Each worker serves its pipe in arrival
+    order on one thread, so its responses arrive in exactly the order
+    requests were sent.  The front-end exploits that: in-flight bookkeeping is a
     per-worker FIFO, and routed frames travel *verbatim* in both
     directions -- no request-id rewrite, no re-encode, no second CRC
     computation per hop.  The client's CRC is verified once at the TCP
@@ -240,7 +338,7 @@ class MultiProcessKVServer:
         self._make_shard = make_shard
         self.config = config or ServiceConfig()
         self.stats = StatsRegistry()
-        self._sel: selectors.BaseSelector | None = None
+        self._io: PeerLoop | None = None
         self._listener: socket.socket | None = None
         self._loop_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -249,8 +347,9 @@ class MultiProcessKVServer:
             _WorkerHandle(index, f"{base_path}/shard-{index:03d}")
             for index in range(num_workers)
         ]
-        self._clients: set[_ClientConn] = set()
+        self._clients: set[Peer] = set()
         self._op_counters: dict = {}  # opcode -> its service.<op> Counter
+        self._forwarded = self.stats.counter("service.forwarded")
         self._awaiting_respawn: list[_WorkerHandle] = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -262,6 +361,14 @@ class MultiProcessKVServer:
         return self._listener.getsockname()[:2]
 
     @property
+    def worker_addresses(self) -> list[tuple[str, int]]:
+        """Each shard worker's own endpoint, in shard order: fixed from
+        ``start()`` to ``stop()``, whatever happens to the processes."""
+        if self._listener is None:
+            raise ServiceError("server is not started")
+        return [worker.listener.getsockname()[:2] for worker in self._workers]
+
+    @property
     def worker_pids(self) -> list[int]:
         """Live worker pids, by shard index (tests and the chaos harness
         kill these directly)."""
@@ -270,15 +377,15 @@ class MultiProcessKVServer:
     def start(self) -> "MultiProcessKVServer":
         if self._started:
             return self
-        self._sel = selectors.DefaultSelector()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(ACCEPT_BACKLOG)
-        self._listener.setblocking(False)
+        self._io = PeerLoop()
+        self._listener = self._listen(self.config.port)
+        # Every shard's listener exists before the first fork, so each
+        # worker can close the others' and no port ever changes.
+        for worker in self._workers:
+            worker.listener = self._listen(0)
         for worker in self._workers:
             self._spawn_worker(worker)
-        self._sel.register(self._listener, selectors.EVENT_READ)
+        self._io.add_listener(self._listener, self._on_accept)
         self._loop_thread = threading.Thread(
             target=self._loop, name="kv-frontend", daemon=True
         )
@@ -286,8 +393,16 @@ class MultiProcessKVServer:
         self._started = True
         return self
 
+    def _listen(self, port: int) -> socket.socket:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.config.host, port))
+        listener.listen(ACCEPT_BACKLOG)
+        listener.setblocking(False)
+        return listener
+
     def stop(self) -> None:
-        """Graceful shutdown: close the listener, drop clients, EOF the
+        """Graceful shutdown: close the listeners, drop clients, EOF the
         worker pipes (each worker closes its engine and exits), reap."""
         if not self._started or self._stopping.is_set():
             return
@@ -295,21 +410,18 @@ class MultiProcessKVServer:
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=2.0)
         if self._listener is not None:
-            self._close_sock(self._listener)
+            self._io.close_sock(self._listener)
         for conn in list(self._clients):
             self._close_client(conn)
         for worker in self._workers:
+            worker.listener.close()
             if worker.sock is not None:
-                self._close_sock(worker.sock)
+                self._io.close_sock(worker.sock)
                 worker.sock = None
         deadline = time.monotonic() + self.config.drain_timeout_s
         for worker in self._workers:
             self._reap_worker(worker, deadline)
-        if self._sel is not None:
-            try:
-                self._sel.close()
-            except OSError:
-                pass
+        self._io.close()
 
     def __enter__(self) -> "MultiProcessKVServer":
         return self.start()
@@ -345,19 +457,17 @@ class MultiProcessKVServer:
         The child inherits every parent-side descriptor; it closes them
         immediately (through the socket *objects*, so a later GC in the
         child cannot double-close a reused fd number) and then owns only
-        its half of the pair plus whatever its engine opens.
+        its half of the pair, its shard's listener and whatever its engine
+        opens.
         """
         parent_sock, child_sock = socket.socketpair()
-        inherited = [parent_sock]
-        if self._listener is not None:
-            inherited.append(self._listener)
-        inherited.extend(
-            conn.sock for conn in self._clients
-        )
-        inherited.extend(
-            other.sock for other in self._workers
-            if other is not worker and other.sock is not None
-        )
+        inherited = [parent_sock, self._listener]
+        inherited.extend(conn.sock for conn in self._clients)
+        for other in self._workers:
+            if other is not worker:
+                inherited.append(other.listener)
+                if other.sock is not None:
+                    inherited.append(other.sock)
         pid = os.fork()
         if pid == 0:
             # -- child: nothing below may return into the parent's world.
@@ -368,15 +478,13 @@ class MultiProcessKVServer:
                         sock.close()
                     except OSError:
                         pass
-                if self._sel is not None:
-                    try:
-                        self._sel.close()
-                    except OSError:
-                        pass
+                self._io.close()
                 _reset_fork_locks()
                 db = self._make_shard(worker.index, worker.path)
                 try:
-                    _serve_shard(db, child_sock, self.config)
+                    _ShardServer(
+                        db, child_sock, worker.listener, self.config
+                    ).serve()
                     status = 0
                 finally:
                     db.close()
@@ -399,16 +507,16 @@ class MultiProcessKVServer:
         worker.generation += 1
         worker.spawned_at = time.monotonic()
         worker.respawn_at = None
-        self._sel.register(parent_sock, selectors.EVENT_READ, (
+        self._io.add_peer(
             worker, self._on_worker_response, self._handle_worker_crash
-        ))
+        )
 
     def _handle_worker_crash(self, worker: _WorkerHandle) -> None:
         """EOF/error on a worker pipe: fail its in-flight requests with
         the retriable BUSY status, reap the corpse, respawn on the same
         shard path."""
         if worker.sock is not None:
-            self._close_sock(worker.sock)
+            self._io.close_sock(worker.sock)
             worker.sock = None
         pending, worker.pending = worker.pending, deque()
         for entry in pending:
@@ -456,119 +564,21 @@ class MultiProcessKVServer:
     # -- event loop --------------------------------------------------------
 
     def _loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                events = self._sel.select(timeout=0.05)
-            except OSError:
-                return
-            for key, mask in events:
-                if key.data is None:
-                    self._on_accept()
-                else:
-                    self._on_peer_event(mask, *key.data)
+        while not self._stopping.is_set() and self._io.poll(0.05):
             if self._awaiting_respawn:
                 self._check_respawns()
 
     def _on_accept(self) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _ClientConn(sock, addr)
+        for conn in self._io.accept(
+            self._listener, self._dispatch, self._close_client
+        ):
             self._clients.add(conn)
             self.stats.counter("service.connections").add(1)
-            self._sel.register(sock, selectors.EVENT_READ, (
-                conn, self._dispatch, self._close_client
-            ))
 
-    def _close_sock(self, sock: socket.socket) -> None:
-        try:
-            self._sel.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-    def _close_client(self, conn: _ClientConn) -> None:
+    def _close_client(self, conn: Peer) -> None:
         conn.alive = False
-        self._close_sock(conn.sock)
+        self._io.close_sock(conn.sock)
         self._clients.discard(conn)
-
-    def _watch_writable(self, peer, on: bool) -> None:
-        """(Un)register EVENT_WRITE for a client or worker socket; called
-        only when "``peer.outbuf`` holds unsent bytes" flips."""
-        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if on else 0)
-        try:
-            data = self._sel.get_key(peer.sock).data
-            self._sel.modify(peer.sock, events, data)
-        except (KeyError, ValueError):
-            pass
-
-    def _send(self, peer, raw: bytes) -> bool:
-        """Hand a frame straight to the socket; what it does not take is
-        buffered (behind anything already waiting) for EVENT_WRITE to
-        drain.  False on a fatal socket error."""
-        if peer.outbuf:
-            peer.outbuf += raw
-            return True
-        try:
-            sent = peer.sock.send(raw)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:
-            return False
-        if sent < len(raw):
-            peer.outbuf += memoryview(raw)[sent:]
-            self._watch_writable(peer, True)
-        return True
-
-    def _flush(self, peer) -> bool:
-        """EVENT_WRITE: drain as much of the unsent tail as the socket
-        accepts; False on a fatal socket error."""
-        outbuf = peer.outbuf
-        try:
-            while outbuf:
-                del outbuf[:peer.sock.send(outbuf)]
-        except (BlockingIOError, InterruptedError):
-            return True
-        except OSError:
-            return False
-        self._watch_writable(peer, False)
-        return True
-
-    def _on_peer_event(self, mask: int, peer, on_frame, drop) -> None:
-        """A client or worker socket is ready: drain its unsent bytes, read
-        one bounded chunk, handle every whole frame in it.  ``drop`` is how
-        this kind of peer dies (close the client / crash-handle the worker)."""
-        if not peer.alive:
-            return
-        if mask & selectors.EVENT_WRITE and not self._flush(peer):
-            drop(peer)
-            return
-        if not mask & selectors.EVENT_READ:
-            return
-        try:
-            data = peer.sock.recv(protocol.RECV_SIZE)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            drop(peer)
-            return
-        peer.frames.feed(data)
-        try:
-            for frame in peer.frames.frames():
-                on_frame(peer, frame)
-                if not peer.alive:
-                    return
-        except protocol.ProtocolError:
-            drop(peer)
 
     def _on_worker_response(self, worker: _WorkerHandle, resp: Frame) -> None:
         if not worker.pending:
@@ -599,18 +609,18 @@ class MultiProcessKVServer:
 
     # -- request routing ---------------------------------------------------
 
-    def _reply(self, conn: _ClientConn, msg: Message) -> None:
+    def _reply(self, conn: Peer, msg: Message) -> None:
         self._reply_raw(conn, protocol.encode_frame(msg))
 
-    def _reply_raw(self, conn: _ClientConn, raw: bytes) -> None:
-        if conn.alive and not self._send(conn, raw):
+    def _reply_raw(self, conn: Peer, raw: bytes) -> None:
+        if conn.alive and not self._io.send(conn, raw):
             self._close_client(conn)
 
-    def _reply_error(self, conn: _ClientConn, rid: int, exc: Exception) -> None:
+    def _reply_error(self, conn: Peer, rid: int, exc: Exception) -> None:
         self.stats.counter("service.errors").add(1)
         self._reply(conn, protocol.error_reply(rid, exc))
 
-    def _reply_busy(self, conn: _ClientConn, rid: int) -> None:
+    def _reply_busy(self, conn: Peer, rid: int) -> None:
         self.stats.counter("service.busy_rejections").add(1)
         self._reply(conn, Message(protocol.RESP_BUSY, rid))
 
@@ -621,22 +631,17 @@ class MultiProcessKVServer:
                  entry: tuple) -> None:
         """Send an already-framed request; FIFO order is the match key."""
         worker.pending.append(entry)
-        if not self._send(worker, raw):
+        if not self._io.send(worker, raw):
             self._handle_worker_crash(worker)
 
     def _worker_for_key(self, key: bytes) -> _WorkerHandle:
         return self._workers[shard_for_key(key, self.num_workers)]
 
-    def _dispatch(self, conn: _ClientConn, frame: Frame) -> None:
+    def _dispatch(self, conn: Peer, frame: Frame) -> None:
         frame.verify()  # the TCP edge is the trust boundary
         op = frame.opcode
         rid = frame.request_id
-        counter = self._op_counters.get(op)
-        if counter is None:
-            op_name = protocol.OPCODE_NAMES.get(op, f"op{op}")
-            counter = self.stats.counter(f"service.{op_name}")
-            self._op_counters[op] = counter
-        counter.add(1)
+        _count_op(self.stats, self._op_counters, op)
         try:
             if op == protocol.OP_AUTH:
                 authenticate(self.config.kds, self.stats, conn, frame.payload())
@@ -652,11 +657,22 @@ class MultiProcessKVServer:
             if op == protocol.OP_PING:
                 self._reply(conn, Message(protocol.RESP_OK, rid))
                 return
+            if op == protocol.OP_TOPOLOGY:
+                # The workers' listeners share this socket's bind address, so
+                # the address the client reached us on reaches them too.
+                host = conn.sock.getsockname()[0]
+                self._reply(conn, Message(
+                    protocol.RESP_OK, rid, protocol.encode_topology([
+                        (host, port) for __, port in self.worker_addresses
+                    ]),
+                ))
+                return
             if op in (protocol.OP_GET, protocol.OP_PUT, protocol.OP_DELETE):
                 worker = self._worker_for_key(frame.key())
                 if not self._worker_available(worker):
                     self._reply_busy(conn, rid)
                     return
+                self._forwarded.add(1)
                 # Pass-through: the client's frame goes to the worker
                 # byte-for-byte (its request id and trace header intact),
                 # so the hot path re-encodes nothing and re-CRCs nothing.
@@ -676,7 +692,7 @@ class MultiProcessKVServer:
         except Exception as exc:  # noqa: BLE001 - every error goes on the wire
             self._reply_error(conn, rid, exc)
 
-    def _dispatch_gather(self, conn: _ClientConn, frame: Frame) -> None:
+    def _dispatch_gather(self, conn: Peer, frame: Frame) -> None:
         """Fan one request out to every worker; merged on the way back."""
         rid = frame.request_id
         if not all(self._worker_available(w) for w in self._workers):
@@ -686,6 +702,7 @@ class MultiProcessKVServer:
         if frame.opcode == protocol.OP_SCAN:
             __, __end, limit = protocol.decode_scan(frame.payload())
         gather = _Gather(conn, rid, frame.opcode, len(self._workers), limit)
+        self._forwarded.add(1)
         # Snapshot the target list first: _forward can crash-and-respawn a
         # worker, and the respawned worker must not receive a double send.
         # Every worker gets the client's frame verbatim (one shared bytes
@@ -695,7 +712,7 @@ class MultiProcessKVServer:
             if gather.done:
                 return  # a crash mid-fanout already answered BUSY
 
-    def _dispatch_write_batch(self, conn: _ClientConn, frame: Frame) -> None:
+    def _dispatch_write_batch(self, conn: Peer, frame: Frame) -> None:
         """Split a batch by shard; per-shard atomicity, like ShardedDB."""
         rid = frame.request_id
         __, batch = WriteBatch.deserialize(frame.payload())
@@ -709,6 +726,7 @@ class MultiProcessKVServer:
             self._reply_busy(conn, rid)
             return
         gather = _Gather(conn, rid, frame.opcode, len(per_worker))
+        self._forwarded.add(1)
         for worker, sub in per_worker.items():
             raw = frame.raw  # whole batch on one shard: forwarded verbatim
             if len(per_worker) > 1:
@@ -781,11 +799,13 @@ class MultiProcessKVServer:
 
     def _merged_stats(self, snapshots: list[tuple[int, dict]]) -> dict:
         """The workers' sections merged (see ``merge_stats``) plus the
-        front-end's own: its counters on top of the workers' in ``server``,
-        and a per-worker ``workers`` summary."""
+        front-end's own: its counters added to the workers' in ``server``
+        (``service.get`` = forwarded here + served direct there), and a
+        per-worker ``workers`` summary."""
         merged = merge_stats(snapshot for __, snapshot in snapshots)
-        server = merged.setdefault("server", {})
-        server.update(self.stats.snapshot())
+        server = merged["server"] = sum_numeric(
+            [merged.get("server", {}), self.stats.snapshot()]
+        )
         for worker in self._workers:
             server[f"service.worker_inflight.{worker.index}"] = len(
                 worker.pending

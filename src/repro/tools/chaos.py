@@ -45,7 +45,10 @@ front-end must answer the dead worker's in-flight requests with the
 retriable BUSY status (the client backs off and retries -- no terminal
 errors), respawn the worker on the same shard path, and every
 acknowledged write must still read back afterwards (the shards run with
-synced WALs, so an ack survives a SIGKILL).  The engines run *plain*
+synced WALs, so an ack survives a SIGKILL).  The CLI runs the schedule
+once per route: with a ``KVClient`` that found the workers and talks to
+them directly (a kill is a reset connection, then a reconnect that waits
+in the shard's listener) and with a forwarding-only client.  The engines run *plain*
 here by design: a respawned worker builds its state from the shard
 directory alone, and the CLI's in-process KDS cannot outlive a killed
 worker -- encrypted worker-respawn needs the shared KDS a real
@@ -676,10 +679,29 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
 # ---------------------------------------------------------------------------
 
 
+class ForwardingKVClient(KVClient):
+    """A client from before ``OP_TOPOLOGY``: it never learns the workers'
+    endpoints, so every op takes the front-end's forwarding route."""
+
+    def _learn_shards(self):
+        return None
+
+
+#: The two ways a client's ops reach a shard worker, by the client that
+#: takes each: found workers and talks to them, or knows only the front-end.
+WORKER_CHAOS_ROUTES = {"direct": KVClient, "forwarded": ForwardingKVClient}
+
+
 def run_worker_chaos(
-    seed: int = 0, profile: str = "fast", num_workers: int = 3
+    seed: int = 0, profile: str = "fast", num_workers: int = 3,
+    route: str = "direct",
 ) -> dict:
     """SIGKILL random shard workers mid-workload; verify zero acked loss.
+
+    ``route`` picks the client (see :data:`WORKER_CHAOS_ROUTES`): a killed
+    worker shows up as BUSY from the front-end on the forwarded route and
+    as a reset connection on the direct one; neither may surface as an
+    error or lose an acked write.
 
     The engines are plain (unencrypted) on a local filesystem with synced
     WALs: the respawned worker must rebuild everything from its shard
@@ -712,7 +734,7 @@ def run_worker_chaos(
         f"{base}/db", num_workers, make_shard, config
     ).start()
     host, port = server.address
-    client = KVClient(
+    client = WORKER_CHAOS_ROUTES[route](
         host,
         port,
         pool_size=2,
@@ -842,6 +864,7 @@ def run_worker_chaos(
     return {
         "seed": seed,
         "profile": profile,
+        "route": route,
         "num_workers": num_workers,
         "kill_schedule": kill_at,
         "counters": counters,
@@ -901,15 +924,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"matrix  {point:35s} {status}")
             if not row["ok"]:
                 print(f"        {json.dumps(row, default=str)}")
-    if args.mode == "workers":
+    for route in WORKER_CHAOS_ROUTES if args.mode == "workers" else ():
         workers = run_worker_chaos(
-            seed=args.seed, profile=args.profile, num_workers=args.num_workers
+            seed=args.seed, profile=args.profile,
+            num_workers=args.num_workers, route=route,
         )
-        report["workers"] = workers
+        report[f"workers-{route}"] = workers
         ok = ok and workers["ok"]
         c = workers["counters"]
         print(
-            f"workers seed={workers['seed']} profile={workers['profile']} "
+            f"workers route={route} seed={workers['seed']} "
+            f"profile={workers['profile']} "
             f"n={workers['num_workers']} ops={c['ops']} acked={c['acked']} "
             f"kills={c['kills']} respawns={c['worker_respawns']} "
             f"busy={c['busy_rejections']} "

@@ -1,13 +1,19 @@
 """Differential conformance: one scripted session, every deployment shape.
 
 The same requests go to ``KVServer(DB)``, ``KVServer(ShardedDB, 2)``,
-``MultiProcessKVServer(2)`` and a ``ShardedKVClient`` over two
-``KVServer``s.  Every shape must give the same decoded answers, and the
+``MultiProcessKVServer(2)``, a ``ShardedKVClient`` over two ``KVServer``s
+and a ``KVClient`` that found the multi-process server's workers and
+talks to them directly.  Every shape must give the same decoded answers, and the
 three servers must put the same bytes on the wire as they did before the
 serving core was unified: ``GOLDEN`` holds the reply frames recorded at
 the parent commit (``python tests/test_service_conformance.py`` prints
 the table from the current tree).  STATS and HEALTH bodies are JSON and
 are compared decoded.
+
+The raw sessions speak to one address and never ask for the topology, so
+against the multi-process server they take the front-end's forwarding
+route: its reply frames are pinned exactly as before the shard workers
+became endpoints.  The topology exchange itself is pinned separately.
 """
 
 import contextlib
@@ -23,13 +29,13 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol as p
-from repro.service.client import ShardedKVClient
+from repro.service.client import KVClient, ShardedKVClient
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 
 UNKNOWN_OPCODE = 30
 SERVER_SHAPES = ("threaded-db", "threaded-sharded", "multiprocess")
-SHAPES = SERVER_SHAPES + ("sharded-client",)
+SHAPES = SERVER_SHAPES + ("sharded-client", "routed-client")
 STATS_SECTIONS = {
     "server", "engine", "crypto", "integrity", "replication",
     "committed_sequence", "health", "obs",
@@ -198,7 +204,7 @@ def _shape(name, tmp_path, config=None):
             cluster = ShardedDB("/conf-cluster", 2, _make_shard)
             stack.callback(cluster.close)
             servers = [stack.enter_context(KVServer(cluster, config))]
-        elif name == "multiprocess":
+        elif name in ("multiprocess", "routed-client"):
             servers = [stack.enter_context(MultiProcessKVServer(
                 str(tmp_path / "mp"), 2, _make_shard, config
             ))]
@@ -278,12 +284,13 @@ def _call(client, opcode, payload):
     if opcode == p.OP_STATS:
         return ("json", client.stats())
     # No client method: send the raw request to one endpoint.
-    return _canonical(client.client_for_key(b"alpha")._request(opcode, payload))
+    if isinstance(client, ShardedKVClient):
+        client = client.client_for_key(b"alpha")
+    return _canonical(client._request(opcode, payload))
 
 
-def _run_client(addresses, session, **client_kwargs):
+def _run_client(client, session):
     out = {}
-    client = ShardedKVClient(addresses, max_retries=0, **client_kwargs)
     with client:
         for step, opcode, payload in session:
             try:
@@ -293,10 +300,13 @@ def _run_client(addresses, session, **client_kwargs):
     return out
 
 
-def _run(name, tmp_path, session=SESSION, config=None):
+def _run(name, tmp_path, session=SESSION, config=None, **client_kwargs):
     with _shape(name, tmp_path, config) as addresses:
+        client_kwargs["max_retries"] = 0
         if name == "sharded-client":
-            return _run_client(addresses, session)
+            return _run_client(ShardedKVClient(addresses, **client_kwargs), session)
+        if name == "routed-client":
+            return _run_client(KVClient(*addresses[0], **client_kwargs), session)
         return _run_raw(addresses[0], session)
 
 
@@ -356,6 +366,56 @@ def test_reply_frames_match_the_parent_commit(results, name):
             assert results[name][step][0] == golden[step], (name, step)
 
 
+#: The topology exchange, pinned: the request, the answer of a server with
+#: nothing behind it, and the layout of an answer that lists two endpoints.
+TOPOLOGY_REQUEST = "06000000ae1f4e7d0c01"
+TOPOLOGY_EMPTY = "07000000b7f9288a800100"
+TOPOLOGY_TWO_ENDPOINTS = (
+    "21000000f100f5cc800102093132372e302e302e31c1b802093132372e302e302e31"
+    "c2b802"
+)
+
+
+def _ask_topology(address) -> tuple[str, list]:
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(bytes.fromhex(TOPOLOGY_REQUEST))
+        head = _recv_exact(sock, 4)
+        body = _recv_exact(sock, int.from_bytes(head, "little"))
+    reply = p.decode_frame_body(body)
+    assert (reply.opcode, reply.request_id) == (p.RESP_OK, 1)
+    return (head + body).hex(), p.decode_topology(reply.payload)
+
+
+def test_topology_exchange_in_every_server_shape(tmp_path):
+    assert p.encode_frame(p.Message(p.OP_TOPOLOGY, 1)).hex() == TOPOLOGY_REQUEST
+    assert p.encode_frame(p.Message(p.RESP_OK, 1, p.encode_topology(
+        [("127.0.0.1", 40001), ("127.0.0.1", 40002)]
+    ))).hex() == TOPOLOGY_TWO_ENDPOINTS
+    for name in ("threaded-db", "threaded-sharded"):
+        with _shape(name, tmp_path / name) as addresses:
+            assert _ask_topology(addresses[0]) == (TOPOLOGY_EMPTY, []), name
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _make_shard) as server:
+        workers = server.worker_addresses
+        assert len(set(workers)) == 2 and server.address not in workers
+        frame, endpoints = _ask_topology(server.address)
+        assert endpoints == workers  # shard order
+        assert frame == p.encode_frame(
+            p.Message(p.RESP_OK, 1, p.encode_topology(workers))
+        ).hex()
+        for address in workers:  # a worker is a leaf, like a threaded server
+            assert _ask_topology(address) == (TOPOLOGY_EMPTY, [])
+
+
+def test_topology_is_behind_the_authentication_gate(tmp_path):
+    for name in SERVER_SHAPES:
+        session = [("topology", p.OP_TOPOLOGY, b"")]
+        got = _run(name, tmp_path / name, session, _auth_config())
+        assert got["topology"][1] == (
+            "error", "AuthorizationError",
+            "connection is not authenticated; send AUTH first",
+        ), name
+
+
 def _auth_config():
     kds = SimulatedKDS(request_latency_s=0.0)
     kds.authorize_server("good-client")
@@ -378,16 +438,17 @@ def test_auth_decisions_are_the_same_in_every_shape(tmp_path):
     assert expected["auth-accepted"] == ("ok",)
     assert expected["authenticated-get"] == ("value", None)
 
-    # The client shape authenticates while connecting.
+    # The client shapes authenticate while connecting.
     gets = [step for step in AUTH_SESSION if step[1] == p.OP_GET][:1]
-    with _shape("sharded-client", tmp_path / "c", _auth_config()) as addresses:
+    for name in ("sharded-client", "routed-client"):
         for server_id, answer in (
             (None, expected["unauthenticated-get"]),
             ("impostor", expected["auth-rejected"]),
             ("good-client", expected["authenticated-get"]),
         ):
-            got = _run_client(addresses, gets, server_id=server_id)
-            assert got["unauthenticated-get"][1] == answer, server_id
+            got = _run(name, tmp_path / f"{name}-{server_id}", gets,
+                       _auth_config(), server_id=server_id)
+            assert got["unauthenticated-get"][1] == answer, (name, server_id)
 
 
 if __name__ == "__main__":

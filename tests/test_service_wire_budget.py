@@ -24,6 +24,7 @@ from repro.service.client import KVClient
 from repro.service.protocol import FrameReader, FrameSplitter, Message, ProtocolError
 from repro.service.server import ServiceConfig
 from repro.service.workers import MultiProcessKVServer
+from repro.tools.chaos import ForwardingKVClient
 
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
@@ -174,12 +175,14 @@ def test_frame_key_is_read_in_place():
 
 
 class CountingSelector(selectors.DefaultSelector):
-    """Records every ``modify``; ``idle`` is set whenever ``select`` comes
-    back empty, ``cleared`` whenever a socket stops being write-watched."""
+    """Records every ``modify`` and counts the ``select``s that came back
+    with work (``wakes``); ``idle`` is set whenever ``select`` comes back
+    empty, ``cleared`` whenever a socket stops being write-watched."""
 
     def __init__(self):
         super().__init__()
         self.modifies: list[int] = []
+        self.wakes = 0
         self.idle = threading.Event()
         self.cleared = threading.Event()
 
@@ -192,7 +195,9 @@ class CountingSelector(selectors.DefaultSelector):
 
     def select(self, timeout=None):
         ready = super().select(timeout)
-        if not ready:
+        if ready:
+            self.wakes += 1
+        else:
             self.idle.set()
         return ready
 
@@ -203,8 +208,8 @@ def _mem_shard(index, path):
 
 def _await_quiet_frontend(server) -> None:
     """Block until the loop has consumed every byte sent so far."""
-    server._sel.idle.clear()
-    assert server._sel.idle.wait(WAIT_S)
+    server._io.selector.idle.clear()
+    assert server._io.selector.idle.wait(WAIT_S)
 
 
 def _await_quiet(server) -> None:
@@ -223,13 +228,13 @@ def test_steady_state_forwarding_never_modifies_the_selector(
     tmp_path, counting_selector
 ):
     with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
-        with KVClient(*server.address) as client:
+        with ForwardingKVClient(*server.address) as client:
             for i in range(50):
                 client.put(b"key-%03d" % i, b"value-%03d" % i)
             for i in range(500):
                 assert client.get(b"key-%03d" % (i % 50)) == b"value-%03d" % (i % 50)
             assert client.scan(b"key-010", None, 3)[0] == (b"key-010", b"value-010")
-        assert server._sel.modifies == []
+        assert server._io.selector.modifies == []
 
 
 def test_replies_to_a_client_that_is_not_reading_arrive_intact_and_in_order(
@@ -253,14 +258,14 @@ def test_replies_to_a_client_that_is_not_reading_arrive_intact_and_in_order(
                 for rid in range(1, count + 1)
             ))
             _await_quiet(server)  # every reply is now in the kernel or the outbuf
-            assert server._sel.modifies == [READ_WRITE]
+            assert server._io.selector.modifies == [READ_WRITE]
             reader = FrameReader(sock)
             for rid in range(1, count + 1):
                 reply = reader.read()
                 assert (reply.opcode, reply.request_id) == (protocol.RESP_VALUE, rid)
                 assert protocol.decode_value(reply.payload) == value
-            assert server._sel.cleared.wait(WAIT_S)
-            assert server._sel.modifies == [READ_WRITE, READ]
+            assert server._io.selector.cleared.wait(WAIT_S)
+            assert server._io.selector.modifies == [READ_WRITE, READ]
         finally:
             sock.close()
 
@@ -296,14 +301,14 @@ def test_large_puts_into_a_full_worker_pipe_all_land(tmp_path, counting_selector
                         protocol.OP_PUT, rid, protocol.encode_put(key, value)
                     ))
                 _await_quiet_frontend(server)  # 4 MiB sit behind a ~200 KiB pipe
-                assert server._sel.modifies == [READ_WRITE]
+                assert server._io.selector.modifies == [READ_WRITE]
                 os.write(gate_w, b"g" * (count + 1))
                 reader = FrameReader(sock)
                 for rid in range(1, count + 2):
                     reply = reader.read()
                     assert (reply.opcode, reply.request_id) == (protocol.RESP_OK, rid)
-                assert server._sel.cleared.wait(WAIT_S)
-                assert server._sel.modifies == [READ_WRITE, READ]
+                assert server._io.selector.cleared.wait(WAIT_S)
+                assert server._io.selector.modifies == [READ_WRITE, READ]
             with KVClient(*server.address) as client:
                 for key, value in values.items():
                     assert client.get(key) == value

@@ -27,6 +27,7 @@ from repro.service.protocol import Message
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
+from repro.tools.chaos import ForwardingKVClient
 
 
 def _mem_factory(**options):
@@ -54,23 +55,33 @@ def _local_factory(**options):
     return make_shard
 
 
-def _retrying_client(server, **kwargs):
+def _retrying_client(server, client_class=KVClient, **kwargs):
+    """``KVClient`` finds the workers and talks to them directly;
+    ``ForwardingKVClient`` sends everything through the front-end."""
     kwargs.setdefault("max_retries", 12)
     kwargs.setdefault("backoff_base_s", 0.005)
     kwargs.setdefault("backoff_max_s", 0.1)
     kwargs.setdefault("timeout_s", 5.0)
-    return KVClient(*server.address, **kwargs)
+    return client_class(*server.address, **kwargs)
 
 
 # -- basic operation routing -------------------------------------------------
 
 
 def test_multiprocess_roundtrip_all_operations(tmp_path):
+    _roundtrip_all_operations(tmp_path, KVClient)
+
+
+def test_multiprocess_roundtrip_through_the_front_end(tmp_path):
+    _roundtrip_all_operations(tmp_path, ForwardingKVClient)
+
+
+def _roundtrip_all_operations(tmp_path, client_class):
     base = str(tmp_path / "mp")
     with MultiProcessKVServer(base, 3, _mem_factory()) as server:
         assert len(server.worker_pids) == 3
         assert all(server.worker_pids)
-        with _retrying_client(server) as client:
+        with _retrying_client(server, client_class) as client:
             client.ping()
             for i in range(30):
                 client.put(b"key-%03d" % i, b"val-%03d" % i)
@@ -110,11 +121,21 @@ def test_merged_stats_shape(tmp_path):
 
 
 def test_scatter_gather_scan_matches_single_db(tmp_path):
-    """A cross-shard scan must be indistinguishable from one engine."""
+    """A cross-shard scan must be indistinguishable from one engine,
+    scattered by the client ..."""
+    _scan_matches_single_db(tmp_path, KVClient)
+
+
+def test_front_end_scatter_gather_scan_matches_single_db(tmp_path):
+    """... or gathered by the front-end."""
+    _scan_matches_single_db(tmp_path, ForwardingKVClient)
+
+
+def _scan_matches_single_db(tmp_path, client_class):
     reference = DB("/ref", Options(env=MemEnv(), write_buffer_size=64 * 1024))
     base = str(tmp_path / "mp")
     with MultiProcessKVServer(base, 4, _mem_factory()) as server:
-        with _retrying_client(server) as client:
+        with _retrying_client(server, client_class) as client:
             for i in range(80):
                 key, value = b"k-%04d" % (i * 7 % 80), b"v-%04d" % i
                 client.put(key, value)
@@ -156,19 +177,29 @@ def test_write_batch_splits_across_shards(tmp_path):
 
 
 def test_worker_crash_is_retriable_and_respawns(tmp_path):
+    _worker_crash_is_retriable(tmp_path, KVClient)
+
+
+def test_worker_crash_is_retriable_for_a_forwarding_only_client(tmp_path):
+    _worker_crash_is_retriable(tmp_path, ForwardingKVClient)
+
+
+def _worker_crash_is_retriable(tmp_path, client_class):
     base = str(tmp_path / "mp")
     server = MultiProcessKVServer(
         base, 3, _local_factory(), ServiceConfig(port=0, drain_timeout_s=2.0)
     )
     server.start()
     try:
-        with _retrying_client(server) as client:
+        with _retrying_client(server, client_class) as client:
             for i in range(30):
                 client.put(b"c-%03d" % i, b"v-%03d" % i)
             victim = server.worker_pids[0]
             os.kill(victim, signal.SIGKILL)
-            # The client sees retriable BUSY while the worker respawns; the
-            # synced WAL means every acked write survives the kill.
+            # Forwarded, the client sees retriable BUSY while the worker
+            # respawns; direct, a reset connection and a reconnect that waits
+            # in the shard's listener.  The synced WAL means every acked
+            # write survives the kill.
             for i in range(30):
                 assert client.get(b"c-%03d" % i) == b"v-%03d" % i
             client.put(b"after-crash", b"ok")
