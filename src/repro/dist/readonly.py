@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.env.base import Env
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_PUT
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
-from repro.lsm.iterator import key_range, merge_entries, newest_visible
+from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import make_memtable
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
@@ -96,15 +96,14 @@ class ReadOnlyInstance:
         end: bytes | None = None,
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        sources = [self._mem.entries(start)]
-        for __, meta in self._versions.current.all_files():
-            if end is not None and meta.smallest >= end:
-                continue
-            if meta.largest < start:
-                continue
-            sources.append(self._reader(meta.number).entries_from(start))
-        merged = newest_visible(merge_entries(sources))
-        return list(key_range(merged, start, end, limit))
+        """A file's reader is obtained -- a link ping plus the open's reads
+        over ``RemoteEnv`` -- when the cursor reaches the file: ``scan_runs``."""
+        return list(scan_runs(
+            [self._mem.entries(start)],
+            self._versions.current.runs_for_range(start, end),
+            lambda meta, seek: self._reader(meta.number).entries_from(seek),
+            start, end, limit,
+        ))
 
     def close(self) -> None:
         for reader in self._readers.values():

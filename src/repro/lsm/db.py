@@ -40,7 +40,7 @@ from repro.lsm.filename import (
     sst_path,
     wal_path,
 )
-from repro.lsm.iterator import key_range, merge_entries, newest_visible
+from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable, make_memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
@@ -957,11 +957,14 @@ class DB:
         with self._table_lock:
             return self._table_cache.setdefault(meta.number, reader)
 
-    def _guarded(self, meta: FileMetadata, stream):
-        """Stream ``stream(reader)`` for a file's reader, attributing any
-        authentication failure to that file."""
+    def _guarded(self, meta: FileMetadata, stream, reader=None):
+        """Stream ``stream(reader)`` for a file's reader (the table cache's
+        unless the caller pinned one), attributing any authentication
+        failure to that file."""
         try:
-            yield from stream(self._get_reader(meta))
+            if reader is None:
+                reader = self._get_reader(meta)
+            yield from stream(reader)
         except AuthenticationError:
             self._quarantine_table(meta.number)
             raise
@@ -1118,11 +1121,23 @@ class DB:
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
         self._read_tick()
         with TRACER.span("db.scan") as span:
-            results = self._retrying(
+            results, sources, files_opened = self._retrying(
                 span, self._scan_once, start, end, limit, snapshot
             )
             span.set_attribute("results", len(results))
+            span.set_attribute("sources", sources)
+            span.set_attribute("files_opened", files_opened)
             return results
+
+    def _scan_sources(self, start: bytes, end: bytes | None):
+        """What a scan of [start, end) merges: the memtable streams and the
+        current version's sorted runs (``Version.runs_for_range``)."""
+        with self._mutex:
+            self._check_open()
+            memtables = [self._mem.entries(start)]
+            memtables.extend(entry[0].entries(start) for entry in self._imm)
+            version = self._versions.current
+        return memtables, version.runs_for_range(start, end)
 
     def _scan_once(
         self,
@@ -1130,25 +1145,22 @@ class DB:
         end: bytes | None,
         limit: int | None,
         snapshot: int,
-    ) -> list[tuple[bytes, bytes]]:
-        with self._mutex:
-            self._check_open()
-            sources = [self._mem.entries(start)]
-            sources.extend(entry[0].entries(start) for entry in self._imm)
-            version = self._versions.current
-        for __, meta in version.all_files():
-            if end is not None and meta.smallest >= end:
-                continue
-            if meta.largest < start:
-                continue
-            sources.append(
-                self._guarded(meta, lambda reader: reader.entries_from(start))
-            )
+    ) -> tuple[list[tuple[bytes, bytes]], int, int]:
+        """One attempt: (pairs, merge sources, files a reader was got for)."""
+        memtables, runs = self._scan_sources(start, end)
+        opened: list[int] = []
 
-        merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)
-        results = list(key_range(merged, start, end, limit))
+        def entries_of(meta: FileMetadata, seek: bytes):
+            opened.append(meta.number)
+            return self._guarded(meta, lambda reader: reader.entries_from(seek))
+
+        results = list(
+            scan_runs(memtables, runs, entries_of, start, end, limit, snapshot)
+        )
+        sources = len(memtables) + len(runs)
         self.stats.counter("db.scans").add(1)
-        return results
+        self.stats.counter("db.scan_sources").add(sources)
+        return results, sources, len(opened)
 
     def delete_range(
         self, start: bytes, end: bytes, opts: WriteOptions | None = None
@@ -1185,29 +1197,48 @@ class DB:
         """A streaming forward cursor over [start, end).
 
         Yields (key, value) pairs lazily.  The cursor reads a consistent
-        snapshot of the sources captured at creation; files compacted away
+        snapshot of the sources captured at creation: every file in range
+        is pinned (its reader obtained) now, so files compacted away
         mid-iteration keep serving through their open readers (POSIX unlink
-        semantics), so iteration never sees torn state.  Writes made after
-        creation may or may not be visible; pass ``opts.snapshot`` for an
-        exact cutoff.
+        semantics) and iteration never sees torn state; blocks load as the
+        cursor reaches them.  Writes made after creation may or may not be
+        visible; pass ``opts.snapshot`` for an exact cutoff.
         """
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
-        with self._mutex:
-            self._check_open()
-            sources = [self._mem.entries(start)]
-            sources.extend(entry[0].entries(start) for entry in self._imm)
-            version = self._versions.current
-            readers = []
-            for __, meta in version.all_files():
-                if end is not None and meta.smallest >= end:
-                    continue
-                if meta.largest < start:
-                    continue
-                readers.append(self._get_reader(meta))
-        sources.extend(reader.entries_from(start) for reader in readers)
-        merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot)
-        return key_range(merged, start, end)
+        with TRACER.span("db.iterator") as span:
+            memtables, runs, pinned = self._retrying(
+                span, self._pin_scan_sources, start, end
+            )
+            span.set_attribute("sources", len(memtables) + len(runs))
+            span.set_attribute("files_opened", len(pinned))
+
+        def entries_of(meta: FileMetadata, seek: bytes):
+            return self._guarded(
+                meta,
+                lambda reader: reader.entries_from(seek),
+                pinned[meta.number],
+            )
+
+        return scan_runs(
+            memtables, runs, entries_of, start, end, snapshot_seq=snapshot
+        )
+
+    def _pin_scan_sources(self, start: bytes, end: bytes | None):
+        """``_scan_sources`` plus a reader for every file of every run,
+        opened after the mutex is released: no writer or ``get`` waits for
+        a cold open (envelope read, DEK resolution, index load).  A file
+        compacted away in between raises, and ``_retrying`` captures again."""
+        memtables, runs = self._scan_sources(start, end)
+        pinned: dict[int, SSTReader] = {}
+        for run in runs:
+            for meta in run:
+                try:
+                    pinned[meta.number] = self._get_reader(meta)
+                except AuthenticationError:
+                    self._quarantine_table(meta.number)
+                    raise
+        return memtables, runs, pinned
 
     def stats_string(self) -> str:
         """A human-readable engine status dump (RocksDB's GetProperty

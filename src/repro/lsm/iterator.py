@@ -4,12 +4,19 @@ Every source (memtable, SST reader) yields entries as
 ``(key, seq, vtype, value)`` sorted by (key asc, seq desc).  The merge is a
 heap over the sources; duplicate sequences cannot occur, so ordering is
 total.
+
+``heapq.merge`` pulls the first entry of every source before it yields
+anything, so a source costs its first block whether or not a key of it is
+ever returned: a scan's price is its number of sources.  :func:`scan_runs`
+keeps that number at memtables + sorted runs (``Version.runs_for_range``),
+not memtables + files.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.lsm.block import Entry
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE
@@ -64,3 +71,36 @@ def key_range(
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+def scan_runs(
+    memtables: Iterable[Iterable[Entry]],
+    runs: Iterable[Sequence],
+    entries_of: Callable[[object, bytes], Iterable[Entry]],
+    start: bytes,
+    end: bytes | None,
+    limit: int | None = None,
+    snapshot_seq: int = MAX_SEQUENCE,
+) -> Iterator[tuple[bytes, bytes]]:
+    """The one merged scan: the newest visible (key, value) pairs of
+    [start, end) over memtable streams plus a version's sorted runs.
+
+    Each run (a list of file metadata with disjoint ascending ranges) is
+    one merge source.  ``entries_of(meta, seek)`` streams a file's entries
+    with key >= ``seek``; it is called when the cursor crosses into the
+    file and not before, so obtaining a reader and loading a first block
+    are paid only for files a returned key came from (plus, at most, the
+    one the merge stopped in).  Only a run's first file can hold keys
+    below ``start``; the rest are read from their first entry.
+    """
+    sources = list(memtables)
+    sources.extend(_chained(run, entries_of, start) for run in runs)
+    merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot_seq)
+    return key_range(merged, start, end, limit)
+
+
+def _chained(run: Sequence, entries_of, start: bytes) -> Iterator[Entry]:
+    """A run's files end to end.  ``map`` calls ``entries_of`` for the next
+    file only when ``chain`` has exhausted the one before."""
+    seeks = chain((start,), repeat(b""))
+    return chain.from_iterable(map(entries_of, run, seeks))

@@ -53,7 +53,9 @@ _TAG_NEXT_FILE = 2
 _TAG_LAST_SEQ = 3
 _TAG_DELETED_FILE = 4
 _TAG_NEW_FILE = 5
-_largest = attrgetter("largest")  # bisect key over a level's sorted files
+# bisect keys over a level's sorted, non-overlapping files
+_smallest = attrgetter("smallest")
+_largest = attrgetter("largest")
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,33 @@ class Version:
             if index < len(files) and files[index].smallest <= key:
                 candidates.append((level, files[index]))
         return candidates
+
+    def runs_for_range(
+        self, start: bytes, end: bytes | None
+    ) -> list[list[FileMetadata]]:
+        """The sorted runs a scan of [start, end) merges, newest first.
+
+        A run is a list of files with disjoint, ascending key ranges, so it
+        is ONE merge source read front to back.  L0 files may overlap each
+        other (and every level), so each overlapping L0 file is its own
+        run; a level >= 1 is non-overlapping and sorted, so its bisected
+        slice -- first file with ``largest >= start`` to last with
+        ``smallest < end`` -- is one run however many files it holds.
+        """
+        runs = [
+            [meta]
+            for meta in self.levels[0]
+            if meta.largest >= start and (end is None or meta.smallest < end)
+        ]
+        for files in self.levels[1:]:
+            first = bisect.bisect_left(files, start, key=_largest)
+            stop = (
+                len(files) if end is None
+                else bisect.bisect_left(files, end, first, key=_smallest)
+            )
+            if first < stop:
+                runs.append(files[first:stop])
+        return runs
 
 
 class VersionSet:

@@ -274,9 +274,10 @@ class ReplicaState:
         end: bytes | None = None,
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
+        # The lock is held for the bounded walk, not for a copy of the tail.
         with self._lock:
-            entries = list(self._mem.entries(start))
-        return list(key_range(newest_visible(iter(entries)), start, end, limit))
+            newest = newest_visible(self._mem.entries(start))
+            return list(key_range(newest, start, end, limit))
 
     def __len__(self) -> int:
         with self._lock:

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
-from repro.lsm.iterator import merge_entries, newest_visible
+from repro.lsm.iterator import merge_entries, newest_visible, scan_runs
 
 
 def test_merge_two_sources():
@@ -91,3 +91,42 @@ def test_merged_stream_matches_dict_semantics(ops):
     assert {k: v for k, __, ___, v in visible} == reference
     keys = [entry[0] for entry in visible]
     assert keys == sorted(keys)
+
+
+def test_scan_runs_asks_for_a_file_only_when_the_cursor_reaches_it():
+    """Two runs over fake files: which files are asked for, with which
+    seek, and when -- ``entries_of`` is the only way to a file's entries."""
+    files = {
+        "old-1": [(b"a", 1, TYPE_PUT, b"a1"), (b"c", 2, TYPE_PUT, b"c2")],
+        "old-2": [(b"e", 3, TYPE_PUT, b"e3"), (b"g", 4, TYPE_PUT, b"g4")],
+        "old-3": [(b"i", 5, TYPE_PUT, b"i5")],
+        "new-1": [(b"c", 9, TYPE_DELETE, b""), (b"e", 8, TYPE_PUT, b"e8")],
+    }
+    asked = []
+
+    def entries_of(meta, seek):
+        asked.append((meta, seek))
+        return (entry for entry in files[meta] if entry[0] >= seek)
+
+    memtable = [(b"b", 10, TYPE_PUT, b"b10")]
+    runs = [["new-1"], ["old-1", "old-2", "old-3"]]
+    cursor = scan_runs([memtable], runs, entries_of, b"b", None)
+    assert asked == []  # building the cursor touches nothing
+    assert next(cursor) == (b"b", b"b10")
+    # Priming the merge asked for each run's FIRST file, at ``start``.
+    assert asked == [("new-1", b"b"), ("old-1", b"b")]
+    assert next(cursor) == (b"e", b"e8")  # c is deleted, e shadowed
+    assert asked[2:] == [("old-2", b"")]  # crossed into the next file
+    assert list(cursor) == [(b"g", b"g4"), (b"i", b"i5")]
+    assert asked[3:] == [("old-3", b"")]
+
+    # A limit stops the cursor before the run's later files are asked for,
+    # a snapshot hides what is newer, an end bound closes the range.
+    del asked[:]
+    assert list(scan_runs([], runs, entries_of, b"", None, 2, 7)) == [
+        (b"a", b"a1"), (b"c", b"c2"),
+    ]
+    assert [meta for meta, __ in asked] == ["new-1", "old-1"]
+    assert list(scan_runs([], runs[1:], entries_of, b"", b"e")) == [
+        (b"a", b"a1"), (b"c", b"c2"),
+    ]

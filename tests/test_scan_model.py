@@ -1,0 +1,257 @@
+"""Model test of the merged scan view: one dict oracle, rules not examples.
+
+A Hypothesis state machine grows a random tree -- overlapping L0 files,
+several levels holding older versions of the same keys, tombstones, an
+immutable memtable whose flush is parked at a sync point -- and after any
+step may ask every scanner (``DB.scan``, ``DB.iterator``,
+``ReadOnlyInstance.scan``) for a random ``(start, end, limit, snapshot)``:
+same pairs, same order, as the oracle.  One machine per scheme.
+
+This is a first slice of ROADMAP's model-test item: ``Oracle`` is the dict
+with snapshots that item asks for, and the machine's rules are the ones it
+lists that a scan can observe.  Grow this file; do not start another.
+"""
+
+import itertools
+import random
+import threading
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
+
+from repro.dist.readonly import ReadOnlyInstance
+from repro.env.mem import MemEnv
+from repro.keys.kds import InMemoryKDS
+from repro.lsm.db import DB, SP_FLUSH_BEFORE_SST
+from repro.lsm.options import Options, ReadOptions
+from repro.lsm.write_batch import WriteBatch
+from repro.shield import ShieldOptions, open_shield_db
+from repro.util.syncpoint import SYNC
+
+WAIT_S = 20.0
+ALL_KEYS = [b"k%02d" % i for i in range(40)]
+KEYS = st.sampled_from(ALL_KEYS)
+VALUES = st.binary(max_size=24)
+# Scan bounds also fall before, between and after the keys that exist.
+#: One atomic batch: (key, value) puts and (key, None) deletes.
+BATCHES = st.lists(st.tuples(KEYS, st.none() | VALUES), min_size=1, max_size=24)
+BOUNDS = st.one_of(KEYS, st.sampled_from([b"", b"k", b"k05x", b"k11\x00", b"zz"]))
+
+
+class Oracle:
+    """A dict with history: what any read at any snapshot must return."""
+
+    def __init__(self):
+        self._log: list[tuple[bytes, bytes | None]] = []
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self._log.append((key, value))
+
+    def delete(self, key: bytes) -> None:
+        self._log.append((key, None))
+
+    def snapshot(self) -> int:
+        """A token for "everything written so far"."""
+        return len(self._log)
+
+    def scan(self, start=b"", end=None, limit=None, at=None):
+        view = dict(self._log[:at])
+        keys = sorted(
+            key for key, value in view.items()
+            if value is not None
+            and key >= start and (end is None or key < end)
+        )
+        return [(key, view[key]) for key in keys[:limit]]
+
+
+def park_flush(db) -> threading.Event:
+    """Switch memtables and hold the flush job at its first sync point, so
+    the DB keeps an immutable memtable until the returned event is set."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        held.set()
+        assert release.wait(WAIT_S)
+
+    SYNC.set_callback(SP_FLUSH_BEFORE_SST, hold)
+    SYNC.enable()
+    db.flush(wait=False)
+    assert held.wait(WAIT_S)
+    SYNC.clear_callback(SP_FLUSH_BEFORE_SST)  # later flushes run free
+    return release
+
+
+def _options(env):
+    """Thresholds small enough that 40 keys make a deep tree: ~2 entries a
+    block, ~2 blocks a file, L0 compacts at 4 files, L1 holds ~2 files."""
+    return Options(
+        env=env,
+        write_buffer_size=1 << 20,  # the machine decides when to flush
+        block_size=64,
+        target_file_size=128,
+        level0_file_num_compaction_trigger=4,
+        max_bytes_for_level_base=256,
+        fanout=2,
+        max_background_jobs=1,
+    )
+
+
+class ScanModel(RuleBasedStateMachine):
+    scheme: str | None = None
+
+    def __init__(self):
+        super().__init__()
+        self.env, kds = MemEnv(), InMemoryKDS()
+        provider = None
+        if self.scheme is None:
+            self.db = DB("/model", _options(self.env))
+        else:
+            # WAL buffer 0: a read-only instance sees a write once it is in
+            # the WAL file, not while it sits in the primary's seal buffer.
+            self.db = open_shield_db("/model", ShieldOptions(
+                kds=kds, scheme=self.scheme, wal_buffer_size=0,
+            ), _options(self.env))
+            provider = ShieldOptions(
+                kds=kds, scheme=self.scheme, server_id="reader-1"
+            ).build_provider()
+        self.readonly = ReadOnlyInstance(
+            "/model", _options(self.env), provider=provider
+        )
+        self.oracle = Oracle()
+        self.snapshots: list[tuple[int, int]] = []  # (engine seq, oracle token)
+        self.parked: threading.Event | None = None
+
+    def teardown(self):
+        if self.parked is not None:
+            self.parked.set()
+        SYNC.clear()
+        self.readonly.close()
+        self.db.close()
+
+    # -- writes ---------------------------------------------------------------
+
+    @initialize(generations=st.lists(
+        st.tuples(st.integers(0, 2**32), st.integers(8, len(ALL_KEYS))),
+        max_size=12,
+    ))
+    def grow_a_tree(self, generations):
+        """Start from a tree, not from nothing: each generation rewrites a
+        seeded sample of the key space (one key in five deleted) and is
+        flushed, and compacted when due, so older versions of a key sit in
+        deeper levels.  Seeds, not drawn lists: Hypothesis draws short
+        lists, and short generations never fill a level."""
+        for seed, size in generations:
+            rng = random.Random(seed)
+            self.write([
+                (key, None if rng.random() < 0.2 else rng.randbytes(rng.randrange(25)))
+                for key in rng.sample(ALL_KEYS, size)
+            ])
+            self._settle()
+
+    @rule(batch=BATCHES)
+    def write(self, batch):
+        writes = WriteBatch()
+        for key, value in batch:
+            if value is None:
+                writes.delete(key)
+                self.oracle.delete(key)
+            else:
+                writes.put(key, value)
+                self.oracle.put(key, value)
+        self.db.write(writes)
+
+    @rule(key=KEYS, value=VALUES)
+    def put(self, key, value):
+        self.db.put(key, value)
+        self.oracle.put(key, value)
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        self.db.delete(key)
+        self.oracle.delete(key)
+
+    @rule()
+    def snapshot(self):
+        self.snapshots.append((self.db.snapshot(), self.oracle.snapshot()))
+
+    # -- tree shape -----------------------------------------------------------
+
+    @precondition(lambda self: self.parked is None)
+    @rule(compact=st.sampled_from(["picker", "picker", "picker", "full"]))
+    def flush(self, compact):
+        """A new L0 file; quiescent afterwards, so the tree a later rule
+        sees depends on the rules run and not on thread timing."""
+        self._settle(full=compact == "full")
+
+    @precondition(lambda self: self.parked is None and len(self.db._mem) > 0)
+    @rule()
+    def park_flush(self):
+        """From here to ``unpark_flush`` scans see an immutable memtable."""
+        self.parked = park_flush(self.db)
+
+    @precondition(lambda self: self.parked is not None)
+    @rule()
+    def unpark_flush(self):
+        self.parked.set()
+        self.parked = None
+        self._settle()
+
+    def _settle(self, full=False):
+        compactions = self.db.stats.counter("db.compactions")
+        before = compactions.value
+        self.db.flush()
+        self.db.wait_for_compaction()
+        if full:
+            self.db.force_compaction()
+        if compactions.value != before:
+            # The engine's documented simplification (``DB.snapshot``): a
+            # compaction keeps only the newest version of each key, so a
+            # snapshot is exact only until one runs.
+            self.snapshots.clear()
+
+    # -- the property ---------------------------------------------------------
+
+    @rule(
+        start=BOUNDS,
+        end=st.none() | BOUNDS,
+        limit=st.none() | st.integers(min_value=1, max_value=30),
+        snapshot=st.none() | st.integers(min_value=0, max_value=1_000),
+    )
+    def scans_agree_with_the_oracle(self, start, end, limit, snapshot):
+        seq = at = None
+        if snapshot is not None and self.snapshots:
+            seq, at = self.snapshots[snapshot % len(self.snapshots)]
+        opts = ReadOptions(snapshot=seq)
+        expected = self.oracle.scan(start, end, limit, at)
+        assert self.db.scan(start, end, limit, opts) == expected, "DB.scan"
+        cursor = self.db.iterator(start, end, opts)
+        assert list(itertools.islice(cursor, limit)) == expected, "DB.iterator"
+        if at is None:  # a read-only instance has no snapshots: it IS one
+            self.readonly.refresh()
+            got = self.readonly.scan(start, end, limit)
+            assert got == expected, "ReadOnlyInstance.scan"
+
+    @invariant()
+    def levels_are_sorted_runs(self):
+        """What makes chaining a level legal."""
+        levels = self.db._versions.current.levels
+        for files in levels[1:]:
+            for left, right in zip(files, files[1:]):
+                assert left.largest < right.smallest
+
+
+def _machine(scheme):
+    case = type(
+        f"ScanModel[{scheme or 'none'}]", (ScanModel,), {"scheme": scheme}
+    ).TestCase
+    case.settings = settings(
+        max_examples=40, stateful_step_count=40, deadline=None
+    )
+    return case
+
+
+TestScanModelPlaintext = _machine(None)
+TestScanModelShakeCtr = _machine("shake-ctr")
+TestScanModelShakeEtm = _machine("shake-etm")

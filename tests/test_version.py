@@ -104,12 +104,14 @@ def _candidates_by_list_building(version, key):
 _keys = st.binary(min_size=0, max_size=2)
 
 
-@given(
+_trees = dict(
     l0=st.lists(st.tuples(_keys, _keys), max_size=4),
     bounds=st.lists(st.lists(_keys, max_size=12, unique=True), min_size=2, max_size=3),
     probes=st.lists(_keys, min_size=1, max_size=20),
 )
-def test_candidates_for_key_equals_the_list_building_form(l0, bounds, probes):
+
+
+def _version(l0, bounds):
     edit = VersionEdit()
     number = 0
     for a, b in l0:
@@ -121,10 +123,39 @@ def test_candidates_for_key_equals_the_list_building_form(l0, bounds, probes):
         for smallest, largest in zip(keys[0::2], keys[1::2]):
             number += 1
             edit.add_file(level, _meta(number, smallest, largest))
-    version = Version(7).apply(edit)
+    return Version(7).apply(edit)
+
+
+@given(**_trees)
+def test_candidates_for_key_equals_the_list_building_form(l0, bounds, probes):
+    version = _version(l0, bounds)
     for key in probes + [b for pair in l0 for b in pair] + sum(bounds, []):
         assert version.candidates_for_key(key) \
             == _candidates_by_list_building(version, key)
+
+
+def _runs_by_linear_filter(version, start, end):
+    """runs_for_range from the per-file filter every scanner used to run
+    over ``all_files()``: L0 files one by one, deeper levels grouped."""
+    def in_range(meta):
+        return meta.largest >= start and (end is None or meta.smallest < end)
+
+    runs = [[meta] for meta in version.levels[0] if in_range(meta)]
+    for files in version.levels[1:]:
+        if any(in_range(meta) for meta in files):
+            runs.append([meta for meta in files if in_range(meta)])
+    return runs
+
+
+@given(**_trees)
+def test_runs_for_range_equals_the_linear_filter(l0, bounds, probes):
+    version = _version(l0, bounds)
+    edges = probes + [b for pair in l0 for b in pair] + sum(bounds, [])
+    for start in edges:
+        for end in [None] + edges:
+            runs = version.runs_for_range(start, end)
+            assert runs == _runs_by_linear_filter(version, start, end)
+            assert all(runs)  # no empty run: a run is a merge source
 
 
 def test_overlapping_files():
