@@ -20,7 +20,7 @@ storage side.  Here the same topology is simulated:
 
 from repro.dist.network import NetworkConfig, NetworkLink
 from repro.dist.remote_env import RemoteEnv, StorageServer, TieredEnv
-from repro.dist.compaction_service import CompactionRequest, CompactionService
+from repro.dist.compaction_service import CompactionService
 from repro.dist.readonly import ReadOnlyInstance
 from repro.dist.deployment import DSDeployment, build_ds_deployment
 from repro.dist.sharding import ShardedDB, shard_for_key
@@ -31,7 +31,6 @@ __all__ = [
     "StorageServer",
     "RemoteEnv",
     "TieredEnv",
-    "CompactionRequest",
     "CompactionService",
     "ReadOnlyInstance",
     "DSDeployment",

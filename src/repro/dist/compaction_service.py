@@ -12,93 +12,40 @@ mapping exists anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.dist.network import NetworkLink
-from repro.env.base import Env
-from repro.lsm.envelope import FILE_KIND_SST
-from repro.lsm.filecrypto import CryptoProvider
-from repro.lsm.options import Options
-from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
+from repro.lsm.compaction import CompactionJob, MergeExecutor
+from repro.lsm.sst import SSTFileInfo
 from repro.util.stats import StatsRegistry
 
-#: allocator: () -> (file_number, output_path); supplied by the DB owner so
-#: file numbers stay globally unique.
-OutputAllocator = Callable[[], tuple[int, str]]
 
+@dataclass(eq=False)
+class CompactionService(MergeExecutor):
+    """A compaction worker colocated with disaggregated storage: the merge
+    executor over the worker's env and the worker's own provider, plus the
+    job RPC's two link crossings and the ``service.*`` counters."""
 
-@dataclass
-class CompactionRequest:
-    """The job descriptor the compute server ships to the worker."""
+    dispatch_link: NetworkLink | None = None
+    name: str = "compaction-server-1"
+    stats: StatsRegistry = field(default_factory=StatsRegistry, init=False)
 
-    input_paths: list[str]
-    bottommost: bool
-    split_outputs: bool
-    target_file_size: int
-    job_id: int = 0
-
-
-@dataclass
-class CompactionResult:
-    file_number: int
-    info: SSTFileInfo
-
-
-class CompactionService:
-    """A compaction worker colocated with disaggregated storage."""
-
-    def __init__(
+    def merge(
         self,
-        env: Env,
-        provider: CryptoProvider,
-        options: Options,
-        dispatch_link: NetworkLink | None = None,
-        name: str = "compaction-server-1",
-    ):
-        self.env = env
-        self.provider = provider
-        self.options = options
-        self.dispatch_link = dispatch_link
-        self.name = name
-        self.stats = StatsRegistry()
-
-    def compact(
-        self, request: CompactionRequest, allocate_output: OutputAllocator
-    ) -> list[CompactionResult]:
-        """Merge the inputs into fresh output SSTs; return their metadata."""
+        directory: str,
+        job: CompactionJob,
+        target_file_size: int,
+        allocate_number: Callable[[], int],
+    ) -> list[tuple[int, SSTFileInfo]]:
         if self.dispatch_link is not None:
             self.dispatch_link.ping()  # the job RPC crosses the network
-
-        for path in request.input_paths:
-            self.stats.counter("service.bytes_read").add(self.env.file_size(path))
-        readers = [
-            SSTReader(self.env, path, self.provider, self.options)
-            for path in request.input_paths
-        ]
-
-        def open_output() -> tuple[int, SSTBuilder]:
-            number, out_path = allocate_output()
-            crypto = self.provider.for_new_file(FILE_KIND_SST, out_path)
-            return number, SSTBuilder(self.env, out_path, crypto, self.options)
-
-        try:
-            outputs = merge_tables(
-                [reader.raw_entries() for reader in readers],
-                open_output,
-                keep_tombstones=not request.bottommost,
-                split_size=(
-                    request.target_file_size if request.split_outputs else None
-                ),
-            )
-        finally:
-            for reader in readers:
-                reader.close()
-        results = [CompactionResult(number, info) for number, info in outputs]
-        for result in results:
-            self.stats.counter("service.bytes_written").add(result.info.file_size)
+        self.stats.counter("service.bytes_read").add(job.total_input_bytes())
+        outputs = super().merge(directory, job, target_file_size, allocate_number)
+        self.stats.counter("service.bytes_written").add(
+            sum(info.file_size for __, info in outputs)
+        )
         self.stats.counter("service.jobs").add(1)
-
         if self.dispatch_link is not None:
             self.dispatch_link.ping()  # result metadata travels back
-        return results
+        return outputs

@@ -16,11 +16,9 @@ from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
 from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import make_memtable
 from repro.lsm.options import Options
-from repro.lsm.sst import SSTReader
-from repro.lsm.filename import parse_file_name, sst_path
+from repro.lsm.tables import TableSet
 from repro.lsm.version import VersionSet
-from repro.lsm.wal import read_wal_records
-from repro.lsm.write_batch import WriteBatch
+from repro.lsm.wal import replay_wals
 
 
 class ReadOnlyInstance:
@@ -39,11 +37,7 @@ class ReadOnlyInstance:
             raise ValueError("ReadOnlyInstance needs an explicit env")
         self.provider = provider or self.options.crypto_provider \
             or PlaintextCryptoProvider()
-        self._readers: dict[int, SSTReader] = {}
-        self._mem = make_memtable("dict")
-        self._versions = VersionSet(
-            self.env, path, self.provider, self.options.num_levels
-        )
+        self._tables = TableSet(self.env, path, self.provider, self.options)
         self.refresh()
 
     def refresh(self) -> None:
@@ -53,36 +47,16 @@ class ReadOnlyInstance:
         )
         self._versions.recover()
         mem = make_memtable("dict")
-        for name in sorted(self.env.list_dir(self.path)):
-            parsed = parse_file_name(name)
-            if not parsed or parsed[0] != "wal":
-                continue
-            if parsed[1] < self._versions.log_number:
-                continue
-            for payload in read_wal_records(
-                self.env, f"{self.path}/{name}", self.provider
-            ):
-                first_seq, batch = WriteBatch.deserialize(payload)
-                batch.insert_into(mem, first_seq)
+        replay_wals(
+            self.env, self.path, self.provider, self._versions.log_number, mem
+        )
         self._mem = mem
-
-    def _reader(self, number: int) -> SSTReader:
-        reader = self._readers.get(number)
-        if reader is None:
-            reader = SSTReader(
-                self.env,
-                sst_path(self.path, number),
-                self.provider,
-                self.options,
-            )
-            self._readers[number] = reader
-        return reader
 
     def get(self, key: bytes) -> bytes | None:
         result = self._mem.get(key)
         if result is None:
             for __, meta in self._versions.current.candidates_for_key(key):
-                result = self._reader(meta.number).get(key, MAX_SEQUENCE)
+                result = self._tables.reader(meta.number).get(key, MAX_SEQUENCE)
                 if result is not None:
                     break
         if result is None:
@@ -101,14 +75,12 @@ class ReadOnlyInstance:
         return list(scan_runs(
             [self._mem.entries(start)],
             self._versions.current.runs_for_range(start, end),
-            lambda meta, seek: self._reader(meta.number).entries_from(seek),
+            lambda meta, seek: self._tables.reader(meta.number).entries_from(seek),
             start, end, limit,
         ))
 
     def close(self) -> None:
-        for reader in self._readers.values():
-            reader.close()
-        self._readers.clear()
+        self._tables.close()
 
     def __enter__(self) -> "ReadOnlyInstance":
         return self

@@ -18,6 +18,11 @@ class AuthenticationError(CorruptionError):
     tampering, either way the plaintext must never be released.  Readers
     fail loudly instead of decrypting to garbage."""
 
+    #: The SST whose unit failed, stamped by ``SSTReader``: the DB holding
+    #: that file -- maybe on another server than the reader -- quarantines
+    #: from it.  None for a WAL, a MANIFEST or a bare cipher call.
+    sst_path: str | None = None
+
 
 class RollbackError(ReproError):
     """The store's content does not match the trusted freshness anchor.

@@ -82,15 +82,7 @@ class BackupEngine:
 
     def create_backup(self, db: DB) -> BackupInfo:
         """Snapshot ``db`` (flushes first); copies only new SST files."""
-        db.flush()
-        with db._mutex:
-            live = sorted(
-                meta.number for __, meta in db._versions.current.all_files()
-            )
-            manifest_name = (
-                db.env.read_file(current_path(db.path)).decode().strip()
-            )
-            manifest_bytes = db.env.read_file(f"{db.path}/{manifest_name}")
+        live, manifest_name, manifest_bytes = db.capture_file_set()
 
         already = self._existing_shared()
         copied = 0

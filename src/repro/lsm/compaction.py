@@ -18,21 +18,27 @@ lazy-leveling are each one configuration of :class:`ComposedPicker`.  The
 adaptive controller (``repro.obs.controller``) swaps configurations at
 runtime by watching the derived signals.
 
-A picker inspects a Version and proposes a :class:`CompactionJob`; the DB
-executes the merge and applies the resulting VersionEdit.  SHIELD's DEK
-rotation rides on compaction: every output file gets a fresh DEK from the
-crypto provider and every input file's DEK is retired with it
-(Section 5.2, "Embedding DEK-Handling Practices").  The one exception is
-a *trivial move* (``allow_trivial_move``), which relinks a file without
-rewriting it -- fast, but it postpones that file's DEK rotation, the
-explicit trade the movement dimension exposes.
+A picker inspects a Version and proposes a :class:`CompactionJob`; a
+:class:`MergeExecutor` (the DB's or an offloaded worker's) merges its inputs
+and the DB applies the resulting VersionEdit.  SHIELD's DEK rotation rides
+on compaction: every output file gets a fresh DEK from the crypto provider
+and every input file's DEK is retired with it (Section 5.2, "Embedding
+DEK-Handling Practices").  The one exception is a *trivial move*
+(``allow_trivial_move``), which relinks a file without rewriting it -- fast,
+but it postpones that file's DEK rotation, the explicit trade the movement
+dimension exposes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.env.base import Env
+from repro.lsm.envelope import FILE_KIND_SST
+from repro.lsm.filecrypto import CryptoProvider
+from repro.lsm.filename import sst_path
 from repro.lsm.options import (
     COMPACTION_FIFO,
     COMPACTION_LAZY_LEVELED,
@@ -40,6 +46,8 @@ from repro.lsm.options import (
     COMPACTION_UNIVERSAL,
     Options,
 )
+from repro.lsm.sst import SSTBuilder, SSTFileInfo, merge_tables
+from repro.lsm.tables import TableSet
 from repro.lsm.version import FileMetadata, Version
 
 
@@ -623,3 +631,66 @@ def make_picker(options: Options, style: str | None = None) -> CompactionPicker:
     if style == COMPACTION_FIFO:
         return FIFOPicker(options)
     raise ValueError(f"unknown compaction style {style}")
+
+
+@dataclass(eq=False)
+class MergeExecutor:
+    """Runs a merge job: the one body under local and offloaded compaction.
+
+    Inputs are read through a table set -- the one given (the DB's own, its
+    readers already open) or one built for the job over this executor's env
+    and provider, which is how a worker on another server resolves every
+    input's DEK under its own identity (Section 5.6).  A job leaves all its
+    outputs or nothing: on any failure the outputs already finished are
+    deleted and every DEK granted, the unfinished output's too, is retired
+    before the error goes on."""
+
+    env: Env
+    provider: CryptoProvider
+    options: Options
+    tables: TableSet | None = field(default=None, kw_only=True)
+
+    def merge(
+        self,
+        directory: str,
+        job: CompactionJob,
+        target_file_size: int,
+        allocate_number: Callable[[], int],
+    ) -> list[tuple[int, SSTFileInfo]]:
+        """(file number, info) per output SST written to ``directory``;
+        ``allocate_number`` is the owning DB's, so numbers stay unique."""
+        tables = self.tables or TableSet(
+            self.env, directory, self.provider, self.options
+        )
+        begun: list[tuple[str, str]] = []  # (path, DEK-ID) per output opened
+
+        def open_output() -> tuple[int, SSTBuilder]:
+            number = allocate_number()
+            path = sst_path(directory, number)
+            crypto = self.provider.for_new_file(FILE_KIND_SST, path)
+            begun.append((path, crypto.dek_id))
+            return number, SSTBuilder(self.env, path, crypto, self.options)
+
+        try:
+            return merge_tables(
+                [
+                    tables.reader(meta.number).raw_entries()
+                    for __, meta in job.input_files()
+                ],
+                open_output,
+                keep_tombstones=not job.bottommost,
+                # Split at the target size only when merging *into* a leveled
+                # area.  A tiered merge at L0 must emit a single file: each L0
+                # file is one sorted run, and splitting would mint extra runs
+                # out of thin air.  Per job, not per style: lazy-leveling's L0
+                # tier merges and L1+ spills differ.
+                split_size=target_file_size if job.output_level >= 1 else None,
+            )
+        except BaseException:
+            for path, dek_id in begun:
+                self.env.delete_file(path)
+                self.provider.on_file_deleted(dek_id, path)
+            raise
+        finally:
+            if tables is not self.tables:
+                tables.close()

@@ -14,9 +14,11 @@ The structure mirrors Figure 1 of the paper:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from repro.env.base import Env
 from repro.env.mem import MemEnv
@@ -29,7 +31,7 @@ from repro.errors import (
     KeyManagementError,
     NotFoundError,
 )
-from repro.lsm.compaction import CompactionJob, make_picker
+from repro.lsm.compaction import CompactionJob, MergeExecutor, make_picker
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_PUT
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
@@ -43,9 +45,10 @@ from repro.lsm.filename import (
 from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable, make_memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
-from repro.lsm.sst import SSTBuilder, SSTFileInfo, SSTReader, merge_tables
+from repro.lsm.sst import SSTBuilder, SSTFileInfo
+from repro.lsm.tables import TableSet
 from repro.lsm.version import FileMetadata, VersionEdit, VersionSet
-from repro.lsm.wal import WALWriter, read_wal_records
+from repro.lsm.wal import WALWriter, replay_wals
 from repro.lsm.write_batch import WriteBatch
 from repro.obs import costs
 from repro.obs.trace import TRACER
@@ -117,6 +120,23 @@ class _WriteRequest:
         self.error: BaseException | None = None
 
 
+@dataclass
+class _Attribution(contextlib.AbstractContextManager):
+    """``with`` this around whatever reads this DB's SSTs: a call, a lazy
+    cursor, a merge here or on another server.  ``SSTReader`` stamps the file
+    on the ``AuthenticationError`` it lets through; here, and only here, the
+    stamp becomes a quarantine mark.  The error always goes on."""
+
+    tables: TableSet
+    stats: StatsRegistry
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, AuthenticationError):
+            parsed = parse_file_name((exc.sst_path or "").rpartition("/")[2])
+            if parsed and self.tables.mark(parsed[1]):
+                self.stats.counter("integrity.quarantines").add(1)
+
+
 class DB:
     """An embedded LSM key-value store (RocksDB-like API surface)."""
 
@@ -156,14 +176,10 @@ class DB:
             if self.options.block_cache_size > 0
             else None
         )
-        self._table_cache: dict[int, SSTReader] = {}
-        self._table_lock = threading.Lock()
-        # SST file numbers whose AEAD tag failed to verify.  Advisory, not
-        # blocking: reads keep trying (a transient device flip self-heals
-        # on the next good read, which clears the mark), but health()
-        # reports degraded and compaction refuses to consume the file
-        # until repair or a clean read resolves it.
-        self._quarantined: set[int] = set()
+        self._tables = TableSet(
+            self.env, path, self.provider, self.options, self._block_cache
+        )
+        self._attributing = _Attribution(self._tables, self.stats)
 
         from repro.util.clock import RealClock
 
@@ -331,8 +347,14 @@ class DB:
         # here is believed.  Raises RollbackError on a replayed snapshot.
         self._versions.verify_freshness()
 
-        old_wals = self._find_wal_files()
-        recovered = self._replay_wals(old_wals)
+        recovered = make_memtable("skiplist")
+        old_wals, last_replayed = replay_wals(
+            self.env, self.path, self.provider, self._versions.log_number,
+            recovered,
+        )
+        self._versions.last_sequence = max(
+            self._versions.last_sequence, last_replayed
+        )
 
         new_log = self._versions.new_file_number()
         self._versions.log_number = new_log
@@ -347,30 +369,9 @@ class DB:
             edit.add_file(0, info)
             self._versions.log_and_apply(edit)
 
-        for number, path in old_wals:
+        for path in old_wals:
             self._delete_db_file(path)
         self._garbage_collect_orphans()
-
-    def _find_wal_files(self) -> list[tuple[int, str]]:
-        wals = []
-        for name in self.env.list_dir(self.path):
-            parsed = parse_file_name(name)
-            if parsed and parsed[0] == "wal":
-                number = parsed[1]
-                if number >= self._versions.log_number:
-                    wals.append((number, f"{self.path}/{name}"))
-        return sorted(wals)
-
-    def _replay_wals(self, wals: list[tuple[int, str]]) -> Memtable:
-        mem = make_memtable("skiplist")
-        for __, path in wals:
-            for payload in read_wal_records(self.env, path, self.provider):
-                first_seq, batch = WriteBatch.deserialize(payload)
-                self._versions.last_sequence = max(
-                    self._versions.last_sequence,
-                    batch.insert_into(mem, first_seq),
-                )
-        return mem
 
     def _garbage_collect_orphans(self) -> None:
         """Remove files left behind by a crash.
@@ -554,7 +555,7 @@ class DB:
         with self._mutex:
             closed = self._closed
             bg_error = self._bg_error
-            quarantined = sorted(self._quarantined)
+            quarantined = sorted(self._tables.quarantined)
         if closed:
             return {"state": HEALTH_FAILED, "reason": "closed", "error": None}
         if quarantined:
@@ -701,8 +702,7 @@ class DB:
 
     def _write_sst_from_memtable(self, mem: Memtable) -> FileMetadata:
         """Persist a memtable as a level-0 SST file (caller applies edit)."""
-        with self._mutex:
-            number = self._versions.new_file_number()
+        number = self._new_file_number()
         path = sst_path(self.path, number)
         crypto = self.provider.for_new_file(FILE_KIND_SST, path)
         builder = SSTBuilder(self.env, path, crypto, self.options)
@@ -712,6 +712,10 @@ class DB:
         self.stats.counter("db.flush_bytes").add(info.file_size)
         self.stats.counter("db.flushes").add(1)
         return self._file_metadata(number, info)
+
+    def _new_file_number(self) -> int:
+        with self._mutex:
+            return self._versions.new_file_number()
 
     def _file_metadata(self, number: int, info: SSTFileInfo) -> FileMetadata:
         return FileMetadata(
@@ -784,7 +788,7 @@ class DB:
         with self._mutex:
             if self._compaction_scheduled or self._closed:
                 return
-            busy = self._compacting | self._quarantined
+            busy = self._compacting | self._tables.quarantined
             if self._picker.pick(self._versions.current, busy) is None:
                 return
             self._compaction_scheduled = True
@@ -793,7 +797,7 @@ class DB:
     def _compaction_job(self) -> None:
         with self._mutex:
             self._compaction_scheduled = False
-            busy = self._compacting | self._quarantined
+            busy = self._compacting | self._tables.quarantined
             job = self._picker.pick(self._versions.current, busy)
             if job is None:
                 return
@@ -807,9 +811,9 @@ class DB:
                 self._run_merge_compaction(job)
         except AuthenticationError:
             # A tampered input file must not poison the whole engine: the
-            # guard already quarantined it, the picker now refuses it, and
-            # health() reports degraded until repair (or a clean re-read)
-            # resolves the file.  The inputs stay live and readable.
+            # merge, wherever it ran, quarantined the file its failed tag
+            # named, the picker now refuses it, and health() reports degraded
+            # until repair (or a clean re-read).  Inputs stay live, readable.
             self.stats.counter("integrity.compaction_auth_aborts").add(1)
         finally:
             with self._mutex:
@@ -817,12 +821,18 @@ class DB:
                 self._cond.notify_all()
         self._maybe_schedule_compaction()
 
-    def _apply_delete_only(self, job: CompactionJob) -> None:
+    def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
+        """One MANIFEST edit: the job's inputs out, ``added`` in at its level."""
         edit = VersionEdit()
         for level, meta in job.input_files():
             edit.delete_file(level, meta.number)
+        for meta in added:
+            edit.add_file(job.output_level, meta)
         with self._mutex:
             self._versions.log_and_apply(edit)
+
+    def _apply_delete_only(self, job: CompactionJob) -> None:
+        self._install(job, [])
         for __, meta in job.input_files():
             self._drop_table(meta)
         self.stats.counter("db.fifo_expirations").add(len(job.input_files()))
@@ -834,169 +844,63 @@ class DB:
         dimension's fast lane, valid only because the picker proved the
         file overlaps nothing at the output level.
         """
-        edit = VersionEdit()
-        for level, meta in job.input_files():
-            edit.delete_file(level, meta.number)
-            edit.add_file(job.output_level, meta)
-        with self._mutex:
-            self._versions.log_and_apply(edit)
+        self._install(job, [meta for __, meta in job.input_files()])
         self.stats.counter("db.trivial_moves").add(1)
 
     def _run_merge_compaction(self, job: CompactionJob) -> None:
+        input_bytes = job.total_input_bytes()
         with TRACER.span(
             "db.compaction",
             attributes={
                 "inputs": len(job.input_files()),
-                "input_bytes": job.total_input_bytes(),
+                "input_bytes": input_bytes,
                 "output_level": job.output_level,
                 "offloaded": self._offload_active(),
             },
         ) as span:
             with costs.attribute(self._bg_costs, "compaction"):
-                if self._offload_active():
-                    outputs = self._merge_via_service(job)
-                else:
-                    outputs = self._merge_locally(job)
-            span.set_attribute(
-                "output_bytes", sum(meta.size for meta in outputs)
-            )
+                outputs = self._merge(job)
+            output_bytes = sum(meta.size for meta in outputs)
+            span.set_attribute("output_bytes", output_bytes)
             SYNC.process(SP_COMPACT_AFTER_OUTPUTS)
-
-            edit = VersionEdit()
-            for level, meta in job.input_files():
-                edit.delete_file(level, meta.number)
-            for meta in outputs:
-                edit.add_file(job.output_level, meta)
-            with self._mutex:
-                self._versions.log_and_apply(edit)
+            self._install(job, outputs)
             SYNC.process(SP_COMPACT_AFTER_MANIFEST)
             for __, meta in job.input_files():
                 self._drop_table(meta)
 
             self.stats.counter("db.compactions").add(1)
-            self.stats.counter("db.compaction_bytes_read").add(
-                job.total_input_bytes()
-            )
-            self.stats.counter("db.compaction_bytes_written").add(
-                sum(meta.size for meta in outputs)
-            )
+            self.stats.counter("db.compaction_bytes_read").add(input_bytes)
+            self.stats.counter("db.compaction_bytes_written").add(output_bytes)
             # Tick inside the span: a policy change provoked by this
             # compaction parents under db.compaction in the trace.
             self._controller_tick("compaction")
 
-    def _merge_via_service(self, job: CompactionJob) -> list[FileMetadata]:
-        """Ship the merge to an offloaded compaction worker (repro.dist)."""
-        from repro.dist.compaction_service import CompactionRequest
-
-        def allocate_output() -> tuple[int, str]:
-            with self._mutex:
-                number = self._versions.new_file_number()
-            return number, sst_path(self.path, number)
-
-        request = CompactionRequest(
-            input_paths=[
-                sst_path(self.path, meta.number) for __, meta in job.input_files()
-            ],
-            bottommost=job.bottommost,
-            split_outputs=self._split_outputs(job),
-            target_file_size=self.options.target_file_size,
+    def _merge(self, job: CompactionJob) -> list[FileMetadata]:
+        """Run the merge on this server or the offloaded worker: one
+        executor body either way, output numbers from this DB's VersionSet."""
+        executor = (
+            self.options.compaction_service if self._offload_active()
+            else MergeExecutor(
+                self.env, self.provider, self.options, tables=self._tables
+            )
         )
-        results = self.options.compaction_service.compact(request, allocate_output)
-        return [
-            self._file_metadata(result.file_number, result.info)
-            for result in results
-        ]
-
-    def _split_outputs(self, job: CompactionJob) -> bool:
-        """Split outputs at the target file size when merging *into* a
-        leveled area (output level >= 1).  Tiered merges at L0 must emit a
-        single file: each L0 file is one sorted run, and splitting would
-        mint extra runs out of thin air.  Equivalent to the old per-style
-        check for leveled/universal/FIFO; lazy-leveling needs the
-        per-job form (its L0 tier merges and L1+ spills differ)."""
-        return job.output_level >= 1
-
-    def _merge_locally(self, job: CompactionJob) -> list[FileMetadata]:
-        def open_output() -> tuple[int, SSTBuilder]:
-            with self._mutex:
-                number = self._versions.new_file_number()
-            path = sst_path(self.path, number)
-            crypto = self.provider.for_new_file(FILE_KIND_SST, path)
-            return number, SSTBuilder(self.env, path, crypto, self.options)
-
-        results = merge_tables(
-            [
-                self._guarded(meta, SSTReader.raw_entries)
-                for __, meta in job.input_files()
-            ],
-            open_output,
-            keep_tombstones=not job.bottommost,
-            split_size=(
-                self.options.target_file_size
-                if self._split_outputs(job) else None
-            ),
-        )
+        with self._attributing:
+            results = executor.merge(
+                self.path, job, self.options.target_file_size,
+                self._new_file_number,
+            )
         return [self._file_metadata(number, info) for number, info in results]
 
     # ------------------------------------------------------------------
     # File/table management
     # ------------------------------------------------------------------
 
-    def _get_reader(self, meta: FileMetadata) -> SSTReader:
-        with self._table_lock:
-            reader = self._table_cache.get(meta.number)
-            if reader is not None:
-                return reader
-        reader = SSTReader(
-            self.env,
-            sst_path(self.path, meta.number),
-            self.provider,
-            self.options,
-            block_cache=self._block_cache,
-        )
-        with self._table_lock:
-            return self._table_cache.setdefault(meta.number, reader)
-
-    def _guarded(self, meta: FileMetadata, stream, reader=None):
-        """Stream ``stream(reader)`` for a file's reader (the table cache's
-        unless the caller pinned one), attributing any authentication
-        failure to that file."""
-        try:
-            if reader is None:
-                reader = self._get_reader(meta)
-            yield from stream(reader)
-        except AuthenticationError:
-            self._quarantine_table(meta.number)
-            raise
-
-    def _quarantine_table(self, number: int) -> None:
-        """Mark an SST whose authentication tag failed, evict its reader."""
-        with self._table_lock:
-            self._table_cache.pop(number, None)
-        with self._mutex:
-            if number not in self._quarantined:
-                self._quarantined.add(number)
-                self.stats.counter("integrity.quarantines").add(1)
-
-    def _clear_quarantine(self, number: int) -> None:
-        """A clean authenticated read resolves a prior transient failure."""
-        with self._mutex:
-            self._quarantined.discard(number)
-
     def quarantined_files(self) -> list[int]:
-        with self._mutex:
-            return sorted(self._quarantined)
+        return sorted(self._tables.quarantined)
 
     def _drop_table(self, meta: FileMetadata) -> None:
         """Forget a dead SST file: evict the reader, unlink, retire its DEK."""
-        with self._table_lock:
-            # The reader object is dropped without close(): concurrent point
-            # reads holding it keep working (POSIX unlink semantics).
-            reader = self._table_cache.pop(meta.number, None)
-        if reader is not None:
-            # Its cached blocks can never be asked for again; left behind
-            # they would squat in the cache until LRU pressure found them.
-            reader.purge_cached_blocks()
+        self._tables.drop(meta.number)
         self._delete_db_file(sst_path(self.path, meta.number), dek_id=meta.dek_id)
 
     def _delete_db_file(self, path: str, dek_id: str | None = None) -> None:
@@ -1042,22 +946,23 @@ class DB:
         KDS.  Retrying with a fresh version is always correct: the data
         moved, it didn't disappear.
         """
-        for _attempt in range(8):
-            try:
-                return read_once(*args)
-            except AuthenticationError:
-                # A failed tag is tampering evidence, never a value to
-                # retry toward: fail fast (the file is now quarantined).
-                raise
-            except (
-                CorruptionError, IOError_, NotFoundError, KeyManagementError
-            ):
-                # CorruptionError included: a transient device-level
-                # flip (or injected read chaos) corrupts one read, not
-                # the file; persistent corruption still surfaces after
-                # the retries are exhausted.
-                span.incr("retries")
-        return read_once(*args)
+        with self._attributing:
+            for _attempt in range(8):
+                try:
+                    return read_once(*args)
+                except AuthenticationError:
+                    # A failed tag is tampering evidence, never a value to
+                    # retry toward: fail fast (and quarantine on the way out).
+                    raise
+                except (
+                    CorruptionError, IOError_, NotFoundError, KeyManagementError
+                ):
+                    # CorruptionError included: a transient device-level
+                    # flip (or injected read chaos) corrupts one read, not
+                    # the file; persistent corruption still surfaces after
+                    # the retries are exhausted.
+                    span.incr("retries")
+            return read_once(*args)
 
     def _get_once(self, key: bytes, snapshot: int) -> bytes | None:
         with self._mutex:
@@ -1074,17 +979,14 @@ class DB:
                     break
         if result is None:
             probe_counter = self.stats.counter("db.get_sst_probes")
+            tables = self._tables
             for __, meta in version.candidates_for_key(key):
                 if meta.smallest_seq > snapshot:
                     continue
                 probe_counter.add(1)
-                try:
-                    result = self._get_reader(meta).get(key, snapshot)
-                except AuthenticationError:
-                    self._quarantine_table(meta.number)
-                    raise
-                if self._quarantined:
-                    self._clear_quarantine(meta.number)
+                result = tables.reader(meta.number).get(key, snapshot)
+                if tables.quarantined:  # a clean read heals a transient failure
+                    tables.clear(meta.number)
                 if result is not None:
                     break
         if result is None:
@@ -1152,7 +1054,7 @@ class DB:
 
         def entries_of(meta: FileMetadata, seek: bytes):
             opened.append(meta.number)
-            return self._guarded(meta, lambda reader: reader.entries_from(seek))
+            return self._tables.reader(meta.number).entries_from(seek)
 
         results = list(
             scan_runs(memtables, runs, entries_of, start, end, limit, snapshot)
@@ -1213,16 +1115,15 @@ class DB:
             span.set_attribute("sources", len(memtables) + len(runs))
             span.set_attribute("files_opened", len(pinned))
 
-        def entries_of(meta: FileMetadata, seek: bytes):
-            return self._guarded(
-                meta,
-                lambda reader: reader.entries_from(seek),
-                pinned[meta.number],
-            )
+        def cursor():
+            with self._attributing:  # reached lazily, long after this call
+                yield from scan_runs(
+                    memtables, runs,
+                    lambda meta, seek: pinned[meta.number].entries_from(seek),
+                    start, end, snapshot_seq=snapshot,
+                )
 
-        return scan_runs(
-            memtables, runs, entries_of, start, end, snapshot_seq=snapshot
-        )
+        return cursor()
 
     def _pin_scan_sources(self, start: bytes, end: bytes | None):
         """``_scan_sources`` plus a reader for every file of every run,
@@ -1230,14 +1131,10 @@ class DB:
         a cold open (envelope read, DEK resolution, index load).  A file
         compacted away in between raises, and ``_retrying`` captures again."""
         memtables, runs = self._scan_sources(start, end)
-        pinned: dict[int, SSTReader] = {}
-        for run in runs:
-            for meta in run:
-                try:
-                    pinned[meta.number] = self._get_reader(meta)
-                except AuthenticationError:
-                    self._quarantine_table(meta.number)
-                    raise
+        pinned = {
+            meta.number: self._tables.reader(meta.number)
+            for run in runs for meta in run
+        }
         return memtables, runs, pinned
 
     def stats_string(self) -> str:
@@ -1289,7 +1186,7 @@ class DB:
             snap["db.last_sequence"] = self._versions.last_sequence
             snap["db.live_files"] = self._versions.current.num_files()
             snap["db.total_sst_bytes"] = self._versions.current.total_size()
-            snap["integrity.quarantined_files"] = len(self._quarantined)
+            snap["integrity.quarantined_files"] = len(self._tables.quarantined)
         counter = self.options.trusted_counter
         if counter is not None:
             try:
@@ -1373,6 +1270,20 @@ class DB:
                 self._compacting -= job.input_numbers()
                 self._cond.notify_all()
 
+    def capture_file_set(self) -> tuple[list[int], str, bytes]:
+        """Flush, then (live SST numbers, MANIFEST name, MANIFEST bytes) of
+        one instant: all read under the engine mutex, so no flush or
+        compaction can append an edit naming a file the list lacks."""
+        self.flush()
+        with self._mutex:
+            self._check_state()
+            live = sorted(meta.number for __, meta in self.live_files())
+            manifest_name = (
+                self.env.read_file(current_path(self.path)).decode().strip()
+            )
+            manifest = self.env.read_file(f"{self.path}/{manifest_name}")
+        return live, manifest_name, manifest
+
     def checkpoint(self, dest_path: str) -> None:
         """Create an openable, consistent copy of the database.
 
@@ -1382,23 +1293,14 @@ class DB:
         checkpoint by resolving them through the KDS -- file-level sharing
         exactly as in the read-only-instance mechanism.
         """
-        self.flush()
         self.env.mkdirs(dest_path)
-        with self._mutex:
-            self._check_state()
-            live = [meta.number for __, meta in self._versions.current.all_files()]
-            manifest_name = (
-                self.env.read_file(current_path(self.path)).decode().strip()
-            )
+        live, manifest_name, manifest = self.capture_file_set()
         for number in live:
             name = f"{number:06d}.sst"
             self.env.write_file(
                 f"{dest_path}/{name}", self.env.read_file(f"{self.path}/{name}")
             )
-        self.env.write_file(
-            f"{dest_path}/{manifest_name}",
-            self.env.read_file(f"{self.path}/{manifest_name}"),
-        )
+        self.env.write_file(f"{dest_path}/{manifest_name}", manifest)
         self.env.write_file(
             current_path(dest_path), (manifest_name + "\n").encode()
         )
@@ -1464,10 +1366,7 @@ class DB:
             if self._wal is not None:
                 self._wal.close()
             self._versions.close()
-        with self._table_lock:
-            for reader in self._table_cache.values():
-                reader.close()
-            self._table_cache.clear()
+        self._tables.close()
 
     def simulate_crash(self) -> None:
         """Kill the process abruptly: in-flight buffers are abandoned.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.env.base import Env
-from repro.errors import CorruptionError, InvalidArgumentError
+from repro.errors import AuthenticationError, CorruptionError, InvalidArgumentError
 from repro.lsm.block import (
     Block,
     Entry,
@@ -310,7 +310,11 @@ class SSTReader:
         raw = self._file.read(self._payload_base + offset, length)
         if len(raw) != length:
             raise CorruptionError(f"{self.path}: short read at {offset}")
-        return self._crypto.open(raw, offset, aad)
+        try:
+            return self._crypto.open(raw, offset, aad)
+        except AuthenticationError as exc:
+            exc.sst_path = self.path  # every SST tag is checked here, only here
+            raise
 
     def _parse_index(self, buf: bytes) -> list[tuple[bytes, int, int, int]]:
         try:

@@ -36,6 +36,8 @@ from repro.env.base import Env
 from repro.errors import CorruptionError
 from repro.lsm.envelope import FILE_KIND_WAL, MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.filecrypto import CryptoProvider, FileCrypto
+from repro.lsm.filename import parse_file_name
+from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.util.checksum import masked_crc32
 from repro.util.coding import (
@@ -164,6 +166,26 @@ def read_wal_records(env: Env, path: str, provider: CryptoProvider) -> list[byte
         return _replay_sealed_units(crypto, body)
     records, _ = _parse_frames(crypto.open(body, 0))
     return records
+
+
+def replay_wals(
+    env: Env, dbname: str, provider: CryptoProvider, log_number: int, mem
+) -> tuple[list[str], int]:
+    """Replay every WAL of ``dbname`` numbered >= ``log_number`` into
+    ``mem``, oldest first: a writer's recovery and a read-only instance's
+    refresh.  Returns (paths replayed, last sequence seen or 0)."""
+    wals = []
+    for name in env.list_dir(dbname):
+        parsed = parse_file_name(name)
+        if parsed and parsed[0] == "wal" and parsed[1] >= log_number:
+            wals.append((parsed[1], f"{dbname}/{name}"))
+    wals.sort()
+    last_sequence = 0
+    for __, path in wals:
+        for payload in read_wal_records(env, path, provider):
+            first_seq, batch = WriteBatch.deserialize(payload)
+            last_sequence = max(last_sequence, batch.insert_into(mem, first_seq))
+    return [path for __, path in wals], last_sequence
 
 
 def _parse_frames(payload: bytes) -> tuple[list[bytes], bool]:

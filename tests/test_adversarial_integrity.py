@@ -7,10 +7,14 @@ a silently wrong value), snapshot replay raises ``RollbackError``, and
 repair quarantines rather than aborts.
 """
 
+import threading
+
 import pytest
 
+from repro.dist.compaction_service import CompactionService
 from repro.env.mem import MemEnv
 from repro.errors import AuthenticationError, RollbackError
+from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.options import Options
@@ -264,43 +268,128 @@ def test_repair_reanchors_trusted_counter():
         )
 
 
-def test_compaction_over_tampered_input_quarantines_and_aborts():
-    """Compaction reads its inputs as raw entries, outside the block cache;
-    the tag is still checked before any block is parsed.  A tampered input
-    quarantines that file and aborts the job -- inputs stay live, nothing
-    is written from unauthenticated bytes, and the engine keeps serving
-    (no background error)."""
+class _OutageAfterGrants(FaultyKDS):
+    """Goes down right after granting ``grants_left`` more DEKs."""
+
+    grants_left = None
+
+    def provision(self, server_id, scheme="shake-ctr"):
+        dek = super().provision(server_id, scheme)
+        if self.grants_left is not None:
+            self.grants_left -= 1
+            if self.grants_left == 0:
+                self.go_down()
+        return dek
+
+
+def _three_parked_l0_files(route, kds, key, keys_per_file=100, **engine):
+    """A DB holding three L0 files with compaction parked (trigger out of
+    reach), so the test picks the moment the one job runs; ``route`` picks
+    who runs it: the DB, or a worker with its own KDS identity."""
     env = MemEnv()
     options = _options(env)
-    options.level0_file_num_compaction_trigger = 3
-    db = open_shield_db("/adv", _shield(InMemoryKDS()), options)
-    try:
-        for batch in range(2):
-            for i in range(100):
-                db.put(b"key-%d-%04d" % (batch, i), b"value-%04d" % i)
-            db.flush()
-        inputs = _sst_paths(env, "/adv")
-        assert len(inputs) == 2
-        _flip_payload_byte(env, inputs[0], skew=0.3)  # inside a data block
+    options.level0_file_num_compaction_trigger = 100
+    options.adaptive_compaction = False  # the leveled L0 -> L1 job, always
+    for name, value in engine.items():
+        setattr(options, name, value)
+    if route == "offloaded":
+        worker = ShieldOptions(
+            kds=kds, scheme=_AEAD_SCHEME, server_id="compaction-1"
+        )
+        options.compaction_service = CompactionService(
+            env, worker.build_provider(), options
+        )
+    db = open_shield_db("/adv", _shield(kds), options)
+    for batch in range(3):
+        for i in range(keys_per_file):
+            db.put(key(batch, i), b"value-%04d" % i)
+        db.flush()
+    db.wait_for_compaction()  # quiescent: each flush's WAL is deleted by now
+    assert len(_sst_paths(env, "/adv")) == 3
+    return env, db
 
-        for i in range(100):
-            db.put(b"key-2-%04d" % i, b"value-%04d" % i)
-        db.flush()  # third L0 file: the picker now wants all three merged
+
+def _release_compaction(db, timeout=30.0):
+    """Let the parked job run; fail instead of hanging if the wait never
+    ends (a job that aborts without excluding its input is picked again)."""
+    db.options.level0_file_num_compaction_trigger = 3
+    returned = threading.Event()
+
+    def wait():
         db.wait_for_compaction()
+        returned.set()
+
+    threading.Thread(target=wait, daemon=True).start()
+    assert returned.wait(timeout), "wait_for_compaction() never returned"
+
+
+@pytest.mark.parametrize("route", ["local", "offloaded"])
+def test_compaction_over_tampered_input_quarantines_and_aborts(route):
+    """Compaction reads its inputs as raw entries, outside the block cache;
+    the tag is still checked before any block is parsed.  A tampered input
+    quarantines that file and aborts the job, once -- wherever the merge ran
+    -- inputs stay live, nothing is written from unauthenticated bytes, and
+    the engine keeps serving (no background error)."""
+    env, db = _three_parked_l0_files(
+        route, InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i)
+    )
+    try:
+        inputs = _sst_paths(env, "/adv")
+        _flip_payload_byte(env, inputs[0], skew=0.3)  # inside a data block
+        _release_compaction(db)
 
         snap = db.stats_snapshot()
-        assert snap["integrity.compaction_auth_aborts"] >= 1
+        assert snap["integrity.compaction_auth_aborts"] == 1
         assert snap["integrity.quarantines"] == 1
         assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == inputs[:1]
         assert db.health()["reason"] == "quarantined-sst"
         # The job left no trace: same live files, no half-written output.
-        assert _sst_paths(env, "/adv")[:2] == inputs
-        assert len(_sst_paths(env, "/adv")) == 3
+        assert _sst_paths(env, "/adv") == inputs
 
         # No bg_error: writes, flushes and reads of clean files carry on.
         db.put(b"after", b"still-writable")
         db.flush()
         assert db.get(b"after") == b"still-writable"
         assert db.get(b"key-1-0042") == b"value-0042"
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("fault", ["failed-tag", "kds-outage"])
+@pytest.mark.parametrize("route", ["local", "offloaded"])
+def test_aborted_merge_leaves_no_output_file_and_no_dek_behind(route, fault):
+    """A merge that dies after finishing some outputs deletes them and
+    retires their DEKs -- and the DEK of the output it was still building --
+    before the error goes on: no SST outside the live set, no DEK without a
+    file, whether the fault is a bad block late in an input or the KDS
+    refusing the second output's DEK."""
+    kds = _OutageAfterGrants(InMemoryKDS())
+    env, db = _three_parked_l0_files(
+        route, kds,
+        # Interleaved: the merge draws on all three inputs in step, so a bad
+        # block late in the first comes after most of the job is written.
+        lambda batch, i: b"key-%04d-%d" % (i, batch),
+        keys_per_file=400, target_file_size=2048,
+    )
+    try:
+        merger = (db.options.compaction_service or db).provider
+        live_before = _sst_paths(env, "/adv")
+        deks_before = kds.live_dek_count()
+        granted_before = merger.deks_provisioned
+        if fault == "failed-tag":
+            _flip_payload_byte(env, live_before[0], skew=0.8)
+        else:
+            kds.grants_left = 1  # the first output's DEK is the last granted
+        _release_compaction(db)
+        if fault == "kds-outage":
+            kds.come_up()  # retires refused meanwhile were queued, not lost
+            merger.key_client.drain_pending_retires()
+
+        # The fault hit a merge that had outputs to lose.
+        granted = merger.deks_provisioned - granted_before
+        assert granted >= 3 if fault == "failed-tag" else granted == 1
+        live = sorted(f"/adv/{meta.number:06d}.sst" for __, meta in db.live_files())
+        assert _sst_paths(env, "/adv") == live == live_before
+        assert kds.live_dek_count() == deks_before
     finally:
         db.close()

@@ -1,12 +1,16 @@
 """Tests for multi_get, checkpoint, get_property, and AlignedReadEnv."""
 
+import threading
+
 import pytest
 
 from repro.crypto.cipher import generate_key
 from repro.env.aligned import AlignedReadEnv
+from repro.env.base import EnvWrapper
 from repro.env.mem import MemEnv
 from repro.errors import InvalidArgumentError
 from repro.keys.kds import InMemoryKDS
+from repro.lsm.backup import BackupEngine
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.shield import ShieldOptions, open_shield_db
@@ -77,6 +81,50 @@ def test_checkpoint_encrypted_opens_via_kds():
         assert copy.get(b"key-100") == b"secret-100"
     finally:
         copy.close()
+
+
+class _OpenHookEnv(EnvWrapper):
+    """``on_open(path)`` runs inside every open-for-read."""
+
+    on_open = None
+
+    def new_random_access_file(self, path):
+        if self.on_open is not None:
+            self.on_open(path)
+        return self.inner.new_random_access_file(path)
+
+
+@pytest.mark.parametrize("copier", ["checkpoint", "backup"])
+def test_manifest_is_copied_while_the_engine_mutex_is_held(copier):
+    """The file list and the MANIFEST must be of one instant: a flush that
+    slipped between them would append an edit naming an SST the copy lacks.
+    So the MANIFEST is read with the mutex held -- another thread cannot
+    take it at that moment."""
+    env = _OpenHookEnv(MemEnv())
+    db = DB("/src", _options(env))
+    mutex_was_held = []
+
+    def probe(path):
+        if "MANIFEST" in path:
+            def try_mutex():
+                taken = db._mutex.acquire(blocking=False)
+                if taken:
+                    db._mutex.release()
+                mutex_was_held.append(not taken)
+            other = threading.Thread(target=try_mutex)
+            other.start()
+            other.join()
+
+    with db:
+        for i in range(300):
+            db.put(b"key-%03d" % i, b"v-%03d" % i)
+        env.on_open = probe
+        if copier == "checkpoint":
+            db.checkpoint("/snap")
+        else:
+            BackupEngine(env, "/backups").create_backup(db)
+        env.on_open = None
+    assert mutex_was_held == [True]
 
 
 def test_get_property():

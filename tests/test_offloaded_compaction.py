@@ -6,13 +6,15 @@ under its own identity, (3) provision fresh DEKs for its outputs, and
 (4) leave the compute-side DB able to read everything afterwards.
 """
 
+import itertools
+
 import pytest
 
 from repro.dist.deployment import build_ds_deployment
 from repro.dist.network import NetworkConfig
 from repro.keys.cache import SecureDEKCache
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
-from repro.lsm.compaction import CompactionJob
+from repro.lsm.compaction import CompactionJob, MergeExecutor
 from repro.lsm.db import DB
 from repro.lsm.dbformat import TYPE_DELETE
 from repro.lsm.filename import sst_path
@@ -69,30 +71,39 @@ def test_local_and_offloaded_merges_write_the_same_entries(bottommost):
             for i in range(run * 5, 260, 11):
                 db.delete(b"key-%04d" % i)
             db.flush()
-        inputs = list(db._versions.current.levels[0])
+        inputs = [meta for level, meta in db.live_files() if level == 0]
         assert len(inputs) >= 3
 
-        def read(metas):
+        def read(numbers):
             return [
                 list(SSTReader(
-                    options.env, sst_path("/db", meta.number),
-                    db.provider, options,
+                    options.env, sst_path("/db", number), db.provider, options,
                 ).entries())
-                for meta in metas
+                for number in numbers
             ]
 
-        # The private halves of DB._run_merge_compaction, on the same job.
+        # One job through each holder of the one executor body: the kind the
+        # DB runs itself, and the worker on the storage side of the link.
         job = CompactionJob(
             inputs={0: inputs}, output_level=1, bottommost=bottommost
         )
-        local = read(db._merge_locally(job))
-        offloaded = read(db._merge_via_service(job))
+        numbers = itertools.count(1000)
+        local, offloaded = (
+            read(number for number, __ in executor.merge(
+                "/db", job, options.target_file_size, lambda: next(numbers)
+            ))
+            for executor in (
+                MergeExecutor(options.env, db.provider, options),
+                options.compaction_service,
+            )
+        )
 
         assert len(local) > 1  # outputs split at target_file_size
         assert local == offloaded
         merged = [entry for output in local for entry in output]
         assert merged == list(newest_visible(
-            merge_entries(read(inputs)), keep_tombstones=not bottommost
+            merge_entries(read(meta.number for meta in inputs)),
+            keep_tombstones=not bottommost,
         ))
         has_tombstones = any(vtype == TYPE_DELETE for __, ___, vtype, ____ in merged)
         assert has_tombstones != bottommost

@@ -1,15 +1,17 @@
-"""Model test of the merged scan view: one dict oracle, rules not examples.
+"""Model test of the read path: one dict oracle, rules not examples.
 
 A Hypothesis state machine grows a random tree -- overlapping L0 files,
 several levels holding older versions of the same keys, tombstones, an
-immutable memtable whose flush is parked at a sync point -- and after any
-step may ask every scanner (``DB.scan``, ``DB.iterator``,
-``ReadOnlyInstance.scan``) for a random ``(start, end, limit, snapshot)``:
-same pairs, same order, as the oracle.  One machine per scheme.
+immutable memtable whose flush is parked at a sync point, a close and
+reopen through WAL replay -- and after any step may ask every scanner
+(``DB.scan``, ``DB.iterator``, ``ReadOnlyInstance.scan``) for a random
+``(start, end, limit, snapshot)`` and every point reader (``DB.get``,
+``DB.multi_get``, ``ReadOnlyInstance.get``) for random keys: same answers
+as the oracle.  One machine per scheme.
 
-This is a first slice of ROADMAP's model-test item: ``Oracle`` is the dict
-with snapshots that item asks for, and the machine's rules are the ones it
-lists that a scan can observe.  Grow this file; do not start another.
+This is a slice of ROADMAP's model-test item: ``Oracle`` is the dict with
+snapshots that item asks for, and the machine's rules are the ones it lists
+that a read can observe.  Grow this file; do not start another.
 """
 
 import itertools
@@ -55,6 +57,9 @@ class Oracle:
     def snapshot(self) -> int:
         """A token for "everything written so far"."""
         return len(self._log)
+
+    def get(self, key: bytes, at=None) -> bytes | None:
+        return dict(self._log[:at]).get(key)
 
     def scan(self, start=b"", end=None, limit=None, at=None):
         view = dict(self._log[:at])
@@ -103,18 +108,12 @@ class ScanModel(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.env, kds = MemEnv(), InMemoryKDS()
+        self.env, self.kds = MemEnv(), InMemoryKDS()
         provider = None
-        if self.scheme is None:
-            self.db = DB("/model", _options(self.env))
-        else:
-            # WAL buffer 0: a read-only instance sees a write once it is in
-            # the WAL file, not while it sits in the primary's seal buffer.
-            self.db = open_shield_db("/model", ShieldOptions(
-                kds=kds, scheme=self.scheme, wal_buffer_size=0,
-            ), _options(self.env))
+        self.db = self._open()
+        if self.scheme is not None:
             provider = ShieldOptions(
-                kds=kds, scheme=self.scheme, server_id="reader-1"
+                kds=self.kds, scheme=self.scheme, server_id="reader-1"
             ).build_provider()
         self.readonly = ReadOnlyInstance(
             "/model", _options(self.env), provider=provider
@@ -122,6 +121,15 @@ class ScanModel(RuleBasedStateMachine):
         self.oracle = Oracle()
         self.snapshots: list[tuple[int, int]] = []  # (engine seq, oracle token)
         self.parked: threading.Event | None = None
+
+    def _open(self):
+        if self.scheme is None:
+            return DB("/model", _options(self.env))
+        # WAL buffer 0: a read-only instance sees a write once it is in
+        # the WAL file, not while it sits in the primary's seal buffer.
+        return open_shield_db("/model", ShieldOptions(
+            kds=self.kds, scheme=self.scheme, wal_buffer_size=0,
+        ), _options(self.env))
 
     def teardown(self):
         if self.parked is not None:
@@ -198,6 +206,14 @@ class ScanModel(RuleBasedStateMachine):
         self.parked = None
         self._settle()
 
+    @precondition(lambda self: self.parked is None)
+    @rule()
+    def reopen(self):
+        """Whatever the memtable held comes back through WAL replay, under
+        the sequence numbers it was written with (snapshots stay exact)."""
+        self.db.close()
+        self.db = self._open()
+
     def _settle(self, full=False):
         compactions = self.db.stats.counter("db.compactions")
         before = compactions.value
@@ -232,6 +248,23 @@ class ScanModel(RuleBasedStateMachine):
             self.readonly.refresh()
             got = self.readonly.scan(start, end, limit)
             assert got == expected, "ReadOnlyInstance.scan"
+
+    @rule(
+        keys=st.lists(KEYS, min_size=1, max_size=8),
+        snapshot=st.none() | st.integers(min_value=0, max_value=1_000),
+    )
+    def gets_agree_with_the_oracle(self, keys, snapshot):
+        seq = at = None
+        if snapshot is not None and self.snapshots:
+            seq, at = self.snapshots[snapshot % len(self.snapshots)]
+        opts = ReadOptions(snapshot=seq)
+        expected = {key: self.oracle.get(key, at) for key in keys}
+        assert {key: self.db.get(key, opts) for key in keys} == expected, "DB.get"
+        assert self.db.multi_get(keys, opts) == expected, "DB.multi_get"
+        if at is None:
+            self.readonly.refresh()
+            got = {key: self.readonly.get(key) for key in keys}
+            assert got == expected, "ReadOnlyInstance.get"
 
     @invariant()
     def levels_are_sorted_runs(self):

@@ -11,7 +11,6 @@ from repro.env.mem import MemEnv
 from repro.errors import CorruptionError, EncryptionError, InvalidArgumentError
 from repro.lsm.db import DB
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
-from repro.lsm.filename import sst_path
 from repro.lsm.filecrypto import (
     PlaintextCryptoProvider,
     SingleKeyCryptoProvider,
@@ -278,7 +277,9 @@ def test_concurrent_block_reads_share_one_context_and_match_fresh_ones(scheme):
     assert _context_inits() - before == 8 * 40  # only the test's fresh contexts
 
 
-@pytest.mark.parametrize("forget", ["_drop_table", "_quarantine_table"])
+@pytest.mark.parametrize(
+    "forget", ["drop", "mark"], ids=["_drop_table", "_quarantine_table"]
+)  # ids: the DB-level events (a dead file, a failed tag) behind each call
 def test_a_reader_recreated_after_drop_or_quarantine_initialises_again(forget):
     provider = SingleKeyCryptoProvider("shake-ctr", generate_key("shake-ctr"))
     options = Options(env=MemEnv(), crypto_provider=provider, block_cache_size=0)
@@ -286,19 +287,17 @@ def test_a_reader_recreated_after_drop_or_quarantine_initialises_again(forget):
         for i in range(300):
             db.put(b"key-%06d" % i, b"value-%06d" % i)
         db.flush()
-        (meta,) = db._versions.current.levels[0]
+        ((__, meta),) = db.live_files()
+        tables = db._tables
         db.get(b"key-000001")
         before = _context_inits()
         db.get(b"key-000002")
         assert _context_inits() == before  # the cached reader's context
+        cached = tables.reader(meta.number)
         # The context dies with the reader that held the key ...
-        if forget == "_drop_table":
-            data = db.env.read_file(sst_path(db.path, meta.number))
-            db._drop_table(meta)
-            db.env.write_file(sst_path(db.path, meta.number), data)
-        else:
-            db._quarantine_table(meta.number)
-        assert meta.number not in db._table_cache
+        getattr(tables, forget)(meta.number)
         # ... and the next reader of the same file pays one init of its own.
-        assert db._get_reader(meta).get(b"key-000003") == (TYPE_PUT, b"value-000003")
+        fresh = tables.reader(meta.number)
+        assert fresh is not cached
+        assert fresh.get(b"key-000003") == (TYPE_PUT, b"value-000003")
         assert _context_inits() - before == 1
