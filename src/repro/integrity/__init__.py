@@ -19,6 +19,7 @@ from repro.integrity.freshness import (
     FRESH,
     INITIALIZED,
     TORN_RECOVERED,
+    verify,
     verify_and_advance,
 )
 from repro.integrity.merkle import EMPTY_ROOT, ROOT_SIZE, leaf_hash, merkle_root
@@ -35,5 +36,6 @@ __all__ = [
     "TrustedCounter",
     "leaf_hash",
     "merkle_root",
+    "verify",
     "verify_and_advance",
 ]

@@ -674,7 +674,7 @@ class MergeExecutor:
         try:
             return merge_tables(
                 [
-                    tables.reader(meta.number).raw_entries()
+                    tables.reader(meta).raw_entries()
                     for __, meta in job.input_files()
                 ],
                 open_output,

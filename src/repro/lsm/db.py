@@ -14,11 +14,9 @@ The structure mirrors Figure 1 of the paper:
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from repro.env.base import Env
 from repro.env.mem import MemEnv
@@ -32,7 +30,7 @@ from repro.errors import (
     NotFoundError,
 )
 from repro.lsm.compaction import CompactionJob, MergeExecutor, make_picker
-from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_PUT
+from repro.lsm.dbformat import MAX_SEQUENCE
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
 from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL
@@ -46,9 +44,9 @@ from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable, make_memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.sst import SSTBuilder, SSTFileInfo
-from repro.lsm.tables import TableSet
-from repro.lsm.version import FileMetadata, VersionEdit, VersionSet
-from repro.lsm.wal import WALWriter, replay_wals
+from repro.lsm.tables import Attribution, TableSet, lookup
+from repro.lsm.version import FileMetadata, VersionEdit, recover_store
+from repro.lsm.wal import WALWriter
 from repro.lsm.write_batch import WriteBatch
 from repro.obs import costs
 from repro.obs.trace import TRACER
@@ -120,23 +118,6 @@ class _WriteRequest:
         self.error: BaseException | None = None
 
 
-@dataclass
-class _Attribution(contextlib.AbstractContextManager):
-    """``with`` this around whatever reads this DB's SSTs: a call, a lazy
-    cursor, a merge here or on another server.  ``SSTReader`` stamps the file
-    on the ``AuthenticationError`` it lets through; here, and only here, the
-    stamp becomes a quarantine mark.  The error always goes on."""
-
-    tables: TableSet
-    stats: StatsRegistry
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        if isinstance(exc, AuthenticationError):
-            parsed = parse_file_name((exc.sst_path or "").rpartition("/")[2])
-            if parsed and self.tables.mark(parsed[1]):
-                self.stats.counter("integrity.quarantines").add(1)
-
-
 class DB:
     """An embedded LSM key-value store (RocksDB-like API surface)."""
 
@@ -179,7 +160,7 @@ class DB:
         self._tables = TableSet(
             self.env, path, self.provider, self.options, self._block_cache
         )
-        self._attributing = _Attribution(self._tables, self.stats)
+        self._attributing = Attribution(self._tables, self.stats)
 
         from repro.util.clock import RealClock
 
@@ -205,15 +186,10 @@ class DB:
         )
 
         self.env.mkdirs(path)
-        self._versions = VersionSet(
-            self.env,
-            path,
-            self.provider,
-            self.options.num_levels,
-            trusted_counter=self.options.trusted_counter,
-            stats=self.stats,
+        self._versions, recovered, old_wals = recover_store(
+            self.env, path, self.provider, self.options, self.stats, writer=True
         )
-        self._recover()
+        self._recover(recovered, old_wals)
 
     # ------------------------------------------------------------------
     # Adaptive control loop (closed-loop observability)
@@ -335,27 +311,9 @@ class DB:
     # Recovery / open
     # ------------------------------------------------------------------
 
-    def _recover(self) -> None:
-        have_current = self.env.file_exists(current_path(self.path))
-        if have_current:
-            self._versions.recover()
-        elif not self.options.create_if_missing:
-            raise InvalidArgumentError(f"database {self.path} does not exist")
-
-        # Freshness gate: the recovered file set must match (or be one torn
-        # transition behind) the trusted counter's anchor before anything
-        # here is believed.  Raises RollbackError on a replayed snapshot.
-        self._versions.verify_freshness()
-
-        recovered = make_memtable("skiplist")
-        old_wals, last_replayed = replay_wals(
-            self.env, self.path, self.provider, self._versions.log_number,
-            recovered,
-        )
-        self._versions.last_sequence = max(
-            self._versions.last_sequence, last_replayed
-        )
-
+    def _recover(self, recovered: Memtable, old_wals: list[str]) -> None:
+        """The writer's tail of ``recover_store``: a new MANIFEST and WAL, the
+        replayed memtable flushed, the replayed WALs and crash orphans gone."""
         new_log = self._versions.new_file_number()
         self._versions.log_number = new_log
         self._versions.create_manifest()
@@ -372,6 +330,10 @@ class DB:
         for path in old_wals:
             self._delete_db_file(path)
         self._garbage_collect_orphans()
+        # The flush above added an L0 file like any other: left unscheduled,
+        # a store reopened up to the stop trigger blocks its first write on
+        # a compaction nobody asked for.
+        self._maybe_schedule_compaction()
 
     def _garbage_collect_orphans(self) -> None:
         """Remove files left behind by a crash.
@@ -967,32 +929,11 @@ class DB:
     def _get_once(self, key: bytes, snapshot: int) -> bytes | None:
         with self._mutex:
             self._check_open()
-            mem = self._mem
-            immutables = [entry[0] for entry in reversed(self._imm)]
+            memtables = [entry[0] for entry in self._imm]
+            memtables.append(self._mem)
+            memtables.reverse()  # newest first
             version = self._versions.current
-
-        result = mem.get(key, snapshot)
-        if result is None:
-            for imm in immutables:
-                result = imm.get(key, snapshot)
-                if result is not None:
-                    break
-        if result is None:
-            probe_counter = self.stats.counter("db.get_sst_probes")
-            tables = self._tables
-            for __, meta in version.candidates_for_key(key):
-                if meta.smallest_seq > snapshot:
-                    continue
-                probe_counter.add(1)
-                result = tables.reader(meta.number).get(key, snapshot)
-                if tables.quarantined:  # a clean read heals a transient failure
-                    tables.clear(meta.number)
-                if result is not None:
-                    break
-        if result is None:
-            return None
-        vtype, value = result
-        return value if vtype == TYPE_PUT else None
+        return lookup(memtables, version, self._tables, self.stats, key, snapshot)
 
     def multi_get(
         self, keys: list[bytes], opts: ReadOptions | None = None
@@ -1054,7 +995,7 @@ class DB:
 
         def entries_of(meta: FileMetadata, seek: bytes):
             opened.append(meta.number)
-            return self._tables.reader(meta.number).entries_from(seek)
+            return self._tables.reader(meta).entries_from(seek)
 
         results = list(
             scan_runs(memtables, runs, entries_of, start, end, limit, snapshot)
@@ -1132,7 +1073,7 @@ class DB:
         compacted away in between raises, and ``_retrying`` captures again."""
         memtables, runs = self._scan_sources(start, end)
         pinned = {
-            meta.number: self._tables.reader(meta.number)
+            meta.number: self._tables.reader(meta)
             for run in runs for meta in run
         }
         return memtables, runs, pinned

@@ -268,7 +268,7 @@ class SSTReader:
         self._options = options
         self._cache = block_cache
         self._file = env.new_random_access_file(path)
-        file_size = self._file.size()
+        self.file_size = file_size = self._file.size()
 
         head = self._file.read(0, min(MAX_ENVELOPE_SIZE, file_size))
         self.envelope = decode_envelope(head)

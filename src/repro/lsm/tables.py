@@ -6,19 +6,26 @@ resolve it through *this* server's provider, read.  The writer's ``DB``, a
 ``ReadOnlyInstance`` and an offloaded compaction worker all do it here; they
 differ in what they pass in -- a block cache (the DB alone), a provider (each
 server's own KDS identity) -- and in how long they keep the set (the life of
-the DB, of the instance, of one merge job).
+the DB, of the instance, of one merge job).  All of them name the file by the
+``FileMetadata`` their MANIFEST holds, and the open checks the file against it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
+from dataclasses import dataclass
 
 from repro.env.base import Env
+from repro.errors import AuthenticationError
+from repro.lsm.dbformat import TYPE_PUT
 from repro.lsm.filecrypto import CryptoProvider
-from repro.lsm.filename import sst_path
+from repro.lsm.filename import parse_file_name, sst_path
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
+from repro.lsm.version import FileMetadata, Version
 from repro.util.lru import LRUCache
+from repro.util.stats import StatsRegistry
 
 
 class TableSet:
@@ -44,13 +51,15 @@ class TableSet:
         #: read resolves it.  Replaced, never mutated: reading takes no lock.
         self.quarantined: frozenset[int] = frozenset()
 
-    def reader(self, number: int) -> SSTReader:
+    def reader(self, meta: FileMetadata) -> SSTReader:
+        number = meta.number
         with self._lock:
             reader = self._readers.get(number)
         if reader is None:
             # Opened outside the lock: a cold open reads the envelope,
             # resolves the DEK (maybe a KDS round trip) and loads the index.
             reader = self._open(number)
+            _check_binding(reader, meta)  # per open, never per read
             with self._lock:
                 reader = self._readers.setdefault(number, reader)
         return reader
@@ -85,3 +94,71 @@ class TableSet:
         """A clean authenticated read resolves a prior transient failure."""
         with self._lock:
             self.quarantined -= {number}
+
+
+def _check_binding(reader: SSTReader, meta: FileMetadata) -> None:
+    """A sealed file authenticates under its own DEK wherever it is put, so
+    authentic bytes under the wrong name -- an older sibling, a retired file,
+    two live files swapped -- pass every tag.  What was opened must be what
+    the MANIFEST (and, through its Merkle leaf, the trusted counter) names."""
+    props = reader.properties
+    if (
+        reader.dek_id, reader.file_size, reader.num_entries,
+        props.get("smallest_key"), props.get("largest_key"),
+    ) != (
+        meta.dek_id, meta.size, meta.num_entries,
+        meta.smallest.hex(), meta.largest.hex(),
+    ):
+        reader.close()
+        error = AuthenticationError(
+            f"{reader.path}: not the file the MANIFEST names (DEK-ID, size, "
+            "key range or entry count differ)"
+        )
+        error.sst_path = reader.path
+        raise error
+
+
+@dataclass
+class Attribution(contextlib.AbstractContextManager):
+    """``with`` this around whatever reads a table set's SSTs: a call, a lazy
+    cursor, a merge here or on another server.  ``SSTReader`` and the binding
+    check stamp the file on the ``AuthenticationError`` they let through;
+    here, and only here, the stamp becomes a quarantine mark.  The error
+    always goes on."""
+
+    tables: TableSet
+    stats: StatsRegistry
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if isinstance(exc, AuthenticationError):
+            parsed = parse_file_name((exc.sst_path or "").rpartition("/")[2])
+            if parsed and self.tables.mark(parsed[1]):
+                self.stats.counter("integrity.quarantines").add(1)
+
+
+def lookup(
+    memtables: list, version: Version, tables: TableSet, stats: StatsRegistry,
+    key: bytes, snapshot: int,
+) -> bytes | None:
+    """The one point lookup: ``memtables`` newest first, then the files of
+    ``version`` that may hold ``key``, newest first; the value visible at
+    ``snapshot``, or None."""
+    for memtable in memtables:
+        result = memtable.get(key, snapshot)
+        if result is not None:
+            break
+    else:
+        probe_counter = stats.counter("db.get_sst_probes")
+        for __, meta in version.candidates_for_key(key):
+            if meta.smallest_seq > snapshot:
+                continue
+            probe_counter.add(1)
+            result = tables.reader(meta).get(key, snapshot)
+            if tables.quarantined:  # a clean read heals a transient failure
+                tables.clear(meta.number)
+            if result is not None:
+                break
+        else:
+            return None
+    vtype, value = result
+    return value if vtype == TYPE_PUT else None

@@ -16,13 +16,19 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.env.base import Env
-from repro.errors import CorruptionError, RecoveryError
-from repro.integrity.freshness import verify_and_advance
+from repro.errors import (
+    CorruptionError,
+    InvalidArgumentError,
+    RecoveryError,
+    RollbackError,
+)
+from repro.integrity.freshness import verify, verify_and_advance
 from repro.integrity.merkle import merkle_root
 from repro.lsm.envelope import FILE_KIND_MANIFEST
 from repro.lsm.filecrypto import CryptoProvider
 from repro.lsm.filename import current_path, manifest_path
-from repro.lsm.wal import WALWriter, read_wal_records
+from repro.lsm.memtable import make_memtable
+from repro.lsm.wal import WALWriter, read_wal_records, replay_wals
 from repro.util.syncpoint import SYNC
 from repro.util.coding import (
     decode_length_prefixed,
@@ -403,18 +409,19 @@ class VersionSet:
         if self._stats is not None:
             self._stats.counter("integrity.freshness_advances").add(1)
 
-    def verify_freshness(self) -> str | None:
+    def verify_freshness(self, *, advance: bool) -> str | None:
         """Open-time check of the recovered state against the counter.
 
         Returns the disposition (``fresh`` / ``initialized`` /
         ``torn-recovered``), None when no counter is configured, and
         raises ``RollbackError`` when storage is older than the counter's
-        anchor.
+        anchor.  Only the writer may ``advance`` (bind, re-anchor) it.
         """
         if self._trusted_counter is None:
             return None
         root = merkle_root(self.current)
-        disposition = verify_and_advance(self._trusted_counter, root)
+        check = verify_and_advance if advance else verify
+        disposition = check(self._trusted_counter, root)
         self._last_root = root
         if self._stats is not None:
             self._stats.counter("integrity.freshness_checks").add(1)
@@ -450,3 +457,41 @@ class VersionSet:
         if self._manifest is not None:
             self._manifest.close()
             self._manifest = None
+
+
+#: A non-writer reads the MANIFEST, then the counter, while a live writer may
+#: move both: a mismatch is believed only when this many re-reads agree.
+_READER_ATTEMPTS = 4
+
+
+def recover_store(
+    env: Env, path: str, provider: CryptoProvider, options, stats, *, writer: bool
+):
+    """Open a store -- MANIFEST replay, freshness gate, WAL replay, in the
+    only order there is -- for its writer (``DB``: may create it, binds or
+    re-anchors ``options.trusted_counter``) or for anybody else (a
+    ``ReadOnlyInstance``: verifies, writes nothing).  Returns ``(versions,
+    memtable of the replayed WALs, their paths)``; ``RollbackError`` when the
+    file set is older than the counter's anchor."""
+    attempts = 1 if writer else _READER_ATTEMPTS
+    for attempt in range(1, attempts + 1):
+        versions = VersionSet(
+            env, path, provider, options.num_levels,
+            trusted_counter=options.trusted_counter, stats=stats,
+        )
+        if not writer or env.file_exists(current_path(path)):
+            versions.recover()
+        elif not options.create_if_missing:
+            raise InvalidArgumentError(f"database {path} does not exist")
+        try:
+            versions.verify_freshness(advance=writer)
+            break
+        except RollbackError:
+            if attempt == attempts:
+                raise
+    memtable = make_memtable("skiplist" if writer else "dict")
+    old_wals, last_replayed = replay_wals(
+        env, path, provider, versions.log_number, memtable
+    )
+    versions.last_sequence = max(versions.last_sequence, last_replayed)
+    return versions, memtable, old_wals

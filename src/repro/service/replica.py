@@ -339,7 +339,7 @@ class Replica:
         self._stop.set()
         self._close_socket()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._thread.join()
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait for the replication loop to terminate (e.g. auth refusal)."""
@@ -429,6 +429,8 @@ class Replica:
         )
         self._sock = sock
         try:
+            if self._stop.is_set():
+                return  # stop() ran before there was a socket for it to close
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             resume = self.state.last_applied
             self.last_resume_sequence = resume

@@ -310,7 +310,9 @@ class KVServer:
         self.db = db
         self.config = config or ServiceConfig()
         self.stats = StatsRegistry()
-        self._queue: queue.Queue = queue.Queue(self.config.max_queue_depth)
+        # Unbounded, so stop()'s sentinels always fit; the reader threads
+        # enforce ``max_queue_depth`` before they put.
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._workers: list[threading.Thread] = []
@@ -365,37 +367,29 @@ class KVServer:
         if not self._started or self._stopping.is_set():
             return
         self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        # Drain: give queued requests a bounded chance to finish.
+        try:
+            # close() alone leaves a thread blocked in accept() asleep (Linux).
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        self._accept_thread.join()
+        # Drain: one sentinel per worker, behind every queued request; a
+        # worker wedged inside a handler is given up on when the budget ends.
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while not self._queue.empty() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        # Best-effort sentinels for a prompt wake-up; a full queue (stuck
-        # workers) is fine -- workers also exit via the stopping flag in
-        # their timed get, so stop() never blocks here.
         for __ in self._workers:
-            try:
-                self._queue.put_nowait(None)
-            except queue.Full:
-                break
+            self._queue.put(None)
         for worker in self._workers:
-            worker.join(timeout=2.0)
+            worker.join(max(0.0, deadline - time.monotonic()))
         if self._source is not None:
             self._source.close()
         with self._conn_lock:
             connections = list(self._connections)
         for conn in connections:
             conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=2.0)
+        self._health_thread.join()
         for thread in self._conn_threads:
-            thread.join(timeout=2.0)
+            thread.join()
 
     def __enter__(self) -> "KVServer":
         return self.start()
@@ -460,9 +454,9 @@ class KVServer:
                 except AuthorizationError as exc:
                     conn.send(protocol.error_reply(msg.request_id, exc))
                     continue
-                try:
-                    self._queue.put_nowait((conn, msg, time.perf_counter()))
-                except queue.Full:
+                if self._queue.qsize() < self.config.max_queue_depth:
+                    self._queue.put((conn, msg, time.perf_counter()))
+                else:
                     self.stats.counter("service.busy_rejections").add(1)
                     try:
                         conn.send(Message(protocol.RESP_BUSY, msg.request_id))
@@ -519,15 +513,7 @@ class KVServer:
     # -- execute path ------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            try:
-                item = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            if item is None:
-                return
+        while (item := self._queue.get()) is not None:  # None: stop()
             conn, msg, enqueued_at = item
             op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
             started = time.perf_counter()

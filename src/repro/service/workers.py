@@ -162,7 +162,7 @@ class _ShardServer:
                 pass
         finally:
             stop.set()
-            health_thread.join(timeout=1.0)
+            health_thread.join()
             for peer in list(self._direct):
                 self._close_direct(peer)  # a prompt EOF, not a wait on close()
             self._io.close()
@@ -407,8 +407,7 @@ class MultiProcessKVServer:
         if not self._started or self._stopping.is_set():
             return
         self._stopping.set()
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=2.0)
+        self._loop_thread.join()  # its poll wakes every 50 ms
         if self._listener is not None:
             self._io.close_sock(self._listener)
         for conn in list(self._clients):

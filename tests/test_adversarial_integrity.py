@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.dist.compaction_service import CompactionService
+from repro.dist.readonly import ReadOnlyInstance
 from repro.env.mem import MemEnv
 from repro.errors import AuthenticationError, RollbackError
 from repro.keys.faulty import FaultyKDS
@@ -19,8 +20,10 @@ from repro.keys.kds import InMemoryKDS
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.options import Options
 from repro.lsm.repair import QUARANTINE_SUFFIX, repair_db
+from repro.lsm.version import SP_COUNTER_AFTER_PERSIST
 from repro.shield import ShieldOptions, open_shield_db
 from repro.integrity import MemoryTrustedCounter
+from repro.util.syncpoint import SYNC
 
 _AEAD_SCHEME = "shake-etm"  # the fast AEAD; GCM/Poly1305 are covered in unit tests
 
@@ -282,7 +285,10 @@ class _OutageAfterGrants(FaultyKDS):
         return dek
 
 
-def _three_parked_l0_files(route, kds, key, keys_per_file=100, **engine):
+def _three_parked_l0_files(
+    route, kds, key, keys_per_file=100, counter=None,
+    value=lambda batch, i: b"value-%04d" % i, **engine,
+):
     """A DB holding three L0 files with compaction parked (trigger out of
     reach), so the test picks the moment the one job runs; ``route`` picks
     who runs it: the DB, or a worker with its own KDS identity."""
@@ -290,8 +296,8 @@ def _three_parked_l0_files(route, kds, key, keys_per_file=100, **engine):
     options = _options(env)
     options.level0_file_num_compaction_trigger = 100
     options.adaptive_compaction = False  # the leveled L0 -> L1 job, always
-    for name, value in engine.items():
-        setattr(options, name, value)
+    for name, setting in engine.items():
+        setattr(options, name, setting)
     if route == "offloaded":
         worker = ShieldOptions(
             kds=kds, scheme=_AEAD_SCHEME, server_id="compaction-1"
@@ -299,10 +305,10 @@ def _three_parked_l0_files(route, kds, key, keys_per_file=100, **engine):
         options.compaction_service = CompactionService(
             env, worker.build_provider(), options
         )
-    db = open_shield_db("/adv", _shield(kds), options)
+    db = open_shield_db("/adv", _shield(kds, counter=counter), options)
     for batch in range(3):
         for i in range(keys_per_file):
-            db.put(key(batch, i), b"value-%04d" % i)
+            db.put(key(batch, i), value(batch, i))
         db.flush()
     db.wait_for_compaction()  # quiescent: each flush's WAL is deleted by now
     assert len(_sst_paths(env, "/adv")) == 3
@@ -393,3 +399,263 @@ def test_aborted_merge_leaves_no_output_file_and_no_dek_behind(route, fault):
         assert kds.live_dek_count() == deks_before
     finally:
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# Substitution: authentic bytes under the wrong name.  Every unit of a sealed
+# file verifies under the file's own DEK wherever the file is put, so a tag
+# cannot tell; what the MANIFEST names for the file number must.
+# ---------------------------------------------------------------------------
+
+
+def _three_versions_of_the_same_keys(route="local"):
+    """Files 1..3 (oldest first) hold ``gen-0``, ``gen-1``, ``gen-2`` of the
+    same 100 keys; nothing has been read, so no reader is cached."""
+    kds, counter = InMemoryKDS(), MemoryTrustedCounter()
+    env, db = _three_parked_l0_files(
+        route, kds, lambda batch, i: b"key-%04d" % i, counter=counter,
+        value=lambda batch, i: b"gen-%d-%04d" % (batch, i),
+    )
+    return env, kds, counter, db
+
+
+def _reader(env, kds, counter=None):
+    options = _options(env)
+    options.trusted_counter = counter
+    provider = ShieldOptions(
+        kds=kds, scheme=_AEAD_SCHEME, server_id="reader-1"
+    ).build_provider()
+    return ReadOnlyInstance("/adv", options, provider=provider)
+
+
+def _newest_replaced_by_its_sibling(env):
+    """The adversary's move: the newest file's name, the middle file's bytes."""
+    oldest, middle, newest = _sst_paths(env, "/adv")
+    env.write_file(newest, env.read_file(middle))
+    return newest
+
+
+@pytest.mark.parametrize("read", ["get", "scan"])
+def test_sibling_substitution_is_never_a_value_for_the_db(read):
+    env, kds, counter, db = _three_versions_of_the_same_keys()
+    newest = _newest_replaced_by_its_sibling(env)
+    for attempt in ("cold", "reopened"):
+        with pytest.raises(AuthenticationError):
+            if read == "get":
+                assert db.get(b"key-0001") == b"gen-2-0001"
+            else:
+                assert db.scan(b"key-0001", b"key-0003")[0][1] == b"gen-2-0001"
+        assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == [newest]
+        assert db.health()["reason"] == "quarantined-sst"
+        db.close()
+        # The file set is the one the counter anchors, so the freshness gate
+        # passes; the substitution must still be caught at the first open.
+        db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    db.close()
+
+
+@pytest.mark.parametrize("read", ["get", "scan"])
+def test_sibling_substitution_is_never_a_value_for_a_readonly_instance(read):
+    env, kds, counter, db = _three_versions_of_the_same_keys()
+    newest = _newest_replaced_by_its_sibling(env)
+    with db, _reader(env, kds, counter) as readonly:
+        with pytest.raises(AuthenticationError):
+            if read == "get":
+                assert readonly.get(b"key-0001") == b"gen-2-0001"
+            else:
+                assert readonly.scan(b"key-0001")[0][1] == b"gen-2-0001"
+        quarantined = readonly.quarantined_files()
+        assert [f"/adv/{n:06d}.sst" for n in quarantined] == [newest]
+        assert readonly.stats.snapshot()["integrity.quarantines"] == 1
+
+
+def test_two_live_ssts_swapped_is_never_a_value():
+    env, kds, counter, db = _three_versions_of_the_same_keys()
+    oldest, middle, newest = _sst_paths(env, "/adv")
+    honest_oldest, honest_newest = env.read_file(oldest), env.read_file(newest)
+    env.write_file(oldest, honest_newest)
+    env.write_file(newest, honest_oldest)
+
+    def quarantined(store):
+        return [f"/adv/{n:06d}.sst" for n in store.quarantined_files()]
+
+    with db, _reader(env, kds, counter) as readonly:
+        for store in (db, readonly):
+            with pytest.raises(AuthenticationError):
+                assert store.get(b"key-0001") == b"gen-2-0001"
+            with pytest.raises(AuthenticationError):
+                assert store.scan(b"key-0001")[0][1] == b"gen-2-0001"
+            assert quarantined(store) == [newest]  # the first one reached
+        # With the newest put right, gets stop there -- and the other half of
+        # the swap is still caught by the first read that reaches it.
+        env.write_file(newest, honest_newest)
+        for store in (db, readonly):
+            assert store.get(b"key-0001") == b"gen-2-0001"
+            with pytest.raises(AuthenticationError):
+                store.scan(b"key-0001")
+            assert quarantined(store) == [oldest]
+
+
+@pytest.mark.parametrize("route", ["local", "offloaded"])
+def test_compaction_does_not_launder_a_substituted_input(route):
+    """A merge -- forced here, or the picker's on a worker with its own KDS
+    identity -- must not rewrite the stale sibling into a fresh output."""
+    env, kds, counter, db = _three_versions_of_the_same_keys(route)
+    try:
+        live_before = _sst_paths(env, "/adv")
+        deks_before = kds.live_dek_count()
+        newest = _newest_replaced_by_its_sibling(env)
+        if route == "local":
+            with pytest.raises(AuthenticationError):
+                db.force_compaction()
+        else:
+            _release_compaction(db)
+            snap = db.stats_snapshot()
+            assert snap["integrity.compaction_auth_aborts"] == 1
+            assert db.options.compaction_service.stats.snapshot().get(
+                "service.jobs", 0
+            ) == 0
+        assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == [newest]
+        live = sorted(f"/adv/{meta.number:06d}.sst" for __, meta in db.live_files())
+        assert _sst_paths(env, "/adv") == live == live_before  # nothing installed
+        assert kds.live_dek_count() == deks_before  # nothing stranded
+    finally:
+        db.close()
+
+
+def test_substituted_file_put_back_heals():
+    env, kds, counter, db = _three_versions_of_the_same_keys()
+    with db:
+        honest = env.read_file(_sst_paths(env, "/adv")[2])
+        newest = _newest_replaced_by_its_sibling(env)
+        with pytest.raises(AuthenticationError):
+            db.get(b"key-0001")
+        env.write_file(newest, honest)
+        assert db.get(b"key-0001") == b"gen-2-0001"
+        assert db.quarantined_files() == []
+
+
+# ---------------------------------------------------------------------------
+# Rollback against a non-writer
+# ---------------------------------------------------------------------------
+
+
+def _manifest_path(env):
+    return "/adv/" + env.read_file("/adv/CURRENT").decode().strip()
+
+
+def test_manifest_cut_back_under_a_readonly_instance_raises_rollback():
+    """A MANIFEST truncated to an earlier, validly sealed prefix names only
+    the first file: every tag verifies, every DEK resolves, and the values
+    are three generations old.  Only the counter can tell."""
+    env, kds, counter = MemEnv(), InMemoryKDS(), MemoryTrustedCounter()
+    options = _options(env)
+    options.level0_file_num_compaction_trigger = 100
+    with open_shield_db("/adv", _shield(kds, counter=counter), options) as db:
+        sealed_prefix = None
+        for generation in range(3):
+            for i in range(100):
+                db.put(b"key-%04d" % i, b"gen-%d-%04d" % (generation, i))
+            db.flush()
+            db.wait_for_compaction()  # the flush's WAL is gone: no DEK to miss
+            if sealed_prefix is None:
+                sealed_prefix = env.read_file(_manifest_path(env))
+        honest = env.read_file(_manifest_path(env))
+        assert honest.startswith(sealed_prefix) and honest != sealed_prefix
+
+        with _reader(env, kds, counter) as readonly:
+            assert readonly.get(b"key-0001") == b"gen-2-0001"
+            env.write_file(_manifest_path(env), sealed_prefix)
+            with pytest.raises(RollbackError):
+                readonly.refresh()
+            assert readonly.get(b"key-0001") == b"gen-2-0001"  # view unchanged
+            with pytest.raises(RollbackError):
+                _reader(env, kds, counter)
+            # Without the counter there is nothing to check against: this is
+            # the silent stale read the gate exists for.
+            with _reader(env, kds) as unanchored:
+                assert unanchored.get(b"key-0001") == b"gen-0-0001"
+            env.write_file(_manifest_path(env), honest)
+            readonly.refresh()
+            assert readonly.get(b"key-0001") == b"gen-2-0001"
+
+
+def test_reader_opened_inside_the_writers_torn_window_still_opens():
+    """Counter-first ordering: between the counter's advance and the MANIFEST
+    record, storage is one transition behind the anchor.  A reader that lands
+    there sees ``prev_root`` -- legitimate, and it must not advance anything."""
+    env, kds, counter = MemEnv(), InMemoryKDS(), MemoryTrustedCounter()
+    seen = {}
+
+    def open_a_reader():
+        SYNC.clear_callback(SP_COUNTER_AFTER_PERSIST)
+        before = counter.read()
+        with _reader(env, kds, counter) as readonly:
+            seen["value"] = readonly.get(b"key-0001")
+            seen["checks"] = readonly.stats.snapshot()["integrity.freshness_checks"]
+        seen["advanced"] = counter.read() != before
+
+    options = _options(env)
+    options.level0_file_num_compaction_trigger = 100
+    shield = _shield(kds, counter=counter, wal_buffer_size=0)
+    with open_shield_db("/adv", shield, options) as db:
+        for i in range(100):
+            db.put(b"key-%04d" % i, b"gen-0-%04d" % i)
+        db.flush()
+        db.put(b"key-0001", b"gen-1-0001")
+        SYNC.set_callback(SP_COUNTER_AFTER_PERSIST, open_a_reader)
+        SYNC.enable()
+        try:
+            db.flush()
+        finally:
+            SYNC.clear()
+    # One flush behind in the MANIFEST, but the WAL still holds the write.
+    assert seen == {"value": b"gen-1-0001", "checks": 1, "advanced": False}
+
+
+class _MovingCounter(MemoryTrustedCounter):
+    """Runs ``between`` just before a read returns: a live writer's moves
+    between a reader's MANIFEST read and its counter read."""
+
+    between = None
+    reads = 0
+
+    def read(self):
+        self.reads += 1
+        if self.between is not None:
+            self.between()
+        return super().read()
+
+
+def test_refresh_racing_a_live_writer_rereads_before_believing_a_mismatch():
+    env, kds, counter = MemEnv(), InMemoryKDS(), _MovingCounter()
+    options = _options(env)
+    options.level0_file_num_compaction_trigger = 100
+    with open_shield_db("/adv", _shield(kds, counter=counter), options) as db:
+        generation = iter(range(1, 100))
+
+        def two_transitions():
+            for __ in range(2):
+                db.put(b"key", b"gen-%d" % next(generation))
+                db.flush()
+
+        def twice_then_quiet():
+            counter.between = None
+            two_transitions()
+
+        db.put(b"key", b"gen-0")
+        db.flush()
+        with _reader(env, kds, counter) as readonly:
+            # The MANIFEST it read is two transitions behind the counter it
+            # then reads: not a rollback, and a second look says so.
+            counter.between, counter.reads = twice_then_quiet, 0
+            readonly.refresh()
+            assert counter.reads == 2
+            assert readonly.get(b"key") == b"gen-2"
+            # Bounded: a store that is behind at every look is rolled back
+            # as far as a reader can tell.
+            counter.between, counter.reads = two_transitions, 0
+            with pytest.raises(RollbackError):
+                readonly.refresh()
+            assert counter.reads == 4
+            counter.between = None

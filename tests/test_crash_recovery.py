@@ -192,3 +192,32 @@ def test_recovery_is_idempotent():
         for i in range(100):
             assert db.get(b"key-%03d" % i) == b"v%03d" % i
         db.close()
+
+
+def test_reopening_up_to_the_stop_trigger_does_not_block_the_next_write():
+    """Every recovery with a non-empty WAL adds an L0 file.  Nothing used to
+    schedule the compaction that file made due, so a store reopened until L0
+    reached the stop trigger blocked its next write forever (the suite's
+    occasional hang: the model test's ``reopen`` rule drawn often enough)."""
+    import threading
+
+    env = MemEnv()
+    options = dict(
+        write_buffer_size=1 << 20, level0_file_num_compaction_trigger=4,
+        level0_stop_writes_trigger=6,
+    )
+    written = threading.Event()
+
+    def writes():
+        db = DB("/crash", _options(env, **options))
+        for i in range(10):
+            db.put(b"key-%d" % i, b"value")  # in the WAL only
+            db.close()
+            db = DB("/crash", _options(env, **options))
+        written.set()
+        db.close()
+
+    threading.Thread(target=writes, daemon=True).start()
+    assert written.wait(30.0), "a write waits for a compaction nobody scheduled"
+    with DB("/crash", _options(env, **options)) as db:
+        assert db.get(b"key-9") == b"value"

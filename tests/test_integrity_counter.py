@@ -16,6 +16,7 @@ from repro.integrity import (
     MemoryTrustedCounter,
     leaf_hash,
     merkle_root,
+    verify,
     verify_and_advance,
 )
 from repro.keys.kds import InMemoryKDS
@@ -151,6 +152,20 @@ def test_protocol_dispositions():
     assert verify_and_advance(counter, b"r1") == FRESH
     with pytest.raises(RollbackError):
         verify_and_advance(counter, b"ancient")
+
+
+def test_read_only_verify_classifies_the_same_and_never_advances():
+    counter = MemoryTrustedCounter()
+    assert verify(counter, b"r1") == INITIALIZED  # nothing anchored yet
+    assert counter.read() is None
+    counter.advance(b"r1")
+    counter.advance(b"r2")
+    before = counter.read()
+    assert verify(counter, b"r2") == FRESH
+    assert verify(counter, b"r1") == TORN_RECOVERED  # a writer mid-transition
+    with pytest.raises(RollbackError):
+        verify(counter, b"ancient")
+    assert counter.read() == before
 
 
 def test_rollback_error_names_counter_value():

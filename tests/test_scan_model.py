@@ -7,7 +7,8 @@ reopen through WAL replay -- and after any step may ask every scanner
 (``DB.scan``, ``DB.iterator``, ``ReadOnlyInstance.scan``) for a random
 ``(start, end, limit, snapshot)`` and every point reader (``DB.get``,
 ``DB.multi_get``, ``ReadOnlyInstance.get``) for random keys: same answers
-as the oracle.  One machine per scheme.
+as the oracle.  One machine per scheme.  The storage adversary has a rule of
+its own: a typed error or a quarantine, never a value the oracle lacks.
 
 This is a slice of ROADMAP's model-test item: ``Oracle`` is the dict with
 snapshots that item asks for, and the machine's rules are the ones it lists
@@ -18,6 +19,7 @@ import itertools
 import random
 import threading
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
@@ -25,8 +27,10 @@ from hypothesis.stateful import (
 
 from repro.dist.readonly import ReadOnlyInstance
 from repro.env.mem import MemEnv
+from repro.errors import AuthenticationError
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB, SP_FLUSH_BEFORE_SST
+from repro.lsm.filename import sst_path
 from repro.lsm.options import Options, ReadOptions
 from repro.lsm.write_batch import WriteBatch
 from repro.shield import ShieldOptions, open_shield_db
@@ -109,27 +113,42 @@ class ScanModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.env, self.kds = MemEnv(), InMemoryKDS()
-        provider = None
-        self.db = self._open()
-        if self.scheme is not None:
-            provider = ShieldOptions(
-                kds=self.kds, scheme=self.scheme, server_id="reader-1"
-            ).build_provider()
-        self.readonly = ReadOnlyInstance(
-            "/model", _options(self.env), provider=provider
-        )
-        self.oracle = Oracle()
         self.snapshots: list[tuple[int, int]] = []  # (engine seq, oracle token)
+        self.db = self._open()
+        self.readonly = self._open_readonly()
+        self.oracle = Oracle()
         self.parked: threading.Event | None = None
 
     def _open(self):
         if self.scheme is None:
-            return DB("/model", _options(self.env))
-        # WAL buffer 0: a read-only instance sees a write once it is in
-        # the WAL file, not while it sits in the primary's seal buffer.
-        return open_shield_db("/model", ShieldOptions(
-            kds=self.kds, scheme=self.scheme, wal_buffer_size=0,
-        ), _options(self.env))
+            db = DB("/model", _options(self.env))
+        else:
+            # WAL buffer 0: a read-only instance sees a write once it is in
+            # the WAL file, not while it sits in the primary's seal buffer.
+            db = open_shield_db("/model", ShieldOptions(
+                kds=self.kds, scheme=self.scheme, wal_buffer_size=0,
+            ), _options(self.env))
+        # Recovery flushes the replayed WAL to L0 and schedules whatever
+        # compaction that makes due: quiescent before the next rule.
+        db.wait_for_compaction()
+        if db.stats.counter("db.compactions").value:
+            self.snapshots.clear()  # see _settle
+        return db
+
+    def _open_readonly(self):
+        provider = None
+        if self.scheme is not None:
+            provider = ShieldOptions(
+                kds=self.kds, scheme=self.scheme, server_id="reader-1"
+            ).build_provider()
+        return ReadOnlyInstance("/model", _options(self.env), provider=provider)
+
+    def _reopen_both(self):
+        """Fresh table sets: no cached reader, no quarantine mark."""
+        self.readonly.close()
+        self.db.close()
+        self.db = self._open()
+        self.readonly = self._open_readonly()
 
     def teardown(self):
         if self.parked is not None:
@@ -210,9 +229,44 @@ class ScanModel(RuleBasedStateMachine):
     @rule()
     def reopen(self):
         """Whatever the memtable held comes back through WAL replay, under
-        the sequence numbers it was written with (snapshots stay exact)."""
+        the sequence numbers it was written with (snapshots stay exact, until
+        the L0 file recovery adds makes a compaction due)."""
         self.db.close()
         self.db = self._open()
+
+    # -- the adversary --------------------------------------------------------
+
+    @precondition(lambda self: self.scheme is not None and self.parked is None
+                  and self.db._versions.current.num_files() >= 2)
+    @rule(pick=st.integers(0, 1_000), other=st.integers(0, 1_000))
+    def substitute_a_live_sst_with_a_sibling(self, pick, other):
+        """Authentic bytes under the wrong name pass every tag; the name's
+        MANIFEST entry is what they fail.  Every reader that reaches the file
+        raises and quarantines it; no reader returns what the oracle lacks."""
+        self._reopen_both()  # every live file cold, nothing in the background
+        files = [meta for __, meta in self.db.live_files()]
+        if len(files) < 2:
+            return  # the reopen's compaction left one file
+        step = 1 + other % (len(files) - 1)  # any file but the victim
+        victim, sibling = files[pick % len(files)], files[(pick + step) % len(files)]
+        path = sst_path("/model", victim.number)
+        honest = self.env.read_file(path)
+        self.env.write_file(
+            path, self.env.read_file(sst_path("/model", sibling.number))
+        )
+        for store in (self.db, self.readonly):
+            with pytest.raises(AuthenticationError):
+                store.scan()  # reaches every file
+            assert victim.number in store.quarantined_files()
+            for key in ALL_KEYS:
+                try:
+                    assert store.get(key) == self.oracle.get(key)
+                except AuthenticationError:
+                    pass
+        with pytest.raises(AuthenticationError):
+            list(self.db.iterator())
+        self.env.write_file(path, honest)
+        self._reopen_both()  # no quarantine mark outlives the rule
 
     def _settle(self, full=False):
         compactions = self.db.stats.counter("db.compactions")

@@ -96,7 +96,7 @@ def _one_level_store(env, scheme=None, kds=None):
 
 
 def _entries_per_block(db, meta) -> int:
-    return math.ceil(meta.num_entries / len(db._tables.reader(meta.number)._index))
+    return math.ceil(meta.num_entries / len(db._tables.reader(meta)._index))
 
 
 def _block_loads(db) -> int:

@@ -378,6 +378,32 @@ def test_graceful_stop_completes_inflight_writes():
     db.close()
 
 
+def test_stop_is_prompt_and_joins_every_thread_it_started():
+    """Every thread is woken, not waited out: the accept thread by a shutdown
+    of the listener (a close alone leaves ``accept()`` asleep on Linux), the
+    workers by their sentinels, an idle connection's reader by its socket."""
+    db = _open_db()
+    server = KVServer(db, ServiceConfig()).start()
+    with KVClient(*server.address) as client, \
+            socket.create_connection(server.address) as idle:
+        client.put(b"k", b"v")
+        deadline = time.monotonic() + 5.0
+        while len(server._conn_threads) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        threads = [
+            server._accept_thread, server._health_thread,
+            *server._workers, *server._conn_threads,
+        ]
+        assert len(threads) == 2 + server.config.num_workers + 2
+        started = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - started
+        assert idle.recv(1) == b""  # the server hung up on it
+    assert [thread.name for thread in threads if thread.is_alive()] == []
+    assert elapsed < 0.5  # ~1 ms; it was 2.0 s, one join timing out
+    db.close()
+
+
 def test_stop_returns_despite_full_queue_and_stuck_worker():
     """Shutdown must stay bounded even when the request queue is full and
     the only worker is wedged inside a handler (it cannot drain the queue

@@ -293,11 +293,11 @@ def test_a_reader_recreated_after_drop_or_quarantine_initialises_again(forget):
         before = _context_inits()
         db.get(b"key-000002")
         assert _context_inits() == before  # the cached reader's context
-        cached = tables.reader(meta.number)
+        cached = tables.reader(meta)
         # The context dies with the reader that held the key ...
         getattr(tables, forget)(meta.number)
         # ... and the next reader of the same file pays one init of its own.
-        fresh = tables.reader(meta.number)
+        fresh = tables.reader(meta)
         assert fresh is not cached
         assert fresh.get(b"key-000003") == (TYPE_PUT, b"value-000003")
         assert _context_inits() - before == 1
