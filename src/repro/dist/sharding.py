@@ -280,7 +280,7 @@ class ShardedDB:
         for shard in self.shards:
             shard.flush()
 
-    def compact_all(self) -> None:
+    def compact_range(self) -> None:
         for shard in self.shards:
             shard.compact_range()
 

@@ -29,7 +29,7 @@ from repro.errors import (
     KeyManagementError,
     NotFoundError,
 )
-from repro.lsm.compaction import CompactionJob, MergeExecutor, make_picker
+from repro.lsm.compaction import CompactionJob, MergeExecutor
 from repro.lsm.dbformat import MAX_SEQUENCE
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
@@ -48,7 +48,7 @@ from repro.lsm.tables import Attribution, TableSet, lookup
 from repro.lsm.version import FileMetadata, VersionEdit, recover_store
 from repro.lsm.wal import WALWriter
 from repro.lsm.write_batch import WriteBatch
-from repro.obs import costs
+from repro.obs import controller, costs
 from repro.obs.trace import TRACER
 from repro.util.lru import LRUCache
 from repro.util.stats import StatsRegistry
@@ -92,17 +92,11 @@ SP_COMPACT_AFTER_OUTPUTS = SYNC.declare(
 SP_COMPACT_AFTER_MANIFEST = SYNC.declare(
     "compaction:after_manifest_apply", "inputs dead but not yet deleted"
 )
-SP_CTRL_BEFORE_DECIDE = SYNC.declare(
-    "controller:before_decide", "signals sampled, adaptive decision pending"
-)
-SP_CTRL_AFTER_POLICY_CHANGE = SYNC.declare(
-    "controller:after_policy_change", "new picker installed, jobs not rescheduled"
-)
 SP_WAL_BEFORE_ROTATE = SYNC.declare(
     "wal:before_rotate", "memtable full, old WAL still the active log"
 )
 SP_WAL_AFTER_ROTATE = SYNC.declare(
-    "wal:after_rotate", "fresh WAL open, flush of the old one not scheduled"
+    "wal:after_rotate", "fresh WAL open, the switch not yet announced"
 )
 
 
@@ -158,28 +152,23 @@ class DB:
             else None
         )
         self._tables = TableSet(
-            self.env, path, self.provider, self.options, self._block_cache
+            self.env, path, self.provider, self.options, self._block_cache,
+            on_heal=self._announce,
         )
         self._attributing = Attribution(self._tables, self.stats)
 
         from repro.util.clock import RealClock
 
         self._clock = self.options.clock or RealClock()
-        self._active_style = self.options.compaction_style
-        self._picker = make_picker(self.options)
         from repro.obs.signals import SignalEngine
 
         self.signals = SignalEngine(self)
-        # When a compaction service is attached, offload is on by default
-        # (the static engine's behaviour); only the adaptive controller
-        # ever turns it off.
-        self._offload_enabled = True
-        self._reads_since_tick = 0
-        self._controller = self._make_controller()
-        self._flushing: set[int] = set()  # WAL numbers of imms being flushed
-        self._compacting: set[int] = set()
-        self._compaction_scheduled = False
-        self._bg_jobs = 0
+        #: The compaction policy in force: ``picker`` and ``offload``.
+        self.policy = controller.PolicyInForce(self, self._announce)
+        # File numbers claimed by running background work: the WAL of the
+        # memtable being flushed, the inputs of each compaction.
+        self._busy: set[int] = set()
+        self._workers = 0  # background workers running, <= max_background_jobs
         self._executor = ThreadPoolExecutor(
             max_workers=self.options.max_background_jobs,
             thread_name_prefix="lsm-bg",
@@ -190,122 +179,6 @@ class DB:
             self.env, path, self.provider, self.options, self.stats, writer=True
         )
         self._recover(recovered, old_wals)
-
-    # ------------------------------------------------------------------
-    # Adaptive control loop (closed-loop observability)
-    # ------------------------------------------------------------------
-
-    def _make_controller(self):
-        """Build the adaptive controller when enabled and applicable.
-
-        Opt-in via ``Options.adaptive_compaction`` or ``REPRO_ADAPTIVE=1``
-        in the environment (options win when not None).  With the knob
-        off, nothing here runs and the engine's behaviour is identical to
-        the pre-controller code paths.
-        """
-        import os
-
-        enabled = self.options.adaptive_compaction
-        if enabled is None:
-            enabled = os.environ.get("REPRO_ADAPTIVE", "") not in ("", "0")
-        if not enabled:
-            return None
-        from repro.obs.controller import ADAPTIVE_POLICIES, AdaptiveController
-
-        if self.options.compaction_style not in ADAPTIVE_POLICIES:
-            return None  # FIFO: the controller refuses lossy policies
-        service = self.options.compaction_service
-        link_s_per_byte = 0.0
-        link = getattr(service, "dispatch_link", None)
-        if link is not None:
-            bandwidth = link.config.bandwidth_bytes_per_s
-            if bandwidth > 0:
-                link_s_per_byte = 1.0 / bandwidth
-        return AdaptiveController(
-            self.options.compaction_style,
-            offload_available=service is not None,
-            link_s_per_byte=link_s_per_byte,
-            config=self.options.adaptive_config,
-        )
-
-    def _controller_tick(self, origin: str) -> None:
-        """One opportunistic control-loop iteration.
-
-        Called from background-job completions (flush/compaction, inside
-        their trace spans so a policy change parents naturally) and from
-        the gated read path.  Cheap when not due; a no-op when the
-        controller is disabled.
-        """
-        controller = self._controller
-        if controller is None or self._closed:
-            return
-        now = self._clock.now()
-        if not controller.due(now):
-            return
-        SYNC.process(SP_CTRL_BEFORE_DECIDE)
-        signals = self.signals.sample()
-        health = self.health()["state"]
-        decision = controller.decide(signals, health, now)
-        self.stats.counter("controller.ticks").add(1)
-        if decision.frozen:
-            self.stats.counter("controller.frozen_ticks").add(1)
-            return
-        if decision.policy_changed or decision.offload_changed:
-            with TRACER.span(
-                "compaction.policy_change",
-                attributes={
-                    "origin": origin,
-                    "policy": decision.policy,
-                    "offload": decision.offload,
-                    "reason": decision.reason,
-                },
-            ):
-                self._apply_decision(decision)
-            SYNC.process(SP_CTRL_AFTER_POLICY_CHANGE)
-            # The new policy may see work the old one did not.
-            self._maybe_schedule_compaction()
-
-    def _apply_decision(self, decision) -> None:
-        with self._mutex:
-            if decision.policy != self._active_style:
-                self._active_style = decision.policy
-                self._picker = make_picker(self.options, decision.policy)
-                self.stats.counter("controller.policy_changes").add(1)
-            if decision.offload != self._offload_enabled:
-                self._offload_enabled = decision.offload
-                self.stats.counter("controller.offload_changes").add(1)
-
-    def _offload_active(self) -> bool:
-        return (
-            self.options.compaction_service is not None and self._offload_enabled
-        )
-
-    def controller_state(self) -> dict | None:
-        """The adaptive controller's current state (None when disabled)."""
-        controller = self._controller
-        if controller is None:
-            return None
-        state = controller.stats_dict()
-        state["active_style"] = self._active_style
-        return state
-
-    def obs_dict(self) -> dict:
-        """The OP_STATS ``obs`` section: derived signals (and, when the
-        adaptive loop is on, the controller's state).
-
-        With the controller running, the control loop owns the sampling
-        cadence and this returns its latest sample; otherwise each stats
-        export advances the delta baseline itself.
-        """
-        state = self.controller_state()
-        if state is not None:
-            signals = self.signals.latest() or self.signals.sample()
-        else:
-            signals = self.signals.sample()
-        out = {"signals": signals}
-        if state is not None:
-            out["controller"] = state
-        return out
 
     # ------------------------------------------------------------------
     # Recovery / open
@@ -330,10 +203,10 @@ class DB:
         for path in old_wals:
             self._delete_db_file(path)
         self._garbage_collect_orphans()
-        # The flush above added an L0 file like any other: left unscheduled,
-        # a store reopened up to the stop trigger blocks its first write on
-        # a compaction nobody asked for.
-        self._maybe_schedule_compaction()
+        # The flush above added an L0 file like any other: unannounced, a
+        # store reopened up to the stop trigger blocks its first write on a
+        # compaction nobody started.
+        self._announce()
 
     def _garbage_collect_orphans(self) -> None:
         """Remove files left behind by a crash.
@@ -550,7 +423,7 @@ class DB:
         """Clear a *transient* background error and restart background work.
 
         Returns True when the engine is (now) writable: the poisoned state
-        was cleared, pending flushes/compactions were rescheduled, and the
+        was cleared, pending flushes/compactions are derivable again, and the
         next write will tell whether the underlying cause really healed
         (if not, the jobs fail again and the engine re-degrades -- no
         flapping masked, no data dropped).  Returns False for final states.
@@ -565,10 +438,7 @@ class DB:
                 return False
             self._bg_error = None
             self.stats.counter("db.bg_error_recoveries").add(1)
-            if self._imm:
-                self._schedule_bg(self._flush_job)
-            self._cond.notify_all()
-        self._maybe_schedule_compaction()
+            self._announce()
         return True
 
     def _maybe_stall_locked(self) -> None:
@@ -590,7 +460,7 @@ class DB:
         ):
             if stalled_at is None:
                 stalled_at = time.perf_counter()
-            self._cond.wait(timeout=0.5)
+            self._cond.wait()
         if stalled_at is not None:
             self.stats.histogram("db.stall_seconds").record(
                 time.perf_counter() - stalled_at
@@ -635,32 +505,90 @@ class DB:
         self._imm.append((self._mem, old_number, old_dek_id))
         self._mem = make_memtable("skiplist")
         SYNC.process(SP_WAL_AFTER_ROTATE)
-        self._schedule_bg(self._flush_job)
+        self._announce()
 
     # ------------------------------------------------------------------
     # Background work
     # ------------------------------------------------------------------
 
-    def _schedule_bg(self, job) -> None:
-        """Submit a background job (mutex held)."""
-        if self._closed:
-            return
-        self._bg_jobs += 1
-        try:
-            self._executor.submit(self._run_bg, job)
-        except RuntimeError:
-            self._bg_jobs -= 1  # executor already shut down
+    def _next_work(self):
+        """The next unit of background work, from state alone (mutex held):
+        ``(file numbers it claims, job)`` or None.  The job is the immutable
+        memtable entry to flush or the ``CompactionJob`` to run.
 
-    def _run_bg(self, job) -> None:
+        Nothing while closed or poisoned: a failed job leaves ``_bg_error``
+        behind, so what it was derived from is not derived again until
+        ``try_recover()`` clears it.  Memtables MUST flush (and install)
+        strictly in creation order: a newer memtable's SST landing in L0
+        before an older one's -- with a compaction in between -- would push
+        newer sequence numbers into L1 while older data later arrives in L0,
+        breaking the invariant the read path's L0-first search relies on.
+        So only the oldest is ever a candidate, and not while it is claimed
+        (RocksDB installs parallel flush results in order; serializing
+        achieves the same guarantee).
+        """
+        if self._closed or self._bg_error is not None:
+            return None
+        if self._imm and self._imm[0][1] not in self._busy:
+            return {self._imm[0][1]}, self._imm[0]
+        job = self.policy.picker.pick(
+            self._versions.current, self._busy | self._tables.quarantined
+        )
+        if job is None:
+            return None
+        return job.input_numbers(), job
+
+    def _announce(self) -> None:
+        """The engine's state changed: wake whoever waits on it, and start a
+        worker for each unit of work the new state implies, up to
+        ``max_background_jobs`` at once.  Nothing else starts work."""
+        with self._mutex:
+            self._cond.notify_all()
+            while self._workers < self.options.max_background_jobs:
+                work = self._next_work()
+                if work is None:
+                    return
+                self._claim(work[0])
+                self._workers += 1
+                self._executor.submit(self._work, *work)
+
+    def _claim(self, numbers: set[int]) -> None:
+        """Mutex held, in the same hold that chose the work."""
+        self._busy |= numbers
+
+    def _release(self, numbers: set[int]) -> None:
+        with self._mutex:
+            self._busy -= numbers
+            self._announce()
+
+    def _work(self, numbers: set[int], job) -> None:
+        """One background worker, one unit of work.  However the job ends,
+        the state it was derived from has changed by the time its claim is
+        released, so it is never derived again as it was: a finished job
+        installed its result; any failure poisons the engine (writes fail
+        fast, ``try_recover()`` retries what is transient); a merge over a
+        tampered input must not poison it, and does not need to -- the read
+        that failed quarantined the file its tag named, the picker refuses
+        that file, and ``health()`` reports degraded until repair or a clean
+        re-read.  Inputs stay live and readable."""
         try:
-            job()
+            if not isinstance(job, CompactionJob):
+                self._flush_job(job)
+            elif job.delete_only:
+                self._apply_delete_only(job)
+            elif job.trivial_move:
+                self._apply_trivial_move(job)
+            else:
+                self._run_merge_compaction(job)
+        except AuthenticationError:
+            self.stats.counter("integrity.compaction_auth_aborts").add(1)
         except BaseException as exc:  # noqa: BLE001 - surfaced to writers
             with self._mutex:
                 self._bg_error = exc
         finally:
             with self._mutex:
-                self._bg_jobs -= 1
-                self._cond.notify_all()
+                self._workers -= 1
+                self._release(numbers)
 
     def _write_sst_from_memtable(self, mem: Memtable) -> FileMetadata:
         """Persist a memtable as a level-0 SST file (caller applies edit)."""
@@ -692,96 +620,39 @@ class DB:
             created_at=self._clock.now(),
         )
 
-    def _flush_job(self) -> None:
-        # Memtables MUST flush (and install) strictly in creation order:
-        # a newer memtable's SST landing in L0 before an older one's -- with
-        # a compaction in between -- would push newer sequence numbers into
-        # L1 while older data later arrives in L0, breaking the invariant
-        # the read path's L0-first search relies on.  One flush at a time,
-        # oldest first (RocksDB installs parallel flush results in order;
-        # serializing achieves the same guarantee).
-        with self._mutex:
-            if self._flushing or not self._imm:
-                return  # a running flush will reschedule when it finishes
-            target = self._imm[0]
-            mem, wal_number, wal_dek = target
-            self._flushing.add(wal_number)
-        try:
-            with TRACER.span(
-                "db.flush_job", attributes={"wal_number": wal_number}
-            ) as span:
-                SYNC.process(SP_FLUSH_BEFORE_SST)
-                with costs.attribute(self._bg_costs, "flush"):
-                    meta = self._write_sst_from_memtable(mem)
-                SYNC.process(SP_FLUSH_AFTER_SST)
-                span.set_attribute("output_bytes", meta.size)
-                span.set_attribute("entries", meta.num_entries)
-                with self._mutex:
-                    # WALs older than every still-live memtable's WAL are
-                    # obsolete.
-                    other_logs = [
-                        entry[1] for entry in self._imm if entry[1] != wal_number
-                    ]
-                    remaining_log = min(other_logs + [self._wal_number])
-                    edit = VersionEdit(
-                        log_number=remaining_log,
-                        last_sequence=self._versions.last_sequence,
-                    )
-                    edit.add_file(0, meta)
-                    self._versions.log_and_apply(edit)
-                    self._imm.remove(target)
-                    self._cond.notify_all()
-                SYNC.process(SP_FLUSH_AFTER_MANIFEST)
-                # Control-loop tick inside the span: a policy change this
-                # flush provokes parents under db.flush_job in the trace.
-                self._controller_tick("flush")
-        finally:
+    def _flush_job(self, target: tuple[Memtable, int, str]) -> None:
+        mem, wal_number, wal_dek = target
+        with TRACER.span(
+            "db.flush_job", attributes={"wal_number": wal_number}
+        ) as span:
+            SYNC.process(SP_FLUSH_BEFORE_SST)
+            with costs.attribute(self._bg_costs, "flush"):
+                meta = self._write_sst_from_memtable(mem)
+            SYNC.process(SP_FLUSH_AFTER_SST)
+            span.set_attribute("output_bytes", meta.size)
+            span.set_attribute("entries", meta.num_entries)
             with self._mutex:
-                self._flushing.discard(wal_number)
-        # Only a successful flush chains the next: after a failure ``target``
-        # is still queued, so this would spin on the KDS; try_recover() retries.
-        with self._mutex:
-            if self._imm:
-                self._schedule_bg(self._flush_job)
+                # WALs older than every still-live memtable's WAL are
+                # obsolete.
+                other_logs = [
+                    entry[1] for entry in self._imm if entry[1] != wal_number
+                ]
+                remaining_log = min(other_logs + [self._wal_number])
+                edit = VersionEdit(
+                    log_number=remaining_log,
+                    last_sequence=self._versions.last_sequence,
+                )
+                edit.add_file(0, meta)
+                self._versions.log_and_apply(edit)
+                self._imm.remove(target)
+                # The next memtable is the oldest now: its flush may start
+                # while this one is still deleting its WAL.
+                self._announce()
+            SYNC.process(SP_FLUSH_AFTER_MANIFEST)
+            # Control-loop tick inside the span: a policy change this
+            # flush provokes parents under db.flush_job in the trace.
+            self.policy.tick("flush")
         self._delete_db_file(wal_path(self.path, wal_number), dek_id=wal_dek)
-        self._maybe_schedule_compaction()
-
-    def _maybe_schedule_compaction(self) -> None:
-        with self._mutex:
-            if self._compaction_scheduled or self._closed:
-                return
-            busy = self._compacting | self._tables.quarantined
-            if self._picker.pick(self._versions.current, busy) is None:
-                return
-            self._compaction_scheduled = True
-            self._schedule_bg(self._compaction_job)
-
-    def _compaction_job(self) -> None:
-        with self._mutex:
-            self._compaction_scheduled = False
-            busy = self._compacting | self._tables.quarantined
-            job = self._picker.pick(self._versions.current, busy)
-            if job is None:
-                return
-            self._compacting |= job.input_numbers()
-        try:
-            if job.delete_only:
-                self._apply_delete_only(job)
-            elif job.trivial_move:
-                self._apply_trivial_move(job)
-            else:
-                self._run_merge_compaction(job)
-        except AuthenticationError:
-            # A tampered input file must not poison the whole engine: the
-            # merge, wherever it ran, quarantined the file its failed tag
-            # named, the picker now refuses it, and health() reports degraded
-            # until repair (or a clean re-read).  Inputs stay live, readable.
-            self.stats.counter("integrity.compaction_auth_aborts").add(1)
-        finally:
-            with self._mutex:
-                self._compacting -= job.input_numbers()
-                self._cond.notify_all()
-        self._maybe_schedule_compaction()
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
         """One MANIFEST edit: the job's inputs out, ``added`` in at its level."""
@@ -817,7 +688,7 @@ class DB:
                 "inputs": len(job.input_files()),
                 "input_bytes": input_bytes,
                 "output_level": job.output_level,
-                "offloaded": self._offload_active(),
+                "offloaded": self.policy.offload,
             },
         ) as span:
             with costs.attribute(self._bg_costs, "compaction"):
@@ -835,13 +706,13 @@ class DB:
             self.stats.counter("db.compaction_bytes_written").add(output_bytes)
             # Tick inside the span: a policy change provoked by this
             # compaction parents under db.compaction in the trace.
-            self._controller_tick("compaction")
+            self.policy.tick("compaction")
 
     def _merge(self, job: CompactionJob) -> list[FileMetadata]:
         """Run the merge on this server or the offloaded worker: one
         executor body either way, output numbers from this DB's VersionSet."""
         executor = (
-            self.options.compaction_service if self._offload_active()
+            self.options.compaction_service if self.policy.offload
             else MergeExecutor(
                 self.env, self.provider, self.options, tables=self._tables
             )
@@ -884,21 +755,11 @@ class DB:
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
         self.stats.counter("db.gets").add(1)
-        self._read_tick()
+        self.policy.tick("read")
         with TRACER.span("db.get") as span:
             value = self._retrying(span, self._get_once, key, snapshot)
             span.set_attribute("found", value is not None)
             return value
-
-    def _read_tick(self) -> None:
-        """Read-mostly phases produce no flushes to tick the control loop,
-        so the read path checks in occasionally.  The counter is racy on
-        purpose: a lost increment only delays a check."""
-        if self._controller is not None:
-            self._reads_since_tick += 1
-            if self._reads_since_tick >= 64:
-                self._reads_since_tick = 0
-                self._controller_tick("read")
 
     def _retrying(self, span, read_once, *args):
         """``read_once(*args)``, retried on errors a fresh version can cure.
@@ -962,7 +823,7 @@ class DB:
         """Range scan: [start, end) up to ``limit`` pairs."""
         opts = opts or ReadOptions()
         snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
-        self._read_tick()
+        self.policy.tick("read")
         with TRACER.span("db.scan") as span:
             results, sources, files_opened = self._retrying(
                 span, self._scan_once, start, end, limit, snapshot
@@ -1137,6 +998,28 @@ class DB:
             snap["integrity.counter_value"] = state.value if state else 0
         return snap
 
+    def controller_state(self) -> dict | None:
+        """The adaptive controller's current state (None when disabled)."""
+        return self.policy.state()
+
+    def obs_dict(self) -> dict:
+        """The OP_STATS ``obs`` section: derived signals (and, when the
+        adaptive loop is on, the controller's state).
+
+        With the controller running, the control loop owns the sampling
+        cadence and this returns its latest sample; otherwise each stats
+        export advances the delta baseline itself.
+        """
+        state = self.controller_state()
+        if state is not None:
+            signals = self.signals.latest() or self.signals.sample()
+        else:
+            signals = self.signals.sample()
+        out = {"signals": signals}
+        if state is not None:
+            out["controller"] = state
+        return out
+
     def snapshot(self) -> int:
         """A sequence number usable as ReadOptions.snapshot.
 
@@ -1160,18 +1043,21 @@ class DB:
                 self._switch_memtable_locked()
             if wait:
                 while self._imm and self._bg_error is None and not self._closed:
-                    self._cond.wait(timeout=0.5)
+                    self._cond.wait()
         if self._bg_error is not None:
             raise IOError_(f"background error: {self._bg_error!r}")
 
     def wait_for_compaction(self) -> None:
-        """Block until no compaction work is pending or running."""
-        self._maybe_schedule_compaction()
+        """Block until no background work is running and none is due (none
+        is while a background error stands: see ``try_recover``)."""
         with self._mutex:
-            while (
-                self._compaction_scheduled or self._compacting or self._bg_jobs
-            ) and self._bg_error is None:
-                self._cond.wait(timeout=0.5)
+            # Work can fall due with no state change the engine sees (time
+            # passing under a TTL trigger, a caller's edit of ``options``):
+            # derive once more, then nothing claimed means nothing due.
+            self._announce()
+            # A crash may cancel claimed work before it ran: closed ends it.
+            while self._busy and not self._closed:
+                self._cond.wait()
 
     def compact_range(self) -> None:
         """Flush, then drive compaction until the tree is quiescent."""
@@ -1197,19 +1083,17 @@ class DB:
                 inputs.setdefault(level, []).append(meta)
             output_level = (
                 self.options.num_levels - 1
-                if self._active_style in ("leveled", "lazy-leveled")
+                if self.policy.style in ("leveled", "lazy-leveled")
                 else 0
             )
             job = CompactionJob(
                 inputs=inputs, output_level=output_level, bottommost=True
             )
-            self._compacting |= job.input_numbers()
+            self._claim(job.input_numbers())
         try:
             self._run_merge_compaction(job)
         finally:
-            with self._mutex:
-                self._compacting -= job.input_numbers()
-                self._cond.notify_all()
+            self._release(job.input_numbers())
 
     def capture_file_set(self) -> tuple[list[int], str, bytes]:
         """Flush, then (live SST numbers, MANIFEST name, MANIFEST bytes) of
@@ -1301,7 +1185,7 @@ class DB:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
+            self._announce()
         self._executor.shutdown(wait=True)
         with self._mutex:
             if self._wal is not None:
@@ -1319,7 +1203,7 @@ class DB:
         """
         with self._mutex:
             self._closed = True
-            self._cond.notify_all()
+            self._announce()
         self._executor.shutdown(wait=True, cancel_futures=True)
         if self._wal is not None:
             self._wal.simulate_process_crash()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.env.base import Env
 from repro.errors import AuthenticationError
@@ -38,10 +39,14 @@ class TableSet:
         provider: CryptoProvider,
         options: Options,
         block_cache: LRUCache | None = None,
+        on_heal: Callable[[], None] = lambda: None,
     ):
         self._open = lambda number: SSTReader(
             env, sst_path(directory, number), provider, options, block_cache
         )
+        #: Called (no lock held) when a quarantine mark is lifted: the file
+        #: is compactable again, which whoever schedules merges must hear.
+        self._on_heal = on_heal
         self._lock = threading.Lock()
         self._readers: dict[int, SSTReader] = {}
         #: File numbers whose authentication tag failed to verify.  Advisory,
@@ -93,7 +98,10 @@ class TableSet:
     def clear(self, number: int) -> None:
         """A clean authenticated read resolves a prior transient failure."""
         with self._lock:
+            healed = number in self.quarantined
             self.quarantined -= {number}
+        if healed:
+            self._on_heal()
 
 
 def _check_binding(reader: SSTReader, meta: FileMetadata) -> None:

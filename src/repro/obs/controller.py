@@ -38,13 +38,29 @@ The class is engine-agnostic and purely functional over its inputs --
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.lsm.compaction import make_picker
 from repro.lsm.options import (
     COMPACTION_LAZY_LEVELED,
     COMPACTION_LEVELED,
     COMPACTION_UNIVERSAL,
+    Options,
 )
+from repro.obs.trace import TRACER
+from repro.util.syncpoint import SYNC
+
+SP_CTRL_BEFORE_DECIDE = SYNC.declare(
+    "controller:before_decide", "signals sampled, adaptive decision pending"
+)
+SP_CTRL_AFTER_POLICY_CHANGE = SYNC.declare(
+    "controller:after_policy_change", "new picker installed, change not announced"
+)
+
+#: Reads between two read-path checks of the control loop.
+_READS_PER_TICK = 64
 
 #: Policies the controller may select (never FIFO).
 ADAPTIVE_POLICIES = (
@@ -295,3 +311,108 @@ class AdaptiveController:
             self.offload_changes += 1
             return True
         return False
+
+
+def _controller_for(options: Options) -> AdaptiveController | None:
+    """The adaptive controller when enabled and applicable.
+
+    Opt-in via ``Options.adaptive_compaction`` or ``REPRO_ADAPTIVE=1`` in
+    the environment (options win when not None).
+    """
+    enabled = options.adaptive_compaction
+    if enabled is None:
+        enabled = os.environ.get("REPRO_ADAPTIVE", "") not in ("", "0")
+    if not enabled or options.compaction_style not in ADAPTIVE_POLICIES:
+        return None  # FIFO: the controller refuses lossy policies
+    service = options.compaction_service
+    link_s_per_byte = 0.0
+    link = getattr(service, "dispatch_link", None)
+    if link is not None:
+        bandwidth = link.config.bandwidth_bytes_per_s
+        if bandwidth > 0:
+            link_s_per_byte = 1.0 / bandwidth
+    return AdaptiveController(
+        options.compaction_style,
+        offload_available=service is not None,
+        link_s_per_byte=link_s_per_byte,
+        config=options.adaptive_config,
+    )
+
+
+class PolicyInForce:
+    """The compaction policy one DB runs under right now.
+
+    The DB asks it for two things -- ``picker`` (which merge is due) and
+    ``offload`` (whether merges go to the attached compaction service) --
+    and calls :meth:`tick` where the control loop may look: at the end of
+    a flush or compaction (inside their trace spans, so a policy change
+    parents naturally) and on the read path.  With the adaptive knob off
+    the pair is constant and a tick is one attribute test; with it on, a
+    due tick samples the signals, lets the :class:`AdaptiveController`
+    decide, installs what changed and tells the DB through ``changed``
+    (the new policy may see work the old one did not).
+    """
+
+    def __init__(self, db, changed: Callable[[], None]):
+        options = db.options
+        self._db = db
+        self._changed = changed
+        self.controller = _controller_for(options)
+        self.style = options.compaction_style
+        self.picker = make_picker(options)
+        # With a compaction service attached offload is on (the static
+        # engine's behaviour); only the controller ever turns it off.
+        self.offload = options.compaction_service is not None
+        self._reads = 0
+
+    def tick(self, origin: str) -> None:
+        """One opportunistic control-loop iteration; cheap when not due."""
+        controller = self.controller
+        if controller is None:
+            return
+        if origin == "read":
+            # Read-mostly phases produce no flushes to tick the loop, so
+            # the read path checks in occasionally.  The counter is racy
+            # on purpose: a lost increment only delays a check.
+            self._reads += 1
+            if self._reads < _READS_PER_TICK:
+                return
+            self._reads = 0
+        db = self._db
+        now = db.clock.now()
+        if not controller.due(now):
+            return
+        SYNC.process(SP_CTRL_BEFORE_DECIDE)
+        signals = db.signals.sample()
+        decision = controller.decide(signals, db.health()["state"], now)
+        db.stats.counter("controller.ticks").add(1)
+        if decision.frozen:
+            db.stats.counter("controller.frozen_ticks").add(1)
+            return
+        if decision.policy_changed or decision.offload_changed:
+            with TRACER.span(
+                "compaction.policy_change",
+                attributes={
+                    "origin": origin,
+                    "policy": decision.policy,
+                    "offload": decision.offload,
+                    "reason": decision.reason,
+                },
+            ):
+                if decision.policy != self.style:
+                    self.style = decision.policy
+                    self.picker = make_picker(db.options, decision.policy)
+                    db.stats.counter("controller.policy_changes").add(1)
+                if decision.offload != self.offload:
+                    self.offload = decision.offload
+                    db.stats.counter("controller.offload_changes").add(1)
+            SYNC.process(SP_CTRL_AFTER_POLICY_CHANGE)
+            self._changed()
+
+    def state(self) -> dict | None:
+        """The controller's state for OP_STATS (None when nothing adapts)."""
+        if self.controller is None:
+            return None
+        state = self.controller.stats_dict()
+        state["active_style"] = self.style
+        return state

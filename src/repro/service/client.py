@@ -289,6 +289,29 @@ class KVClient:
         time.sleep(delay)
         return True
 
+    @staticmethod
+    def _attempt(pool: "KVClient", opcode: int, payload: bytes, trace):
+        """One try over ``pool``: ``(response, None)``, or ``(error, name of
+        the retry counter it falls under)`` when another try may fare better."""
+        try:
+            conn = pool._acquire()
+        except OSError as exc:
+            return exc, "retries"
+        try:
+            response = conn.request(opcode, payload, trace)
+        except (OSError, protocol.ProtocolError) as exc:
+            conn.close()
+            return exc, "retries"
+        pool._release(conn)
+        if response.opcode == protocol.RESP_BUSY:
+            return BusyError("server queue full"), "busy_retries"
+        if response.opcode == protocol.RESP_DEGRADED:
+            health = protocol.decode_health(response.payload)
+            return DegradedError(
+                f"server degraded ({health.get('reason') or 'unknown'})"
+            ), "degraded_retries"
+        return response, None
+
     def _request(self, opcode: int, payload: bytes = b"",
                  via: "KVClient | None" = None) -> Message:
         """Send one request, retrying BUSY/DEGRADED and transient socket
@@ -302,48 +325,16 @@ class KVClient:
             trace = TRACER.inject()
             last_error: Exception | None = None
             for attempt in range(self.max_retries + 1):
-                try:
-                    conn = pool._acquire()
-                except OSError as exc:
-                    last_error = exc
-                    self.retries += 1
-                    span.incr("retries")
-                    if not self._sleep_within_deadline(started_at, attempt):
-                        break
-                    continue
-                try:
-                    response = conn.request(opcode, payload, trace)
-                except (OSError, protocol.ProtocolError) as exc:
-                    conn.close()
-                    last_error = exc
-                    self.retries += 1
-                    span.incr("retries")
-                    if not self._sleep_within_deadline(started_at, attempt):
-                        break
-                    continue
-                if response.opcode == protocol.RESP_BUSY:
-                    pool._release(conn)
-                    last_error = BusyError("server queue full")
-                    self.busy_retries += 1
-                    span.incr("busy_retries")
-                    if not self._sleep_within_deadline(started_at, attempt):
-                        break
-                    continue
-                if response.opcode == protocol.RESP_DEGRADED:
-                    pool._release(conn)
-                    health = protocol.decode_health(response.payload)
-                    last_error = DegradedError(
-                        f"server degraded ({health.get('reason') or 'unknown'})"
-                    )
-                    self.degraded_retries += 1
-                    span.incr("degraded_retries")
-                    if not self._sleep_within_deadline(started_at, attempt):
-                        break
-                    continue
-                pool._release(conn)
-                if response.opcode == protocol.RESP_ERROR:
-                    raise protocol.decode_error(response.payload)
-                return response
+                outcome, counter = self._attempt(pool, opcode, payload, trace)
+                if counter is None:
+                    if outcome.opcode == protocol.RESP_ERROR:
+                        raise protocol.decode_error(outcome.payload)
+                    return outcome
+                last_error = outcome
+                setattr(self, counter, getattr(self, counter) + 1)
+                span.incr(counter)
+                if not self._sleep_within_deadline(started_at, attempt):
+                    break
             if isinstance(last_error, (BusyError, DegradedError)):
                 raise last_error
             raise ServiceError(

@@ -180,10 +180,7 @@ def execute(db, msg: Message, transport_sections=None) -> Message:
         db.flush()
         return Message(protocol.RESP_OK, rid)
     if op == protocol.OP_COMPACT:
-        compact = getattr(db, "compact_range", None) or getattr(
-            db, "compact_all"
-        )
-        compact()
+        db.compact_range()
         return Message(protocol.RESP_OK, rid)
     if op == protocol.OP_PING:
         return Message(protocol.RESP_OK, rid)

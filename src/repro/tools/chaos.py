@@ -101,6 +101,10 @@ class _ChaosKill(Exception):
     """Raised from a sync-point callback: 'the process dies right here'."""
 
 
+#: A deleted key's expected outcome (None doubles as "key may be absent").
+_TOMBSTONE = None
+
+
 def _key(index: int) -> bytes:
     return b"k%06d" % index
 
@@ -114,14 +118,19 @@ def _value(index: int, round_: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _engine_options(env, adaptive: bool = False) -> Options:
+def _engine_options(
+    env, adaptive: bool = False, write_buffer_size: int = 2048,
+    max_background_jobs: int = 1,
+) -> Options:
+    """A tree that flushes and compacts within a few dozen ops, with synced
+    WALs (an ack must survive a kill)."""
     options = Options(
         env=env,
-        write_buffer_size=2048,
+        write_buffer_size=write_buffer_size,
         block_size=512,
         level0_file_num_compaction_trigger=2,
         wal_sync_writes=True,
-        max_background_jobs=1,
+        max_background_jobs=max_background_jobs,
         slowdown_delay_s=0.0,
     )
     if adaptive:
@@ -142,6 +151,12 @@ def _engine_options(env, adaptive: bool = False) -> Options:
     return options
 
 
+def _shield(kds, server_id: str, **extra) -> ShieldOptions:
+    return ShieldOptions(
+        kds=kds, server_id=server_id, wal_buffer_size=256, **extra
+    )
+
+
 def _crash_point_trial(point: str, seed: int = 0) -> dict:
     """Kill the database at ``point``, recover from the crash-instant
     snapshot, and check the invariants.  Returns a result dict."""
@@ -152,29 +167,21 @@ def _crash_point_trial(point: str, seed: int = 0) -> dict:
     # points); a real counter survives the crash, so it is forked at the
     # kill instant like the env and the KDS.
     counter = MemoryTrustedCounter()
-    shield = ShieldOptions(
-        kds=kds,
-        server_id="crash-matrix",
-        wal_buffer_size=256,
-        trusted_counter=counter,
-    )
+    shield = _shield(kds, "crash-matrix", trusted_counter=counter)
 
-    # Expected state.  Phase 2 only writes *fresh* keys (and re-deletes
-    # already-dead ones), so a write acked after the callback copied this
-    # state but before it forked the env can only make the fork a superset
-    # of the expectation -- never contradict it.
-    state: dict[bytes, bytes] = {}
-    deleted: set[bytes] = set()
+    # Expected state: the last acked outcome per key.  Phase 2 only writes
+    # *fresh* keys (and re-deletes already-dead ones), so a write acked
+    # after the callback copied this state but before it forked the env can
+    # only make the fork a superset of the expectation -- never contradict it.
+    acked: dict[bytes, bytes | None] = {}
 
     def acked_put(db, key: bytes, value: bytes) -> None:
         db.put(key, value)
-        state[key] = value
-        deleted.discard(key)
+        acked[key] = value
 
     def acked_delete(db, key: bytes) -> None:
         db.delete(key)
-        deleted.add(key)
-        state.pop(key, None)
+        acked[key] = _TOMBSTONE
 
     # Phase 1: build a baseline tree with no chaos, close cleanly.
     # Even key indices only; phase 2 owns the odd ones.
@@ -196,12 +203,11 @@ def _crash_point_trial(point: str, seed: int = 0) -> dict:
 
     def on_hit() -> None:
         if "snap" not in capture:
-            expected = dict(state)
-            dead = set(deleted)
+            expected = dict(acked)
             env_fork = mem.fork(durable_only=True)
             counter_fork = counter.fork()
             kds_fork = kds.fork()
-            capture["snap"] = (expected, dead, env_fork, kds_fork, counter_fork)
+            capture["snap"] = (env_fork, kds_fork, expected, counter_fork)
         raise _ChaosKill(f"injected crash at {point}")
 
     SYNC.clear()
@@ -259,33 +265,20 @@ def _crash_point_trial(point: str, seed: int = 0) -> dict:
     finally:
         SYNC.clear()
         if db is not None:
-            try:
-                db.simulate_crash()
-            except Exception:  # noqa: BLE001 - already dead is fine
-                pass
+            _quietly(db.simulate_crash)
 
     if "snap" not in capture:
         result["error"] = result["error"] or "sync point never fired"
         return result
     result["captured"] = True
 
-    expected, dead, env_fork, kds_fork, counter_fork = capture["snap"]
-    result.update(
-        _verify_recovery(env_fork, kds_fork, expected, dead, counter_fork)
-    )
+    result.update(_verify_recovery(*capture["snap"]))
     return result
 
 
-def _verify_recovery(
-    env_fork, kds_fork, expected, dead, counter_fork=None
-) -> dict:
+def _verify_recovery(env_fork, kds_fork, expected, counter_fork) -> dict:
     """Open the crash-instant snapshot and check every invariant."""
-    shield = ShieldOptions(
-        kds=kds_fork,
-        server_id="crash-recovery",
-        wal_buffer_size=256,
-        trusted_counter=counter_fork,
-    )
+    shield = _shield(kds_fork, "crash-recovery", trusted_counter=counter_fork)
     lost = []
     resurrected = []
     recovery_error = None
@@ -294,10 +287,8 @@ def _verify_recovery(
         try:
             for key, value in sorted(expected.items()):
                 if db.get(key) != value:
-                    lost.append(key.decode())
-            for key in sorted(dead):
-                if db.get(key) is not None:
-                    resurrected.append(key.decode())
+                    wrong = resurrected if value is _TOMBSTONE else lost
+                    wrong.append(key.decode())
         finally:
             db.close()
     except Exception as exc:  # noqa: BLE001 - a failed recovery is the finding
@@ -305,20 +296,14 @@ def _verify_recovery(
 
     audit = audit_directory(env_fork, DB_PATH)
     unreadable = [row["name"] for row in audit["rows"] if "error" in row]
-    unknown_deks = sorted(
-        {
-            row["dek_id"]
-            for row in audit["rows"]
-            if "error" not in row
-            and row["scheme"] != "PLAINTEXT"
-            and not kds_fork.knows(row["dek_id"])
-        }
-    )
     referenced = {
         row["dek_id"]
         for row in audit["rows"]
         if "error" not in row and row["scheme"] != "PLAINTEXT"
     }
+    unknown_deks = sorted(
+        dek_id for dek_id in referenced if not kds_fork.knows(dek_id)
+    )
     leaked = max(0, kds_fork.live_dek_count() - len(referenced))
 
     ok = (
@@ -334,7 +319,9 @@ def _verify_recovery(
     )
     return {
         "recovery_error": recovery_error,
-        "expected_keys": len(expected),
+        "expected_keys": sum(
+            value is not _TOMBSTONE for value in expected.values()
+        ),
         "lost": lost,
         "resurrected": resurrected,
         "unreadable_files": unreadable,
@@ -382,10 +369,6 @@ _WINDOW_KINDS = (
     "sync_faults",
 )
 
-#: In-doubt tombstone marker (None doubles as "key may be absent").
-_TOMBSTONE = None
-
-
 def _make_schedule(rng: random.Random, profile: dict) -> dict:
     """Seeded, non-overlapping fault windows plus crash indices."""
     ops = profile["ops"]
@@ -426,6 +409,152 @@ def _apply_window(kind: str, env: FaultInjectionEnv, kds: FaultyKDS,
         env.fail_syncs(after=rng.randint(0, 3))
 
 
+#: The soaks' engines: the matrix's, with room for a few more ops a file.
+_SOAK_ENGINE = {"write_buffer_size": 4096, "max_background_jobs": 2}
+
+
+def _service_config(**extra) -> ServiceConfig:
+    return ServiceConfig(
+        port=0,
+        max_queue_depth=32,
+        health_check_interval_s=0.05,
+        drain_timeout_s=2.0,
+        **extra,
+    )
+
+
+def _soak_client(cls, address, seed: int, **retry_budget) -> KVClient:
+    return cls(
+        *address,
+        pool_size=2,
+        timeout_s=5.0,
+        backoff_base_s=0.005,
+        rng=random.Random(seed ^ 0xC11E),
+        **retry_budget,
+    )
+
+
+def _quietly(*calls) -> None:
+    """Best-effort teardown: every call runs, whatever the earlier ones
+    raised (already dead is fine)."""
+    for call in calls:
+        try:
+            call()
+        except Exception:  # noqa: BLE001
+            pass
+
+
+def _wait_healthy(is_healthy) -> bool:
+    """Poll ``is_healthy()`` for up to 15 s; an error counts as not yet."""
+    deadline = time.monotonic() + 15.0
+    while time.monotonic() < deadline:
+        try:
+            if is_healthy():
+                return True
+        except (ReproError, OSError):
+            pass
+        time.sleep(0.05)
+    return False
+
+
+class _Oracle:
+    """The soaks' op mix and what it may legally read back, whatever the
+    driver does to the stack between ops.
+
+    Expected state is the last *acknowledged* outcome per key, plus the set
+    of in-doubt outcomes (ops that failed after retries -- the server may or
+    may not have applied them; either result is legal at read-back).
+    """
+
+    def __init__(
+        self, rng: random.Random, keyspace: int, counters: dict,
+        put_share: float, round_: int,
+    ):
+        self.rng = rng
+        self.keyspace = keyspace
+        self.counters = counters  # bumps "acked" and "failed"
+        self.put_share = put_share
+        self.round = round_
+        self.acked: dict[bytes, bytes | None] = {}
+        self.indoubt: dict[bytes, set] = {}
+        self.mismatches: list[dict] = []
+        self.verified = 0
+
+    def _check(self, key: bytes, got, **where) -> None:
+        allowed = {self.acked.get(key, _TOMBSTONE)}
+        allowed |= self.indoubt.get(key, set())
+        if got not in allowed:
+            self.mismatches.append({
+                **where,
+                "key": key.decode(),
+                "got": None if got is None else got.decode(),
+            })
+
+    def op(self, client: KVClient, op_index: int) -> None:
+        """One put / get-check / delete / scan, drawn from the seeded rng."""
+        key = _key(self.rng.randrange(self.keyspace))
+        roll = self.rng.random()
+        wrote = ()  # (value,) or (_TOMBSTONE,): acked, or left in doubt
+        try:
+            if roll < self.put_share:
+                wrote = (_value(op_index, self.round),)
+                client.put(key, wrote[0])
+            elif roll < 0.85:
+                self._check(
+                    key, client.get(key), op=op_index, phase="inline-read"
+                )
+            elif roll < 0.95:
+                wrote = (_TOMBSTONE,)
+                client.delete(key)
+            else:
+                scanned = client.scan(_key(0), _key(self.keyspace), limit=20)
+                keys = [k for k, __ in scanned]
+                if keys != sorted(keys):
+                    self.mismatches.append({
+                        "op": op_index,
+                        "phase": "scan-order",
+                        "got": "unordered scatter-gather scan",
+                    })
+        except (ReproError, OSError):
+            self.counters["failed"] += 1
+            if wrote:
+                self.indoubt.setdefault(key, set()).add(wrote[0])
+        else:
+            self.counters["acked"] += 1
+            if wrote:
+                self.acked[key] = wrote[0]
+                self.indoubt.pop(key, None)
+
+    def read_back(self, client: KVClient) -> None:
+        """Every key ever touched must hold an allowed outcome."""
+        for key in sorted(set(self.acked) | set(self.indoubt)):
+            try:
+                got = client.get(key)
+            except (ReproError, OSError) as exc:
+                self.mismatches.append({
+                    "key": key.decode(),
+                    "got": f"error: {exc!r}",
+                    "phase": "read-back",
+                })
+                continue
+            self.verified += 1
+            self._check(key, got, phase="read-back")
+
+    def verdict(self, healthy: bool, also: bool = True) -> dict:
+        """The report's tail; ``also`` is what else the driver demands."""
+        return {
+            "counters": self.counters,
+            "keys_tracked": len(set(self.acked) | set(self.indoubt)),
+            "keys_verified": self.verified,
+            "mismatches": self.mismatches,
+            "healthy_at_end": healthy,
+            "ok": (
+                healthy and not self.mismatches
+                and self.counters["acked"] > 0 and also
+            ),
+        }
+
+
 def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
     """YCSB-style soak under a seeded fault schedule; returns the report."""
     spec = PROFILES[profile]
@@ -435,57 +564,23 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
     env = FaultInjectionEnv(MemEnv(), seed=seed ^ 0xE9)
     kds = FaultyKDS(InMemoryKDS(), seed=seed ^ 0xD5)
 
-    def shield_options() -> ShieldOptions:
-        return ShieldOptions(
-            kds=kds,
-            server_id=f"chaos-{seed}",
-            wal_buffer_size=256,
-            resilient=True,
+    def boot() -> tuple[DB, KVServer, KVClient]:
+        """Open (or recover) the store and put a server and a client on it."""
+        db = open_shield_db(
+            DB_PATH, _shield(kds, f"chaos-{seed}", resilient=True),
+            _engine_options(env, **_SOAK_ENGINE),
         )
-
-    def engine_options() -> Options:
-        return Options(
-            env=env,
-            write_buffer_size=4096,
-            block_size=512,
-            level0_file_num_compaction_trigger=2,
-            wal_sync_writes=True,
-            slowdown_delay_s=0.0,
+        server = KVServer(
+            db, _service_config(num_workers=2, socket_timeout_s=5.0)
+        ).start()
+        client = _soak_client(
+            KVClient, server.address, seed,
+            max_retries=8, backoff_max_s=0.05, deadline_s=2.0,
         )
+        return db, server, client
 
-    def service_config() -> ServiceConfig:
-        return ServiceConfig(
-            port=0,
-            num_workers=2,
-            max_queue_depth=32,
-            health_check_interval_s=0.05,
-            drain_timeout_s=2.0,
-            socket_timeout_s=5.0,
-        )
+    db, server, client = boot()
 
-    def new_client(server: KVServer) -> KVClient:
-        host, port = server.address
-        return KVClient(
-            host,
-            port,
-            pool_size=2,
-            timeout_s=5.0,
-            max_retries=8,
-            backoff_base_s=0.005,
-            backoff_max_s=0.05,
-            deadline_s=2.0,
-            rng=random.Random(seed ^ 0xC11E),
-        )
-
-    db = open_shield_db(DB_PATH, shield_options(), engine_options())
-    server = KVServer(db, service_config()).start()
-    client = new_client(server)
-
-    # Expected state: last *acknowledged* outcome per key, plus the set of
-    # in-doubt outcomes (ops that failed after retries -- the server may or
-    # may not have applied them; either result is legal at read-back).
-    acked: dict[bytes, bytes | None] = {}
-    indoubt: dict[bytes, set] = {}
     counters = {
         "ops": 0,
         "acked": 0,
@@ -494,17 +589,17 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
         "forced_restarts": 0,
         "degraded_seen": 0,
         "health_failed_seen": 0,
+        "client_retries": 0,
+        "client_busy_retries": 0,
+        "client_degraded_retries": 0,
     }
-    client_retry_totals = {"retries": 0, "busy": 0, "degraded": 0}
+    oracle = _Oracle(rng, spec["keys"], counters, put_share=0.60, round_=2)
 
     def retire_client(old: KVClient) -> None:
-        client_retry_totals["retries"] += old.retries
-        client_retry_totals["busy"] += old.busy_retries
-        client_retry_totals["degraded"] += old.degraded_retries
-        try:
-            old.close()
-        except Exception:  # noqa: BLE001
-            pass
+        counters["client_retries"] += old.retries
+        counters["client_busy_retries"] += old.busy_retries
+        counters["client_degraded_retries"] += old.degraded_retries
+        _quietly(old.close)
 
     def restart(reason: str) -> None:
         nonlocal db, server, client
@@ -513,27 +608,15 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
         env.heal()
         kds.heal()
         retire_client(client)
-        try:
-            server.stop()
-        except Exception:  # noqa: BLE001
-            pass
-        try:
-            db.simulate_crash()
-        except Exception:  # noqa: BLE001
-            pass
+        _quietly(server.stop, db.simulate_crash)
         env.crash_system()
-        db = open_shield_db(DB_PATH, shield_options(), engine_options())
-        server = KVServer(db, service_config()).start()
-        client = new_client(server)
+        db, server, client = boot()
         schedule.setdefault("restarts", []).append(
             {"op": counters["ops"], "reason": reason}
         )
 
     window_starts = {w["start"]: w for w in schedule["windows"]}
     window_ends = {w["end"]: w for w in schedule["windows"]}
-    crash_at = set(schedule["crashes"])
-    keyspace = spec["keys"]
-    mismatches: list[dict] = []
 
     try:
         for op_index in range(spec["ops"]):
@@ -543,45 +626,11 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
             if op_index in window_ends:
                 env.heal()
                 kds.heal()
-            if op_index in crash_at:
+            if op_index in schedule["crashes"]:
                 counters["crashes"] += 1
                 restart("scheduled crash")
 
-            key = _key(rng.randrange(keyspace))
-            roll = rng.random()
-            try:
-                if roll < 0.60:
-                    value = _value(op_index, 2)
-                    client.put(key, value)
-                    acked[key] = value
-                    indoubt.pop(key, None)
-                elif roll < 0.85:
-                    got = client.get(key)
-                    allowed = {acked.get(key, _TOMBSTONE)}
-                    allowed |= indoubt.get(key, set())
-                    if got not in allowed:
-                        mismatches.append(
-                            {
-                                "op": op_index,
-                                "key": key.decode(),
-                                "got": None if got is None else got.decode(),
-                                "phase": "inline-read",
-                            }
-                        )
-                elif roll < 0.95:
-                    client.delete(key)
-                    acked[key] = _TOMBSTONE
-                    indoubt.pop(key, None)
-                else:
-                    client.scan(_key(0), _key(keyspace), limit=20)
-            except (ReproError, OSError):
-                counters["failed"] += 1
-                if roll < 0.60:
-                    indoubt.setdefault(key, set()).add(value)
-                elif 0.85 <= roll < 0.95:
-                    indoubt.setdefault(key, set()).add(_TOMBSTONE)
-            else:
-                counters["acked"] += 1
+            oracle.op(client, op_index)
 
             # Sample health; a hard-failed engine (e.g. a bit flip caught
             # mid-compaction) degrades to an operator restart, never a wedge.
@@ -600,55 +649,15 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
         # Drain: heal everything and demand the stack returns to healthy.
         env.heal()
         kds.heal()
-        healthy = False
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            try:
-                if client.health()["state"] == "healthy":
-                    healthy = True
-                    break
-            except (ReproError, OSError):
-                pass
-            time.sleep(0.05)
+        healthy = _wait_healthy(lambda: client.health()["state"] == "healthy")
         if not healthy:
             restart("never healed")
             healthy = True  # recovery from a clean image must serve
 
-        # Read-back: every key ever touched must hold an allowed outcome.
-        verified = 0
-        for key in sorted(set(acked) | set(indoubt)):
-            allowed = {acked.get(key, _TOMBSTONE)}
-            allowed |= indoubt.get(key, set())
-            try:
-                got = client.get(key)
-            except (ReproError, OSError) as exc:
-                mismatches.append(
-                    {
-                        "key": key.decode(),
-                        "got": f"error: {exc!r}",
-                        "phase": "read-back",
-                    }
-                )
-                continue
-            verified += 1
-            if got not in allowed:
-                mismatches.append(
-                    {
-                        "key": key.decode(),
-                        "got": None if got is None else got.decode(),
-                        "phase": "read-back",
-                    }
-                )
+        oracle.read_back(client)
     finally:
         retire_client(client)
-        try:
-            server.stop()
-        except Exception:  # noqa: BLE001
-            pass
-        try:
-            db.close()
-        except Exception:  # noqa: BLE001
-            pass
+        _quietly(server.stop, db.close)
 
     counters.update(
         {
@@ -656,21 +665,13 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
             "injected_read_failures": env.injected_read_failures,
             "injected_bit_flips": env.injected_bit_flips,
             "injected_kds_failures": kds.injected_failures,
-            "client_retries": client_retry_totals["retries"],
-            "client_busy_retries": client_retry_totals["busy"],
-            "client_degraded_retries": client_retry_totals["degraded"],
         }
     )
     return {
         "seed": seed,
         "profile": profile,
         "schedule": schedule,
-        "counters": counters,
-        "keys_tracked": len(set(acked) | set(indoubt)),
-        "keys_verified": verified,
-        "mismatches": mismatches,
-        "healthy_at_end": healthy,
-        "ok": healthy and not mismatches and counters["acked"] > 0,
+        **oracle.verdict(healthy),
     }
 
 
@@ -715,35 +716,14 @@ def run_worker_chaos(
     def make_shard(index: int, path: str) -> DB:
         env = LocalEnv()
         env.mkdirs(path)
-        return DB(path, Options(
-            env=env,
-            write_buffer_size=4096,
-            block_size=512,
-            level0_file_num_compaction_trigger=2,
-            wal_sync_writes=True,
-            slowdown_delay_s=0.0,
-        ))
+        return DB(path, _engine_options(env, **_SOAK_ENGINE))
 
-    config = ServiceConfig(
-        port=0,
-        max_queue_depth=32,
-        health_check_interval_s=0.05,
-        drain_timeout_s=2.0,
-    )
     server = MultiProcessKVServer(
-        f"{base}/db", num_workers, make_shard, config
+        f"{base}/db", num_workers, make_shard, _service_config()
     ).start()
-    host, port = server.address
-    client = WORKER_CHAOS_ROUTES[route](
-        host,
-        port,
-        pool_size=2,
-        timeout_s=5.0,
-        max_retries=10,
-        backoff_base_s=0.005,
-        backoff_max_s=0.1,
-        deadline_s=5.0,
-        rng=random.Random(seed ^ 0xC11E),
+    client = _soak_client(
+        WORKER_CHAOS_ROUTES[route], server.address, seed,
+        max_retries=10, backoff_max_s=0.1, deadline_s=5.0,
     )
 
     ops = spec["ops"]
@@ -751,18 +731,14 @@ def run_worker_chaos(
     kill_at = sorted(
         rng.sample(range(ops // 10, ops - ops // 10), kill_count)
     )
-    kill_schedule = set(kill_at)
 
-    acked: dict[bytes, bytes | None] = {}
-    indoubt: dict[bytes, set] = {}
     counters = {"ops": 0, "acked": 0, "failed": 0, "kills": 0}
-    keyspace = spec["keys"]
-    mismatches: list[dict] = []
+    oracle = _Oracle(rng, spec["keys"], counters, put_share=0.65, round_=3)
 
     try:
         for op_index in range(ops):
             counters["ops"] += 1
-            if op_index in kill_schedule:
+            if op_index in kill_at:
                 victims = [pid for pid in server.worker_pids if pid]
                 if victims:
                     counters["kills"] += 1
@@ -770,92 +746,17 @@ def run_worker_chaos(
                         os.kill(rng.choice(victims), signal.SIGKILL)
                     except ProcessLookupError:
                         pass
-            key = _key(rng.randrange(keyspace))
-            roll = rng.random()
-            try:
-                if roll < 0.65:
-                    value = _value(op_index, 3)
-                    client.put(key, value)
-                    acked[key] = value
-                    indoubt.pop(key, None)
-                elif roll < 0.85:
-                    got = client.get(key)
-                    allowed = {acked.get(key, _TOMBSTONE)}
-                    allowed |= indoubt.get(key, set())
-                    if got not in allowed:
-                        mismatches.append({
-                            "op": op_index,
-                            "key": key.decode(),
-                            "got": None if got is None else got.decode(),
-                            "phase": "inline-read",
-                        })
-                elif roll < 0.95:
-                    client.delete(key)
-                    acked[key] = _TOMBSTONE
-                    indoubt.pop(key, None)
-                else:
-                    scanned = client.scan(_key(0), _key(keyspace), limit=20)
-                    keys = [k for k, __ in scanned]
-                    if keys != sorted(keys):
-                        mismatches.append({
-                            "op": op_index,
-                            "phase": "scan-order",
-                            "got": "unordered scatter-gather scan",
-                        })
-            except (ReproError, OSError):
-                counters["failed"] += 1
-                if roll < 0.65:
-                    indoubt.setdefault(key, set()).add(value)
-                elif 0.85 <= roll < 0.95:
-                    indoubt.setdefault(key, set()).add(_TOMBSTONE)
-            else:
-                counters["acked"] += 1
+            oracle.op(client, op_index)
 
         # Every worker must be back (respawned) and healthy.
-        healthy = False
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            try:
-                if (
-                    client.health()["state"] == "healthy"
-                    and all(server.worker_pids)
-                ):
-                    healthy = True
-                    break
-            except (ReproError, OSError):
-                pass
-            time.sleep(0.05)
-
-        verified = 0
-        for key in sorted(set(acked) | set(indoubt)):
-            allowed = {acked.get(key, _TOMBSTONE)}
-            allowed |= indoubt.get(key, set())
-            try:
-                got = client.get(key)
-            except (ReproError, OSError) as exc:
-                mismatches.append({
-                    "key": key.decode(),
-                    "got": f"error: {exc!r}",
-                    "phase": "read-back",
-                })
-                continue
-            verified += 1
-            if got not in allowed:
-                mismatches.append({
-                    "key": key.decode(),
-                    "got": None if got is None else got.decode(),
-                    "phase": "read-back",
-                })
+        healthy = _wait_healthy(
+            lambda: client.health()["state"] == "healthy"
+            and all(server.worker_pids)
+        )
+        oracle.read_back(client)
         stats = server.stats.snapshot()
     finally:
-        try:
-            client.close()
-        except Exception:  # noqa: BLE001
-            pass
-        try:
-            server.stop()
-        except Exception:  # noqa: BLE001
-            pass
+        _quietly(client.close, server.stop)
         shutil.rmtree(base, ignore_errors=True)
 
     counters["worker_crashes"] = int(stats.get("service.worker_crashes", 0))
@@ -867,17 +768,8 @@ def run_worker_chaos(
         "route": route,
         "num_workers": num_workers,
         "kill_schedule": kill_at,
-        "counters": counters,
-        "keys_tracked": len(set(acked) | set(indoubt)),
-        "keys_verified": verified,
-        "mismatches": mismatches,
-        "healthy_at_end": healthy,
-        "ok": (
-            healthy
-            and not mismatches
-            and counters["acked"] > 0
-            and counters["kills"] > 0
-            and counters["worker_respawns"] >= counters["kills"]
+        **oracle.verdict(
+            healthy, 0 < counters["kills"] <= counters["worker_respawns"]
         ),
     }
 

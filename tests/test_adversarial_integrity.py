@@ -329,6 +329,13 @@ def _release_compaction(db, timeout=30.0):
     assert returned.wait(timeout), "wait_for_compaction() never returned"
 
 
+def wait_until(db, predicate, timeout=20.0):
+    """Block on the engine's own condition until ``predicate()``: no sleeps
+    and no scheduling call -- every state change announces itself there."""
+    with db._cond:
+        assert db._cond.wait_for(predicate, timeout), "the engine never got there"
+
+
 @pytest.mark.parametrize("route", ["local", "offloaded"])
 def test_compaction_over_tampered_input_quarantines_and_aborts(route):
     """Compaction reads its inputs as raw entries, outside the block cache;
@@ -533,6 +540,26 @@ def test_substituted_file_put_back_heals():
         env.write_file(newest, honest)
         assert db.get(b"key-0001") == b"gen-2-0001"
         assert db.quarantined_files() == []
+
+
+def test_healed_quarantine_resumes_compaction():
+    """A quarantined file is out of the picker's reach; the clean read that
+    lifts the mark puts it back, and the merge that was due all along runs
+    -- nobody has to flush or ask for it."""
+    env, db = _three_parked_l0_files(
+        "local", InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i)
+    )
+    with db:
+        tampered = _sst_paths(env, "/adv")[0]
+        honest = env.read_file(tampered)
+        _flip_payload_byte(env, tampered, skew=0.3)
+        _release_compaction(db)  # aborts and quarantines; the trigger stays 3
+        assert len(db.quarantined_files()) == 1
+        assert db.num_files_at_level(0) == 3
+        env.write_file(tampered, honest)
+        assert db.get(b"key-0-0042") == b"value-0042"
+        assert db.quarantined_files() == []
+        wait_until(db, lambda: db.num_files_at_level(0) < 3)
 
 
 # ---------------------------------------------------------------------------

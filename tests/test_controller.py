@@ -255,10 +255,13 @@ def test_policy_change_span_parents_under_bg_job():
 def test_adaptive_off_means_no_controller():
     options = Options(env=MemEnv(), adaptive_compaction=False)
     with DB("/static", options) as db:
-        assert db._controller is None
-        assert db.controller_state() is None
+        policy = db.policy
+        assert policy.controller is None and db.controller_state() is None
+        pair = (policy.picker, policy.offload)
         db.put(b"k", b"v")
+        db.flush()  # a flush ticks the policy; nothing adapts
         assert db.stats.counter("controller.ticks").value == 0
+        assert (policy.picker, policy.offload) == pair
 
 
 def test_fifo_never_gets_a_controller():

@@ -12,14 +12,24 @@ prefix: every surviving key has its latest value, and synced keys always
 survive.
 """
 
+import threading
+
 import pytest
 
 from repro.bench.systems import make_system
+from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
-from repro.keys.kds import InMemoryKDS
-from repro.lsm.db import DB
+from repro.errors import IOError_
+from repro.keys.faulty import FaultyKDS
+from repro.keys.kds import InMemoryKDS, SimulatedKDS
+from repro.lsm.db import DB, SP_FLUSH_BEFORE_SST
 from repro.lsm.options import Options, WriteOptions
+from repro.obs.controller import ControllerConfig
 from repro.shield import ShieldOptions, open_shield_db
+from repro.util.clock import VirtualClock
+from repro.util.syncpoint import SYNC
+from tests import test_adversarial_integrity as adversarial
+from tests.test_adversarial_integrity import wait_until
 
 
 def _options(env, **overrides):
@@ -194,14 +204,58 @@ def test_recovery_is_idempotent():
         db.close()
 
 
-def test_reopening_up_to_the_stop_trigger_does_not_block_the_next_write():
-    """Every recovery with a non-empty WAL adds an L0 file.  Nothing used to
-    schedule the compaction that file made due, so a store reopened until L0
-    reached the stop trigger blocked its next write forever (the suite's
-    occasional hang: the model test's ``reopen`` rule drawn often enough)."""
-    import threading
+# ---------------------------------------------------------------------------
+# The background-work contract.  Work is derived from state: whatever changes
+# the state announces it, and the work the new state makes due runs -- no
+# caller schedules anything.  A job that fails changes the state it was
+# derived from, so it is attempted once, not until it succeeds.
+# ---------------------------------------------------------------------------
 
-    env = MemEnv()
+
+def _flushes(db):
+    return db.stats.counter("db.flushes").value
+
+
+def _compactions(db):
+    return db.stats.counter("db.compactions").value
+
+
+def _fill(db, memtables):
+    """Write ``memtables`` write buffers' worth through ``put`` alone."""
+    for i in range(memtables * 4):
+        db.put(b"key-%04d" % i, b"v" * 1024)
+
+
+def _memtable_switch(env):
+    with DB("/crash", _options(env)) as db:
+        _fill(db, 1)
+        wait_until(db, lambda: _flushes(db) >= 1)
+        assert db.get_property("repro.immutable-memtables") == 0
+
+
+def _flush_install(env):
+    options = _options(env, level0_file_num_compaction_trigger=2)
+    with DB("/crash", options) as db:
+        _fill(db, 2)
+        wait_until(db, lambda: _compactions(db) >= 1)
+
+
+def _compaction_install(env):
+    """The L0 -> L1 merge leaves L1 over its budget: L1 -> L2 is due."""
+    options = _options(
+        env, level0_file_num_compaction_trigger=2,
+        max_bytes_for_level_base=4 * 1024, target_file_size=2 * 1024,
+    )
+    with DB("/crash", options) as db:
+        _fill(db, 3)
+        wait_until(db, lambda: db.num_files_at_level(2) >= 1)
+
+
+def _reopen_at_stop_trigger(env):
+    """Every recovery with a non-empty WAL adds an L0 file like any flush
+    does; with nobody announcing it, a store reopened until L0 reached the
+    stop trigger blocked its next write forever (once the suite's occasional
+    hang: the model test's ``reopen`` rule drawn often enough)."""
     options = dict(
         write_buffer_size=1 << 20, level0_file_num_compaction_trigger=4,
         level0_stop_writes_trigger=6,
@@ -218,6 +272,124 @@ def test_reopening_up_to_the_stop_trigger_does_not_block_the_next_write():
         db.close()
 
     threading.Thread(target=writes, daemon=True).start()
-    assert written.wait(30.0), "a write waits for a compaction nobody scheduled"
+    assert written.wait(30.0), "a write waits for a compaction nobody started"
     with DB("/crash", _options(env, **options)) as db:
         assert db.get(b"key-9") == b"value"
+
+
+def _try_recover(env):
+    faulty = FaultInjectionEnv(env)
+    with DB("/crash", _options(faulty)) as db:
+        faulty.fail_paths(lambda path: path.endswith(".sst"))
+        with pytest.raises(IOError_):
+            _fill(db, 3)  # the flush dies; the writes behind it fail fast
+        db.wait_for_compaction()
+        assert db.health()["state"] == "degraded" and _flushes(db) == 0
+        faulty.heal()
+        assert db.try_recover()
+        wait_until(
+            db, lambda: db.get_property("repro.immutable-memtables") == 0
+        )
+        assert _flushes(db) >= 1 and db.get(b"key-0000") == b"v" * 1024
+
+
+def _policy_flip(env):
+    """Three runs are no work for the tiered policy and a due merge for the
+    leveled one; the flip happens on the read path, which changes nothing
+    else the background cares about."""
+    options = _options(
+        env, write_buffer_size=1 << 20, compaction_style="universal",
+        level0_file_num_compaction_trigger=3, adaptive_compaction=True,
+        adaptive_config=ControllerConfig(
+            tick_interval_s=0.0, confirm_ticks=1, dwell_s=0.0
+        ),
+    )
+    with DB("/crash", options) as db:
+        db.signals.sample = dict  # no pressure: the policy stays
+        for batch in range(3):
+            db.put(b"key-%d" % batch, b"value")
+            db.flush()
+        db.wait_for_compaction()
+        assert db.num_files_at_level(0) == 3 and _compactions(db) == 0
+        db.signals.sample = lambda: {
+            "get_ops_per_s": 400.0, "scan_ops_per_s": 100.0
+        }
+        for _ in range(64):  # the read path ticks every 64th read
+            db.get(b"key-0")
+        assert db.controller_state()["active_style"] == "leveled"
+        wait_until(db, lambda: db.num_files_at_level(0) < 3)
+
+
+def _quarantine_heal(env):
+    adversarial.test_healed_quarantine_resumes_compaction()  # in its own env
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        _memtable_switch, _flush_install,
+        _compaction_install, _reopen_at_stop_trigger,
+        _try_recover, _policy_flip,
+        _quarantine_heal,
+    ],
+    ids=lambda change: change.__name__.strip("_"),
+)
+def test_a_state_change_runs_the_work_it_makes_due(change):
+    """No case calls ``flush()``, ``wait_for_compaction()`` or
+    ``compact_range()`` between the change and the work it waits for."""
+    change(MemEnv())
+
+
+@pytest.mark.parametrize(
+    "job,fault",
+    [
+        ("flush", "kds-outage"), ("flush", "revoked"),
+        ("merge", "kds-outage"), ("merge", "tampered"),
+    ],
+)
+def test_a_failing_job_is_attempted_once(job, fault):
+    """...and ``wait_for_compaction()`` returns: asked again, the engine
+    derives nothing from the state the failure left behind."""
+    kds = FaultyKDS(SimulatedKDS(clock=VirtualClock(), request_latency_s=0.0))
+    kds.authorize_server("server-1")
+    env, db = adversarial._three_parked_l0_files(
+        "local", kds, lambda batch, i: b"key-%d-%04d" % (batch, i)
+    )
+
+    def strike():
+        if fault == "kds-outage":
+            kds.go_down()
+        elif fault == "revoked":
+            kds.revoke_server("server-1")
+        else:
+            victim = adversarial._sst_paths(env, "/adv")[0]
+            adversarial._flip_payload_byte(env, victim, skew=0.3)
+
+    def attempts():
+        snap = db.stats_snapshot()
+        return (
+            kds.requests, snap["db.flushes"], snap.get("db.compactions", 0),
+            snap.get("integrity.compaction_auth_aborts", 0),
+        )
+
+    try:
+        if job == "flush":
+            # Inside the job: struck any earlier, the memtable switch itself
+            # fails (no DEK for the next WAL) and no flush is ever due.
+            db.put(b"k", b"v")
+            SYNC.set_callback(SP_FLUSH_BEFORE_SST, strike)
+            SYNC.enable()
+            with pytest.raises(IOError_):
+                db.flush()
+            SYNC.clear()
+        else:
+            strike()
+            adversarial._release_compaction(db)
+        db.wait_for_compaction()  # nothing is running from here on
+        after_one = attempts()
+        assert after_one[1:] == (3, 0, 1 if fault == "tampered" else 0)
+        db.wait_for_compaction()
+        assert attempts() == after_one
+    finally:
+        SYNC.clear()
+        db.close()

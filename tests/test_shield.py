@@ -258,12 +258,6 @@ def test_revoked_server_blocked_mid_flight(tmp_path):
             db.flush()
 
 
-def _wait_until(db, predicate):
-    """Block on the engine's own condition variable (no polling sleeps)."""
-    with db._cond:
-        assert db._cond.wait_for(predicate, timeout=20)
-
-
 @pytest.mark.parametrize("cause", ["revoked", "outage"])
 def test_failed_flush_goes_quiet_until_try_recover(cause):
     """A flush that cannot get its DEK must not reschedule itself: the
@@ -280,21 +274,24 @@ def test_failed_flush_goes_quiet_until_try_recover(cause):
         with pytest.raises(IOError_):
             db.flush()
         SYNC.clear()
-        _wait_until(db, lambda: db._bg_jobs == 0)
+        db.wait_for_compaction()  # returns: the one attempt is over
         calls = kds.requests
         expected = HEALTH_DEGRADED if cause == "outage" else HEALTH_FAILED
         assert db.health()["state"] == expected
-        assert len(db._imm) == 1 and db._bg_jobs == 0  # queued, nobody retrying
+        # Still queued, and nobody retrying.
+        assert db.get_property("repro.immutable-memtables") == 1
+        db.wait_for_compaction()
         assert kds.requests == calls
         if cause == "revoked":
             assert not db.try_recover()
-            assert db._bg_jobs == 0 and kds.requests == calls
+            db.wait_for_compaction()
+            assert kds.requests == calls
             return
         kds.come_up()
         assert db.try_recover()
-        _wait_until(db, lambda: not db._imm and db._bg_jobs == 0)
+        db.flush()  # nothing to switch: waits for the queued memtable only
         assert db.health()["state"] == HEALTH_HEALTHY
-        assert len(db._versions.current.levels[0]) == 1
+        assert db.num_files_at_level(0) == 1
         assert db.get(b"k") == b"v"
     finally:
         SYNC.clear()
