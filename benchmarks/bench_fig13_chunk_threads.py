@@ -5,9 +5,10 @@ tiny chunks (per-chunk dispatch overhead) and improves steadily with chunk
 size; at 2MB chunks threaded SHIELD compaction approaches (or beats)
 unencrypted compaction time.
 
-Note: CPython's hashlib releases the GIL for >= 2 KiB inputs, so SHAKE
-chunk encryption does overlap across threads; the effect is bounded by the
-single CPU core available here (recorded in EXPERIMENTS.md).
+Note: CPython's hashlib releases the GIL only inside ``update()`` of
+>= 2 KiB; the SHAKE keystream is a squeeze (``digest(n)``), which holds it,
+so chunk encryption does not overlap across threads here (measured: two
+threads at 0.76-0.93x of sequential; DESIGN.md fidelity notes).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def _warmup() -> None:
         return
     from repro.bench.workloads import WorkloadSpec, fill_random, read_random
 
-    # Exercise the full stack (allocator, hashlib, skiplist, compaction)
+    # Exercise the full stack (allocator, hashlib, memtable, compaction)
     # so the first measured system isn't penalized by interpreter warmup.
     spec = WorkloadSpec(num_ops=4000, keyspace=4000)
     db = make_system("baseline", base_options=bench_options())

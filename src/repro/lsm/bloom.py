@@ -21,7 +21,7 @@ def _base_hash(key: bytes) -> int:
 class BloomFilter:
     """Fixed-size bloom filter built once over a file's user keys."""
 
-    def __init__(self, bits: bytearray, num_probes: int):
+    def __init__(self, bits: bytes, num_probes: int):
         self._bits = bits
         self.num_probes = num_probes
 
@@ -33,20 +33,24 @@ class BloomFilter:
         num_probes = max(1, min(30, int(bits_per_key * 0.69)))
         nbits = max(64, len(keys) * bits_per_key)
         nbytes = (nbits + 7) // 8
-        bits = bytearray(nbytes)
         nbits = nbytes * 8
-        # One pass per SST over every key it holds: keep the loop free of
-        # global lookups and per-key object construction.
+        # One pass per SST over every key it holds: a plain store into one
+        # flag byte per filter bit (no read-modify-write, no shifts), free
+        # of global lookups and per-key object construction.
+        flags = bytearray(nbits)
         crc32 = zlib.crc32
         probes = range(num_probes)
         for key in keys:
             h = crc32(key, _HASH_SEED) or _ZERO_HASH
             delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
             for _ in probes:
-                position = h % nbits
-                bits[position >> 3] |= 1 << (position & 7)
+                flags[h % nbits] = 1
                 h = (h + delta) & 0xFFFFFFFF
-        return cls(bits, num_probes)
+        # Pack once: bit b of every filter byte is the stride flags[b::8].
+        packed = 0
+        for bit in range(8):
+            packed |= int.from_bytes(flags[bit::8], "little") << bit
+        return cls(packed.to_bytes(nbytes, "little"), num_probes)
 
     def may_contain(self, key: bytes) -> bool:
         nbits = len(self._bits) * 8
@@ -62,12 +66,12 @@ class BloomFilter:
         return True
 
     def encode(self) -> bytes:
-        return encode_varint64(self.num_probes) + bytes(self._bits)
+        return encode_varint64(self.num_probes) + self._bits
 
     @classmethod
     def decode(cls, buf: bytes) -> "BloomFilter":
         num_probes, offset = decode_varint64(buf, 0)
-        return cls(bytearray(buf[offset:]), num_probes)
+        return cls(buf[offset:], num_probes)
 
     def __len__(self) -> int:
         return len(self._bits)

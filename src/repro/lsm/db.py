@@ -41,7 +41,7 @@ from repro.lsm.filename import (
     wal_path,
 )
 from repro.lsm.iterator import scan_runs
-from repro.lsm.memtable import Memtable, make_memtable
+from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.sst import SSTBuilder, SSTFileInfo
 from repro.lsm.tables import Attribution, TableSet, lookup
@@ -139,7 +139,7 @@ class DB:
         self._bg_error: BaseException | None = None
         self._commit_listeners: list = []
 
-        self._mem: Memtable = make_memtable("skiplist")
+        self._mem: Memtable = Memtable()
         # (memtable, wal_number, wal_dek_id) awaiting flush, oldest first.
         self._imm: list[tuple[Memtable, int, str]] = []
         self._wal: WALWriter | None = None
@@ -503,7 +503,7 @@ class DB:
         self._open_new_wal(self._versions.new_file_number())
         old_wal.close()
         self._imm.append((self._mem, old_number, old_dek_id))
-        self._mem = make_memtable("skiplist")
+        self._mem = Memtable()
         SYNC.process(SP_WAL_AFTER_ROTATE)
         self._announce()
 

@@ -8,7 +8,3 @@ TYPE_PUT = 1
 
 MAX_SEQUENCE = (1 << 56) - 1
 
-
-def internal_compare_key(user_key: bytes, seq: int) -> tuple[bytes, int]:
-    """Sort key for internal entries: user key ascending, sequence descending."""
-    return (user_key, MAX_SEQUENCE - seq)

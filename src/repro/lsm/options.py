@@ -97,7 +97,10 @@ class Options:
     # (Section 5.3; the paper sweeps 0-2048, default 512).
     wal_buffer_size: int = 0
 
-    # SHIELD chunked compaction encryption (Section 5.2 / Figure 13).
+    # SHIELD chunked compaction encryption (Section 5.2 / Figure 13): the
+    # unit outputs are sealed in and inputs are read and opened in.  Threads
+    # buy nothing in CPython (a SHAKE squeeze holds the GIL; DESIGN.md
+    # fidelity notes), so the default stays 1.
     encryption_chunk_size: int = 64 * 1024
     encryption_threads: int = 1
 

@@ -306,12 +306,25 @@ class SSTReader:
         except ValueError as exc:
             raise CorruptionError(f"{path}: corrupt num_entries property: {exc}")
 
-    def _read_payload(self, offset: int, length: int, aad: bytes = b"") -> bytes:
+    def _read_payload(
+        self, offset: int, length: int, aad: bytes = b"",
+        sizes: list[int] | None = None,
+    ):
+        """Read and open the unit at ``offset`` -- or, given ``sizes``, the
+        back-to-back run of units there, returned as a list."""
         raw = self._file.read(self._payload_base + offset, length)
         if len(raw) != length:
+            got = len(raw)
+            for size in sizes or ():  # name the unit the read ran out in
+                if got < size:
+                    break
+                got -= size
+                offset += size
             raise CorruptionError(f"{self.path}: short read at {offset}")
         try:
-            return self._crypto.open(raw, offset, aad)
+            if sizes is None:
+                return self._crypto.open(raw, offset, aad)
+            return self._crypto.open_units(raw, offset, sizes)
         except AuthenticationError as exc:
             exc.sst_path = self.path  # every SST tag is checked here, only here
             raise
@@ -350,13 +363,15 @@ class SSTReader:
     def dek_id(self) -> str:
         return self.envelope.dek_id
 
-    def _read_block(self, block_index: int) -> Block:
-        """Read, authenticate/verify and parse one data block (no cache)."""
-        __, offset, size, crc = self._index[block_index]
-        raw = self._read_payload(offset, size)
+    def _parse_block(self, raw: bytes, offset: int, crc: int) -> Block:
         if masked_crc32(raw) != crc:
             raise CorruptionError(f"{self.path}: block checksum mismatch at {offset}")
         return Block(unwrap_block(raw))
+
+    def _read_block(self, block_index: int) -> Block:
+        """Read, authenticate/verify and parse one data block (no cache)."""
+        __, offset, size, crc = self._index[block_index]
+        return self._parse_block(self._read_payload(offset, size), offset, crc)
 
     def _load_block(self, block_index: int) -> Block:
         if self._cache is None:
@@ -401,10 +416,31 @@ class SSTReader:
 
         Compaction's input stream.  It bypasses the block cache in both
         directions: a bulk rewrite of a file about to be deleted must not
-        push the foreground's working set out.
+        push the foreground's working set out.  Consecutive blocks are read
+        and opened in runs of at most ``encryption_chunk_size`` stored bytes
+        (Section 5.2's chunk: the write side's unit is the read side's), at
+        least one block each, with every check still made per block.
         """
-        for block_index in range(len(self._index)):
-            yield from self._read_block(block_index).raw_entries()
+        index = self._index
+        limit = self._options.encryption_chunk_size
+        first = 0
+        while first < len(index):
+            __, start, size, ___ = index[first]
+            end = start + size
+            last = first + 1
+            while (
+                last < len(index) and index[last][1] == end
+                and end + index[last][2] - start <= limit
+            ):
+                end += index[last][2]
+                last += 1
+            run = index[first:last]
+            units = self._read_payload(
+                start, end - start, sizes=[entry[2] for entry in run]
+            )
+            for (__, offset, ___, crc), raw in zip(run, units):
+                yield from self._parse_block(raw, offset, crc).raw_entries()
+            first = last
 
     def purge_cached_blocks(self) -> None:
         """Drop this file's blocks from the block cache (the file is dead)."""

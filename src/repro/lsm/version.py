@@ -27,7 +27,7 @@ from repro.integrity.merkle import merkle_root
 from repro.lsm.envelope import FILE_KIND_MANIFEST
 from repro.lsm.filecrypto import CryptoProvider
 from repro.lsm.filename import current_path, manifest_path
-from repro.lsm.memtable import make_memtable
+from repro.lsm.memtable import Memtable
 from repro.lsm.wal import WALWriter, read_wal_records, replay_wals
 from repro.util.syncpoint import SYNC
 from repro.util.coding import (
@@ -489,7 +489,7 @@ def recover_store(
         except RollbackError:
             if attempt == attempts:
                 raise
-    memtable = make_memtable("skiplist" if writer else "dict")
+    memtable = Memtable()
     old_wals, last_replayed = replay_wals(
         env, path, provider, versions.log_number, memtable
     )

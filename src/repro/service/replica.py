@@ -40,7 +40,7 @@ from repro.errors import (
 from repro.lsm.dbformat import TYPE_PUT
 from repro.lsm.filecrypto import FileCrypto, NULL_CRYPTO
 from repro.lsm.iterator import key_range, newest_visible
-from repro.lsm.memtable import make_memtable
+from repro.lsm.memtable import Memtable
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
 from repro.service.protocol import Message
@@ -232,7 +232,7 @@ class ReplicaState:
     """
 
     def __init__(self):
-        self._mem = make_memtable("dict")
+        self._mem = Memtable()
         self._lock = threading.RLock()
         self.last_applied = 0
         self.records_applied = 0
@@ -245,7 +245,7 @@ class ReplicaState:
         newest-visible over the snapshot's, resurrecting deletes.
         """
         with self._lock:
-            self._mem = make_memtable("dict")
+            self._mem = Memtable()
             self.last_applied = 0
             self.records_applied = 0
 

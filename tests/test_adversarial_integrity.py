@@ -34,8 +34,8 @@ def _options(env):
     return Options(env=env, write_buffer_size=64 * 1024, block_size=512)
 
 
-def _shield(kds, counter=None, wal_buffer_size=None):
-    kwargs = {"kds": kds, "scheme": _AEAD_SCHEME}
+def _shield(kds, counter=None, wal_buffer_size=None, **kwargs):
+    kwargs.update(kds=kds, scheme=_AEAD_SCHEME)
     if counter is not None:
         kwargs["trusted_counter"] = counter
     if wal_buffer_size is not None:
@@ -287,15 +287,17 @@ class _OutageAfterGrants(FaultyKDS):
 
 def _three_parked_l0_files(
     route, kds, key, keys_per_file=100, counter=None,
-    value=lambda batch, i: b"value-%04d" % i, **engine,
+    value=lambda batch, i: b"value-%04d" % i, chunk_size=64 * 1024, **engine,
 ):
     """A DB holding three L0 files with compaction parked (trigger out of
     reach), so the test picks the moment the one job runs; ``route`` picks
-    who runs it: the DB, or a worker with its own KDS identity."""
+    who runs it: the DB, or a worker with its own KDS identity.  A merge
+    reads (and authenticates) its inputs ``chunk_size`` bytes at a time."""
     env = MemEnv()
     options = _options(env)
     options.level0_file_num_compaction_trigger = 100
     options.adaptive_compaction = False  # the leveled L0 -> L1 job, always
+    options.encryption_chunk_size = chunk_size  # what an offloaded worker sees
     for name, setting in engine.items():
         setattr(options, name, setting)
     if route == "offloaded":
@@ -305,7 +307,8 @@ def _three_parked_l0_files(
         options.compaction_service = CompactionService(
             env, worker.build_provider(), options
         )
-    db = open_shield_db("/adv", _shield(kds, counter=counter), options)
+    shield = _shield(kds, counter=counter, encryption_chunk_size=chunk_size)
+    db = open_shield_db("/adv", shield, options)
     for batch in range(3):
         for i in range(keys_per_file):
             db.put(key(batch, i), value(batch, i))
@@ -343,12 +346,25 @@ def test_compaction_over_tampered_input_quarantines_and_aborts(route):
     quarantines that file and aborts the job, once -- wherever the merge ran
     -- inputs stay live, nothing is written from unauthenticated bytes, and
     the engine keeps serving (no background error)."""
+    _tampered_input_quarantines_and_aborts(route, skew=0.3)  # in a data block
+
+
+@pytest.mark.parametrize("route", ["local", "offloaded"])
+def test_compaction_over_an_input_tampered_chunks_in_quarantines_and_aborts(route):
+    """The same for an input larger than one chunk (five blocks read as
+    2 + 2 + 1), the bad block the second of its run: ``sst_path`` is stamped
+    on the failure whichever block of a run it came from."""
+    _tampered_input_quarantines_and_aborts(route, skew=0.6, chunk_size=1200)
+
+
+def _tampered_input_quarantines_and_aborts(route, skew, **engine):
     env, db = _three_parked_l0_files(
-        route, InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i)
+        route, InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i),
+        **engine,
     )
     try:
         inputs = _sst_paths(env, "/adv")
-        _flip_payload_byte(env, inputs[0], skew=0.3)  # inside a data block
+        _flip_payload_byte(env, inputs[0], skew=skew)
         _release_compaction(db)
 
         snap = db.stats_snapshot()
@@ -382,7 +398,8 @@ def test_aborted_merge_leaves_no_output_file_and_no_dek_behind(route, fault):
         # Interleaved: the merge draws on all three inputs in step, so a bad
         # block late in the first comes after most of the job is written.
         lambda batch, i: b"key-%04d-%d" % (i, batch),
-        keys_per_file=400, target_file_size=2048,
+        # Each input spans several chunks: the bad one comes late.
+        keys_per_file=400, target_file_size=2048, chunk_size=2048,
     )
     try:
         merger = (db.options.compaction_service or db).provider

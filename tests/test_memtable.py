@@ -1,16 +1,25 @@
-"""Tests for both memtable implementations."""
+"""Tests for the memtable: one sorted run, lock-free readers."""
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
+from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
 from repro.lsm.iterator import key_range, merge_entries, newest_visible
-from repro.lsm.memtable import DictMemtable, SkipListMemtable, make_memtable
+from repro.lsm.memtable import Memtable, make_memtable
+
+#: The names ``make_memtable`` still answers to (``benchmarks/perf/layers.py``
+#: asks for "skiplist"): both are the one memtable.
+NAMES = ["skiplist", "dict"]
 
 
-@pytest.fixture(params=["skiplist", "dict"])
+@pytest.fixture(params=NAMES)
 def memtable(request):
-    return make_memtable(request.param)
+    mem = make_memtable(request.param)
+    assert type(mem) is Memtable
+    return mem
 
 
 def test_put_get(memtable):
@@ -69,23 +78,49 @@ def test_make_memtable_rejects_unknown():
         make_memtable("btree")
 
 
-@settings(max_examples=30, deadline=None)
+# -- model check: a dict of versions is the oracle ----------------------------
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.binary(min_size=1, max_size=8), st.binary(max_size=8)),
-        min_size=1,
-        max_size=60,
-    )
+    ops=st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=3),  # few distinct keys: versions pile up
+            st.sampled_from([TYPE_PUT, TYPE_DELETE]),
+            st.binary(max_size=6),
+        ),
+        max_size=80,
+    ),
+    order=st.randoms(use_true_random=False),
+    probe=st.binary(max_size=4),
 )
-def test_implementations_agree(ops):
-    skip = SkipListMemtable(seed=7)
-    dct = DictMemtable()
-    for seq, (key, value) in enumerate(ops, start=1):
-        skip.add(seq, TYPE_PUT, key, value)
-        dct.add(seq, TYPE_PUT, key, value)
-    assert list(skip.entries()) == list(dct.entries())
-    for __, (key, _v) in enumerate(ops):
-        assert skip.get(key) == dct.get(key)
+def test_matches_versions_oracle(ops, order, probe):
+    """``add`` / ``get(key, max_seq)`` / ``entries(start)`` against
+    key -> {seq: (vtype, value)}, whatever order the sequences arrive in."""
+    versioned = [
+        (seq, key, vtype, value if vtype == TYPE_PUT else b"")
+        for seq, (key, vtype, value) in enumerate(ops, start=1)
+    ]
+    order.shuffle(versioned)
+    mem = Memtable()
+    oracle: dict[bytes, dict[int, tuple[int, bytes]]] = {}
+    for seq, key, vtype, value in versioned:
+        mem.add(seq, vtype, key, value)
+        oracle.setdefault(key, {})[seq] = (vtype, value)
+
+    assert len(mem) == len(ops)
+    for key in (*oracle, probe):
+        versions = oracle.get(key, {})
+        for max_seq in (0, *versions, len(ops) + 1, MAX_SEQUENCE):
+            visible = [seq for seq in versions if seq <= max_seq]
+            expected = versions[max(visible)] if visible else None
+            assert mem.get(key, max_seq) == expected
+    for start in (b"", probe, *oracle):
+        assert list(mem.entries(start)) == [
+            (key, seq, *oracle[key][seq])
+            for key in sorted(oracle) if key >= start
+            for seq in sorted(oracle[key], reverse=True)
+        ]
 
 
 # -- entries(start): the seek a scan starts with ------------------------------
@@ -105,28 +140,27 @@ def test_implementations_agree(ops):
 )
 def test_entries_from_start_is_a_suffix_of_entries(ops, start):
     """Seeking equals iterating from the head and dropping keys < start."""
-    for impl in ("skiplist", "dict"):
-        mem = make_memtable(impl)
-        for seq, (key, vtype, value) in enumerate(ops, start=1):
-            mem.add(seq, vtype, key, value if vtype == TYPE_PUT else b"")
-        everything = list(mem.entries())
-        for probe in (start, b"", b"\xff" * 5, *(key for key, __, ___ in ops)):
-            assert list(mem.entries(probe)) == [
-                entry for entry in everything if entry[0] >= probe
-            ]
+    mem = Memtable()
+    for seq, (key, vtype, value) in enumerate(ops, start=1):
+        mem.add(seq, vtype, key, value if vtype == TYPE_PUT else b"")
+    everything = list(mem.entries())
+    for probe in (start, b"", b"\xff" * 5, *(key for key, __, ___ in ops)):
+        assert list(mem.entries(probe)) == [
+            entry for entry in everything if entry[0] >= probe
+        ]
 
 
-def _filled(impl: str, keys: int, versions: int):
+def _filled(impl: str, keys: int, versions: int, key_type=bytes):
     mem = make_memtable(impl)
     seq = 0
     for version in range(versions):
         for index in range(keys):
             seq += 1
-            mem.add(seq, TYPE_PUT, b"key-%06d" % index, b"v%d" % version)
+            mem.add(seq, TYPE_PUT, key_type(b"key-%06d" % index), b"v%d" % version)
     return mem
 
 
-@pytest.mark.parametrize("impl", ["skiplist", "dict"])
+@pytest.mark.parametrize("impl", NAMES)
 def test_a_limited_scan_pulls_limit_plus_versions_entries(impl):
     """What a scan(start, limit) takes from the memtable is bounded by the
     limit and the versions of the keys it returns, not by what lies before
@@ -151,21 +185,102 @@ def test_a_limited_scan_pulls_limit_plus_versions_entries(impl):
     assert pulled[0][0] == start
 
 
-def test_skiplist_seek_descends_instead_of_walking():
+def test_a_limited_scan_seeks_and_materialises_its_limit():
+    """``entries(start)`` + ``limit`` 20 on 10,000 keys, as the replica and
+    ``ReadOnlyInstance`` scan: a bisect's worth of key comparisons and about
+    ``limit`` tuples built -- not a walk to ``start``, not a sort of every
+    key after it."""
+
     class CountedKey(bytes):
         compared = 0
 
-        def __eq__(self, other):
-            CountedKey.compared += 1
-            return bytes.__eq__(self, other)
+        def _counting(compare):
+            def counted(self, other):
+                CountedKey.compared += 1
+                return compare(self, other)
+            return counted
 
+        __eq__ = _counting(bytes.__eq__)
+        __lt__ = _counting(bytes.__lt__)
+        __gt__ = _counting(bytes.__gt__)
         __hash__ = bytes.__hash__
 
-    mem = SkipListMemtable(seed=11)
-    count = 4096
-    for index in range(count):
-        mem.add(index + 1, TYPE_PUT, CountedKey(b"key-%06d" % index), b"v")
+    count, limit = 10_000, 20
+    mem = _filled("skiplist", count, 1, key_type=CountedKey)
+    start = b"key-%06d" % (count // 2)
+    built = []
+
+    def counted(entries):
+        for entry in entries:
+            built.append(entry)
+            yield entry
+
     CountedKey.compared = 0
-    first = next(mem.entries(b"key-%06d" % (count - 10)))
-    assert first[0] == b"key-%06d" % (count - 10)
-    assert CountedKey.compared < count // 16
+    newest = newest_visible(counted(mem.entries(start)))
+    results = list(key_range(newest, start, None, limit))
+    assert [key for key, __ in results] == [
+        b"key-%06d" % index for index in range(count // 2, count // 2 + limit)
+    ]
+    assert len(built) <= limit + 1
+    # ~2 per bisect step (14 steps) plus ~3 per entry the scan looked at.
+    assert CountedKey.compared < 40 + 4 * limit
+
+
+# -- lock-free readers ---------------------------------------------------------
+
+
+def test_readers_need_no_lock_while_a_writer_inserts(monkeypatch):
+    """One writer, three readers, no lock and no sleeps: every acked version
+    is found at its own sequence, and every ``entries()`` pass is strictly
+    sorted (so duplicate-free) and skips nothing acked before it began."""
+    # entries() re-seeks once per slice; short slices put its race window
+    # (an insert between the bisect and the slice) in reach of one run.
+    monkeypatch.setattr("repro.lsm.memtable._WALK_SLICE", 3)
+    total, distinct = 20_000, 5_000  # four versions per key
+    keys = [b"key-%06d" % (index * 7919 % distinct) for index in range(total)]
+    mem = Memtable()
+    acked = [0]  # entries [0, acked) are inserted, at sequence index + 1
+    failures: list[str] = []
+
+    def writer():
+        for index, key in enumerate(keys):
+            mem.add(index + 1, TYPE_PUT, key, b"%d" % index)
+            acked[0] = index + 1
+
+    def reader(stride: int):
+        passes = 0
+        while not failures:
+            done = acked[0]
+            for index in range(passes % stride, done, max(stride, done // 64)):
+                if mem.get(keys[index], index + 1) != (TYPE_PUT, b"%d" % index):
+                    failures.append(f"acked version {index} not found")
+                newest = mem.get(keys[index])
+                if newest is None or int(newest[1]) % distinct != index % distinct:
+                    failures.append(f"wrong newest version for {index}")
+            previous, seen = (b"", 0), 0
+            for key, seq, __, value in mem.entries():
+                if (key, -seq) <= previous:
+                    failures.append(f"out of order or duplicate at {key!r}@{seq}")
+                previous = (key, -seq)
+                seen += seq <= done
+            if seen != done:
+                failures.append(f"a pass saw {seen} of {done} acked entries")
+            passes += 1
+            if done == total:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # a switch every few bytecodes: races are 1-in-N
+    try:
+        threads = [threading.Thread(target=reader, args=(stride,))
+                   for stride in (7, 11, 13)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
+    assert len(mem) == total
