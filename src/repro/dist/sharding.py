@@ -13,12 +13,11 @@ substrate:
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 import itertools
 
-from repro.errors import IOError_, InvalidArgumentError
+from repro.errors import IOError_
 from repro.lsm.db import DB
 from repro.lsm.options import ReadOptions, WriteOptions
 from repro.lsm.write_batch import WriteBatch
@@ -143,69 +142,6 @@ def merge_scan_results(per_shard, limit: int | None):
     if limit is not None:
         return list(itertools.islice(merged, limit))
     return list(merged)
-
-
-def _ring_point(data: bytes) -> int:
-    """A position on the 64-bit hash ring (same blake2 family as
-    :func:`shard_for_key`, so ring placement is seed-independent too)."""
-    return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8).digest(), "big"
-    )
-
-
-class HashRing:
-    """Consistent hashing over named nodes with virtual replicas.
-
-    ``shard_for_key``'s modulo routing reshuffles ~every key when the
-    shard count changes; a ring moves only ~1/N of the keyspace to a new
-    node, so the shard map can grow without a full data migration.  Each
-    node owns ``replicas`` pseudo-random points on a 64-bit ring; a key
-    routes to the first node point clockwise from the key's own point.
-    """
-
-    def __init__(self, nodes=(), replicas: int = 64):
-        if replicas <= 0:
-            raise InvalidArgumentError("replicas must be positive")
-        self.replicas = replicas
-        self._points: list[int] = []     # sorted ring positions
-        self._owners: list[str] = []     # owner node, parallel to _points
-        self._nodes: set[str] = set()
-        for node in nodes:
-            self.add_node(node)
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self._nodes)
-
-    def add_node(self, node: str) -> None:
-        if node in self._nodes:
-            raise InvalidArgumentError(f"node {node!r} is already on the ring")
-        self._nodes.add(node)
-        for replica in range(self.replicas):
-            point = _ring_point(f"{node}#{replica}".encode())
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, node)
-
-    def remove_node(self, node: str) -> None:
-        if node not in self._nodes:
-            raise InvalidArgumentError(f"node {node!r} is not on the ring")
-        self._nodes.discard(node)
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node
-        ]
-        self._points = [point for point, __ in keep]
-        self._owners = [owner for __, owner in keep]
-
-    def node_for_key(self, key: bytes) -> str:
-        if not self._points:
-            raise InvalidArgumentError("hash ring has no nodes")
-        index = bisect.bisect(self._points, _ring_point(key))
-        if index == len(self._points):
-            index = 0  # wrap around the top of the ring
-        return self._owners[index]
 
 
 class ShardedDB:

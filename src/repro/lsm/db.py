@@ -54,7 +54,7 @@ from repro.util.lru import LRUCache
 from repro.util.stats import StatsRegistry
 from repro.util.syncpoint import SYNC
 
-_MAX_IMMUTABLE_MEMTABLES = 2
+MAX_IMMUTABLE_MEMTABLES = 2
 
 #: Engine health states (see :meth:`DB.health`).
 HEALTH_HEALTHY = "healthy"
@@ -454,7 +454,7 @@ class DB:
         # forever -- fail fast instead (the caller re-checks state after
         # stalling) and let try_recover() restart the pipeline.
         while not self._closed and self._bg_error is None and (
-            len(self._imm) >= _MAX_IMMUTABLE_MEMTABLES
+            len(self._imm) >= MAX_IMMUTABLE_MEMTABLES
             or len(self._versions.current.levels[0])
             >= self.options.level0_stop_writes_trigger
         ):

@@ -235,6 +235,9 @@ class JSONLFileSink:
                 self._handle.close()
                 self._handle = None
 
+    def after_fork(self) -> None:
+        self._lock = threading.Lock()
+
 
 class Tracer:
     """Creates spans, tracks the per-thread active span, fans out to sinks."""
@@ -273,6 +276,15 @@ class Tracer:
 
     def disable(self) -> None:
         self._enabled = False
+
+    def after_fork(self) -> None:
+        """Call first thing in a forked child.  Only the forking thread
+        survives a fork, so a sink lock another thread held at that moment
+        would stay locked for ever: sinks that hold one re-create it."""
+        for sink in self._sinks:
+            rearm = getattr(sink, "after_fork", None)
+            if rearm is not None:
+                rearm()
 
     # -- span lifecycle ----------------------------------------------------
 

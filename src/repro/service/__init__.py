@@ -9,13 +9,14 @@ read-only compute instances over shared state):
   replication handshake), built from the same coding/checksum primitives
   as the storage formats;
 - :mod:`repro.service.server` -- the serving core every deployment
-  shape shares (``execute(db, msg)``, the OP_STATS sections, the health /
-  auto-recovery loop, the KDS authorization decisions) and the threaded
-  socket server built on it: a ``DB`` or ``ShardedDB`` behind
+  shape shares (the ``admit`` request edge, ``answer`` / ``execute(db,
+  msg)``, the OP_STATS sections, the health / auto-recovery loop) and the
+  threaded socket server built on it: a ``DB`` or ``ShardedDB`` behind
   per-connection pipelining, a bounded request queue with explicit BUSY
   backpressure, and graceful drain;
-- :mod:`repro.service.client` -- a pooled client with timeouts,
-  retry-with-backoff on BUSY/transient socket errors, and a batched
+- :mod:`repro.service.client` -- a pooled client (one ``Endpoint`` per
+  address under every path) with timeouts, retry-with-backoff on
+  BUSY/transient socket errors, and a batched
   pipeline API; duck-types the ``DB`` read/write surface so the existing
   benchmark workloads run unmodified over the socket;
 - :mod:`repro.service.replica` -- WAL-shipping replication: the primary

@@ -18,24 +18,29 @@ over the socket unchanged.  Transient failures are retried:
 out-of-order responses by request ID -- the network round-trip is paid
 once per batch instead of once per operation.
 
+**Layers.**  An :class:`Endpoint` is one address: its connection pool and
+the wire round trips over it (``call``; ``begin``/``finish`` for a request
+whose reply is collected later) -- no retries, no routing.  A
+:class:`KVClient` is the ``home`` endpoint it was given, the worker
+endpoints it learned, the one retry budget and the DB-shaped API; a
+:class:`ShardedKVClient` is a list of ``KVClient``s.
+
 **Routing.**  A ``KVClient`` is given one address.  On its first keyed
 op it asks that server's topology once (``OP_TOPOLOGY``, over the normal
 pooled, already-AUTHed connection).  A multi-process server answers with
-its shard workers' endpoints; the client then holds one
-:class:`ShardedKVClient` over them -- the same per-endpoint clients and
-the same ``shard_for_key`` routing a user-built ``ShardedKVClient`` has --
-and sends GET/PUT/DELETE through the owning worker's pool and scatters
-SCAN over all of them (every part sent, then every part read, merged
-here).  WRITE_BATCH, STATS, FLUSH, COMPACT, HEALTH, PING and
-``pipeline()`` stay on the given address.  An empty answer (threaded
-server, shard worker), an error answer (an older server) or a worker
-endpoint that refuses the first connection (its port is not reachable
-from here) leaves the client on the given address for good, exactly as
-before.  There is nothing to configure, and the retry budget, backoff,
-deadline and ``retries``/``busy_retries``/``degraded_retries`` counters
-are the one client's whichever pool carried the request: a worker killed
-mid-request resets the direct connection, which is a transient socket
-error like any other.
+its shard workers' endpoints; the client then keeps one :class:`Endpoint`
+per worker (``workers()``, shard order), sends GET/PUT/DELETE through the
+pool of the one ``shard_for_key`` names and scatters SCAN over all of them
+(every part sent, then every part read, merged here).  WRITE_BATCH, STATS,
+FLUSH, COMPACT, HEALTH, PING and ``pipeline()`` stay on the given address.
+An empty answer (threaded server, shard worker), an error answer (an older
+server) or a worker endpoint that refuses the first connection (its port
+is not reachable from here) leaves the client on the given address for
+good, exactly as before.  There is nothing to configure, and the retry
+budget, backoff, deadline and ``retries``/``busy_retries``/
+``degraded_retries`` counters are the one client's whichever pool carried
+the request: a worker killed mid-request resets the direct connection,
+which is a transient socket error like any other.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ import threading
 import time
 
 from repro.dist.sharding import (
-    HashRing,
     merge_health,
     merge_scan_results,
     merge_stats,
@@ -110,6 +114,112 @@ class _PooledConnection:
             pass
 
 
+class Endpoint:
+    """One server address: its connection pool and the wire round trips
+    over it.  Retrying and choosing an endpoint are the caller's."""
+
+    def __init__(self, host: str, port: int, pool_size: int = 4,
+                 timeout_s: float | None = 10.0,
+                 server_id: str | None = None):
+        self.host = host
+        self.port = port
+        self.pool_size = pool_size
+        self.timeout_s = timeout_s
+        self.server_id = server_id
+        self._request_ids = itertools.count(1)
+        self._pool: list[_PooledConnection] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def acquire(self) -> _PooledConnection:
+        """A pooled connection, or a fresh (connected, AUTHed) one."""
+        if self._closed:
+            raise ServiceError("client is closed")
+        with self._lock:
+            if self._pool:
+                return self._pool.pop()
+        return _PooledConnection(
+            self.host, self.port, self.timeout_s, self.server_id,
+            self._request_ids,
+        )
+
+    def release(self, conn: _PooledConnection) -> None:
+        with self._lock:
+            if not self._closed and len(self._pool) < self.pool_size:
+                self._pool.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, []
+        for conn in pool:
+            conn.close()
+
+    def call(self, opcode: int, payload: bytes = b"",
+             trace: bytes = b"") -> Message:
+        """One request, one reply.  A connection that errors is discarded,
+        not returned to the pool, and the error propagates."""
+        conn = self.acquire()
+        try:
+            response = conn.request(opcode, payload, trace)
+        except (OSError, protocol.ProtocolError):
+            conn.close()
+            raise
+        self.release(conn)
+        return response
+
+    def begin(self, opcode: int, payload: bytes, trace: bytes):
+        """Send one request without waiting for the reply; None when the
+        socket failed."""
+        try:
+            conn = self.acquire()
+        except OSError:
+            return None
+        request_id = conn.next_request_id()
+        try:
+            conn.send(Message(opcode, request_id, payload, trace))
+        except OSError:
+            conn.close()
+            return None
+        return conn, request_id
+
+    def finish(self, sent) -> Message | None:
+        """The reply to what :meth:`begin` sent; None when there is none to
+        be had on that connection (which is then discarded)."""
+        if sent is None:
+            return None
+        conn, request_id = sent
+        try:
+            response = conn.read()
+        except (OSError, protocol.ProtocolError):
+            response = None
+        if response is None or response.request_id != request_id:
+            conn.close()
+            return None
+        self.release(conn)
+        return response
+
+
+def _bounce(response: Message | None) -> tuple[Exception, str] | None:
+    """Why a reply is not an answer -- ``(error, name of the retry counter
+    it falls under)``, None standing for a lost socket -- or None when it
+    is one.  The server's own error (``RESP_ERROR``) is raised."""
+    if response is None:
+        return ConnectionError("no reply on that connection"), "retries"
+    if response.opcode == protocol.RESP_BUSY:
+        return BusyError("server queue full"), "busy_retries"
+    if response.opcode == protocol.RESP_DEGRADED:
+        health = protocol.decode_health(response.payload)
+        return DegradedError(
+            f"server degraded ({health.get('reason') or 'unknown'})"
+        ), "degraded_retries"
+    if response.opcode == protocol.RESP_ERROR:
+        raise protocol.decode_error(response.payload)
+    return None
+
+
 class KVClient:
     """A thread-safe client for one server address.
 
@@ -133,11 +243,8 @@ class KVClient:
         deadline_s: float | None = None,
         rng: random.Random | None = None,
     ):
-        self.host = host
-        self.port = port
-        self.pool_size = pool_size
-        self.timeout_s = timeout_s
-        self.server_id = server_id
+        #: The address this client was given.
+        self.home = Endpoint(host, port, pool_size, timeout_s, server_id)
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
@@ -146,59 +253,35 @@ class KVClient:
         self.retries = 0
         self.busy_retries = 0
         self.degraded_retries = 0
-        self._request_ids = itertools.count(1)
-        self._pool: list[_PooledConnection] = []
-        self._pool_lock = threading.Lock()
-        self._closed = False
-        # One client per shard worker behind this address, once asked for;
-        # None after asking = there are none (or they cannot be reached).
-        self._shards: ShardedKVClient | None = None
-        self._shards_asked = False
-        self._shards_lock = threading.Lock()
-
-    # -- connection pool ---------------------------------------------------
-
-    def _acquire(self) -> _PooledConnection:
-        if self._closed:
-            raise ServiceError("client is closed")
-        with self._pool_lock:
-            if self._pool:
-                return self._pool.pop()
-        return _PooledConnection(
-            self.host, self.port, self.timeout_s, self.server_id,
-            self._request_ids,
-        )
-
-    def _release(self, conn: _PooledConnection) -> None:
-        with self._pool_lock:
-            if not self._closed and len(self._pool) < self.pool_size:
-                self._pool.append(conn)
-                return
-        conn.close()
+        # None until asked for; empty after asking = there are none (or
+        # they cannot be reached).
+        self._workers: list[Endpoint] | None = None
+        self._workers_lock = threading.Lock()
 
     def close(self) -> None:
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, []
-        for conn in pool:
-            conn.close()
-        if self._shards is not None:
-            self._shards.close()
+        self.home.close()
+        for endpoint in self._workers or ():
+            endpoint.close()
+
+    def __enter__(self) -> "KVClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- direct routing ----------------------------------------------------
 
-    def _direct(self) -> "ShardedKVClient | None":
-        """The per-worker clients, learned on first use and kept for good (a
-        server's topology never changes); None when every op goes through
-        ``(host, port)``."""
-        if not self._shards_asked:
-            with self._shards_lock:
-                if not self._shards_asked:
-                    self._shards = self._learn_shards()
-                    self._shards_asked = True
-        return self._shards
+    def workers(self) -> list[Endpoint]:
+        """The shard workers behind ``home``, in shard order: learned on
+        first use and kept for good (a server's topology never changes);
+        empty when every op goes through ``home``."""
+        if self._workers is None:
+            with self._workers_lock:
+                if self._workers is None:
+                    self._workers = self._learn_workers()
+        return self._workers
 
-    def _learn_shards(self) -> "ShardedKVClient | None":
+    def _learn_workers(self) -> list[Endpoint]:
         """Ask the topology and connect to every endpoint in it.
 
         An empty topology (a threaded server, a shard worker), an error
@@ -207,66 +290,31 @@ class KVClient:
         same: stay on the one address, where nothing is lost but a hop.
         """
         try:
-            endpoints = protocol.decode_topology(
-                self._request(protocol.OP_TOPOLOGY).payload
+            addresses = protocol.decode_topology(
+                self.request(protocol.OP_TOPOLOGY).payload
             )
         except ReproError:
-            return None
-        if not endpoints:
-            return None
-        shards = ShardedKVClient(
-            endpoints, pool_size=self.pool_size, timeout_s=self.timeout_s,
-            server_id=self.server_id,
-        )
+            return []
+        home = self.home
+        found = [
+            Endpoint(host, port, home.pool_size, home.timeout_s, home.server_id)
+            for host, port in addresses
+        ]
         try:
-            for client in shards._all():
-                client._release(client._acquire())
+            for endpoint in found:
+                endpoint.release(endpoint.acquire())
         except (OSError, ReproError):
-            shards.close()
-            return None
-        return shards
+            for endpoint in found:
+                endpoint.close()
+            return []
+        return found
 
-    def _begin(self, opcode: int, payload: bytes, trace: bytes):
-        """Send one request on a pooled connection without waiting for the
-        reply; None when the socket failed."""
-        try:
-            conn = self._acquire()
-        except OSError:
-            return None
-        request_id = conn.next_request_id()
-        try:
-            conn.send(Message(opcode, request_id, payload, trace))
-        except OSError:
-            conn.close()
-            return None
-        return conn, request_id
-
-    def _finish(self, sent) -> Message | None:
-        """The reply to what :meth:`_begin` sent; None when there is none to
-        be had on that connection (which is then discarded)."""
-        if sent is None:
-            return None
-        conn, request_id = sent
-        try:
-            response = conn.read()
-        except (OSError, protocol.ProtocolError):
-            response = None
-        if response is None or response.request_id != request_id:
-            conn.close()
-            return None
-        self._release(conn)
-        return response
-
-    def _via(self, key: bytes) -> "KVClient":
-        """The client whose pool reaches ``key``'s engine in one hop."""
-        shards = self._direct()
-        return self if shards is None else shards.client_for_key(key)
-
-    def __enter__(self) -> "KVClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _owner(self, key: bytes) -> Endpoint:
+        """The endpoint that reaches ``key``'s engine in one hop."""
+        workers = self.workers()
+        if not workers:
+            return self.home
+        return workers[shard_for_key(key, len(workers))]
 
     # -- request core ------------------------------------------------------
 
@@ -289,50 +337,35 @@ class KVClient:
         time.sleep(delay)
         return True
 
-    @staticmethod
-    def _attempt(pool: "KVClient", opcode: int, payload: bytes, trace):
-        """One try over ``pool``: ``(response, None)``, or ``(error, name of
-        the retry counter it falls under)`` when another try may fare better."""
-        try:
-            conn = pool._acquire()
-        except OSError as exc:
-            return exc, "retries"
-        try:
-            response = conn.request(opcode, payload, trace)
-        except (OSError, protocol.ProtocolError) as exc:
-            conn.close()
-            return exc, "retries"
-        pool._release(conn)
-        if response.opcode == protocol.RESP_BUSY:
-            return BusyError("server queue full"), "busy_retries"
-        if response.opcode == protocol.RESP_DEGRADED:
-            health = protocol.decode_health(response.payload)
-            return DegradedError(
-                f"server degraded ({health.get('reason') or 'unknown'})"
-            ), "degraded_retries"
-        return response, None
+    def _book(self, counter: str) -> None:
+        """One more retry under ``counter``, here and on the active span."""
+        setattr(self, counter, getattr(self, counter) + 1)
+        span = TRACER.current()
+        if span is not None:
+            span.incr(counter)
 
-    def _request(self, opcode: int, payload: bytes = b"",
-                 via: "KVClient | None" = None) -> Message:
+    def request(self, opcode: int, payload: bytes = b"",
+                endpoint: Endpoint | None = None) -> Message:
         """Send one request, retrying BUSY/DEGRADED and transient socket
-        errors under the per-request deadline.  ``via`` is the client whose
-        connection pool carries it (a shard worker's; default this one's):
-        the retry budget, backoff and counters are always this client's."""
-        pool = via or self
+        errors under the per-request deadline.  ``endpoint`` is whose pool
+        carries it (default ``home``): the retry budget, backoff and
+        counters are always this client's."""
+        endpoint = endpoint or self.home
         op_name = protocol.OPCODE_NAMES.get(opcode, str(opcode))
         started_at = time.monotonic()
-        with TRACER.span(f"client.{op_name}") as span:
+        with TRACER.span(f"client.{op_name}"):
             trace = TRACER.inject()
-            last_error: Exception | None = None
             for attempt in range(self.max_retries + 1):
-                outcome, counter = self._attempt(pool, opcode, payload, trace)
-                if counter is None:
-                    if outcome.opcode == protocol.RESP_ERROR:
-                        raise protocol.decode_error(outcome.payload)
-                    return outcome
-                last_error = outcome
-                setattr(self, counter, getattr(self, counter) + 1)
-                span.incr(counter)
+                try:
+                    response = endpoint.call(opcode, payload, trace)
+                except (OSError, protocol.ProtocolError) as exc:
+                    last_error, counter = exc, "retries"
+                else:
+                    bounce = _bounce(response)
+                    if bounce is None:
+                        return response
+                    last_error, counter = bounce
+                self._book(counter)
                 if not self._sleep_within_deadline(started_at, attempt):
                     break
             if isinstance(last_error, (BusyError, DegradedError)):
@@ -341,28 +374,41 @@ class KVClient:
                 f"request failed after retries: {last_error!r}"
             )
 
+    def settle(self, response: Message | None, opcode: int, payload: bytes,
+               endpoint: Endpoint | None = None) -> Message:
+        """The answer to a request whose first try happened outside
+        :meth:`request` (a pipelined burst, a scattered scan part):
+        ``response`` when it is one; else the bounce -- BUSY, DEGRADED, or
+        None for a lost socket -- is booked under its own counter and the
+        request retried alone, with backoff."""
+        bounce = _bounce(response)
+        if bounce is None:
+            return response
+        self._book(bounce[1])
+        return self.request(opcode, payload, endpoint)
+
     # -- DB-shaped surface -------------------------------------------------
 
     def put(self, key: bytes, value: bytes, opts=None) -> None:
-        self._request(
-            protocol.OP_PUT, protocol.encode_put(key, value), self._via(key)
+        self.request(
+            protocol.OP_PUT, protocol.encode_put(key, value), self._owner(key)
         )
 
     def get(self, key: bytes, opts=None) -> bytes | None:
-        response = self._request(
-            protocol.OP_GET, protocol.encode_key(key), self._via(key)
+        response = self.request(
+            protocol.OP_GET, protocol.encode_key(key), self._owner(key)
         )
         if response.opcode == protocol.RESP_NOT_FOUND:
             return None
         return protocol.decode_value(response.payload)
 
     def delete(self, key: bytes, opts=None) -> None:
-        self._request(
-            protocol.OP_DELETE, protocol.encode_key(key), self._via(key)
+        self.request(
+            protocol.OP_DELETE, protocol.encode_key(key), self._owner(key)
         )
 
     def write(self, batch: WriteBatch, opts=None) -> None:
-        self._request(protocol.OP_WRITE_BATCH, batch.serialize(0))
+        self.request(protocol.OP_WRITE_BATCH, batch.serialize(0))
 
     def scan(
         self,
@@ -372,29 +418,31 @@ class KVClient:
         opts=None,
     ) -> list[tuple[bytes, bytes]]:
         payload = protocol.encode_scan(start, end, limit)
-        shards = self._direct()
-        if shards is not None:
-            return _scatter_scan(self, shards._all(), payload, limit)
+        workers = self.workers()
+        if workers:
+            return _scatter_scan(
+                [(self, endpoint) for endpoint in workers], payload, limit
+            )
         return protocol.decode_pairs(
-            self._request(protocol.OP_SCAN, payload).payload
+            self.request(protocol.OP_SCAN, payload).payload
         )
 
     def stats(self) -> dict:
-        response = self._request(protocol.OP_STATS)
+        response = self.request(protocol.OP_STATS)
         return protocol.decode_stats(response.payload)
 
     def flush(self) -> None:
-        self._request(protocol.OP_FLUSH)
+        self.request(protocol.OP_FLUSH)
 
     def compact_range(self) -> None:
-        self._request(protocol.OP_COMPACT)
+        self.request(protocol.OP_COMPACT)
 
     def ping(self) -> None:
-        self._request(protocol.OP_PING)
+        self.request(protocol.OP_PING)
 
     def health(self) -> dict:
         """The server's health verdict (state / reason / error)."""
-        response = self._request(protocol.OP_HEALTH)
+        response = self.request(protocol.OP_HEALTH)
         return protocol.decode_health(response.payload)
 
     def committed_sequence(self) -> int:
@@ -451,11 +499,9 @@ class Pipeline:
             return []
         ops, self._ops = self._ops, []
         client = self._client
-        with TRACER.span(
-            "client.pipeline", attributes={"ops": len(ops)}
-        ) as span:
+        with TRACER.span("client.pipeline", attributes={"ops": len(ops)}):
             trace = TRACER.inject()
-            conn = client._acquire()
+            conn = client.home.acquire()
             responses: dict[int, Message] = {}
             id_for_index: list[int] = []
             try:
@@ -478,26 +524,18 @@ class Pipeline:
                 raise ServiceError(
                     f"pipeline failed mid-flight: {exc!r}"
                 ) from exc
-            client._release(conn)
-
-            results = []
-            for (opcode, payload), request_id in zip(ops, id_for_index):
-                response = responses.get(request_id)
-                if response is None or response.opcode in (
-                    protocol.RESP_BUSY, protocol.RESP_DEGRADED
-                ):
-                    # Bounced by backpressure or degraded mode: retry
-                    # through the slow path (which backs off).
-                    client.busy_retries += 1
-                    span.incr("busy_retries")
-                    response = client._request(opcode, payload)
-                results.append(self._decode(opcode, response))
-            return results
+            client.home.release(conn)
+            # A bounced op is retried alone through the slow path (which
+            # backs off) before the ops behind it are looked at.
+            return [
+                self._decode(opcode, client.settle(
+                    responses.get(request_id), opcode, payload
+                ))
+                for (opcode, payload), request_id in zip(ops, id_for_index)
+            ]
 
     @staticmethod
     def _decode(opcode: int, response: Message):
-        if response.opcode == protocol.RESP_ERROR:
-            raise protocol.decode_error(response.payload)
         if opcode == protocol.OP_GET:
             if response.opcode == protocol.RESP_NOT_FOUND:
                 return None
@@ -507,57 +545,40 @@ class Pipeline:
         return None
 
 
-def _scatter_scan(owner: "KVClient | None", clients: "list[KVClient]",
-                  payload: bytes, limit: int | None):
+def _scatter_scan(parts: "list[tuple[KVClient, Endpoint]]", payload: bytes,
+                  limit: int | None):
     """One SCAN over disjoint shards: send every part, then read every
     part (the shards work in parallel), k-way merge, limit applied once.
 
-    A part that bounced BUSY/DEGRADED or lost its socket is retried alone
-    through the backoff path, as ``Pipeline.execute`` does -- ``owner``'s
-    when the endpoints are one client's shard workers, else the
-    endpoint's own.
+    Each part is ``(the client whose retry budget and counters it falls
+    under, the endpoint it goes to)``; one that bounced BUSY/DEGRADED or
+    lost its socket is retried alone, as in ``Pipeline.execute``.
     """
-    with TRACER.span("client.scan", attributes={"parts": len(clients)}):
+    with TRACER.span("client.scan", attributes={"parts": len(parts)}):
         trace = TRACER.inject()
         inflight = [
-            client._begin(protocol.OP_SCAN, payload, trace) for client in clients
+            endpoint.begin(protocol.OP_SCAN, payload, trace)
+            for __, endpoint in parts
         ]
         responses = [
-            client._finish(sent) for client, sent in zip(clients, inflight)
+            endpoint.finish(sent)
+            for (__, endpoint), sent in zip(parts, inflight)
         ]
-        parts = []
-        for client, response in zip(clients, responses):
-            retrier = owner or client
-            if response is None:
-                retrier.retries += 1
-            elif response.opcode == protocol.RESP_BUSY:
-                retrier.busy_retries += 1
-            elif response.opcode == protocol.RESP_DEGRADED:
-                retrier.degraded_retries += 1
-            elif response.opcode == protocol.RESP_ERROR:
-                raise protocol.decode_error(response.payload)
-            else:
-                parts.append(protocol.decode_pairs(response.payload))
-                continue
-            parts.append(protocol.decode_pairs(retrier._request(
-                protocol.OP_SCAN, payload, client
-            ).payload))
-        return merge_scan_results(parts, limit)
+        return merge_scan_results([
+            protocol.decode_pairs(client.settle(
+                response, protocol.OP_SCAN, payload, endpoint
+            ).payload)
+            for (client, endpoint), response in zip(parts, responses)
+        ], limit)
 
 
 class ShardedKVClient:
     """Client-side shard routing across several KVServer endpoints.
 
-    Two routing modes, chosen by the shape of ``endpoints``:
-
-    - a **list** of ``(host, port)`` pairs, one per shard in shard order:
-      single-key operations route by :func:`shard_for_key` -- the exact
-      function the servers use, so client and server can never disagree
-      (the function is PYTHONHASHSEED-independent by contract);
-    - a **dict** of ``{node_name: (host, port)}``: routing goes through a
-      consistent-hash :class:`HashRing` (pass ``ring`` to reuse one, or a
-      ring is built from the node names), so adding an endpoint later
-      moves only ~1/N of the keyspace instead of reshuffling every key.
+    ``endpoints`` is a list of ``(host, port)`` pairs, one per shard in
+    shard order: single-key operations route by :func:`shard_for_key` --
+    the exact function the servers use, so client and server can never
+    disagree (the function is PYTHONHASHSEED-independent by contract).
 
     Cross-shard operations scatter to every endpoint and gather:
     ``scan`` k-way merges the per-shard sorted results and applies the
@@ -565,56 +586,25 @@ class ShardedKVClient:
     ``flush``/``compact_range`` fan out; ``write`` splits the batch per
     shard (atomicity holds per shard, as with ``ShardedDB``).
 
-    Every per-endpoint client keeps ``KVClient``'s retry semantics, so a
-    BUSY or DEGRADED shard backs off independently of the others.
+    Every per-endpoint client (``clients``, shard order) keeps
+    ``KVClient``'s retry semantics, so a BUSY or DEGRADED shard backs off
+    independently of the others.
     """
 
-    def __init__(
-        self,
-        endpoints,
-        ring: HashRing | None = None,
-        **client_kwargs,
-    ):
-        if isinstance(endpoints, dict):
-            self._names = sorted(endpoints)
-            self._ring = ring if ring is not None else HashRing(self._names)
-            missing = self._ring.nodes - set(self._names)
-            if missing:
-                raise ServiceError(
-                    f"ring nodes without an endpoint: {sorted(missing)}"
-                )
-        else:
-            if ring is not None:
-                raise ServiceError(
-                    "a HashRing needs named endpoints (pass a dict)"
-                )
-            endpoints = {
-                str(index): pair for index, pair in enumerate(endpoints)
-            }
-            self._names = list(endpoints)  # shard order
-            self._ring = None
-        if not endpoints:
+    def __init__(self, endpoints, **client_kwargs):
+        self.clients = [
+            KVClient(host, port, **client_kwargs) for host, port in endpoints
+        ]
+        if not self.clients:
             raise ServiceError("at least one endpoint is required")
-        self._clients = {
-            name: KVClient(host, port, **client_kwargs)
-            for name, (host, port) in endpoints.items()
-        }
 
     @property
     def num_shards(self) -> int:
-        return len(self._clients)
+        return len(self.clients)
 
     def client_for_key(self, key: bytes) -> KVClient:
-        """The endpoint client a key routes to (exposed for tests)."""
-        return self._clients[self._route(key)]
-
-    def _route(self, key: bytes) -> str:
-        if self._ring is not None:
-            return self._ring.node_for_key(key)
-        return str(shard_for_key(key, len(self._names)))
-
-    def _all(self) -> list[KVClient]:
-        return [self._clients[name] for name in self._names]
+        """The endpoint client a key routes to."""
+        return self.clients[shard_for_key(key, len(self.clients))]
 
     # -- DB-shaped surface -------------------------------------------------
 
@@ -639,46 +629,45 @@ class ShardedKVClient:
         opts=None,
     ) -> list[tuple[bytes, bytes]]:
         return _scatter_scan(
-            None, self._all(), protocol.encode_scan(start, end, limit), limit
+            [(client, client.home) for client in self.clients],
+            protocol.encode_scan(start, end, limit), limit,
         )
 
     def stats(self) -> dict:
         """Cross-endpoint merge with the same section layout as one
         server's OP_STATS (see :func:`merge_stats`), plus an
-        ``endpoints`` section keyed by node name."""
-        per_endpoint = {
-            name: self._clients[name].stats() for name in self._names
-        }
-        merged = merge_stats(per_endpoint.values())
+        ``endpoints`` section keyed by shard index."""
+        per_endpoint = [client.stats() for client in self.clients]
+        merged = merge_stats(per_endpoint)
         merged["endpoints"] = {
-            name: {
+            str(index): {
                 "health": snapshot.get("health", {}),
                 "committed_sequence": snapshot.get("committed_sequence", 0),
             }
-            for name, snapshot in per_endpoint.items()
+            for index, snapshot in enumerate(per_endpoint)
         }
         return merged
 
     def flush(self) -> None:
-        for client in self._all():
+        for client in self.clients:
             client.flush()
 
     def compact_range(self) -> None:
-        for client in self._all():
+        for client in self.clients:
             client.compact_range()
 
     def ping(self) -> None:
-        for client in self._all():
+        for client in self.clients:
             client.ping()
 
     def health(self) -> dict:
-        return merge_health([client.health() for client in self._all()])
+        return merge_health([client.health() for client in self.clients])
 
     def committed_sequence(self) -> int:
-        return sum(client.committed_sequence() for client in self._all())
+        return sum(client.committed_sequence() for client in self.clients)
 
     def close(self) -> None:
-        for client in self._all():
+        for client in self.clients:
             client.close()
 
     def __enter__(self) -> "ShardedKVClient":

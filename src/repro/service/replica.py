@@ -1,9 +1,10 @@
 """WAL-shipping replication: primary-side log tailing, replica-side apply.
 
 The primary registers a commit listener on the engine (``DB``'s WAL-tail
-hook) and retains every committed WAL record with its sequence range.
-When a replica subscribes it presents its server ID and the last sequence
-it applied; the streamer
+hook) and retains the newest committed WAL records with their sequence
+ranges, as many bytes as the engine itself holds unflushed.  When a replica
+subscribes it presents its server ID and the last sequence it applied; the
+streamer
 
 1. is refused outright if the KDS does not authorize the replica;
 2. provisions a fresh *stream DEK* through the primary's KeyClient and
@@ -15,8 +16,11 @@ it applied; the streamer
    is covered, otherwise from a chunked engine snapshot (the same
    catch-up role :class:`repro.dist.readonly.ReadOnlyInstance` plays over
    shared storage, here over the wire); and
-4. tails the live commit stream, CTR-encrypting each WAL record at a
-   running stream offset.
+4. tails the live commit stream, sealing each WAL record as one unit of
+   the stream at a running offset, under the engine's scheme in force
+   (``make_file_crypto``): length-preserving under a stream cipher,
+   tag-verified by the replica under an AEAD scheme -- a tampered frame
+   is an ``AuthenticationError`` that drops the stream, never a value.
 
 A reconnecting replica resumes from ``state.last_applied`` -- the
 monotonic sequence handshake -- and re-applied records are idempotent
@@ -30,7 +34,7 @@ import socket
 import threading
 import time
 
-from repro.crypto.cipher import SCHEME_NONE, generate_nonce, spec_for
+from repro.crypto.cipher import SCHEME_NONE, generate_nonce, scheme_id
 from repro.errors import (
     AuthorizationError,
     KeyManagementError,
@@ -38,31 +42,42 @@ from repro.errors import (
     ReproError,
 )
 from repro.lsm.dbformat import TYPE_PUT
-from repro.lsm.filecrypto import FileCrypto, NULL_CRYPTO
+from repro.lsm.db import MAX_IMMUTABLE_MEMTABLES
+from repro.lsm.filecrypto import FileCrypto, NULL_CRYPTO, make_file_crypto
 from repro.lsm.iterator import key_range, newest_visible
 from repro.lsm.memtable import Memtable
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
 from repro.service.protocol import Message
 
+#: Ceiling of a replica's doubling reconnect backoff.
+MAX_BACKOFF_S = 1.0
+#: Budget for a replica's TCP connect plus subscribe handshake.
+CONNECT_TIMEOUT_S = 5.0
+
 
 class ReplicationSource:
     """Primary-side retained log of committed WAL records.
 
     Hooks the engine's commit listener; every committed batch is retained
-    as ``(first_seq, last_seq, payload)``.  ``earliest_sequence`` is the
-    watermark below which the log cannot serve a resume (the streamer
-    falls back to a snapshot); with unbounded retention that is simply the
-    engine's committed sequence at attach time.
+    as ``(first_seq, last_seq, payload)``.  The log holds at most what the
+    engine itself keeps unflushed -- ``write_buffer_size`` payload bytes for
+    the active memtable and each immutable one it allows -- oldest dropped
+    first.  ``earliest_sequence`` is the watermark below which the log
+    cannot serve a resume (the streamer ships a snapshot instead): the
+    engine's committed sequence at attach time, then the last sequence
+    dropped.
     """
 
-    def __init__(self, db, max_retained_records: int | None = None):
+    def __init__(self, db):
         self.db = db
-        self.max_retained_records = max_retained_records
+        self._max_bytes = db.options.write_buffer_size * (
+            1 + MAX_IMMUTABLE_MEMTABLES
+        )
         self._cond = threading.Condition()
         self._records: list[tuple[int, int, bytes]] = []
-        self._first_seqs: list[int] = []
         self._closed = False
+        self.retained_bytes = 0
         self.earliest_sequence = db.committed_sequence()
         db.add_commit_listener(self._on_commit)
 
@@ -71,32 +86,35 @@ class ReplicationSource:
             if self._closed:
                 return
             self._records.append((first_seq, last_seq, payload))
-            self._first_seqs.append(first_seq)
-            if (
-                self.max_retained_records is not None
-                and len(self._records) > self.max_retained_records
-            ):
-                dropped = self._records.pop(0)
-                self._first_seqs.pop(0)
-                self.earliest_sequence = max(self.earliest_sequence, dropped[1])
+            self.retained_bytes += len(payload)
+            drop = 0
+            while self.retained_bytes > self._max_bytes:
+                self.retained_bytes -= len(self._records[drop][2])
+                drop += 1
+            if drop:
+                self.earliest_sequence = self._records[drop - 1][1]
+                del self._records[:drop]
             self._cond.notify_all()
 
     def records_after(self, seq: int) -> list[tuple[int, int, bytes]]:
         """Retained records whose first sequence is beyond ``seq``."""
         with self._cond:
-            index = bisect.bisect_right(self._first_seqs, seq)
+            index = bisect.bisect_right(self._records, seq, key=lambda r: r[0])
             return self._records[index:]
 
     def wait_records_after(
         self, seq: int, timeout: float
-    ) -> list[tuple[int, int, bytes]]:
-        """Like :meth:`records_after`, blocking up to ``timeout`` if empty."""
+    ) -> list[tuple[int, int, bytes]] | None:
+        """Like :meth:`records_after`, blocking up to ``timeout`` if empty;
+        None when the log no longer reaches back to ``seq``."""
         with self._cond:
-            index = bisect.bisect_right(self._first_seqs, seq)
-            if index >= len(self._records) and not self._closed:
+            if seq < self.earliest_sequence:
+                return None
+            records = self.records_after(seq)
+            if not records and not self._closed:
                 self._cond.wait(timeout)
-                index = bisect.bisect_right(self._first_seqs, seq)
-            return self._records[index:]
+                records = self.records_after(seq)
+            return None if seq < self.earliest_sequence else records
 
     @property
     def closed(self) -> bool:
@@ -116,24 +134,16 @@ class ReplicationSource:
 
 
 def _make_stream_crypto(key_client) -> tuple[FileCrypto, bytes]:
-    """A fresh per-stream DEK, or plaintext when the engine has no keys.
-
-    Replication frames are a CRC-framed sequential stream decrypted at a
-    running offset, so the stream always uses a seekable cipher even when
-    the at-rest default is an AEAD scheme (the frames are transient, not
-    at-rest; at-rest tags are applied when the replica persists).
-    """
+    """A fresh per-stream DEK under the scheme in force, or plaintext when
+    the engine has no keys.  The stream is one more sealed file: each frame
+    is a unit at the running offset, so under an AEAD scheme a flipped,
+    dropped or reordered frame fails its tag on the replica."""
     if key_client is None:
         return NULL_CRYPTO, b""
-    scheme = getattr(key_client, "default_scheme", None)
-    if scheme is None or spec_for(scheme).aead:
-        scheme = "shake-ctr"
-    dek = key_client.new_dek(scheme)
+    dek = key_client.new_dek()
     nonce = generate_nonce(dek.scheme)
-    return (
-        FileCrypto(spec_for(dek.scheme).scheme_id, dek.dek_id, dek.key, nonce),
-        nonce,
-    )
+    crypto = make_file_crypto(scheme_id(dek.scheme), dek.dek_id, dek.key, nonce)
+    return crypto, nonce
 
 
 def stream_to_replica(
@@ -173,40 +183,43 @@ def stream_to_replica(
         nonlocal offset
         if opcode == protocol.RESP_REPL_FRAME:
             payload = crypto.seal(plain, offset)
-            offset += len(plain)
+            offset += len(payload)  # the stored length: AEAD appends a tag
         else:
             payload = plain
         conn.send(Message(opcode, 0, payload))
 
     try:
-        if position < source.earliest_sequence:
-            # The retained log cannot cover the resume point: ship a
-            # consistent snapshot first, then tail from its sequence.
-            # The begin marker tells the replica to drop any carried-over
-            # state -- snapshot frames use synthetic sequences starting at
-            # 1, and applying them on top of old entries at higher real
-            # sequences would resurrect deleted keys and shadow new values.
-            snapshot_seq = db.committed_sequence()
-            stats.counter("service.repl_snapshots").add(1)
-            push(protocol.RESP_REPL_SNAPSHOT_BEGIN, b"")
-            seq_base = 1  # live-key count never exceeds snapshot_seq
-            batch = WriteBatch()
-            for key, value in db.iterator():
-                batch.put(key, value)
-                if len(batch) >= chunk_entries:
-                    push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
-                    seq_base += len(batch)
-                    batch = WriteBatch()
-            if len(batch):
-                push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
-            push(
-                protocol.RESP_REPL_POSITION,
-                protocol.encode_sequence(snapshot_seq),
-            )
-            position = snapshot_seq
-            position_gauge.set(position)
         while conn.alive and not stopping.is_set():
             records = source.wait_records_after(position, timeout=0.2)
+            if records is None:
+                # The retained log does not reach back to this stream's
+                # position (a late subscriber, or one the log outran): ship
+                # a consistent snapshot, then tail from its sequence.  The
+                # begin marker tells the replica to drop any carried-over
+                # state -- snapshot frames use synthetic sequences starting
+                # at 1, and applying them on top of old entries at higher
+                # real sequences would resurrect deleted keys and shadow
+                # new values.
+                snapshot_seq = db.committed_sequence()
+                stats.counter("service.repl_snapshots").add(1)
+                push(protocol.RESP_REPL_SNAPSHOT_BEGIN, b"")
+                seq_base = 1  # live-key count never exceeds snapshot_seq
+                batch = WriteBatch()
+                for key, value in db.iterator():
+                    batch.put(key, value)
+                    if len(batch) >= chunk_entries:
+                        push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
+                        seq_base += len(batch)
+                        batch = WriteBatch()
+                if len(batch):
+                    push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
+                push(
+                    protocol.RESP_REPL_POSITION,
+                    protocol.encode_sequence(snapshot_seq),
+                )
+                position = snapshot_seq
+                position_gauge.set(position)
+                continue
             if not records and source.closed:
                 return
             for first_seq, last_seq, payload in records:
@@ -296,8 +309,6 @@ class Replica:
         state: ReplicaState | None = None,
         auto_reconnect: bool = True,
         reconnect_backoff_s: float = 0.05,
-        max_backoff_s: float = 1.0,
-        connect_timeout_s: float = 5.0,
     ):
         self.host = host
         self.port = port
@@ -308,8 +319,6 @@ class Replica:
         self.state = state if state is not None else ReplicaState()
         self.auto_reconnect = auto_reconnect
         self.reconnect_backoff_s = reconnect_backoff_s
-        self.max_backoff_s = max_backoff_s
-        self.connect_timeout_s = connect_timeout_s
 
         self.frames_received = 0
         self.snapshots_received = 0
@@ -418,14 +427,14 @@ class Replica:
                 if self._stop.is_set() or not self.auto_reconnect:
                     return
                 self._stop.wait(backoff)
-                backoff = min(backoff * 2, self.max_backoff_s)
+                backoff = min(backoff * 2, MAX_BACKOFF_S)
         finally:
             self._connected.clear()
             self._terminated.set()
 
     def _stream_once(self) -> None:
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout_s
+            (self.host, self.port), timeout=CONNECT_TIMEOUT_S
         )
         self._sock = sock
         try:
@@ -450,17 +459,17 @@ class Replica:
                 raise ReplicationError(
                     f"unexpected handshake frame {accept.opcode}"
                 )
-            scheme_id, dek_id, nonce, __ = protocol.decode_repl_accept(
+            stream_scheme, dek_id, nonce, __ = protocol.decode_repl_accept(
                 accept.payload
             )
-            if scheme_id != SCHEME_NONE:
+            if stream_scheme != SCHEME_NONE:
                 if self.key_client is None:
                     raise ReplicationError(
                         "stream is encrypted but this replica has no KeyClient"
                     )
                 # KDS-side authorization: a revoked replica fails right here.
                 dek = self.key_client.get_dek(dek_id)
-                crypto = FileCrypto(scheme_id, dek_id, dek.key, nonce)
+                crypto = make_file_crypto(stream_scheme, dek_id, dek.key, nonce)
             else:
                 crypto = NULL_CRYPTO
             self.subscriptions += 1

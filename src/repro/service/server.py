@@ -1,14 +1,15 @@
 """The serving core, and the threaded socket server built on it.
 
 **The core** is everything between "a decoded request" and "a reply
-message", written once for every deployment shape: :func:`execute` (the
-opcode switch, with degraded-mode write failures mapped to the retriable
-``RESP_DEGRADED``), :func:`stats_sections` (an engine's OP_STATS
-sections), :func:`health_loop` (health polling and auto-recovery) and
-the KDS authorization decisions (:func:`authenticate`,
-:func:`require_authenticated`).  It serves any engine with the ``DB``
-surface -- a ``DB``, a ``ShardedDB``, one shard inside a forked worker --
-and never looks at which transport called it.
+message", written once for every deployment shape: :func:`admit` (the
+request edge: OP_AUTH and the ``require_auth`` gate, asking the one KDS
+:func:`auth_kds` names), :func:`answer` (span, :func:`execute`, every error
+on the wire, the error counters), :func:`execute` (the opcode switch, with
+degraded-mode write failures mapped to the retriable ``RESP_DEGRADED``),
+:func:`stats_sections` (an engine's OP_STATS sections) and
+:func:`health_loop` (health polling and auto-recovery).  It serves any
+engine with the ``DB`` surface -- a ``DB``, a ``ShardedDB``, one shard
+inside a forked worker -- and never looks at which transport called it.
 
 **Two transports** carry requests to the core.  This module's
 :class:`KVServer` is threads and a bounded queue over an in-process
@@ -17,10 +18,10 @@ engine (so it can stream replication from the engine's commit hook);
 byte-for-byte to forked shard workers.  KVServer's architecture::
 
     accept thread ── one reader thread per connection
-                         │  parses frames, answers AUTH inline,
+                         │  parses frames, admit()s them (AUTH inline),
                          │  hands replication subscriptions to a streamer,
                          ▼
-                 bounded request queue ── N worker threads call execute()
+                 bounded request queue ── N worker threads call answer()
                                           and write responses
 
 Backpressure is explicit: when the queue is full the *reader* thread
@@ -94,6 +95,14 @@ def _key_client_of(db):
     return getattr(getattr(db, "provider", None), "key_client", None)
 
 
+def auth_kds(config: ServiceConfig, db):
+    """The KDS that decides who is let in, on every edge: ``config.kds``,
+    else the one the engine's own KeyClient talks to (None: neither)."""
+    if config.kds is not None:
+        return config.kds
+    return getattr(_key_client_of(db), "kds", None)
+
+
 def is_authorized(kds, server_id: str) -> bool:
     check = getattr(kds, "is_authorized", None)
     if check is None:
@@ -119,6 +128,26 @@ def require_authenticated(config: ServiceConfig, conn) -> None:
         raise AuthorizationError(
             "connection is not authenticated; send AUTH first"
         )
+
+
+def admit(config: ServiceConfig, kds, stats: StatsRegistry, conn,
+          msg) -> Message | None:
+    """The request edge's one decision, for every TCP edge: the reply when
+    the request ends here -- OP_AUTH's verdict from ``kds``
+    (:func:`auth_kds`), or the ``require_auth`` refusal -- and None when it
+    may be served.  Whatever decoding or authorizing raises is an error
+    reply, never a dead thread.  ``msg`` needs ``payload`` only when it is
+    an OP_AUTH (the front-end hands in its undecoded ``Frame`` otherwise).
+    """
+    try:
+        if msg.opcode == protocol.OP_AUTH:
+            authenticate(kds, stats, conn, msg.payload)
+            return Message(protocol.RESP_OK, msg.request_id)
+        require_authenticated(config, conn)
+    except Exception as exc:  # noqa: BLE001 - every error goes on the wire
+        stats.counter("service.errors").add(1)
+        return protocol.error_reply(msg.request_id, exc)
+    return None
 
 
 def _apply_write(db, rid: int, fn) -> Message:
@@ -194,6 +223,26 @@ def execute(db, msg: Message, transport_sections=None) -> Message:
         # answers this opcode itself, with its workers' endpoints.)
         return Message(protocol.RESP_OK, rid, protocol.encode_topology(()))
     raise InvalidArgumentError(f"unknown opcode {op}")
+
+
+def answer(db, msg: Message, transport_sections, stats: StatsRegistry,
+           span_name: str, attributes: dict | None = None) -> Message:
+    """One admitted request to its reply, for every transport: the span (the
+    wire trace header, if any, parents it under the client's -- one trace
+    across processes), :func:`execute`, every error on the wire, and the
+    ``service.errors`` / ``service.degraded_rejections`` counts."""
+    with TRACER.span(
+        span_name, parent=TRACER.extract(msg.trace), attributes=attributes
+    ) as span:
+        try:
+            reply = execute(db, msg, transport_sections)
+        except Exception as exc:  # noqa: BLE001 - every error goes on the wire
+            stats.counter("service.errors").add(1)
+            span.set_attribute("error", type(exc).__name__)
+            reply = protocol.error_reply(msg.request_id, exc)
+    if reply.opcode == protocol.RESP_DEGRADED:
+        stats.counter("service.degraded_rejections").add(1)
+    return reply
 
 
 def stats_sections(db) -> dict:
@@ -324,6 +373,7 @@ class KVServer:
             ReplicationSource(db) if hasattr(db, "add_commit_listener") else None
         )
         self._key_client = _key_client_of(db)
+        self._auth_kds = auth_kds(self.config, db)
         self._health_thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -440,34 +490,23 @@ class KVServer:
                     # streamer.
                     self._handle_subscribe(conn, msg)
                     return
-                try:
-                    if msg.opcode == protocol.OP_AUTH:
-                        authenticate(
-                            self._auth_kds(), self.stats, conn, msg.payload
-                        )
-                        conn.send(Message(protocol.RESP_OK, msg.request_id))
+                reply = admit(
+                    self.config, self._auth_kds, self.stats, conn, msg
+                )
+                if reply is None:
+                    if self._queue.qsize() < self.config.max_queue_depth:
+                        self._queue.put((conn, msg, time.perf_counter()))
                         continue
-                    require_authenticated(self.config, conn)
-                except AuthorizationError as exc:
-                    conn.send(protocol.error_reply(msg.request_id, exc))
-                    continue
-                if self._queue.qsize() < self.config.max_queue_depth:
-                    self._queue.put((conn, msg, time.perf_counter()))
-                else:
                     self.stats.counter("service.busy_rejections").add(1)
-                    try:
-                        conn.send(Message(protocol.RESP_BUSY, msg.request_id))
-                    except OSError:
-                        return
+                    reply = Message(protocol.RESP_BUSY, msg.request_id)
+                try:
+                    conn.send(reply)
+                except OSError:
+                    return
         finally:
             conn.close()
             with self._conn_lock:
                 self._connections.discard(conn)
-
-    def _auth_kds(self):
-        if self.config.kds is not None:
-            return self.config.kds
-        return getattr(self._key_client, "kds", None)
 
     # -- replication -------------------------------------------------------
 
@@ -478,7 +517,7 @@ class KVServer:
                 "this server's engine does not support WAL shipping"
             )))
             return
-        if not is_authorized(self._auth_kds(), server_id):
+        if not is_authorized(self._auth_kds, server_id):
             self.stats.counter("service.auth_rejections").add(1)
             conn.send(protocol.error_reply(msg.request_id, AuthorizationError(
                 f"replica {server_id!r} is not authorized by the KDS"
@@ -516,21 +555,10 @@ class KVServer:
             started = time.perf_counter()
             queue_wait = started - enqueued_at
             self.stats.histogram("service.queue_wait_s").record(queue_wait)
-            # The wire trace header (if any) parents this server-side span
-            # under the client's span -- one trace across both processes.
-            with TRACER.span(
-                f"server.{op_name}",
-                parent=TRACER.extract(msg.trace),
-                attributes={"queue_wait_s": queue_wait},
-            ) as span:
-                try:
-                    reply = execute(self.db, msg, self._transport_sections)
-                except Exception as exc:  # noqa: BLE001 - every error goes on the wire
-                    self.stats.counter("service.errors").add(1)
-                    span.set_attribute("error", type(exc).__name__)
-                    reply = protocol.error_reply(msg.request_id, exc)
-            if reply.opcode == protocol.RESP_DEGRADED:
-                self.stats.counter("service.degraded_rejections").add(1)
+            reply = answer(
+                self.db, msg, self._transport_sections, self.stats,
+                f"server.{op_name}", {"queue_wait_s": queue_wait},
+            )
             self.stats.counter(f"service.{op_name}").add(1)
             self.stats.histogram(f"service.latency.{op_name}").record(
                 time.perf_counter() - started

@@ -2,15 +2,15 @@
 
 The threaded :class:`~repro.service.server.KVServer` executes every byte
 of framing, crypto, and LSM work under one GIL.  This module is the
-second transport over the same serving core (``server.execute``,
-``stats_sections``, ``health_loop``, the authorization decisions), split
+second transport over the same serving core (``server.admit``, ``answer``,
+``stats_sections``, ``health_loop``), split
 along the seams SHIELD's per-file DEK model already provides (each LSM
 component encrypts independently, so each shard is self-contained):
 
 - N **worker processes**, each owning exactly one shard -- its own engine,
   WAL, block cache, DEK cache, and KeyClient -- and each a first-class
   **endpoint**: it answers the normal wire protocol with
-  ``execute(db, msg)`` on an inherited ``socketpair`` from the front-end
+  ``answer(db, msg, ...)`` on an inherited ``socketpair`` from the front-end
   *and* on TCP connections to its own listening port.  It is
   single-threaded on the request path (shared-nothing, shard-per-core; one
   small selector loop over all its sockets), with the core's health loop
@@ -31,8 +31,8 @@ created by the parent *once*, before the first fork (``config.host``,
 ephemeral port), and inherited by every incarnation of that worker, so
 the port is stable for the life of the server: the topology never changes
 and there is nothing to re-discover.  A direct connection is a TCP edge
-with the front-end's rules (frame CRC, ``require_auth`` against the same
-KDS, the same counters, in the worker's ``server`` section), and because
+with the front-end's rules (frame CRC, the same ``admit`` against the same
+``auth_kds``, the same counters, in the worker's ``server`` section), and because
 one thread serves all of a worker's sockets, per-shard ordering holds
 across routes.
 
@@ -88,10 +88,10 @@ from repro.service.protocol import Frame, FrameSplitter, Message
 from repro.service.server import (
     ACCEPT_BACKLOG,
     ServiceConfig,
-    authenticate,
-    execute,
+    admit,
+    answer,
+    auth_kds,
     health_loop,
-    require_authenticated,
 )
 from repro.util.stats import StatsRegistry
 
@@ -107,26 +107,13 @@ _GATHER_OPS = frozenset({
 # ---------------------------------------------------------------------------
 
 
-def _reset_fork_locks() -> None:
-    """Re-arm locks a forked child may have inherited in a held state.
-
-    Only the forking thread survives into the child; any lock another
-    thread held at fork time stays locked forever.  The worker only ever
-    touches the global tracer's sinks, so re-creating those locks is
-    enough.
-    """
-    for sink in getattr(TRACER, "_sinks", []):
-        if hasattr(sink, "_lock"):
-            sink._lock = threading.Lock()
-
-
 class _ShardServer:
     """A shard worker's serving loop: one engine, one thread, three kinds of
     socket -- the pipe to the front-end, the shard's listener, and the
     direct connections accepted from it.
 
     A direct connection is a TCP edge like the front-end's: frame CRCs are
-    verified, ``require_auth`` is enforced, and ops, connections, errors
+    verified, ``admit`` decides who is served, and ops, connections, errors
     and auth decisions are counted -- in this process's own registry, which
     reaches clients through OP_STATS (the front-end sums the workers'
     ``server`` sections).  Sends never block: a direct client that stops
@@ -138,6 +125,7 @@ class _ShardServer:
         self.db = db
         self.config = config
         self.stats = StatsRegistry()
+        self._auth_kds = auth_kds(config, db)
         self._listener = listener
         self._io = PeerLoop()
         self._running = True
@@ -177,13 +165,10 @@ class _ShardServer:
 
     def _answer(self, msg: Message) -> Message:
         op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
-        with TRACER.span(
-            f"worker.{op_name}", parent=TRACER.extract(msg.trace)
-        ):
-            try:
-                return execute(self.db, msg, self._transport_sections)
-            except Exception as exc:  # noqa: BLE001 - goes on the wire
-                return protocol.error_reply(msg.request_id, exc)
+        return answer(
+            self.db, msg, self._transport_sections, self.stats,
+            f"worker.{op_name}",
+        )
 
     # -- the front-end's pipe ----------------------------------------------
 
@@ -219,20 +204,10 @@ class _ShardServer:
         frame.verify()  # this socket is a TCP edge: the trust boundary
         msg = frame.message()
         _count_op(self.stats, self._op_counters, msg.opcode)
-        try:
-            if msg.opcode == protocol.OP_AUTH:
-                authenticate(self.config.kds, self.stats, peer, msg.payload)
-                reply = Message(protocol.RESP_OK, msg.request_id)
-            else:
-                require_authenticated(self.config, peer)
-                self._direct_ops.add(1)
-                reply = self._answer(msg)
-        except Exception as exc:  # noqa: BLE001 - every error goes on the wire
-            reply = protocol.error_reply(msg.request_id, exc)
-        if reply.opcode == protocol.RESP_ERROR:
-            self.stats.counter("service.errors").add(1)
-        elif reply.opcode == protocol.RESP_DEGRADED:
-            self.stats.counter("service.degraded_rejections").add(1)
+        reply = admit(self.config, self._auth_kds, self.stats, peer, msg)
+        if reply is None:
+            self._direct_ops.add(1)
+            reply = self._answer(msg)
         if not self._io.send(peer, protocol.encode_frame(reply)):
             self._close_direct(peer)
 
@@ -350,6 +325,7 @@ class MultiProcessKVServer:
         self._clients: set[Peer] = set()
         self._op_counters: dict = {}  # opcode -> its service.<op> Counter
         self._forwarded = self.stats.counter("service.forwarded")
+        self._auth_kds = auth_kds(self.config, None)  # no engine this side
         self._awaiting_respawn: list[_WorkerHandle] = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -377,6 +353,11 @@ class MultiProcessKVServer:
     def start(self) -> "MultiProcessKVServer":
         if self._started:
             return self
+        if self.config.require_auth and self._auth_kds is None:
+            raise ServiceError(
+                "require_auth needs ServiceConfig.kds: the front-end holds "
+                "no engine whose KDS it could ask"
+            )
         self._io = PeerLoop()
         self._listener = self._listen(self.config.port)
         # Every shard's listener exists before the first fork, so each
@@ -478,7 +459,7 @@ class MultiProcessKVServer:
                     except OSError:
                         pass
                 self._io.close()
-                _reset_fork_locks()
+                TRACER.after_fork()
                 db = self._make_shard(worker.index, worker.path)
                 try:
                     _ShardServer(
@@ -590,8 +571,6 @@ class MultiProcessKVServer:
             # (the frame went through untouched), so its response frame --
             # CRC computed worker-side and still intact -- goes back as-is.
             __, conn, __rid = entry
-            if resp.opcode == protocol.RESP_DEGRADED:
-                self.stats.counter("service.degraded_rejections").add(1)
             self._reply_raw(conn, resp.raw)
             return
         __, gather, worker_index = entry
@@ -642,17 +621,19 @@ class MultiProcessKVServer:
         rid = frame.request_id
         _count_op(self.stats, self._op_counters, op)
         try:
-            if op == protocol.OP_AUTH:
-                authenticate(self.config.kds, self.stats, conn, frame.payload())
-                self._reply(conn, Message(protocol.RESP_OK, rid))
-                return
             if op == protocol.OP_REPL_SUBSCRIBE:
                 self._reply_error(conn, rid, InvalidArgumentError(
                     "the multi-process server does not stream replication; "
                     "subscribe to a per-shard server instead"
                 ))
                 return
-            require_authenticated(self.config, conn)
+            refusal = admit(
+                self.config, self._auth_kds, self.stats, conn,
+                frame.message() if op == protocol.OP_AUTH else frame,
+            )
+            if refusal is not None:
+                self._reply(conn, refusal)
+                return
             if op == protocol.OP_PING:
                 self._reply(conn, Message(protocol.RESP_OK, rid))
                 return
@@ -749,7 +730,6 @@ class MultiProcessKVServer:
                 return
         for __, part in gather.parts:
             if part.opcode == protocol.RESP_DEGRADED:
-                self.stats.counter("service.degraded_rejections").add(1)
                 self._reply(conn, Message(
                     protocol.RESP_DEGRADED, rid, part.payload
                 ))

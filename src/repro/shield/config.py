@@ -33,9 +33,6 @@ class ShieldOptions:
     encrypt_wal: bool = True
     encrypt_sst: bool = True
     encrypt_manifest: bool = True
-    #: Retry transient KDS failures and trip a circuit breaker on outages
-    #: (see repro.keys.resilience); the chaos harness turns this on.
-    resilient: bool = False
     #: SHIELD++ freshness anchor (repro.integrity.counter.TrustedCounter);
     #: None keeps rollback protection off.
     trusted_counter: Optional[object] = None
@@ -45,14 +42,10 @@ class ShieldOptions:
             self.scheme = default_at_rest_scheme()
 
     def build_key_client(self) -> KeyClient:
-        if self.resilient:
-            return KeyClient.resilient(
-                self.kds,
-                self.server_id,
-                cache=self.dek_cache,
-                default_scheme=self.scheme,
-            )
-        return KeyClient(
+        """Retries transient KDS failures and trips a circuit breaker on
+        outages (see repro.keys.resilience), so ``health()`` can say
+        ``kds-unavailable``."""
+        return KeyClient.resilient(
             self.kds,
             self.server_id,
             cache=self.dek_cache,

@@ -567,7 +567,7 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
     def boot() -> tuple[DB, KVServer, KVClient]:
         """Open (or recover) the store and put a server and a client on it."""
         db = open_shield_db(
-            DB_PATH, _shield(kds, f"chaos-{seed}", resilient=True),
+            DB_PATH, _shield(kds, f"chaos-{seed}"),
             _engine_options(env, **_SOAK_ENGINE),
         )
         server = KVServer(
@@ -684,8 +684,8 @@ class ForwardingKVClient(KVClient):
     """A client from before ``OP_TOPOLOGY``: it never learns the workers'
     endpoints, so every op takes the front-end's forwarding route."""
 
-    def _learn_shards(self):
-        return None
+    def workers(self):
+        return []
 
 
 #: The two ways a client's ops reach a shard worker, by the client that

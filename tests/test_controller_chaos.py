@@ -50,7 +50,7 @@ def test_controller_freezes_through_kds_outage_and_thaws(tmp_path):
     # Grace mode needs the secure DEK cache: reads of existing files keep
     # working through the outage, which is what keeps the loop ticking.
     cache = SecureDEKCache(str(tmp_path / "cache.db"), "pw", iterations=10)
-    shield = ShieldOptions(kds=kds, resilient=True, dek_cache=cache)
+    shield = ShieldOptions(kds=kds, dek_cache=cache)
     base = Options(
         env=MemEnv(),
         adaptive_compaction=True,

@@ -286,7 +286,7 @@ def _call(client, opcode, payload):
     # No client method: send the raw request to one endpoint.
     if isinstance(client, ShardedKVClient):
         client = client.client_for_key(b"alpha")
-    return _canonical(client._request(opcode, payload))
+    return _canonical(client.request(opcode, payload))
 
 
 def _run_client(client, session):

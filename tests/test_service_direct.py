@@ -23,7 +23,7 @@ from repro.keys.kds import SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.service import protocol
-from repro.service.client import KVClient, ShardedKVClient
+from repro.service.client import Endpoint, KVClient, ShardedKVClient
 from repro.service.protocol import FrameReader, Message
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer, _ShardServer
@@ -222,7 +222,7 @@ def test_a_threaded_server_and_a_worker_have_nothing_behind_them(tmp_path):
         with KVServer(db) as server, KVClient(*server.address) as client:
             client.put(b"k", b"v")
             assert client.get(b"k") == b"v"
-            assert client._direct() is None
+            assert client.workers() == []
             assert client.stats()["server"]["service.topology"] == 1
     finally:
         db.close()
@@ -230,7 +230,7 @@ def test_a_threaded_server_and_a_worker_have_nothing_behind_them(tmp_path):
         with KVClient(*server.worker_addresses[1]) as client:
             client.put(b"k", b"v")
             assert client.get(b"k") == b"v"
-            assert client._direct() is None
+            assert client.workers() == []
 
 
 def test_unreachable_worker_endpoints_fall_back_to_the_front_end(
@@ -252,7 +252,7 @@ def test_unreachable_worker_endpoints_fall_back_to_the_front_end(
             assert client.get(b"key-07") == b"v-07"
             assert len(client.scan()) == 20
             assert (client.retries, client.busy_retries) == (0, 0)
-            assert client._direct() is None  # for good
+            assert client.workers() == []  # for good
             counters = client.stats()["server"]
         assert counters["service.forwarded"] == 22 + 1  # + this STATS
         assert counters["service.direct"] == 0
@@ -454,8 +454,8 @@ def test_scan_parts_run_in_parallel(tmp_path):
         os.close(gate_w)
 
 
-def _break_pooled_connections(client: KVClient) -> None:
-    for conn in client._pool:
+def _break_pooled_connections(endpoint: Endpoint) -> None:
+    for conn in endpoint._pool:
         conn.sock.close()  # the next send on it raises
 
 
@@ -464,14 +464,14 @@ def test_a_scan_part_that_loses_its_socket_is_retried_alone(tmp_path):
         with KVClient(*server.address) as client:
             for i in range(10):
                 client.put(b"key-%d" % i, b"v")
-            _break_pooled_connections(client._direct()._all()[1])
+            _break_pooled_connections(client.workers()[1])
             assert len(client.scan()) == 10
             assert client.retries == 1  # counted on the client the user holds
         with ShardedKVClient(server.worker_addresses) as client:
             assert len(client.scan()) == 10  # pools are warm now
-            _break_pooled_connections(client._all()[0])
+            _break_pooled_connections(client.clients[0].home)
             assert len(client.scan()) == 10
-            assert [c.retries for c in client._all()] == [1, 0]
+            assert [c.retries for c in client.clients] == [1, 0]
 
 
 # -- a worker dies under a direct request ------------------------------------

@@ -1,0 +1,448 @@
+"""One request edge, one sealed replication wire, one bounded log.
+
+Four defects that each lived in one copy of a forked piece of the serving
+tier, as tests.  In the style of ``test_service_wire_budget.py``: nothing
+here sleeps; every "it happened" is a reply read off a socket or a
+library wait with a deadline.
+
+The three TCP edges are ``KVServer`` ("threaded"), a shard worker's own
+port ("worker": a ``_ShardServer`` run on a thread, so the test holds its
+engine and its KDS) and ``MultiProcessKVServer``'s front-end ("front-end").
+"""
+
+import contextlib
+import hashlib
+import socket
+import threading
+
+import pytest
+
+from repro.env.mem import MemEnv
+from repro.errors import AuthenticationError, ServiceError
+from repro.keys.client import KeyClient
+from repro.keys.dek import DEK
+from repro.keys.kds import InMemoryKDS, SimulatedKDS
+from repro.lsm.db import DB
+from repro.lsm.options import Options
+from repro.service import protocol, replica as replica_module
+from repro.service.client import KVClient
+from repro.service.protocol import FrameSplitter, Message
+from repro.service.replica import Replica, ReplicationSource, stream_to_replica
+from repro.service.server import KVServer, ServiceConfig
+from repro.service.workers import MultiProcessKVServer, _ShardServer
+from repro.shield import ShieldOptions, open_shield_db
+from repro.util.stats import StatsRegistry
+
+WAIT_S = 20.0
+
+
+# -- the three edges ---------------------------------------------------------
+
+
+def _engine(kds, path):
+    """An engine whose KeyClient talks to ``kds`` (None: a plaintext one)."""
+    options = Options(env=MemEnv())
+    if kds is None:
+        return DB(path, options)
+    return open_shield_db(path, ShieldOptions(kds=kds, server_id="engine"), options)
+
+
+@contextlib.contextmanager
+def _threaded_edge(kds, config):
+    db = _engine(kds, "/edge-threaded")
+    try:
+        with KVServer(db, config) as server:
+            yield server.address
+    finally:
+        db.close()
+
+
+@contextlib.contextmanager
+def _worker_edge(kds, config):
+    db = _engine(kds, "/edge-worker")
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.setblocking(False)
+    frontend_end, worker_end = socket.socketpair()
+    shard = _ShardServer(db, worker_end, listener, config)
+    thread = threading.Thread(target=shard.serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        frontend_end.close()  # EOF on the pipe: the worker loop ends
+        thread.join(WAIT_S)
+        listener.close()
+        worker_end.close()
+        db.close()
+    assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def _frontend_edge(kds, config, tmp_path):
+    def make_shard(index, path):
+        return _engine(kds, path)
+
+    with MultiProcessKVServer(str(tmp_path / "mp"), 1, make_shard, config) as server:
+        yield server.address
+
+
+def _edges(kds, config, tmp_path, names=("threaded", "worker", "front-end")):
+    makers = {
+        "threaded": lambda: _threaded_edge(kds, config),
+        "worker": lambda: _worker_edge(kds, config),
+        "front-end": lambda: _frontend_edge(kds, config, tmp_path),
+    }
+    return [(name, makers[name]) for name in names]
+
+
+def _recv_exact(sock, nbytes: int) -> bytes:
+    data = b""
+    while len(data) < nbytes:
+        chunk = sock.recv(nbytes - len(data))
+        assert chunk, "the edge closed the connection instead of answering"
+        data += chunk
+    return data
+
+
+def _session(address, requests) -> list[tuple[str, object]]:
+    """Send ``(opcode, payload)`` requests on one connection; returns each
+    reply as ``(frame hex, decoded answer)``."""
+    out = []
+    with socket.create_connection(address, timeout=WAIT_S) as sock:
+        for rid, (opcode, payload) in enumerate(requests, start=1):
+            protocol.send_message(sock, Message(opcode, rid, payload))
+            head = _recv_exact(sock, 4)
+            body = _recv_exact(sock, int.from_bytes(head, "little"))
+            reply = protocol.decode_frame_body(body)
+            assert reply.request_id == rid
+            if reply.opcode == protocol.RESP_ERROR:
+                exc = protocol.decode_error(reply.payload)
+                answer = (type(exc).__name__, str(exc))
+            else:
+                answer = (reply.opcode, reply.payload)
+            out.append(((head + body).hex(), answer))
+    return out
+
+
+def _auth(server_id: str):
+    return protocol.OP_AUTH, protocol.encode_auth(server_id)
+
+
+PUT = (protocol.OP_PUT, protocol.encode_put(b"k", b"v"))
+GET = (protocol.OP_GET, protocol.encode_key(b"k"))
+REFUSED = ("AuthorizationError", "server 'mallory' is not authorized by the KDS")
+UNAUTHENTICATED = (
+    "AuthorizationError", "connection is not authenticated; send AUTH first"
+)
+
+
+def _authorizing_kds():
+    kds = SimulatedKDS(request_latency_s=0.0)
+    kds.authorize_server("engine")
+    kds.authorize_server("good-client")
+    return kds
+
+
+# -- (a) who is let in is one rule on every edge -----------------------------
+
+
+def test_an_edge_with_no_kds_of_its_own_asks_the_engines(tmp_path):
+    """``require_auth`` with no ``config.kds``: the engine's KDS decides
+    where there is an engine, and an edge with neither refuses to start
+    rather than letting everyone in."""
+    kds = _authorizing_kds()
+    config = ServiceConfig(require_auth=True)
+    requests = [_auth("mallory"), PUT, GET, _auth("good-client"), PUT, GET]
+    for name, edge in _edges(kds, config, tmp_path, ("threaded", "worker")):
+        with edge() as address:
+            answers = [answer for __, answer in _session(address, requests)]
+        assert answers[:3] == [REFUSED, UNAUTHENTICATED, UNAUTHENTICATED], name
+        assert [opcode for opcode, __ in answers[3:]] == [
+            protocol.RESP_OK, protocol.RESP_OK, protocol.RESP_VALUE
+        ], name
+    server = MultiProcessKVServer(
+        str(tmp_path / "mp"), 1, lambda index, path: _engine(kds, path), config
+    )
+    try:
+        with pytest.raises(ServiceError, match="require_auth"):
+            server.start()
+    finally:
+        server.stop()
+
+
+def test_every_edge_refuses_an_unauthorized_id_with_the_same_bytes(tmp_path):
+    """``config.kds`` set (and the engines on another KDS that would let
+    mallory in): it overrides, identically, on all three edges."""
+    lax = InMemoryKDS()
+    config = ServiceConfig(require_auth=True, kds=_authorizing_kds())
+    requests = [_auth("mallory"), GET, _auth("good-client"), GET]
+    sessions = {}
+    for name, edge in _edges(lax, config, tmp_path):
+        with edge() as address:
+            sessions[name] = _session(address, requests)
+    reference = sessions["threaded"]
+    assert [answer for __, answer in reference] == [
+        REFUSED, UNAUTHENTICATED,
+        (protocol.RESP_OK, b""), (protocol.RESP_NOT_FOUND, b""),
+    ]
+    for name, session in sessions.items():
+        assert session == reference, name
+
+
+# -- (b) a malformed AUTH is an error reply, on every edge -------------------
+
+
+def test_a_truncated_auth_gets_the_same_error_frame_and_kills_no_thread(
+    tmp_path, monkeypatch
+):
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    requests = [
+        (protocol.OP_AUTH, b"\x09ab"),  # announces 9 bytes, carries 2
+        (protocol.OP_PING, b""),        # the connection is still usable
+    ]
+    sessions = {}
+    for name, edge in _edges(None, ServiceConfig(), tmp_path):
+        with edge() as address:
+            sessions[name] = _session(address, requests)
+    reference = sessions["threaded"]
+    assert reference[0][1][0] == "CorruptionError"
+    assert reference[1][1] == (protocol.RESP_OK, b"")
+    for name, session in sessions.items():
+        assert session == reference, name
+    assert died == []
+
+
+# -- (c) the replication wire is sealed under the scheme in force ------------
+
+
+class TamperingProxy:
+    """A byte-level TCP proxy in front of a primary.  Replica-to-primary
+    bytes pass verbatim; primary-to-replica bytes are split into frames,
+    and while ``armed`` the next ``REPL_FRAME`` has one payload bit flipped
+    and its CRC recomputed (the frame CRC is not a MAC) -- once."""
+
+    #: Inside the last value byte of a one-put record with a 1-byte key
+    #: and a 6-byte value (12 header + type + 1+1 key + 1+6 value).
+    FLIPPED_BYTE = 21
+
+    def __init__(self, upstream):
+        self.upstream = upstream
+        self.armed = False
+        self.tampered = 0
+        self.connections = 0
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(8)
+        self._socks: list[socket.socket] = []
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    @property
+    def address(self):
+        return self.listener.getsockname()
+
+    def _accept(self):
+        while True:
+            try:
+                down, __ = self.listener.accept()
+            except OSError:
+                return
+            up = socket.create_connection(self.upstream, timeout=WAIT_S)
+            up.settimeout(None)
+            self.connections += 1
+            self._socks += [down, up]
+            for pump, args in ((self._verbatim, (down, up)),
+                               (self._framed, (up, down))):
+                thread = threading.Thread(target=pump, args=args, daemon=True)
+                self._threads.append(thread)
+                thread.start()
+
+    @staticmethod
+    def _hang_up(*socks):
+        for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def _verbatim(self, source, sink):
+        try:
+            while data := source.recv(65536):
+                sink.sendall(data)
+        except OSError:
+            pass
+        self._hang_up(source, sink)
+
+    def _framed(self, source, sink):
+        splitter = FrameSplitter()
+        try:
+            while data := source.recv(65536):
+                splitter.feed(data)
+                for frame in splitter.frames():
+                    raw = frame.raw
+                    if self.armed and frame.opcode == protocol.RESP_REPL_FRAME:
+                        self.armed = False
+                        payload = bytearray(frame.payload())
+                        payload[self.FLIPPED_BYTE] ^= 0x01
+                        raw = protocol.encode_frame(Message(
+                            frame.opcode, frame.request_id, bytes(payload)
+                        ))
+                        self.tampered += 1
+                    sink.sendall(raw)
+        except OSError:
+            pass
+        self._hang_up(source, sink)
+
+    def close(self):
+        self._hang_up(self.listener, *self._socks)
+        self.listener.close()
+        for thread in self._threads:
+            thread.join(WAIT_S)
+        for sock in self._socks:
+            sock.close()
+        assert not any(thread.is_alive() for thread in self._threads)
+
+
+@pytest.mark.parametrize("scheme", ["shake-etm", "chacha20-poly1305", "aes-256-gcm"])
+def test_a_tampered_replication_frame_is_never_a_value(scheme):
+    kds = InMemoryKDS()
+    db = open_shield_db(
+        "/edge-repl", ShieldOptions(kds=kds, server_id="primary", scheme=scheme),
+        Options(env=MemEnv()),
+    )
+    try:
+        with KVServer(db) as server:
+            proxy = TamperingProxy(server.address)
+            replica = Replica(
+                *proxy.address, server_id="replica-1",
+                key_client=KeyClient(kds, "replica-1"),
+                reconnect_backoff_s=0.001,
+            )
+            try:
+                replica.start()
+                assert replica.wait_connected(WAIT_S)
+                proxy.armed = True
+                db.put(b"k", b"100000")
+                # Caught up means: the flipped frame was refused, the stream
+                # dropped, and a resubscription from ``last_applied`` (through
+                # the proxy, which has stopped tampering) delivered the record.
+                assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
+                assert proxy.tampered == 1
+                assert replica.get(b"k") == b"100000"  # never b"100001"
+                assert isinstance(replica.last_error, AuthenticationError)
+                assert proxy.connections == 2 and replica.subscriptions == 2
+                db.put(b"k2", b"after")
+                assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
+                assert replica.scan() == db.scan()
+            finally:
+                replica.stop()
+                proxy.close()
+    finally:
+        db.close()
+
+
+class _FixedKeyClient:
+    """Hands the streamer one known stream DEK."""
+
+    default_scheme = "shake-ctr"
+
+    def new_dek(self, scheme=None):
+        return DEK("dek-pinned", bytes(range(32)), "shake-ctr")
+
+
+class _CollectingConn:
+    """The server-side connection object ``stream_to_replica`` writes to.
+    Runs ``after_snapshot`` once the snapshot's end marker is sent (so what
+    it commits arrives by the tail) and hangs up at ``expect`` messages."""
+
+    def __init__(self, expect: int, after_snapshot):
+        self.sent: list[Message] = []
+        self.alive = True
+        self._expect = expect
+        self._after_snapshot = after_snapshot
+
+    def send(self, msg: Message) -> None:
+        self.sent.append(msg)
+        if msg.opcode == protocol.RESP_REPL_POSITION:
+            self._after_snapshot()
+        self.alive = len(self.sent) < self._expect
+
+    def close(self) -> None:
+        self.alive = False
+
+
+def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
+    """Length-preserving, same offsets: for a fixed DEK, nonce and record
+    script the stream's bytes are those of the tree before the stream was
+    sealed through ``make_file_crypto``."""
+    monkeypatch.setattr(replica_module, "generate_nonce", lambda scheme: b"\x07" * 16)
+    db = DB("/edge-pinned", Options(env=MemEnv()))
+
+    def tail_records():
+        for i in range(5):
+            db.put(b"key-%d" % i, b"value-%d" % i * (i + 1))
+        db.delete(b"key-2")
+
+    try:
+        for i in range(3):
+            db.put(b"before-%d" % i, b"the source attached")
+        source = ReplicationSource(db)
+        # accept; begin, one frame, position; six tailed records.
+        conn = _CollectingConn(1 + 3 + 6, tail_records)
+        stream_to_replica(
+            conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
+                          protocol.encode_repl_subscribe("replica-1", 0)),
+            db, source, _FixedKeyClient(), chunk_entries=256,
+            stopping=threading.Event(), stats=StatsRegistry(),
+        )
+        source.close()
+    finally:
+        db.close()
+    assert [msg.opcode for msg in conn.sent] == [
+        protocol.RESP_REPL_ACCEPT, protocol.RESP_REPL_SNAPSHOT_BEGIN,
+        protocol.RESP_REPL_FRAME, protocol.RESP_REPL_POSITION,
+    ] + [protocol.RESP_REPL_FRAME] * 6
+    stream = b"".join(protocol.encode_frame(msg) for msg in conn.sent)
+    assert hashlib.sha256(stream).hexdigest() == PINNED_STREAM_SHA256
+
+
+#: Recorded at the parent commit (where the stream was a bare ``FileCrypto``).
+PINNED_STREAM_SHA256 = (
+    "32cb6c068402e599f21c28ee7e8c452da384e195645b1c2345bc779c6b1045ed"
+)
+
+
+# -- (d) the retained log is bounded by what the engine holds unflushed ------
+
+
+def test_a_server_nobody_subscribes_to_retains_a_bounded_log():
+    write_buffer_size = 64 * 1024
+    db = DB("/edge-bounded", Options(env=MemEnv(), write_buffer_size=write_buffer_size))
+    try:
+        with KVServer(db) as server:
+            with KVClient(*server.address) as client:
+                for start in range(0, 20_000, 500):
+                    pipe = client.pipeline(max_inflight=64)
+                    for i in range(start, start + 500):
+                        pipe.put(b"key-%03d" % (i % 500), b"value-%05d" % i)
+                    pipe.execute()
+            assert db.committed_sequence() == 20_000
+            retained = server._source.records_after(0)
+            assert sum(len(payload) for __, __last, payload in retained) <= (
+                3 * write_buffer_size  # the active memtable + two immutable
+            )
+            assert retained[-1][1] == 20_000  # oldest dropped, newest kept
+            # A late subscriber's resume point is older than the log: it is
+            # caught up by snapshot, then tails.
+            with Replica(*server.address, server_id="late") as replica:
+                assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
+                assert replica.snapshots_received == 1
+                assert replica.scan() == db.scan()
+                db.put(b"live", b"tail")
+                assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
+                assert replica.get(b"live") == b"tail"
+    finally:
+        db.close()

@@ -44,7 +44,7 @@ def _wait_for(predicate, timeout=10.0, interval=0.02):
 def _shield_db(kds, env=None, path="/health", dek_cache=None):
     return open_shield_db(
         path,
-        ShieldOptions(kds=kds, server_id="primary", resilient=True,
+        ShieldOptions(kds=kds, server_id="primary",
                       dek_cache=dek_cache),
         Options(env=env or MemEnv(), write_buffer_size=2048,
                 slowdown_delay_s=0.0),

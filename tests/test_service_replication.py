@@ -70,13 +70,15 @@ def test_commit_listener_removal_and_error_isolation():
 
 
 def test_replication_source_retention_and_waiting():
-    db = _plain_db()
-    source = ReplicationSource(db, max_retained_records=2)
+    # The log retains what the engine may hold unflushed: 3 write buffers
+    # of 16 bytes hold two of these 19-byte single-op records, not three.
+    db = DB("/repl", Options(env=MemEnv(), write_buffer_size=16))
+    source = ReplicationSource(db)
     assert source.earliest_sequence == 0
     for i in range(4):
         db.put(b"k-%d" % i, b"v")
-    # Only the last two single-op records are retained.
     assert [f for f, __, ___ in source.records_after(0)] == [3, 4]
+    assert source.retained_bytes == 2 * 19
     assert source.earliest_sequence == 2  # resumes below this need a snapshot
     assert source.records_after(3) == source.records_after(0)[1:]
     assert source.wait_records_after(4, timeout=0.05) == []

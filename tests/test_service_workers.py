@@ -538,35 +538,6 @@ def test_sharded_client_fixed_routing():
         _stop_servers(backends)
 
 
-def test_sharded_client_ring_routing():
-    backends = _start_servers(3)
-    try:
-        endpoints = {
-            f"node-{chr(97 + i)}": server.address
-            for i, (_, server) in enumerate(backends)
-        }
-        with ShardedKVClient(endpoints) as client:
-            for i in range(30):
-                client.put(b"r-%03d" % i, b"v-%03d" % i)
-            for i in range(30):
-                assert client.get(b"r-%03d" % i) == b"v-%03d" % i
-            assert client.scan(b"r-", b"r-\xff", limit=5) == [
-                (b"r-%03d" % i, b"v-%03d" % i) for i in range(5)
-            ]
-    finally:
-        _stop_servers(backends)
-
-
 def test_sharded_client_rejects_bad_configurations():
     with pytest.raises(ServiceError):
         ShardedKVClient([])
-    with pytest.raises(ServiceError):
-        ShardedKVClient({})
-    from repro.dist.sharding import HashRing
-
-    with pytest.raises(ServiceError, match="named endpoints"):
-        ShardedKVClient([("127.0.0.1", 1)], ring=HashRing(["x"]))
-    with pytest.raises(ServiceError, match="without an endpoint"):
-        ShardedKVClient(
-            {"a": ("127.0.0.1", 1)}, ring=HashRing(["a", "ghost"])
-        )

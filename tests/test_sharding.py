@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.dist.sharding import (
-    HashRing,
     ShardedDB,
     merge_scan_results,
     merge_stats,
@@ -327,45 +326,6 @@ def test_merge_scan_results_applies_limit_after_merging():
         (b"a", b"1"), (b"b", b"2"), (b"c", b"3"), (b"d", b"4"), (b"e", b"5")
     ]
     assert merge_scan_results([], limit=5) == []
-
-
-# -- consistent hashing ------------------------------------------------------
-
-
-def test_hash_ring_routes_every_key_to_a_member():
-    ring = HashRing(["a", "b", "c"])
-    assert ring.nodes == {"a", "b", "c"}
-    for i in range(1000):
-        assert ring.node_for_key(b"key-%04d" % i) in {"a", "b", "c"}
-
-
-def test_hash_ring_growth_moves_only_keys_to_the_new_node():
-    ring = HashRing(["a", "b", "c"])
-    keys = [b"ring-%05d" % i for i in range(3000)]
-    before = {key: ring.node_for_key(key) for key in keys}
-    ring.add_node("d")
-    moved = 0
-    for key in keys:
-        after = ring.node_for_key(key)
-        if after != before[key]:
-            moved += 1
-            assert after == "d"  # every moved key lands on the newcomer
-    assert 0 < moved < len(keys) // 2  # ~1/4 expected, never a reshuffle
-    ring.remove_node("d")
-    assert {key: ring.node_for_key(key) for key in keys} == before
-
-
-def test_hash_ring_rejects_bad_membership_changes():
-    ring = HashRing(["a"])
-    with pytest.raises(Exception):
-        ring.add_node("a")  # duplicate
-    with pytest.raises(Exception):
-        ring.remove_node("ghost")
-    ring.remove_node("a")
-    with pytest.raises(Exception):
-        ring.node_for_key(b"k")  # empty ring
-    with pytest.raises(Exception):
-        HashRing(replicas=0)
 
 
 # -- cross-process routing determinism ---------------------------------------
