@@ -14,7 +14,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from repro.crypto.aead import AesGcm, ChaCha20Poly1305, ShakeEtm, TAG_SIZE
+from repro.crypto.aead import (
+    TAG_SIZE,
+    AeadUnit,
+    AesGcmSchedule,
+    ChaCha20Poly1305Schedule,
+    ShakeEtmSchedule,
+)
 from repro.crypto.aes import AES
 from repro.crypto.chacha20 import ChaCha20Cipher
 from repro.crypto.ctr import CtrCipher
@@ -38,13 +44,14 @@ class StreamCipher(Protocol):
         ...
 
 
-class AeadCipher(Protocol):
-    """One sealed unit's AEAD context: bound to a (key, nonce) pair."""
+class AeadSchedule(Protocol):
+    """An AEAD key schedule: the key-only work done once; every unit's
+    seal/open is the per-nonce step under it."""
 
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
+    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         ...
 
-    def open(self, sealed: bytes, aad: bytes = b"") -> bytes:
+    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         ...
 
 
@@ -56,7 +63,9 @@ class CipherSpec:
     scheme_id: int
     key_size: int
     nonce_size: int
-    factory: Callable[[bytes, bytes], object]
+    #: Stream schemes: ``(key, nonce) -> StreamCipher``.  AEAD schemes:
+    #: ``(key) -> AeadSchedule``; the nonce is per unit.
+    factory: Callable[..., object]
     #: AEAD schemes seal whole units (ciphertext grows by ``tag_size``)
     #: instead of producing a seekable keystream.
     aead: bool = False
@@ -82,11 +91,11 @@ _register(CipherSpec("aes-128-ctr", 1, 16, 12, _make_aes_ctr))
 _register(CipherSpec("aes-256-ctr", 2, 32, 12, _make_aes_ctr))
 _register(CipherSpec("chacha20", 3, 32, 12, ChaCha20Cipher))
 _register(CipherSpec("shake-ctr", 4, 32, 16, ShakeCtrCipher))
-_register(CipherSpec("aes-256-gcm", 5, 32, 12, AesGcm,
+_register(CipherSpec("aes-256-gcm", 5, 32, 12, AesGcmSchedule,
                      aead=True, tag_size=TAG_SIZE))
-_register(CipherSpec("chacha20-poly1305", 6, 32, 12, ChaCha20Poly1305,
+_register(CipherSpec("chacha20-poly1305", 6, 32, 12, ChaCha20Poly1305Schedule,
                      aead=True, tag_size=TAG_SIZE))
-_register(CipherSpec("shake-etm", 7, 32, 16, ShakeEtm,
+_register(CipherSpec("shake-etm", 7, 32, 16, ShakeEtmSchedule,
                      aead=True, tag_size=TAG_SIZE))
 
 
@@ -171,20 +180,22 @@ class _MeteredCipher:
 
 
 class _MeteredAead:
-    """Wrap an AEAD context so seal/open work and verdicts are counted.
+    """Wrap an AEAD key schedule so each unit's seal/open work and verdict
+    is counted.
 
     ``crypto.auth_ok`` / ``crypto.auth_fail`` are the registry-level tag
     verification counters the integrity gauges export; bulk time is charged
     to the same ``encrypt`` cost class as the stream ciphers so AEAD
-    overhead shows up in the existing attribution.
+    overhead shows up in the existing attribution.  Like the schedule it
+    holds, it is shared unlocked by every unit and thread of one file.
     """
 
-    def __init__(self, inner: AeadCipher):
+    def __init__(self, inner: AeadSchedule):
         self._inner = inner
 
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
+    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         start = time.perf_counter()
-        out = self._inner.seal(plaintext, aad)
+        out = self._inner.seal(nonce, plaintext, aad)
         elapsed = time.perf_counter() - start
         CRYPTO_STATS.counter("crypto.bytes").add(len(plaintext))
         CRYPTO_STATS.counter("crypto.ops").add(1)
@@ -193,10 +204,10 @@ class _MeteredAead:
         costs.charge("encrypt", elapsed, len(plaintext))
         return out
 
-    def open(self, sealed: bytes, aad: bytes = b"") -> bytes:
+    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         start = time.perf_counter()
         try:
-            out = self._inner.open(sealed, aad)
+            out = self._inner.open(nonce, sealed, aad)
         except AuthenticationError:
             CRYPTO_STATS.counter("crypto.auth_fail").add(1)
             raise
@@ -210,7 +221,9 @@ class _MeteredAead:
 
 
 def _new_context(spec: CipherSpec, key: bytes, nonce: bytes):
-    """Check the material and build one context, counted and timed as an init."""
+    """Check the material and build one context, counted and timed as an
+    init: a stream cipher over (key, nonce), or an AEAD key schedule, whose
+    units' nonces are the same size as ``nonce``."""
     if len(key) != spec.key_size:
         raise EncryptionError(
             f"{spec.name} needs a {spec.key_size}-byte key, got {len(key)}"
@@ -220,7 +233,7 @@ def _new_context(spec: CipherSpec, key: bytes, nonce: bytes):
             f"{spec.name} needs a {spec.nonce_size}-byte nonce, got {len(nonce)}"
         )
     start = time.perf_counter()
-    context = spec.factory(key, nonce)
+    context = spec.factory(key) if spec.aead else spec.factory(key, nonce)
     elapsed = time.perf_counter() - start
     CRYPTO_STATS.counter("crypto.context_inits").add(1)
     CRYPTO_STATS.histogram("crypto.init_s").record(elapsed)
@@ -239,11 +252,20 @@ def create_cipher(scheme: str | int, key: bytes, nonce: bytes) -> StreamCipher:
     return _MeteredCipher(_new_context(spec, key, nonce))
 
 
-def create_aead(scheme: str | int, key: bytes, nonce: bytes) -> _MeteredAead:
-    """Instantiate an AEAD context for one sealed unit (one counted init)."""
+def create_aead_schedule(scheme: str | int, key: bytes, nonce: bytes) -> _MeteredAead:
+    """Instantiate an AEAD key schedule (one counted init) whose
+    ``seal(nonce, ...)`` / ``open(nonce, ...)`` take each unit's nonce;
+    ``nonce`` is checked for size only: it is the base the units' nonces
+    derive from."""
     spec = spec_for(scheme)
     if not spec.aead:
         raise EncryptionError(
             f"{spec.name} is a stream cipher, not an AEAD scheme"
         )
     return _MeteredAead(_new_context(spec, key, nonce))
+
+
+def create_aead(scheme: str | int, key: bytes, nonce: bytes) -> AeadUnit:
+    """Instantiate an AEAD context for one sealed unit: a fresh key schedule
+    bound to ``nonce`` (one counted init)."""
+    return AeadUnit(create_aead_schedule(scheme, key, nonce), nonce)

@@ -31,6 +31,15 @@ class ShakeCtrCipher:
         self._base = hashlib.shake_256()
         self._base.update(key + nonce)
 
+    @classmethod
+    def absorbed(cls, base) -> "ShakeCtrCipher":
+        """The cipher over ``base``, a SHAKE-256 state that has absorbed
+        key || nonce: how a key schedule shared across nonces builds one
+        without absorbing the key again.  ``base`` is kept, not copied."""
+        cipher = cls.__new__(cls)
+        cipher._base = base
+        return cipher
+
     def _segment(self, index: int, length: int = SEGMENT_SIZE) -> bytes:
         xof = self._base.copy()
         xof.update(index.to_bytes(8, "big"))

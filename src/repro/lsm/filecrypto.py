@@ -7,14 +7,16 @@ what is stored at its payload offset, ``tag_size`` bytes longer, and
 schemes append and verify a tag; the writers and readers above this seam
 see only the contract, never the flavour.
 
-``seal`` builds a fresh cipher context from the (key, nonce) pair on every
-call -- mirroring how OpenSSL EVP contexts are re-initialized per operation,
-the "encryption initialization" cost the paper identifies as the WAL
-bottleneck and amortises with the WAL buffer (Section 3.2) -- so sealing
-shares no state across SHIELD's multi-threaded chunk encryption.  The stream
-flavour's ``open`` pays that init once per file: the context is immutable and
-lives exactly as long as the FileCrypto holding the key.  AEAD keeps one
-context per unit both ways: the derived nonce *is* the unit's identity.
+The stream flavour's ``seal`` builds a fresh cipher context from the (key,
+nonce) pair on every call -- mirroring how OpenSSL EVP contexts are
+re-initialized per operation, the "encryption initialization" cost the paper
+identifies as the WAL bottleneck and amortises with the WAL buffer (Section
+3.2) -- so sealing shares no state across SHIELD's multi-threaded chunk
+encryption.  Its ``open`` pays that init once per file: the context is
+immutable and lives exactly as long as the FileCrypto holding the key.  The
+AEAD flavour pays it once per file both ways -- an ``EVP_CIPHER_CTX`` keyed
+once and handed a new IV per unit: one key schedule, and per unit only the
+step its offset-derived nonce needs.
 
 A :class:`CryptoProvider` decides the policy:
 
@@ -33,7 +35,7 @@ from itertools import accumulate
 from repro.crypto.aead import derive_nonce
 from repro.crypto.cipher import (
     SCHEME_NONE,
-    create_aead,
+    create_aead_schedule,
     create_cipher,
     generate_nonce,
     spec_for,
@@ -47,9 +49,11 @@ def _fan_out(seal, calls: list[tuple], threads: int) -> bytes:
 
     Threads buy nothing for the schemes here (measured; DESIGN.md's fidelity
     notes): CPython's hashlib releases the GIL only inside ``update()`` of
-    >= 2 KiB, and a SHAKE keystream is a *squeeze* (``digest(n)``), which
-    holds it -- two threads of shake-ctr ``xor_at`` on 64 KiB run at 0.76-0.93x
-    of sequential -- while pure-Python AES threads merely interleave.
+    >= 2 KiB, a SHAKE keystream is a *squeeze* (``digest(n)``), which holds
+    it -- two threads of shake-ctr ``xor_at`` on 64 KiB run at 0.76-0.93x of
+    sequential -- shake-etm's MAC is fed below that size on purpose
+    (``repro.crypto.aead.MAC_SLICE``), and pure-Python AES threads merely
+    interleave.
     """
     if threads <= 1 or len(calls) <= 1:
         return b"".join(seal(*call) for call in calls)
@@ -72,26 +76,32 @@ class FileCrypto:
         self.dek_id = dek_id
         self._key = key
         self.nonce = nonce
-        self._open_context = None  # built by the first open()
+        self._context = None  # the file's one context, built on first use
 
     @property
     def encrypted(self) -> bool:
         return self.scheme_id != SCHEME_NONE
 
+    def _new_context(self):
+        return create_cipher(self.scheme_id, self._key, self.nonce)
+
+    def _file_context(self):
+        """The file's one context.  It is immutable, so concurrent readers
+        share it unlocked; two first uses racing build one each, harmlessly."""
+        if self._context is None:
+            self._context = self._new_context()
+        return self._context
+
     def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
         if not self.encrypted or not data:
             return data
-        context = create_cipher(self.scheme_id, self._key, self.nonce)
-        return context.xor_at(data, offset)
+        return self._new_context().xor_at(data, offset)
 
     def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        """``seal``'s involution, through one context per file: stream
-        contexts are immutable, so concurrent readers share it unlocked."""
+        """``seal``'s involution, through the file's one context."""
         if not self.encrypted or not data:
             return data
-        if self._open_context is None:
-            self._open_context = create_cipher(self.scheme_id, self._key, self.nonce)
-        return self._open_context.xor_at(data, offset)
+        return self._file_context().xor_at(data, offset)
 
     def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
         """Seal a back-to-back run of ``(data, offset, aad)`` units -- the
@@ -138,31 +148,31 @@ class AeadFileCrypto(FileCrypto):
 
     Each unit is sealed under a nonce derived from the per-file base nonce
     and the unit's payload offset, so a unit cannot be relocated, swapped,
-    or bit-flipped without failing its tag.  A context is bound to that
-    derived nonce, so there is one per unit for ``open`` as for ``seal``.
+    or bit-flipped without failing its tag.  The file's one context is the
+    scheme's key schedule; each unit's seal or open is the per-nonce step
+    under it.
     """
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):
         super().__init__(scheme_id, dek_id, key, nonce)
         self.tag_size = spec_for(scheme_id).tag_size
 
-    def _context(self, offset: int):
-        return create_aead(
-            self.scheme_id, self._key, derive_nonce(self.nonce, offset)
-        )
+    def _new_context(self):
+        return create_aead_schedule(self.scheme_id, self._key, self.nonce)
 
     def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        return self._context(offset).seal(data, aad)
+        return self._file_context().seal(derive_nonce(self.nonce, offset), data, aad)
 
     def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
         """Authenticate, then decrypt: ``AuthenticationError`` on any flipped
         bit, relocated unit or wrong ``aad``."""
-        return self._context(offset).open(data, aad)
+        return self._file_context().open(derive_nonce(self.nonce, offset), data, aad)
 
     def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
-        """One context per unit whatever ``chunk_size``: the tag is fixed-size,
+        """One seal per unit whatever ``chunk_size``: the tag is fixed-size,
         so every offset is known up front and units seal independently -- the
         same parallelism the stream flavour gets from chunks."""
+        self._file_context()  # built before any thread can race to build it
         return _fan_out(self.seal, units, threads)
 
     def open_units(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:

@@ -254,7 +254,13 @@ class SSTBuilder:
 
 
 class SSTReader:
-    """Random-access reads over one SST file (bloom + index + block cache)."""
+    """Random-access reads over one SST file (bloom + index + block cache).
+
+    ``dek_id``, when given, is the DEK-ID the MANIFEST names for the file:
+    an envelope naming another is refused before the provider resolves it,
+    so a retired file put under a live name is tampering, never a KDS
+    lookup of a DEK that is gone.
+    """
 
     def __init__(
         self,
@@ -263,6 +269,7 @@ class SSTReader:
         provider: CryptoProvider,
         options: Options,
         block_cache: LRUCache | None = None,
+        dek_id: str | None = None,
     ):
         self.path = path
         self._options = options
@@ -272,6 +279,14 @@ class SSTReader:
 
         head = self._file.read(0, min(MAX_ENVELOPE_SIZE, file_size))
         self.envelope = decode_envelope(head)
+        if dek_id is not None and self.envelope.dek_id != dek_id:
+            self._file.close()
+            error = AuthenticationError(
+                f"{path}: sealed under DEK {self.envelope.dek_id!r}, "
+                f"not the MANIFEST's {dek_id!r}"
+            )
+            error.sst_path = path
+            raise error
         self._crypto = provider.for_existing_file(self.envelope, path)
         self._payload_base = self.envelope.header_size
         payload_size = file_size - self._payload_base

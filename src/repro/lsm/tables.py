@@ -41,8 +41,9 @@ class TableSet:
         block_cache: LRUCache | None = None,
         on_heal: Callable[[], None] = lambda: None,
     ):
-        self._open = lambda number: SSTReader(
-            env, sst_path(directory, number), provider, options, block_cache
+        self._open = lambda meta: SSTReader(
+            env, sst_path(directory, meta.number), provider, options,
+            block_cache, dek_id=meta.dek_id,
         )
         #: Called (no lock held) when a quarantine mark is lifted: the file
         #: is compactable again, which whoever schedules merges must hear.
@@ -62,8 +63,9 @@ class TableSet:
             reader = self._readers.get(number)
         if reader is None:
             # Opened outside the lock: a cold open reads the envelope,
-            # resolves the DEK (maybe a KDS round trip) and loads the index.
-            reader = self._open(number)
+            # checks its DEK-ID against ``meta``, resolves the DEK (maybe a
+            # KDS round trip) and loads the index.
+            reader = self._open(meta)
             _check_binding(reader, meta)  # per open, never per read
             with self._lock:
                 reader = self._readers.setdefault(number, reader)
@@ -108,19 +110,20 @@ def _check_binding(reader: SSTReader, meta: FileMetadata) -> None:
     """A sealed file authenticates under its own DEK wherever it is put, so
     authentic bytes under the wrong name -- an older sibling, a retired file,
     two live files swapped -- pass every tag.  What was opened must be what
-    the MANIFEST (and, through its Merkle leaf, the trusted counter) names."""
+    the MANIFEST (and, through its Merkle leaf, the trusted counter) names:
+    the DEK-ID, checked by ``SSTReader`` before the DEK is resolved, and
+    the rest here."""
     props = reader.properties
     if (
-        reader.dek_id, reader.file_size, reader.num_entries,
+        reader.file_size, reader.num_entries,
         props.get("smallest_key"), props.get("largest_key"),
     ) != (
-        meta.dek_id, meta.size, meta.num_entries,
-        meta.smallest.hex(), meta.largest.hex(),
+        meta.size, meta.num_entries, meta.smallest.hex(), meta.largest.hex(),
     ):
         reader.close()
         error = AuthenticationError(
-            f"{reader.path}: not the file the MANIFEST names (DEK-ID, size, "
-            "key range or entry count differ)"
+            f"{reader.path}: not the file the MANIFEST names (size, key "
+            "range or entry count differ)"
         )
         error.sst_path = reader.path
         raise error

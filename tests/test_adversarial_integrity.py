@@ -547,6 +547,89 @@ def test_compaction_does_not_launder_a_substituted_input(route):
         db.close()
 
 
+class _FetchLog(InMemoryKDS):
+    """Records the DEK-ID of every fetch."""
+
+    def __init__(self):
+        super().__init__()
+        self.fetched = []
+
+    def fetch(self, server_id, dek_id):
+        self.fetched.append(dek_id)
+        return super().fetch(server_id, dek_id)
+
+
+def _a_retired_file_under_a_live_name(route="local"):
+    """Three versions of the same keys merged by ``force_compaction()``
+    (which retires all three DEKs), three more flushed and parked in L0;
+    then the oldest, retired file's bytes go over the newest live file.
+    Returns the store, that file's path and the retired DEK-ID, with the
+    KDS's fetch log cleared."""
+    kds, counter = _FetchLog(), MemoryTrustedCounter()
+    env, db = _three_parked_l0_files(
+        route, kds, lambda batch, i: b"key-%04d" % i, counter=counter,
+        value=lambda batch, i: b"gen-%d-%04d" % (batch, i),
+    )
+    retired_bytes = env.read_file(_sst_paths(env, "/adv")[0])
+    db.force_compaction()
+    for generation in range(3, 6):
+        for i in range(100):
+            db.put(b"key-%04d" % i, b"gen-%d-%04d" % (generation, i))
+        db.flush()
+    db.wait_for_compaction()
+    retired = decode_envelope(retired_bytes[:MAX_ENVELOPE_SIZE]).dek_id
+    assert not kds.knows(retired)
+    victim = _sst_paths(env, "/adv")[-1]  # the newest flush: read first
+    env.write_file(victim, retired_bytes)
+    kds.fetched.clear()
+    return env, kds, counter, db, victim, retired
+
+
+def test_a_retired_file_under_a_live_name_is_tampering_for_the_db():
+    """Not ``NotFoundError: unknown or retired DEK`` after nine KDS round
+    trips, with the store reported healthy: the envelope names a DEK the
+    MANIFEST does not, so the open fails before any key is asked for."""
+    env, kds, counter, db, victim, retired = _a_retired_file_under_a_live_name()
+    for attempt in ("cold", "reopened"):
+        with pytest.raises(AuthenticationError):
+            assert db.get(b"key-0001") == b"gen-5-0001"
+        assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == [victim]
+        assert db.health()["reason"] == "quarantined-sst"
+        assert retired not in kds.fetched
+        db.close()
+        db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    db.close()
+
+
+def test_a_retired_file_under_a_live_name_is_tampering_for_a_readonly_instance():
+    env, kds, counter, db, victim, retired = _a_retired_file_under_a_live_name()
+    with db, _reader(env, kds, counter) as readonly:
+        with pytest.raises(AuthenticationError):
+            assert readonly.get(b"key-0001") == b"gen-5-0001"
+        quarantined = readonly.quarantined_files()
+        assert [f"/adv/{n:06d}.sst" for n in quarantined] == [victim]
+        assert readonly.stats.snapshot()["integrity.quarantines"] == 1
+    assert retired not in kds.fetched
+
+
+@pytest.mark.parametrize("route", ["local", "offloaded"])
+def test_a_merge_over_a_retired_file_under_a_live_name_quarantines_it(route):
+    env, kds, counter, db, victim, retired = _a_retired_file_under_a_live_name(
+        route
+    )
+    try:
+        live_before = _sst_paths(env, "/adv")
+        deks_before = kds.live_dek_count()
+        _release_compaction(db)
+        assert db.stats_snapshot()["integrity.compaction_auth_aborts"] == 1
+        assert [f"/adv/{n:06d}.sst" for n in db.quarantined_files()] == [victim]
+        assert _sst_paths(env, "/adv") == live_before  # nothing installed
+        assert kds.live_dek_count() == deks_before  # nothing stranded
+        assert retired not in kds.fetched
+    finally:
+        db.close()
+
+
 def test_substituted_file_put_back_heals():
     env, kds, counter, db = _three_versions_of_the_same_keys()
     with db:

@@ -6,8 +6,11 @@ vectors (RFC 8439 for ChaCha20-Poly1305, the GCM spec's canonical
 field arithmetic cannot masquerade as "roundtrips fine".
 """
 
+import hashlib
+
 import pytest
 
+from repro.crypto import aead
 from repro.crypto.aead import (
     TAG_SIZE,
     AesGcm,
@@ -178,3 +181,58 @@ def test_auth_verdict_accounting():
         create_aead(scheme, key, nonce).open(sealed, b"wrong-aad")
     assert CRYPTO_STATS.counter("crypto.auth_ok").value == ok_before + 1
     assert CRYPTO_STATS.counter("crypto.auth_fail").value == fail_before + 1
+
+
+# --------------------------------------------------------------------------
+# The MAC holds the GIL
+# --------------------------------------------------------------------------
+
+
+class _RecordingMac:
+    def __init__(self, inner, lengths):
+        self._inner, self._lengths = inner, lengths
+
+    def update(self, data):
+        self._lengths.append(len(data))
+        self._inner.update(data)
+
+    def copy(self):
+        return _RecordingMac(self._inner.copy(), self._lengths)
+
+    def digest(self):
+        return self._inner.digest()
+
+
+class _RecordingHashlib:
+    """Stands in for ``repro.crypto.aead``'s hashlib: every BLAKE2b object,
+    and every copy of one, records the length of each ``update()``."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def shake_256(self, *args, **kwargs):
+        return hashlib.shake_256(*args, **kwargs)
+
+    def blake2b(self, *args, **kwargs):
+        return _RecordingMac(hashlib.blake2b(*args, **kwargs), self.lengths)
+
+
+def test_the_mac_is_never_fed_enough_to_release_the_gil(monkeypatch):
+    """CPython's hashlib lets go of the GIL inside an ``update()`` of 2,048
+    bytes or more; on a foreground read that handed the interpreter to
+    background compaction.  A 70 KiB unit's MAC must arrive in smaller
+    slices, both ways, and the tag must not move."""
+    key, nonce = generate_key("shake-etm"), generate_nonce("shake-etm")
+    unit = bytes(range(256)) * 280
+    sealed = ShakeEtm(key, nonce).seal(unit, b"role")
+    shim = _RecordingHashlib()
+    monkeypatch.setattr(aead, "hashlib", shim)
+    context = ShakeEtm(key, nonce)
+    for step in (
+        lambda: context.seal(unit, b"role") == sealed,
+        lambda: context.open(sealed, b"role") == unit,
+    ):
+        shim.lengths.clear()
+        assert step()
+        assert sum(shim.lengths) >= len(unit)  # the ciphertext went through
+        assert max(shim.lengths) <= 2047

@@ -1,11 +1,15 @@
 """Tests for the FileCrypto seam: the seal/open unit contract per flavour."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.aead import derive_nonce
 from repro.crypto.cipher import (
     CRYPTO_STATS,
     SCHEME_NONE,
+    create_aead,
     generate_key,
     generate_nonce,
     scheme_id,
@@ -20,6 +24,9 @@ from repro.lsm.filecrypto import (
     SingleKeyCryptoProvider,
     make_file_crypto,
 )
+
+
+AEAD_SCHEMES = ["shake-etm", "chacha20-poly1305", "aes-256-gcm"]
 
 
 def _crypto():
@@ -176,13 +183,54 @@ def test_stream_open_builds_one_context_per_file_and_seal_one_per_call(scheme):
     assert _inits() - before == 1
 
 
-def test_aead_open_builds_one_context_per_unit():
-    crypto = _flavour("shake-etm")
-    sealed = [crypto.seal(b"unit-%d" % i, 100 * i, b"aad") for i in range(5)]
+@pytest.mark.parametrize("scheme", AEAD_SCHEMES)
+def test_aead_builds_one_key_schedule_per_file_both_ways(scheme):
+    crypto = _flavour(scheme)
     before = _inits()
+    sealed = [crypto.seal(b"unit-%d" % i, 100 * i, b"aad") for i in range(5)]
     for i, unit in enumerate(sealed):
         assert crypto.open(unit, 100 * i, b"aad") == b"unit-%d" % i
-    assert _inits() - before == 5  # the derived nonce is the unit's identity
+    assert _inits() - before == 1  # seal and open share the file's schedule
+    # A second FileCrypto over the same file pays its own.
+    again = _flavour(scheme)
+    before = _inits()
+    assert again.open(sealed[3], 300, b"aad") == b"unit-3"
+    assert again.seal(b"unit-3", 300, b"aad") == sealed[3]
+    assert _inits() - before == 1
+
+
+#: Around the MAC's 2,047-byte slice, a SHAKE segment (4 KiB) and a chunk.
+UNIT_SIZES = [0, 1, 2047, 2048, 4300, 70 * 1024]
+
+
+@pytest.mark.parametrize("scheme", AEAD_SCHEMES)
+def test_a_shared_schedule_seals_what_a_context_per_unit_sealed(scheme):
+    """One file's units sealed and opened under its one key schedule are
+    byte for byte what a fresh ``create_aead`` per unit gives, and every
+    tampering a per-unit context caught is still caught -- without leaving
+    the shared schedule unable to open the next unit."""
+    spec = spec_for(scheme)
+    key, base = generate_key(scheme), generate_nonce(scheme)
+    crypto = make_file_crypto(spec.scheme_id, "dek-u", key, base)
+    rng = random.Random(scheme)
+    offset = rng.randrange(1 << 20)
+    for size in UNIT_SIZES:
+        data, aad = rng.randbytes(size), rng.choice([b"", b"sst-index", b"u7"])
+        sealed = crypto.seal(data, offset, aad)
+        fresh = create_aead(scheme, key, derive_nonce(base, offset))
+        assert sealed == fresh.seal(data, aad)
+        assert crypto.open(sealed, offset, aad) == data
+        flipped = bytearray(sealed)
+        flipped[rng.randrange(len(sealed))] ^= 1 << rng.randrange(8)
+        for unit, at, role in (
+            (bytes(flipped), offset, aad),  # a bit flip
+            (sealed, offset + len(sealed), aad),  # relocated
+            (sealed, offset, aad + b"!"),  # the wrong AAD
+            (sealed[:-1], offset, aad),  # truncated
+        ):
+            with pytest.raises(AuthenticationError):
+                crypto.open(unit, at, role)
+        offset += len(sealed) + rng.randrange(4096)
 
 
 def test_plaintext_open_builds_no_context():

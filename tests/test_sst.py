@@ -6,7 +6,14 @@ import threading
 
 import pytest
 
-from repro.crypto.cipher import CRYPTO_STATS, create_cipher, generate_key, spec_for
+from repro.crypto.aead import derive_nonce
+from repro.crypto.cipher import (
+    CRYPTO_STATS,
+    create_aead,
+    create_cipher,
+    generate_key,
+    spec_for,
+)
 from repro.env.mem import MemEnv
 from repro.errors import CorruptionError, EncryptionError, InvalidArgumentError
 from repro.lsm.db import DB
@@ -239,8 +246,23 @@ def test_point_reads_share_the_readers_one_cipher_context():
     assert _context_inits() - before == 1
 
 
-@pytest.mark.parametrize("scheme", ["shake-ctr", "aes-128-ctr", "chacha20"])
+def _open_fresh(scheme, key, nonce, stored, offset):
+    """``stored`` (a unit at payload ``offset``) opened through a context of
+    its own: a stream cipher over the file, or an AEAD unit's own schedule."""
+    if spec_for(scheme).aead:
+        return create_aead(scheme, key, derive_nonce(nonce, offset)).open(stored)
+    return create_cipher(scheme, key, nonce).xor_at(stored, offset)
+
+
+@pytest.mark.parametrize("scheme", [
+    "shake-ctr", "aes-128-ctr", "chacha20",
+    "shake-etm", "chacha20-poly1305", "aes-256-gcm",
+])
 def test_concurrent_block_reads_share_one_context_and_match_fresh_ones(scheme):
+    """Eight threads, a switch interval short enough to preempt any step of
+    a unit's open, one reader: every block equals a fresh open of its own,
+    and nothing but the test's fresh contexts is built -- the file's one
+    context (an AEAD key schedule) is shared, never rebuilt or disturbed."""
     env, key = MemEnv(), generate_key(scheme)
     provider = SingleKeyCryptoProvider(scheme, key)
     info, options = _build(env, provider, n=400, options=Options(block_size=512))
@@ -256,8 +278,10 @@ def test_concurrent_block_reads_share_one_context_and_match_fresh_ones(scheme):
         rng = random.Random(seed)
         for __ in range(40):
             offset, size = rng.choice(blocks)
-            fresh = create_cipher(scheme, key, reader.envelope.nonce)
-            expected = fresh.xor_at(stored[offset:offset + size], offset)
+            expected = _open_fresh(
+                scheme, key, reader.envelope.nonce,
+                stored[offset:offset + size], offset,
+            )
             if reader._read_payload(offset, size) != expected:
                 wrong.append((seed, offset))
 
