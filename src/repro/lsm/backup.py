@@ -15,7 +15,6 @@ Layout under the backup root::
     shared/<number>.sst           deduplicated SST payloads
     meta/<backup_id>              snapshot: MANIFEST name + file list
     meta/<backup_id>.MANIFEST     the manifest bytes at backup time
-    meta/<backup_id>.CURRENT      the CURRENT bytes at backup time
 
 Under SHIELD, backed-up files keep their envelopes: restoring on any
 authorized server resolves DEKs through the KDS exactly like shared
@@ -82,29 +81,26 @@ class BackupEngine:
 
     def create_backup(self, db: DB) -> BackupInfo:
         """Snapshot ``db`` (flushes first); copies only new SST files."""
-        live, manifest_name, manifest_bytes = db.capture_file_set()
-
-        already = self._existing_shared()
-        copied = 0
-        for number in live:
-            if number in already:
-                continue
-            data = db.env.read_file(f"{db.path}/{number:06d}.sst")
-            self.env.write_file(f"{self.root}/shared/{number:06d}.sst", data)
-            copied += 1
-
         backup_id = (self._backup_ids() or [0])[-1] + 1
+        meta_path = self._meta_path(backup_id)
+        copied = []
+
+        def write(name: str, data: bytes) -> None:
+            if name.endswith(".sst"):
+                copied.append(name)
+                self.env.write_file(f"{self.root}/shared/{name}", data)
+            elif name != "CURRENT":  # restore writes one naming the MANIFEST
+                self.env.write_file(f"{meta_path}.MANIFEST", data)
+
+        live, manifest_name = db.copy_file_set(write, self._existing_shared())
         payload = [encode_length_prefixed(manifest_name.encode())]
         payload.append(encode_varint64(len(live)))
         payload.extend(encode_varint64(number) for number in live)
-        self.env.write_file(self._meta_path(backup_id), b"".join(payload))
-        self.env.write_file(
-            self._meta_path(backup_id) + ".MANIFEST", manifest_bytes
-        )
+        self.env.write_file(meta_path, b"".join(payload))
         return BackupInfo(
             backup_id=backup_id,
             file_numbers=tuple(live),
-            new_files_copied=copied,
+            new_files_copied=len(copied),
         )
 
     def list_backups(self) -> list[BackupInfo]:
@@ -137,18 +133,12 @@ class BackupEngine:
         """Materialize a backup as an openable database directory."""
         manifest_name, numbers = self._read_meta(backup_id)
         self.env.mkdirs(dest_path)
-        for number in numbers:
-            shared = f"{self.root}/shared/{number:06d}.sst"
-            self.env.write_file(
-                f"{dest_path}/{number:06d}.sst", self.env.read_file(shared)
-            )
-        self.env.write_file(
-            f"{dest_path}/{manifest_name}",
-            self.env.read_file(self._meta_path(backup_id) + ".MANIFEST"),
-        )
-        self.env.write_file(
-            current_path(dest_path), (manifest_name + "\n").encode()
-        )
+        meta_path = self._meta_path(backup_id)
+        sources = {f"{n:06d}.sst": f"{self.root}/shared/{n:06d}.sst" for n in numbers}
+        sources[manifest_name] = meta_path + ".MANIFEST"
+        for name, source in sources.items():
+            self.env.write_file(f"{dest_path}/{name}", self.env.read_file(source))
+        self.env.write_file(current_path(dest_path), f"{manifest_name}\n".encode())
 
     def purge_old_backups(self, keep: int) -> int:
         """Drop all but the newest ``keep`` backups and garbage-collect any

@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Collection
 
 from repro.env.base import Env
 from repro.env.mem import MemEnv
@@ -1095,39 +1096,43 @@ class DB:
         finally:
             self._release(job.input_numbers())
 
-    def capture_file_set(self) -> tuple[list[int], str, bytes]:
-        """Flush, then (live SST numbers, MANIFEST name, MANIFEST bytes) of
-        one instant: all read under the engine mutex, so no flush or
-        compaction can append an edit naming a file the list lacks."""
-        self.flush()
-        with self._mutex:
-            self._check_state()
-            live = sorted(meta.number for __, meta in self.live_files())
-            manifest_name = (
-                self.env.read_file(current_path(self.path)).decode().strip()
-            )
-            manifest = self.env.read_file(f"{self.path}/{manifest_name}")
-        return live, manifest_name, manifest
+    def copy_file_set(
+        self, write: Callable[[str, bytes], None], skip: Collection[int] = ()
+    ) -> tuple[list[int], str]:
+        """The one copy of an openable store: flush, then ``write(name,
+        data)`` every live SST not in ``skip``, the MANIFEST, CURRENT; returns
+        (live SST numbers, MANIFEST name).  List and MANIFEST are read under
+        the mutex; a file retired mid-copy restarts it (numbers are never
+        reused).  Files keep their envelopes (§5.4)."""
+        done = set(skip)
+        while True:
+            self.flush()
+            with self._mutex:
+                self._check_state()
+                live = sorted(meta.number for __, meta in self.live_files())
+                current = self.env.read_file(current_path(self.path))
+                manifest_name = current.decode().strip()
+                manifest = self.env.read_file(f"{self.path}/{manifest_name}")
+            try:
+                for number in live:
+                    if number not in done:
+                        name = f"{number:06d}.sst"
+                        write(name, self.env.read_file(f"{self.path}/{name}"))
+                        done.add(number)
+            except IOError_:
+                if set(live) <= {meta.number for __, meta in self.live_files()}:
+                    raise  # nothing was retired under the copy
+                continue
+            write(manifest_name, manifest)
+            write("CURRENT", current)
+            return live, manifest_name
 
     def checkpoint(self, dest_path: str) -> None:
-        """Create an openable, consistent copy of the database.
-
-        Flushes first, then copies CURRENT, the MANIFEST, and every live
-        SST file to ``dest_path`` on the same Env.  Under SHIELD the copy's
-        files keep their DEK-IDs, so any authorized server can open the
-        checkpoint by resolving them through the KDS -- file-level sharing
-        exactly as in the read-only-instance mechanism.
-        """
+        """Create an openable, consistent copy of the database at
+        ``dest_path`` on the same Env (:meth:`copy_file_set`)."""
         self.env.mkdirs(dest_path)
-        live, manifest_name, manifest = self.capture_file_set()
-        for number in live:
-            name = f"{number:06d}.sst"
-            self.env.write_file(
-                f"{dest_path}/{name}", self.env.read_file(f"{self.path}/{name}")
-            )
-        self.env.write_file(f"{dest_path}/{manifest_name}", manifest)
-        self.env.write_file(
-            current_path(dest_path), (manifest_name + "\n").encode()
+        self.copy_file_set(
+            lambda name, data: self.env.write_file(f"{dest_path}/{name}", data)
         )
         self.stats.counter("db.checkpoints").add(1)
 

@@ -409,10 +409,16 @@ class SSTReader:
         """Point lookup: (vtype, value) of the newest visible version, or None."""
         if not self.bloom.may_contain(key):
             return None
-        block_index = bisect.bisect_left(self._index_keys, key)
-        if block_index >= len(self._index):
-            return None
-        return self._load_block(block_index).get(key, max_seq)
+        index_keys = self._index_keys
+        block_index = bisect.bisect_left(index_keys, key)
+        while block_index < len(index_keys):
+            result = self._load_block(block_index).get(key, max_seq)
+            # A block ending in ``key`` may hold only versions newer than
+            # ``max_seq``; the older ones continue in the next block.
+            if result is not None or index_keys[block_index] != key:
+                return result
+            block_index += 1
+        return None
 
     def entries(self) -> Iterator[Entry]:
         """Yield every entry in order (full scans, tools)."""

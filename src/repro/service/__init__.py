@@ -19,12 +19,11 @@ read-only compute instances over shared state):
   BUSY/transient socket errors, and a batched
   pipeline API; duck-types the ``DB`` read/write surface so the existing
   benchmark workloads run unmodified over the socket;
-- :mod:`repro.service.replica` -- WAL-shipping replication: the primary
-  streams committed WAL records (encrypted with a per-stream DEK whose ID
-  replicas resolve through their *own* KeyClient, so an unauthorized
-  replica never sees plaintext) to read replicas that serve from
-  ReadOnlyInstance-style state and resume from their last applied
-  sequence after a reconnect;
+- :mod:`repro.service.replica` -- replication: a replica is a
+  ``ReadOnlyInstance`` over store files the primary ships as storage holds
+  them (incremental checkpoints) plus its committed WAL records, sealed
+  under a per-stream DEK; a replica resolves every DEK through its *own*
+  KeyClient, so an unauthorized one never sees plaintext;
 - :mod:`repro.service.workers` -- the second transport over the same
   core, shared-nothing and shard-per-core: a selectors event-loop
   front-end routing framed requests to N forked worker processes, each
@@ -35,7 +34,7 @@ read-only compute instances over shared state):
 
 from repro.service.client import KVClient, Pipeline, ShardedKVClient
 from repro.service.protocol import Message, ProtocolError
-from repro.service.replica import Replica, ReplicaState
+from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 
@@ -47,7 +46,6 @@ __all__ = [
     "Pipeline",
     "ProtocolError",
     "Replica",
-    "ReplicaState",
     "ServiceConfig",
     "ShardedKVClient",
 ]

@@ -11,9 +11,10 @@ Frame layout (little-endian, the same primitives as the storage formats)::
 Responses carry the request's ID, so a connection can have many requests
 in flight (pipelining) and match responses out of order.  Replication
 frames (``RESP_REPL_*``) are server-initiated pushes on a subscribed
-connection; their payload is a CTR-encrypted WAL record, the stream key
-being a fresh DEK whose ID the replica resolves through its own
-KeyClient -- the wire never carries plaintext WAL bytes.
+connection: a ``REPL_FRAME`` is one WAL record sealed under a fresh stream
+DEK whose ID the replica resolves through its own KeyClient, a
+``REPL_FILE`` is a store file exactly as the primary holds it (already
+sealed under its own DEK) -- the wire never carries plaintext WAL bytes.
 
 Tracing: a frame whose opcode byte has :data:`TRACE_FLAG` set carries a
 length-prefixed trace-context header (``repro.obs``'s 17-byte span
@@ -76,7 +77,7 @@ RESP_DEGRADED = 135
 RESP_REPL_ACCEPT = 144
 RESP_REPL_FRAME = 145
 RESP_REPL_POSITION = 146
-RESP_REPL_SNAPSHOT_BEGIN = 147
+RESP_REPL_FILE = 148
 
 OPCODE_NAMES = {
     OP_GET: "get",
@@ -352,17 +353,32 @@ def decode_topology(payload: bytes) -> list[tuple[str, int]]:
     return endpoints
 
 
-def encode_repl_subscribe(server_id: str, last_applied_seq: int) -> bytes:
-    return (
-        encode_length_prefixed(server_id.encode())
-        + encode_varint64(last_applied_seq)
+def encode_repl_subscribe(
+    server_id: str, last_applied_seq: int, held: tuple[int, ...] | list[int] = ()
+) -> bytes:
+    """``held``: the SST numbers the replica's store holds."""
+    return encode_length_prefixed(server_id.encode()) + b"".join(
+        map(encode_varint64, (last_applied_seq, *held))
     )
 
 
-def decode_repl_subscribe(payload: bytes) -> tuple[str, int]:
+def decode_repl_subscribe(payload: bytes) -> tuple[str, int, list[int]]:
     raw, offset = decode_length_prefixed(payload, 0)
-    seq, __ = decode_varint64(payload, offset)
-    return raw.decode(), seq
+    seq, offset = decode_varint64(payload, offset)
+    held = []
+    while offset < len(payload):
+        number, offset = decode_varint64(payload, offset)
+        held.append(number)
+    return raw.decode(), seq, held
+
+
+def encode_repl_file(name: str, data: bytes) -> bytes:
+    return encode_length_prefixed(name.encode()) + data
+
+
+def decode_repl_file(payload: bytes) -> tuple[str, bytes]:
+    name, offset = decode_length_prefixed(payload, 0)
+    return name.decode(), payload[offset:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,54 +1,49 @@
-"""WAL-shipping replication: primary-side log tailing, replica-side apply.
+"""Replication: a replica is a read-only instance over the primary's files
+plus its log tail (DESIGN.md §6, *Replication handshake*).
 
-The primary registers a commit listener on the engine (``DB``'s WAL-tail
-hook) and retains the newest committed WAL records with their sequence
-ranges, as many bytes as the engine itself holds unflushed.  When a replica
-subscribes it presents its server ID and the last sequence it applied; the
-streamer
-
-1. is refused outright if the KDS does not authorize the replica;
-2. provisions a fresh *stream DEK* through the primary's KeyClient and
-   sends only its DEK-ID (plus scheme and nonce) in the accept frame --
-   the replica resolves the ID through its *own* KeyClient, so the KDS
-   enforces authorization exactly as for shared files (Section 5.4), and
-   a revoked replica cannot decrypt a single frame;
-3. catches the replica up -- from the retained log when its resume point
-   is covered, otherwise from a chunked engine snapshot (the same
-   catch-up role :class:`repro.dist.readonly.ReadOnlyInstance` plays over
-   shared storage, here over the wire); and
-4. tails the live commit stream, sealing each WAL record as one unit of
-   the stream at a running offset, under the engine's scheme in force
-   (``make_file_crypto``): length-preserving under a stream cipher,
-   tag-verified by the replica under an AEAD scheme -- a tampered frame
-   is an ``AuthenticationError`` that drops the stream, never a value.
-
-A reconnecting replica resumes from ``state.last_applied`` -- the
-monotonic sequence handshake -- and re-applied records are idempotent
-because the memtable resolves versions by sequence number.
+Whenever the primary's retained log does not reach back to what a replica's
+files hold, the streamer ships an *incremental checkpoint*: the SSTs the
+replica lacks, the MANIFEST and CURRENT as storage holds them (each already
+sealed under its own DEK, which the replica resolves through its own
+KeyClient, Section 5.4), then ``REPL_POSITION``.  Between checkpoints it
+tails committed WAL records, sealed under a fresh stream DEK (one unit per
+frame, ``make_file_crypto``).  A checkpoint also empties the replica's tail,
+which so never outgrows the primary's retained log.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import socket
 import threading
-import time
 
 from repro.crypto.cipher import SCHEME_NONE, generate_nonce, scheme_id
+from repro.dist.readonly import ReadOnlyInstance
+from repro.env.mem import MemEnv
 from repro.errors import (
     AuthorizationError,
+    CorruptionError,
     KeyManagementError,
+    NotFoundError,
     ReplicationError,
     ReproError,
 )
-from repro.lsm.dbformat import TYPE_PUT
 from repro.lsm.db import MAX_IMMUTABLE_MEMTABLES
-from repro.lsm.filecrypto import FileCrypto, NULL_CRYPTO, make_file_crypto
-from repro.lsm.iterator import key_range, newest_visible
+from repro.lsm.filecrypto import (
+    FileCrypto,
+    NULL_CRYPTO,
+    PlaintextCryptoProvider,
+    make_file_crypto,
+)
+from repro.lsm.filename import current_path, parse_file_name
 from repro.lsm.memtable import Memtable
+from repro.lsm.options import Options
+from repro.lsm.version import Version
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
 from repro.service.protocol import Message
+from repro.shield.provider import ShieldCryptoProvider
 
 #: Ceiling of a replica's doubling reconnect backoff.
 MAX_BACKOFF_S = 1.0
@@ -64,7 +59,7 @@ class ReplicationSource:
     engine itself keeps unflushed -- ``write_buffer_size`` payload bytes for
     the active memtable and each immutable one it allows -- oldest dropped
     first.  ``earliest_sequence`` is the watermark below which the log
-    cannot serve a resume (the streamer ships a snapshot instead): the
+    cannot serve a resume (the streamer ships a checkpoint instead): the
     engine's committed sequence at attach time, then the last sequence
     dropped.
     """
@@ -104,17 +99,15 @@ class ReplicationSource:
 
     def wait_records_after(
         self, seq: int, timeout: float
-    ) -> list[tuple[int, int, bytes]] | None:
+    ) -> list[tuple[int, int, bytes]]:
         """Like :meth:`records_after`, blocking up to ``timeout`` if empty;
-        None when the log no longer reaches back to ``seq``."""
+        whether the log reaches back to ``seq`` the caller checks after it."""
         with self._cond:
-            if seq < self.earliest_sequence:
-                return None
             records = self.records_after(seq)
             if not records and not self._closed:
                 self._cond.wait(timeout)
                 records = self.records_after(seq)
-            return None if seq < self.earliest_sequence else records
+            return records
 
     @property
     def closed(self) -> bool:
@@ -146,22 +139,14 @@ def _make_stream_crypto(key_client) -> tuple[FileCrypto, bytes]:
     return crypto, nonce
 
 
-def stream_to_replica(
-    conn,
-    request: Message,
-    db,
-    source: ReplicationSource,
-    key_client,
-    chunk_entries: int,
-    stopping: threading.Event,
-    stats,
-) -> None:
+def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
+                      key_client, stopping: threading.Event, stats) -> None:
     """Run one replica's stream until disconnect or server shutdown.
 
     ``conn`` is the server's connection object (``send``/``close``/
     ``alive``).  This call owns the connection's reader thread.
     """
-    replica_id, resume_seq = protocol.decode_repl_subscribe(request.payload)
+    replica_id, position, held = protocol.decode_repl_subscribe(request.payload)
     crypto, nonce = _make_stream_crypto(key_client)
     conn.send(Message(
         protocol.RESP_REPL_ACCEPT,
@@ -171,7 +156,10 @@ def stream_to_replica(
         ),
     ))
     offset = 0
-    position = resume_seq
+    # What the replica's files hold every write up to.  A reconnecting
+    # replica's may be older than its position; taking the position only
+    # lets its tail grow by one log more.
+    base = position
     # Exported through OP_STATS: the server derives per-replica lag from
     # this gauge against its committed sequence.
     position_gauge = stats.gauge(f"service.repl_position.{replica_id}")
@@ -191,34 +179,14 @@ def stream_to_replica(
     try:
         while conn.alive and not stopping.is_set():
             records = source.wait_records_after(position, timeout=0.2)
-            if records is None:
-                # The retained log does not reach back to this stream's
-                # position (a late subscriber, or one the log outran): ship
-                # a consistent snapshot, then tail from its sequence.  The
-                # begin marker tells the replica to drop any carried-over
-                # state -- snapshot frames use synthetic sequences starting
-                # at 1, and applying them on top of old entries at higher
-                # real sequences would resurrect deleted keys and shadow
-                # new values.
-                snapshot_seq = db.committed_sequence()
-                stats.counter("service.repl_snapshots").add(1)
-                push(protocol.RESP_REPL_SNAPSHOT_BEGIN, b"")
-                seq_base = 1  # live-key count never exceeds snapshot_seq
-                batch = WriteBatch()
-                for key, value in db.iterator():
-                    batch.put(key, value)
-                    if len(batch) >= chunk_entries:
-                        push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
-                        seq_base += len(batch)
-                        batch = WriteBatch()
-                if len(batch):
-                    push(protocol.RESP_REPL_FRAME, batch.serialize(seq_base))
-                push(
-                    protocol.RESP_REPL_POSITION,
-                    protocol.encode_sequence(snapshot_seq),
-                )
-                position = snapshot_seq
+            if base < source.earliest_sequence:
+                base = position = db.committed_sequence()
+                held, __ = db.copy_file_set(lambda name, data: push(
+                    protocol.RESP_REPL_FILE, protocol.encode_repl_file(name, data)
+                ), held)
+                stats.counter("service.repl_checkpoints").add(1)
                 position_gauge.set(position)
+                push(protocol.RESP_REPL_POSITION, protocol.encode_sequence(base))
                 continue
             if not records and source.closed:
                 return
@@ -226,7 +194,7 @@ def stream_to_replica(
                 if last_seq <= position:
                     continue
                 push(protocol.RESP_REPL_FRAME, payload)
-                position = max(position, last_seq)
+                position = last_seq
                 position_gauge.set(position)
                 stats.counter("service.repl_frames").add(1)
     except OSError:
@@ -236,102 +204,54 @@ def stream_to_replica(
         conn.close()
 
 
-class ReplicaState:
-    """ReadOnlyInstance-style serving state built from applied records.
+class Replica(ReadOnlyInstance):
+    """A read replica: a read-only instance over its own ``path`` on
+    ``options.env`` (in memory by default) plus a tail memtable, fed by a
+    primary's checkpoints and WAL stream.  Restarted over the same directory
+    it resumes from what its files hold."""
 
-    Detachable from the network loop so a restarted :class:`Replica` can
-    resume exactly where the previous incarnation stopped (the reconnect
-    handshake sends ``last_applied``).
-    """
-
-    def __init__(self):
-        self._mem = Memtable()
-        self._lock = threading.RLock()
-        self.last_applied = 0
-        self.records_applied = 0
-
-    def reset(self) -> None:
-        """Drop everything applied so far (a snapshot is about to arrive).
-
-        Snapshot frames carry synthetic sequences from 1; any entries kept
-        from a previous incarnation would sit at higher sequences and stay
-        newest-visible over the snapshot's, resurrecting deletes.
-        """
-        with self._lock:
-            self._mem = Memtable()
-            self.last_applied = 0
-            self.records_applied = 0
-
-    def apply(self, first_seq: int, batch: WriteBatch) -> None:
-        with self._lock:
-            last_seq = batch.insert_into(self._mem, first_seq)
-            self.last_applied = max(self.last_applied, last_seq)
-            self.records_applied += 1
-
-    def advance_to(self, seq: int) -> None:
-        """Move the resume watermark (end-of-snapshot marker)."""
-        with self._lock:
-            self.last_applied = max(self.last_applied, seq)
-
-    def get(self, key: bytes) -> bytes | None:
-        with self._lock:
-            result = self._mem.get(key)
-        if result is None:
-            return None
-        vtype, value = result
-        return value if vtype == TYPE_PUT else None
-
-    def scan(
-        self,
-        start: bytes = b"",
-        end: bytes | None = None,
-        limit: int | None = None,
-    ) -> list[tuple[bytes, bytes]]:
-        # The lock is held for the bounded walk, not for a copy of the tail.
-        with self._lock:
-            newest = newest_visible(self._mem.entries(start))
-            return list(key_range(newest, start, end, limit))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._mem)
-
-
-class Replica:
-    """A read replica fed by a primary's WAL stream over the wire."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        server_id: str,
-        key_client=None,
-        state: ReplicaState | None = None,
-        auto_reconnect: bool = True,
-        reconnect_backoff_s: float = 0.05,
-    ):
-        self.host = host
-        self.port = port
-        self.server_id = server_id
+    def __init__(self, host: str, port: int, server_id: str, key_client=None,
+                 path: str = "/replica", options: Options | None = None,
+                 auto_reconnect: bool = True, reconnect_backoff_s: float = 0.05):
+        self.host, self.port, self.server_id = host, port, server_id
         self.key_client = key_client
-        # An empty ReplicaState is falsy (__len__), so test against None:
-        # a carried-over-but-empty state must survive the restart.
-        self.state = state if state is not None else ReplicaState()
         self.auto_reconnect = auto_reconnect
         self.reconnect_backoff_s = reconnect_backoff_s
 
         self.frames_received = 0
-        self.snapshots_received = 0
+        self.checkpoints_received = 0
+        self.file_bytes_received = 0
         self.subscriptions = 0
         self.kds_flaps = 0  # reconnects caused by key-management outages
         self.last_resume_sequence: int | None = None
         self.last_error: BaseException | None = None
 
+        self._applied = threading.Condition()
         self._sock: socket.socket | None = None
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._connected = threading.Event()
         self._terminated = threading.Event()
+
+        options = options or Options(env=MemEnv())
+        options.env.mkdirs(path)
+        provider = (PlaintextCryptoProvider() if key_client is None
+                    else ShieldCryptoProvider(key_client))
+        self._tail = Memtable()
+        try:
+            super().__init__(path, options, provider)
+        except (NotFoundError, CorruptionError) as exc:
+            # A copy whose DEK the primary has retired since, or that no
+            # longer reads: start over empty.  A KDS outage raises instead.
+            self.last_error = exc
+            self._tables.close()
+            options.env.delete_file(current_path(path))
+            self.refresh()
+        # Memtables flush in sequence order, so the files hold every write up
+        # to some sequence and none above it; their largest is such a base.
+        self.last_applied = max(
+            (meta.largest_seq for __, meta in self.live_files()), default=0
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -345,10 +265,15 @@ class Replica:
         return self
 
     def stop(self) -> None:
+        """End the stream; what the replica holds stays readable."""
         self._stop.set()
         self._close_socket()
         if self._thread is not None:
             self._thread.join()
+
+    def close(self) -> None:
+        self.stop()
+        super().close()
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait for the replication loop to terminate (e.g. auth refusal)."""
@@ -361,29 +286,20 @@ class Replica:
     def _close_socket(self) -> None:
         sock = self._sock
         if sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
     def __enter__(self) -> "Replica":
         return self.start()
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    # -- state -------------------------------------------------------------
 
-    # -- serving surface ---------------------------------------------------
-
-    def get(self, key: bytes) -> bytes | None:
-        return self.state.get(key)
-
-    def scan(self, start: bytes = b"", end: bytes | None = None,
-             limit: int | None = None) -> list[tuple[bytes, bytes]]:
-        return self.state.scan(start, end, limit)
+    @property
+    def tail_bytes(self) -> int:
+        """What the tail memtable holds: bounded by the primary's log."""
+        return self._tail.approximate_size()
 
     @property
     def connected(self) -> bool:
@@ -393,13 +309,43 @@ class Replica:
         return self._connected.wait(timeout)
 
     def wait_until_caught_up(self, target_seq: int, timeout: float = 10.0) -> bool:
-        """Poll until ``last_applied`` reaches ``target_seq``."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.state.last_applied >= target_seq:
-                return True
-            time.sleep(0.005)
-        return self.state.last_applied >= target_seq
+        """Wait until ``last_applied`` reaches ``target_seq``."""
+        with self._applied:
+            return self._applied.wait_for(
+                lambda: self.last_applied >= target_seq, timeout
+            )
+
+    def _applied_through(self, seq: int) -> None:
+        with self._applied:
+            self.last_applied = seq
+            self._applied.notify_all()
+
+    def refresh(self, tail: Memtable | None = None) -> None:
+        """The directory's store under ``tail`` (by default the stream's);
+        before the first checkpoint lands, the tail alone."""
+        tail = self._tail if tail is None else tail
+        if self.env.file_exists(current_path(self.path)):
+            super().refresh(tail)
+        else:
+            self._view = ([tail], Version(self.options.num_levels))
+
+    def _install(self, seq: int) -> None:
+        """A checkpoint's files are in: serve them under a fresh tail and
+        forget what they replace.  Should the open fail, the old view and its
+        tail stay, and the stream resumes into them."""
+        tail = Memtable()
+        self.refresh(tail)
+        self._tail = tail
+        live = {meta.number for __, meta in self.live_files()}
+        manifest = self.env.read_file(current_path(self.path)).decode().strip()
+        for name in self.env.list_dir(self.path):
+            kind, number = parse_file_name(name) or ("", 0)
+            if (kind == "sst" and number not in live) or (
+                kind == "manifest" and name != manifest
+            ):
+                self.env.delete_file(f"{self.path}/{name}")
+        self.checkpoints_received += 1
+        self._applied_through(seq)
 
     # -- stream loop -------------------------------------------------------
 
@@ -418,7 +364,7 @@ class Replica:
                     # Retriable -- including KDS flaps (KDSUnavailableError
                     # is a KeyManagementError, not an AuthorizationError):
                     # the loop reconnects with backoff and resumes from
-                    # ``state.last_applied``, losing no position.
+                    # ``last_applied``, losing no position.
                     self.last_error = exc
                     if isinstance(exc, KeyManagementError):
                         self.kds_flaps += 1
@@ -441,12 +387,14 @@ class Replica:
             if self._stop.is_set():
                 return  # stop() ran before there was a socket for it to close
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            resume = self.state.last_applied
-            self.last_resume_sequence = resume
+            self.last_resume_sequence = self.last_applied
+            held = [meta.number for __, meta in self.live_files()]
             protocol.send_message(sock, Message(
                 protocol.OP_REPL_SUBSCRIBE,
                 1,
-                protocol.encode_repl_subscribe(self.server_id, resume),
+                protocol.encode_repl_subscribe(
+                    self.server_id, self.last_applied, held
+                ),
             ))
             # Handshake and stream share it: it may hold frames behind the accept.
             reader = protocol.FrameReader(sock)
@@ -485,20 +433,21 @@ class Replica:
                     plain = crypto.open(msg.payload, offset)
                     offset += len(msg.payload)
                     first_seq, batch = WriteBatch.deserialize(plain)
-                    self.state.apply(first_seq, batch)
+                    self._applied_through(batch.insert_into(self._tail, first_seq))
                     self.frames_received += 1
-                elif msg.opcode == protocol.RESP_REPL_SNAPSHOT_BEGIN:
-                    self.state.reset()
+                elif msg.opcode == protocol.RESP_REPL_FILE:
+                    name, data = protocol.decode_repl_file(msg.payload)
+                    if (parse_file_name(name) or ("wal",))[0] == "wal":
+                        raise ReplicationError(f"not a shipped file: {name!r}")
+                    self.env.write_file(f"{self.path}/{name}", data)
+                    self.file_bytes_received += len(data)
                 elif msg.opcode == protocol.RESP_REPL_POSITION:
-                    self.state.advance_to(protocol.decode_sequence(msg.payload))
-                    self.snapshots_received += 1
+                    self._install(protocol.decode_sequence(msg.payload))
                 else:
                     raise ReplicationError(
                         f"unexpected stream frame {msg.opcode}"
                     )
         finally:
             self._sock = None
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass

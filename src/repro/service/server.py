@@ -80,7 +80,6 @@ class ServiceConfig:
     kds: object | None = None        # overrides the provider's KDS for auth
     socket_timeout_s: float | None = None
     drain_timeout_s: float = 5.0     # graceful-shutdown drain budget
-    repl_chunk_entries: int = 256    # snapshot catch-up batch size
     health_check_interval_s: float = 0.2  # health-monitor poll cadence
     auto_recover: bool = True        # clear transient bg errors automatically
 
@@ -511,7 +510,7 @@ class KVServer:
     # -- replication -------------------------------------------------------
 
     def _handle_subscribe(self, conn: _Connection, msg: Message) -> None:
-        server_id, resume_seq = protocol.decode_repl_subscribe(msg.payload)
+        server_id = protocol.decode_repl_subscribe(msg.payload)[0]
         if self._source is None:
             conn.send(protocol.error_reply(msg.request_id, InvalidArgumentError(
                 "this server's engine does not support WAL shipping"
@@ -531,7 +530,6 @@ class KVServer:
                 db=self.db,
                 source=self._source,
                 key_client=self._key_client,
-                chunk_entries=self.config.repl_chunk_entries,
                 stopping=self._stopping,
                 stats=self.stats,
             )

@@ -25,6 +25,9 @@ def test_backup_and_restore_roundtrip():
     assert info.backup_id == 1
     assert info.new_files_copied >= 1
     db.close()
+    # The layout backups have always had: what an older backup holds is
+    # everything restore needs.
+    assert sorted(env.list_dir("/backups/meta")) == ["000001", "000001.MANIFEST"]
 
     engine.restore(1, "/restored")
     restored = DB("/restored", _options(env))

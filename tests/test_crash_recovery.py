@@ -229,8 +229,11 @@ def _fill(db, memtables):
 def _memtable_switch(env):
     with DB("/crash", _options(env)) as db:
         _fill(db, 1)
-        wait_until(db, lambda: _flushes(db) >= 1)
-        assert db.get_property("repro.immutable-memtables") == 0
+        # ``db.flushes`` counts the SST before the flush installs it: wait for
+        # both, or a wake-up in between sees the memtable still immutable.
+        wait_until(db, lambda: _flushes(db) >= 1 and (
+            db.get_property("repro.immutable-memtables") == 0
+        ))
 
 
 def _flush_install(env):

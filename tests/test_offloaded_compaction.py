@@ -253,3 +253,16 @@ def test_readonly_refresh_sees_new_data():
     assert readonly.get(b"second") == b"2"
     readonly.close()
     db.close()
+
+
+def test_readonly_instance_over_no_store_raises():
+    """A wrong path, or a store whose CURRENT is gone, is an error -- never
+    an empty store served as if it were the data."""
+    from repro.dist.readonly import ReadOnlyInstance
+    from repro.env.mem import MemEnv
+    from repro.errors import ReproError
+
+    env = MemEnv()
+    env.mkdirs("/nothing-here")
+    with pytest.raises(ReproError):
+        ReadOnlyInstance("/nothing-here", Options(env=env))

@@ -203,6 +203,27 @@ class ScanModel(RuleBasedStateMachine):
     def snapshot(self):
         self.snapshots.append((self.db.snapshot(), self.oracle.snapshot()))
 
+    @precondition(lambda self: self.parked is None)
+    @rule(key=KEYS, before=st.none() | VALUES, versions=st.integers(4, 16))
+    def bury_a_snapshot_under_versions(self, key, before, versions):
+        """One version of ``key`` in the memtable, a snapshot, then enough
+        newer versions to fill whole blocks, then a flush: the version the
+        snapshot sees lands blocks behind the first one ``key`` is in."""
+        if before is None:
+            self.delete(key)
+        else:
+            self.put(key, before)
+        self.snapshot()
+        for version in range(versions):
+            self.put(key, b"v%d" % version)
+        self._settle()
+        if self.snapshots:  # no compaction ran: the snapshot is still exact
+            seq, at = self.snapshots[-1]
+            opts = ReadOptions(snapshot=seq)
+            expected = self.oracle.get(key, at)
+            assert self.db.get(key, opts) == expected, "DB.get"
+            assert self.db.multi_get([key], opts) == {key: expected}, "DB.multi_get"
+
     # -- tree shape -----------------------------------------------------------
 
     @precondition(lambda self: self.parked is None)
@@ -342,3 +363,29 @@ def _machine(scheme):
 TestScanModelPlaintext = _machine(None)
 TestScanModelShakeCtr = _machine("shake-ctr")
 TestScanModelShakeEtm = _machine("shake-etm")
+
+
+@pytest.mark.parametrize("scheme", [None, "shake-ctr", "shake-etm"])
+def test_a_snapshot_read_looks_past_a_block_of_newer_versions(scheme):
+    """The versions of one key straddle a block boundary and every one in
+    the first block is newer than the snapshot: the file must read on into
+    the next block, not report a miss that falls through to an older file."""
+    model = type("Straddle", (ScanModel,), {"scheme": scheme})()
+    try:
+        db = model.db
+        db.put(b"k", b"old")
+        db.flush()
+        db.delete(b"k")
+        snap = db.snapshot()
+        for i in range(12):
+            db.put(b"k", b"new-%02d" % i)
+        assert db.get(b"k", ReadOptions(snapshot=snap)) is None  # memtable
+        db.flush()
+        assert db.stats.counter("db.compactions").value == 0
+        opts = ReadOptions(snapshot=snap)
+        assert db.get(b"k", opts) is None
+        assert db.multi_get([b"k"], opts) == {b"k": None}
+        assert db.scan(opts=opts) == []
+        assert db.get(b"k") == b"new-11"
+    finally:
+        model.teardown()

@@ -27,8 +27,6 @@ from repro.lsm.db import DB
 from repro.lsm.filename import sst_path
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
-from repro.lsm.write_batch import WriteBatch
-from repro.service.replica import ReplicaState
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import VirtualClock
 from repro.util.syncpoint import SYNC
@@ -364,29 +362,3 @@ def test_readonly_scan_reads_over_the_link_only_what_it_returns():
             (files[7].smallest, None, None),
         ):
             assert readonly.scan(*args) == _expected(*args)
-
-
-# -- ReplicaState.scan: a bounded walk, not a copy of the tail ----------------
-
-
-def test_replica_scan_takes_only_its_limit_from_the_memtable():
-    state, versions = ReplicaState(), 3
-    for version in range(versions):
-        batch = WriteBatch()
-        for key in KEYS:
-            batch.put(key, b"v%d" % version)
-        state.apply(1 + version * len(KEYS), batch)
-    pulled = []
-    entries = state._mem.entries
-
-    def counting_entries(start=b""):
-        for entry in entries(start):
-            pulled.append(entry)
-            yield entry
-
-    state._mem.entries = counting_entries
-    assert state.scan(KEYS[100], None, 5) == [(key, b"v2") for key in KEYS[100:105]]
-    assert len(pulled) <= 5 * versions  # was every entry from KEYS[100] on
-    del pulled[:]
-    assert state.scan(KEYS[-2]) == [(KEYS[-2], b"v2"), (KEYS[-1], b"v2")]
-    assert len(pulled) == 2 * versions

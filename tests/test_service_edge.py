@@ -18,11 +18,12 @@ import threading
 import pytest
 
 from repro.env.mem import MemEnv
-from repro.errors import AuthenticationError, ServiceError
+from repro.errors import AuthenticationError, CorruptionError, ServiceError
 from repro.keys.client import KeyClient
 from repro.keys.dek import DEK
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
 from repro.lsm.db import DB
+from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.options import Options
 from repro.service import protocol, replica as replica_module
 from repro.service.client import KVClient
@@ -221,12 +222,17 @@ def test_a_truncated_auth_gets_the_same_error_frame_and_kills_no_thread(
 class TamperingProxy:
     """A byte-level TCP proxy in front of a primary.  Replica-to-primary
     bytes pass verbatim; primary-to-replica bytes are split into frames,
-    and while ``armed`` the next ``REPL_FRAME`` has one payload bit flipped
-    and its CRC recomputed (the frame CRC is not a MAC) -- once."""
+    and while ``armed`` the next frame of ``opcode`` has one payload bit
+    flipped at ``position`` and its CRC recomputed (the frame CRC is not a
+    MAC) -- once."""
 
-    #: Inside the last value byte of a one-put record with a 1-byte key
-    #: and a 6-byte value (12 header + type + 1+1 key + 1+6 value).
-    FLIPPED_BYTE = 21
+    opcode = protocol.RESP_REPL_FRAME
+
+    def position(self, payload: bytes) -> int | None:
+        """The byte of ``payload`` to flip, None to let it pass: inside the
+        last value byte of a one-put record with a 1-byte key and a 6-byte
+        value (12 header + type + 1+1 key + 1+6 value)."""
+        return 21
 
     def __init__(self, upstream):
         self.upstream = upstream
@@ -283,10 +289,13 @@ class TamperingProxy:
                 splitter.feed(data)
                 for frame in splitter.frames():
                     raw = frame.raw
-                    if self.armed and frame.opcode == protocol.RESP_REPL_FRAME:
+                    if (
+                        self.armed and frame.opcode == self.opcode
+                        and (position := self.position(frame.payload())) is not None
+                    ):
                         self.armed = False
                         payload = bytearray(frame.payload())
-                        payload[self.FLIPPED_BYTE] ^= 0x01
+                        payload[position] ^= 0x01
                         raw = protocol.encode_frame(Message(
                             frame.opcode, frame.request_id, bytes(payload)
                         ))
@@ -344,6 +353,66 @@ def test_a_tampered_replication_frame_is_never_a_value(scheme):
         db.close()
 
 
+class _SSTTamperingProxy(TamperingProxy):
+    """Flips a bit inside the sealed part of the first SST a checkpoint
+    ships, a quarter of the way in: a data block, not the index."""
+
+    opcode = protocol.RESP_REPL_FILE
+
+    def position(self, payload: bytes) -> int | None:
+        name, data = protocol.decode_repl_file(payload)
+        if not name.endswith(".sst"):
+            return None
+        header = decode_envelope(data[:MAX_ENVELOPE_SIZE]).header_size
+        return len(payload) - len(data) + header + (len(data) - header) // 4
+
+
+@pytest.mark.parametrize("scheme, error", [
+    ("shake-etm", AuthenticationError), ("shake-ctr", CorruptionError),
+])
+def test_an_sst_tampered_in_transit_is_never_a_value(scheme, error):
+    """Shipped files are not sealed again: each is what storage holds, and
+    the replica's reads check it as any reader does -- a failed tag and a
+    quarantine under AEAD, a typed block-checksum error under a stream
+    cipher."""
+    kds = InMemoryKDS()
+    db = open_shield_db(
+        "/edge-sst", ShieldOptions(kds=kds, server_id="primary", scheme=scheme),
+        Options(env=MemEnv()),
+    )
+    values = {b"k%d" % i: b"%d" % i * 900 for i in range(8)}
+    try:
+        for key, value in values.items():
+            db.put(key, value)
+        db.flush()
+        with KVServer(db) as server:
+            proxy = _SSTTamperingProxy(server.address)
+            proxy.armed = True
+            replica = Replica(*proxy.address, server_id="replica-1",
+                              key_client=KeyClient(kds, "replica-1"))
+            try:
+                replica.start()
+                assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
+                assert proxy.tampered == 1 and replica.checkpoints_received == 1
+                answers = []
+                for key, value in values.items():
+                    try:
+                        answers.append(replica.get(key) == value)
+                    except error as exc:
+                        assert type(exc) is error
+                        answers.append(error)
+                assert error in answers and False not in answers
+                with pytest.raises(error):
+                    replica.scan()
+                quarantined = replica.quarantined_files()
+                assert bool(quarantined) == (error is AuthenticationError)
+            finally:
+                replica.close()
+                proxy.close()
+    finally:
+        db.close()
+
+
 class _FixedKeyClient:
     """Hands the streamer one known stream DEK."""
 
@@ -355,20 +424,24 @@ class _FixedKeyClient:
 
 class _CollectingConn:
     """The server-side connection object ``stream_to_replica`` writes to.
-    Runs ``after_snapshot`` once the snapshot's end marker is sent (so what
-    it commits arrives by the tail) and hangs up at ``expect`` messages."""
+    Runs ``after_checkpoint`` once the checkpoint's position is sent (so
+    what it commits arrives by the tail) and hangs up at ``expect`` log
+    frames."""
 
-    def __init__(self, expect: int, after_snapshot):
+    def __init__(self, expect: int, after_checkpoint):
         self.sent: list[Message] = []
         self.alive = True
         self._expect = expect
-        self._after_snapshot = after_snapshot
+        self._after_checkpoint = after_checkpoint
+
+    def frames(self) -> list[Message]:
+        return [msg for msg in self.sent if msg.opcode == protocol.RESP_REPL_FRAME]
 
     def send(self, msg: Message) -> None:
         self.sent.append(msg)
         if msg.opcode == protocol.RESP_REPL_POSITION:
-            self._after_snapshot()
-        self.alive = len(self.sent) < self._expect
+            self._after_checkpoint()
+        self.alive = len(self.frames()) < self._expect
 
     def close(self) -> None:
         self.alive = False
@@ -376,8 +449,9 @@ class _CollectingConn:
 
 def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
     """Length-preserving, same offsets: for a fixed DEK, nonce and record
-    script the stream's bytes are those of the tree before the stream was
-    sealed through ``make_file_crypto``."""
+    script the tailed frames' bytes are those of the tree before the stream
+    was sealed through ``make_file_crypto`` -- and the checkpoint ahead of
+    them (files as storage holds them) takes no stream offset."""
     monkeypatch.setattr(replica_module, "generate_nonce", lambda scheme: b"\x07" * 16)
     db = DB("/edge-pinned", Options(env=MemEnv()))
 
@@ -390,28 +464,31 @@ def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
         for i in range(3):
             db.put(b"before-%d" % i, b"the source attached")
         source = ReplicationSource(db)
-        # accept; begin, one frame, position; six tailed records.
-        conn = _CollectingConn(1 + 3 + 6, tail_records)
+        conn = _CollectingConn(6, tail_records)
         stream_to_replica(
             conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
                           protocol.encode_repl_subscribe("replica-1", 0)),
-            db, source, _FixedKeyClient(), chunk_entries=256,
+            db, source, _FixedKeyClient(),
             stopping=threading.Event(), stats=StatsRegistry(),
         )
         source.close()
     finally:
         db.close()
+    # accept; one SST, the MANIFEST and CURRENT, the position; six records.
     assert [msg.opcode for msg in conn.sent] == [
-        protocol.RESP_REPL_ACCEPT, protocol.RESP_REPL_SNAPSHOT_BEGIN,
-        protocol.RESP_REPL_FRAME, protocol.RESP_REPL_POSITION,
+        protocol.RESP_REPL_ACCEPT,
+    ] + [protocol.RESP_REPL_FILE] * 3 + [
+        protocol.RESP_REPL_POSITION,
     ] + [protocol.RESP_REPL_FRAME] * 6
-    stream = b"".join(protocol.encode_frame(msg) for msg in conn.sent)
-    assert hashlib.sha256(stream).hexdigest() == PINNED_STREAM_SHA256
+    assert protocol.decode_sequence(conn.sent[4].payload) == 3
+    stream = b"".join(protocol.encode_frame(msg) for msg in conn.frames())
+    assert hashlib.sha256(stream).hexdigest() == PINNED_TAIL_SHA256
 
 
-#: Recorded at the parent commit (where the stream was a bare ``FileCrypto``).
-PINNED_STREAM_SHA256 = (
-    "32cb6c068402e599f21c28ee7e8c452da384e195645b1c2345bc779c6b1045ed"
+#: Recorded at the parent commit: the same six records tailed from stream
+#: offset 0 (a subscriber whose resume point the log covered).
+PINNED_TAIL_SHA256 = (
+    "516848071e71e0807574494e31892554108b9898d6f92df81719b1f056374567"
 )
 
 
@@ -436,10 +513,10 @@ def test_a_server_nobody_subscribes_to_retains_a_bounded_log():
             )
             assert retained[-1][1] == 20_000  # oldest dropped, newest kept
             # A late subscriber's resume point is older than the log: it is
-            # caught up by snapshot, then tails.
+            # caught up by checkpoint, then tails.
             with Replica(*server.address, server_id="late") as replica:
                 assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
-                assert replica.snapshots_received == 1
+                assert replica.checkpoints_received == 1
                 assert replica.scan() == db.scan()
                 db.put(b"live", b"tail")
                 assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)

@@ -308,7 +308,7 @@ def test_replica_survives_kds_flap_and_resumes():
         )
         for i in range(20):
             assert replica.get(b"f-%02d" % i) == b"v1"
-        assert replica.state.last_applied == db.committed_sequence()
+        assert replica.last_applied == db.committed_sequence()
         replica.stop()
     db.close()
 

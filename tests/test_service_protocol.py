@@ -174,8 +174,11 @@ def test_sequence_payload_roundtrip():
 
 def test_auth_and_subscribe_payloads():
     assert protocol.decode_auth(protocol.encode_auth("replica-7")) == "replica-7"
-    payload = protocol.encode_repl_subscribe("replica-7", 12345)
-    assert protocol.decode_repl_subscribe(payload) == ("replica-7", 12345)
+    for held in ([], [7, 300, 2**40]):
+        payload = protocol.encode_repl_subscribe("replica-7", 12345, held)
+        assert protocol.decode_repl_subscribe(payload) == ("replica-7", 12345, held)
+    payload = protocol.encode_repl_file("000012.sst", b"\x00sealed")
+    assert protocol.decode_repl_file(payload) == ("000012.sst", b"\x00sealed")
 
 
 def test_repl_accept_payload_roundtrip():

@@ -1,18 +1,20 @@
-"""Tests for WAL-shipping replication: resume, lag, revocation, snapshot."""
+"""Tests for replication: resume, lag, revocation, checkpoint catch-up."""
 
 import threading
 import time
 
 import pytest
 
+from repro.env.base import EnvWrapper
 from repro.env.mem import MemEnv
-from repro.errors import AuthorizationError
+from repro.errors import AuthorizationError, KDSUnavailableError
 from repro.keys.client import KeyClient
+from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
-from repro.lsm.db import DB
+from repro.lsm.db import DB, MAX_IMMUTABLE_MEMTABLES
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
-from repro.service.replica import Replica, ReplicaState, ReplicationSource
+from repro.service.replica import Replica, ReplicationSource
 from repro.service.server import KVServer, ServiceConfig
 from repro.shield import ShieldOptions, open_shield_db
 
@@ -79,7 +81,7 @@ def test_replication_source_retention_and_waiting():
         db.put(b"k-%d" % i, b"v")
     assert [f for f, __, ___ in source.records_after(0)] == [3, 4]
     assert source.retained_bytes == 2 * 19
-    assert source.earliest_sequence == 2  # resumes below this need a snapshot
+    assert source.earliest_sequence == 2  # resumes below this need a checkpoint
     assert source.records_after(3) == source.records_after(0)[1:]
     assert source.wait_records_after(4, timeout=0.05) == []
     source.close()
@@ -90,36 +92,250 @@ def test_replication_source_retention_and_waiting():
 # -- resume and convergence --------------------------------------------------
 
 
+class _WriteRecordingEnv(EnvWrapper):
+    """Remembers every file created through it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.created: list[str] = []
+
+    def new_writable_file(self, path):
+        self.created.append(path.rpartition("/")[2])
+        return self.inner.new_writable_file(path)
+
+
+def _ssts(env, path="/replica"):
+    return {name for name in env.list_dir(path) if name.endswith(".sst")}
+
+
 def test_reconnect_resumes_from_carried_state():
     kds = InMemoryKDS()
     db = _shield_db(kds)
+    env = _WriteRecordingEnv(MemEnv())  # the replica's directory, carried over
+    for i in range(20):
+        db.put(b"r-%03d" % i, b"v1-%03d" % i)
     with KVServer(db, ServiceConfig()) as server:
         host, port = server.address
-        state = ReplicaState()
         first = Replica(host, port, server_id="replica-1",
-                        key_client=KeyClient(kds, "replica-1"), state=state)
+                        key_client=KeyClient(kds, "replica-1"),
+                        options=Options(env=env))
         first.start()
-        for i in range(20):
-            db.put(b"r-%03d" % i, b"v1-%03d" % i)
         assert first.wait_until_caught_up(db.committed_sequence())
-        first.stop()
-        applied_before = state.last_applied
-        assert applied_before == 20
-
-        # Writes while the replica is down...
+        assert first.checkpoints_received == 1  # the log began after its base
         for i in range(20, 40):
             db.put(b"r-%03d" % i, b"v1-%03d" % i)
+        assert first.wait_until_caught_up(db.committed_sequence())
+        assert first.last_applied == 40
+        first.stop()
 
-        # ...a restarted replica resumes from the carried state, not zero.
+        # Writes while the replica is down...
+        for i in range(40, 60):
+            db.put(b"r-%03d" % i, b"v1-%03d" % i)
+
+        # ...a replica restarted over the same directory resumes from what its
+        # files hold, not zero; the log covers the gap, so no file moves.
+        env.created.clear()
         second = Replica(host, port, server_id="replica-1",
-                         key_client=KeyClient(kds, "replica-1"), state=state)
+                         key_client=KeyClient(kds, "replica-1"),
+                         options=Options(env=env))
         second.start()
         assert second.wait_until_caught_up(db.committed_sequence())
-        assert second.last_resume_sequence == applied_before
-        assert second.snapshots_received == 0  # tail covered the gap
-        for i in range(40):
-            assert state.get(b"r-%03d" % i) == b"v1-%03d" % i
+        assert second.last_resume_sequence == 20
+        assert second.checkpoints_received == 0  # tail covered the gap
+        assert second.file_bytes_received == 0 and env.created == []
+        for i in range(60):
+            assert second.get(b"r-%03d" % i) == b"v1-%03d" % i
         second.stop()
+    db.close()
+
+
+def test_restart_past_the_log_ships_only_the_missing_ssts():
+    kds = InMemoryKDS()
+    db = open_shield_db(
+        "/repl-restart", ShieldOptions(kds=kds, server_id="primary"),
+        Options(env=MemEnv(), write_buffer_size=8 * 1024),
+    )
+    env = _WriteRecordingEnv(MemEnv())
+    for i in range(200):
+        db.put(b"m-%04d" % i, b"first-%04d" % i)
+    db.force_compaction()  # the bottom level: later writes never merge into it
+    with KVServer(db, ServiceConfig()) as server:
+        first = Replica(*server.address, server_id="replica-1",
+                        key_client=KeyClient(kds, "replica-1"),
+                        options=Options(env=env))
+        with first:
+            assert first.wait_until_caught_up(db.committed_sequence())
+        held = _ssts(env)
+        assert held
+        # Three write buffers and more: the retained log no longer reaches
+        # back to what the replica's files hold.
+        for i in range(200, 1000):
+            db.put(b"m-%04d" % i, b"later-%04d" % i)
+        env.created.clear()
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(kds, "replica-1"),
+                     options=Options(env=env)) as second:
+            assert second.wait_until_caught_up(db.committed_sequence())
+            assert second.checkpoints_received == 1
+            shipped = {name for name in env.created if name.endswith(".sst")}
+            assert shipped and not shipped & held
+            assert held & _ssts(env)  # still live on the primary: not re-sent
+            # A compaction may retire a file mid-copy (the copy restarts),
+            # and the install deletes it again: more may have been sent.
+            assert _ssts(env) - held <= shipped
+            assert second.scan() == db.scan()
+    db.close()
+
+
+def test_restart_over_files_the_primary_retired_starts_over():
+    """Between incarnations the primary rewrote every file and retired the
+    DEKs of the originals: the restarted replica's copies cannot be opened,
+    so it drops them and is caught up from an empty store -- no error
+    served, no stale value."""
+    kds = InMemoryKDS()
+    db = _shield_db(kds, path="/repl-retired")
+    env = MemEnv()
+    for i in range(50):
+        db.put(b"t-%03d" % i, b"old-%03d" % i)
+    with KVServer(db, ServiceConfig()) as server:
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(kds, "replica-1"),
+                     options=Options(env=env)) as first:
+            assert first.wait_until_caught_up(db.committed_sequence())
+        for i in range(0, 50, 2):
+            db.put(b"t-%03d" % i, b"new-%03d" % i)
+        db.force_compaction()  # every SST DEK the first replica holds retired
+        second = Replica(*server.address, server_id="replica-1",
+                         key_client=KeyClient(kds, "replica-1"),
+                         options=Options(env=env))
+        assert second.last_error is not None and second.live_files() == []
+        with second:
+            assert second.wait_until_caught_up(db.committed_sequence())
+            assert second.scan() == db.scan()
+            assert second.quarantined_files() == []
+    db.close()
+
+
+def test_a_kds_outage_at_restart_keeps_the_replicas_files():
+    """An outage is not a retired copy: the restart fails, the directory
+    stays, and once the KDS is back the replica resumes from it."""
+    kds = InMemoryKDS()
+    db = _shield_db(kds, path="/repl-outage")
+    env = _WriteRecordingEnv(MemEnv())
+    for i in range(50):
+        db.put(b"o-%03d" % i, b"v-%03d" % i)
+    faulty = FaultyKDS(kds)  # the replica's path to the KDS, not the primary's
+    with KVServer(db, ServiceConfig()) as server:
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(faulty, "replica-1"),
+                     options=Options(env=env)) as first:
+            assert first.wait_until_caught_up(db.committed_sequence())
+        held = _ssts(env)
+        assert held
+        faulty.go_down()
+        with pytest.raises(KDSUnavailableError):
+            Replica(*server.address, server_id="replica-1",
+                    key_client=KeyClient(faulty, "replica-1"),
+                    options=Options(env=env))
+        assert _ssts(env) == held and env.file_exists("/replica/CURRENT")
+        faulty.come_up()
+        env.created.clear()
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(faulty, "replica-1"),
+                     options=Options(env=env)) as second:
+            assert second.wait_until_caught_up(db.committed_sequence())
+            assert second.last_error is None
+            assert second.checkpoints_received == 0 and env.created == []
+            assert second.scan() == db.scan()
+    db.close()
+
+
+def test_a_failed_install_leaves_the_stream_applying_to_what_is_served():
+    """A checkpoint whose install fails (here a KDS flap while it opens the
+    new files) changes nothing the replica serves.  The stream resumes where
+    the replica's tail ends, which the log still covers, so no checkpoint
+    follows -- and what it applies is what reads see."""
+    kds = InMemoryKDS()
+    db = open_shield_db(
+        "/repl-flap", ShieldOptions(kds=kds, server_id="primary"),
+        Options(env=MemEnv(), write_buffer_size=4 * 1024),
+    )
+    faulty = FaultyKDS(kds)
+    with KVServer(db, ServiceConfig()) as server:
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(faulty, "replica-1"),
+                     reconnect_backoff_s=0.01) as replica:
+            assert replica.wait_connected(10.0)  # the stream DEK is resolved
+            faulty.go_down()
+            # One write at a time, each applied before the next: when the log
+            # drops past the replica's base the checkpoint goes out with the
+            # replica caught up, and its install meets the outage.
+            i = 0
+            while not replica.kds_flaps:
+                assert i < 1000, "three write buffers of log never dropped"
+                db.put(b"f-%04d" % i, b"v-%04d" % i * 16)
+                i += 1
+                replica.wait_until_caught_up(db.committed_sequence(), 0.5)
+            faulty.come_up()
+            assert replica.wait_until_caught_up(db.committed_sequence())
+            assert replica.checkpoints_received == 0
+            for j in range(i):
+                assert replica.get(b"f-%04d" % j) == b"v-%04d" % j * 16
+            # Later installs succeed and trim the tail as usual.
+            while not replica.checkpoints_received:
+                db.put(b"f-%04d" % i, b"v-%04d" % i * 16)
+                i += 1
+                assert replica.wait_until_caught_up(db.committed_sequence())
+            assert replica.scan() == db.scan()
+    db.close()
+
+
+def test_a_replicas_tail_is_bounded_by_the_primarys_log():
+    """Checkpoints trim the tail: after ten write buffers of writes the
+    replica holds at most twice what the primary may keep unflushed, not
+    the dataset.  Reads racing the installs see a value of their key or
+    nothing, never an error."""
+    kds = InMemoryKDS()
+    write_buffer_size = 8 * 1024
+    db = open_shield_db(
+        "/repl-bounded", ShieldOptions(kds=kds, server_id="primary"),
+        Options(env=MemEnv(), write_buffer_size=write_buffer_size),
+    )
+    bound = 2 * write_buffer_size * (1 + MAX_IMMUTABLE_MEMTABLES)
+    done, failures = threading.Event(), []
+
+    def read_along(replica):
+        try:
+            while not done.is_set():
+                for key, value in replica.scan(b"b-00100", limit=20):
+                    assert int(value[2:8]) % 700 == int(key[2:]), (key, value)
+                value = replica.get(b"b-00007")
+                assert value is None or int(value[2:8]) % 700 == 7, value
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    with KVServer(db, ServiceConfig()) as server:
+        with Replica(*server.address, server_id="replica-1",
+                     key_client=KeyClient(kds, "replica-1")) as replica:
+            assert replica.wait_connected(10.0)
+            reader = threading.Thread(target=read_along, args=(replica,))
+            reader.start()
+            peak = written = i = 0
+            while written < 10 * write_buffer_size:
+                key, value = b"b-%05d" % (i % 700), b"v-%06d" % i * 8
+                db.put(key, value)
+                written += len(key) + len(value)
+                i += 1
+                if i % 50 == 0:  # in step: what the tail holds at its fullest
+                    assert replica.wait_until_caught_up(db.committed_sequence())
+                    peak = max(peak, replica.tail_bytes)
+            done.set()
+            reader.join()
+            assert failures == []
+            assert 0 < peak <= bound
+            assert replica.checkpoints_received >= 3
+            assert replica.wait_until_caught_up(db.committed_sequence())
+            assert replica.scan() == db.scan()
     db.close()
 
 
@@ -176,10 +392,11 @@ def test_crash_and_reconnect_mid_stream():
     db.close()
 
 
-# -- snapshot catch-up -------------------------------------------------------
+# -- checkpoint catch-up -----------------------------------------------------
 
 
 def test_late_attached_source_ships_snapshot_first():
+    """A late subscriber is caught up by a checkpoint: the primary's files."""
     kds = InMemoryKDS()
     db = _shield_db(kds)
     # History written before the server (and its source) exists: the
@@ -187,19 +404,19 @@ def test_late_attached_source_ships_snapshot_first():
     for i in range(120):
         db.put(b"s-%04d" % i, b"snap-%04d" % i)
     db.delete(b"s-0007")
-    with KVServer(db, ServiceConfig(repl_chunk_entries=32)) as server:
+    with KVServer(db, ServiceConfig()) as server:
         host, port = server.address
         replica = Replica(host, port, server_id="replica-1",
                           key_client=KeyClient(kds, "replica-1"))
         replica.start()
         assert replica.wait_until_caught_up(db.committed_sequence())
-        assert replica.snapshots_received >= 1
-        assert server.stats.counter("service.repl_snapshots").value == 1
+        assert replica.checkpoints_received == 1
+        assert server.stats.counter("service.repl_checkpoints").value == 1
         assert replica.get(b"s-0007") is None  # tombstone not resurrected
         for i in range(120):
             if i != 7:
                 assert replica.get(b"s-%04d" % i) == b"snap-%04d" % i
-        # Live tailing continues after the snapshot.
+        # Live tailing continues after the checkpoint.
         db.put(b"after-snap", b"live")
         assert replica.wait_until_caught_up(db.committed_sequence())
         assert replica.get(b"after-snap") == b"live"
@@ -208,23 +425,20 @@ def test_late_attached_source_ships_snapshot_first():
 
 
 def test_snapshot_catchup_resets_carried_state():
-    """A snapshot must replace carried-over state, not layer on top of it.
-
-    Keys deleted while the replica was down are simply absent from the
-    snapshot; if the old entries (at higher real sequences than the
-    snapshot's synthetic ones) survived, they would stay newest-visible
-    forever -- resurrecting deletes and shadowing overwrites.
-    """
+    """A checkpoint replaces the carried-over store, it does not layer on
+    top of it: what the replica serves afterwards is exactly the primary's
+    file set, with the deletes and overwrites made while it was down."""
     kds = InMemoryKDS()
     db = _shield_db(kds)
-    state = ReplicaState()
+    env = MemEnv()  # the replica's directory, carried over
+    for i in range(10):
+        db.put(b"sn-%02d" % i, b"v1-%02d" % i)
     with KVServer(db, ServiceConfig()) as server:
         host, port = server.address
         first = Replica(host, port, server_id="replica-1",
-                        key_client=KeyClient(kds, "replica-1"), state=state)
+                        key_client=KeyClient(kds, "replica-1"),
+                        options=Options(env=env))
         first.start()
-        for i in range(10):
-            db.put(b"sn-%02d" % i, b"v1-%02d" % i)
         assert first.wait_until_caught_up(db.committed_sequence())
         first.stop()
     # While the replica is down: a delete and an overwrite, and the
@@ -232,21 +446,25 @@ def test_snapshot_catchup_resets_carried_state():
     db.delete(b"sn-03")
     db.put(b"sn-04", b"v2-04")
     with KVServer(db, ServiceConfig()) as server:
-        # The fresh source's earliest_sequence is past the replica's
-        # resume point, so catch-up takes the snapshot path -- onto a
-        # replica that still carries its pre-crash state.
+        # The fresh source's earliest_sequence is past the replica's base,
+        # so catch-up takes the checkpoint path -- onto a replica that
+        # still carries its pre-crash store.
         second = Replica(*server.address, server_id="replica-1",
-                         key_client=KeyClient(kds, "replica-1"), state=state)
+                         key_client=KeyClient(kds, "replica-1"),
+                         options=Options(env=env))
         second.start()
         assert second.wait_until_caught_up(db.committed_sequence())
-        assert second.snapshots_received >= 1
+        assert second.checkpoints_received == 1
         assert second.get(b"sn-03") is None        # delete not resurrected
         assert second.get(b"sn-04") == b"v2-04"    # overwrite not shadowed
         pairs = second.scan(b"sn-", b"sn-\xff")
         assert pairs == [(b"sn-%02d" % i,
                           b"v2-04" if i == 4 else b"v1-%02d" % i)
                          for i in range(10) if i != 3]
-        # Live tailing still works after the reset.
+        assert _ssts(env) == {
+            "%06d.sst" % meta.number for __, meta in db.live_files()
+        }
+        # Live tailing still works after the checkpoint.
         db.put(b"sn-live", b"v")
         assert second.wait_until_caught_up(db.committed_sequence())
         assert second.get(b"sn-live") == b"v"
@@ -319,8 +537,9 @@ def test_revoked_replica_is_refused_wal_frames():
         assert revoked.join(timeout=5.0)  # terminal: no reconnect loop
         assert isinstance(revoked.last_error, AuthorizationError)
         assert revoked.frames_received == 0
-        assert revoked.snapshots_received == 0
-        assert len(revoked.state) == 0
+        assert revoked.checkpoints_received == 0
+        assert revoked.file_bytes_received == 0
+        assert revoked.scan() == []
         assert not revoked.connected
         revoked.stop()
 
