@@ -104,18 +104,6 @@ def available_schemes() -> list[str]:
     return sorted(_SPECS)
 
 
-def default_at_rest_scheme() -> str:
-    """The scheme providers use when none is chosen explicitly.
-
-    ``REPRO_AEAD=1`` in the environment flips the fleet-wide default from
-    the confidentiality-only bulk cipher to its authenticated counterpart
-    -- the switch the AEAD-enabled CI suite runs under.
-    """
-    if os.environ.get("REPRO_AEAD", "") not in ("", "0"):
-        return "shake-etm"
-    return "shake-ctr"
-
-
 def spec_for(scheme: str | int) -> CipherSpec:
     """Look up a scheme by name or numeric id."""
     if isinstance(scheme, int):

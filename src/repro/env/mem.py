@@ -153,9 +153,10 @@ class MemEnv(Env):
 
         ``durable_only=True`` keeps only synced bytes per file (the image a
         *system* crash at this instant would leave on disk); ``False`` keeps
-        the page cache too (a *process* crash).  The crash matrix calls this
-        from a syncpoint callback and later reopens a DB on the copy --
-        killing nothing, but recovering from exactly the interrupted state.
+        the page cache too (a *process* crash).  The model test's
+        ``crash_at`` rule calls this from a syncpoint callback and later
+        reopens a DB on the copy -- killing nothing, but recovering from
+        exactly the interrupted state.
         """
         forked = MemEnv()
         with self._lock:

@@ -79,11 +79,11 @@ class MemoryTrustedCounter(TrustedCounter):
         return self._state
 
     def fork(self) -> "MemoryTrustedCounter":
-        """An independent copy (chaos harness crash-instant snapshots).
+        """An independent copy (crash-instant snapshots).
 
         A real trusted counter survives the host's crash untouched, so
-        the crash matrix forks it at the kill instant alongside the env
-        and the KDS.
+        the model test's ``crash_at`` rule forks it at the kill instant
+        alongside the env and the KDS.
         """
         clone = MemoryTrustedCounter()
         clone._state = self._state

@@ -82,7 +82,7 @@ class InMemoryKDS(KeyDistributionService):
     def fork(self) -> "InMemoryKDS":
         """An independent copy of the registry as it stands right now.
 
-        The crash-matrix driver snapshots the KDS together with the env at
+        The model test's ``crash_at`` rule snapshots the KDS with the env at
         a sync point: recovery must resolve DEKs as they were at the
         instant of the crash, not as the continuing workload left them.
         """

@@ -189,7 +189,10 @@ class DB:
         """The writer's tail of ``recover_store``: a new MANIFEST and WAL, the
         replayed memtable flushed, the replayed WALs and crash orphans gone."""
         new_log = self._versions.new_file_number()
-        self._versions.log_number = new_log
+        if len(recovered) == 0:
+            # Otherwise the replayed WALs stay the log until the flush below
+            # is installed: a kill before it must replay them again.
+            self._versions.log_number = new_log
         self._versions.create_manifest()
         self._open_new_wal(new_log)
 
@@ -394,12 +397,8 @@ class DB:
             quarantined = sorted(self._tables.quarantined)
         if closed:
             return {"state": HEALTH_FAILED, "reason": "closed", "error": None}
-        if quarantined:
-            return {
-                "state": HEALTH_DEGRADED,
-                "reason": "quarantined-sst",
-                "error": f"auth-failed SST files: {quarantined}",
-            }
+        # A background error before a quarantine: it is the one that refuses
+        # writes, and the one the serving tier's health loop recovers from.
         if bg_error is not None:
             state = (
                 HEALTH_DEGRADED
@@ -410,6 +409,12 @@ class DB:
                 "state": state,
                 "reason": "background-error",
                 "error": repr(bg_error),
+            }
+        if quarantined:
+            return {
+                "state": HEALTH_DEGRADED,
+                "reason": "quarantined-sst",
+                "error": f"auth-failed SST files: {quarantined}",
             }
         key_client = getattr(self.provider, "key_client", None)
         if key_client is not None and not key_client.available():

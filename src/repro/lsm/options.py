@@ -115,10 +115,9 @@ class Options:
     # Closed-loop observability: when True the DB hosts an adaptive
     # compaction controller (repro.obs.controller) that retunes the
     # picker -- and the offload routing above -- from live derived
-    # signals.  None defers to the REPRO_ADAPTIVE environment knob;
-    # False pins the static configured policy.  FIFO trees never get a
-    # controller regardless (the controller refuses lossy policies).
-    adaptive_compaction: Optional[bool] = None
+    # signals; False pins the static configured policy.  FIFO trees never
+    # get a controller (the controller refuses lossy policies).
+    adaptive_compaction: bool = False
     # A repro.obs.controller.ControllerConfig overriding thresholds and
     # stability knobs (None = defaults).
     adaptive_config: Optional[object] = None

@@ -26,7 +26,7 @@ from repro.integrity.freshness import verify, verify_and_advance
 from repro.integrity.merkle import merkle_root
 from repro.lsm.envelope import FILE_KIND_MANIFEST
 from repro.lsm.filecrypto import CryptoProvider
-from repro.lsm.filename import current_path, manifest_path
+from repro.lsm.filename import current_path, manifest_path, parse_file_name
 from repro.lsm.memtable import Memtable
 from repro.lsm.wal import WALWriter, read_wal_records, replay_wals
 from repro.util.syncpoint import SYNC
@@ -494,4 +494,15 @@ def recover_store(
         env, path, provider, versions.log_number, memtable
     )
     versions.last_sequence = max(versions.last_sequence, last_replayed)
+    if writer:
+        # A killed writer leaves files the MANIFEST never counted -- the WAL
+        # it rotated to, an SST it had not installed.  A new file must not
+        # take one of their numbers: it would truncate the file, and the
+        # writer's own WAL would then be deleted as a replayed one.
+        for name in env.list_dir(path):
+            parsed = parse_file_name(name)
+            if parsed:
+                versions.next_file_number = max(
+                    versions.next_file_number, parsed[1] + 1
+                )
     return versions, memtable, old_wals

@@ -38,7 +38,6 @@ The class is engine-agnostic and purely functional over its inputs --
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -314,15 +313,12 @@ class AdaptiveController:
 
 
 def _controller_for(options: Options) -> AdaptiveController | None:
-    """The adaptive controller when enabled and applicable.
-
-    Opt-in via ``Options.adaptive_compaction`` or ``REPRO_ADAPTIVE=1`` in
-    the environment (options win when not None).
-    """
-    enabled = options.adaptive_compaction
-    if enabled is None:
-        enabled = os.environ.get("REPRO_ADAPTIVE", "") not in ("", "0")
-    if not enabled or options.compaction_style not in ADAPTIVE_POLICIES:
+    """The adaptive controller when ``Options.adaptive_compaction`` asks for
+    one and the configured policy is one it may manage."""
+    if (
+        not options.adaptive_compaction
+        or options.compaction_style not in ADAPTIVE_POLICIES
+    ):
         return None  # FIFO: the controller refuses lossy policies
     service = options.compaction_service
     link_s_per_byte = 0.0

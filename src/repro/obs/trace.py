@@ -20,7 +20,8 @@ is off.  Sampling is decided once at the trace root and inherited by
 every descendant -- including remote ones -- so a sampled-out request
 produces *zero* sink writes on either side of the wire.
 
-Environment knobs (read at import, used by CI's trace-enabled job):
+Environment knobs (read at import; the operator's switch for a ``serve`` or
+``dbbench`` process):
 
 - ``REPRO_TRACE=1``        force-enable the global tracer
 - ``REPRO_TRACE_FILE=p``   also write finished spans to ``p`` as JSONL

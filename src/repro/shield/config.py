@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.crypto.cipher import default_at_rest_scheme
 from repro.keys.cache import SecureDEKCache
 from repro.keys.client import KeyClient
 from repro.keys.kds import KeyDistributionService
@@ -23,9 +22,7 @@ class ShieldOptions:
 
     kds: KeyDistributionService
     server_id: str = "server-1"
-    #: None picks the fleet default scheme: shake-ctr, or the shake-etm
-    #: AEAD under REPRO_AEAD=1 (how the AEAD CI job flips the suite).
-    scheme: Optional[str] = None
+    scheme: str = "shake-ctr"
     dek_cache: Optional[SecureDEKCache] = None
     wal_buffer_size: int = DEFAULT_WAL_BUFFER
     encryption_chunk_size: int = 64 * 1024
@@ -36,10 +33,6 @@ class ShieldOptions:
     #: SHIELD++ freshness anchor (repro.integrity.counter.TrustedCounter);
     #: None keeps rollback protection off.
     trusted_counter: Optional[object] = None
-
-    def __post_init__(self):
-        if self.scheme is None:
-            self.scheme = default_at_rest_scheme()
 
     def build_key_client(self) -> KeyClient:
         """Retries transient KDS failures and trips a circuit breaker on

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.crypto.cipher import default_at_rest_scheme, generate_nonce, spec_for
+from repro.crypto.cipher import generate_nonce, spec_for
 from repro.keys.client import KeyClient
 from repro.lsm.envelope import (
     Envelope,
@@ -43,14 +43,11 @@ class ShieldCryptoProvider(CryptoProvider):
     def __init__(
         self,
         key_client: KeyClient,
-        scheme: str | None = None,
+        scheme: str = "shake-ctr",
         encrypt_wal: bool = True,
         encrypt_sst: bool = True,
         encrypt_manifest: bool = True,
     ):
-        # None picks the fleet default: shake-ctr, or shake-etm (AEAD)
-        # under REPRO_AEAD=1 -- how the AEAD CI suite flips every test.
-        scheme = scheme or default_at_rest_scheme()
         spec_for(scheme)  # validate early
         self.key_client = key_client
         self.scheme = scheme

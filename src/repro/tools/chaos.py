@@ -1,24 +1,8 @@
-"""Chaos harness: crash-point matrix and seeded fault-schedule soak.
+"""Chaos harness: seeded fault-schedule soaks over the serving stack.
 
-Two drivers, both seeded so a red run replays exactly:
-
-**Crash matrix** (:func:`run_crash_matrix`) enumerates every named sync
-point declared in the engine (``SYNC.declared()`` -- flush, compaction,
-MANIFEST swap, WAL rotation, DEK retirement) and, for each one, kills the
-database at exactly that point.  The kill is a snapshot, not a thread
-murder: the sync-point callback forks the env's *durable* bytes
-(``MemEnv.fork(durable_only=True)``) and the KDS registry
-(``InMemoryKDS.fork()``) at the instant of the crash, then raises to
-abort the operation.  Recovery runs against the forks and must satisfy
-the standing invariants:
-
-- no acknowledged write whose ack preceded the crash is lost,
-- no deleted key is resurrected,
-- ``dek_audit`` is clean (no plaintext data files, no keystream reuse),
-- every file's DEK still resolves against the crash-instant KDS, and
-- at most a bounded number of DEKs leak (a kill between file deletion
-  and DEK retirement -- ``dek:before_retire`` -- leaks exactly the
-  window the audit tooling exists to catch).
+Every soak is seeded so a red run replays exactly.  (A kill at each named
+sync point is not a mode here: it is the ``crash_at`` rule of the model
+test, ``tests/test_scan_model.py``, with the model's one oracle.)
 
 **Chaos soak** (:func:`run_chaos`) runs a YCSB-style read/update mix
 through the full serving stack (KVServer + KVClient over TCP) while a
@@ -29,7 +13,10 @@ operations join the expected state; operations that failed after retries
 are tracked as in-doubt (either outcome is legal).  After the schedule
 drains, everything is healed, the server must return to ``healthy``, and
 every key ever touched is read back and checked against its allowed
-outcomes: 100% of acked writes must be there.
+outcomes: 100% of acked writes must be there.  The CLI runs the schedule
+once per scheme in :data:`SOAK_SCHEMES`: under the AEAD every injected
+bit flip must surface as an authentication failure or be masked by a
+retry, never as a wrong value.
 
 Torn syncs (``arm_torn_sync``) are deliberately **excluded** from the
 soak schedule: a disk that lies about durability genuinely voids the
@@ -57,8 +44,7 @@ deployment has (see DESIGN.md §10).
 CLI::
 
     python -m repro.tools.chaos --mode soak --seed 7 --profile fast
-    python -m repro.tools.chaos --mode matrix --out report.json
-    python -m repro.tools.chaos --mode workers --seed 7
+    python -m repro.tools.chaos --mode workers --seed 7 --out report.json
 """
 
 from __future__ import annotations
@@ -76,7 +62,6 @@ import time
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.integrity.counter import MemoryTrustedCounter
 from repro.errors import ReproError
 from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS
@@ -86,20 +71,11 @@ from repro.service.client import KVClient
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 from repro.shield.config import ShieldOptions, open_shield_db
-from repro.tools.dek_audit import audit_directory
-from repro.util.syncpoint import SYNC
 
 DB_PATH = "/chaosdb"
 
-#: DEKs allowed to outlive their file per crash point: the
-#: ``dek:before_retire`` window itself, plus provisioning races between
-#: the env fork and the KDS fork inside the capture callback.
-MAX_LEAKED_DEKS = 3
-
-
-class _ChaosKill(Exception):
-    """Raised from a sync-point callback: 'the process dies right here'."""
-
+#: The schemes the soak runs under: the stream cipher and its AEAD twin.
+SOAK_SCHEMES = ("shake-ctr", "shake-etm")
 
 #: A deleted key's expected outcome (None doubles as "key may be absent").
 _TOMBSTONE = None
@@ -113,241 +89,18 @@ def _value(index: int, round_: int) -> bytes:
     return (b"v%06d.%d." % (index, round_)) + b"x" * 40
 
 
-# ---------------------------------------------------------------------------
-# Crash matrix
-# ---------------------------------------------------------------------------
-
-
-def _engine_options(
-    env, adaptive: bool = False, write_buffer_size: int = 2048,
-    max_background_jobs: int = 1,
-) -> Options:
+def _engine_options(env) -> Options:
     """A tree that flushes and compacts within a few dozen ops, with synced
     WALs (an ack must survive a kill)."""
-    options = Options(
+    return Options(
         env=env,
-        write_buffer_size=write_buffer_size,
+        write_buffer_size=4096,
         block_size=512,
         level0_file_num_compaction_trigger=2,
         wal_sync_writes=True,
-        max_background_jobs=max_background_jobs,
+        max_background_jobs=2,
         slowdown_delay_s=0.0,
     )
-    if adaptive:
-        # The controller:* points only fire when the adaptive loop runs
-        # and actually flips a policy; an aggressive config makes the
-        # trial's write-heavy phase force a leveled->universal flip on
-        # the first due tick.
-        from repro.obs.controller import ControllerConfig
-
-        options.adaptive_compaction = True
-        options.adaptive_config = ControllerConfig(
-            tick_interval_s=0.0,
-            confirm_ticks=1,
-            dwell_s=0.0,
-            max_flips_per_min=1_000_000,
-            write_rate_floor=1.0,
-        )
-    return options
-
-
-def _shield(kds, server_id: str, **extra) -> ShieldOptions:
-    return ShieldOptions(
-        kds=kds, server_id=server_id, wal_buffer_size=256, **extra
-    )
-
-
-def _crash_point_trial(point: str, seed: int = 0) -> dict:
-    """Kill the database at ``point``, recover from the crash-instant
-    snapshot, and check the invariants.  Returns a result dict."""
-    mem = MemEnv()
-    kds = InMemoryKDS()
-    # The trusted counter rides along so the crash matrix also covers the
-    # SHIELD++ freshness protocol (including the counter:* torn-update
-    # points); a real counter survives the crash, so it is forked at the
-    # kill instant like the env and the KDS.
-    counter = MemoryTrustedCounter()
-    shield = _shield(kds, "crash-matrix", trusted_counter=counter)
-
-    # Expected state: the last acked outcome per key.  Phase 2 only writes
-    # *fresh* keys (and re-deletes already-dead ones), so a write acked
-    # after the callback copied this state but before it forked the env can
-    # only make the fork a superset of the expectation -- never contradict it.
-    acked: dict[bytes, bytes | None] = {}
-
-    def acked_put(db, key: bytes, value: bytes) -> None:
-        db.put(key, value)
-        acked[key] = value
-
-    def acked_delete(db, key: bytes) -> None:
-        db.delete(key)
-        acked[key] = _TOMBSTONE
-
-    # Phase 1: build a baseline tree with no chaos, close cleanly.
-    # Even key indices only; phase 2 owns the odd ones.
-    db = open_shield_db(DB_PATH, shield, _engine_options(mem))
-    for i in range(30):
-        acked_put(db, _key(2 * i), _value(2 * i, 0))
-    db.flush()
-    for i in range(15):
-        acked_delete(db, _key(2 * i))
-    for i in range(30, 60):
-        acked_put(db, _key(2 * i), _value(2 * i, 0))
-    db.flush()
-    db.wait_for_compaction()
-    db.close()
-
-    # Arm the crash: first hit snapshots expectation + env + KDS (in that
-    # order -- see the superset argument above), every hit kills.
-    capture: dict = {}
-
-    def on_hit() -> None:
-        if "snap" not in capture:
-            expected = dict(acked)
-            env_fork = mem.fork(durable_only=True)
-            counter_fork = counter.fork()
-            kds_fork = kds.fork()
-            capture["snap"] = (env_fork, kds_fork, expected, counter_fork)
-        raise _ChaosKill(f"injected crash at {point}")
-
-    SYNC.clear()
-    SYNC.set_callback(point, on_hit)
-    SYNC.enable()
-
-    result = {
-        "point": point,
-        "description": SYNC.describe(point),
-        "captured": False,
-        "error": None,
-    }
-    db = None
-    try:
-        # Phase 2: reopen (recovery itself hits MANIFEST-swap and
-        # DEK-retire points) and keep working until the point fires.
-        try:
-            db = open_shield_db(
-                DB_PATH,
-                shield,
-                _engine_options(mem, adaptive=point.startswith("controller:")),
-            )
-        except Exception as exc:  # noqa: BLE001 - the kill lands here too
-            if "snap" not in capture:
-                result["error"] = f"open died before capture: {exc!r}"
-                return result
-        fresh = 0
-        errors_in_a_row = 0
-        give_up_at = time.monotonic() + 10.0
-        while (
-            db is not None
-            and "snap" not in capture
-            and errors_in_a_row < 50
-            and time.monotonic() < give_up_at
-        ):
-            try:
-                acked_put(db, _key(2 * fresh + 1), _value(2 * fresh + 1, 1))
-                if fresh % 9 == 4:
-                    # Tombstones that cannot change the expectation:
-                    # keys that were never live, or died in phase 1.
-                    acked_delete(db, _key(10_000 + fresh))
-                if fresh % 11 == 7:
-                    acked_delete(db, _key(2 * (fresh % 15)))
-                if fresh % 35 == 20:
-                    db.flush(wait=False)
-                errors_in_a_row = 0
-            except Exception:  # noqa: BLE001 - bg poison after the kill
-                errors_in_a_row += 1
-                time.sleep(0.01)
-            fresh += 1
-        # Background flush/compaction may still be en route to the point.
-        deadline = time.monotonic() + 3.0
-        while "snap" not in capture and time.monotonic() < deadline:
-            time.sleep(0.02)
-    finally:
-        SYNC.clear()
-        if db is not None:
-            _quietly(db.simulate_crash)
-
-    if "snap" not in capture:
-        result["error"] = result["error"] or "sync point never fired"
-        return result
-    result["captured"] = True
-
-    result.update(_verify_recovery(*capture["snap"]))
-    return result
-
-
-def _verify_recovery(env_fork, kds_fork, expected, counter_fork) -> dict:
-    """Open the crash-instant snapshot and check every invariant."""
-    shield = _shield(kds_fork, "crash-recovery", trusted_counter=counter_fork)
-    lost = []
-    resurrected = []
-    recovery_error = None
-    try:
-        db = open_shield_db(DB_PATH, shield, _engine_options(env_fork))
-        try:
-            for key, value in sorted(expected.items()):
-                if db.get(key) != value:
-                    wrong = resurrected if value is _TOMBSTONE else lost
-                    wrong.append(key.decode())
-        finally:
-            db.close()
-    except Exception as exc:  # noqa: BLE001 - a failed recovery is the finding
-        recovery_error = repr(exc)
-
-    audit = audit_directory(env_fork, DB_PATH)
-    unreadable = [row["name"] for row in audit["rows"] if "error" in row]
-    referenced = {
-        row["dek_id"]
-        for row in audit["rows"]
-        if "error" not in row and row["scheme"] != "PLAINTEXT"
-    }
-    unknown_deks = sorted(
-        dek_id for dek_id in referenced if not kds_fork.knows(dek_id)
-    )
-    leaked = max(0, kds_fork.live_dek_count() - len(referenced))
-
-    ok = (
-        recovery_error is None
-        and not lost
-        and not resurrected
-        and not unreadable
-        and not audit["plaintext_data_files"]
-        and not audit["duplicate_key_nonce_pairs"]
-        and not audit["shared_deks"]
-        and not unknown_deks
-        and leaked <= MAX_LEAKED_DEKS
-    )
-    return {
-        "recovery_error": recovery_error,
-        "expected_keys": sum(
-            value is not _TOMBSTONE for value in expected.values()
-        ),
-        "lost": lost,
-        "resurrected": resurrected,
-        "unreadable_files": unreadable,
-        "plaintext_data_files": [
-            row["name"] for row in audit["plaintext_data_files"]
-        ],
-        "duplicate_key_nonce_pairs": len(audit["duplicate_key_nonce_pairs"]),
-        "shared_deks": len(audit["shared_deks"]),
-        "unknown_deks": unknown_deks,
-        "leaked_deks": leaked,
-        "ok": ok,
-    }
-
-
-def run_crash_matrix(seed: int = 0, points: list[str] | None = None) -> dict:
-    """Crash-and-recover at every declared sync point (or ``points``)."""
-    if points is None:
-        points = SYNC.declared()
-    results = {}
-    for point in points:
-        results[point] = _crash_point_trial(point, seed=seed)
-    return {
-        "seed": seed,
-        "points": results,
-        "ok": bool(results) and all(r["ok"] for r in results.values()),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +160,6 @@ def _apply_window(kind: str, env: FaultInjectionEnv, kds: FaultyKDS,
         env.set_read_flip_rate(0.02)
     elif kind == "sync_faults":
         env.fail_syncs(after=rng.randint(0, 3))
-
-
-#: The soaks' engines: the matrix's, with room for a few more ops a file.
-_SOAK_ENGINE = {"write_buffer_size": 4096, "max_background_jobs": 2}
 
 
 def _service_config(**extra) -> ServiceConfig:
@@ -555,8 +304,9 @@ class _Oracle:
         }
 
 
-def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
-    """YCSB-style soak under a seeded fault schedule; returns the report."""
+def run_chaos(seed: int, profile: str, scheme: str) -> dict:
+    """YCSB-style soak under a seeded fault schedule, every file sealed
+    under ``scheme``; returns the report."""
     spec = PROFILES[profile]
     rng = random.Random(seed)
     schedule = _make_schedule(random.Random(seed ^ 0xFA01), spec)
@@ -566,10 +316,11 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
 
     def boot() -> tuple[DB, KVServer, KVClient]:
         """Open (or recover) the store and put a server and a client on it."""
-        db = open_shield_db(
-            DB_PATH, _shield(kds, f"chaos-{seed}"),
-            _engine_options(env, **_SOAK_ENGINE),
+        shield = ShieldOptions(
+            kds=kds, server_id=f"chaos-{seed}", scheme=scheme,
+            wal_buffer_size=256,
         )
+        db = open_shield_db(DB_PATH, shield, _engine_options(env))
         server = KVServer(
             db, _service_config(num_workers=2, socket_timeout_s=5.0)
         ).start()
@@ -670,6 +421,7 @@ def run_chaos(seed: int = 0, profile: str = "fast") -> dict:
     return {
         "seed": seed,
         "profile": profile,
+        "scheme": scheme,
         "schedule": schedule,
         **oracle.verdict(healthy),
     }
@@ -716,7 +468,7 @@ def run_worker_chaos(
     def make_shard(index: int, path: str) -> DB:
         env = LocalEnv()
         env.mkdirs(path)
-        return DB(path, _engine_options(env, **_SOAK_ENGINE))
+        return DB(path, _engine_options(env))
 
     server = MultiProcessKVServer(
         f"{base}/db", num_workers, make_shard, _service_config()
@@ -782,13 +534,12 @@ def run_worker_chaos(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools.chaos",
-        description="Crash-point matrix and seeded chaos soak for SHIELD.",
+        description="Seeded chaos soaks for SHIELD.",
     )
     parser.add_argument(
-        "--mode", choices=("soak", "matrix", "workers", "both"),
-        default="soak",
-        help="'workers' SIGKILLs shard workers of the multi-process "
-        "server; 'both' runs soak + matrix",
+        "--mode", choices=("soak", "workers"), default="soak",
+        help="'soak' runs the serving-stack soak once per scheme; 'workers' "
+        "SIGKILLs shard workers of the multi-process server, once per route",
     )
     parser.add_argument(
         "--num-workers", type=int, default=3,
@@ -798,24 +549,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile", choices=sorted(PROFILES), default="fast"
     )
-    parser.add_argument(
-        "--points", nargs="*", default=None,
-        help="crash-matrix sync points (default: every declared point)",
-    )
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
     report: dict = {}
     ok = True
-    if args.mode in ("matrix", "both"):
-        matrix = run_crash_matrix(seed=args.seed, points=args.points)
-        report["matrix"] = matrix
-        ok = ok and matrix["ok"]
-        for point, row in matrix["points"].items():
-            status = "ok" if row["ok"] else "FAIL"
-            print(f"matrix  {point:35s} {status}")
-            if not row["ok"]:
-                print(f"        {json.dumps(row, default=str)}")
     for route in WORKER_CHAOS_ROUTES if args.mode == "workers" else ():
         workers = run_worker_chaos(
             seed=args.seed, profile=args.profile,
@@ -835,13 +573,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         for miss in workers["mismatches"]:
             print(f"        mismatch: {json.dumps(miss)}")
-    if args.mode in ("soak", "both"):
-        soak = run_chaos(seed=args.seed, profile=args.profile)
-        report["soak"] = soak
+    for scheme in SOAK_SCHEMES if args.mode == "soak" else ():
+        soak = run_chaos(args.seed, args.profile, scheme)
+        report[f"soak-{scheme}"] = soak
         ok = ok and soak["ok"]
         c = soak["counters"]
         print(
-            f"soak    seed={soak['seed']} profile={soak['profile']} "
+            f"soak    scheme={scheme} seed={soak['seed']} "
+            f"profile={soak['profile']} "
             f"ops={c['ops']} acked={c['acked']} failed={c['failed']} "
             f"crashes={c['crashes']} forced_restarts={c['forced_restarts']} "
             f"verified={soak['keys_verified']}/{soak['keys_tracked']} "

@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from repro.bench.harness import format_table
-from repro.crypto.cipher import default_at_rest_scheme
 from repro.bench.mixgraph import MixgraphSpec, preload_mixgraph, run_mixgraph
 from repro.bench.systems import SYSTEMS, make_system
 from repro.bench.workloads import (
@@ -59,8 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["leveled", "universal", "fifo"])
     parser.add_argument("--compression", default="none",
                         choices=["none", "zlib"])
-    parser.add_argument("--scheme", default=default_at_rest_scheme(),
-                        help="cipher scheme (default honours REPRO_AEAD=1)")
+    parser.add_argument("--scheme", default="shake-ctr", help="cipher scheme")
     parser.add_argument("--env", default="mem", choices=["mem", "local"])
     parser.add_argument("--db", default="/dbbench",
                         help="database directory (for --env local)")

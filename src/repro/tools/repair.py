@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.crypto.cipher import default_at_rest_scheme
 from repro.env.local import LocalEnv
 from repro.lsm.filecrypto import PlaintextCryptoProvider, SingleKeyCryptoProvider
 from repro.lsm.repair import repair_db
@@ -25,8 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("path", help="database directory")
     parser.add_argument("--key", help="hex instance DEK for EncFS-less "
                         "single-key databases")
-    parser.add_argument("--scheme", default=default_at_rest_scheme(),
-                        help="cipher scheme (default honours REPRO_AEAD=1)")
+    parser.add_argument("--scheme", default="shake-ctr", help="cipher scheme")
     args = parser.parse_args(argv)
 
     provider = (

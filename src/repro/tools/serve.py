@@ -31,7 +31,6 @@ import sys
 import threading
 from dataclasses import replace
 
-from repro.crypto.cipher import default_at_rest_scheme
 from repro.dist.sharding import ShardedDB
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
@@ -58,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hash shards behind the front-end (1 = single DB)")
     parser.add_argument("--plain", action="store_true",
                         help="serve an unencrypted engine (no SHIELD)")
-    parser.add_argument("--scheme", default=default_at_rest_scheme(),
-                        help="cipher scheme (default honours REPRO_AEAD=1)")
+    parser.add_argument("--scheme", default="shake-ctr", help="cipher scheme")
     parser.add_argument("--passkey", default=None,
                         help="persist DEKs in a passkey-wrapped cache next to "
                         "--db so an encrypted database survives restarts "

@@ -10,12 +10,12 @@ runtime::
 
 Tests enable the registry, attach a callback to a point, and the callback
 runs inline on the thread that hit it -- it may pause (wait on an event),
-snapshot the env (the crash-matrix driver's move: capture the would-be
+snapshot the env (a crash rule's move: capture the would-be
 on-disk state at exactly this point), or raise to abort the operation.
 
 Disabled (the default and the production state) ``process`` is a single
 attribute check; no lock, no dict lookup.  Declaration is what lets the
-crash matrix *enumerate* every point in the codebase instead of trusting
+crash rule *enumerate* every point in the codebase instead of trusting
 a hand-maintained list.
 """
 
@@ -43,7 +43,7 @@ class SyncPoints:
         return name
 
     def declared(self) -> list[str]:
-        """Every declared point name, sorted (the crash matrix's work list)."""
+        """Every declared point name, sorted (what a crash rule draws from)."""
         with self._lock:
             return sorted(self._declared)
 

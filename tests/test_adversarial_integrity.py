@@ -296,7 +296,6 @@ def _three_parked_l0_files(
     env = MemEnv()
     options = _options(env)
     options.level0_file_num_compaction_trigger = 100
-    options.adaptive_compaction = False  # the leveled L0 -> L1 job, always
     options.encryption_chunk_size = chunk_size  # what an offloaded worker sees
     for name, setting in engine.items():
         setattr(options, name, setting)

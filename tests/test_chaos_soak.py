@@ -1,17 +1,23 @@
-"""One seeded fast-profile chaos soak: the end-to-end availability gate.
+"""One seeded fast-profile chaos soak per scheme: the end-to-end
+availability gate.
 
 The CI chaos job runs more seeds; this keeps one representative schedule
 (KDS faults, read faults, bit flips, a full crash/restart) in the tier-1
-suite so a regression in graceful degradation fails fast and locally.
+suite so a regression in graceful degradation fails fast and locally --
+under the AEAD too, where every injected bit flip must surface as an
+authentication failure or be masked by a retry, never as a wrong value.
 """
-
-from repro.tools.chaos import PROFILES, _make_schedule, run_chaos
 
 import random
 
+import pytest
 
-def test_fast_soak_verifies_every_acked_write():
-    report = run_chaos(seed=0, profile="fast")
+from repro.tools.chaos import PROFILES, SOAK_SCHEMES, _make_schedule, run_chaos
+
+
+@pytest.mark.parametrize("scheme", SOAK_SCHEMES)
+def test_fast_soak_verifies_every_acked_write(scheme):
+    report = run_chaos(seed=0, profile="fast", scheme=scheme)
     assert report["ok"], report["mismatches"][:5]
     assert report["healthy_at_end"]
     assert report["mismatches"] == []

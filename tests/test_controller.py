@@ -253,7 +253,7 @@ def test_policy_change_span_parents_under_bg_job():
 
 
 def test_adaptive_off_means_no_controller():
-    options = Options(env=MemEnv(), adaptive_compaction=False)
+    options = Options(env=MemEnv())
     with DB("/static", options) as db:
         policy = db.policy
         assert policy.controller is None and db.controller_state() is None
@@ -269,13 +269,4 @@ def test_fifo_never_gets_a_controller():
         env=MemEnv(), compaction_style="fifo", adaptive_compaction=True
     )
     with DB("/fifo", options) as db:
-        assert db.controller_state() is None
-
-
-def test_env_knob_enables_controller(monkeypatch):
-    monkeypatch.setenv("REPRO_ADAPTIVE", "1")
-    with DB("/env-knob", Options(env=MemEnv())) as db:
-        assert db.controller_state() is not None
-    monkeypatch.setenv("REPRO_ADAPTIVE", "0")
-    with DB("/env-knob2", Options(env=MemEnv())) as db:
         assert db.controller_state() is None

@@ -4,7 +4,7 @@ Three promises pinned here:
 
 1. A KDS outage degrades the engine; the controller *freezes* (no policy
    flips on outage-polluted signals) and thaws after the KDS heals.
-2. Worker kills under REPRO_ADAPTIVE-style serving stay retriable; the
+2. Worker kills under adaptive serving stay retriable; the
    respawned worker's controller starts fresh and the merged OP_STATS obs
    section keeps flowing.
 3. The policy-flip frequency cap holds even under a pathological

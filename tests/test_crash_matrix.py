@@ -1,53 +1,63 @@
-"""Crash-point matrix: kill at every declared sync point, verify recovery.
+"""A kill at every declared sync point, under both at-rest schemes.
 
-Each case snapshots the durable env and the KDS at the instant the point
-fires, aborts the operation there, and recovers from the snapshot.  The
-invariants (no acked write lost, no delete resurrected, clean DEK audit,
-bounded DEK leakage) are checked inside ``_crash_point_trial``; the test
-asserts the verdict and a few load-bearing fields.
+Each case runs the model's ``crash_at`` rule (``tests/test_scan_model.py``)
+on a small tree: the first hit of the point takes the crash image and kills
+the operation, the store reopens over the image, and the rule checks the
+recovery -- no acked write lost, no delete undone, no torn batch, a clean
+DEK audit (every file readable and sealed, no key/nonce pair or DEK
+shared, every DEK known to the crash-instant KDS), at most
+``MAX_LEAKED_DEKS`` DEKs stranded.  The unsuffixed id is shake-ctr.
 """
 
 import pytest
 
-from repro.tools.chaos import MAX_LEAKED_DEKS, _crash_point_trial, run_crash_matrix
 from repro.util.syncpoint import SYNC
+from tests.test_scan_model import ALL_KEYS, CRASH_POINTS, MAX_LEAKED_DEKS, booted
 
-# chaos imports the engine, so every instrumented layer has declared by now.
-ALL_POINTS = SYNC.declared()
+SCHEMES = ("shake-ctr", "shake-etm")
 
 
 def test_matrix_covers_every_declared_point():
     """A new sync point in the engine must automatically join the matrix."""
-    assert len(ALL_POINTS) >= 11
-    kinds = {name.split(":")[0] for name in ALL_POINTS}
+    assert CRASH_POINTS == SYNC.declared()
+    assert len(CRASH_POINTS) >= 11
+    kinds = {name.split(":")[0] for name in CRASH_POINTS}
     assert {"flush", "compaction", "manifest", "wal", "dek"} <= kinds
 
 
-@pytest.mark.parametrize("point", ALL_POINTS)
-def test_crash_at_point_recovers_cleanly(point):
-    result = _crash_point_trial(point, seed=0)
-    assert result["captured"], f"{point}: {result['error']}"
-    assert result["recovery_error"] is None
-    assert result["lost"] == []
-    assert result["resurrected"] == []
-    assert result["unreadable_files"] == []
-    assert result["plaintext_data_files"] == []
-    assert result["duplicate_key_nonce_pairs"] == 0
-    assert result["shared_deks"] == 0
-    assert result["unknown_deks"] == []
-    assert result["leaked_deks"] <= MAX_LEAKED_DEKS
-    assert result["ok"], result
+def crash(scheme, point):
+    """Grow a tree (live keys, deleted keys, files on two levels, a WAL
+    still to replay), then kill the engine at ``point``; returns the model
+    after its recovery, which must also keep what it is written next (its
+    own WAL is intact)."""
+    with booted(scheme, adaptive=point.startswith("controller:")) as model:
+        assert model.reaches(point)
+        model.write([(key, b"v0-" + key) for key in ALL_KEYS[:30]])
+        model.flush("picker")
+        model.write([(key, None) for key in ALL_KEYS[:15]])
+        model.write([(key, b"v1-" + key) for key in ALL_KEYS[30:]])
+        model.flush("picker")
+        model.write([(key, None) for key in ALL_KEYS[30:35]])
+        model.crash_at(point)
+        model.put(ALL_KEYS[0], b"after the crash")
+        model.reopen()
+        model.gets_agree_with_the_oracle(ALL_KEYS, snapshot=None)
+        return model
+
+
+@pytest.mark.parametrize("point, scheme", [
+    pytest.param(
+        point, scheme, id=point if scheme == "shake-ctr" else f"{point}-{scheme}"
+    )
+    for point in CRASH_POINTS for scheme in SCHEMES
+])
+def test_crash_at_point_recovers_cleanly(point, scheme):
+    model = crash(scheme, point)
+    assert model.leaked_by_last_crash <= MAX_LEAKED_DEKS
 
 
 def test_dek_before_retire_is_the_leak_window():
     """Killing between file deletion and DEK retirement is the one place
     a DEK may outlive its file -- the window dek_audit exists to catch."""
-    result = _crash_point_trial("dek:before_retire", seed=0)
-    assert result["ok"]
-    assert result["leaked_deks"] >= 1
-
-
-def test_run_crash_matrix_aggregates():
-    report = run_crash_matrix(seed=0, points=["flush:after_sst_write"])
-    assert report["ok"]
-    assert set(report["points"]) == {"flush:after_sst_write"}
+    for scheme in SCHEMES:
+        assert crash(scheme, "dek:before_retire").leaked_by_last_crash >= 1

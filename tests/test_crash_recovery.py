@@ -48,7 +48,8 @@ def _open(system, env, kds, wal_buffer=0):
             "/crash",
             _options(EncryptedEnv(env, b"k" * 32), wal_buffer_size=wal_buffer),
         )
-    shield = ShieldOptions(kds=kds, wal_buffer_size=wal_buffer)
+    scheme = "shake-etm" if system == "shield-etm" else "shake-ctr"
+    shield = ShieldOptions(kds=kds, scheme=scheme, wal_buffer_size=wal_buffer)
     return open_shield_db("/crash", shield, _options(env))
 
 
@@ -56,7 +57,7 @@ class _SharedEncFS:
     """EncFS needs the same instance key across 'restarts'."""
 
 
-@pytest.mark.parametrize("system", ["baseline", "shield"])
+@pytest.mark.parametrize("system", ["baseline", "shield", "shield-etm"])
 @pytest.mark.parametrize("crash", ["process", "system"])
 def test_crash_matrix_unbuffered(system, crash):
     env = MemEnv()
@@ -91,45 +92,49 @@ def test_crash_matrix_unbuffered(system, crash):
 @pytest.mark.parametrize("crash", ["process", "system"])
 def test_crash_matrix_wal_buffer(crash):
     """SHIELD's WAL buffer: the buffered tail is lost on either crash, but
-    everything the buffer flushed is recoverable after a process crash."""
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _open("shield", env, kds, wal_buffer=256)
-    for i in range(100):
-        db.put(b"key-%04d" % i, b"x" * 100)  # >> buffer: most get flushed
-    db.put(b"tail-key", b"tail-value")       # likely still buffered
-    db.simulate_crash()
-    if crash == "system":
-        env.crash_system()
-
-    recovered = _open("shield", env, kds)
-    try:
-        survived = sum(
-            1 for i in range(100) if recovered.get(b"key-%04d" % i) is not None
-        )
-        if crash == "process":
-            # All flushed records survive; at most the final buffer is lost.
-            assert survived >= 95
-        # Values that survive are intact.
+    everything the buffer flushed is recoverable after a process crash --
+    stream cipher or sealed units alike."""
+    for system in ("shield", "shield-etm"):
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _open(system, env, kds, wal_buffer=256)
         for i in range(100):
-            value = recovered.get(b"key-%04d" % i)
-            assert value in (None, b"x" * 100)
-    finally:
-        recovered.close()
+            db.put(b"key-%04d" % i, b"x" * 100)  # >> buffer: most get flushed
+        db.put(b"tail-key", b"tail-value")       # likely still buffered
+        db.simulate_crash()
+        if crash == "system":
+            env.crash_system()
+
+        recovered = _open(system, env, kds)
+        try:
+            survived = sum(
+                1 for i in range(100)
+                if recovered.get(b"key-%04d" % i) is not None
+            )
+            if crash == "process":
+                # All flushed records survive; at most the final buffer is lost.
+                assert survived >= 95
+            # Values that survive are intact.
+            for i in range(100):
+                value = recovered.get(b"key-%04d" % i)
+                assert value in (None, b"x" * 100)
+        finally:
+            recovered.close()
 
 
 def test_sync_flushes_shield_wal_buffer():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _open("shield", env, kds, wal_buffer=4096)
-    db.put(b"must-survive", b"1", WriteOptions(sync=True))
-    db.simulate_crash()
-    env.crash_system()
-    recovered = _open("shield", env, kds)
-    try:
-        assert recovered.get(b"must-survive") == b"1"
-    finally:
-        recovered.close()
+    for system in ("shield", "shield-etm"):
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _open(system, env, kds, wal_buffer=4096)
+        db.put(b"must-survive", b"1", WriteOptions(sync=True))
+        db.simulate_crash()
+        env.crash_system()
+        recovered = _open(system, env, kds)
+        try:
+            assert recovered.get(b"must-survive") == b"1"
+        finally:
+            recovered.close()
 
 
 def test_crash_during_heavy_compaction_load():

@@ -4,7 +4,8 @@ request writes nothing; OP_STATS merges every layer's registry.
 
 These tests reconfigure the process-global TRACER (that is the point:
 the instrumented layers all use it), saving and restoring its state so
-they compose with a CI run that sets ``REPRO_TRACE=1``.
+they compose with a process started under ``REPRO_TRACE=1`` (the model
+test's traced examples use ``traced`` too).
 """
 
 from __future__ import annotations

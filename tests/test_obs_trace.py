@@ -1,8 +1,8 @@
 """Unit tests for the repro.obs tracer, sinks, and cost attribution.
 
 Every test builds its own :class:`Tracer` so the suite behaves the same
-whether or not the global tracer is enabled (CI runs once with
-``REPRO_TRACE=1``).
+whether or not the global tracer is enabled (a process started with
+``REPRO_TRACE=1``, or a traced example of the model test).
 """
 
 from __future__ import annotations

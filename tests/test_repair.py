@@ -58,23 +58,23 @@ def test_repair_preserves_latest_versions():
 
 
 def test_repair_encrypted_db():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = open_shield_db("/r", ShieldOptions(kds=kds), _options(env))
-    for i in range(400):
-        db.put(b"key-%04d" % i, b"secret-%04d" % i)
-    db.flush()
-    db.close()
-    _nuke_metadata(env, "/r")
+    for scheme in ("shake-ctr", "shake-etm"):
+        env = MemEnv()
+        shield = ShieldOptions(kds=InMemoryKDS(), scheme=scheme)
+        db = open_shield_db("/r", shield, _options(env))
+        for i in range(400):
+            db.put(b"key-%04d" % i, b"secret-%04d" % i)
+        db.flush()
+        db.close()
+        _nuke_metadata(env, "/r")
 
-    provider = ShieldOptions(kds=kds).build_provider()
-    repair_db(env, "/r", provider=provider)
-    reopened = open_shield_db("/r", ShieldOptions(kds=kds), _options(env))
-    try:
-        for i in range(0, 400, 31):
-            assert reopened.get(b"key-%04d" % i) == b"secret-%04d" % i
-    finally:
-        reopened.close()
+        repair_db(env, "/r", provider=shield.build_provider())
+        reopened = open_shield_db("/r", shield, _options(env))
+        try:
+            for i in range(0, 400, 31):
+                assert reopened.get(b"key-%04d" % i) == b"secret-%04d" % i
+        finally:
+            reopened.close()
 
 
 def test_repair_empty_dir_raises():

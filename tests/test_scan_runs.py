@@ -65,7 +65,6 @@ def _options(env, **overrides):
         target_file_size=4 * 1024,
         level0_file_num_compaction_trigger=100,  # compactions are explicit
         max_background_jobs=1,
-        adaptive_compaction=False,
     )
     settings.update(overrides)
     return Options(**settings)

@@ -27,8 +27,14 @@ def _options(env):
     return Options(env=env, write_buffer_size=4 * 1024, block_size=1024)
 
 
-def _loaded_shield_db(env, kds, n=600):
-    db = open_shield_db("/sec", ShieldOptions(kds=kds), _options(env))
+#: The adversaries play against the stream cipher and its AEAD alike.
+SCHEMES = ("shake-ctr", "shake-etm")
+
+
+def _loaded_shield_db(env, kds, scheme, n=600):
+    db = open_shield_db(
+        "/sec", ShieldOptions(kds=kds, scheme=scheme), _options(env)
+    )
     for i in range(n):
         db.put(b"key-%04d" % i, _SECRET + b"-%04d" % i)
     db.flush()
@@ -46,21 +52,22 @@ def _entropy_per_byte(data: bytes) -> float:
 def test_scenario1_storage_media_compromise():
     """An attacker steals the storage media: every user byte is ciphertext
     with near-maximal entropy."""
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _loaded_shield_db(env, kds)
-    try:
-        for name in env.list_dir("/sec"):
-            if name == "CURRENT":
-                continue
-            raw = env.read_file(f"/sec/{name}")
-            assert _SECRET not in raw
-            # Skip the plaintext envelope; the payload must look random.
-            payload = raw[MAX_ENVELOPE_SIZE:]
-            if len(payload) > 2048:
-                assert _entropy_per_byte(payload) > 7.5
-    finally:
-        db.close()
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _loaded_shield_db(env, kds, scheme)
+        try:
+            for name in env.list_dir("/sec"):
+                if name == "CURRENT":
+                    continue
+                raw = env.read_file(f"/sec/{name}")
+                assert _SECRET not in raw
+                # Skip the plaintext envelope; the payload must look random.
+                payload = raw[MAX_ENVELOPE_SIZE:]
+                if len(payload) > 2048:
+                    assert _entropy_per_byte(payload) > 7.5
+        finally:
+            db.close()
 
 
 def test_scenario2_unauthorized_user_with_fs_access():
@@ -124,30 +131,31 @@ def _attacker_recover(env, path: str, dek_key: bytes) -> bytes:
 def test_scenario3_dek_compromise_blast_radius():
     """A leaked DEK decrypts exactly one file; after compaction it decrypts
     nothing that still exists."""
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _loaded_shield_db(env, kds, n=3000)
-    try:
-        inventory = dek_inventory(db)
-        assert len(inventory) >= 2
-        stolen = inventory[0]
-        stolen_dek = kds.fetch("attacker", stolen.dek_id)
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _loaded_shield_db(env, kds, scheme, n=3000)
+        try:
+            inventory = dek_inventory(db)
+            assert len(inventory) >= 2
+            stolen = inventory[0]
+            stolen_dek = kds.fetch("attacker", stolen.dek_id)
 
-        # The stolen DEK decrypts its own file...
-        own_path = f"/sec/{stolen.file_number:06d}.sst"
-        assert _SECRET in _attacker_recover(env, own_path, stolen_dek.key)
+            # The stolen DEK decrypts its own file...
+            own_path = f"/sec/{stolen.file_number:06d}.sst"
+            assert _SECRET in _attacker_recover(env, own_path, stolen_dek.key)
 
-        # ...but no other file.
-        for record in inventory[1:]:
-            other_path = f"/sec/{record.file_number:06d}.sst"
-            assert _SECRET not in _attacker_recover(env, other_path, stolen_dek.key)
+            # ...but no other file.
+            for record in inventory[1:]:
+                other_path = f"/sec/{record.file_number:06d}.sst"
+                assert _SECRET not in _attacker_recover(env, other_path, stolen_dek.key)
 
-        # After compaction the compromised DEK is retired and its file gone.
-        db.force_compaction()
-        assert not kds.knows(stolen.dek_id)
-        assert not env.file_exists(own_path)
-    finally:
-        db.close()
+            # After compaction the compromised DEK is retired and its file gone.
+            db.force_compaction()
+            assert not kds.knows(stolen.dek_id)
+            assert not env.file_exists(own_path)
+        finally:
+            db.close()
 
 
 def test_single_dek_design_exposes_everything():
@@ -171,71 +179,79 @@ def test_single_dek_design_exposes_everything():
 
 
 def test_wal_never_persists_plaintext_even_buffered():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = open_shield_db(
-        "/sec", ShieldOptions(kds=kds, wal_buffer_size=256), _options(env)
-    )
-    try:
-        for i in range(100):
-            db.put(b"key-%03d" % i, _SECRET)
-        # Do NOT flush: data lives in WAL + memtable only.
-        wal_files = [n for n in env.list_dir("/sec") if n.endswith(".log")]
-        for name in wal_files:
-            assert _SECRET not in env.read_file(f"/sec/{name}")
-    finally:
-        db.close()
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = open_shield_db(
+            "/sec",
+            ShieldOptions(kds=kds, scheme=scheme, wal_buffer_size=256),
+            _options(env),
+        )
+        try:
+            for i in range(100):
+                db.put(b"key-%03d" % i, _SECRET)
+            # Do NOT flush: data lives in WAL + memtable only.
+            wal_files = [n for n in env.list_dir("/sec") if n.endswith(".log")]
+            for name in wal_files:
+                assert _SECRET not in env.read_file(f"/sec/{name}")
+        finally:
+            db.close()
 
 
 def test_manifest_is_encrypted_too():
     """The MANIFEST carries key ranges (user data!) and is protected."""
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = open_shield_db("/sec", ShieldOptions(kds=kds), _options(env))
-    try:
-        db.put(b"patient-record-0001", b"v")
-        db.flush()
-        manifest = next(
-            n for n in env.list_dir("/sec") if n.startswith("MANIFEST")
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = open_shield_db(
+            "/sec", ShieldOptions(kds=kds, scheme=scheme), _options(env)
         )
-        raw = env.read_file(f"/sec/{manifest}")
-        assert b"patient-record-0001" not in raw
-        envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
-        assert envelope.encrypted
-    finally:
-        db.close()
+        try:
+            db.put(b"patient-record-0001", b"v")
+            db.flush()
+            manifest = next(
+                n for n in env.list_dir("/sec") if n.startswith("MANIFEST")
+            )
+            raw = env.read_file(f"/sec/{manifest}")
+            assert b"patient-record-0001" not in raw
+            envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
+            assert envelope.encrypted
+        finally:
+            db.close()
 
 
 def test_retired_deks_unfetchable_after_rotation():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _loaded_shield_db(env, kds, n=2000)
-    try:
-        before = {record.dek_id for record in dek_inventory(db)}
-        db.force_compaction()
-        for dek_id in before:
-            with pytest.raises(NotFoundError):
-                kds.fetch("anyone", dek_id)
-    finally:
-        db.close()
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _loaded_shield_db(env, kds, scheme, n=2000)
+        try:
+            before = {record.dek_id for record in dek_inventory(db)}
+            db.force_compaction()
+            for dek_id in before:
+                with pytest.raises(NotFoundError):
+                    kds.fetch("anyone", dek_id)
+        finally:
+            db.close()
 
 
 def test_nonce_uniqueness_across_files():
     """CTR keystream reuse would be catastrophic: every file must carry a
     distinct (DEK, nonce) pair."""
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = _loaded_shield_db(env, kds, n=2500)
-    try:
-        seen = set()
-        for name in env.list_dir("/sec"):
-            if name == "CURRENT":
-                continue
-            envelope = decode_envelope(
-                env.read_file(f"/sec/{name}")[:MAX_ENVELOPE_SIZE]
-            )
-            pair = (envelope.dek_id, envelope.nonce)
-            assert pair not in seen
-            seen.add(pair)
-    finally:
-        db.close()
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = _loaded_shield_db(env, kds, scheme, n=2500)
+        try:
+            seen = set()
+            for name in env.list_dir("/sec"):
+                if name == "CURRENT":
+                    continue
+                envelope = decode_envelope(
+                    env.read_file(f"/sec/{name}")[:MAX_ENVELOPE_SIZE]
+                )
+                pair = (envelope.dek_id, envelope.nonce)
+                assert pair not in seen
+                seen.add(pair)
+        finally:
+            db.close()

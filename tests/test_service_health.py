@@ -15,6 +15,7 @@ import pytest
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
 from repro.errors import (
+    AuthenticationError,
     AuthorizationError,
     DegradedError,
     IOError_,
@@ -30,6 +31,7 @@ from repro.service.client import KVClient
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
 from repro.shield import ShieldOptions, open_shield_db
+from tests.test_adversarial_integrity import _flip_payload_byte
 
 
 def _wait_for(predicate, timeout=10.0, interval=0.02):
@@ -232,6 +234,48 @@ def test_background_error_degrades_then_auto_recovers():
             assert server.stats.counter("service.recoveries").value >= 1
             for i in range(30):
                 assert client.get(b"bg-%02d" % i) == b"v%02d" % i
+    db.close()
+
+
+def test_a_quarantine_does_not_hide_a_background_error_from_recovery():
+    """A quarantined SST and a background error at once: the error is what
+    refuses writes, so it is what ``health()`` reports -- and what the health
+    loop recovers once storage heals.  A final one reads as failed."""
+    env = FaultInjectionEnv(MemEnv())
+    db = open_shield_db(
+        "/quarantine", ShieldOptions(kds=InMemoryKDS(), scheme="shake-etm"),
+        Options(env=env, slowdown_delay_s=0.0),
+    )
+    for i in range(200):
+        db.put(b"key-%04d" % i, b"value-%04d" % i)
+    db.flush()
+    (sst,) = [name for name in env.list_dir("/quarantine") if name.endswith(".sst")]
+    _flip_payload_byte(env, f"/quarantine/{sst}")
+    with pytest.raises(AuthenticationError):
+        for i in range(200):
+            db.get(b"key-%04d" % i)
+    assert db.health()["reason"] == "quarantined-sst"
+
+    config = _config()
+    with KVServer(db, config) as server:
+        env.fail_paths(lambda path: path.endswith(".sst"))
+        db.put(b"poison", b"the flush of this write fails")
+        with pytest.raises(IOError_):
+            db.flush()
+        assert db.health()["reason"] == "background-error"
+        env.heal()
+        recoveries = server.stats.counter("service.recoveries")
+        assert _wait_for(
+            lambda: recoveries.value >= 1,
+            timeout=50 * config.health_check_interval_s,
+        ), db.health()
+        db.put(b"after", b"accepted")
+        db.flush()
+        assert db.get(b"poison") == b"the flush of this write fails"
+
+    with db._mutex:
+        db._bg_error = AuthorizationError("revoked")
+    assert db.health()["state"] == HEALTH_FAILED
     db.close()
 
 

@@ -40,6 +40,10 @@ def _base_options(env=None, **overrides):
     return Options(**defaults)
 
 
+#: Tests of what lands on storage run under the stream cipher and its AEAD.
+SCHEMES = ("shake-ctr", "shake-etm")
+
+
 def _shield(kds=None, **overrides) -> ShieldOptions:
     return ShieldOptions(kds=kds or InMemoryKDS(), **overrides)
 
@@ -54,68 +58,72 @@ def test_basic_crud_under_shield():
 
 
 def test_no_plaintext_on_storage():
-    env = MemEnv()
-    db = open_shield_db("/db", _shield(), _base_options(env=env))
-    with db:
-        for i in range(400):
-            db.put(b"customer-%04d" % i, b"SSN-SECRET-%04d" % i)
-        db.flush()
-        for name in env.list_dir("/db"):
-            if name == "CURRENT":
-                continue  # only names a manifest; holds no user data
-            raw = env.read_file(f"/db/{name}")
-            assert b"SSN-SECRET" not in raw
-            assert b"customer-0001" not in raw
+    for scheme in SCHEMES:
+        env = MemEnv()
+        db = open_shield_db("/db", _shield(scheme=scheme), _base_options(env=env))
+        with db:
+            for i in range(400):
+                db.put(b"customer-%04d" % i, b"SSN-SECRET-%04d" % i)
+            db.flush()
+            for name in env.list_dir("/db"):
+                if name == "CURRENT":
+                    continue  # only names a manifest; holds no user data
+                raw = env.read_file(f"/db/{name}")
+                assert b"SSN-SECRET" not in raw
+                assert b"customer-0001" not in raw
 
 
 def test_unique_dek_per_file():
-    kds = InMemoryKDS()
-    db = open_shield_db("/db", _shield(kds), _base_options())
-    with db:
-        for i in range(3000):
-            db.put(b"key-%05d" % i, b"v" * 50)
-        db.flush()
-        inventory = dek_inventory(db)
-        assert len(inventory) >= 2
-        dek_ids = [record.dek_id for record in inventory]
-        assert len(set(dek_ids)) == len(dek_ids)  # all distinct
-        assert all(dek_id.startswith("dek-") for dek_id in dek_ids)
+    for scheme in SCHEMES:
+        kds = InMemoryKDS()
+        db = open_shield_db("/db", _shield(kds, scheme=scheme), _base_options())
+        with db:
+            for i in range(3000):
+                db.put(b"key-%05d" % i, b"v" * 50)
+            db.flush()
+            inventory = dek_inventory(db)
+            assert len(inventory) >= 2
+            dek_ids = [record.dek_id for record in inventory]
+            assert len(set(dek_ids)) == len(dek_ids)  # all distinct
+            assert all(dek_id.startswith("dek-") for dek_id in dek_ids)
 
 
 def test_dek_id_embedded_in_file_envelope():
-    env = MemEnv()
-    db = open_shield_db("/db", _shield(), _base_options(env=env))
-    with db:
-        for i in range(500):
-            db.put(b"key-%04d" % i, b"v" * 50)
-        db.flush()
-        inventory = dek_inventory(db)
-        for record in inventory:
-            raw = env.read_file(f"/db/{record.file_number:06d}.sst")
-            envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
-            assert envelope.dek_id == record.dek_id
-            assert envelope.encrypted
+    for scheme in SCHEMES:
+        env = MemEnv()
+        db = open_shield_db("/db", _shield(scheme=scheme), _base_options(env=env))
+        with db:
+            for i in range(500):
+                db.put(b"key-%04d" % i, b"v" * 50)
+            db.flush()
+            inventory = dek_inventory(db)
+            for record in inventory:
+                raw = env.read_file(f"/db/{record.file_number:06d}.sst")
+                envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
+                assert envelope.dek_id == record.dek_id
+                assert envelope.encrypted
 
 
 def test_dek_rotation_via_compaction():
-    kds = InMemoryKDS()
-    db = open_shield_db("/db", _shield(kds), _base_options())
-    with db:
-        for i in range(2000):
-            db.put(b"key-%05d" % (i % 500), b"v" * 50)
-        db.flush()
-        db.wait_for_compaction()
-        before = dek_inventory(db)
-        # A major compaction rewrites every file: full DEK rotation.
-        db.force_compaction()
-        after = dek_inventory(db)
-        report = rotation_report(before, after)
-        # Compaction merged every L0 file: all old DEKs rotated out.
-        assert report.fully_rotated
-        assert report.fresh
-        # Retired DEKs are gone from the KDS: a stolen old DEK is useless.
-        for dek_id in report.rotated_out:
-            assert not kds.knows(dek_id)
+    for scheme in SCHEMES:
+        kds = InMemoryKDS()
+        db = open_shield_db("/db", _shield(kds, scheme=scheme), _base_options())
+        with db:
+            for i in range(2000):
+                db.put(b"key-%05d" % (i % 500), b"v" * 50)
+            db.flush()
+            db.wait_for_compaction()
+            before = dek_inventory(db)
+            # A major compaction rewrites every file: full DEK rotation.
+            db.force_compaction()
+            after = dek_inventory(db)
+            report = rotation_report(before, after)
+            # Compaction merged every L0 file: all old DEKs rotated out.
+            assert report.fully_rotated
+            assert report.fresh
+            # Retired DEKs are gone from the KDS: a stolen old DEK is useless.
+            for dek_id in report.rotated_out:
+                assert not kds.knows(dek_id)
 
 
 def test_kds_dek_count_tracks_live_files():
@@ -145,43 +153,55 @@ def test_recovery_resolves_deks_from_kds():
 
 
 def test_recovery_replays_encrypted_wal():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = open_shield_db("/db", _shield(kds, wal_buffer_size=0), _base_options(env=env))
-    db.put(b"unflushed", b"wal-only")
-    db.simulate_crash()
-    recovered = open_shield_db("/db", _shield(kds), _base_options(env=env))
-    with recovered:
-        assert recovered.get(b"unflushed") == b"wal-only"
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        shield = _shield(kds, scheme=scheme, wal_buffer_size=0)
+        db = open_shield_db("/db", shield, _base_options(env=env))
+        db.put(b"unflushed", b"wal-only")
+        db.simulate_crash()
+        recovered = open_shield_db("/db", shield, _base_options(env=env))
+        with recovered:
+            assert recovered.get(b"unflushed") == b"wal-only"
 
 
 def test_wal_buffer_loses_tail_on_crash_but_never_leaks():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    shield = _shield(kds, wal_buffer_size=4096)  # large buffer: writes stay in it
-    db = open_shield_db("/db", shield, _base_options(env=env))
-    db.put(b"buffered-key", b"buffered-value")
-    db.simulate_crash()
-    # The paper's trade-off: the buffered tail is lost on an app crash...
-    recovered = open_shield_db("/db", _shield(kds), _base_options(env=env))
-    with recovered:
-        assert recovered.get(b"buffered-key") is None
-    # ...but nothing plaintext ever reached storage.
-    for name in env.list_dir("/db"):
-        assert b"buffered-value" not in env.read_file(f"/db/{name}")
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        # A large buffer: writes stay in it.
+        shield = _shield(kds, scheme=scheme, wal_buffer_size=4096)
+        db = open_shield_db("/db", shield, _base_options(env=env))
+        db.put(b"buffered-key", b"buffered-value")
+        db.simulate_crash()
+        # The paper's trade-off: the buffered tail is lost on an app crash...
+        recovered = open_shield_db(
+            "/db", _shield(kds, scheme=scheme), _base_options(env=env)
+        )
+        with recovered:
+            assert recovered.get(b"buffered-key") is None
+        # ...but nothing plaintext ever reached storage.
+        for name in env.list_dir("/db"):
+            assert b"buffered-value" not in env.read_file(f"/db/{name}")
 
 
 def test_wal_buffer_flush_on_explicit_sync():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    db = open_shield_db("/db", _shield(kds, wal_buffer_size=4096), _base_options(env=env))
     from repro.lsm.options import WriteOptions
 
-    db.put(b"synced-key", b"synced-value", WriteOptions(sync=True))
-    db.simulate_crash()
-    recovered = open_shield_db("/db", _shield(kds), _base_options(env=env))
-    with recovered:
-        assert recovered.get(b"synced-key") == b"synced-value"
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        db = open_shield_db(
+            "/db", _shield(kds, scheme=scheme, wal_buffer_size=4096),
+            _base_options(env=env),
+        )
+        db.put(b"synced-key", b"synced-value", WriteOptions(sync=True))
+        db.simulate_crash()
+        recovered = open_shield_db(
+            "/db", _shield(kds, scheme=scheme), _base_options(env=env)
+        )
+        with recovered:
+            assert recovered.get(b"synced-key") == b"synced-value"
 
 
 def test_secure_cache_absorbs_kds_fetches(tmp_path):
@@ -210,20 +230,21 @@ def test_secure_cache_absorbs_kds_fetches(tmp_path):
 
 
 def test_table2_ablation_flags():
-    env = MemEnv()
-    kds = InMemoryKDS()
-    shield = _shield(kds, encrypt_wal=False, encrypt_manifest=False,
-                     wal_buffer_size=0)
-    db = open_shield_db("/db", shield, _base_options(env=env))
-    with db:
-        db.put(b"needle-key", b"needle-value")
-        wal_files = [n for n in env.list_dir("/db") if n.endswith(".log")]
-        raw = env.read_file(f"/db/{wal_files[0]}")
-        assert b"needle-value" in raw  # WAL left plaintext on purpose
-        db.flush()
-        sst_files = [n for n in env.list_dir("/db") if n.endswith(".sst")]
-        raw = env.read_file(f"/db/{sst_files[0]}")
-        assert b"needle-value" not in raw  # SSTs still encrypted
+    for scheme in SCHEMES:
+        env = MemEnv()
+        kds = InMemoryKDS()
+        shield = _shield(kds, scheme=scheme, encrypt_wal=False,
+                         encrypt_manifest=False, wal_buffer_size=0)
+        db = open_shield_db("/db", shield, _base_options(env=env))
+        with db:
+            db.put(b"needle-key", b"needle-value")
+            wal_files = [n for n in env.list_dir("/db") if n.endswith(".log")]
+            raw = env.read_file(f"/db/{wal_files[0]}")
+            assert b"needle-value" in raw  # WAL left plaintext on purpose
+            db.flush()
+            sst_files = [n for n in env.list_dir("/db") if n.endswith(".sst")]
+            raw = env.read_file(f"/db/{sst_files[0]}")
+            assert b"needle-value" not in raw  # SSTs still encrypted
 
 
 def test_unauthorized_server_cannot_open(tmp_path):

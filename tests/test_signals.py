@@ -215,16 +215,7 @@ def test_sharded_db_obs_dict_merges_shards():
     from repro.dist.sharding import ShardedDB
 
     def make_shard(index, path):
-        # adaptive pinned off so the no-controller branch is covered even
-        # when the suite runs under REPRO_ADAPTIVE=1.
-        return DB(
-            path,
-            Options(
-                env=MemEnv(),
-                write_buffer_size=8 * 1024,
-                adaptive_compaction=False,
-            ),
-        )
+        return DB(path, Options(env=MemEnv(), write_buffer_size=8 * 1024))
 
     with ShardedDB("/obs-shards", 3, make_shard) as sharded:
         for i in range(600):
