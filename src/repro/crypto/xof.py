@@ -54,7 +54,8 @@ class ShakeCtrCipher:
             return self._segment(first, tail + 1)[start:]
         # Ask the XOF for exactly the bytes the last segment contributes:
         # digest(n) is a prefix of digest(m), so the stream is unchanged.
-        parts = [self._segment(first)[start:]]
+        # The first segment is cut by a view: the join is the one copy.
+        parts = [memoryview(self._segment(first))[start:]]
         parts += [self._segment(i) for i in range(first + 1, last)]
         parts.append(self._segment(last, tail + 1))
         return b"".join(parts)

@@ -37,6 +37,7 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
         self.provider = provider or self.options.crypto_provider \
             or PlaintextCryptoProvider()
         self.stats = StatsRegistry()  # integrity.* counters of this instance
+        self._sst_probes = self.stats.counter("db.get_sst_probes")
         self._tables = TableSet(self.env, path, self.provider, self.options)
         self._attributing = Attribution(self._tables, self.stats)
         self._view = ([], Version(self.options.num_levels))  # memtables, version
@@ -79,7 +80,7 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
 
     def get(self, key: bytes) -> bytes | None:
         return self._read(lambda memtables, version: lookup(
-            memtables, version, self._tables, self.stats, key, MAX_SEQUENCE
+            memtables, version, self._tables, self._sst_probes, key, MAX_SEQUENCE
         ))
 
     def scan(self, start: bytes = b"", end: bytes | None = None,

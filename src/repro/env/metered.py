@@ -11,7 +11,7 @@ cost-attribution context (``repro.obs.costs``) as ``io`` time.
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Callable
 
 from repro.env.base import Env, RandomAccessFile, WritableFile
@@ -35,40 +35,44 @@ def classify_path(path: str) -> str:
 class _MeteredWritableFile(WritableFileWrapper):
     def __init__(self, inner: WritableFile, stats: StatsRegistry, file_class: str):
         super().__init__(inner)
-        self._stats = stats
-        self._class = file_class
+        self._bytes = stats.counter(f"io.write.bytes.{file_class}")
+        self._ops = stats.counter(f"io.write.ops.{file_class}")
+        self._write_s = stats.histogram(f"io.write_s.{file_class}")
+        self._syncs = stats.counter(f"io.sync.ops.{file_class}")
+        self._sync_s = stats.histogram(f"io.sync_s.{file_class}")
 
     def append(self, data: bytes) -> None:
-        start = time.perf_counter()
+        start = perf_counter()
         self._inner.append(data)
-        elapsed = time.perf_counter() - start
-        self._stats.counter(f"io.write.bytes.{self._class}").add(len(data))
-        self._stats.counter(f"io.write.ops.{self._class}").add(1)
-        self._stats.histogram(f"io.write_s.{self._class}").record(elapsed)
+        elapsed = perf_counter() - start
+        self._bytes.add(len(data))
+        self._ops.add(1)
+        self._write_s.record(elapsed)
         costs.charge("io", elapsed, len(data))
 
     def sync(self) -> None:
-        start = time.perf_counter()
+        start = perf_counter()
         self._inner.sync()
-        elapsed = time.perf_counter() - start
-        self._stats.counter(f"io.sync.ops.{self._class}").add(1)
-        self._stats.histogram(f"io.sync_s.{self._class}").record(elapsed)
+        elapsed = perf_counter() - start
+        self._syncs.add(1)
+        self._sync_s.record(elapsed)
         costs.charge("io", elapsed)
 
 
 class _MeteredRandomAccessFile(RandomAccessFileWrapper):
     def __init__(self, inner: RandomAccessFile, stats: StatsRegistry, file_class: str):
         super().__init__(inner)
-        self._stats = stats
-        self._class = file_class
+        self._bytes = stats.counter(f"io.read.bytes.{file_class}")
+        self._ops = stats.counter(f"io.read.ops.{file_class}")
+        self._read_s = stats.histogram(f"io.read_s.{file_class}")
 
     def read(self, offset: int, length: int) -> bytes:
-        start = time.perf_counter()
+        start = perf_counter()
         data = self._inner.read(offset, length)
-        elapsed = time.perf_counter() - start
-        self._stats.counter(f"io.read.bytes.{self._class}").add(len(data))
-        self._stats.counter(f"io.read.ops.{self._class}").add(1)
-        self._stats.histogram(f"io.read_s.{self._class}").record(elapsed)
+        elapsed = perf_counter() - start
+        self._bytes.add(len(data))
+        self._ops.add(1)
+        self._read_s.record(elapsed)
         costs.charge("io", elapsed, len(data))
         return data
 

@@ -81,6 +81,10 @@ class Block:
                 value_len = buf[pos + 1]
                 if value_len < 0x80:
                     pos += 2
+                elif buf[pos + 2] < 0x80:
+                    # Inlined: values of 128 B - 16 KiB have two-byte lengths.
+                    value_len = (value_len & 0x7F) | (buf[pos + 2] << 7)
+                    pos += 3
                 else:
                     value_len, pos = decode_varint64(buf, pos + 1)
                 value_starts.append(pos)

@@ -9,13 +9,10 @@ from repro.util.coding import decode_varint64, encode_varint64
 
 #: Filter bits per key in every SST (LevelDB's default: ~1% false positives).
 BITS_PER_KEY = 10
+# A key's base hash is its CRC-32 seeded with _HASH_SEED: well mixed, and at
+# C speed.
 _HASH_SEED = 0xBC9F1D34
 _ZERO_HASH = 0x9E3779B9  # stands in for a CRC of 0, which would never step
-
-
-def _base_hash(key: bytes) -> int:
-    # A seeded CRC-32 gives a well-mixed 32-bit hash at C speed.
-    return zlib.crc32(key, _HASH_SEED) or _ZERO_HASH
 
 
 class BloomFilter:
@@ -23,6 +20,7 @@ class BloomFilter:
 
     def __init__(self, bits: bytes, num_probes: int):
         self._bits = bits
+        self._nbits = len(bits) * 8
         self.num_probes = num_probes
 
     @classmethod
@@ -53,14 +51,16 @@ class BloomFilter:
         return cls(packed.to_bytes(nbytes, "little"), num_probes)
 
     def may_contain(self, key: bytes) -> bool:
-        nbits = len(self._bits) * 8
+        # Every point read asks: locals only.
+        nbits = self._nbits
         if nbits == 0:
             return True
-        h = _base_hash(key)
+        bits = self._bits
+        h = zlib.crc32(key, _HASH_SEED) or _ZERO_HASH
         delta = ((h >> 17) | (h << 15)) & 0xFFFFFFFF
         for _ in range(self.num_probes):
             position = h % nbits
-            if not self._bits[position // 8] & (1 << (position % 8)):
+            if not bits[position >> 3] & (1 << (position & 7)):
                 return False
             h = (h + delta) & 0xFFFFFFFF
         return True

@@ -127,6 +127,8 @@ class DB:
             else PlaintextCryptoProvider()
         )
         self.stats = StatsRegistry()
+        self._gets = self.stats.counter("db.gets")
+        self._sst_probes = self.stats.counter("db.get_sst_probes")
         # Always-on breakdown for background work: flush/compaction threads
         # attribute their encryption/KDS/IO seconds here, feeding the
         # encryption-cost-per-byte signal without any bench harness active.
@@ -135,6 +137,10 @@ class DB:
         self._mutex = threading.RLock()
         self._cond = threading.Condition(self._mutex)
         self._write_lock = threading.Lock()
+        # Its own lock, not the engine mutex, which a leader holds through
+        # its WAL write: writers arriving meanwhile queue up as its group's
+        # successor instead of waiting to queue.
+        self._queue_lock = threading.Lock()
         self._write_queue: list[_WriteRequest] = []
         self._closed = False
         self._bg_error: BaseException | None = None
@@ -267,7 +273,7 @@ class DB:
         opts = opts or WriteOptions()
         request = _WriteRequest(batch, opts)
         with TRACER.span("db.write", attributes={"ops": len(batch)}):
-            with self._mutex:
+            with self._queue_lock:
                 self._write_queue.append(request)
             with self._write_lock:
                 if not request.done:
@@ -278,8 +284,8 @@ class DB:
     def _commit_group_as_leader(self) -> None:
         """Commit every queued request (leader holds the write lock)."""
         with self._mutex:
-            group = list(self._write_queue)
-            self._write_queue.clear()
+            with self._queue_lock:
+                group, self._write_queue = self._write_queue, []
             if not group:
                 return
             try:
@@ -297,14 +303,19 @@ class DB:
                 total_bytes = 0
                 want_sync = self.options.wal_sync_writes
                 committed: list[tuple[int, int, bytes]] = []
+                members = []  # (request, first sequence, WAL payload or None)
                 for request in group:
                     first_seq = self._versions.last_sequence + 1
                     self._versions.last_sequence += len(request.batch)
                     payload = None
                     if self.options.wal_enabled and not request.opts.disable_wal:
                         payload = request.batch.serialize(first_seq)
-                        self._wal.add_record(payload)
                         want_sync = want_sync or request.opts.sync
+                    members.append((request, first_seq, payload))
+                logged = [payload for *__, payload in members if payload is not None]
+                if logged:
+                    self._wal.add_records(logged)  # the group's one WAL write
+                for request, first_seq, payload in members:
                     last_seq = request.batch.insert_into(self._mem, first_seq)
                     total_ops += len(request.batch)
                     total_bytes += request.batch.byte_size()
@@ -758,9 +769,10 @@ class DB:
     # ------------------------------------------------------------------
 
     def get(self, key: bytes, opts: ReadOptions | None = None) -> bytes | None:
-        opts = opts or ReadOptions()
-        snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
-        self.stats.counter("db.gets").add(1)
+        snapshot = (
+            MAX_SEQUENCE if opts is None or opts.snapshot is None else opts.snapshot
+        )
+        self._gets.add(1)
         self.policy.tick("read")
         with TRACER.span("db.get") as span:
             value = self._retrying(span, self._get_once, key, snapshot)
@@ -800,7 +812,9 @@ class DB:
             memtables.append(self._mem)
             memtables.reverse()  # newest first
             version = self._versions.current
-        return lookup(memtables, version, self._tables, self.stats, key, snapshot)
+        return lookup(
+            memtables, version, self._tables, self._sst_probes, key, snapshot
+        )
 
     def multi_get(
         self, keys: list[bytes], opts: ReadOptions | None = None

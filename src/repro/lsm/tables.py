@@ -26,7 +26,7 @@ from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
 from repro.lsm.version import FileMetadata, Version
 from repro.util.lru import LRUCache
-from repro.util.stats import StatsRegistry
+from repro.util.stats import Counter, StatsRegistry
 
 
 class TableSet:
@@ -148,22 +148,22 @@ class Attribution(contextlib.AbstractContextManager):
 
 
 def lookup(
-    memtables: list, version: Version, tables: TableSet, stats: StatsRegistry,
+    memtables: list, version: Version, tables: TableSet, probes: Counter,
     key: bytes, snapshot: int,
 ) -> bytes | None:
     """The one point lookup: ``memtables`` newest first, then the files of
     ``version`` that may hold ``key``, newest first; the value visible at
-    ``snapshot``, or None."""
+    ``snapshot``, or None.  ``probes`` counts the files asked
+    (``db.get_sst_probes``)."""
     for memtable in memtables:
         result = memtable.get(key, snapshot)
         if result is not None:
             break
     else:
-        probe_counter = stats.counter("db.get_sst_probes")
         for __, meta in version.candidates_for_key(key):
             if meta.smallest_seq > snapshot:
                 continue
-            probe_counter.add(1)
+            probes.add(1)
             result = tables.reader(meta).get(key, snapshot)
             if tables.quarantined:  # a clean read heals a transient failure
                 tables.clear(meta.number)

@@ -13,7 +13,7 @@ Two encryption granularities, selected by ``buffer_size``:
 
 - ``buffer_size == 0``: every ``add_record`` encrypts and appends its frame
   immediately -- one cipher-context initialization per WAL write (the
-  bottleneck of Table 2).
+  bottleneck of Table 2); a commit group's ``add_records`` is one write.
 - ``buffer_size > 0``: frames accumulate in an application-managed buffer
   and are encrypted *once* per buffer flush (SHIELD's WAL optimization,
   Section 5.3).  Records still in the buffer are lost if the process
@@ -88,17 +88,24 @@ class WALWriter:
 
     def add_record(self, payload: bytes) -> None:
         """Append one record (possibly deferring it to the buffer)."""
+        self.add_records([payload])
+
+    def add_records(self, payloads: list[bytes]) -> None:
+        """Append a commit group's records as one write: their frames go
+        into the buffer together, or -- unbuffered -- into one unit, so the
+        group pays one seal (one cipher-context init) instead of one per
+        record.  One record is exactly what ``add_record`` writes."""
         with TRACER.span("wal.append") as span:
-            frame = frame_record(payload)
-            span.set_attribute("nbytes", len(frame))
-            self.records_written += 1
+            frames = b"".join(map(frame_record, payloads))
+            span.set_attribute("nbytes", len(frames))
+            self.records_written += len(payloads)
             if self.buffer_size > 0:
-                self._buffer.extend(frame)
+                self._buffer.extend(frames)
                 span.set_attribute("buffered", True)
                 if len(self._buffer) >= self.buffer_size:
                     self.flush_buffer()
             else:
-                self._append_unit(frame)
+                self._append_unit(frames)
                 if self.sync_writes:
                     self._file.sync()
 

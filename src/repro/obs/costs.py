@@ -26,7 +26,15 @@ import threading
 #: Categories always present (zero-filled) in a breakdown's dict form.
 CORE_CATEGORIES = ("encrypt", "encrypt_init", "kds", "io")
 
-_local = threading.local()
+
+class _Slot(threading.local):
+    #: (breakdown, op class) while one is collecting on this thread.  A class
+    #: default, so the idle check in charge() finds it without a failed
+    #: lookup: every cipher call and metered I/O makes that check.
+    slot = None
+
+
+_local = _Slot()
 
 
 class CostBreakdown:
@@ -77,7 +85,7 @@ class _Collect:
         self.op_class = op_class
 
     def __enter__(self) -> CostBreakdown:
-        self._prev = getattr(_local, "slot", None)
+        self._prev = _local.slot
         _local.slot = (self.breakdown, self.op_class)
         return self.breakdown
 
@@ -95,7 +103,7 @@ class _OpClass:
         self.name = name
 
     def __enter__(self) -> "_OpClass":
-        self._prev = getattr(_local, "slot", None)
+        self._prev = _local.slot
         if self._prev is not None:
             _local.slot = (self._prev[0], self.name)
         return self
@@ -122,12 +130,12 @@ def op_class(name: str) -> _OpClass:
 
 def active() -> bool:
     """True when the calling thread has a breakdown collecting."""
-    return getattr(_local, "slot", None) is not None
+    return _local.slot is not None
 
 
 def charge(category: str, seconds: float, nbytes: int = 0) -> None:
     """Attribute work to the active breakdown; a no-op when none is."""
-    slot = getattr(_local, "slot", None)
+    slot = _local.slot
     if slot is None:
         return
     breakdown, current_class = slot

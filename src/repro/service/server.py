@@ -355,6 +355,10 @@ class KVServer:
         self.db = db
         self.config = config or ServiceConfig()
         self.stats = StatsRegistry()
+        self._queue_wait = self.stats.histogram("service.queue_wait_s")
+        #: opcode -> its service.<op> counter and service.latency.<op>
+        #: histogram, bound on the opcode's first request.
+        self._op_metrics: dict = {}
         # Unbounded, so stop()'s sentinels always fit; the reader threads
         # enforce ``max_queue_depth`` before they put.
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -552,15 +556,19 @@ class KVServer:
             op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
             started = time.perf_counter()
             queue_wait = started - enqueued_at
-            self.stats.histogram("service.queue_wait_s").record(queue_wait)
+            self._queue_wait.record(queue_wait)
             reply = answer(
                 self.db, msg, self._transport_sections, self.stats,
                 f"server.{op_name}", {"queue_wait_s": queue_wait},
             )
-            self.stats.counter(f"service.{op_name}").add(1)
-            self.stats.histogram(f"service.latency.{op_name}").record(
-                time.perf_counter() - started
-            )
+            metrics = self._op_metrics.get(msg.opcode)
+            if metrics is None:
+                metrics = self._op_metrics[msg.opcode] = (
+                    self.stats.counter(f"service.{op_name}"),
+                    self.stats.histogram(f"service.latency.{op_name}"),
+                )
+            metrics[0].add(1)
+            metrics[1].record(time.perf_counter() - started)
             if conn.alive:
                 try:
                     conn.send(reply)

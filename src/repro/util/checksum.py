@@ -30,5 +30,6 @@ def unmask_crc(masked: int) -> int:
 
 
 def masked_crc32(data: bytes) -> int:
-    """Convenience: masked CRC-32 of ``data``."""
-    return mask_crc(crc32(data))
+    """``mask_crc(crc32(data))`` in one call: every block read pays it."""
+    crc = zlib.crc32(data)
+    return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & 0xFFFFFFFF

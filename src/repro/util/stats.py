@@ -2,35 +2,140 @@
 
 The benchmark harness and the simulated deployments both report through
 these types, mirroring RocksDB's Statistics object at a much smaller scale.
+
+``Counter`` and ``Histogram`` are written on every block read, cipher call
+and request, so a write touches only the calling thread's *shard*: no lock,
+no registry lookup.  A read (``value``, ``summary``, ``window_summary``,
+``StatsRegistry.snapshot``) folds the shards and is exact once the writers
+it races have returned.  ``reset()`` bumps the metric's epoch; a shard of an
+older epoch reads as zero and is zeroed by its owner on its next write.  A
+thread's shard outlives it only until the next read or registration folds it
+into the metric's base shard, so the shard count follows live threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 
+#: Guards every sharded metric's shard set, base shard and epoch -- never a
+#: write, which touches only its own thread's shard.  Held across fork(), so
+#: a child (a shard worker) never inherits it locked or a fold half done.
+_REGISTRATION = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_REGISTRATION.acquire,
+        after_in_parent=_REGISTRATION.release,
+        after_in_child=_REGISTRATION.release,
+    )
 
-class Counter:
+
+class _Lease:
+    """Sits beside a shard in its thread's slot of a metric's
+    ``threading.local`` and dies with the thread: it hands the shard to the
+    metric's dead list, which the next read or registration folds.  It takes
+    no lock, because it may run inside fork() in the child."""
+
+    __slots__ = ("shard", "dead")
+
+    def __init__(self, shard, dead: list):
+        self.shard = shard
+        self.dead = dead
+
+    def __del__(self):
+        self.dead.append(self.shard)
+
+
+class _Sharded:
+    """Per-thread shards of one metric, their epoch and the base shard that
+    dead threads' shards fold into.  Subclasses say what a shard is."""
+
+    def __init__(self):
+        self._epoch = 0
+        self._local = threading.local()
+        self._shards: set = set()
+        self._dead: list = []
+        self._base = self._new_shard()
+
+    def _new_shard(self):
+        raise NotImplementedError
+
+    def _absorb(self, shard) -> None:
+        """Fold a dead thread's shard of the current epoch into the base."""
+        raise NotImplementedError
+
+    def _register(self):
+        """The calling thread's first write: give it a shard."""
+        shard = self._new_shard()
+        with _REGISTRATION:
+            self._fold()
+            shard.epoch = self._epoch
+            self._shards.add(shard)
+        self._local.shard = shard
+        self._local.lease = _Lease(shard, self._dead)
+        return shard
+
+    def _fold(self) -> None:
+        """Move dead threads' shards into the base (lock held)."""
+        dead = self._dead
+        while dead:
+            shard = dead.pop()
+            self._shards.discard(shard)
+            if shard.epoch == self._epoch:
+                self._absorb(shard)
+
+    def _live(self) -> list:
+        """The base and every shard of the current epoch (lock held)."""
+        self._fold()
+        epoch = self._epoch
+        return [self._base] + [s for s in self._shards if s.epoch == epoch]
+
+    def reset(self) -> None:
+        """Zero the metric *in place*: held references keep writing."""
+        with _REGISTRATION:
+            self._epoch += 1
+            self._base = self._new_shard()
+
+
+class _Tally:
+    __slots__ = ("epoch", "value")
+
+    def __init__(self):
+        self.epoch = 0
+        self.value = 0
+
+
+class Counter(_Sharded):
     """A thread-safe monotonically increasing counter."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
+        super().__init__()
+
+    def _new_shard(self) -> _Tally:
+        return _Tally()
+
+    def _absorb(self, shard: _Tally) -> None:
+        self._base.value += shard.value
 
     def add(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._register()
+        epoch = self._epoch
+        if shard.epoch == epoch:
+            shard.value += amount
+        else:  # the first add since a reset(): the value, then the epoch
+            shard.value = amount
+            shard.epoch = epoch
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0
+        with _REGISTRATION:
+            return sum(shard.value for shard in self._live())
 
 
 class Gauge:
@@ -60,29 +165,63 @@ class Gauge:
 
 
 class _Slice:
-    """One time slice of a histogram's recent history (see window_summary)."""
+    """One time slice of a histogram's recent history (see window_summary),
+    or the fold of several."""
 
-    __slots__ = ("start", "counts", "n", "sum", "max")
+    __slots__ = ("start", "counts", "sum", "min", "max")
 
     def __init__(self, start: float):
         self.start = start
         self.counts: dict[int, int] = {}
-        self.n = 0
         self.sum = 0.0
+        self.min = math.inf
         self.max = -math.inf
 
+    def merge(self, other: "_Slice") -> None:
+        counts = self.counts
+        for bucket, count in other.counts.items():
+            counts[bucket] = counts.get(bucket, 0) + count
+        self.sum += other.sum
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
 
-class Histogram:
+
+def _folded(start: float, pieces) -> _Slice:
+    out = _Slice(start)
+    for piece in pieces:
+        out.merge(piece)
+    return out
+
+
+class _Series:
+    """One thread's shard of a histogram.  ``state`` is (live slices, the
+    fold of the aged-out ones), replaced whole whenever the slices turn, so
+    a reader takes a consistent pair in one load; the owner records into
+    ``current`` (the last live slice) until ``until``."""
+
+    __slots__ = ("epoch", "state", "current", "until")
+
+    def __init__(self):
+        self.epoch = 0
+        self.state: tuple[tuple[_Slice, ...], _Slice] = ((), _Slice(-math.inf))
+        self.current: _Slice | None = None
+        self.until = -math.inf
+
+
+class Histogram(_Sharded):
     """Exponential-bucket latency histogram (microsecond-scale friendly).
 
     Buckets grow geometrically, so percentile estimates stay within ~5% of
     the true value across nine orders of magnitude while using O(1) memory.
 
     Besides the lifetime-cumulative view (``summary``), the histogram keeps
-    a short ring of *time slices* so :meth:`window_summary` can answer
-    "what was the p99 over the last minute" on a long-running server.
-    Slices age out naturally as new records arrive, so windowed readers
-    never race a ``reset()`` and writers never block on a reader epoch.
+    a short ring of *time slices*, aligned to multiples of the slice length,
+    so :meth:`window_summary` can answer "what was the p99 over the last
+    minute" on a long-running server.  A slice that leaves the window is
+    folded into the lifetime total by the thread that recorded it, so a
+    record touches only the current slice.
     """
 
     _GROWTH = 1.05
@@ -96,16 +235,32 @@ class Histogram:
     def __init__(self, name: str = "", window_s: float = DEFAULT_WINDOW_S,
                  time_fn=time.monotonic):
         self.name = name
-        self._lock = threading.Lock()
-        self._counts: dict[int, int] = {}
-        self._n = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
         self._window_s = window_s
         self._slice_len = window_s / self.WINDOW_SLICES
         self._time_fn = time_fn
-        self._slices: list[_Slice] = []
+        super().__init__()
+
+    def _new_shard(self) -> _Series:
+        return _Series()
+
+    def _absorb(self, shard: _Series) -> None:
+        """Merge a dead thread's slices into the base's, slice by slice
+        (they share the aligned starts), and age the base's out as an
+        owner would."""
+        horizon = self._time_fn() - self._window_s - self._slice_len
+        slices, retired = self._base.state
+        dead_slices, dead_retired = shard.state
+        by_start: dict[float, list[_Slice]] = {}
+        aged = [retired, dead_retired]
+        for piece in slices + dead_slices:
+            if piece.start < horizon:
+                aged.append(piece)
+            else:
+                by_start.setdefault(piece.start, []).append(piece)
+        self._base.state = (
+            tuple(_folded(start, by_start[start]) for start in sorted(by_start)),
+            _folded(-math.inf, aged),
+        )
 
     def record(self, value: float) -> None:
         if value < 0:
@@ -113,27 +268,72 @@ class Histogram:
         # log(x) / log(growth) is exactly what two-argument math.log computes.
         bucket = 0 if value < 1e-9 else int(math.log(value / 1e-9) / self._LOG_GROWTH) + 1
         now = self._time_fn()
-        with self._lock:
-            self._counts[bucket] = self._counts.get(bucket, 0) + 1
-            self._n += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            cur = self._slices[-1] if self._slices else None
-            if cur is None or now - cur.start >= self._slice_len:
-                cur = _Slice(now)
-                self._slices.append(cur)
-                # Drop slices that can no longer intersect the window.
-                horizon = now - self._window_s - self._slice_len
-                while self._slices and self._slices[0].start < horizon:
-                    self._slices.pop(0)
-            cur.counts[bucket] = cur.counts.get(bucket, 0) + 1
-            cur.n += 1
-            cur.sum += value
-            if value > cur.max:
-                cur.max = value
+        try:
+            shard = self._local.shard
+        except AttributeError:
+            shard = self._register()
+        if now >= shard.until or shard.epoch != self._epoch:
+            self._turn(shard, now)
+        piece = shard.current
+        counts = piece.counts
+        counts[bucket] = counts.get(bucket, 0) + 1
+        piece.sum += value
+        if value < piece.min:
+            piece.min = value
+        if value > piece.max:
+            piece.max = value
+
+    def _turn(self, shard: _Series, now: float) -> None:
+        """Start the slice ``now`` falls in, folding the slices that can no
+        longer intersect the window into the aged-out total -- or, in the
+        first record since a reset(), start over.  New objects only: a
+        reader holding the old state still sees a consistent one."""
+        epoch = self._epoch
+        start = now - now % self._slice_len
+        until = start + self._slice_len
+        if until <= now:  # rounded onto the boundary: the next slice is now's
+            start, until = until, until + self._slice_len
+        piece = _Slice(start)
+        if shard.epoch != epoch:
+            state = ((piece,), _Slice(-math.inf))
+        else:
+            slices, retired = shard.state
+            horizon = now - self._window_s - self._slice_len
+            if slices and slices[0].start < horizon:
+                retired = _folded(
+                    -math.inf,
+                    [retired] + [s for s in slices if s.start < horizon],
+                )
+                slices = tuple(s for s in slices if s.start >= horizon)
+            state = (slices + (piece,), retired)
+        shard.state = state
+        shard.current = piece
+        shard.until = until
+        shard.epoch = epoch  # last: a reader skips the shard until here
+
+    def _fold_view(self, horizon: float | None = None) -> _Slice:
+        """Every live shard folded: the lifetime total, or (``horizon``)
+        the slices starting at or after it."""
+        out = _Slice(-math.inf)
+        with _REGISTRATION:
+            for shard in self._live():
+                slices, retired = shard.state
+                if horizon is None:
+                    out.merge(retired)
+                for piece in slices:
+                    if horizon is None or piece.start >= horizon:
+                        out.merge(piece)
+        return out
+
+    def buckets(self, window_s: float | None = None) -> dict[int, int]:
+        """Bucket index -> count: lifetime, or over the last ``window_s``
+        seconds as :meth:`window_summary` counts them."""
+        if window_s is None:
+            return self._fold_view().counts
+        return self._fold_view(self._horizon(window_s)).counts
+
+    def _horizon(self, window_s: float) -> float:
+        return self._time_fn() - window_s - self._slice_len
 
     def _bucket_upper(self, bucket: int) -> float:
         if bucket == 0:
@@ -142,11 +342,10 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Return the approximate ``p``-th percentile (p in [0, 100])."""
-        with self._lock:
-            return self._percentile_locked(p)
-
-    def _percentile_locked(self, p: float) -> float:
-        return self._percentile_of(self._counts, self._n, self._max, p)
+        view = self._fold_view()
+        return self._percentile_of(
+            view.counts, sum(view.counts.values()), view.max, p
+        )
 
     def _percentile_of(
         self, counts: dict[int, int], n: int, max_value: float, p: float
@@ -161,52 +360,8 @@ class Histogram:
                 return min(self._bucket_upper(bucket), max_value)
         return max_value
 
-    def summary(self) -> dict[str, float]:
-        """count/sum/mean/p50/p95/p99/max in one lock acquisition."""
-        with self._lock:
-            if self._n == 0:
-                return {
-                    "count": 0, "sum": 0.0, "mean": 0.0, "p50": 0.0,
-                    "p95": 0.0, "p99": 0.0, "max": 0.0,
-                }
-            return {
-                "count": self._n,
-                "sum": self._sum,
-                "mean": self._sum / self._n,
-                "p50": self._percentile_locked(50),
-                "p95": self._percentile_locked(95),
-                "p99": self._percentile_locked(99),
-                "max": self._max,
-            }
-
-    def window_summary(self, window_s: float | None = None) -> dict[str, float]:
-        """count/sum/mean/p50/p95/p99/max over (approximately) the last
-        ``window_s`` seconds (default: the histogram's configured window).
-
-        Merges the live time slices that intersect the window -- a read,
-        not a mutation, so concurrent recorders are never perturbed and no
-        ``reset()`` coordination is needed.  A slice is included when any
-        part of it falls inside the window, so the effective span is
-        ``window_s`` plus at most one slice length.
-        """
-        if window_s is None:
-            window_s = self._window_s
-        now = self._time_fn()
-        horizon = now - window_s - self._slice_len
-        counts: dict[int, int] = {}
-        n = 0
-        total = 0.0
-        max_value = -math.inf
-        with self._lock:
-            for piece in self._slices:
-                if piece.start < horizon:
-                    continue
-                n += piece.n
-                total += piece.sum
-                if piece.max > max_value:
-                    max_value = piece.max
-                for bucket, count in piece.counts.items():
-                    counts[bucket] = counts.get(bucket, 0) + count
+    def _summarise(self, view: _Slice) -> dict[str, float]:
+        n = sum(view.counts.values())
         if n == 0:
             return {
                 "count": 0, "sum": 0.0, "mean": 0.0, "p50": 0.0,
@@ -214,43 +369,50 @@ class Histogram:
             }
         return {
             "count": n,
-            "sum": total,
-            "mean": total / n,
-            "p50": self._percentile_of(counts, n, max_value, 50),
-            "p95": self._percentile_of(counts, n, max_value, 95),
-            "p99": self._percentile_of(counts, n, max_value, 99),
-            "max": max_value,
+            "sum": view.sum,
+            "mean": view.sum / n,
+            "p50": self._percentile_of(view.counts, n, view.max, 50),
+            "p95": self._percentile_of(view.counts, n, view.max, 95),
+            "p99": self._percentile_of(view.counts, n, view.max, 99),
+            "max": view.max,
         }
 
-    def reset(self) -> None:
-        """Zero the histogram *in place*: held references keep recording."""
-        with self._lock:
-            self._counts.clear()
-            self._n = 0
-            self._sum = 0.0
-            self._min = math.inf
-            self._max = -math.inf
-            self._slices.clear()
+    def summary(self) -> dict[str, float]:
+        """count/sum/mean/p50/p95/p99/max over the histogram's lifetime."""
+        return self._summarise(self._fold_view())
+
+    def window_summary(self, window_s: float | None = None) -> dict[str, float]:
+        """count/sum/mean/p50/p95/p99/max over (approximately) the last
+        ``window_s`` seconds (default: the histogram's configured window).
+
+        Merges the live time slices that intersect the window -- a read,
+        not a mutation, so concurrent recorders are never perturbed.  A
+        slice is included when any part of it falls inside the window, so
+        the effective span is ``window_s`` plus at most one slice length.
+        """
+        if window_s is None:
+            window_s = self._window_s
+        return self._summarise(self._fold_view(self._horizon(window_s)))
 
     @property
     def count(self) -> int:
-        with self._lock:
-            return self._n
+        return sum(self._fold_view().counts.values())
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._n if self._n else 0.0
+        view = self._fold_view()
+        n = sum(view.counts.values())
+        return view.sum / n if n else 0.0
 
     @property
     def max(self) -> float:
-        with self._lock:
-            return self._max if self._n else 0.0
+        view = self._fold_view()
+        return view.max if view.counts else 0.0
 
     @property
     def min(self) -> float:
-        with self._lock:
-            return self._min if self._n else 0.0
+        view = self._fold_view()
+        return view.min if view.counts else 0.0
 
 
 class StatsRegistry:
@@ -263,7 +425,8 @@ class StatsRegistry:
         self._lock = threading.Lock()
 
     # An existing metric is one dict read (atomic under the GIL; entries are
-    # never removed); the lock is taken only to create one.
+    # never removed); the lock is taken only to create one.  A hot path binds
+    # the metric once and keeps it: reset() zeroes metrics in place.
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:

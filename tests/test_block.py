@@ -19,7 +19,11 @@ from repro.lsm.envelope import FILE_KIND_SST
 from repro.lsm.filecrypto import PlaintextCryptoProvider
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTBuilder
-from repro.util.coding import decode_length_prefixed, decode_varint64
+from repro.util.coding import (
+    decode_length_prefixed,
+    decode_varint64,
+    encode_varint64,
+)
 
 Entry = tuple[bytes, int, int, bytes]  # (key, seq, vtype, value)
 
@@ -159,6 +163,31 @@ def test_every_cut_inside_an_entry_is_corruption(entries):
                 decode_block(prefix)
             with pytest.raises(CorruptionError):
                 Block(prefix)
+
+
+@pytest.mark.parametrize("value_len", [127, 128, 16383, 16384])
+def test_value_lengths_at_the_varint_width_edges(value_len):
+    """1-, 2-, 2- and 3-byte value lengths: the two-byte form is decoded
+    inline.  Every cut from the length prefix's first byte to the value's
+    first is corruption, and whole blocks agree with the reference."""
+    entries = [
+        (b"a", 7, TYPE_PUT, bytes(range(256)) * (value_len // 256)
+         + b"z" * (value_len % 256)),
+        (b"b", 300, TYPE_DELETE, b""),
+        (b"c", 5, TYPE_PUT, b"tail"),
+    ]
+    raw = _encode(entries)
+    assert decode_block(raw) == entries
+    block = Block(raw)
+    assert list(block.entries()) == entries
+    assert block.get(b"a") == search_block(entries, b"a", MAX_SEQUENCE)
+    # key lp (2 bytes) | seq (1) | vtype (1), then the value's length.
+    width = len(encode_varint64(value_len))
+    for cut in range(4, 4 + width + 1):
+        with pytest.raises(CorruptionError):
+            decode_block(raw[:cut])
+        with pytest.raises(CorruptionError):
+            Block(raw[:cut])
 
 
 @pytest.mark.parametrize("damaged", [

@@ -1,9 +1,11 @@
 """Tests for the group-commit (pipelined writer) path."""
 
 import threading
+import time
 
 import pytest
 
+from repro.env.base import EnvWrapper, WritableFileWrapper
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
 from repro.errors import IOError_
@@ -68,27 +70,76 @@ def test_single_writer_group_size_one():
         assert db.stats.counter("db.write_groups").value == 50
 
 
+class _ParkingEnv(EnvWrapper):
+    """Counts WAL appends once ``armed``, and holds the first of them until
+    ``release`` is set."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.armed = False
+        self.wal_appends = 0
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def new_writable_file(self, path):
+        handle = self.inner.new_writable_file(path)
+        return _ParkingFile(handle, self) if path.endswith(".log") else handle
+
+
+class _ParkingFile(WritableFileWrapper):
+    def __init__(self, inner, env):
+        super().__init__(inner)
+        self._env = env
+
+    def append(self, data):
+        env = self._env
+        if env.armed:
+            env.wal_appends += 1
+            if env.wal_appends == 1:
+                env.parked.set()
+                env.release.wait(timeout=30)
+        self._inner.append(data)
+
+
 def test_group_commit_reduces_encryptions_under_contention():
-    """The encryption-relevant payoff: N contended writers share WAL
-    appends, so per-record cipher inits drop even without the WAL buffer."""
+    """The encryption-relevant payoff: a group of N writers is one WAL unit,
+    one seal and one cipher init, even without the WAL buffer.  The first
+    writer's append is held until five more are queued behind it, so the
+    second group is always those five."""
     from repro.crypto.cipher import CRYPTO_STATS
 
-    env = MemEnv()
+    env = _ParkingEnv(MemEnv())
     db = open_shield_db(
         "/g",
         ShieldOptions(kds=InMemoryKDS(), wal_buffer_size=0),
         _options(env),
     )
     with db:
-        before = CRYPTO_STATS.counter("crypto.context_inits").value
-        errors = _hammer(db, num_threads=6, per_thread=200)
-        inits = CRYPTO_STATS.counter("crypto.context_inits").value - before
-        assert not errors
-        writes = 6 * 200
-        groups = db.stats.counter("db.write_groups").value
-        # WAL encryptions track groups (plus background files), not writes.
-        if groups < writes / 2:
-            assert inits < writes
+        inits = CRYPTO_STATS.counter("crypto.context_inits")
+        before = inits.value
+        env.armed = True
+        threads = [
+            threading.Thread(target=db.put, args=(b"k%d" % i, b"v"))
+            for i in range(6)
+        ]
+        try:
+            threads[0].start()
+            assert env.parked.wait(timeout=30)
+            for thread in threads[1:]:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while len(db._write_queue) < 5:  # queued behind the parked leader
+                assert time.monotonic() < deadline, "writers did not queue"
+        finally:
+            env.release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert db.stats.counter("db.writes").value == 6
+        # One WAL unit, one seal, one init per group: [first], [the five].
+        assert env.wal_appends == db.stats.counter("db.write_groups").value == 2
+        assert inits.value - before == 2
+        assert all(db.get(b"k%d" % i) == b"v" for i in range(6))
 
 
 def test_group_sync_covers_all_members():

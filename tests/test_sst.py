@@ -1,5 +1,6 @@
 """Tests for SST building and reading, plaintext and encrypted."""
 
+import bisect
 import random
 import sys
 import threading
@@ -15,6 +16,7 @@ from repro.crypto.cipher import (
     spec_for,
 )
 from repro.env.mem import MemEnv
+from repro.env.metered import MeteredEnv
 from repro.errors import CorruptionError, EncryptionError, InvalidArgumentError
 from repro.lsm.db import DB
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
@@ -325,3 +327,34 @@ def test_a_reader_recreated_after_drop_or_quarantine_initialises_again(forget):
         assert fresh is not cached
         assert fresh.get(b"key-000003") == (TYPE_PUT, b"value-000003")
         assert _context_inits() - before == 1
+
+
+def test_a_block_miss_is_one_read_and_one_cipher_pass_of_its_stored_size():
+    """The counters behind the benchmark's exact ``crypto.ctx_inits_per_op``
+    and ``env.sst_read_ops_per_get``: under shake-ctr a cold point read of
+    an open file reads its block once and ciphers exactly its stored bytes,
+    with no context built; a warm one does neither."""
+    env = MeteredEnv(MemEnv())
+    provider = SingleKeyCryptoProvider("shake-ctr", generate_key("shake-ctr"))
+    with DB("/db", Options(env=env, crypto_provider=provider)) as db:
+        for i in range(1000):
+            db.put(b"key-%06d" % i, b"v" * 100)
+        db.flush()
+        db.wait_for_compaction()
+        assert db.get(b"key-000000") == b"v" * 100  # opens the file
+        ((__, meta),) = db.live_files()
+        reader = db._tables.reader(meta)
+        block = bisect.bisect_left(reader._index_keys, b"key-000500")
+        stored = reader._index[block][2]
+        crypto = [CRYPTO_STATS.counter(name) for name in
+                  ("crypto.ops", "crypto.bytes", "crypto.context_inits")]
+        io = [env.stats.counter(name) for name in
+              ("io.read.ops.sst", "io.read.bytes.sst")]
+
+        def cost_of_get(key):
+            before = [counter.value for counter in crypto + io]
+            assert db.get(key) == b"v" * 100
+            return [c.value - b for c, b in zip(crypto + io, before)]
+
+        assert cost_of_get(b"key-000500") == [1, stored, 0, 1, stored]
+        assert cost_of_get(b"key-000500") == [0, 0, 0, 0, 0]

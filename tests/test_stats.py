@@ -1,8 +1,12 @@
 """Tests for counters, gauges, histograms, and the stats registry."""
 
+import contextlib
 import math
+import os
+import signal
 import sys
 import threading
+import time
 
 import pytest
 
@@ -283,10 +287,184 @@ def test_histogram_buckets_match_the_two_argument_log_form():
         bucket = _two_argument_log_bucket(value)
         expected[bucket] = expected.get(bucket, 0) + 1
         hist.record(value)
-    assert hist._counts == expected
-    assert hist._slices[0].counts == expected
+    assert hist.buckets() == expected
+    assert hist.buckets(window_s=60.0) == expected
     assert hist.min == 0.0 and hist.max == max(values)
     summary = hist.summary()
     assert summary["count"] == len(values) and summary["max"] == max(values)
     assert summary["sum"] == pytest.approx(math.fsum(values))
     assert hist.window_summary() == summary
+
+
+# -- per-thread shards --------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _racing(count, target):
+    """Run ``target(slot)`` on ``count`` threads under a 1 us switch
+    interval while the ``with`` body runs; then join them and check every
+    one finished."""
+    threads = [threading.Thread(target=target, args=(slot,)) for slot in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        yield
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_sharded_counts_are_exact_under_a_short_switch_interval():
+    counter, hist = Counter("ops"), Histogram("lat")
+    start = threading.Barrier(8)
+
+    def worker(__):
+        start.wait(timeout=30)
+        for i in range(3000):
+            counter.add(2)
+            hist.record(i * 1e-6)
+
+    with _racing(8, worker):
+        pass
+    assert counter.value == 8 * 3000 * 2
+    assert hist.count == 8 * 3000
+    assert sum(hist.buckets().values()) == 8 * 3000
+    assert hist.max == 2999 * 1e-6
+
+
+def test_a_reset_mid_stream_leaves_exactly_the_later_adds():
+    # Exact: every thread holds a stale shard when reset() runs between the
+    # two halves of its stream, and zeroes it on its next write.
+    counter, hist = Counter("ops"), Histogram("lat")
+    halfway, resumed = threading.Barrier(9), threading.Barrier(9)
+
+    def halves(__):
+        for __ in range(500):
+            counter.add(1)
+            hist.record(1e-3)
+        halfway.wait(timeout=30)
+        resumed.wait(timeout=30)
+        for __ in range(700):
+            counter.add(1)
+            hist.record(1e-3)
+
+    with _racing(8, halves):
+        halfway.wait(timeout=30)
+        counter.reset()
+        hist.reset()
+        resumed.wait(timeout=30)
+    assert counter.value == 8 * 700
+    assert hist.count == 8 * 700
+
+    # Racing: an add that saw ``returned`` before it began came after the
+    # reset and must count.  Of the others only those that overlapped it
+    # may: begun after ``began``, or one per thread caught between its
+    # check and its add.
+    counter = Counter("racing")
+    began, returned = threading.Event(), threading.Event()
+    post, overlapped = [0] * 8, [0] * 8
+    start = threading.Barrier(9)
+
+    def racer(slot):
+        start.wait(timeout=30)
+        for __ in range(4000):
+            if returned.is_set():
+                post[slot] += 1
+            elif began.is_set():
+                overlapped[slot] += 1
+            counter.add(1)
+
+    with _racing(8, racer):
+        start.wait(timeout=30)
+        while counter.value < 8000:
+            pass
+        began.set()
+        counter.reset()
+        returned.set()
+    assert sum(post) <= counter.value <= sum(post) + sum(overlapped) + 8
+
+
+def test_short_lived_threads_lose_no_count_and_leave_no_shards_behind():
+    counter, hist = Counter("ops"), Histogram("lat")
+
+    def burst(__):
+        for __ in range(10):
+            counter.add(1)
+            hist.record(1e-4)
+
+    for __ in range(10):  # 500 threads, 50 alive at a time
+        with _racing(50, burst):
+            pass
+    assert counter.value == 500 * 10
+    assert hist.count == 500 * 10
+    assert hist.window_summary()["count"] == 500 * 10
+    # Every writer is gone, so the base shard is all that is left (white
+    # box: the shard set is what a long-running server would otherwise grow).
+    for metric in (counter, hist):
+        assert not metric._shards
+    counter.add(5)  # the reader's own thread registers once more
+    assert counter.value == 500 * 10 + 5
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+def test_a_forked_child_can_register_a_shard():
+    from repro.util.stats import _REGISTRATION
+
+    counter, hist = Counter("ops"), Histogram("lat")
+    counter.add(3)
+    hist.record(1e-3)
+    held = threading.Event()
+
+    def hold_the_lock():
+        # fork() below is asked for while this thread holds the lock.
+        with _REGISTRATION:
+            held.set()
+            time.sleep(0.05)
+
+    holder = threading.Thread(target=hold_the_lock)
+    holder.start()
+    assert held.wait(timeout=30)
+    pid = os.fork()
+    if pid == 0:  # child: report through the exit status, never return
+        status = 1
+        try:
+            signal.alarm(20)  # a lock inherited held would hang the child
+            free = _REGISTRATION.acquire(blocking=False)
+            if free:
+                _REGISTRATION.release()
+            worker = threading.Thread(target=lambda: (
+                counter.add(4), hist.record(2e-3),
+            ))
+            worker.start()
+            worker.join(timeout=10)
+            if free and counter.value == 7 and hist.count == 2:
+                status = 0
+        finally:
+            os._exit(status)
+    holder.join(timeout=30)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert counter.value == 3 and hist.count == 1
+
+
+def test_a_clock_on_a_slice_boundary_turns_the_slice_once():
+    # 74099.8 % 0.1 rounds to just under 0.1: the aligned slice computed
+    # for this instant would end at it, not after it.
+    hist = Histogram("lat", window_s=0.8, time_fn=lambda: 74099.8)
+    for __ in range(100):
+        hist.record(1e-3)
+    live_slices, __ = hist._local.shard.state  # white box: this thread's shard
+    assert len(live_slices) == 1
+    assert hist.window_summary()["count"] == 100
