@@ -178,8 +178,11 @@ class _Slice:
         self.max = -math.inf
 
     def merge(self, other: "_Slice") -> None:
+        # ``other`` may be a slice its owner is still recording into: copy
+        # its buckets in one C call (the GIL held throughout) before the
+        # Python loop, which a new bucket would otherwise break mid-way.
         counts = self.counts
-        for bucket, count in other.counts.items():
+        for bucket, count in other.counts.copy().items():
             counts[bucket] = counts.get(bucket, 0) + count
         self.sum += other.sum
         if other.min < self.min:
@@ -324,13 +327,6 @@ class Histogram(_Sharded):
                     if horizon is None or piece.start >= horizon:
                         out.merge(piece)
         return out
-
-    def buckets(self, window_s: float | None = None) -> dict[int, int]:
-        """Bucket index -> count: lifetime, or over the last ``window_s``
-        seconds as :meth:`window_summary` counts them."""
-        if window_s is None:
-            return self._fold_view().counts
-        return self._fold_view(self._horizon(window_s)).counts
 
     def _horizon(self, window_s: float) -> float:
         return self._time_fn() - window_s - self._slice_len

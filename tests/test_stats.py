@@ -287,8 +287,9 @@ def test_histogram_buckets_match_the_two_argument_log_form():
         bucket = _two_argument_log_bucket(value)
         expected[bucket] = expected.get(bucket, 0) + 1
         hist.record(value)
-    assert hist.buckets() == expected
-    assert hist.buckets(window_s=60.0) == expected
+    # White box: the folded view, lifetime and windowed, bucket for bucket.
+    assert hist._fold_view().counts == expected
+    assert hist._fold_view(hist._horizon(60.0)).counts == expected
     assert hist.min == 0.0 and hist.max == max(values)
     summary = hist.summary()
     assert summary["count"] == len(values) and summary["max"] == max(values)
@@ -332,8 +333,37 @@ def test_sharded_counts_are_exact_under_a_short_switch_interval():
         pass
     assert counter.value == 8 * 3000 * 2
     assert hist.count == 8 * 3000
-    assert sum(hist.buckets().values()) == 8 * 3000
+    assert sum(hist._fold_view().counts.values()) == 8 * 3000
     assert hist.max == 2999 * 1e-6
+
+
+def test_sharded_reads_beside_writers_opening_new_buckets():
+    # A read folds the slice each writer is still recording into.  Every
+    # record here opens a bucket that slice has not seen (the values climb,
+    # and ``hist``'s 1 ms slices start empty), so a fold iterating a live
+    # bucket dict would see it change size mid-loop.
+    registry = StatsRegistry()
+    hist, shared = Histogram("lat", window_s=0.008), registry.histogram("lat")
+    start = threading.Barrier(9)
+    records = 1500
+
+    def worker(slot):
+        start.wait(timeout=30)
+        for i in range(records):
+            value = 1e-9 * 1.05 ** (slot + 8 * i)
+            hist.record(value)
+            shared.record(value)
+
+    with _racing(8, worker):
+        start.wait(timeout=30)
+        reads = 0
+        while shared.count < 8 * records or reads < 100:
+            hist.summary()
+            hist.window_summary()
+            registry.snapshot()
+            reads += 1
+    assert hist.count == shared.count == 8 * records
+    assert registry.snapshot()["lat.count"] == 8 * records
 
 
 def test_a_reset_mid_stream_leaves_exactly_the_later_adds():
