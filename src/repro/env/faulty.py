@@ -14,10 +14,10 @@ Wraps any Env and injects failures on both sides of the I/O boundary:
   crash, turns out to have persisted all but the last ``drop_bytes`` of
   the file -- the lying-disk case crash recovery has to survive.
 
-All randomness comes from a seeded RNG so chaos schedules replay exactly.
-Used by the failure-handling tests and the chaos harness: a failed flush
-or compaction must surface as a background error to writers, never corrupt
-state, and the database must recover cleanly on reopen.
+All randomness comes from a seeded RNG so a fault schedule replays exactly.
+Used by the failure-handling tests and the model test's fault windows: a
+failed flush or compaction must surface as a background error to writers,
+never corrupt state, and the database must recover cleanly on reopen.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class FaultInjectionEnv(EnvWrapper):
         # torn syncs
         self._torn_arm: dict | None = None
         self._torn: dict[str, int] = {}
-        # counters (assertable by tests / the chaos report)
+        # counters (assertable by tests)
         self.injected_failures = 0
         self.injected_read_failures = 0
         self.injected_bit_flips = 0

@@ -1,7 +1,7 @@
 """FaultyKDS: a chaos wrapper around any KeyDistributionService.
 
-Drives the resilience layer's tests and the chaos soak harness.  Faults
-are expressed per *request*, drawn from a seeded RNG so a failing
+Drives the resilience layer's tests and the model test's fault windows.
+Faults are expressed per *request*, drawn from a seeded RNG so a failing
 schedule replays exactly:
 
 - **outage** -- every request raises :class:`KDSUnavailableError` while

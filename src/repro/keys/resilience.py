@@ -16,7 +16,7 @@ replication.  This module supplies the two standard absorbers:
   closes or re-opens the circuit.
 
 Both are deliberately deterministic under a seeded RNG / injected clock so
-the chaos harness can replay schedules exactly.
+the model test's fault windows replay exactly, without a real sleep.
 """
 
 from __future__ import annotations

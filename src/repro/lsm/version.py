@@ -323,6 +323,7 @@ class VersionSet:
         self._manifest: WALWriter | None = None
         self._manifest_number = 0
         self._manifest_dek_id = ""
+        self._manifest_failed = False  # a record may sit in its tail unapplied
         self._trusted_counter = trusted_counter
         self._stats = stats
         self._last_root: bytes | None = None
@@ -375,14 +376,21 @@ class VersionSet:
             self._provider.on_file_deleted(old_dek_id, old_path)
 
     def log_and_apply(self, edit: VersionEdit) -> None:
-        """Durably record ``edit`` and make it the current state."""
-        if edit.log_number is not None:
-            self.log_number = max(self.log_number, edit.log_number)
-        if edit.last_sequence is not None:
-            self.last_sequence = max(self.last_sequence, edit.last_sequence)
-        edit.next_file_number = self.next_file_number
+        """Durably record ``edit`` and make it the current state.
+
+        A record whose append or sync failed is not applied, but its bytes
+        may sit in the MANIFEST's tail, where a reopen would replay it.  So
+        the next edit first rolls to a fresh MANIFEST that holds only the
+        current state."""
         if self._manifest is None:
             raise RecoveryError("MANIFEST is not open")
+        if self._manifest_failed:
+            # The counter names the failed edit's root: anchor it on what
+            # the fresh MANIFEST holds first, counter-first as below.
+            self._advance_freshness(self.current)
+            self.create_manifest()
+            self._manifest_failed = False
+        edit.next_file_number = self.next_file_number
         next_version = self.current.apply(edit)
         # Counter-first ordering: the trusted counter learns the new root
         # BEFORE the manifest record lands.  A crash between the two leaves
@@ -390,9 +398,17 @@ class VersionSet:
         # counter's prev_root still matches storage).  The opposite order
         # would make every such crash look like a rollback.
         self._advance_freshness(next_version)
-        self._manifest.add_record(edit.encode())
-        self._manifest.sync()
+        try:
+            self._manifest.add_record(edit.encode())
+            self._manifest.sync()
+        except BaseException:
+            self._manifest_failed = True
+            raise
         self.current = next_version
+        if edit.log_number is not None:
+            self.log_number = max(self.log_number, edit.log_number)
+        if edit.last_sequence is not None:
+            self.last_sequence = max(self.last_sequence, edit.last_sequence)
 
     # -- freshness ----------------------------------------------------------
 

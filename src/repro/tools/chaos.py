@@ -1,29 +1,9 @@
-"""Chaos harness: seeded fault-schedule soaks over the serving stack.
+"""Chaos harness: SIGKILL shard workers of the multi-process server.
 
-Every soak is seeded so a red run replays exactly.  (A kill at each named
-sync point is not a mode here: it is the ``crash_at`` rule of the model
-test, ``tests/test_scan_model.py``, with the model's one oracle.)
-
-**Chaos soak** (:func:`run_chaos`) runs a YCSB-style read/update mix
-through the full serving stack (KVServer + KVClient over TCP) while a
-seeded schedule injects fault windows -- KDS outages, KDS error/timeout
-rates, flapping, transient read errors, ciphertext bit flips, sync-only
-disk faults -- and full crash/restart cycles.  Only *acknowledged*
-operations join the expected state; operations that failed after retries
-are tracked as in-doubt (either outcome is legal).  After the schedule
-drains, everything is healed, the server must return to ``healthy``, and
-every key ever touched is read back and checked against its allowed
-outcomes: 100% of acked writes must be there.  The CLI runs the schedule
-once per scheme in :data:`SOAK_SCHEMES`: under the AEAD every injected
-bit flip must surface as an authentication failure or be masked by a
-retry, never as a wrong value.
-
-Torn syncs (``arm_torn_sync``) are deliberately **excluded** from the
-soak schedule: a disk that lies about durability genuinely voids the
-"every acked write survives" contract the soak asserts.  Torn-sync
-coverage lives in the fault-injection and repair tests instead, where
-the assertion is the weaker (and correct) one -- recovery tolerates the
-torn tail and ``repair_db`` converges.
+Every run is seeded so a red run replays exactly.  (Faults and crashes
+inside one process are not modes here: they are the ``fault_window`` and
+``crash_at`` rules of the model test, ``tests/test_scan_model.py``, with
+the model's one oracle.)
 
 **Worker-kill chaos** (:func:`run_worker_chaos`) targets the shard-per-core
 server: a seeded schedule SIGKILLs random worker *processes* of a
@@ -32,19 +12,20 @@ front-end must answer the dead worker's in-flight requests with the
 retriable BUSY status (the client backs off and retries -- no terminal
 errors), respawn the worker on the same shard path, and every
 acknowledged write must still read back afterwards (the shards run with
-synced WALs, so an ack survives a SIGKILL).  The CLI runs the schedule
-once per route: with a ``KVClient`` that found the workers and talks to
-them directly (a kill is a reset connection, then a reconnect that waits
-in the shard's listener) and with a forwarding-only client.  The engines run *plain*
-here by design: a respawned worker builds its state from the shard
-directory alone, and the CLI's in-process KDS cannot outlive a killed
-worker -- encrypted worker-respawn needs the shared KDS a real
-deployment has (see DESIGN.md §10).
+synced WALs, so an ack survives a SIGKILL).  Only *acknowledged*
+operations join the expected state; operations that failed after retries
+are tracked as in-doubt (either outcome is legal).  The CLI runs the
+schedule once per route: with a ``KVClient`` that found the workers and
+talks to them directly (a kill is a reset connection, then a reconnect
+that waits in the shard's listener) and with a forwarding-only client.
+The engines run *plain* here by design: a respawned worker builds its
+state from the shard directory alone, and the CLI's in-process KDS cannot
+outlive a killed worker -- encrypted worker-respawn needs the shared KDS a
+real deployment has (see DESIGN.md §10).
 
 CLI::
 
-    python -m repro.tools.chaos --mode soak --seed 7 --profile fast
-    python -m repro.tools.chaos --mode workers --seed 7 --out report.json
+    python -m repro.tools.chaos --seed 7 --out report.json
 """
 
 from __future__ import annotations
@@ -59,34 +40,29 @@ import sys
 import tempfile
 import time
 
-from repro.env.faulty import FaultInjectionEnv
 from repro.env.local import LocalEnv
-from repro.env.mem import MemEnv
 from repro.errors import ReproError
-from repro.keys.faulty import FaultyKDS
-from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.service.client import KVClient
-from repro.service.server import KVServer, ServiceConfig
+from repro.service.server import ServiceConfig
 from repro.service.workers import MultiProcessKVServer
-from repro.shield.config import ShieldOptions, open_shield_db
-
-DB_PATH = "/chaosdb"
-
-#: The schemes the soak runs under: the stream cipher and its AEAD twin.
-SOAK_SCHEMES = ("shake-ctr", "shake-etm")
 
 #: A deleted key's expected outcome (None doubles as "key may be absent").
 _TOMBSTONE = None
+
+PROFILES = {
+    "fast": {"ops": 400, "crashes": 1, "keys": 200},
+    "full": {"ops": 4000, "crashes": 3, "keys": 400},
+}
 
 
 def _key(index: int) -> bytes:
     return b"k%06d" % index
 
 
-def _value(index: int, round_: int) -> bytes:
-    return (b"v%06d.%d." % (index, round_)) + b"x" * 40
+def _value(index: int) -> bytes:
+    return (b"v%06d." % index) + b"x" * 40
 
 
 def _engine_options(env) -> Options:
@@ -100,86 +76,6 @@ def _engine_options(env) -> Options:
         wal_sync_writes=True,
         max_background_jobs=2,
         slowdown_delay_s=0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Chaos soak
-# ---------------------------------------------------------------------------
-
-PROFILES = {
-    "fast": {"ops": 400, "crashes": 1, "windows": 4, "keys": 200},
-    "full": {"ops": 4000, "crashes": 3, "windows": 12, "keys": 400},
-}
-
-_WINDOW_KINDS = (
-    "kds_outage",
-    "kds_errors",
-    "kds_timeouts",
-    "kds_flap",
-    "read_errors",
-    "bit_flips",
-    "sync_faults",
-)
-
-def _make_schedule(rng: random.Random, profile: dict) -> dict:
-    """Seeded, non-overlapping fault windows plus crash indices."""
-    ops = profile["ops"]
-    windows = []
-    segment = ops // profile["windows"]
-    for w in range(profile["windows"]):
-        lo = w * segment
-        start = lo + rng.randint(2, max(3, segment // 3))
-        length = rng.randint(10, max(11, segment // 2))
-        end = min(start + length, lo + segment - 2)
-        if end <= start:
-            continue
-        windows.append(
-            {"kind": rng.choice(_WINDOW_KINDS), "start": start, "end": end}
-        )
-    crashes = sorted(
-        ops * (j + 1) // (profile["crashes"] + 1) + rng.randint(-5, 5)
-        for j in range(profile["crashes"])
-    )
-    return {"windows": windows, "crashes": crashes}
-
-
-def _apply_window(kind: str, env: FaultInjectionEnv, kds: FaultyKDS,
-                  rng: random.Random) -> None:
-    if kind == "kds_outage":
-        kds.go_down()
-    elif kind == "kds_errors":
-        kds.set_error_rate(0.5)
-    elif kind == "kds_timeouts":
-        kds.set_timeouts(0.3, after_s=0.01)
-    elif kind == "kds_flap":
-        kds.set_flap_schedule(3, 2)
-    elif kind == "read_errors":
-        env.set_read_error_rate(0.05)
-    elif kind == "bit_flips":
-        env.set_read_flip_rate(0.02)
-    elif kind == "sync_faults":
-        env.fail_syncs(after=rng.randint(0, 3))
-
-
-def _service_config(**extra) -> ServiceConfig:
-    return ServiceConfig(
-        port=0,
-        max_queue_depth=32,
-        health_check_interval_s=0.05,
-        drain_timeout_s=2.0,
-        **extra,
-    )
-
-
-def _soak_client(cls, address, seed: int, **retry_budget) -> KVClient:
-    return cls(
-        *address,
-        pool_size=2,
-        timeout_s=5.0,
-        backoff_base_s=0.005,
-        rng=random.Random(seed ^ 0xC11E),
-        **retry_budget,
     )
 
 
@@ -207,23 +103,21 @@ def _wait_healthy(is_healthy) -> bool:
 
 
 class _Oracle:
-    """The soaks' op mix and what it may legally read back, whatever the
-    driver does to the stack between ops.
+    """The workload's op mix and what it may legally read back, whatever
+    the driver does to the workers between ops.
 
     Expected state is the last *acknowledged* outcome per key, plus the set
     of in-doubt outcomes (ops that failed after retries -- the server may or
     may not have applied them; either result is legal at read-back).
     """
 
-    def __init__(
-        self, rng: random.Random, keyspace: int, counters: dict,
-        put_share: float, round_: int,
-    ):
+    #: Share of ops that are puts; the rest are gets, deletes and scans.
+    PUT_SHARE = 0.65
+
+    def __init__(self, rng: random.Random, keyspace: int, counters: dict):
         self.rng = rng
         self.keyspace = keyspace
         self.counters = counters  # bumps "acked" and "failed"
-        self.put_share = put_share
-        self.round = round_
         self.acked: dict[bytes, bytes | None] = {}
         self.indoubt: dict[bytes, set] = {}
         self.mismatches: list[dict] = []
@@ -245,8 +139,8 @@ class _Oracle:
         roll = self.rng.random()
         wrote = ()  # (value,) or (_TOMBSTONE,): acked, or left in doubt
         try:
-            if roll < self.put_share:
-                wrote = (_value(op_index, self.round),)
+            if roll < self.PUT_SHARE:
+                wrote = (_value(op_index),)
                 client.put(key, wrote[0])
             elif roll < 0.85:
                 self._check(
@@ -304,134 +198,6 @@ class _Oracle:
         }
 
 
-def run_chaos(seed: int, profile: str, scheme: str) -> dict:
-    """YCSB-style soak under a seeded fault schedule, every file sealed
-    under ``scheme``; returns the report."""
-    spec = PROFILES[profile]
-    rng = random.Random(seed)
-    schedule = _make_schedule(random.Random(seed ^ 0xFA01), spec)
-
-    env = FaultInjectionEnv(MemEnv(), seed=seed ^ 0xE9)
-    kds = FaultyKDS(InMemoryKDS(), seed=seed ^ 0xD5)
-
-    def boot() -> tuple[DB, KVServer, KVClient]:
-        """Open (or recover) the store and put a server and a client on it."""
-        shield = ShieldOptions(
-            kds=kds, server_id=f"chaos-{seed}", scheme=scheme,
-            wal_buffer_size=256,
-        )
-        db = open_shield_db(DB_PATH, shield, _engine_options(env))
-        server = KVServer(
-            db, _service_config(num_workers=2, socket_timeout_s=5.0)
-        ).start()
-        client = _soak_client(
-            KVClient, server.address, seed,
-            max_retries=8, backoff_max_s=0.05, deadline_s=2.0,
-        )
-        return db, server, client
-
-    db, server, client = boot()
-
-    counters = {
-        "ops": 0,
-        "acked": 0,
-        "failed": 0,
-        "crashes": 0,
-        "forced_restarts": 0,
-        "degraded_seen": 0,
-        "health_failed_seen": 0,
-        "client_retries": 0,
-        "client_busy_retries": 0,
-        "client_degraded_retries": 0,
-    }
-    oracle = _Oracle(rng, spec["keys"], counters, put_share=0.60, round_=2)
-
-    def retire_client(old: KVClient) -> None:
-        counters["client_retries"] += old.retries
-        counters["client_busy_retries"] += old.busy_retries
-        counters["client_degraded_retries"] += old.degraded_retries
-        _quietly(old.close)
-
-    def restart(reason: str) -> None:
-        nonlocal db, server, client
-        # A restart lands on healed hardware: the interesting recovery is
-        # from the *crash image*, not from still-firing faults.
-        env.heal()
-        kds.heal()
-        retire_client(client)
-        _quietly(server.stop, db.simulate_crash)
-        env.crash_system()
-        db, server, client = boot()
-        schedule.setdefault("restarts", []).append(
-            {"op": counters["ops"], "reason": reason}
-        )
-
-    window_starts = {w["start"]: w for w in schedule["windows"]}
-    window_ends = {w["end"]: w for w in schedule["windows"]}
-
-    try:
-        for op_index in range(spec["ops"]):
-            counters["ops"] += 1
-            if op_index in window_starts:
-                _apply_window(window_starts[op_index]["kind"], env, kds, rng)
-            if op_index in window_ends:
-                env.heal()
-                kds.heal()
-            if op_index in schedule["crashes"]:
-                counters["crashes"] += 1
-                restart("scheduled crash")
-
-            oracle.op(client, op_index)
-
-            # Sample health; a hard-failed engine (e.g. a bit flip caught
-            # mid-compaction) degrades to an operator restart, never a wedge.
-            if op_index % 10 == 9:
-                try:
-                    health = client.health()
-                except (ReproError, OSError):
-                    health = {"state": "unknown"}
-                if health["state"] == "degraded":
-                    counters["degraded_seen"] += 1
-                elif health["state"] == "failed":
-                    counters["health_failed_seen"] += 1
-                    counters["forced_restarts"] += 1
-                    restart("health failed")
-
-        # Drain: heal everything and demand the stack returns to healthy.
-        env.heal()
-        kds.heal()
-        healthy = _wait_healthy(lambda: client.health()["state"] == "healthy")
-        if not healthy:
-            restart("never healed")
-            healthy = True  # recovery from a clean image must serve
-
-        oracle.read_back(client)
-    finally:
-        retire_client(client)
-        _quietly(server.stop, db.close)
-
-    counters.update(
-        {
-            "injected_env_failures": env.injected_failures,
-            "injected_read_failures": env.injected_read_failures,
-            "injected_bit_flips": env.injected_bit_flips,
-            "injected_kds_failures": kds.injected_failures,
-        }
-    )
-    return {
-        "seed": seed,
-        "profile": profile,
-        "scheme": scheme,
-        "schedule": schedule,
-        **oracle.verdict(healthy),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Worker-kill chaos (shard-per-core server)
-# ---------------------------------------------------------------------------
-
-
 class ForwardingKVClient(KVClient):
     """A client from before ``OP_TOPOLOGY``: it never learns the workers'
     endpoints, so every op takes the front-end's forwarding route."""
@@ -471,11 +237,21 @@ def run_worker_chaos(
         return DB(path, _engine_options(env))
 
     server = MultiProcessKVServer(
-        f"{base}/db", num_workers, make_shard, _service_config()
+        f"{base}/db", num_workers, make_shard,
+        ServiceConfig(
+            port=0, max_queue_depth=32, health_check_interval_s=0.05,
+            drain_timeout_s=2.0,
+        ),
     ).start()
-    client = _soak_client(
-        WORKER_CHAOS_ROUTES[route], server.address, seed,
-        max_retries=10, backoff_max_s=0.1, deadline_s=5.0,
+    client = WORKER_CHAOS_ROUTES[route](
+        *server.address,
+        pool_size=2,
+        timeout_s=5.0,
+        max_retries=10,
+        backoff_base_s=0.005,
+        backoff_max_s=0.1,
+        deadline_s=5.0,
+        rng=random.Random(seed ^ 0xC11E),
     )
 
     ops = spec["ops"]
@@ -485,7 +261,7 @@ def run_worker_chaos(
     )
 
     counters = {"ops": 0, "acked": 0, "failed": 0, "kills": 0}
-    oracle = _Oracle(rng, spec["keys"], counters, put_share=0.65, round_=3)
+    oracle = _Oracle(rng, spec["keys"], counters)
 
     try:
         for op_index in range(ops):
@@ -526,24 +302,14 @@ def run_worker_chaos(
     }
 
 
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools.chaos",
-        description="Seeded chaos soaks for SHIELD.",
+        description="SIGKILL shard workers of the multi-process server under "
+        "a seeded workload, once per route; every acked write must survive.",
     )
     parser.add_argument(
-        "--mode", choices=("soak", "workers"), default="soak",
-        help="'soak' runs the serving-stack soak once per scheme; 'workers' "
-        "SIGKILLs shard workers of the multi-process server, once per route",
-    )
-    parser.add_argument(
-        "--num-workers", type=int, default=3,
-        help="worker processes for --mode workers",
+        "--num-workers", type=int, default=3, help="shard worker processes"
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -554,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report: dict = {}
     ok = True
-    for route in WORKER_CHAOS_ROUTES if args.mode == "workers" else ():
+    for route in WORKER_CHAOS_ROUTES:
         workers = run_worker_chaos(
             seed=args.seed, profile=args.profile,
             num_workers=args.num_workers, route=route,
@@ -572,21 +338,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{'ok' if workers['ok'] else 'FAIL'}"
         )
         for miss in workers["mismatches"]:
-            print(f"        mismatch: {json.dumps(miss)}")
-    for scheme in SOAK_SCHEMES if args.mode == "soak" else ():
-        soak = run_chaos(args.seed, args.profile, scheme)
-        report[f"soak-{scheme}"] = soak
-        ok = ok and soak["ok"]
-        c = soak["counters"]
-        print(
-            f"soak    scheme={scheme} seed={soak['seed']} "
-            f"profile={soak['profile']} "
-            f"ops={c['ops']} acked={c['acked']} failed={c['failed']} "
-            f"crashes={c['crashes']} forced_restarts={c['forced_restarts']} "
-            f"verified={soak['keys_verified']}/{soak['keys_tracked']} "
-            f"{'ok' if soak['ok'] else 'FAIL'}"
-        )
-        for miss in soak["mismatches"]:
             print(f"        mismatch: {json.dumps(miss)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -3,8 +3,13 @@
 import threading
 
 import pytest
+from hypothesis import settings
 
 _SERVICE_THREADS = ("kv-", "shard-", "replica-")
+
+#: ``--hypothesis-profile=soak``: the model's long budget (test_scan_model.py
+#: reads ``max_examples`` from it); ``--hypothesis-seed=N`` replays a run.
+settings.register_profile("soak", max_examples=1000)
 
 
 @pytest.fixture(autouse=True)
