@@ -35,6 +35,7 @@ import hashlib
 
 from repro.crypto.aes import AES
 from repro.crypto.chacha20 import ChaCha20Cipher, chacha20_block
+from repro.crypto.ctr import derive_nonce  # noqa: F401 - re-exported: every unit's nonce
 from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
 from repro.crypto.xof import ShakeCtrCipher
 from repro.errors import AuthenticationError, EncryptionError
@@ -48,22 +49,6 @@ TAG_SIZE = 16
 #: to background compaction, turning microseconds of hashing into a wait for
 #: compaction's next release (DESIGN.md, fidelity notes).
 MAC_SLICE = 2047
-
-
-def derive_nonce(base: bytes, offset: int) -> bytes:
-    """Fold a unit's payload offset into a per-file base nonce.
-
-    The low 8 bytes of the base nonce are XORed with the little-endian
-    offset, so every distinct offset within one file yields a distinct
-    nonce under the same (fresh, random) per-file base.
-    """
-    if len(base) < 8:
-        raise EncryptionError("AEAD base nonce must be at least 8 bytes")
-    if offset < 0:
-        raise EncryptionError("AEAD unit offset must be non-negative")
-    head = base[:-8]
-    tail = int.from_bytes(base[-8:], "little") ^ (offset & (2 ** 64 - 1))
-    return head + tail.to_bytes(8, "little")
 
 
 def _le64(value: int) -> bytes:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.crypto.ctr import derive_nonce
 from repro.errors import EncryptionError
 
 KEY_SIZE = 32
@@ -86,3 +87,9 @@ class ChaCha20Cipher:
         ks = self.keystream(offset, len(data))
         return (int.from_bytes(data, "little") ^ int.from_bytes(ks, "little")) \
             .to_bytes(len(data), "little")
+
+    def xor_unit(self, data: bytes, offset: int) -> bytes:
+        """``data`` XOR the stream of the unit at ``offset``: this key under
+        the unit's derived nonce, from block 0."""
+        unit = ChaCha20Cipher(self._key, derive_nonce(self._nonce, offset))
+        return unit.xor_at(data, 0)

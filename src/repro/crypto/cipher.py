@@ -53,6 +53,11 @@ class StreamCipher(Protocol):
     def xor_at(self, data: bytes, offset: int) -> bytes:
         ...
 
+    def xor_unit(self, data: bytes, offset: int) -> bytes:
+        """XOR with the stream of the unit at ``offset``, keyed on the
+        offset and run from the unit's first byte (SST format v3)."""
+        ...
+
 
 class AeadSchedule(Protocol):
     """An AEAD key schedule: the key-only work done once; every unit's
@@ -157,15 +162,6 @@ class _MeteredCipher:
     def __init__(self, inner: StreamCipher):
         self._inner = inner
 
-    def keystream(self, offset: int, length: int) -> bytes:
-        start = perf_counter()
-        out = self._inner.keystream(offset, length)
-        elapsed = perf_counter() - start
-        _BYTES.add(length)
-        _BULK_S.record(elapsed)
-        costs.charge("encrypt", elapsed, length)
-        return out
-
     def xor_at(self, data: bytes, offset: int) -> bytes:
         start = perf_counter()
         out = self._inner.xor_at(data, offset)
@@ -174,6 +170,19 @@ class _MeteredCipher:
         _OPS.add(1)
         _BULK_S.record(elapsed)
         costs.charge("encrypt", elapsed, len(data))
+        return out
+
+    def xor_units(self, units) -> list[bytes]:
+        """Each ``(data, offset)`` unit XORed with its own stream: one
+        metered operation however many units it covers."""
+        start = perf_counter()
+        out = [self._inner.xor_unit(data, offset) for data, offset in units]
+        elapsed = perf_counter() - start
+        size = sum(map(len, out))
+        _BYTES.add(size)
+        _OPS.add(1)
+        _BULK_S.record(elapsed)
+        costs.charge("encrypt", elapsed, size)
         return out
 
 

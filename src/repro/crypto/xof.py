@@ -5,7 +5,13 @@ the segment size.  Each segment is a single C-speed hashlib call, so the
 cipher exhibits the cost profile the paper analyses for OpenSSL AES: a fixed
 per-context initialization cost plus near-memcpy-speed per-byte work.  The
 construction is a standard XOF-as-stream-cipher and is seekable at segment
-granularity, which SST block reads rely on.
+granularity, which WAL replay and format v1 SSTs rely on.
+
+A unit keyed on its own (SST format v3) gets ``SHAKE256(key || nonce ||
+UNIT_DOMAIN || be64(offset))``: one squeeze of exactly the unit's length,
+where a segment-addressed read at a random offset squeezed from the start
+of every segment it touched.  The longer suffix keeps the two streams of
+one (key, nonce) apart.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from repro.errors import EncryptionError
 KEY_SIZE = 32
 NONCE_SIZE = 16
 SEGMENT_SIZE = 4096
+#: Absorbed ahead of a unit's offset, which a segment index never is.
+UNIT_DOMAIN = b"shield-unit"
 
 
 class ShakeCtrCipher:
@@ -61,6 +69,16 @@ class ShakeCtrCipher:
         return b"".join(parts)
 
     def xor_at(self, data: bytes, offset: int) -> bytes:
-        ks = self.keystream(offset, len(data))
-        return (int.from_bytes(data, "little") ^ int.from_bytes(ks, "little")) \
-            .to_bytes(len(data), "little")
+        return _xor(data, self.keystream(offset, len(data)))
+
+    def xor_unit(self, data: bytes, offset: int) -> bytes:
+        """``data`` XOR the keystream of the unit at ``offset``: one
+        ``digest(len(data))`` of a copy of the absorbed state."""
+        xof = self._base.copy()
+        xof.update(UNIT_DOMAIN + offset.to_bytes(8, "big"))
+        return _xor(data, xof.digest(len(data)))
+
+
+def _xor(data: bytes, ks: bytes) -> bytes:
+    return (int.from_bytes(data, "little") ^ int.from_bytes(ks, "little")) \
+        .to_bytes(len(data), "little")

@@ -10,7 +10,7 @@ metadata, enforces authorization.
 Envelope layout (all plaintext)::
 
     magic      4 bytes  b"LSMF"
-    version    1 byte
+    version    1 byte   (the payload layout: see below)
     file_kind  1 byte   (wal / sst / manifest / other)
     scheme_id  1 byte   (0 = plaintext)
     dek_id     varint-length-prefixed bytes
@@ -20,6 +20,11 @@ Envelope layout (all plaintext)::
 Payload byte offsets for CTR encryption are relative to the end of the
 envelope, so the envelope can be rewritten (e.g. during re-encryption)
 without re-encrypting the payload.
+
+The version says how the payload is laid out.  1: a stream cipher's payload
+is one keystream addressed by file offset (every WAL and MANIFEST, and SST
+formats v1/v2).  2: SST format v3 -- every unit is keyed on its own offset
+and every metadata unit ends in a CRC (``repro.lsm.sst``).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.util.coding import (
 
 MAGIC = b"LSMF"
 ENVELOPE_VERSION = 1
+ENVELOPE_VERSION_UNITS = 2
 
 FILE_KIND_WAL = 1
 FILE_KIND_SST = 2
@@ -64,6 +70,7 @@ class Envelope:
     dek_id: str             # empty for unencrypted files
     nonce: bytes
     header_size: int = 0    # filled in by decode(); payload starts here
+    version: int = ENVELOPE_VERSION
 
     @property
     def encrypted(self) -> bool:
@@ -72,7 +79,7 @@ class Envelope:
     def encode(self) -> bytes:
         body = (
             MAGIC
-            + bytes([ENVELOPE_VERSION, self.file_kind, self.scheme_id])
+            + bytes([self.version, self.file_kind, self.scheme_id])
             + encode_length_prefixed(self.dek_id.encode())
             + encode_length_prefixed(self.nonce)
         )
@@ -84,7 +91,7 @@ def decode_envelope(buf: bytes) -> Envelope:
     if len(buf) < len(MAGIC) + 3 or not buf.startswith(MAGIC):
         raise CorruptionError("missing file envelope magic")
     version = buf[4]
-    if version != ENVELOPE_VERSION:
+    if version not in (ENVELOPE_VERSION, ENVELOPE_VERSION_UNITS):
         raise CorruptionError(f"unsupported envelope version {version}")
     file_kind = buf[5]
     scheme_id = buf[6]
@@ -100,6 +107,7 @@ def decode_envelope(buf: bytes) -> Envelope:
         dek_id=dek_id_raw.decode(),
         nonce=nonce,
         header_size=end,
+        version=version,
     )
 
 

@@ -12,7 +12,8 @@ nonce) pair on every call -- mirroring how OpenSSL EVP contexts are
 re-initialized per operation, the "encryption initialization" cost the paper
 identifies as the WAL bottleneck and amortises with the WAL buffer (Section
 3.2) -- so sealing shares no state across SHIELD's multi-threaded chunk
-encryption.  Its ``open`` pays that init once per file: the context is
+encryption (``seal_units`` pays it once per chunk-sized run of units).
+Its ``open`` pays that init once per file: the context is
 immutable and lives exactly as long as the FileCrypto holding the key.  The
 AEAD flavour pays it once per file both ways -- an ``EVP_CIPHER_CTX`` keyed
 once and handed a new IV per unit: one key schedule, and per unit only the
@@ -32,7 +33,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 
-from repro.crypto.aead import derive_nonce
+from repro.crypto.ctr import derive_nonce
 from repro.crypto.cipher import (
     SCHEME_NONE,
     create_aead_schedule,
@@ -41,11 +42,11 @@ from repro.crypto.cipher import (
     spec_for,
 )
 from repro.errors import EncryptionError
-from repro.lsm.envelope import Envelope
+from repro.lsm.envelope import ENVELOPE_VERSION, Envelope
 
 
-def _fan_out(seal, calls: list[tuple], threads: int) -> bytes:
-    """Join ``seal(*call)`` for every call, on up to ``threads`` threads.
+def _fan_out(seal, calls: list, threads: int) -> bytes:
+    """Join ``seal(call)`` for every call, on up to ``threads`` threads.
 
     Threads buy nothing for the schemes here (measured; DESIGN.md's fidelity
     notes): CPython's hashlib releases the GIL only inside ``update()`` of
@@ -56,17 +57,29 @@ def _fan_out(seal, calls: list[tuple], threads: int) -> bytes:
     interleave.
     """
     if threads <= 1 or len(calls) <= 1:
-        return b"".join(seal(*call) for call in calls)
+        return b"".join(seal(call) for call in calls)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return b"".join(pool.map(lambda call: seal(*call), calls))
+        return b"".join(pool.map(seal, calls))
+
+
+def split_units(raw: bytes, offset: int, sizes: list[int]) -> list[tuple]:
+    """Cut a back-to-back run of ``sizes`` stored units that starts at
+    payload ``offset``: ``(stored bytes, offset)`` per unit."""
+    return [
+        (raw[start:start + size], offset + start)
+        for start, size in zip(accumulate(sizes, initial=0), sizes)
+    ]
 
 
 class FileCrypto:
     """Per-file payload encryption; offset 0 is the first payload byte.
 
     This class is the plaintext and stream-cipher flavour of the contract:
-    no tag, ``aad`` unused, and a seekable XOR keystream, so sealing is
-    length-preserving and unit boundaries leave no trace in the bytes.
+    no tag, ``aad`` unused, and sealing is length-preserving.  ``seal`` /
+    ``open`` XOR one keystream addressed by file offset (WAL, MANIFEST and
+    format v1 SSTs), so unit boundaries leave no trace in the bytes;
+    ``seal_units`` / ``open_unit`` key every unit on its own offset (SST
+    format v3), so opening an n-byte unit costs exactly n keystream bytes.
     """
 
     tag_size = 0
@@ -103,43 +116,58 @@ class FileCrypto:
             return data
         return self._file_context().xor_at(data, offset)
 
-    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
-        """Seal a back-to-back run of ``(data, offset, aad)`` units -- the
-        arguments of one ``seal`` each; returns the stored bytes.
-
-        SHIELD encrypts compaction/flush output "in user-configurable-sized
-        chunks for finer-grained control", optionally in parallel (Section
-        5.2, Figure 13).  CTR streams make this trivially correct: each
-        chunk encrypts independently at its own payload offset and the
-        concatenation is identical to one sequential pass.
-        """
-        payload = b"".join(data for data, __, ___ in units)
-        if not self.encrypted or not payload:
-            return payload
-        base = units[0][1]
-        chunks = [
-            (payload[start:start + chunk_size], base + start)
-            for start in range(0, len(payload), chunk_size)
-        ]
-        return _fan_out(self.seal, chunks, threads)
+    def open_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+        """Open the unit ``seal_units`` stored at ``offset``, through the
+        file's one context."""
+        if not self.encrypted or not data:
+            return data
+        return self._file_context().xor_units(((data, offset),))[0]
 
     def open_units(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:
         """``seal_units``' inverse for a back-to-back run of units sealed
         with no ``aad``: ``raw`` holds units of ``sizes`` stored bytes from
-        payload ``offset``; returns each one opened.  One ``open`` over the
-        whole run -- unit boundaries leave no trace in a stream."""
-        opened = self.open(raw, offset)
-        return [
-            opened[start:start + size]
-            for start, size in zip(accumulate(sizes, initial=0), sizes)
-        ]
+        payload ``offset``; returns each one opened under its own offset."""
+        units = split_units(raw, offset, sizes)
+        if not self.encrypted:
+            return [data for data, __ in units]
+        return self._file_context().xor_units(units)
 
-    def envelope(self, file_kind: int) -> Envelope:
+    def _seal_run(self, run: list[tuple]) -> bytes:
+        """One fresh context per run: the modelled per-seal EVP init."""
+        return b"".join(self._new_context().xor_units(
+            [(data, at) for data, at, __ in run]
+        ))
+
+    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
+        """Seal a back-to-back run of ``(data, offset, aad)`` units, each
+        keyed on its own offset; returns the stored bytes.
+
+        SHIELD encrypts compaction/flush output "in user-configurable-sized
+        chunks for finer-grained control", optionally in parallel (Section
+        5.2, Figure 13): the units are cut into runs of at most
+        ``chunk_size`` bytes (at least one unit each), every run is one
+        seal, and since every unit is keyed by its offset the stored bytes
+        are the same whatever the chunk size and thread count.
+        """
+        if not self.encrypted:
+            return b"".join(data for data, __, ___ in units)
+        runs: list[list[tuple]] = []
+        size = 0
+        for unit in units:
+            if not runs or size + len(unit[0]) > chunk_size:
+                runs.append([])
+                size = 0
+            runs[-1].append(unit)
+            size += len(unit[0])
+        return _fan_out(self._seal_run, runs, threads)
+
+    def envelope(self, file_kind: int, version: int = ENVELOPE_VERSION) -> Envelope:
         return Envelope(
             file_kind=file_kind,
             scheme_id=self.scheme_id,
             dek_id=self.dek_id,
             nonce=self.nonce,
+            version=version,
         )
 
 
@@ -150,7 +178,7 @@ class AeadFileCrypto(FileCrypto):
     and the unit's payload offset, so a unit cannot be relocated, swapped,
     or bit-flipped without failing its tag.  The file's one context is the
     scheme's key schedule; each unit's seal or open is the per-nonce step
-    under it.
+    under it, whatever the file's format.
     """
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):
@@ -168,19 +196,17 @@ class AeadFileCrypto(FileCrypto):
         bit, relocated unit or wrong ``aad``."""
         return self._file_context().open(derive_nonce(self.nonce, offset), data, aad)
 
-    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
-        """One seal per unit whatever ``chunk_size``: the tag is fixed-size,
-        so every offset is known up front and units seal independently -- the
-        same parallelism the stream flavour gets from chunks."""
-        self._file_context()  # built before any thread can race to build it
-        return _fan_out(self.seal, units, threads)
+    open_unit = open
 
     def open_units(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:
-        """One ``open`` per unit, each under its own offset-derived nonce."""
-        return [
-            self.open(raw[start:start + size], offset + start)
-            for start, size in zip(accumulate(sizes, initial=0), sizes)
-        ]
+        return [self.open(data, at) for data, at in split_units(raw, offset, sizes)]
+
+    def _seal_run(self, run: list[tuple]) -> bytes:
+        return b"".join([self.seal(*unit) for unit in run])
+
+    def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
+        self._file_context()  # built before any thread can race to build it
+        return super().seal_units(units, chunk_size, threads)
 
 
 def make_file_crypto(

@@ -14,12 +14,20 @@ that gets encrypted)::
 Every unit above is sealed on its own by the file's ``FileCrypto`` and is
 ``tag_size`` bytes longer on disk; offsets and sizes in the index and the
 footer are payload-relative and refer to the *stored* units, so opening any
-block needs only the envelope's nonce and the block's position.  With a
-stream cipher the tag size is 0 and the stored payload is the plaintext
-layout XORed with one keystream.  The properties block repeats
-the DEK-ID (`shield.dek_id`): SST metadata is read before data blocks, so a
-remote server doing offloaded compaction learns which DEK to request before
-touching any data (Section 5.4).
+block needs only the envelope's nonce and the block's position.
+
+Format v3 (envelope version 2, what the builder writes) keys every unit's
+stream on its own offset, so a block read squeezes exactly its own length,
+and ends each of the four metadata units in a masked CRC-32 of its body
+(sizes in the footer count it): with the data blocks' CRCs in the index,
+every unit is checked under every scheme, tag or no tag.  Formats v1 (a
+stream cipher: the payload is the plaintext layout XORed with one
+file-offset keystream) and v2 (v1 under an AEAD) have no trailers; the
+reader still opens them, and compaction rewrites them as v3.
+
+The properties block repeats the DEK-ID (`shield.dek_id`): SST metadata is
+read before data blocks, so a remote server doing offloaded compaction
+learns which DEK to request before touching any data (Section 5.4).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from repro.crypto.cipher import spec_for
 from repro.env.base import Env
 from repro.errors import AuthenticationError, CorruptionError, InvalidArgumentError
 from repro.lsm.block import (
@@ -42,11 +51,13 @@ from repro.lsm.block import (
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE
 from repro.lsm.envelope import (
+    ENVELOPE_VERSION_UNITS,
     FILE_KIND_SST,
     MAX_ENVELOPE_SIZE,
+    Envelope,
     decode_envelope,
 )
-from repro.lsm.filecrypto import CryptoProvider, FileCrypto
+from repro.lsm.filecrypto import CryptoProvider, FileCrypto, split_units
 from repro.lsm.options import Options
 from repro.obs.trace import TRACER
 from repro.util.checksum import masked_crc32
@@ -74,6 +85,19 @@ _AAD_BLOOM = b"sst-bloom"
 _AAD_INDEX = b"sst-index"
 _AAD_PROPS = b"sst-props"
 _AAD_FOOTER = b"sst-footer"
+#: Format v3's trailer on every metadata unit: a masked CRC-32 of its body.
+CRC_SIZE = 4
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + encode_fixed32(masked_crc32(body))
+
+
+def sst_format(envelope: Envelope) -> str:
+    """The SST format an envelope announces: ``v1``, ``v2`` or ``v3``."""
+    if envelope.version == ENVELOPE_VERSION_UNITS:
+        return "v3"
+    return "v2" if envelope.encrypted and spec_for(envelope.scheme_id).aead else "v1"
 
 
 @dataclass
@@ -188,9 +212,10 @@ class SSTBuilder:
         Sealing is length-preserving plus a fixed tag per unit, so every
         stored offset is computable before any sealing happens and units
         seal in parallel.  The index and footer record *stored*
-        offsets/sizes; the plaintext CRC per data block is kept unchanged
-        (it is verified after ``open`` as a cheap decode sanity check --
-        where there is a tag, the tag is the integrity boundary).
+        offsets/sizes.  Every unit carries a CRC of its plaintext: a data
+        block's in the index, a metadata unit's as its trailer.  It is
+        checked after ``open``; where there is a tag, the tag is the
+        integrity boundary and the CRC a cheap decode sanity check.
         """
         tag = self._crypto.tag_size
         index: list[tuple[bytes, int, int, int]] = []
@@ -199,16 +224,18 @@ class SSTBuilder:
             index.append((last_key, offset, size + tag, crc))
             offset += size + tag
         bloom_offset = offset
-        index_block = self._encode_index_block(index)
+        bloom_block = _with_crc(bloom_block)
+        index_block = _with_crc(self._encode_index_block(index))
+        props_block = _with_crc(props_block)
         index_offset = bloom_offset + len(bloom_block) + tag
         props_offset = index_offset + len(index_block) + tag
         footer_offset = props_offset + len(props_block) + tag
-        footer = b"".join(map(encode_fixed64, (
+        footer = _with_crc(b"".join(map(encode_fixed64, (
             index_offset, len(index_block) + tag,
             bloom_offset, len(bloom_block) + tag,
             props_offset, len(props_block) + tag,
             SST_MAGIC_V2 if tag else SST_MAGIC,
-        )))
+        ))))
         units = [
             (block, entry[1], b"") for entry, block in zip(index, self._blocks)
         ]
@@ -236,7 +263,7 @@ class SSTBuilder:
         props_block = self._encode_props_block()
 
         encrypted = self._assemble(bloom_block, props_block)
-        header = self._crypto.envelope(FILE_KIND_SST).encode()
+        header = self._crypto.envelope(FILE_KIND_SST, ENVELOPE_VERSION_UNITS).encode()
         with self._env.new_writable_file(self.path) as handle:
             handle.append(header)
             handle.append(encrypted)
@@ -287,15 +314,21 @@ class SSTReader:
             )
             error.sst_path = path
             raise error
-        self._crypto = provider.for_existing_file(self.envelope, path)
+        self._crypto = crypto = provider.for_existing_file(self.envelope, path)
+        # Format v3 opens every unit on its own and checks metadata trailers;
+        # v1/v2 open through the file-offset stream and have no trailers.
+        v3 = self.envelope.version == ENVELOPE_VERSION_UNITS
+        self._open = crypto.open_unit if v3 else crypto.open
+        self._open_units = crypto.open_units if v3 else self._open_each
+        self._trailer = CRC_SIZE if v3 else 0
         self._payload_base = self.envelope.header_size
         payload_size = file_size - self._payload_base
-        footer_len = FOOTER_SIZE + self._crypto.tag_size
+        footer_len = FOOTER_SIZE + self._trailer + crypto.tag_size
         if payload_size < footer_len:
             raise CorruptionError(f"{path}: file too small for an SST footer")
 
         footer_offset = payload_size - footer_len
-        footer = self._read_payload(footer_offset, footer_len, _AAD_FOOTER)
+        footer = self._read_meta(footer_offset, footer_len, _AAD_FOOTER)
         index_offset, pos = decode_fixed64(footer, 0)
         index_size, pos = decode_fixed64(footer, pos)
         bloom_offset, pos = decode_fixed64(footer, pos)
@@ -307,14 +340,14 @@ class SSTReader:
             raise CorruptionError(f"{path}: bad SST magic (wrong key or corrupt)")
 
         self._index = self._parse_index(
-            self._read_payload(index_offset, index_size, _AAD_INDEX)
+            self._read_meta(index_offset, index_size, _AAD_INDEX)
         )
         self._index_keys = [entry[0] for entry in self._index]
         self.bloom = BloomFilter.decode(
-            self._read_payload(bloom_offset, bloom_size, _AAD_BLOOM)
+            self._read_meta(bloom_offset, bloom_size, _AAD_BLOOM)
         )
         self.properties = self._parse_props(
-            self._read_payload(props_offset, props_size, _AAD_PROPS)
+            self._read_meta(props_offset, props_size, _AAD_PROPS)
         )
         try:
             self.num_entries = int(self.properties.get("num_entries", "0"))
@@ -338,11 +371,28 @@ class SSTReader:
             raise CorruptionError(f"{self.path}: short read at {offset}")
         try:
             if sizes is None:
-                return self._crypto.open(raw, offset, aad)
-            return self._crypto.open_units(raw, offset, sizes)
+                return self._open(raw, offset, aad)
+            return self._open_units(raw, offset, sizes)
         except AuthenticationError as exc:
             exc.sst_path = self.path  # every SST tag is checked here, only here
             raise
+
+    def _open_each(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:
+        """Formats v1/v2: each unit of a run opened by its file offset."""
+        return [self._open(data, at) for data, at in split_units(raw, offset, sizes)]
+
+    def _read_meta(self, offset: int, length: int, aad: bytes) -> bytes:
+        """Read and open one metadata unit; in format v3, check its CRC
+        trailer before anything parses it, and strip it."""
+        unit = self._read_payload(offset, length, aad)
+        if not self._trailer:
+            return unit
+        body = unit[:-CRC_SIZE]
+        if masked_crc32(body) != decode_fixed32(unit, len(body))[0]:
+            raise CorruptionError(
+                f"{self.path}: {aad.decode()} checksum mismatch at {offset}"
+            )
+        return body
 
     def _parse_index(self, buf: bytes) -> list[tuple[bytes, int, int, int]]:
         try:

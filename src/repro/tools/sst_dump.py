@@ -1,8 +1,8 @@
 """Inspect SST files: envelope, properties, and (optionally) entries.
 
 The envelope is plaintext by design, so even without any key this tool
-shows which DEK a file needs -- exactly what a remote compaction worker
-reads before asking the KDS.
+shows the file's SST format (v1, v2 or v3) and which DEK it needs --
+exactly what a remote compaction worker reads before asking the KDS.
 
 Examples::
 
@@ -21,7 +21,7 @@ from repro.env.local import LocalEnv
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope, kind_name
 from repro.lsm.filecrypto import PlaintextCryptoProvider, SingleKeyCryptoProvider
 from repro.lsm.options import Options
-from repro.lsm.sst import SSTReader
+from repro.lsm.sst import SSTReader, sst_format
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,6 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     envelope = decode_envelope(head)
     print(f"file       : {args.path}")
     print(f"kind       : {kind_name(envelope.file_kind)}")
+    print(f"format     : {sst_format(envelope)}")
     if envelope.encrypted:
         print(f"scheme     : {scheme_name(envelope.scheme_id)} "
               f"(id {envelope.scheme_id})")

@@ -267,11 +267,12 @@ def test_a_tampered_aead_chunk_is_stamped_with_its_file():
 #: scheme -> sha256 over every output of ``_merge`` (file number, the
 #: ``SSTFileInfo`` and the stored bytes), recorded on the commit before the
 #: chunked read, the store-and-pack bloom build and the bisect memtable:
-#: same filter bytes, index entries, block cuts and split points.
+#: same filter bytes, index entries, block cuts and split points.  Re-recorded
+#: for SST format v3 (per-unit keystreams, CRC trailers on the metadata).
 #: ``python tests/test_compaction_input.py`` prints the table.
 GOLDEN_MERGE = {
-    "shake-ctr": "ca4b15f62de479c962236f6a23d1bc86fcca4ab8d7adc4fbfdba6447cf7d7d2d",
-    "shake-etm": "b1f9f847271f9cbca98d311eb668a035a3c9042f26ce81f589dfc881953337c6",
+    "shake-ctr": "320f5409514479390cbdf9212af6d378e6220d10e2d591151d99ae2384401fde",
+    "shake-etm": "d0a4e0bf9ddecfafc2e7946a9a9f7966cf34b82bae195681fe1a491fc58a6179",
 }
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto.aes import AES
-from repro.crypto.ctr import CtrCipher
+from repro.crypto.chacha20 import ChaCha20Cipher
+from repro.crypto.ctr import CtrCipher, derive_nonce
 from repro.errors import EncryptionError
 
 # SP 800-38A F.5.1: the initial counter block is
@@ -79,3 +80,14 @@ def test_nonce_separation(data):
     c1 = CtrCipher(AES(bytes(16)), bytes(12))
     c2 = CtrCipher(AES(bytes(16)), b"\x01" + bytes(11))
     assert c1.xor_at(data, 0) != c2.xor_at(data, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda nonce: CtrCipher(AES(_KEY), nonce),
+    lambda nonce: ChaCha20Cipher(bytes(range(32)), nonce),
+], ids=["aes-ctr", "chacha20"])
+def test_a_unit_stream_runs_from_zero_under_its_derived_nonce(make):
+    data, offset = bytes(range(200)), 4_096 + 77
+    unit = make(_NONCE).xor_unit(data, offset)
+    assert unit == make(derive_nonce(_NONCE, offset)).xor_at(data, 0)
+    assert unit != make(_NONCE).xor_at(data, offset)

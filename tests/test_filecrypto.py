@@ -123,15 +123,20 @@ def _units(payload, cuts, base_offset, tag_size):
 )
 def test_stream_seal_units_equals_single_pass(payload, cuts, chunk_size,
                                               threads, base_offset):
-    """seal_units must equal one whole-payload pass, for any unit
-    boundaries, chunking, threading, and offset -- CTR's position
-    addressing guarantees it."""
+    """seal_units must equal one pass over every unit (one run, one
+    thread), for any unit boundaries, chunking, threading, and offset: each
+    unit is keyed on its own offset (SST format v3), so the stored run is
+    every unit's own stream, back to back, and every unit opens alone."""
     crypto = FileCrypto(
         scheme_id("shake-ctr"), "dek-p", b"k" * 32, b"n" * 16
     )
     units = _units(payload, cuts, base_offset, 0)
-    assert crypto.seal_units(units, chunk_size, threads) \
-        == crypto.seal(payload, base_offset)
+    stored = crypto.seal_units(units, chunk_size, threads)
+    assert stored == crypto.seal_units(units, len(payload) + 1, 1)
+    assert stored == b"".join(crypto.open_unit(data, at) for data, at, __ in units)
+    for data, offset, __ in units:
+        start = offset - base_offset
+        assert crypto.open_unit(stored[start:start + len(data)], offset) == data
     assert NULL_CRYPTO.seal_units(units, chunk_size, threads) == payload
 
 

@@ -40,7 +40,7 @@ from hypothesis.stateful import (
 from repro.dist.readonly import ReadOnlyInstance
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthenticationError, ReproError
+from repro.errors import AuthenticationError, CorruptionError, ReproError
 from repro.integrity.counter import MemoryTrustedCounter
 from repro.keys.client import KeyClient
 from repro.keys.faulty import FaultyKDS
@@ -109,16 +109,11 @@ FAULTS = {
     "bit_flips": lambda env, kds, rng: env.set_read_flip_rate(0.1),
     "sync_faults": lambda env, kds, rng: env.fail_syncs(after=rng.randint(0, 3)),
 }
-#: ``(kind, scheme)`` pairs outside what the deployment checks, which the
-#: machine therefore does not draw.  Without a tag an SST checks only its
-#: data blocks (by CRC): a bit flipped in its bloom filter, index or footer
-#: is served as an answer (ROADMAP).
-UNCHECKED = {("bit_flips", None), ("bit_flips", "shake-ctr")}
-#: Pairs whose fault nothing can reach: a plaintext deployment never asks
-#: the KDS.
-UNREACHABLE = {(kind, None) for kind in FAULTS if kind.startswith("kds_")}
-#: What the fault window rule, and its per-kind test, leave out.
-NOT_DRAWN = UNCHECKED | UNREACHABLE
+#: ``(kind, scheme)`` pairs whose fault nothing can reach, which the fault
+#: window rule and its per-kind test leave out: a plaintext deployment never
+#: asks the KDS.  Bit flips are drawn everywhere: every SST unit carries a
+#: tag or a CRC (format v3).
+NOT_DRAWN = {(kind, None) for kind in FAULTS if kind.startswith("kds_")}
 #: A window's ops; one flush runs halfway through them.
 WINDOW_STEPS = st.lists(
     st.one_of(
@@ -875,21 +870,14 @@ def test_fault_window_of_every_kind(kind, scheme):
 
 
 @pytest.mark.parametrize("scheme", [
-    pytest.param(
-        scheme, id=scheme or "plaintext",
-        marks=[pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="without a tag an SST checks only its data blocks",
-        )] if ("bit_flips", scheme) in UNCHECKED else [],
-    )
-    for scheme in MACHINES
+    pytest.param(scheme, id=scheme or "plaintext") for scheme in MACHINES
 ])
 def test_one_flipped_bloom_bit_is_never_an_answer(scheme):
     """A tombstone in the newest file over an old value in an older one,
     then, on the device, the one bit of the newest file's bloom filter that
     the key probes is flipped: a read raises or finds the tombstone, never
-    the old value.  Why ``UNCHECKED`` keeps flips off the stream cipher and
-    plaintext: there the flip is served."""
+    the old value: a tag, or without one the bloom unit's CRC trailer,
+    catches the flip before the filter is believed."""
     with booted(scheme) as model:
         key = ALL_KEYS[0]
         model.put(key, b"old")
@@ -915,5 +903,5 @@ def test_one_flipped_bloom_bit_is_never_an_answer(scheme):
         model.reopen()  # a cold reader
         try:
             assert model.db.get(key) is None
-        except AuthenticationError:
+        except CorruptionError:  # AuthenticationError is one
             pass

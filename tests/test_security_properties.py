@@ -96,27 +96,21 @@ def test_scenario2_unauthorized_user_with_fs_access():
 def _attacker_recover(env, path: str, dek_key: bytes) -> bytes:
     """Everything an attacker holding one DEK can recover from one file.
 
-    Stream-cipher schemes XOR the raw payload directly.  AEAD schemes have
-    no seekable keystream -- the attacker's best move is to replay the SST
-    reader with the stolen key, which either opens every sealed unit (the
-    DEK's own file) or dies on the first tag check (any other file).
+    Every unit of a format v3 SST has a keystream (stream schemes) or a
+    nonce (AEAD schemes) of its own, keyed on its offset, so there is no
+    one stream to XOR the payload with.  The attacker's best move is to
+    replay the SST reader with the stolen key: it opens every unit (the
+    DEK's own file) or dies on the footer's CRC or tag (any other file).
     """
-    from repro.crypto.cipher import create_cipher, spec_for
     from repro.errors import CorruptionError
     from repro.lsm.filecrypto import make_file_crypto
     from repro.lsm.sst import SSTReader
-
-    raw = env.read_file(path)
-    envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
-    if not spec_for(envelope.scheme_id).aead:
-        return create_cipher(envelope.scheme_id, dek_key, envelope.nonce).xor_at(
-            bytes(raw[envelope.header_size:]), 0
-        )
 
     class _StolenKeyProvider:
         def for_existing_file(self, envl, _path):
             return make_file_crypto(envl.scheme_id, envl.dek_id, dek_key, envl.nonce)
 
+    assert decode_envelope(env.read_file(path)[:MAX_ENVELOPE_SIZE]).version == 2
     reader = None
     try:
         reader = SSTReader(env, path, _StolenKeyProvider(), _options(env))

@@ -249,11 +249,12 @@ def test_point_reads_share_the_readers_one_cipher_context():
 
 
 def _open_fresh(scheme, key, nonce, stored, offset):
-    """``stored`` (a unit at payload ``offset``) opened through a context of
-    its own: a stream cipher over the file, or an AEAD unit's own schedule."""
+    """``stored`` (a format v3 unit at payload ``offset``) opened through a
+    context of its own: the unit's own stream under a fresh stream cipher,
+    or an AEAD unit's own schedule."""
     if spec_for(scheme).aead:
         return create_aead(scheme, key, derive_nonce(nonce, offset)).open(stored)
-    return create_cipher(scheme, key, nonce).xor_at(stored, offset)
+    return create_cipher(scheme, key, nonce).xor_units([(stored, offset)])[0]
 
 
 @pytest.mark.parametrize("scheme", [

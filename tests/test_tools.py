@@ -92,6 +92,7 @@ def test_sst_dump_plaintext(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "kind       : sst" in out
+    assert "format     : v3" in out
     assert "plaintext" in out
     assert "num_entries" in out
     assert "PUT" in out

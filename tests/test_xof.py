@@ -5,7 +5,7 @@ import hashlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.crypto.xof import SEGMENT_SIZE, ShakeCtrCipher
+from repro.crypto.xof import SEGMENT_SIZE, UNIT_DOMAIN, ShakeCtrCipher
 from repro.errors import EncryptionError
 
 
@@ -85,3 +85,15 @@ def test_keystream_is_the_slice_of_full_segments_and_asks_for_no_more(offset, le
     for index, size in asked:
         assert index * SEGMENT_SIZE + size <= offset + length
 
+
+
+def test_a_unit_keystream_is_one_squeeze_after_the_unit_domain():
+    key, nonce, offset = bytes(range(32)), bytes(range(16)), 12_345
+    cipher = ShakeCtrCipher(key, nonce)
+    expected = hashlib.shake_256(
+        key + nonce + UNIT_DOMAIN + offset.to_bytes(8, "big")
+    ).digest(4185)
+    assert cipher.xor_unit(bytes(4185), offset) == expected
+    # Apart from the file-offset stream, and from every other unit's.
+    assert expected[:64] != cipher.keystream(offset * SEGMENT_SIZE, 64)
+    assert cipher.xor_unit(bytes(64), offset + 1) != expected[:64]
