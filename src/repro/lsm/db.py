@@ -129,6 +129,10 @@ class DB:
         self.stats = StatsRegistry()
         self._gets = self.stats.counter("db.gets")
         self._sst_probes = self.stats.counter("db.get_sst_probes")
+        self._writes = self.stats.counter("db.writes")
+        self._user_write_bytes = self.stats.counter("db.user_write_bytes")
+        self._write_groups = self.stats.counter("db.write_groups")
+        self._group_size = self.stats.histogram("db.group_size")
         # Always-on breakdown for background work: flush/compaction threads
         # attribute their encryption/KDS/IO seconds here, feeding the
         # encryption-cost-per-byte signal without any bench harness active.
@@ -326,10 +330,10 @@ class DB:
                 if want_sync and self.options.wal_enabled:
                     self._wal.sync()
                 self._notify_commit_listeners(committed)
-                self.stats.counter("db.writes").add(total_ops)
-                self.stats.counter("db.user_write_bytes").add(total_bytes)
-                self.stats.counter("db.write_groups").add(1)
-                self.stats.histogram("db.group_size").record(len(group))
+                self._writes.add(total_ops)
+                self._user_write_bytes.add(total_bytes)
+                self._write_groups.add(1)
+                self._group_size.record(len(group))
                 if self._mem.approximate_size() >= self.options.write_buffer_size:
                     self._switch_memtable_locked()
             except BaseException as exc:

@@ -21,10 +21,14 @@ Payload byte offsets for CTR encryption are relative to the end of the
 envelope, so the envelope can be rewritten (e.g. during re-encryption)
 without re-encrypting the payload.
 
-The version says how the payload is laid out.  1: a stream cipher's payload
-is one keystream addressed by file offset (every WAL and MANIFEST, and SST
-formats v1/v2).  2: SST format v3 -- every unit is keyed on its own offset
-and every metadata unit ends in a CRC (``repro.lsm.sst``).
+The version says how the payload is laid out; 2 is what the writers use.
+1: a stream cipher's payload is one keystream addressed by file offset
+(SST formats v1/v2, and WALs and MANIFESTs written before version 2); a
+plaintext log is still written as version 1, its frames as they are.  2:
+every unit is keyed on its own offset.  For an SST that is format v3, where
+every metadata unit also ends in a CRC (``repro.lsm.sst``); for an encrypted
+WAL or MANIFEST every write unit is stored as ``sealed_len fixed32 |
+sealed`` (``repro.lsm.wal``), under a stream cipher or an AEAD alike.
 """
 
 from __future__ import annotations

@@ -7,12 +7,13 @@ what is stored at its payload offset, ``tag_size`` bytes longer, and
 schemes append and verify a tag; the writers and readers above this seam
 see only the contract, never the flavour.
 
-The stream flavour's ``seal`` builds a fresh cipher context from the (key,
-nonce) pair on every call -- mirroring how OpenSSL EVP contexts are
-re-initialized per operation, the "encryption initialization" cost the paper
-identifies as the WAL bottleneck and amortises with the WAL buffer (Section
-3.2) -- so sealing shares no state across SHIELD's multi-threaded chunk
-encryption (``seal_units`` pays it once per chunk-sized run of units).
+The stream flavour's ``seal`` and ``seal_unit`` build a fresh cipher context
+from the (key, nonce) pair on every call -- mirroring how OpenSSL EVP
+contexts are re-initialized per operation, the "encryption initialization"
+cost the paper identifies as the WAL bottleneck and amortises with the WAL
+buffer (Section 3.2), paid once per WAL unit -- so sealing shares no state
+across SHIELD's multi-threaded chunk encryption (``seal_units`` pays it once
+per chunk-sized run of units).
 Its ``open`` pays that init once per file: the context is
 immutable and lives exactly as long as the FileCrypto holding the key.  The
 AEAD flavour pays it once per file both ways -- an ``EVP_CIPHER_CTX`` keyed
@@ -76,10 +77,11 @@ class FileCrypto:
 
     This class is the plaintext and stream-cipher flavour of the contract:
     no tag, ``aad`` unused, and sealing is length-preserving.  ``seal`` /
-    ``open`` XOR one keystream addressed by file offset (WAL, MANIFEST and
-    format v1 SSTs), so unit boundaries leave no trace in the bytes;
-    ``seal_units`` / ``open_unit`` key every unit on its own offset (SST
-    format v3), so opening an n-byte unit costs exactly n keystream bytes.
+    ``open`` XOR one keystream addressed by file offset (the replication
+    stream, and v1 logs and format v1 SSTs, which are still read), so unit
+    boundaries leave no trace in the bytes; ``seal_unit`` / ``seal_units`` /
+    ``open_unit`` key every unit on its own offset (v2 logs, SST format v3),
+    so sealing or opening an n-byte unit costs exactly n keystream bytes.
     """
 
     tag_size = 0
@@ -116,9 +118,17 @@ class FileCrypto:
             return data
         return self._file_context().xor_at(data, offset)
 
+    def seal_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+        """Seal one unit keyed on its own ``offset`` (an encrypted log's
+        write unit): one fresh context, the modelled per-seal EVP init, and
+        one keystream squeeze of exactly the unit's length."""
+        if not self.encrypted or not data:
+            return data
+        return self._new_context().xor_units(((data, offset),))[0]
+
     def open_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        """Open the unit ``seal_units`` stored at ``offset``, through the
-        file's one context."""
+        """Open the unit ``seal_unit`` or ``seal_units`` stored at
+        ``offset``, through the file's one context."""
         if not self.encrypted or not data:
             return data
         return self._file_context().xor_units(((data, offset),))[0]
@@ -196,6 +206,7 @@ class AeadFileCrypto(FileCrypto):
         bit, relocated unit or wrong ``aad``."""
         return self._file_context().open(derive_nonce(self.nonce, offset), data, aad)
 
+    seal_unit = seal
     open_unit = open
 
     def open_units(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:

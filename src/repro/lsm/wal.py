@@ -6,9 +6,6 @@ Record framing (before encryption)::
     length  varint
     payload bytes
 
-Encryption covers the whole record stream (frames included) as one CTR
-stream starting at payload offset 0, so replay decrypts sequentially.
-
 Two encryption granularities, selected by ``buffer_size``:
 
 - ``buffer_size == 0``: every ``add_record`` encrypts and appends its frame
@@ -19,22 +16,31 @@ Two encryption granularities, selected by ``buffer_size``:
   Section 5.3).  Records still in the buffer are lost if the process
   crashes; whatever reaches storage is always encrypted and whole.
 
-Schemes whose units carry a tag (``FileCrypto.tag_size > 0``) need a second
-framing: a tagged unit must be opened whole, so replay has to know where
-each write unit (one frame unbuffered, one buffer flush buffered) ends
-before it can read any frame inside it.  Each unit is stored as
-``sealed_len fixed32 | ciphertext+tag``, with the unit's nonce derived from
-its payload offset.  Replay stops silently at a torn (incomplete) trailing
-unit, exactly like the stream framing's torn-tail tolerance -- but a
+An encrypted log (envelope version 2, the MANIFEST too) stores each write
+unit -- one frame or commit group unbuffered, one buffer flush buffered --
+as ``sealed_len fixed32 | sealed``, keyed on the payload offset of its
+sealed bytes: a stream cipher squeezes exactly the unit's length, an AEAD
+derives the unit's nonce from it and appends a tag.  Replay reads the
+prefix, opens the unit whole, then parses its frames.  It stops silently at
+a torn (incomplete) trailing unit, as it does at a torn frame -- but a
 *complete* unit whose tag fails to verify is tampering, not a crash
-artifact, and raises ``AuthenticationError``.
+artifact, and raises ``AuthenticationError``.  A plaintext log is version 1:
+the frames themselves.  Version 1 under a stream cipher (the frames XORed
+with one keystream from payload offset 0) is what encrypted logs were
+before units; replay still reads it.
 """
 
 from __future__ import annotations
 
 from repro.env.base import Env
 from repro.errors import CorruptionError
-from repro.lsm.envelope import FILE_KIND_WAL, MAX_ENVELOPE_SIZE, decode_envelope
+from repro.lsm.envelope import (
+    ENVELOPE_VERSION,
+    ENVELOPE_VERSION_UNITS,
+    FILE_KIND_WAL,
+    MAX_ENVELOPE_SIZE,
+    decode_envelope,
+)
 from repro.lsm.filecrypto import CryptoProvider, FileCrypto
 from repro.lsm.filename import parse_file_name
 from repro.lsm.write_batch import WriteBatch
@@ -74,7 +80,8 @@ class WALWriter:
         self.buffer_size = buffer_size
         self.sync_writes = sync_writes
         self._file = env.new_writable_file(path)
-        header = crypto.envelope(file_kind).encode()
+        version = ENVELOPE_VERSION_UNITS if crypto.encrypted else ENVELOPE_VERSION
+        header = crypto.envelope(file_kind, version).encode()
         self._file.append(header)
         self._payload_offset = 0          # encrypted+appended payload bytes
         self._buffer = bytearray()        # frames not yet encrypted/appended
@@ -121,15 +128,12 @@ class WALWriter:
 
     def _append_unit(self, chunk: bytes) -> None:
         """Persist one write unit at the current payload offset."""
-        if self._crypto.tag_size:
-            # The unit's nonce derives from the offset of its ciphertext
-            # (just past the fixed32 length prefix).
-            sealed = self._crypto.seal(chunk, self._payload_offset + 4)
-            stored = encode_fixed32(len(sealed)) + sealed
-        else:
-            stored = self._crypto.seal(chunk, self._payload_offset)
-        self._file.append(stored)
-        self._payload_offset += len(stored)
+        if self._crypto.encrypted:
+            # Keyed on the offset of the sealed bytes, just past the prefix.
+            sealed = self._crypto.seal_unit(chunk, self._payload_offset + 4)
+            chunk = encode_fixed32(len(sealed)) + sealed
+        self._file.append(chunk)
+        self._payload_offset += len(chunk)
 
     def flush_buffer(self) -> None:
         """Encrypt and persist everything currently buffered (one context).
@@ -183,8 +187,9 @@ def read_wal_records(env: Env, path: str, provider: CryptoProvider) -> list[byte
         return []
     crypto = provider.for_existing_file(envelope, path)
     body = bytes(raw[envelope.header_size:])
-    if crypto.tag_size:
+    if envelope.version == ENVELOPE_VERSION_UNITS or crypto.tag_size:
         return _replay_sealed_units(crypto, body)
+    # Version 1: plaintext frames, or a legacy stream log's one keystream.
     records, _ = _parse_frames(crypto.open(body, 0))
     return records
 
@@ -249,7 +254,7 @@ def _replay_sealed_units(crypto: FileCrypto, raw_payload: bytes) -> list[bytes]:
         sealed_len, pos = decode_fixed32(raw_payload, offset)
         if pos + sealed_len > total:
             break  # torn unit body
-        unit = crypto.open(raw_payload[pos:pos + sealed_len], pos)
+        unit = crypto.open_unit(raw_payload[pos:pos + sealed_len], pos)
         unit_records, consumed = _parse_frames(unit)
         records.extend(unit_records)
         if not consumed:

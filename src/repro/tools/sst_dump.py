@@ -1,8 +1,9 @@
 """Inspect SST files: envelope, properties, and (optionally) entries.
 
 The envelope is plaintext by design, so even without any key this tool
-shows the file's SST format (v1, v2 or v3) and which DEK it needs --
-exactly what a remote compaction worker reads before asking the KDS.
+shows the file's format (SST v1, v2 or v3; a WAL's or MANIFEST's ``log v1``
+or ``log v2``) and which DEK it needs -- exactly what a remote compaction
+worker reads before asking the KDS.  Properties and entries are SST-only.
 
 Examples::
 
@@ -18,7 +19,13 @@ import sys
 
 from repro.crypto.cipher import scheme_name
 from repro.env.local import LocalEnv
-from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope, kind_name
+from repro.lsm.envelope import (
+    FILE_KIND_MANIFEST,
+    FILE_KIND_WAL,
+    MAX_ENVELOPE_SIZE,
+    decode_envelope,
+    kind_name,
+)
 from repro.lsm.filecrypto import PlaintextCryptoProvider, SingleKeyCryptoProvider
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader, sst_format
@@ -47,7 +54,9 @@ def main(argv: list[str] | None = None) -> int:
     envelope = decode_envelope(head)
     print(f"file       : {args.path}")
     print(f"kind       : {kind_name(envelope.file_kind)}")
-    print(f"format     : {sst_format(envelope)}")
+    is_log = envelope.file_kind in (FILE_KIND_WAL, FILE_KIND_MANIFEST)
+    file_format = f"log v{envelope.version}" if is_log else sst_format(envelope)
+    print(f"format     : {file_format}")
     if envelope.encrypted:
         print(f"scheme     : {scheme_name(envelope.scheme_id)} "
               f"(id {envelope.scheme_id})")
@@ -56,6 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print("scheme     : none (plaintext)")
 
+    if is_log:
+        return 0
     if envelope.encrypted and not args.key:
         print("\n(encrypted; pass --key to read properties/entries)")
         return 0

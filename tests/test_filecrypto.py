@@ -134,6 +134,7 @@ def test_stream_seal_units_equals_single_pass(payload, cuts, chunk_size,
     stored = crypto.seal_units(units, chunk_size, threads)
     assert stored == crypto.seal_units(units, len(payload) + 1, 1)
     assert stored == b"".join(crypto.open_unit(data, at) for data, at, __ in units)
+    assert stored == b"".join(crypto.seal_unit(data, at) for data, at, __ in units)
     for data, offset, __ in units:
         start = offset - base_offset
         assert crypto.open_unit(stored[start:start + len(data)], offset) == data
@@ -186,6 +187,14 @@ def test_stream_open_builds_one_context_per_file_and_seal_one_per_call(scheme):
     before = _inits()
     assert again.open(sealed[3], 300) == b"unit-3"
     assert _inits() - before == 1
+    # A log unit keyed on its own offset: one fresh context per seal too.
+    before = _inits()
+    units = [crypto.seal_unit(b"unit-%d" % i, 100 * i) for i in range(5)]
+    assert _inits() - before == 5
+    assert [crypto.open_unit(unit, 100 * i) for i, unit in enumerate(units)] == [
+        b"unit-%d" % i for i in range(5)
+    ]
+    assert _inits() - before == 5
 
 
 @pytest.mark.parametrize("scheme", AEAD_SCHEMES)
@@ -201,6 +210,7 @@ def test_aead_builds_one_key_schedule_per_file_both_ways(scheme):
     before = _inits()
     assert again.open(sealed[3], 300, b"aad") == b"unit-3"
     assert again.seal(b"unit-3", 300, b"aad") == sealed[3]
+    assert again.seal_unit(b"unit-3", 300, b"aad") == sealed[3]
     assert _inits() - before == 1
 
 

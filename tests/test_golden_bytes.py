@@ -18,6 +18,15 @@ which the reader must keep opening.  An AEAD file builds its key schedule once a
 every unit under it, so each AEAD count is 1 whatever the settings; they
 were 78 (SST) and 200 / 24 (WAL) when every unit built its own schedule,
 with every sha256 exactly as it is now.
+
+The WAL table pins log v2 (envelope version 2): every encrypted write unit
+is ``sealed_len | sealed``, keyed on its own offset, so stream WAL bytes now
+depend on the buffer size, as the AEAD bytes always did.  Under v1 a stream
+WAL was one file-offset keystream, the same bytes for both buffer sizes
+(shake-ctr ``9f209855...``, chacha20 ``57934eb9...``); the AEAD payloads
+are unchanged and only the version byte and the envelope CRC moved.
+Plaintext logs stay v1, byte for byte; legacy v1 logs are pinned under
+``tests/data/`` (``tests/test_log_formats.py``).
 """
 
 import hashlib
@@ -67,21 +76,21 @@ GOLDEN_WAL = {
     ("none", 512): (
         "5406a55220a2ddf2d05ecd414ced1d60a75c3c49563da2b319900d3718081ea1", 0),
     ("shake-ctr", 0): (
-        "9f209855dd4b4a77749a131bf9970c6909ea9b2d14b17a37a31f7591309f5593", 200),
+        "06c88b7ea33b593fdfa6ca51f3017cbb7cf39be4b59ca5dc3b60ed86f5bd3e6e", 200),
     ("shake-ctr", 512): (
-        "9f209855dd4b4a77749a131bf9970c6909ea9b2d14b17a37a31f7591309f5593", 24),
+        "6556bef9f97a753cb248e2564513440fa4d8804da6f23a674ad5f4af1bbb4e54", 24),
     ("chacha20", 0): (
-        "57934eb91fad9812c6fee6d752f0a47086c93f3458577142bc43bf97c0aef69d", 200),
+        "e6556c5cef53959e50dd3fb4c59b0b8bd44e06402366762c2e7e8f86672008be", 200),
     ("chacha20", 512): (
-        "57934eb91fad9812c6fee6d752f0a47086c93f3458577142bc43bf97c0aef69d", 24),
+        "6dc92c3f26b8d3f0ae0dd1cfd6ba32dbe4a08a6bef1d0282aa80a62c9d674e64", 24),
     ("shake-etm", 0): (
-        "58c42b5b9cb8d00f3fae270d9c7387c656803fb8ca52fc6002c74dc281b6abda", 1),
+        "e1d395a493f4fb1f11c0336bafeaa177604d15f76948042453068cbcb5f2b607", 1),
     ("shake-etm", 512): (
-        "0685938075a8cecbc3a3d4a5a2b6994fb6342edda238999c616dc32d113ba4dd", 1),
+        "ab9fcd87bf47a01239706e47d3daacb7b88e3f28744ebb02fa819700f555880a", 1),
     ("chacha20-poly1305", 0): (
-        "1d280dbbf344a324189aacde0471f59af2c5683cb65b2b926a976551544023ec", 1),
+        "68244725889ed84221cb73860062b2ac13659c8a868e2277d94e9329766419d3", 1),
     ("chacha20-poly1305", 512): (
-        "2b955c11c7a6eec42ce7fec52980e0c09f428f13d95ca944eea4e9f410b62dda", 1),
+        "6866f982eb63ad6693cacca172cb9ae45d6b2ef87208955a4f3f69e4d4c0708b", 1),
 }
 
 

@@ -8,7 +8,6 @@ the v1/v2 builder with a fixed key and nonce from ``legacy_entries()``.
 
 import hashlib
 import itertools
-import types
 from contextlib import closing
 from pathlib import Path
 
@@ -177,34 +176,6 @@ def test_a_flipped_bit_in_an_untagged_metadata_unit_is_caught(role, scheme):
         env.write_file("/db/flipped.sst", bytes(raw))
         with pytest.raises(CorruptionError, match=f"sst-{role} checksum mismatch"):
             SSTReader(env, "/db/flipped.sst", _provider(scheme), Options())
-
-
-class _SpyShake:
-    """A SHAKE-256 state that records the length of every squeeze."""
-
-    def __init__(self, state, squeezed):
-        self._state, self._squeezed = state, squeezed
-
-    def update(self, data):
-        self._state.update(data)
-
-    def copy(self):
-        return _SpyShake(self._state.copy(), self._squeezed)
-
-    def digest(self, length):
-        self._squeezed.append(length)
-        return self._state.digest(length)
-
-
-@pytest.fixture
-def squeezed(monkeypatch):
-    """Every ``digest`` length the shake-ctr cipher asks for."""
-    lengths = []
-    spy = types.SimpleNamespace(
-        shake_256=lambda data=b"": _SpyShake(hashlib.shake_256(data), lengths)
-    )
-    monkeypatch.setattr(xof, "hashlib", spy)
-    return lengths
 
 
 def test_a_v3_block_read_squeezes_exactly_its_own_bytes(squeezed):
