@@ -1,4 +1,4 @@
-"""Compaction, decomposed along the design-space axes of Sarkar et al.
+"""Compaction, decomposed along two design-space axes of Sarkar et al.
 ("Constructing and Analyzing the LSM Compaction Design Space", VLDB'21):
 
 - **Trigger** -- *when* is compaction needed, and how urgently (level-0
@@ -6,13 +6,9 @@
   FIFO size/TTL caps)?
 - **Data layout** -- *which* files form a job and where do outputs land
   (leveled spans with overlap pull-in, tiered run windows, the hybrid
-  lazy-leveling shape)?
-- **Granularity** -- *how much* data moves per job (everything eligible,
-  or partial compactions bounded by ``max_compaction_bytes``)?
-- **Data movement** -- *how* the data moves (merge + rewrite, delete-only
-  expiry, or metadata-only trivial moves)?
+  lazy-leveling shape, FIFO's delete-only drops)?
 
-A picker is a composition of those components; the classic policies the
+A picker is a list of (trigger, layout) rules; the classic policies the
 paper evaluates (Figure 15) -- leveled, universal (tiered), FIFO -- plus
 lazy-leveling are each one configuration of :class:`ComposedPicker`.  The
 adaptive controller (``repro.obs.controller``) swaps configurations at
@@ -23,10 +19,8 @@ A picker inspects a Version and proposes a :class:`CompactionJob`; a
 and the DB applies the resulting VersionEdit.  SHIELD's DEK rotation rides
 on compaction: every output file gets a fresh DEK from the crypto provider
 and every input file's DEK is retired with it (Section 5.2, "Embedding
-DEK-Handling Practices").  The one exception is a *trivial move*
-(``allow_trivial_move``), which relinks a file without rewriting it -- fast,
-but it postpones that file's DEK rotation, the explicit trade the movement
-dimension exposes.
+DEK-Handling Practices").  A job either rewrites its inputs or (FIFO) drops
+them; none relinks a file, so every compaction job retires its inputs' DEKs.
 """
 
 from __future__ import annotations
@@ -49,6 +43,7 @@ from repro.lsm.options import (
 from repro.lsm.sst import SSTBuilder, SSTFileInfo, merge_tables
 from repro.lsm.tables import TableSet
 from repro.lsm.version import FileMetadata, Version
+from repro.util.clock import RealClock
 
 
 @dataclass
@@ -56,16 +51,13 @@ class CompactionJob:
     """A unit of background compaction work.
 
     ``inputs`` maps level -> files consumed.  ``output_level`` is where
-    merged files land.  ``delete_only`` marks FIFO expiry (no merging);
-    ``trivial_move`` marks a metadata-only relink (no rewriting, no DEK
-    rotation).
+    merged files land.  ``delete_only`` marks FIFO expiry (no merging).
     """
 
     inputs: dict[int, list[FileMetadata]] = field(default_factory=dict)
     output_level: int = 0
     delete_only: bool = False
     bottommost: bool = False
-    trivial_move: bool = False
 
     def input_files(self) -> list[tuple[int, FileMetadata]]:
         return [
@@ -105,6 +97,20 @@ def _is_bottommost(version: Version, output_level: int, begin, end) -> bool:
         if version.overlapping_files(level, begin, end):
             return False
     return True
+
+
+def _expired(ctx: CompactionContext) -> list[FileMetadata]:
+    """FIFO: the idle level-0 files older than the TTL (none when off)."""
+    ttl = ctx.options.fifo_ttl_seconds
+    if ttl <= 0:
+        return []
+    return [
+        meta
+        for meta in ctx.version.levels[0]
+        if meta.number not in ctx.compacting
+        and meta.created_at
+        and ctx.now - meta.created_at > ttl
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +187,7 @@ class FIFOTTLTrigger(Trigger):
     """FIFO expiry: any file older than the TTL fires at maximal urgency."""
 
     def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        ttl = ctx.options.fifo_ttl_seconds
-        if ttl <= 0:
-            return None
-        expired = [
-            meta
-            for meta in ctx.version.levels[0]
-            if meta.number not in ctx.compacting
-            and meta.created_at
-            and ctx.now - meta.created_at > ttl
-        ]
-        return (math.inf, 0) if expired else None
+        return (math.inf, 0) if _expired(ctx) else None
 
 
 class FIFOSizeTrigger(Trigger):
@@ -208,49 +204,6 @@ class FIFOSizeTrigger(Trigger):
 
 
 # ----------------------------------------------------------------------
-# Granularity: how much moves per job?
-# ----------------------------------------------------------------------
-
-
-class Granularity:
-    """Bounds the base file set a layout feeds into one job."""
-
-    def trim(
-        self, files: list[FileMetadata], ctx: CompactionContext
-    ) -> list[FileMetadata]:
-        raise NotImplementedError
-
-
-class FullGranularity(Granularity):
-    """Move everything the layout selected (classic behaviour)."""
-
-    def trim(self, files, ctx):
-        return files
-
-
-class PartialGranularity(Granularity):
-    """Partial compaction: cap the job's base bytes at
-    ``max_compaction_bytes`` (0 = unlimited), keeping a prefix of the
-    given priority order (oldest-first for leveled bases, newest-first
-    for tiered windows).  Pulled-in output-level overlap rides on top of
-    the cap -- the bound is on what the trigger chose to move, not the
-    collateral."""
-
-    def trim(self, files, ctx):
-        budget = ctx.options.max_compaction_bytes
-        if budget <= 0 or not files:
-            return files
-        kept: list[FileMetadata] = []
-        total = 0
-        for meta in files:
-            if kept and total + meta.size > budget:
-                break
-            kept.append(meta)
-            total += meta.size
-        return kept
-
-
-# ----------------------------------------------------------------------
 # Data layout: which files form the job, and where do outputs land?
 # ----------------------------------------------------------------------
 
@@ -259,9 +212,7 @@ class Layout:
     """Builds a job for the triggered level, or None if blocked (e.g. an
     in-flight compaction holds a file the job must include)."""
 
-    def build(
-        self, ctx: CompactionContext, level: int, granularity: Granularity
-    ) -> CompactionJob | None:
+    def build(self, ctx: CompactionContext, level: int) -> CompactionJob | None:
         raise NotImplementedError
 
 
@@ -269,7 +220,7 @@ class LeveledLayout(Layout):
     """RocksDB-style leveled: base files merge one level down, pulling in
     every overlapping file at the output level."""
 
-    def build(self, ctx, level, granularity):
+    def build(self, ctx, level):
         version, compacting = ctx.version, ctx.compacting
         if level == 0:
             # L0 files may overlap each other; an in-flight job holding any
@@ -277,12 +228,6 @@ class LeveledLayout(Layout):
             if any(meta.number in compacting for meta in version.levels[0]):
                 return None
             base_files = list(version.levels[0])
-            if not base_files:
-                return None
-            # Partial L0 compaction keeps the *oldest* files (newest stay
-            # in L0 and keep shadowing the moved data -- the read path
-            # searches L0 newest-first, so correctness is preserved).
-            base_files = granularity.trim(list(reversed(base_files)), ctx)
         else:
             candidates = [
                 meta
@@ -300,15 +245,11 @@ class LazySpillLayout(Layout):
     """Lazy-leveling spill: every L0 run merges into the leveled bottom
     area at L1 (with its overlap), emptying the tiered upper area."""
 
-    def build(self, ctx, level, granularity):
+    def build(self, ctx, level):
         version, compacting = ctx.version, ctx.compacting
         if any(meta.number in compacting for meta in version.levels[0]):
             return None
-        base_files = list(version.levels[0])
-        if not base_files:
-            return None
-        base_files = granularity.trim(list(reversed(base_files)), ctx)
-        return build_leveled_job(version, 0, base_files, compacting)
+        return build_leveled_job(version, 0, list(version.levels[0]), compacting)
 
 
 class TieredLayout(Layout):
@@ -324,7 +265,7 @@ class TieredLayout(Layout):
       fall back to enough newest runs to get back under the run cap).
     """
 
-    def build(self, ctx, level, granularity):
+    def build(self, ctx, level):
         version, options = ctx.version, ctx.options
         if any(meta.number in ctx.compacting for meta in version.levels[0]):
             return None  # overlapping-output hazard: wait for the running job
@@ -335,7 +276,6 @@ class TieredLayout(Layout):
             window = runs
         else:
             window = self._size_ratio_window(runs, options)
-        window = granularity.trim(window, ctx)
         if len(window) < 2:
             return None  # a single-run "merge" would spin forever
         return CompactionJob(
@@ -372,17 +312,11 @@ class TieredLayout(Layout):
 class FIFOExpiryLayout(Layout):
     """FIFO TTL expiry: every file older than the TTL, no merging."""
 
-    def build(self, ctx, level, granularity):
-        expired = [
-            meta
-            for meta in ctx.version.levels[0]
-            if meta.number not in ctx.compacting
-            and meta.created_at
-            and ctx.now - meta.created_at > ctx.options.fifo_ttl_seconds
-        ]
+    def build(self, ctx, level):
+        expired = _expired(ctx)
         if not expired:
             return None
-        return CompactionJob(inputs={0: expired}, output_level=0)
+        return CompactionJob(inputs={0: expired}, output_level=0, delete_only=True)
 
 
 class FIFORetentionLayout(Layout):
@@ -390,7 +324,7 @@ class FIFORetentionLayout(Layout):
     Reads of dropped keys fail by design (the paper's Figure 15 notes
     exactly this for its FIFO readrandom results)."""
 
-    def build(self, ctx, level, granularity):
+    def build(self, ctx, level):
         files = [
             m for m in ctx.version.levels[0] if m.number not in ctx.compacting
         ]
@@ -404,7 +338,7 @@ class FIFORetentionLayout(Layout):
             total -= meta.size
         if not doomed:
             return None
-        return CompactionJob(inputs={0: doomed}, output_level=0)
+        return CompactionJob(inputs={0: doomed}, output_level=0, delete_only=True)
 
 
 def build_leveled_job(
@@ -436,104 +370,38 @@ def build_leveled_job(
 
 
 # ----------------------------------------------------------------------
-# Data movement: how does the data get there?
-# ----------------------------------------------------------------------
-
-
-class Movement:
-    """Finalizes how a job's bytes travel; may reject (return None)."""
-
-    def finalize(
-        self, ctx: CompactionContext, job: CompactionJob
-    ) -> CompactionJob | None:
-        raise NotImplementedError
-
-
-class MergeMovement(Movement):
-    """Merge + rewrite (the default): outputs are re-encrypted with fresh
-    DEKs, which is how SHIELD's key rotation rides on compaction.  With
-    ``allow_trivial_move`` a single-input job with nothing to merge into
-    becomes a metadata-only relink instead (no rewrite, DEK unrotated)."""
-
-    def finalize(self, ctx, job):
-        if (
-            ctx.options.allow_trivial_move
-            and not job.delete_only
-            and job.output_level > 0
-            and len(job.input_files()) == 1
-            and job.output_level not in job.inputs
-        ):
-            job.trivial_move = True
-        return job
-
-
-class DeleteOnlyMovement(Movement):
-    """No data moves at all: inputs are simply dropped (FIFO)."""
-
-    def finalize(self, ctx, job):
-        job.delete_only = True
-        return job
-
-
-# ----------------------------------------------------------------------
 # Composition
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class Rule:
-    """One (trigger, layout, movement) lane of a composed picker."""
+    """One (trigger, layout) lane of a composed picker."""
 
     trigger: Trigger
     layout: Layout
-    movement: Movement
 
 
-class CompactionPicker:
-    """Interface: propose a job, or None if the tree is in shape."""
-
-    def __init__(self, options: Options):
-        self.options = options
-
-    def pick(self, version: Version, compacting: set[int]) -> CompactionJob | None:
-        raise NotImplementedError
-
-
-class ComposedPicker(CompactionPicker):
-    """A compaction policy as a composition along the four design axes.
+class ComposedPicker:
+    """A compaction policy as a list of (trigger, layout) rules.
 
     ``pick`` scores every rule's trigger, takes the most urgent (first
-    rule wins ties -- rule order encodes priority), builds the job through
-    the rule's layout (bounded by the shared granularity component), and
-    finalizes the movement.  A blocked layout (in-flight conflict) falls
-    through to the next-best rule.
+    rule wins ties -- rule order encodes priority) and builds the job
+    through the rule's layout; None means the tree is in shape.  A blocked
+    layout (in-flight conflict) falls through to the next-best rule.
     """
 
-    def __init__(
-        self,
-        options: Options,
-        rules: list[Rule],
-        granularity: Granularity | None = None,
-    ):
-        super().__init__(options)
+    def __init__(self, options: Options, rules: list[Rule]):
+        self.options = options
         self.rules = rules
-        self.granularity = granularity or FullGranularity()
-
-    def _now(self) -> float:
-        clock = getattr(self, "_clock", None)
-        if clock is None:
-            from repro.util.clock import RealClock
-
-            clock = self.options.clock or RealClock()
-            self._clock = clock
-        return clock.now()
+        self.clock = options.clock or RealClock()
 
     def pick(self, version: Version, compacting: set[int]) -> CompactionJob | None:
         ctx = CompactionContext(
             version=version,
             compacting=compacting,
             options=self.options,
-            now=self._now(),
+            now=self.clock.now(),
         )
         scored: list[tuple[float, int, int]] = []  # (score, order, level)
         for order, rule in enumerate(self.rules):
@@ -545,11 +413,9 @@ class ComposedPicker(CompactionPicker):
         # Most urgent first; rule order breaks ties (stable priority).
         scored.sort(key=lambda item: (-item[0], item[1]))
         for __, order, level in scored:
-            rule = self.rules[order]
-            job = rule.layout.build(ctx, level, self.granularity)
-            if job is None:
-                continue
-            return rule.movement.finalize(ctx, job)
+            job = self.rules[order].layout.build(ctx, level)
+            if job is not None:
+                return job
         return None
 
 
@@ -557,14 +423,12 @@ class LeveledPicker(ComposedPicker):
     """RocksDB-style leveled compaction: L0 count score, size scores above."""
 
     def __init__(self, options: Options):
-        merge = MergeMovement()
         super().__init__(
             options,
             rules=[
-                Rule(L0CountTrigger(), LeveledLayout(), merge),
-                Rule(LevelSizeTrigger(), LeveledLayout(), merge),
+                Rule(L0CountTrigger(), LeveledLayout()),
+                Rule(LevelSizeTrigger(), LeveledLayout()),
             ],
-            granularity=PartialGranularity(),
         )
 
 
@@ -574,11 +438,7 @@ class UniversalPicker(ComposedPicker):
     contrast the paper draws against leveled)."""
 
     def __init__(self, options: Options):
-        super().__init__(
-            options,
-            rules=[Rule(RunCountTrigger(), TieredLayout(), MergeMovement())],
-            granularity=PartialGranularity(),
-        )
+        super().__init__(options, rules=[Rule(RunCountTrigger(), TieredLayout())])
 
 
 class LazyLeveledPicker(ComposedPicker):
@@ -590,15 +450,13 @@ class LazyLeveledPicker(ComposedPicker):
     resting state for mixed workloads."""
 
     def __init__(self, options: Options):
-        merge = MergeMovement()
         super().__init__(
             options,
             rules=[
-                Rule(L0BytesTrigger(), LazySpillLayout(), merge),
-                Rule(RunCountTrigger(), TieredLayout(), merge),
-                Rule(LevelSizeTrigger(), LeveledLayout(), merge),
+                Rule(L0BytesTrigger(), LazySpillLayout()),
+                Rule(RunCountTrigger(), TieredLayout()),
+                Rule(LevelSizeTrigger(), LeveledLayout()),
             ],
-            granularity=PartialGranularity(),
         )
 
 
@@ -607,17 +465,16 @@ class FIFOPicker(ComposedPicker):
     cap, and (with ``fifo_ttl_seconds``) files older than the TTL."""
 
     def __init__(self, options: Options):
-        drop = DeleteOnlyMovement()
         super().__init__(
             options,
             rules=[
-                Rule(FIFOTTLTrigger(), FIFOExpiryLayout(), drop),
-                Rule(FIFOSizeTrigger(), FIFORetentionLayout(), drop),
+                Rule(FIFOTTLTrigger(), FIFOExpiryLayout()),
+                Rule(FIFOSizeTrigger(), FIFORetentionLayout()),
             ],
         )
 
 
-def make_picker(options: Options, style: str | None = None) -> CompactionPicker:
+def make_picker(options: Options, style: str | None = None) -> ComposedPicker:
     """Build the picker for ``style`` (default: the options' configured
     style).  The override is how the adaptive controller swaps policies
     without mutating the shared Options object."""

@@ -597,8 +597,6 @@ class DB:
                 self._flush_job(job)
             elif job.delete_only:
                 self._apply_delete_only(job)
-            elif job.trivial_move:
-                self._apply_trivial_move(job)
             else:
                 self._run_merge_compaction(job)
         except AuthenticationError:
@@ -690,16 +688,6 @@ class DB:
         for __, meta in job.input_files():
             self._drop_table(meta)
         self.stats.counter("db.fifo_expirations").add(len(job.input_files()))
-
-    def _apply_trivial_move(self, job: CompactionJob) -> None:
-        """Metadata-only move: relink the input file at the output level.
-
-        No bytes are rewritten and no DEK rotates -- the movement
-        dimension's fast lane, valid only because the picker proved the
-        file overlaps nothing at the output level.
-        """
-        self._install(job, [meta for __, meta in job.input_files()])
-        self.stats.counter("db.trivial_moves").add(1)
 
     def _run_merge_compaction(self, job: CompactionJob) -> None:
         input_bytes = job.total_input_bytes()

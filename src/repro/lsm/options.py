@@ -76,14 +76,6 @@ class Options:
     fifo_max_table_files_size: int = 8 * 1024 * 1024
     # FIFO: additionally expire files older than this (0 disables).
     fifo_ttl_seconds: float = 0.0
-    # Granularity knob (partial compaction): cap one job's *base* input
-    # bytes; pulled-in output-level overlap rides on top.  0 = unlimited
-    # (classic full-eligible jobs).
-    max_compaction_bytes: int = 0
-    # Movement knob: relink a single input file with nothing to merge into
-    # instead of rewriting it.  Faster, but the moved file keeps its DEK
-    # until a real merge touches it (rotation postponed, never skipped).
-    allow_trivial_move: bool = False
 
     # Background flush/compaction worker threads.
     max_background_jobs: int = 2
@@ -140,14 +132,25 @@ class Options:
             raise InvalidArgumentError("block_size must be positive")
         if self.fanout < 2:
             raise InvalidArgumentError("fanout must be at least 2")
+        # Below these the pickers divide by zero or index past the last
+        # level, and the worker pool refuses to start.
+        if self.num_levels < 2:
+            raise InvalidArgumentError("num_levels must be at least 2")
+        for name in (
+            "level0_file_num_compaction_trigger",
+            "max_bytes_for_level_base",
+            "universal_max_sorted_runs",
+            "fifo_max_table_files_size",
+            "max_background_jobs",
+        ):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be positive")
         if self.encryption_chunk_size <= 0:
             raise InvalidArgumentError("encryption_chunk_size must be positive")
         if self.encryption_threads < 1:
             raise InvalidArgumentError("encryption_threads must be >= 1")
         if self.wal_buffer_size < 0:
             raise InvalidArgumentError("wal_buffer_size must be >= 0")
-        if self.max_compaction_bytes < 0:
-            raise InvalidArgumentError("max_compaction_bytes must be >= 0")
         if self.compression not in ("none", "zlib"):
             raise InvalidArgumentError(
                 f"unknown compression: {self.compression}"

@@ -148,13 +148,6 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
     """
     replica_id, position, held = protocol.decode_repl_subscribe(request.payload)
     crypto, nonce = _make_stream_crypto(key_client)
-    conn.send(Message(
-        protocol.RESP_REPL_ACCEPT,
-        request.request_id,
-        protocol.encode_repl_accept(
-            crypto.scheme_id, crypto.dek_id, nonce, db.committed_sequence()
-        ),
-    ))
     offset = 0
     # What the replica's files hold every write up to.  A reconnecting
     # replica's may be older than its position; taking the position only
@@ -177,6 +170,13 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
         conn.send(Message(opcode, 0, payload))
 
     try:
+        conn.send(Message(
+            protocol.RESP_REPL_ACCEPT,
+            request.request_id,
+            protocol.encode_repl_accept(
+                crypto.scheme_id, crypto.dek_id, nonce, db.committed_sequence()
+            ),
+        ))
         while conn.alive and not stopping.is_set():
             records = source.wait_records_after(position, timeout=0.2)
             if base < source.earliest_sequence:
@@ -200,8 +200,14 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
     except OSError:
         pass  # replica went away; it will resubscribe with its position
     finally:
-        streams_gauge.add(-1)
         conn.close()
+        # The stream is one more sealed file and its DEK goes with it, as a
+        # deleted file's does: a KDS outage defers the retire, and a refused
+        # one is no reason to fail a stream that has already ended.
+        if crypto.dek_id:
+            with contextlib.suppress(KeyManagementError):
+                key_client.retire_dek(crypto.dek_id)
+        streams_gauge.add(-1)
 
 
 class Replica(ReadOnlyInstance):

@@ -78,7 +78,6 @@ class ServiceConfig:
     max_queue_depth: int = 64        # bounded request queue (backpressure)
     require_auth: bool = False       # demand OP_AUTH before serving
     kds: object | None = None        # overrides the provider's KDS for auth
-    socket_timeout_s: float | None = None
     drain_timeout_s: float = 5.0     # graceful-shutdown drain budget
     health_check_interval_s: float = 0.2  # health-monitor poll cadence
     auto_recover: bool = True        # clear transient bg errors automatically
@@ -455,8 +454,6 @@ class KVServer:
                 sock, addr = self._listener.accept()
             except OSError:
                 return  # listener closed during shutdown
-            if self.config.socket_timeout_s is not None:
-                sock.settimeout(self.config.socket_timeout_s)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(sock, addr)
             with self._conn_lock:

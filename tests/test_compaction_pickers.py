@@ -218,18 +218,16 @@ def test_fifo_under_cap_no_work():
 
 
 # ----------------------------------------------------------------------
-# Composable design-space components (trigger / layout / granularity /
-# movement) and the policies composed from them.
+# Composable design-space components (trigger / layout) and the
+# policies composed from them.
 # ----------------------------------------------------------------------
 
 from repro.lsm.compaction import (  # noqa: E402
     CompactionContext,
-    FullGranularity,
     L0BytesTrigger,
     L0CountTrigger,
     LazyLeveledPicker,
     LevelSizeTrigger,
-    PartialGranularity,
     RunCountTrigger,
 )
 
@@ -276,33 +274,6 @@ def test_l0_bytes_trigger():
     assert score == 1.2 and level == 0
     version = _version(l0=[_meta(1, size=100)])
     assert L0BytesTrigger().fire(_ctx(version, options)) is None
-
-
-def test_partial_granularity_caps_base_bytes():
-    options = Options(max_compaction_bytes=250)
-    files = [_meta(i, size=100) for i in range(1, 6)]
-    kept = PartialGranularity().trim(files, _ctx(_version(), options))
-    assert [m.number for m in kept] == [1, 2]
-    # Always keeps at least one file, even over budget.
-    big = [_meta(9, size=10_000)]
-    assert PartialGranularity().trim(big, _ctx(_version(), options)) == big
-    # Budget 0 = unlimited.
-    options = Options(max_compaction_bytes=0)
-    assert PartialGranularity().trim(files, _ctx(_version(), options)) == files
-    assert FullGranularity().trim(files, _ctx(_version(), Options())) == files
-
-
-def test_leveled_partial_compaction_moves_oldest_l0_files():
-    options = Options(
-        level0_file_num_compaction_trigger=4, max_compaction_bytes=250
-    )
-    picker = LeveledPicker(options)
-    version = _version(l0=[_meta(i, size=100) for i in range(1, 5)])
-    job = picker.pick(version, set())
-    assert job is not None
-    # Oldest two files move; the newer two stay in L0 and keep shadowing.
-    assert job.input_numbers() == {1, 2}
-    assert job.output_level == 1
 
 
 def test_lazy_leveled_tiers_small_l0():
@@ -373,55 +344,6 @@ def test_lazy_leveled_levels_the_bottom():
 def test_make_picker_lazy_leveled():
     picker = make_picker(Options(compaction_style="lazy-leveled"))
     assert isinstance(picker, LazyLeveledPicker)
-
-
-def test_trivial_move_marks_single_input_no_overlap():
-    options = Options(
-        level0_file_num_compaction_trigger=100,
-        max_bytes_for_level_base=1000,
-        allow_trivial_move=True,
-    )
-    picker = LeveledPicker(options)
-    # Oversized L1 file with no L2 overlap: relink instead of rewrite.
-    version = _version(l1=[_meta(1, b"a", b"f", size=5000)])
-    job = picker.pick(version, set())
-    assert job is not None
-    assert job.trivial_move
-    assert job.output_level == 2
-    # With overlap at the output level the merge is real.
-    version = Version(7)
-    edit = VersionEdit()
-    edit.add_file(1, _meta(1, b"a", b"f", size=5000))
-    edit.add_file(2, _meta(2, b"c", b"d", size=10))
-    version = version.apply(edit)
-    job = picker.pick(version, set())
-    assert job is not None
-    assert not job.trivial_move
-    # Disabled by default.
-    options.allow_trivial_move = False
-    version = _version(l1=[_meta(1, b"a", b"f", size=5000)])
-    assert not picker.pick(version, set()).trivial_move
-
-
-def test_trivial_move_end_to_end():
-    from repro.env.mem import MemEnv
-    from repro.lsm.db import DB
-
-    options = Options(
-        env=MemEnv(),
-        allow_trivial_move=True,
-        write_buffer_size=4 * 1024,
-        max_bytes_for_level_base=8 * 1024,
-        level0_file_num_compaction_trigger=2,
-    )
-    with DB("/tm", options) as db:
-        for i in range(4000):
-            db.put(b"key-%06d" % i, b"v" * 64)
-        db.compact_range()
-        for i in range(0, 4000, 97):
-            assert db.get(b"key-%06d" % i) == b"v" * 64
-        # At least one metadata-only move happened on this sequential fill.
-        assert db.stats.counter("db.trivial_moves").value >= 1
 
 
 def test_leveled_blocked_l0_falls_through_to_level_rule():

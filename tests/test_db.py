@@ -193,6 +193,25 @@ def test_open_missing_without_create_raises():
         DB("/nonexistent", options)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("level0_file_num_compaction_trigger", 0),
+    ("max_bytes_for_level_base", 0),
+    ("fifo_max_table_files_size", 0),
+    ("universal_max_sorted_runs", 0),
+    ("num_levels", 1),
+    ("max_background_jobs", 0),
+])
+def test_open_rejects_a_value_the_engine_divides_by_or_indexes_with(
+    field, value
+):
+    # Each of these used to pass validation and fail later: a
+    # ZeroDivisionError or IndexError at open, on a write or in the
+    # background, or a ValueError from the worker pool.
+    options = _small_options(**{field: value})
+    with pytest.raises(InvalidArgumentError, match=field):
+        DB("/db", options)
+
+
 def test_universal_compaction_end_to_end():
     options = _small_options(
         compaction_style="universal", universal_max_sorted_runs=3

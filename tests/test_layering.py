@@ -1,7 +1,8 @@
-"""Layering of the serving tier, checked on the syntax tree.
+"""Layering of the engine and the serving tier, checked on the syntax tree.
 
-``src/repro/service`` keeps three properties that are cheap to lose one
-line at a time: no object reaches into another's underscore fields, the
+``src/repro/lsm``, ``src/repro/dist`` and ``src/repro/service`` keep one
+property that is cheap to lose one line at a time: no object reaches into
+another's underscore fields.  ``src/repro/service`` keeps two more: the
 authorization decisions are called from one place (``server.admit``), and
 the replication stream never picks its cipher by looking at a scheme's
 flavour (it is sealed by ``make_file_crypto`` for the scheme in force).
@@ -10,9 +11,15 @@ flavour (it is sealed by ``make_file_crypto`` for the scheme in force).
 import ast
 import pathlib
 
-SERVICE = pathlib.Path(__file__).parent.parent / "src" / "repro" / "service"
-TREES = {
-    path.name: ast.parse(path.read_text()) for path in sorted(SERVICE.glob("*.py"))
+REPRO = pathlib.Path(__file__).parent.parent / "src" / "repro"
+LAYERED = {
+    f"{package}/{path.name}": ast.parse(path.read_text())
+    for package in ("lsm", "dist", "service")
+    for path in sorted((REPRO / package).glob("*.py"))
+}
+TREES = {  # the serving tier's modules, by file name
+    name.removeprefix("service/"): tree
+    for name, tree in LAYERED.items() if name.startswith("service/")
 }
 
 
@@ -42,9 +49,9 @@ def _imported_modules(tree):
 
 
 def test_nothing_reaches_into_another_objects_underscore_fields():
-    assert len(TREES) >= 6
+    assert len(TREES) >= 6 and len(LAYERED) >= 30
     reaches = []
-    for name, tree in TREES.items():
+    for name, tree in LAYERED.items():
         own = {"self", "cls"} | _imported_modules(tree)  # os._exit is no field
         reaches += [
             f"{name}:{node.lineno} {ast.unparse(node)}"

@@ -414,12 +414,18 @@ def test_an_sst_tampered_in_transit_is_never_a_value(scheme, error):
 
 
 class _FixedKeyClient:
-    """Hands the streamer one known stream DEK."""
+    """Hands the streamer one known stream DEK, and records its retirement."""
 
     default_scheme = "shake-ctr"
 
+    def __init__(self):
+        self.retired = []
+
     def new_dek(self, scheme=None):
         return DEK("dek-pinned", bytes(range(32)), "shake-ctr")
+
+    def retire_dek(self, dek_id):
+        self.retired.append(dek_id)
 
 
 class _CollectingConn:
@@ -465,13 +471,15 @@ def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
             db.put(b"before-%d" % i, b"the source attached")
         source = ReplicationSource(db)
         conn = _CollectingConn(6, tail_records)
+        key_client = _FixedKeyClient()
         stream_to_replica(
             conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
                           protocol.encode_repl_subscribe("replica-1", 0)),
-            db, source, _FixedKeyClient(),
+            db, source, key_client,
             stopping=threading.Event(), stats=StatsRegistry(),
         )
         source.close()
+        assert key_client.retired == ["dek-pinned"]  # it ended with the stream
     finally:
         db.close()
     # accept; one SST, the MANIFEST and CURRENT, the position; six records.

@@ -392,6 +392,31 @@ def test_crash_and_reconnect_mid_stream():
     db.close()
 
 
+def test_a_streams_dek_is_retired_when_the_stream_ends():
+    kds = InMemoryKDS()
+    db = _shield_db(kds)
+    live = []
+    with KVServer(db, ServiceConfig()) as server:
+        streams = server.stats.gauge("service.repl_streams")
+        for round_ in range(5):
+            replica = Replica(*server.address, server_id="replica-1",
+                              key_client=KeyClient(kds, "replica-1"))
+            replica.start()
+            db.put(b"round-%d" % round_, b"v")
+            assert replica.wait_until_caught_up(db.committed_sequence())
+            replica.close()
+            # The primary learns that a replica left at its next send.
+            deadline = time.monotonic() + 10.0
+            while streams.value and time.monotonic() < deadline:
+                db.put(b"nudge", b"v")
+                time.sleep(0.01)
+            assert streams.value == 0
+            live.append(kds.live_dek_count())
+    db.close()
+    # Each round provisioned a stream DEK; none outlived its stream.
+    assert live == [live[0]] * 5
+
+
 # -- checkpoint catch-up -----------------------------------------------------
 
 
