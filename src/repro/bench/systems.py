@@ -80,8 +80,6 @@ def make_system(
             server_id=server_id,
             scheme=scheme,
             wal_buffer_size=spec.wal_buffer,
-            encryption_chunk_size=options.encryption_chunk_size,
-            encryption_threads=options.encryption_threads,
         )
         options.crypto_provider = shield.build_provider()
         return DB(path, options)

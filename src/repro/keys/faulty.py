@@ -8,8 +8,6 @@ schedule replays exactly:
   :meth:`go_down` is in effect (a full KDS denial);
 - **error probability** -- each request independently fails with
   probability ``error_rate``;
-- **slow responses** -- each request sleeps ``slow_s`` first (timeout
-  pressure without failure);
 - **timeouts** -- each request independently times out (sleeps
   ``timeout_after_s`` then raises) with probability ``timeout_rate``;
 - **flapping** -- :meth:`set_flap_schedule` alternates up/down windows by
@@ -32,7 +30,8 @@ from repro.util.clock import Clock, RealClock
 
 
 class FaultyKDS(KeyDistributionService):
-    """Wrap a KDS and inject outages, errors, latency, and flapping."""
+    """Wrap a KDS and inject outages, errors, timeouts, and flapping
+    (``SimulatedKDS.request_latency_s`` models a slow KDS)."""
 
     def __init__(
         self,
@@ -48,7 +47,6 @@ class FaultyKDS(KeyDistributionService):
         self._error_rate = 0.0
         self._timeout_rate = 0.0
         self._timeout_after_s = 0.0
-        self._slow_s = 0.0
         self._flap_period: tuple[int, int] | None = None  # (up, down) requests
         self._request_index = 0
         self.requests = 0
@@ -81,11 +79,6 @@ class FaultyKDS(KeyDistributionService):
             self._timeout_rate = rate
             self._timeout_after_s = after_s
 
-    def set_slow(self, seconds: float) -> None:
-        """Every request pays ``seconds`` of extra latency (no failure)."""
-        with self._lock:
-            self._slow_s = seconds
-
     def set_flap_schedule(self, up_requests: int, down_requests: int) -> None:
         """Alternate ``up_requests`` served, then ``down_requests`` failed."""
         if up_requests < 1 or down_requests < 0:
@@ -101,7 +94,6 @@ class FaultyKDS(KeyDistributionService):
             self._error_rate = 0.0
             self._timeout_rate = 0.0
             self._timeout_after_s = 0.0
-            self._slow_s = 0.0
             self._flap_period = None
 
     # -- the fault gate ------------------------------------------------------
@@ -119,12 +111,9 @@ class FaultyKDS(KeyDistributionService):
             error_rate = self._error_rate
             timeout_rate = self._timeout_rate
             timeout_after_s = self._timeout_after_s
-            slow_s = self._slow_s
             flap = self._flap_period
             error_roll = self._rng.random()
             timeout_roll = self._rng.random()
-        if slow_s > 0:
-            self.clock.sleep(slow_s)
         if down:
             self._fail("KDS is down")
         if flap is not None:

@@ -468,6 +468,9 @@ class DB:
         Two regimes, mirroring RocksDB: above the *slowdown* trigger every
         write pays a small delay; above the *stop* trigger (or with too many
         immutable memtables) writers block until background work catches up.
+        The stop trigger blocks only while a background job is claimed:
+        with none, nothing will lower L0 (DESIGN.md §9), and ``_release``
+        claims the next job in the same mutex hold as it drops the last.
         """
         stalled_at = None
         # A background error ends the stall: the flush/compaction that
@@ -476,7 +479,7 @@ class DB:
         # stalling) and let try_recover() restart the pipeline.
         while not self._closed and self._bg_error is None and (
             len(self._imm) >= MAX_IMMUTABLE_MEMTABLES
-            or len(self._versions.current.levels[0])
+            or self._busy and len(self._versions.current.levels[0])
             >= self.options.level0_stop_writes_trigger
         ):
             if stalled_at is None:
@@ -497,7 +500,7 @@ class DB:
             # readers are not blocked by the penalty sleep.
             self._mutex.release()
             try:
-                time.sleep(self.options.slowdown_delay_s)
+                self._clock.sleep(self.options.slowdown_delay_s)
             finally:
                 self._mutex.acquire()
 

@@ -1,20 +1,23 @@
 """The encryption seam between the LSM engine and the crypto substrate.
 
 A :class:`FileCrypto` handles exactly one file's payload as a sequence of
-*units* (an SST block, a WAL write, the footer): ``seal`` turns a unit into
-what is stored at its payload offset, ``tag_size`` bytes longer, and
-``open`` turns it back.  Stream ciphers XOR at the offset with tag 0, AEAD
-schemes append and verify a tag; the writers and readers above this seam
-see only the contract, never the flavour.
+*units* (an SST block, a log write unit, a replication frame, the footer),
+each keyed on its own payload offset: ``seal_unit`` turns a unit into what
+is stored at that offset, ``tag_size`` bytes longer, and ``open_unit`` turns
+it back; ``seal_units`` / ``open_units`` do the same for a back-to-back run.
+Stream ciphers XOR the unit's own keystream with tag 0, AEAD schemes append
+and verify a tag; the writers and readers above this seam see only the
+contract, never the flavour.  ``open`` is the one other operation: the read
+of legacy stream-cipher payloads addressed by one file-offset keystream (v1
+logs, SST formats v1/v2), which nothing writes any more.
 
-The stream flavour's ``seal`` and ``seal_unit`` build a fresh cipher context
-from the (key, nonce) pair on every call -- mirroring how OpenSSL EVP
-contexts are re-initialized per operation, the "encryption initialization"
-cost the paper identifies as the WAL bottleneck and amortises with the WAL
-buffer (Section 3.2), paid once per WAL unit -- so sealing shares no state
-across SHIELD's multi-threaded chunk encryption (``seal_units`` pays it once
-per chunk-sized run of units).
-Its ``open`` pays that init once per file: the context is
+The stream flavour's ``seal_unit`` builds a fresh cipher context from the
+(key, nonce) pair on every call -- mirroring how OpenSSL EVP contexts are
+re-initialized per operation, the "encryption initialization" cost the paper
+identifies as the WAL bottleneck and amortises with the WAL buffer (Section
+3.2), paid once per log unit -- so sealing shares no state across SHIELD's
+multi-threaded chunk encryption (``seal_units`` pays it once per chunk-sized
+run of units).  Its opens pay that init once per file: the context is
 immutable and lives exactly as long as the FileCrypto holding the key.  The
 AEAD flavour pays it once per file both ways -- an ``EVP_CIPHER_CTX`` keyed
 once and handed a new IV per unit: one key schedule, and per unit only the
@@ -76,12 +79,11 @@ class FileCrypto:
     """Per-file payload encryption; offset 0 is the first payload byte.
 
     This class is the plaintext and stream-cipher flavour of the contract:
-    no tag, ``aad`` unused, and sealing is length-preserving.  ``seal`` /
-    ``open`` XOR one keystream addressed by file offset (the replication
-    stream, and v1 logs and format v1 SSTs, which are still read), so unit
-    boundaries leave no trace in the bytes; ``seal_unit`` / ``seal_units`` /
-    ``open_unit`` key every unit on its own offset (v2 logs, SST format v3),
-    so sealing or opening an n-byte unit costs exactly n keystream bytes.
+    no tag, ``aad`` unused, and sealing is length-preserving.  Every unit is
+    keyed on its own offset, so sealing or opening an n-byte unit costs
+    exactly n keystream bytes; ``open`` XORs the one keystream addressed by
+    file offset that legacy files hold, where unit boundaries leave no trace
+    in the bytes.
     """
 
     tag_size = 0
@@ -107,21 +109,17 @@ class FileCrypto:
             self._context = self._new_context()
         return self._context
 
-    def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        if not self.encrypted or not data:
-            return data
-        return self._new_context().xor_at(data, offset)
-
     def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        """``seal``'s involution, through the file's one context."""
+        """Read ``data`` at ``offset`` of a legacy file-offset keystream,
+        through the file's one context."""
         if not self.encrypted or not data:
             return data
         return self._file_context().xor_at(data, offset)
 
     def seal_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
-        """Seal one unit keyed on its own ``offset`` (an encrypted log's
-        write unit): one fresh context, the modelled per-seal EVP init, and
-        one keystream squeeze of exactly the unit's length."""
+        """Seal one unit keyed on its own ``offset`` (a log's write unit, a
+        replication frame): one fresh context, the modelled per-seal EVP
+        init, and one keystream squeeze of exactly the unit's length."""
         if not self.encrypted or not data:
             return data
         return self._new_context().xor_units(((data, offset),))[0]
@@ -188,7 +186,8 @@ class AeadFileCrypto(FileCrypto):
     and the unit's payload offset, so a unit cannot be relocated, swapped,
     or bit-flipped without failing its tag.  The file's one context is the
     scheme's key schedule; each unit's seal or open is the per-nonce step
-    under it, whatever the file's format.
+    under it, whatever the file's format, so a legacy file's reader opens
+    its units with ``open_unit`` too: ``open`` is the stream flavour's.
     """
 
     def __init__(self, scheme_id: int, dek_id: str, key: bytes, nonce: bytes):
@@ -198,22 +197,20 @@ class AeadFileCrypto(FileCrypto):
     def _new_context(self):
         return create_aead_schedule(self.scheme_id, self._key, self.nonce)
 
-    def seal(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+    def seal_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
         return self._file_context().seal(derive_nonce(self.nonce, offset), data, aad)
 
-    def open(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
+    def open_unit(self, data: bytes, offset: int, aad: bytes = b"") -> bytes:
         """Authenticate, then decrypt: ``AuthenticationError`` on any flipped
         bit, relocated unit or wrong ``aad``."""
         return self._file_context().open(derive_nonce(self.nonce, offset), data, aad)
 
-    seal_unit = seal
-    open_unit = open
-
     def open_units(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:
-        return [self.open(data, at) for data, at in split_units(raw, offset, sizes)]
+        units = split_units(raw, offset, sizes)
+        return [self.open_unit(data, at) for data, at in units]
 
     def _seal_run(self, run: list[tuple]) -> bytes:
-        return b"".join([self.seal(*unit) for unit in run])
+        return b"".join([self.seal_unit(*unit) for unit in run])
 
     def seal_units(self, units: list[tuple], chunk_size: int, threads: int) -> bytes:
         self._file_context()  # built before any thread can race to build it

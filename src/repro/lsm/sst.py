@@ -316,10 +316,12 @@ class SSTReader:
             raise error
         self._crypto = crypto = provider.for_existing_file(self.envelope, path)
         # Format v3 opens every unit on its own and checks metadata trailers;
-        # v1/v2 open through the file-offset stream and have no trailers.
+        # v1/v2 have no trailers, and under a stream cipher open through the
+        # file-offset stream (an AEAD file was always one unit at a time).
         v3 = self.envelope.version == ENVELOPE_VERSION_UNITS
-        self._open = crypto.open_unit if v3 else crypto.open
-        self._open_units = crypto.open_units if v3 else self._open_each
+        units = v3 or crypto.tag_size
+        self._open = crypto.open_unit if units else crypto.open
+        self._open_units = crypto.open_units if units else self._open_each
         self._trailer = CRC_SIZE if v3 else 0
         self._payload_base = self.envelope.header_size
         payload_size = file_size - self._payload_base
@@ -378,7 +380,8 @@ class SSTReader:
             raise
 
     def _open_each(self, raw: bytes, offset: int, sizes: list[int]) -> list[bytes]:
-        """Formats v1/v2: each unit of a run opened by its file offset."""
+        """Formats v1/v2 under a stream cipher: each unit of a run opened by
+        its file offset."""
         return [self._open(data, at) for data, at in split_units(raw, offset, sizes)]
 
     def _read_meta(self, offset: int, length: int, aad: bytes) -> bytes:

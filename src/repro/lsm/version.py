@@ -233,9 +233,6 @@ class Version:
             version.levels[level].sort(key=lambda m: m.smallest)
         return version
 
-    def files_at(self, level: int) -> list[FileMetadata]:
-        return self.levels[level]
-
     def all_files(self) -> list[tuple[int, FileMetadata]]:
         return [
             (level, meta)

@@ -11,10 +11,12 @@ Frame layout (little-endian, the same primitives as the storage formats)::
 Responses carry the request's ID, so a connection can have many requests
 in flight (pipelining) and match responses out of order.  Replication
 frames (``RESP_REPL_*``) are server-initiated pushes on a subscribed
-connection: a ``REPL_FRAME`` is one WAL record sealed under a fresh stream
-DEK whose ID the replica resolves through its own KeyClient, a
-``REPL_FILE`` is a store file exactly as the primary holds it (already
-sealed under its own DEK) -- the wire never carries plaintext WAL bytes.
+connection: a ``REPL_FRAME`` is one WAL record sealed as a unit of the
+stream, a log whose envelope ``REPL_ACCEPT`` carries and whose DEK the
+replica resolves through its own KeyClient; a ``REPL_FILE`` is a store file
+exactly as the primary holds it (already sealed under its own DEK).  Both
+follow the primary's file policy: WAL records on the wire are plaintext
+only where its WALs are.
 
 Tracing: a frame whose opcode byte has :data:`TRACE_FLAG` set carries a
 length-prefixed trace-context header (``repro.obs``'s 17-byte span
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 from repro import errors
 from repro.errors import CorruptionError
+from repro.lsm.envelope import Envelope, decode_envelope
 from repro.util.checksum import masked_crc32
 from repro.util.coding import (
     decode_fixed32,
@@ -470,22 +473,13 @@ def decode_error(payload: bytes) -> Exception:
     return exc_type(message)
 
 
-def encode_repl_accept(
-    scheme_id: int, dek_id: str, nonce: bytes, primary_seq: int
-) -> bytes:
-    return (
-        bytes([scheme_id])
-        + encode_length_prefixed(dek_id.encode())
-        + encode_length_prefixed(nonce)
-        + encode_fixed64(primary_seq)
-    )
+def encode_repl_accept(envelope: Envelope, primary_seq: int) -> bytes:
+    """The stream's plaintext envelope, then the primary's committed
+    sequence: the replica opens the stream as it opens any sealed file."""
+    return envelope.encode() + encode_fixed64(primary_seq)
 
 
-def decode_repl_accept(payload: bytes) -> tuple[int, str, bytes, int]:
-    if not payload:
-        raise ProtocolError("truncated replication accept")
-    scheme_id = payload[0]
-    dek_id_raw, offset = decode_length_prefixed(payload, 1)
-    nonce, offset = decode_length_prefixed(payload, offset)
-    primary_seq, __ = decode_fixed64(payload, offset)
-    return scheme_id, dek_id_raw.decode(), nonce, primary_seq
+def decode_repl_accept(payload: bytes) -> tuple[Envelope, int]:
+    envelope = decode_envelope(payload)
+    primary_seq, __ = decode_fixed64(payload, envelope.header_size)
+    return envelope, primary_seq

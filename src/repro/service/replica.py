@@ -6,9 +6,12 @@ files hold, the streamer ships an *incremental checkpoint*: the SSTs the
 replica lacks, the MANIFEST and CURRENT as storage holds them (each already
 sealed under its own DEK, which the replica resolves through its own
 KeyClient, Section 5.4), then ``REPL_POSITION``.  Between checkpoints it
-tails committed WAL records, sealed under a fresh stream DEK (one unit per
-frame, ``make_file_crypto``).  A checkpoint also empties the replica's tail,
-which so never outgrows the primary's retained log.
+tails committed WAL records.  The stream is one more sealed log: the
+engine's provider seals it like any WAL (a DEK of its own under the
+``encrypt_wal`` policy, retired when the stream ends), ``REPL_ACCEPT``
+carries its envelope, and every frame is one unit keyed on its running
+offset.  A checkpoint also empties the replica's tail, which so never
+outgrows the primary's retained log.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import contextlib
 import socket
 import threading
 
-from repro.crypto.cipher import SCHEME_NONE, generate_nonce, scheme_id
 from repro.dist.readonly import ReadOnlyInstance
 from repro.env.mem import MemEnv
 from repro.errors import (
@@ -30,12 +32,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.lsm.db import MAX_IMMUTABLE_MEMTABLES
-from repro.lsm.filecrypto import (
-    FileCrypto,
-    NULL_CRYPTO,
-    PlaintextCryptoProvider,
-    make_file_crypto,
-)
+from repro.lsm.envelope import ENVELOPE_VERSION_UNITS, FILE_KIND_WAL
+from repro.lsm.filecrypto import PlaintextCryptoProvider
 from repro.lsm.filename import current_path, parse_file_name
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options
@@ -126,28 +124,16 @@ class ReplicationSource:
             pass
 
 
-def _make_stream_crypto(key_client) -> tuple[FileCrypto, bytes]:
-    """A fresh per-stream DEK under the scheme in force, or plaintext when
-    the engine has no keys.  The stream is one more sealed file: each frame
-    is a unit at the running offset, so under an AEAD scheme a flipped,
-    dropped or reordered frame fails its tag on the replica."""
-    if key_client is None:
-        return NULL_CRYPTO, b""
-    dek = key_client.new_dek()
-    nonce = generate_nonce(dek.scheme)
-    crypto = make_file_crypto(scheme_id(dek.scheme), dek.dek_id, dek.key, nonce)
-    return crypto, nonce
-
-
 def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
-                      key_client, stopping: threading.Event, stats) -> None:
+                      stopping: threading.Event, stats) -> None:
     """Run one replica's stream until disconnect or server shutdown.
 
     ``conn`` is the server's connection object (``send``/``close``/
     ``alive``).  This call owns the connection's reader thread.
     """
     replica_id, position, held = protocol.decode_repl_subscribe(request.payload)
-    crypto, nonce = _make_stream_crypto(key_client)
+    stream_path = f"{db.path}/replication-{replica_id}"
+    crypto = db.provider.for_new_file(FILE_KIND_WAL, stream_path)
     offset = 0
     # What the replica's files hold every write up to.  A reconnecting
     # replica's may be older than its position; taking the position only
@@ -163,7 +149,7 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
     def push(opcode: int, plain: bytes) -> None:
         nonlocal offset
         if opcode == protocol.RESP_REPL_FRAME:
-            payload = crypto.seal(plain, offset)
+            payload = crypto.seal_unit(plain, offset)
             offset += len(payload)  # the stored length: AEAD appends a tag
         else:
             payload = plain
@@ -174,7 +160,8 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
             protocol.RESP_REPL_ACCEPT,
             request.request_id,
             protocol.encode_repl_accept(
-                crypto.scheme_id, crypto.dek_id, nonce, db.committed_sequence()
+                crypto.envelope(FILE_KIND_WAL, ENVELOPE_VERSION_UNITS),
+                db.committed_sequence(),
             ),
         ))
         while conn.alive and not stopping.is_set():
@@ -201,12 +188,8 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
         pass  # replica went away; it will resubscribe with its position
     finally:
         conn.close()
-        # The stream is one more sealed file and its DEK goes with it, as a
-        # deleted file's does: a KDS outage defers the retire, and a refused
-        # one is no reason to fail a stream that has already ended.
-        if crypto.dek_id:
-            with contextlib.suppress(KeyManagementError):
-                key_client.retire_dek(crypto.dek_id)
+        # The stream's DEK goes with it, as a deleted file's does.
+        db.provider.on_file_deleted(crypto.dek_id, stream_path)
         streams_gauge.add(-1)
 
 
@@ -220,7 +203,6 @@ class Replica(ReadOnlyInstance):
                  path: str = "/replica", options: Options | None = None,
                  auto_reconnect: bool = True, reconnect_backoff_s: float = 0.05):
         self.host, self.port, self.server_id = host, port, server_id
-        self.key_client = key_client
         self.auto_reconnect = auto_reconnect
         self.reconnect_backoff_s = reconnect_backoff_s
 
@@ -413,19 +395,9 @@ class Replica(ReadOnlyInstance):
                 raise ReplicationError(
                     f"unexpected handshake frame {accept.opcode}"
                 )
-            stream_scheme, dek_id, nonce, __ = protocol.decode_repl_accept(
-                accept.payload
-            )
-            if stream_scheme != SCHEME_NONE:
-                if self.key_client is None:
-                    raise ReplicationError(
-                        "stream is encrypted but this replica has no KeyClient"
-                    )
-                # KDS-side authorization: a revoked replica fails right here.
-                dek = self.key_client.get_dek(dek_id)
-                crypto = make_file_crypto(stream_scheme, dek_id, dek.key, nonce)
-            else:
-                crypto = NULL_CRYPTO
+            envelope, __ = protocol.decode_repl_accept(accept.payload)
+            # KDS-side authorization: a revoked replica fails right here.
+            crypto = self.provider.for_existing_file(envelope, "the replication stream")
             self.subscriptions += 1
             self._connected.set()
             sock.settimeout(None)  # stop() closes the socket to unblock us
@@ -436,7 +408,7 @@ class Replica(ReadOnlyInstance):
                 if msg is None:
                     raise ReplicationError("primary closed the stream")
                 if msg.opcode == protocol.RESP_REPL_FRAME:
-                    plain = crypto.open(msg.payload, offset)
+                    plain = crypto.open_unit(msg.payload, offset)
                     offset += len(msg.payload)
                     first_seq, batch = WriteBatch.deserialize(plain)
                     self._applied_through(batch.insert_into(self._tail, first_seq))

@@ -374,7 +374,6 @@ class KVServer:
         self._source: ReplicationSource | None = (
             ReplicationSource(db) if hasattr(db, "add_commit_listener") else None
         )
-        self._key_client = _key_client_of(db)
         self._auth_kds = auth_kds(self.config, db)
         self._health_thread: threading.Thread | None = None
 
@@ -530,7 +529,6 @@ class KVServer:
                 request=msg,
                 db=self.db,
                 source=self._source,
-                key_client=self._key_client,
                 stopping=self._stopping,
                 stats=self.stats,
             )

@@ -3,13 +3,14 @@
 The pieces, mapped to the paper:
 
 - :class:`ShieldCryptoProvider` -- a fresh DEK from the KDS for every new
-  WAL/SST/MANIFEST file; DEK-IDs ride in the plaintext file envelope (and
-  SST properties); input-file DEKs are retired when compaction deletes the
-  file, so **DEK rotation is a side effect of compaction** (Section 5.2).
-- the WAL buffer -- configured through ``Options.wal_buffer_size`` and
+  WAL/SST/MANIFEST file and replication stream (one more log); DEK-IDs ride
+  in the plaintext file envelope (and SST properties); input-file DEKs are
+  retired when compaction deletes the file, so **DEK rotation is a side
+  effect of compaction** (Section 5.2), and a stream's when it ends.
+- the WAL buffer -- configured through ``ShieldOptions.wal_buffer_size`` and
   implemented inside :class:`repro.lsm.wal.WALWriter` (Section 5.3).
 - chunked, optionally multi-threaded compaction encryption -- configured
-  through ``Options.encryption_chunk_size`` / ``encryption_threads``
+  through ``Options.encryption_chunk_size`` / ``encryption_threads`` only
   (Section 5.2, Figure 13).
 - the secure local DEK cache -- :class:`repro.keys.SecureDEKCache`, wired
   in through the :class:`repro.keys.KeyClient` (Section 5.2).

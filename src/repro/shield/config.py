@@ -25,8 +25,6 @@ class ShieldOptions:
     scheme: str = "shake-ctr"
     dek_cache: Optional[SecureDEKCache] = None
     wal_buffer_size: int = DEFAULT_WAL_BUFFER
-    encryption_chunk_size: int = 64 * 1024
-    encryption_threads: int = 1
     encrypt_wal: bool = True
     encrypt_sst: bool = True
     encrypt_manifest: bool = True
@@ -64,13 +62,13 @@ def open_shield_db(
 
     The returned DB's ``provider`` attribute is the
     :class:`ShieldCryptoProvider`, exposing DEK provisioning/retirement
-    counters for inspection.
+    counters for inspection.  Every engine setting but the WAL buffer
+    comes from ``base_options``, the compaction encryption's chunk size
+    and threads included.
     """
     options = replace(base_options) if base_options is not None else Options()
     options.crypto_provider = shield.build_provider()
     options.wal_buffer_size = shield.wal_buffer_size
-    options.encryption_chunk_size = shield.encryption_chunk_size
-    options.encryption_threads = shield.encryption_threads
     if shield.trusted_counter is not None:
         options.trusted_counter = shield.trusted_counter
     return DB(path, options)

@@ -306,7 +306,7 @@ def _three_parked_l0_files(
         options.compaction_service = CompactionService(
             env, worker.build_provider(), options
         )
-    shield = _shield(kds, counter=counter, encryption_chunk_size=chunk_size)
+    shield = _shield(kds, counter=counter)
     db = open_shield_db("/adv", shield, options)
     for batch in range(3):
         for i in range(keys_per_file):

@@ -1,5 +1,7 @@
 """Integration tests for the DB facade: CRUD, flush, compaction, recovery."""
 
+import threading
+
 import pytest
 
 from repro.env.mem import MemEnv
@@ -341,6 +343,36 @@ def test_write_slowdown_regime():
         assert db.stats.counter("db.slowdown_writes").value > 0
         for i in range(0, 600, 53):
             assert db.get(b"key-%04d" % i) == b"x" * 50
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(compaction_style="fifo"),  # under its 8 MiB cap FIFO deletes nothing
+    dict(level0_stop_writes_trigger=2),  # the stop below the L0 trigger
+    dict(level0_file_num_compaction_trigger=20),  # the L0 trigger above the stop
+], ids=["fifo", "stop-below-trigger", "trigger-above-stop"])
+def test_writers_do_not_wait_on_l0_that_no_job_will_lower(overrides):
+    """The stop trigger blocks writers only while a background job is
+    claimed: with none, nothing will lower L0, and 4 MiB of puts (16 L0
+    files at the default write buffer) must still go through.  The writes
+    run on a thread joined with a bound, so a hang fails in seconds."""
+    db = DB("/db", Options(env=MemEnv(), **overrides))
+    value, done = b"v" * 1024, threading.Event()
+
+    def write():
+        for i in range(4000):
+            db.put(b"key-%05d" % i, value)
+        done.set()
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        writer.join(30.0)
+        assert done.is_set(), f"writers blocked at L0 = {db.num_files_at_level(0)}"
+        for i in range(0, 4000, 397):
+            assert db.get(b"key-%05d" % i) == value
+    finally:
+        db.close()  # wakes a blocked writer, whose put then fails
+        writer.join(30.0)
 
 
 def test_wal_files_cleaned_after_flush():

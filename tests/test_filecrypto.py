@@ -48,8 +48,8 @@ def _flavour(scheme):
 
 
 def test_null_crypto_passthrough():
-    assert NULL_CRYPTO.seal(b"data", 0) == b"data"
-    assert NULL_CRYPTO.open(b"data", 99) == b"data"
+    assert NULL_CRYPTO.seal_unit(b"data", 0) == b"data"
+    assert NULL_CRYPTO.open_unit(b"data", 99) == b"data"
     assert not NULL_CRYPTO.encrypted
 
 
@@ -58,17 +58,17 @@ def test_null_crypto_passthrough():
 )
 def test_open_inverts_seal_and_only_tagged_flavours_bind_aad(scheme):
     crypto = _flavour(scheme)
-    sealed = crypto.seal(b"payload", 1234, b"role")
+    sealed = crypto.seal_unit(b"payload", 1234, b"role")
     assert len(sealed) == len(b"payload") + crypto.tag_size
     assert (sealed != b"payload") == crypto.encrypted
-    assert crypto.open(sealed, 1234, b"role") == b"payload"
+    assert crypto.open_unit(sealed, 1234, b"role") == b"payload"
     if crypto.tag_size:
         with pytest.raises(AuthenticationError):
-            crypto.open(sealed, 1234, b"other-role")
+            crypto.open_unit(sealed, 1234, b"other-role")
         with pytest.raises(AuthenticationError):
-            crypto.open(sealed, 1235, b"role")
+            crypto.open_unit(sealed, 1235, b"role")
     else:
-        assert crypto.open(sealed, 1234, b"other-role") == b"payload"
+        assert crypto.open_unit(sealed, 1234, b"other-role") == b"payload"
     assert not hasattr(crypto, "encrypt") and not hasattr(crypto, "decrypt")
 
 
@@ -156,11 +156,11 @@ def test_aead_seal_units_is_each_unit_sealed_in_place(payload, cuts, chunk_size,
     crypto = _flavour("shake-etm")
     units = _units(payload, cuts, base_offset, crypto.tag_size)
     stored = crypto.seal_units(units, chunk_size, threads)
-    assert stored == b"".join(crypto.seal(*unit) for unit in units)
+    assert stored == b"".join(crypto.seal_unit(*unit) for unit in units)
     for data, offset, aad in units:
         start = offset - base_offset
         sealed = stored[start:start + len(data) + crypto.tag_size]
-        assert crypto.open(sealed, offset, aad) == data
+        assert crypto.open_unit(sealed, offset, aad) == data
 
 
 def test_seal_units_of_nothing_is_empty():
@@ -176,40 +176,35 @@ def _inits():
 def test_stream_open_builds_one_context_per_file_and_seal_one_per_call(scheme):
     crypto = _flavour(scheme)
     before = _inits()
-    sealed = [crypto.seal(b"unit-%d" % i, 100 * i) for i in range(5)]
+    sealed = [crypto.seal_unit(b"unit-%d" % i, 100 * i) for i in range(5)]
     assert _inits() - before == 5  # the modelled per-operation EVP init
     before = _inits()
     for i, unit in enumerate(sealed):
-        assert crypto.open(unit, 100 * i) == b"unit-%d" % i
+        assert crypto.open_unit(unit, 100 * i) == b"unit-%d" % i
     assert _inits() - before == 1  # the file's one read context
     # A second FileCrypto over the same file pays its own init.
     again = _flavour(scheme)
     before = _inits()
-    assert again.open(sealed[3], 300) == b"unit-3"
+    assert again.open_unit(sealed[3], 300) == b"unit-3"
     assert _inits() - before == 1
-    # A log unit keyed on its own offset: one fresh context per seal too.
+    # A legacy file-offset read shares the file's one context.
     before = _inits()
-    units = [crypto.seal_unit(b"unit-%d" % i, 100 * i) for i in range(5)]
-    assert _inits() - before == 5
-    assert [crypto.open_unit(unit, 100 * i) for i, unit in enumerate(units)] == [
-        b"unit-%d" % i for i in range(5)
-    ]
-    assert _inits() - before == 5
+    assert again.open(crypto.open(b"unit-3", 300), 300) == b"unit-3"
+    assert _inits() - before == 0
 
 
 @pytest.mark.parametrize("scheme", AEAD_SCHEMES)
 def test_aead_builds_one_key_schedule_per_file_both_ways(scheme):
     crypto = _flavour(scheme)
     before = _inits()
-    sealed = [crypto.seal(b"unit-%d" % i, 100 * i, b"aad") for i in range(5)]
+    sealed = [crypto.seal_unit(b"unit-%d" % i, 100 * i, b"aad") for i in range(5)]
     for i, unit in enumerate(sealed):
-        assert crypto.open(unit, 100 * i, b"aad") == b"unit-%d" % i
+        assert crypto.open_unit(unit, 100 * i, b"aad") == b"unit-%d" % i
     assert _inits() - before == 1  # seal and open share the file's schedule
     # A second FileCrypto over the same file pays its own.
     again = _flavour(scheme)
     before = _inits()
-    assert again.open(sealed[3], 300, b"aad") == b"unit-3"
-    assert again.seal(b"unit-3", 300, b"aad") == sealed[3]
+    assert again.open_unit(sealed[3], 300, b"aad") == b"unit-3"
     assert again.seal_unit(b"unit-3", 300, b"aad") == sealed[3]
     assert _inits() - before == 1
 
@@ -231,10 +226,10 @@ def test_a_shared_schedule_seals_what_a_context_per_unit_sealed(scheme):
     offset = rng.randrange(1 << 20)
     for size in UNIT_SIZES:
         data, aad = rng.randbytes(size), rng.choice([b"", b"sst-index", b"u7"])
-        sealed = crypto.seal(data, offset, aad)
+        sealed = crypto.seal_unit(data, offset, aad)
         fresh = create_aead(scheme, key, derive_nonce(base, offset))
         assert sealed == fresh.seal(data, aad)
-        assert crypto.open(sealed, offset, aad) == data
+        assert crypto.open_unit(sealed, offset, aad) == data
         flipped = bytearray(sealed)
         flipped[rng.randrange(len(sealed))] ^= 1 << rng.randrange(8)
         for unit, at, role in (
@@ -244,7 +239,7 @@ def test_a_shared_schedule_seals_what_a_context_per_unit_sealed(scheme):
             (sealed[:-1], offset, aad),  # truncated
         ):
             with pytest.raises(AuthenticationError):
-                crypto.open(unit, at, role)
+                crypto.open_unit(unit, at, role)
         offset += len(sealed) + rng.randrange(4096)
 
 

@@ -5,7 +5,9 @@ property that is cheap to lose one line at a time: no object reaches into
 another's underscore fields.  ``src/repro/service`` keeps two more: the
 authorization decisions are called from one place (``server.admit``), and
 the replication stream never picks its cipher by looking at a scheme's
-flavour (it is sealed by ``make_file_crypto`` for the scheme in force).
+flavour (it is one more file of the engine's provider).  And a DEK has one
+lifecycle: outside ``keys/``, only ``shield/provider.py`` provisions,
+resolves or retires one.
 """
 
 import ast
@@ -75,8 +77,39 @@ def test_the_authorization_decisions_have_one_caller():
 
 def test_the_replication_stream_does_not_branch_on_the_scheme_flavour():
     tree = TREES["replica.py"]
-    assert _calls(tree, "make_file_crypto")
+    for seam in ("for_new_file", "for_existing_file", "on_file_deleted"):
+        assert _calls(tree, seam), seam
+    assert not _calls(tree, "make_file_crypto")
     assert [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "aead"
     ] == []
+
+
+#: The KeyClient calls of a DEK's lifecycle: provision, resolve, retire.
+DEK_LIFECYCLE = ("new_dek", "get_dek", "retire_dek")
+
+
+def _dek_lifecycle_calls(trees):
+    return sorted(
+        f"{name}:{node.lineno} {ast.unparse(node.func)}"
+        for name, tree in trees.items()
+        for lifecycle_call in DEK_LIFECYCLE
+        for node in _calls(tree, lifecycle_call)
+    )
+
+
+def test_only_the_provider_drives_a_deks_lifecycle():
+    trees = {
+        str(path.relative_to(REPRO)): ast.parse(path.read_text())
+        for path in sorted(REPRO.rglob("*.py"))
+        if path.relative_to(REPRO).parts[0] != "keys"
+    }
+    assert len(trees) >= 90 and "shield/provider.py" in trees
+    calls = _dek_lifecycle_calls(trees)
+    assert [call.split(":")[0] for call in calls] == ["shield/provider.py"] * 3
+    # A stray call anywhere else is caught.
+    trees["service/replica.py"] = ast.parse(
+        "def stream():\n    return key_client.new_dek()\n"
+    )
+    assert "service/replica.py:2 key_client.new_dek" in _dek_lifecycle_calls(trees)

@@ -282,13 +282,14 @@ def test_a_v2_wal_flush_squeezes_exactly_its_unit(squeezed, buffer_size):
 
 
 def test_a_v1_seal_squeezes_from_its_segments_start(squeezed):
-    """The ablation's other side: sealing the same units as one file-offset
-    stream squeezes every segment a unit touches from the segment's start."""
+    """The ablation's other side: the same units as one file-offset stream
+    (what v1 logs hold; reading them is XORing again) squeeze every segment
+    a unit touches from the segment's start."""
     crypto, offset, extra = _crypto("shake-ctr"), 0, []
     for record in legacy_records():
         unit = frame_record(record)
         squeezed.clear()
-        crypto.seal(unit, offset)
+        crypto.open(unit, offset)
         extra.append(sum(squeezed) - len(unit))
         assert extra[-1] == offset % xof.SEGMENT_SIZE
         offset += len(unit)

@@ -149,7 +149,11 @@ _ONE_ENGINE = {
 GOLDEN_BY_SHAPE = {
     "threaded-db": {
         **_ONE_ENGINE,
-        "repl-subscribe": "1100000066f68bc090140000000a00000000000000",
+        # The plaintext stream's envelope (log v2, no scheme, no DEK), then
+        # the committed sequence; it was scheme, DEK-ID and nonce fields.
+        "repl-subscribe": (
+            "1b00000090d9328990144c534d46020100000027622d550a00000000000000"
+        ),
     },
     # The one deliberate difference from the parent commit: ShardedDB had
     # no committed_sequence(), so these six acks carried sequence 0; it now

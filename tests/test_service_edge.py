@@ -17,15 +17,17 @@ import threading
 
 import pytest
 
+from repro.crypto.cipher import spec_for
 from repro.env.mem import MemEnv
 from repro.errors import AuthenticationError, CorruptionError, ServiceError
 from repro.keys.client import KeyClient
-from repro.keys.dek import DEK
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
 from repro.lsm.db import DB
-from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
+from repro.lsm.envelope import FILE_KIND_WAL, MAX_ENVELOPE_SIZE, decode_envelope
+from repro.lsm.filecrypto import NULL_CRYPTO, PlaintextCryptoProvider, make_file_crypto
 from repro.lsm.options import Options
-from repro.service import protocol, replica as replica_module
+from repro.lsm.write_batch import WriteBatch
+from repro.service import protocol
 from repro.service.client import KVClient
 from repro.service.protocol import FrameSplitter, Message
 from repro.service.replica import Replica, ReplicationSource, stream_to_replica
@@ -413,19 +415,25 @@ def test_an_sst_tampered_in_transit_is_never_a_value(scheme, error):
         db.close()
 
 
-class _FixedKeyClient:
-    """Hands the streamer one known stream DEK, and records its retirement."""
+class _PinnedStreamProvider(PlaintextCryptoProvider):
+    """Seals the replication stream under one known DEK and nonce (the
+    engine's own files stay plaintext), and records what is retired."""
 
-    default_scheme = "shake-ctr"
-
-    def __init__(self):
+    def __init__(self, scheme="shake-ctr"):
+        self.spec = spec_for(scheme)
         self.retired = []
 
-    def new_dek(self, scheme=None):
-        return DEK("dek-pinned", bytes(range(32)), "shake-ctr")
+    def for_new_file(self, file_kind, path):
+        if "/replication-" not in path:
+            return NULL_CRYPTO
+        return make_file_crypto(
+            self.spec.scheme_id, "dek-pinned", bytes(range(self.spec.key_size)),
+            b"\x07" * self.spec.nonce_size,
+        )
 
-    def retire_dek(self, dek_id):
-        self.retired.append(dek_id)
+    def on_file_deleted(self, dek_id, path):
+        if dek_id:
+            self.retired.append((dek_id, path))
 
 
 class _CollectingConn:
@@ -453,33 +461,40 @@ class _CollectingConn:
         self.alive = False
 
 
-def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
-    """Length-preserving, same offsets: for a fixed DEK, nonce and record
-    script the tailed frames' bytes are those of the tree before the stream
-    was sealed through ``make_file_crypto`` -- and the checkpoint ahead of
-    them (files as storage holds them) takes no stream offset."""
-    monkeypatch.setattr(replica_module, "generate_nonce", lambda scheme: b"\x07" * 16)
-    db = DB("/edge-pinned", Options(env=MemEnv()))
+def _stream_six_records(db) -> _CollectingConn:
+    """Subscribe from sequence 0 after three writes the source never saw:
+    a checkpoint, then six records by the tail, then the replica hangs up."""
 
     def tail_records():
         for i in range(5):
             db.put(b"key-%d" % i, b"value-%d" % i * (i + 1))
         db.delete(b"key-2")
 
+    for i in range(3):
+        db.put(b"before-%d" % i, b"the source attached")
+    source = ReplicationSource(db)
+    conn = _CollectingConn(6, tail_records)
     try:
-        for i in range(3):
-            db.put(b"before-%d" % i, b"the source attached")
-        source = ReplicationSource(db)
-        conn = _CollectingConn(6, tail_records)
-        key_client = _FixedKeyClient()
         stream_to_replica(
             conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
                           protocol.encode_repl_subscribe("replica-1", 0)),
-            db, source, key_client,
-            stopping=threading.Event(), stats=StatsRegistry(),
+            db, source, stopping=threading.Event(), stats=StatsRegistry(),
         )
+    finally:
         source.close()
-        assert key_client.retired == ["dek-pinned"]  # it ended with the stream
+    return conn
+
+
+def test_shake_ctr_stream_bytes_are_what_they_were():
+    """For a fixed DEK, nonce and record script the stream's bytes are
+    pinned -- each frame a unit at its running offset, and the checkpoint
+    ahead of them (files as storage holds them) takes no stream offset --
+    and the stream's DEK is retired, as a deleted file's, when it ends."""
+    provider = _PinnedStreamProvider()
+    db = DB("/edge-pinned", Options(env=MemEnv(), crypto_provider=provider))
+    try:
+        conn = _stream_six_records(db)
+        assert provider.retired == [("dek-pinned", "/edge-pinned/replication-replica-1")]
     finally:
         db.close()
     # accept; one SST, the MANIFEST and CURRENT, the position; six records.
@@ -488,16 +503,82 @@ def test_shake_ctr_stream_bytes_are_what_they_were(monkeypatch):
     ] + [protocol.RESP_REPL_FILE] * 3 + [
         protocol.RESP_REPL_POSITION,
     ] + [protocol.RESP_REPL_FRAME] * 6
+    envelope, primary_seq = protocol.decode_repl_accept(conn.sent[0].payload)
+    assert (envelope.file_kind, envelope.dek_id, envelope.nonce, primary_seq) == (
+        FILE_KIND_WAL, "dek-pinned", b"\x07" * 16, 3
+    )
     assert protocol.decode_sequence(conn.sent[4].payload) == 3
+    assert conn.sent[0].payload.hex() == PINNED_ACCEPT
     stream = b"".join(protocol.encode_frame(msg) for msg in conn.frames())
     assert hashlib.sha256(stream).hexdigest() == PINNED_TAIL_SHA256
 
 
-#: Recorded at the parent commit: the same six records tailed from stream
-#: offset 0 (a subscriber whose resume point the log covered).
-PINNED_TAIL_SHA256 = (
-    "516848071e71e0807574494e31892554108b9898d6f92df81719b1f056374567"
+#: The accept: the stream's envelope (log, shake-ctr, its DEK-ID and nonce),
+#: then the primary's committed sequence.
+PINNED_ACCEPT = (
+    "4c534d460201040a64656b2d70696e6e65641007070707070707070707070707070707"
+    "f8f392040300000000000000"
 )
+#: The six records tailed from stream offset 0 (a subscriber whose resume
+#: point the log covered), each sealed as a unit at its running offset.
+PINNED_TAIL_SHA256 = (
+    "55850ca1ce39eeec9a8ff4b9067453cad81f4aae2e88dfe6baa70286447f0df3"
+)
+
+
+#: Recorded before the stream became a log of the engine's provider: an
+#: AEAD already sealed every frame as a unit at its running offset.
+PINNED_AEAD_TAIL_SHA256 = {
+    "shake-etm": "368175bf76c09928c338f4dc2d7388b3b4b44cfdbf28f22cea61bdbd1f42736f",
+    "aes-256-gcm": "623054bb22675d006a62f4e03065f25077e940102a2d357fa04327e38696858f",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(PINNED_AEAD_TAIL_SHA256))
+def test_aead_stream_bytes_are_what_they_were(scheme):
+    provider = _PinnedStreamProvider(scheme)
+    db = DB("/edge-pinned", Options(env=MemEnv(), crypto_provider=provider))
+    try:
+        conn = _stream_six_records(db)
+    finally:
+        db.close()
+    stream = b"".join(protocol.encode_frame(msg) for msg in conn.frames())
+    assert hashlib.sha256(stream).hexdigest() == PINNED_AEAD_TAIL_SHA256[scheme]
+
+
+def test_a_shake_ctr_stream_frame_squeezes_exactly_its_own_length(squeezed):
+    """Like a log v2 unit: a frame of n bytes costs one ``digest(n)``,
+    wherever in the stream it sits (the engine's files are plaintext here,
+    so every squeeze is the stream's)."""
+    db = DB("/edge-squeeze", Options(env=MemEnv(), crypto_provider=_PinnedStreamProvider()))
+    try:
+        conn = _stream_six_records(db)
+    finally:
+        db.close()
+    assert squeezed == [len(msg.payload) for msg in conn.frames()]
+
+
+def test_a_primary_that_leaves_its_wals_plaintext_streams_in_the_clear():
+    """The stream is one more WAL of the engine: it follows ``encrypt_wal``
+    (the shipped SST and MANIFEST stay sealed under theirs)."""
+    db = open_shield_db(
+        "/edge-plain-wal", ShieldOptions(kds=InMemoryKDS(), encrypt_wal=False),
+        Options(env=MemEnv()),
+    )
+    try:
+        conn = _stream_six_records(db)
+    finally:
+        db.close()
+    envelope, __ = protocol.decode_repl_accept(conn.sent[0].payload)
+    assert (envelope.file_kind, envelope.scheme_id, envelope.dek_id) == (
+        FILE_KIND_WAL, 0, ""
+    )
+    shipped = [protocol.decode_repl_file(msg.payload) for msg in conn.sent[1:3]]
+    assert all(decode_envelope(data).encrypted for __, data in shipped)
+    # Each frame is the committed record as it is: sequences 4 to 9.
+    assert [WriteBatch.deserialize(msg.payload)[0] for msg in conn.frames()] == [
+        4, 5, 6, 7, 8, 9
+    ]
 
 
 # -- (d) the retained log is bounded by what the engine holds unflushed ------

@@ -2,10 +2,12 @@
 
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro import errors
+from repro.lsm.envelope import ENVELOPE_VERSION_UNITS, FILE_KIND_WAL, Envelope
 from repro.service import protocol
 from repro.service.protocol import Message, ProtocolError
 
@@ -182,8 +184,17 @@ def test_auth_and_subscribe_payloads():
 
 
 def test_repl_accept_payload_roundtrip():
-    payload = protocol.encode_repl_accept(3, "dek-abc", b"\x01" * 16, 999)
-    assert protocol.decode_repl_accept(payload) == (3, "dek-abc", b"\x01" * 16, 999)
+    """The stream's envelope, then the primary's committed sequence."""
+    envelope = Envelope(FILE_KIND_WAL, 3, "dek-abc", b"\x01" * 16,
+                        version=ENVELOPE_VERSION_UNITS)
+    payload = protocol.encode_repl_accept(envelope, 999)
+    assert payload == envelope.encode() + (999).to_bytes(8, "little")
+    decoded, primary_seq = protocol.decode_repl_accept(payload)
+    assert decoded == replace(envelope, header_size=len(envelope.encode()))
+    assert primary_seq == 999
+    for truncated in (payload[:-1], payload[:5]):
+        with pytest.raises(errors.CorruptionError):
+            protocol.decode_repl_accept(truncated)
 
 
 def test_error_payload_maps_back_to_repro_exceptions():

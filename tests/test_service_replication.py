@@ -7,7 +7,7 @@ import pytest
 
 from repro.env.base import EnvWrapper
 from repro.env.mem import MemEnv
-from repro.errors import AuthorizationError, KDSUnavailableError
+from repro.errors import AuthorizationError, EncryptionError, KDSUnavailableError
 from repro.keys.client import KeyClient
 from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
@@ -574,6 +574,36 @@ def test_revoked_replica_is_refused_wal_frames():
         assert good.wait_until_caught_up(db.committed_sequence())
         assert good.get(b"sec-3") == b"classified"
         good.stop()
+    db.close()
+
+
+def test_a_replica_without_a_key_client_is_refused_by_an_encrypted_stream():
+    """The accept's envelope names a scheme the replica has no provider
+    for: an ``EncryptionError`` before anything is applied, and the
+    primary's stream DEK goes with the stream it was provisioned for."""
+    kds = InMemoryKDS()
+    db = _shield_db(kds)
+    with KVServer(db, ServiceConfig()) as server:
+        db.put(b"k", b"v")
+        live, retired = kds.live_dek_count(), db.provider.deks_retired
+        keyless = Replica(*server.address, server_id="replica-keyless",
+                          auto_reconnect=False)
+        keyless.start()
+        assert keyless.join(timeout=5.0)
+        assert isinstance(keyless.last_error, EncryptionError)
+        assert keyless.subscriptions == keyless.frames_received == 0
+        assert keyless.checkpoints_received == keyless.file_bytes_received == 0
+        assert keyless.last_applied == 0 and keyless.scan() == []
+        # The primary learns that the replica left at its next send.
+        streams = server.stats.gauge("service.repl_streams")
+        deadline = time.monotonic() + 10.0
+        while streams.value and time.monotonic() < deadline:
+            db.put(b"nudge", b"v")
+            time.sleep(0.01)
+        assert streams.value == 0
+        assert db.provider.deks_retired == retired + 1
+        assert kds.live_dek_count() == live
+        keyless.close()
     db.close()
 
 

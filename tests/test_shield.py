@@ -57,6 +57,18 @@ def test_basic_crud_under_shield():
         assert db.get(b"k") is None
 
 
+def test_open_shield_db_keeps_the_base_options_compaction_encryption():
+    """The chunk size and thread count of compaction encryption are engine
+    options: SHIELD has no second copy of them to write over the caller's."""
+    base = _base_options(encryption_chunk_size=4096, encryption_threads=2)
+    with open_shield_db("/db", _shield(wal_buffer_size=0), base) as db:
+        assert (db.options.encryption_chunk_size, db.options.encryption_threads) == (
+            4096, 2
+        )
+        assert db.options.wal_buffer_size == 0  # the one setting SHIELD carries
+    assert base.encryption_chunk_size == 4096 and base.crypto_provider is None
+
+
 def test_no_plaintext_on_storage():
     for scheme in SCHEMES:
         env = MemEnv()
