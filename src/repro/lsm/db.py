@@ -56,6 +56,7 @@ from repro.util.stats import StatsRegistry
 from repro.util.syncpoint import SYNC
 
 MAX_IMMUTABLE_MEMTABLES = 2
+_DEFAULT_WRITE_OPTIONS = WriteOptions()  # never mutated: shared by every call
 
 #: Engine health states (see :meth:`DB.health`).
 HEALTH_HEALTHY = "healthy"
@@ -253,14 +254,10 @@ class DB:
     # ------------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes, opts: WriteOptions | None = None) -> None:
-        batch = WriteBatch()
-        batch.put(key, value)
-        self.write(batch, opts)
+        self.write(WriteBatch().put(key, value), opts)
 
     def delete(self, key: bytes, opts: WriteOptions | None = None) -> None:
-        batch = WriteBatch()
-        batch.delete(key)
-        self.write(batch, opts)
+        self.write(WriteBatch().delete(key), opts)
 
     def write(self, batch: WriteBatch, opts: WriteOptions | None = None) -> None:
         """Group-commit write path (RocksDB's pipelined writer, simplified).
@@ -272,11 +269,12 @@ class DB:
         any member asked for one.  Followers find their request completed
         when they get the lock and return immediately.
         """
-        if len(batch) == 0:
+        ops = len(batch)
+        if ops == 0:
             return
-        opts = opts or WriteOptions()
-        request = _WriteRequest(batch, opts)
-        with TRACER.span("db.write", attributes={"ops": len(batch)}):
+        request = _WriteRequest(batch, opts or _DEFAULT_WRITE_OPTIONS)
+        with TRACER.span("db.write") as span:
+            span.set_attribute("ops", ops)
             with self._queue_lock:
                 self._write_queue.append(request)
             with self._write_lock:
@@ -294,47 +292,45 @@ class DB:
                 return
             try:
                 self._check_state()
-                self._maybe_stall_locked()
-                self._check_state()  # may have closed/errored while stalled
-            except BaseException as exc:
-                for request in group:
-                    request.error = exc
-                    request.done = True
-                return
-
-            try:
-                total_ops = 0
-                total_bytes = 0
+                if self._maybe_stall_locked():
+                    self._check_state()  # may have closed/errored meanwhile
+                # Number and serialize the group, log it in one WAL write.
+                wal_enabled = self.options.wal_enabled
                 want_sync = self.options.wal_sync_writes
-                committed: list[tuple[int, int, bytes]] = []
-                members = []  # (request, first sequence, WAL payload or None)
+                sequence = start = self._versions.last_sequence
+                members = []  # (batch, first sequence, WAL payload or None)
+                logged = []
                 for request in group:
-                    first_seq = self._versions.last_sequence + 1
-                    self._versions.last_sequence += len(request.batch)
+                    batch, opts = request.batch, request.opts
+                    first_seq = sequence + 1
+                    sequence += len(batch)
                     payload = None
-                    if self.options.wal_enabled and not request.opts.disable_wal:
-                        payload = request.batch.serialize(first_seq)
-                        want_sync = want_sync or request.opts.sync
-                    members.append((request, first_seq, payload))
-                logged = [payload for *__, payload in members if payload is not None]
+                    if wal_enabled and not opts.disable_wal:
+                        payload = batch.serialize(first_seq)
+                        logged.append(payload)
+                        want_sync = want_sync or opts.sync
+                    members.append((batch, first_seq, payload))
+                self._versions.last_sequence = sequence
                 if logged:
-                    self._wal.add_records(logged)  # the group's one WAL write
-                for request, first_seq, payload in members:
-                    last_seq = request.batch.insert_into(self._mem, first_seq)
-                    total_ops += len(request.batch)
-                    total_bytes += request.batch.byte_size()
-                    if self._commit_listeners:
+                    self._wal.add_records(logged)
+                mem, listening = self._mem, bool(self._commit_listeners)
+                committed: list[tuple[int, int, bytes]] = []
+                total_bytes = 0
+                for batch, first_seq, payload in members:
+                    last_seq = batch.insert_into(mem, first_seq)
+                    total_bytes += batch.byte_size()
+                    if listening:
                         if payload is None:
-                            payload = request.batch.serialize(first_seq)
+                            payload = batch.serialize(first_seq)
                         committed.append((first_seq, last_seq, payload))
-                if want_sync and self.options.wal_enabled:
+                if want_sync and wal_enabled:
                     self._wal.sync()
                 self._notify_commit_listeners(committed)
-                self._writes.add(total_ops)
+                self._writes.add(sequence - start)
                 self._user_write_bytes.add(total_bytes)
                 self._write_groups.add(1)
                 self._group_size.record(len(group))
-                if self._mem.approximate_size() >= self.options.write_buffer_size:
+                if mem.approximate_size() >= self.options.write_buffer_size:
                     self._switch_memtable_locked()
             except BaseException as exc:
                 for request in group:
@@ -462,7 +458,7 @@ class DB:
             self._announce()
         return True
 
-    def _maybe_stall_locked(self) -> None:
+    def _maybe_stall_locked(self) -> bool:
         """Throttle or block the writer while the engine is too far behind.
 
         Two regimes, mirroring RocksDB: above the *slowdown* trigger every
@@ -471,6 +467,8 @@ class DB:
         The stop trigger blocks only while a background job is claimed:
         with none, nothing will lower L0 (DESIGN.md §9), and ``_release``
         claims the next job in the same mutex hold as it drops the last.
+        Returns whether the mutex was let go (a stall or a penalty), after
+        which the engine may have closed or failed.
         """
         stalled_at = None
         # A background error ends the stall: the flush/compaction that
@@ -489,7 +487,7 @@ class DB:
             self.stats.histogram("db.stall_seconds").record(
                 time.perf_counter() - stalled_at
             )
-            return
+            return True
         l0_count = len(self._versions.current.levels[0])
         if (
             self.options.slowdown_delay_s > 0
@@ -503,6 +501,8 @@ class DB:
                 self._clock.sleep(self.options.slowdown_delay_s)
             finally:
                 self._mutex.acquire()
+            return True
+        return False
 
     def _open_new_wal(self, number: int) -> None:
         path = wal_path(self.path, number)

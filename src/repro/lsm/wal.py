@@ -54,13 +54,21 @@ from repro.util.coding import (
 )
 
 
+def frame_records(payloads: list[bytes]) -> bytes:
+    """Build the on-disk frames of ``payloads``, back to back, in one join."""
+    parts = []
+    for payload in payloads:
+        parts += (
+            encode_fixed32(masked_crc32(payload)),
+            encode_varint64(len(payload)),
+            payload,
+        )
+    return b"".join(parts)
+
+
 def frame_record(payload: bytes) -> bytes:
     """Build the on-disk frame for one record."""
-    return (
-        encode_fixed32(masked_crc32(payload))
-        + encode_varint64(len(payload))
-        + payload
-    )
+    return frame_records((payload,))
 
 
 class WALWriter:
@@ -103,14 +111,15 @@ class WALWriter:
         group pays one seal (one cipher-context init) instead of one per
         record.  One record is exactly what ``add_record`` writes."""
         with TRACER.span("wal.append") as span:
-            frames = b"".join(map(frame_record, payloads))
+            frames = frame_records(payloads)
             span.set_attribute("nbytes", len(frames))
             self.records_written += len(payloads)
             if self.buffer_size > 0:
-                mark = len(self._buffer)
-                self._buffer.extend(frames)
+                buffer = self._buffer
+                mark = len(buffer)
+                buffer += frames
                 span.set_attribute("buffered", True)
-                if len(self._buffer) >= self.buffer_size:
+                if len(buffer) >= self.buffer_size:
                     try:
                         self.flush_buffer()
                     except BaseException:
@@ -119,7 +128,7 @@ class WALWriter:
                         # frames before it stay.  (A write whose sync raises
                         # after this returns is in doubt instead: its frames
                         # stay buffered, and a later sync persists them.)
-                        del self._buffer[mark:]
+                        del buffer[mark:]
                         raise
             else:
                 self._append_unit(frames)

@@ -13,6 +13,7 @@ torn record (Section 5.3).
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator
 
 from repro.errors import CorruptionError
@@ -21,41 +22,70 @@ from repro.util.coding import (
     decode_fixed32,
     decode_fixed64,
     decode_length_prefixed,
-    encode_fixed32,
-    encode_fixed64,
-    encode_length_prefixed,
+    encode_varint64,
 )
+
+_HEADER = struct.Struct("<QI")  # sequence fixed64, count fixed32
+_PUT_TAG = bytes((TYPE_PUT,))
+_DELETE_TAG = bytes((TYPE_DELETE,))
+_VALUE_TYPES = (bytes, bytearray, memoryview)
+
+
+def _checked_key(key) -> bytes:
+    """A key that is not plain non-empty bytes: copied if a bytearray."""
+    if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+        raise ValueError("keys must be non-empty bytes")
+    return bytes(key)
+
+
+def _checked_value(value) -> bytes:
+    """A value that is not plain bytes: copied if bytes-like.  Anything else
+    ``bytes()`` accepts -- an int, a list of ints -- would be stored as
+    bytes nobody wrote."""
+    if not isinstance(value, _VALUE_TYPES):
+        raise TypeError(
+            f"values must be bytes, bytearray or memoryview, "
+            f"not {type(value).__name__}"
+        )
+    return bytes(value)
 
 
 class WriteBatch:
     """An ordered, atomic collection of put/delete operations."""
 
+    __slots__ = ("_ops", "_bytes")
+
     def __init__(self):
         self._ops: list[tuple[int, bytes, bytes]] = []
+        self._bytes = 0  # byte_size(), kept as operations are added
 
     def put(self, key: bytes, value: bytes) -> "WriteBatch":
-        self._check_key(key)
-        self._ops.append((TYPE_PUT, bytes(key), bytes(value)))
+        if type(key) is not bytes or not key:
+            key = _checked_key(key)
+        if type(value) is not bytes:
+            value = _checked_value(value)
+        self._ops.append((TYPE_PUT, key, value))
+        self._bytes += len(key) + len(value) + 1
         return self
 
     def delete(self, key: bytes) -> "WriteBatch":
-        self._check_key(key)
-        self._ops.append((TYPE_DELETE, bytes(key), b""))
+        if type(key) is not bytes or not key:
+            key = _checked_key(key)
+        self._ops.append((TYPE_DELETE, key, b""))
+        self._bytes += len(key) + 1
         return self
-
-    @staticmethod
-    def _check_key(key: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise ValueError("keys must be non-empty bytes")
 
     def clear(self) -> None:
         self._ops.clear()
+        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._ops)
 
     def byte_size(self) -> int:
-        return sum(len(k) + len(v) + 1 for _, k, v in self._ops)
+        """The user bytes of the batch: each operation's key and value,
+        plus one for its type."""
+        return self._bytes
 
     def items(self) -> Iterator[tuple[int, bytes, bytes]]:
         """Yield (type, key, value) in insertion order."""
@@ -64,21 +94,24 @@ class WriteBatch:
     def insert_into(self, mem, first_seq: int) -> int:
         """Add every operation to memtable ``mem`` at consecutive sequence
         numbers from ``first_seq``; returns the last one used."""
+        add = mem.add
         for seq, (vtype, key, value) in enumerate(self._ops, first_seq):
-            mem.add(seq, vtype, key, value)
+            add(seq, vtype, key, value)
         return first_seq + len(self._ops) - 1
 
     # -- serialization -------------------------------------------------------
 
     def serialize(self, sequence: int) -> bytes:
-        parts = [encode_fixed64(sequence), encode_fixed32(len(self._ops))]
+        parts = [_HEADER.pack(sequence, len(self._ops))]
         for vtype, key, value in self._ops:
-            parts.append(bytes([vtype]))
-            parts.append(encode_length_prefixed(key))
             if vtype == TYPE_PUT:
-                parts.append(encode_length_prefixed(value))
+                parts += (
+                    _PUT_TAG, encode_varint64(len(key)), key,
+                    encode_varint64(len(value)), value,
+                )
+            else:
+                parts += (_DELETE_TAG, encode_varint64(len(key)), key)
         return b"".join(parts)
-
     @staticmethod
     def deserialize(payload: bytes) -> tuple[int, "WriteBatch"]:
         """Parse a WAL payload back into (first_sequence, batch)."""

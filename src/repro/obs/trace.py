@@ -149,7 +149,7 @@ class Span:
         self.tracer._push(self)
         return self
 
-    def __exit__(self, *exc_info) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
         self.tracer._pop(self)
         self.end()
         return False
@@ -167,7 +167,7 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *exc_info) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
     def set_attribute(self, key: str, value) -> None:

@@ -39,13 +39,15 @@ def decode_fixed64(buf: bytes, offset: int = 0) -> tuple[int, int]:
     return _FIXED64.unpack_from(buf, offset)[0], offset + 8
 
 
-_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+_BYTE = [bytes((value,)) for value in range(0x100)]
 
 
 def encode_varint64(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128 varint (up to 10 bytes)."""
     if 0 <= value < 0x80:
-        return _ONE_BYTE[value]  # lengths and small counts: the common case
+        return _BYTE[value]  # lengths and small counts: the common case
+    if 0x80 <= value < 0x4000:  # a WAL record's or a 1 KiB value's length
+        return _BYTE[(value & 0x7F) | 0x80] + _BYTE[value >> 7]
     if value < 0:
         raise ValueError("varints encode non-negative integers only")
     out = bytearray()

@@ -9,6 +9,7 @@ from repro.errors import InvalidArgumentError, IOError_
 from repro.lsm.db import DB
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.write_batch import WriteBatch
+from repro.util.clock import VirtualClock
 
 
 def _small_options(**overrides) -> Options:
@@ -53,6 +54,40 @@ def test_empty_batch_noop():
     with DB("/db", _small_options()) as db:
         db.write(WriteBatch())
         assert db.snapshot() == 0
+
+
+@pytest.mark.parametrize(
+    "value", [5, [1, 2, 3], "text"], ids=["int", "list-of-ints", "str"]
+)
+def test_a_value_that_is_not_bytes_is_refused_before_anything_is_queued(value):
+    """``bytes(5)`` is five NUL bytes and ``bytes([1, 2, 3])`` is
+    ``b"\x01\x02\x03"``: a put must not store either.  It raises
+    ``TypeError`` and leaves the store, its sequence and the WAL as they
+    were."""
+    env = MemEnv()
+    with DB("/db", _small_options(env=env)) as db:  # unbuffered WAL
+        db.put(b"k", b"before")
+        wal = [f"/db/{n}" for n in env.list_dir("/db") if n.endswith(".log")]
+        logged = [env.read_file(path) for path in wal]
+        sequence = db.committed_sequence()
+        with pytest.raises(TypeError):
+            db.put(b"k", value)
+        with pytest.raises(TypeError):
+            db.write(WriteBatch().put(b"other", b"v").put(b"k", value))
+        assert db.get(b"k") == b"before" and db.get(b"other") is None
+        assert db.committed_sequence() == sequence
+        assert db.stats.counter("db.writes").value == 1
+        assert [env.read_file(path) for path in wal] == logged
+
+
+def test_a_value_may_be_any_bytes_like_or_empty():
+    with DB("/db", _small_options()) as db:
+        db.put(b"empty", b"")
+        db.put(b"array", bytearray(b"ab"))
+        db.put(b"view", memoryview(b"xyz")[1:])
+        assert db.get(b"empty") == b""
+        assert db.get(b"array") == b"ab"
+        assert db.get(b"view") == b"yz"
 
 
 def test_values_survive_flush():
@@ -343,6 +378,35 @@ def test_write_slowdown_regime():
         assert db.stats.counter("db.slowdown_writes").value > 0
         for i in range(0, 600, 53):
             assert db.get(b"key-%04d" % i) == b"x" * 50
+
+
+def test_each_write_above_the_slowdown_trigger_pays_the_penalty_once():
+    """L0 at the slowdown trigger, no memtable immutable and no job claimed
+    (FIFO under its cap has nothing to do): every write adds exactly one to
+    ``db.slowdown_writes`` and sleeps exactly ``slowdown_delay_s`` on the
+    engine's clock, a group of one as much as a batch."""
+    clock, delay = VirtualClock(), 0.25
+    options = Options(
+        env=MemEnv(), clock=clock, compaction_style="fifo",
+        level0_slowdown_writes_trigger=2, slowdown_delay_s=delay,
+    )
+    with DB("/db", options) as db:
+        for i in range(2):
+            db.put(b"seed-%d" % i, b"v")
+            db.flush()
+        assert db.num_files_at_level(0) == 2
+        slowed = db.stats.counter("db.slowdown_writes")
+        writes = [
+            lambda i: db.put(b"key-%02d" % i, b"v"),
+            lambda i: db.delete(b"seed-0"),
+            lambda i: db.write(WriteBatch().put(b"a", b"1").put(b"b", b"2")),
+        ]
+        for i in range(30):
+            count, now = slowed.value, clock.now()
+            writes[i % len(writes)](i)
+            assert slowed.value == count + 1
+            assert clock.now() == now + delay
+        assert db.num_files_at_level(0) == 2
 
 
 @pytest.mark.parametrize("overrides", [

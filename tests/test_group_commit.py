@@ -12,7 +12,10 @@ from repro.errors import IOError_
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options, WriteOptions
+from repro.lsm.wal import frame_record
+from repro.lsm.write_batch import WriteBatch
 from repro.shield import ShieldOptions, open_shield_db
+from tests.test_obs_e2e import traced
 
 
 def _options(env, **overrides):
@@ -63,11 +66,38 @@ def test_groups_form_under_contention():
 
 
 def test_single_writer_group_size_one():
+    """A lone writer commits groups of one, and what each write records is
+    exact: its ops, its group, its user bytes (key + value + 1 a put, key +
+    1 a delete: the write-amplification signal's denominator) and, traced,
+    the attributes of its ``db.write`` span and of that span's WAL append."""
     db = DB("/g", _options(MemEnv()))
     with db:
         for i in range(50):
             db.put(b"k-%02d" % i, b"v")
         assert db.stats.counter("db.write_groups").value == 50
+        for i in range(0, 50, 5):
+            db.delete(b"k-%02d" % i)
+        db.put(b"big", b"x" * 300)
+        db.write(WriteBatch().put(b"a", b"12").delete(b"k-01"))
+        assert db.stats.counter("db.writes").value == 50 + 10 + 1 + 2
+        assert db.stats.counter("db.write_groups").value == 50 + 10 + 1 + 1
+        assert db.stats.histogram("db.group_size").count == 62
+        assert db.stats.counter("db.user_write_bytes").value == (
+            50 * (4 + 1 + 1) + 10 * (4 + 1) + (3 + 300 + 1)
+            + (1 + 2 + 1) + (4 + 1)
+        )
+
+    with traced() as sink:
+        with DB("/t", _options(MemEnv(), wal_buffer_size=4096)) as db:
+            db.put(b"key", b"value")
+    (write,) = [span for span in sink.spans() if span.name == "db.write"]
+    assert write.attributes == {"ops": 1}
+    (append,) = [
+        span for span in sink.spans()
+        if span.name == "wal.append" and span.parent_id == write.span_id
+    ]
+    frame = frame_record(WriteBatch().put(b"key", b"value").serialize(1))
+    assert append.attributes == {"nbytes": len(frame), "buffered": True}
 
 
 class _ParkingEnv(EnvWrapper):
