@@ -43,14 +43,15 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
         self._view = ([], Version(self.options.num_levels))  # memtables, version
         self.refresh()
 
-    def refresh(self, tail: Memtable | None = None) -> None:
+    def refresh(self, tail: Memtable | None = None) -> list[str]:
         """Open the store again (writing nothing) and swap memtables and
         version in as one view; ``RollbackError`` if stale.  Without ``tail``
         a file is opened when a read first reaches it.  With one (a replica's
         log tail, served above the files) every live file is opened before
         the swap, which a failure leaves undone: a replica's files are copies
-        whose DEKs the writer retires once it compacts the originals away."""
-        versions, recovered, __ = recover_store(
+        whose DEKs the writer retires once it compacts the originals away.
+        Returns the orphans ``recover_store`` found."""
+        versions, recovered, orphans = recover_store(
             self.env, self.path, self.provider, self.options, self.stats, writer=False
         )
         version = versions.current
@@ -65,6 +66,7 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
         for __, meta in old:
             if meta.number not in live:
                 self._tables.drop(meta.number)
+        return orphans
 
     def _read(self, read_once):
         """``read_once(memtables, version)``; again when a ``refresh()``

@@ -4,9 +4,8 @@ Authenticated encryption (AEAD schemes in :mod:`repro.crypto.cipher`)
 makes every persisted byte tamper-evident, but tags alone cannot stop a
 *rollback*: an attacker who restores yesterday's individually-valid files
 presents a store that verifies perfectly.  This package adds the missing
-piece -- a Merkle root over the live SST set, checkpointed to a trusted
-monotonic counter the storage adversary cannot rewind, verified at every
-``DB`` open.
+piece -- a Merkle root over the live SSTs and named WALs, checkpointed by
+:class:`FreshnessAnchor` to a trusted counter the adversary cannot rewind.
 """
 
 from repro.integrity.counter import (
@@ -19,8 +18,7 @@ from repro.integrity.freshness import (
     FRESH,
     INITIALIZED,
     TORN_RECOVERED,
-    verify,
-    verify_and_advance,
+    FreshnessAnchor,
 )
 from repro.integrity.merkle import EMPTY_ROOT, ROOT_SIZE, leaf_hash, merkle_root
 
@@ -29,6 +27,7 @@ __all__ = [
     "EMPTY_ROOT",
     "FileTrustedCounter",
     "FRESH",
+    "FreshnessAnchor",
     "INITIALIZED",
     "MemoryTrustedCounter",
     "ROOT_SIZE",
@@ -36,6 +35,4 @@ __all__ = [
     "TrustedCounter",
     "leaf_hash",
     "merkle_root",
-    "verify",
-    "verify_and_advance",
 ]

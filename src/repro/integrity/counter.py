@@ -2,24 +2,14 @@
 
 SHIELD++'s freshness protection needs a small piece of state outside the
 storage adversary's reach: a monotonic counter bound to the latest Merkle
-root of the live SST set.  Real deployments put this in a TPM NV counter,
+root of the live file set (``FreshnessAnchor`` decides the bytes; the
+counter keeps them opaque).  Real deployments put this in a TPM NV counter,
 an SGX monotonic counter, or a replicated quorum service; the
 reproduction simulates it behind a pluggable interface (the same pattern
 as ``Env``) with a file-backed default whose file lives *outside* the
 database directory -- the trusted domain boundary, not a durability
-trick.
-
-Torn-update window
-------------------
-
-The engine advances the counter *before* making the matching manifest
-state durable (counter-first ordering).  A crash between the two leaves
-the counter one step ahead of storage, so the counter remembers both the
-current and the previous root: at open, a store matching ``prev_root`` is
-a recoverable torn update, re-anchored by advancing again.  The price is
-a documented one-transition ambiguity -- a rollback of exactly the last
-manifest transition is indistinguishable from a torn update.  Everything
-older is caught.
+trick.  A counter remembers its previous root as well as the current one:
+``repro.integrity.freshness`` says why.
 """
 
 from __future__ import annotations

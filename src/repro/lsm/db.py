@@ -32,15 +32,9 @@ from repro.errors import (
 )
 from repro.lsm.compaction import CompactionJob, MergeExecutor
 from repro.lsm.dbformat import MAX_SEQUENCE
-from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
+from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL, envelope_dek_id
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
-from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL
-from repro.lsm.filename import (
-    current_path,
-    parse_file_name,
-    sst_path,
-    wal_path,
-)
+from repro.lsm.filename import current_path, sst_path, wal_path
 from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
@@ -50,13 +44,24 @@ from repro.lsm.version import FileMetadata, VersionEdit, recover_store
 from repro.lsm.wal import WALWriter
 from repro.lsm.write_batch import WriteBatch
 from repro.obs import controller, costs
+from repro.obs.signals import SignalEngine
 from repro.obs.trace import TRACER
+from repro.util.clock import RealClock
 from repro.util.lru import LRUCache
 from repro.util.stats import StatsRegistry
 from repro.util.syncpoint import SYNC
 
 MAX_IMMUTABLE_MEMTABLES = 2
 _DEFAULT_WRITE_OPTIONS = WriteOptions()  # never mutated: shared by every call
+
+#: ``DB.get_property`` names of ``DB.stats_snapshot`` gauges.
+_PROPERTIES = {
+    "repro.total-sst-size": "db.total_sst_bytes",
+    "repro.num-live-files": "db.live_files",
+    "repro.last-sequence": "db.last_sequence",
+    "repro.immutable-memtables": "db.immutable_memtables",
+    "repro.block-cache-usage": "db.block_cache.usage_bytes",
+}
 
 #: Engine health states (see :meth:`DB.health`).
 HEALTH_HEALTHY = "healthy"
@@ -97,8 +102,11 @@ SP_COMPACT_AFTER_MANIFEST = SYNC.declare(
 SP_WAL_BEFORE_ROTATE = SYNC.declare(
     "wal:before_rotate", "memtable full, old WAL still the active log"
 )
+SP_WAL_BEFORE_ANCHOR = SYNC.declare(
+    "wal:before_anchor", "fresh WAL open, the MANIFEST does not name it yet"
+)
 SP_WAL_AFTER_ROTATE = SYNC.declare(
-    "wal:after_rotate", "fresh WAL open, the switch not yet announced"
+    "wal:after_rotate", "fresh WAL named, the switch not yet announced"
 )
 
 
@@ -152,11 +160,8 @@ class DB:
         self._commit_listeners: list = []
 
         self._mem: Memtable = Memtable()
-        # (memtable, wal_number, wal_dek_id) awaiting flush, oldest first.
-        self._imm: list[tuple[Memtable, int, str]] = []
-        self._wal: WALWriter | None = None
-        self._wal_number = 0
-        self._wal_dek_id = ""
+        # (memtable, wal_number) awaiting flush, oldest first.
+        self._imm: list[tuple[Memtable, int]] = []
 
         self._block_cache = (
             LRUCache(self.options.block_cache_size)
@@ -169,11 +174,7 @@ class DB:
         )
         self._attributing = Attribution(self._tables, self.stats)
 
-        from repro.util.clock import RealClock
-
         self._clock = self.options.clock or RealClock()
-        from repro.obs.signals import SignalEngine
-
         self.signals = SignalEngine(self)
         #: The compaction policy in force: ``picker`` and ``offload``.
         self.policy = controller.PolicyInForce(self, self._announce)
@@ -187,67 +188,34 @@ class DB:
         )
 
         self.env.mkdirs(path)
-        self._versions, recovered, old_wals = recover_store(
+        self._versions, recovered, orphans = recover_store(
             self.env, path, self.provider, self.options, self.stats, writer=True
         )
-        self._recover(recovered, old_wals)
+        self._recover(recovered, orphans)
 
-    # ------------------------------------------------------------------
-    # Recovery / open
-    # ------------------------------------------------------------------
-
-    def _recover(self, recovered: Memtable, old_wals: list[str]) -> None:
-        """The writer's tail of ``recover_store``: a new MANIFEST and WAL, the
-        replayed memtable flushed, the replayed WALs and crash orphans gone."""
-        new_log = self._versions.new_file_number()
-        if len(recovered) == 0:
-            # Otherwise the replayed WALs stay the log until the flush below
-            # is installed: a kill before it must replay them again.
-            self._versions.log_number = new_log
-        self._versions.create_manifest()
-        self._open_new_wal(new_log)
-
+    def _recover(self, recovered: Memtable, orphans: list[str]) -> None:
+        """The writer's tail of ``recover_store``: a fresh MANIFEST still
+        naming the replayed WALs, then one edit names a new WAL, installs
+        their memtable's flush and drops them; they and the orphans go."""
+        versions = self._versions
+        versions.create_manifest()
+        replayed = versions.current.wals
+        self._open_new_wal(versions.new_file_number())
+        edit = VersionEdit(
+            last_sequence=versions.last_sequence, dropped_wals=list(replayed),
+            new_wals=[(self._wal_number, self._wal.dek_id)],
+        )
         if len(recovered) > 0:
-            info = self._write_sst_from_memtable(recovered)
-            edit = VersionEdit(
-                log_number=new_log, last_sequence=self._versions.last_sequence
-            )
-            edit.add_file(0, info)
-            self._versions.log_and_apply(edit)
-
-        for path in old_wals:
-            self._delete_db_file(path)
-        self._garbage_collect_orphans()
+            edit.add_file(0, self._write_sst_from_memtable(recovered))
+        versions.log_and_apply(edit)
+        for number, wal in replayed.items():
+            self._delete_db_file(wal_path(self.path, number), wal.dek_id)
+        for path in orphans:
+            self._delete_db_file(path, envelope_dek_id(self.env.read_file(path)))
         # The flush above added an L0 file like any other: unannounced, a
         # store reopened up to the stop trigger blocks its first write on a
         # compaction nobody started.
         self._announce()
-
-    def _garbage_collect_orphans(self) -> None:
-        """Remove files left behind by a crash.
-
-        Three kinds of orphans: SSTs never linked into the version (a
-        crash mid-flush/compaction), WALs older than the recorded log
-        number (a crash after the MANIFEST recorded their contents but
-        before their deletion), and MANIFESTs that CURRENT no longer
-        names (a crash between the CURRENT swap and the old manifest's
-        deletion).  All are invisible to reads; leaving them behind
-        strands their DEKs forever.
-        """
-        live = {
-            meta.number for __, meta in self._versions.current.all_files()
-        }
-        for name in self.env.list_dir(self.path):
-            parsed = parse_file_name(name)
-            if not parsed:
-                continue
-            kind, number = parsed[0], parsed[1]
-            if kind == "sst" and number not in live:
-                self._delete_db_file(f"{self.path}/{name}")
-            elif kind == "wal" and number < self._versions.log_number:
-                self._delete_db_file(f"{self.path}/{name}")
-            elif kind == "manifest" and number != self._versions.manifest_number:
-                self._delete_db_file(f"{self.path}/{name}")
 
     # ------------------------------------------------------------------
     # Write path
@@ -325,6 +293,7 @@ class DB:
                         committed.append((first_seq, last_seq, payload))
                 if want_sync and wal_enabled:
                     self._wal.sync()
+                    self._versions.anchor.synced(self._wal_number, self._wal.synced)
                 self._notify_commit_listeners(committed)
                 self._writes.add(sequence - start)
                 self._user_write_bytes.add(total_bytes)
@@ -403,38 +372,26 @@ class DB:
         :meth:`try_recover` to climb back to healthy.
         """
         with self._mutex:
-            closed = self._closed
-            bg_error = self._bg_error
+            closed, bg_error = self._closed, self._bg_error
             quarantined = sorted(self._tables.quarantined)
+        key_client = getattr(self.provider, "key_client", None)
+        state, reason, error = HEALTH_DEGRADED, "", None
         if closed:
-            return {"state": HEALTH_FAILED, "reason": "closed", "error": None}
+            state, reason = HEALTH_FAILED, "closed"
         # A background error before a quarantine: it is the one that refuses
         # writes, and the one the serving tier's health loop recovers from.
-        if bg_error is not None:
-            state = (
-                HEALTH_DEGRADED
-                if _is_transient_bg_error(bg_error)
-                else HEALTH_FAILED
-            )
-            return {
-                "state": state,
-                "reason": "background-error",
-                "error": repr(bg_error),
-            }
-        if quarantined:
-            return {
-                "state": HEALTH_DEGRADED,
-                "reason": "quarantined-sst",
-                "error": f"auth-failed SST files: {quarantined}",
-            }
-        key_client = getattr(self.provider, "key_client", None)
-        if key_client is not None and not key_client.available():
-            return {
-                "state": HEALTH_DEGRADED,
-                "reason": "kds-unavailable",
-                "error": None,
-            }
-        return {"state": HEALTH_HEALTHY, "reason": "", "error": None}
+        elif bg_error is not None:
+            reason, error = "background-error", repr(bg_error)
+            if not _is_transient_bg_error(bg_error):
+                state = HEALTH_FAILED
+        elif quarantined:
+            reason = "quarantined-sst"
+            error = f"auth-failed SST files: {quarantined}"
+        elif key_client is not None and not key_client.available():
+            reason = "kds-unavailable"
+        else:
+            state = HEALTH_HEALTHY
+        return {"state": state, "reason": reason, "error": error}
 
     def try_recover(self) -> bool:
         """Clear a *transient* background error and restart background work.
@@ -508,25 +465,32 @@ class DB:
         path = wal_path(self.path, number)
         crypto = self.provider.for_new_file(FILE_KIND_WAL, path)
         self._wal = WALWriter(
-            self.env,
-            path,
-            crypto,
-            buffer_size=self.options.wal_buffer_size,
-            sync_writes=self.options.wal_sync_writes,
+            self.env, path, crypto, buffer_size=self.options.wal_buffer_size
         )
         self._wal_number = number
-        self._wal_dek_id = crypto.dek_id
 
     def _switch_memtable_locked(self) -> None:
+        """The new WAL is provisioned and named, with the old one's synced
+        length, before the old one retires: if either fails (a KDS outage),
+        the old WAL stays the log and small writes keep riding it."""
         SYNC.process(SP_WAL_BEFORE_ROTATE)
-        # Provision the new WAL *before* retiring the old one: if the DEK
-        # grant fails (KDS outage), the rotation aborts with the old WAL
-        # still writable, so small writes keep riding it (grace mode).
-        old_wal = self._wal
-        old_number, old_dek_id = self._wal_number, self._wal_dek_id
+        old_wal, old_number = self._wal, self._wal_number
         self._open_new_wal(self._versions.new_file_number())
+        edit = VersionEdit(
+            last_sequence=self._versions.last_sequence,
+            new_wals=[(self._wal_number, self._wal.dek_id)],
+            synced_wals=[(old_number, old_wal.synced)],
+        )
+        try:
+            SYNC.process(SP_WAL_BEFORE_ANCHOR)
+            self._versions.log_and_apply(edit)
+        except BaseException:
+            self._wal.close()
+            self._delete_db_file(self._wal.path, self._wal.dek_id)
+            self._wal, self._wal_number = old_wal, old_number
+            raise
         old_wal.close()
-        self._imm.append((self._mem, old_number, old_dek_id))
+        self._imm.append((self._mem, old_number))
         self._mem = Memtable()
         SYNC.process(SP_WAL_AFTER_ROTATE)
         self._announce()
@@ -572,13 +536,9 @@ class DB:
                 work = self._next_work()
                 if work is None:
                     return
-                self._claim(work[0])
+                self._busy |= work[0]  # claimed in the hold that chose it
                 self._workers += 1
                 self._executor.submit(self._work, *work)
-
-    def _claim(self, numbers: set[int]) -> None:
-        """Mutex held, in the same hold that chose the work."""
-        self._busy |= numbers
 
     def _release(self, numbers: set[int]) -> None:
         with self._mutex:
@@ -642,8 +602,8 @@ class DB:
             created_at=self._clock.now(),
         )
 
-    def _flush_job(self, target: tuple[Memtable, int, str]) -> None:
-        mem, wal_number, wal_dek = target
+    def _flush_job(self, target: tuple[Memtable, int]) -> None:
+        mem, wal_number = target
         with TRACER.span(
             "db.flush_job", attributes={"wal_number": wal_number}
         ) as span:
@@ -654,18 +614,11 @@ class DB:
             span.set_attribute("output_bytes", meta.size)
             span.set_attribute("entries", meta.num_entries)
             with self._mutex:
-                # WALs older than every still-live memtable's WAL are
-                # obsolete.
-                other_logs = [
-                    entry[1] for entry in self._imm if entry[1] != wal_number
-                ]
-                remaining_log = min(other_logs + [self._wal_number])
-                edit = VersionEdit(
-                    log_number=remaining_log,
+                wal = self._versions.current.wals[wal_number]
+                self._versions.log_and_apply(VersionEdit(
                     last_sequence=self._versions.last_sequence,
-                )
-                edit.add_file(0, meta)
-                self._versions.log_and_apply(edit)
+                    new_files=[(0, meta)], dropped_wals=[wal_number],
+                ))
                 self._imm.remove(target)
                 # The next memtable is the oldest now: its flush may start
                 # while this one is still deleting its WAL.
@@ -674,15 +627,14 @@ class DB:
             # Control-loop tick inside the span: a policy change this
             # flush provokes parents under db.flush_job in the trace.
             self.policy.tick("flush")
-        self._delete_db_file(wal_path(self.path, wal_number), dek_id=wal_dek)
+        self._delete_db_file(wal_path(self.path, wal_number), wal.dek_id)
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
         """One MANIFEST edit: the job's inputs out, ``added`` in at its level."""
-        edit = VersionEdit()
-        for level, meta in job.input_files():
-            edit.delete_file(level, meta.number)
-        for meta in added:
-            edit.add_file(job.output_level, meta)
+        edit = VersionEdit(
+            deleted_files=[(level, meta.number) for level, meta in job.input_files()],
+            new_files=[(job.output_level, meta) for meta in added],
+        )
         with self._mutex:
             self._versions.log_and_apply(edit)
 
@@ -746,16 +698,9 @@ class DB:
     def _drop_table(self, meta: FileMetadata) -> None:
         """Forget a dead SST file: evict the reader, unlink, retire its DEK."""
         self._tables.drop(meta.number)
-        self._delete_db_file(sst_path(self.path, meta.number), dek_id=meta.dek_id)
+        self._delete_db_file(sst_path(self.path, meta.number), meta.dek_id)
 
-    def _delete_db_file(self, path: str, dek_id: str | None = None) -> None:
-        if dek_id is None:
-            dek_id = ""
-            try:
-                head = self.env.read_file(path)[:MAX_ENVELOPE_SIZE]
-                dek_id = decode_envelope(head).dek_id
-            except Exception:  # noqa: BLE001 - unreadable orphan; remove anyway
-                pass
+    def _delete_db_file(self, path: str, dek_id: str) -> None:
         self.env.delete_file(path)
         self.provider.on_file_deleted(dek_id, path)
 
@@ -1004,13 +949,6 @@ class DB:
             snap["db.live_files"] = self._versions.current.num_files()
             snap["db.total_sst_bytes"] = self._versions.current.total_size()
             snap["integrity.quarantined_files"] = len(self._tables.quarantined)
-        counter = self.options.trusted_counter
-        if counter is not None:
-            try:
-                state = counter.read()
-            except CorruptionError:
-                state = None
-            snap["integrity.counter_value"] = state.value if state else 0
         return snap
 
     def controller_state(self) -> dict | None:
@@ -1026,22 +964,15 @@ class DB:
         export advances the delta baseline itself.
         """
         state = self.controller_state()
-        if state is not None:
-            signals = self.signals.latest() or self.signals.sample()
-        else:
-            signals = self.signals.sample()
-        out = {"signals": signals}
-        if state is not None:
-            out["controller"] = state
-        return out
+        if state is None:
+            return {"signals": self.signals.sample()}
+        signals = self.signals.latest() or self.signals.sample()
+        return {"signals": signals, "controller": state}
 
     def snapshot(self) -> int:
-        """A sequence number usable as ReadOptions.snapshot.
-
-        Note: background compaction keeps only the newest version of each
-        key, so snapshots are best-effort once compaction touches the range
-        (documented engine simplification).
-        """
+        """A sequence number usable as ReadOptions.snapshot: best-effort
+        once a compaction, which keeps only each key's newest version,
+        touches the range (documented engine simplification)."""
         return self.committed_sequence()
 
     # ------------------------------------------------------------------
@@ -1052,7 +983,6 @@ class DB:
         """Force the active memtable (and WAL buffer) to persistent SSTs."""
         with self._mutex:
             self._check_state()
-            self._wal.flush_buffer()
             if len(self._mem) > 0:
                 self._maybe_stall_locked()
                 self._switch_memtable_locked()
@@ -1087,8 +1017,7 @@ class DB:
         this rotates every SST DEK in one pass -- the operational response
         the paper prescribes for a suspected DEK compromise (Section 5.5).
         """
-        self.flush()
-        self.wait_for_compaction()
+        self.compact_range()
         with self._mutex:
             files = self._versions.current.all_files()
             if not files:
@@ -1104,7 +1033,7 @@ class DB:
             job = CompactionJob(
                 inputs=inputs, output_level=output_level, bottommost=True
             )
-            self._claim(job.input_numbers())
+            self._busy |= job.input_numbers()
         try:
             self._run_merge_compaction(job)
         finally:
@@ -1123,6 +1052,8 @@ class DB:
             self.flush()
             with self._mutex:
                 self._check_state()
+                if self._imm:
+                    continue  # switched since the flush: a synced WAL is named
                 live = sorted(meta.number for __, meta in self.live_files())
                 current = self.env.read_file(current_path(self.path))
                 manifest_name = current.decode().strip()
@@ -1151,29 +1082,16 @@ class DB:
         self.stats.counter("db.checkpoints").add(1)
 
     def get_property(self, name: str):
-        """RocksDB-style introspection properties.
-
-        Supported: ``repro.num-files-at-level<N>``, ``repro.total-sst-size``,
-        ``repro.num-live-files``, ``repro.last-sequence``,
-        ``repro.immutable-memtables``, ``repro.block-cache-usage``,
-        ``repro.stats`` (the full counter snapshot dict).
-        """
+        """RocksDB-style introspection: ``repro.num-files-at-level<N>``,
+        ``repro.stats`` (the full counter snapshot dict), and the
+        ``stats_snapshot`` gauges ``_PROPERTIES`` names."""
         if name.startswith("repro.num-files-at-level"):
             return self.num_files_at_level(int(name.rsplit("level", 1)[1]))
-        with self._mutex:
-            if name == "repro.total-sst-size":
-                return self._versions.current.total_size()
-            if name == "repro.num-live-files":
-                return self._versions.current.num_files()
-            if name == "repro.last-sequence":
-                return self._versions.last_sequence
-            if name == "repro.immutable-memtables":
-                return len(self._imm)
-        if name == "repro.block-cache-usage":
-            return self._block_cache.usage if self._block_cache else 0
         if name == "repro.stats":
             return self.stats.snapshot()
-        raise InvalidArgumentError(f"unknown property {name!r}")
+        if name not in _PROPERTIES:
+            raise InvalidArgumentError(f"unknown property {name!r}")
+        return self.stats_snapshot().get(_PROPERTIES[name], 0)
 
     @property
     def clock(self):
@@ -1207,8 +1125,7 @@ class DB:
             self._announce()
         self._executor.shutdown(wait=True)
         with self._mutex:
-            if self._wal is not None:
-                self._wal.close()
+            self._wal.close()
             self._versions.close()
         self._tables.close()
 
@@ -1224,8 +1141,7 @@ class DB:
             self._closed = True
             self._announce()
         self._executor.shutdown(wait=True, cancel_futures=True)
-        if self._wal is not None:
-            self._wal.simulate_process_crash()
+        self._wal.simulate_process_crash()
 
     def __enter__(self) -> "DB":
         return self

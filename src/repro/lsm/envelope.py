@@ -118,3 +118,11 @@ def decode_envelope(buf: bytes) -> Envelope:
 # A generous upper bound on envelope size, used when readers fetch the head
 # of a file in one I/O. 4(magic)+3 + ~2+64(dek id) + ~1+32(nonce) + 4(crc).
 MAX_ENVELOPE_SIZE = 128
+
+
+def envelope_dek_id(raw: bytes) -> str:
+    """The DEK-ID the envelope at the head of ``raw`` names, or "" if none."""
+    try:
+        return decode_envelope(raw[:MAX_ENVELOPE_SIZE]).dek_id
+    except CorruptionError:
+        return ""

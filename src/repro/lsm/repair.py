@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.env.base import Env
 from repro.errors import AuthenticationError, CorruptionError, RecoveryError
-from repro.integrity.merkle import merkle_root
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
 from repro.lsm.filename import parse_file_name
 from repro.lsm.options import Options
@@ -96,17 +95,15 @@ def repair_db(
     if not recovered:
         raise RecoveryError(f"no readable SST files under {path}")
 
-    versions = VersionSet(env, path, provider, options.num_levels)
+    versions = VersionSet(
+        env, path, provider, options.num_levels, options.trusted_counter
+    )
     versions.next_file_number = max_number + 1
     versions.last_sequence = max_seq
     edit = VersionEdit()
     for meta in recovered:
         edit.add_file(0, meta)
     versions.current = versions.current.apply(edit)
-    counter = options.trusted_counter
-    if counter is not None:
-        # Counter-first, like every manifest transition.
-        counter.advance(merkle_root(versions.current))
-    versions.create_manifest()
+    versions.create_manifest()  # anchors the counter first, like every edit
     versions.close()
     return len(recovered)

@@ -1,11 +1,13 @@
 """Versions, version edits, and the MANIFEST.
 
-A *Version* is an immutable snapshot of which SST files live at which level.
-Changes are described by *VersionEdits*, which are durably logged to the
-MANIFEST file (same framed-record format as the WAL, and encrypted through
-the same envelope/crypto seam -- the paper explicitly includes the Manifest
-in the protected set).  Recovery replays the MANIFEST to rebuild the
-current Version.
+A *Version* is an immutable snapshot of a store's files: which SST files
+live at which level, and which WALs hold writes no SST has yet.  Changes are
+described by *VersionEdits*, which are durably logged to the MANIFEST file
+(same framed-record format as the WAL, and encrypted through the same
+envelope/crypto seam -- the paper explicitly includes the Manifest in the
+protected set).  Recovery replays the MANIFEST to rebuild the current
+Version, then replays the WALs it names: the MANIFEST is the one list of a
+store's files, and the directory is only where they are.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import bisect
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from repro.env.base import Env
 from repro.errors import (
@@ -22,13 +25,14 @@ from repro.errors import (
     RecoveryError,
     RollbackError,
 )
-from repro.integrity.freshness import verify, verify_and_advance
-from repro.integrity.merkle import merkle_root
-from repro.lsm.envelope import FILE_KIND_MANIFEST
+from repro.integrity.freshness import FreshnessAnchor
+from repro.lsm.envelope import FILE_KIND_MANIFEST, envelope_dek_id
 from repro.lsm.filecrypto import CryptoProvider
-from repro.lsm.filename import current_path, manifest_path, parse_file_name
+from repro.lsm.filename import (
+    current_path, manifest_path, parse_file_name, wal_path,
+)
 from repro.lsm.memtable import Memtable
-from repro.lsm.wal import WALWriter, read_wal_records, replay_wals
+from repro.lsm.wal import WALWriter, read_log, replay_wal
 from repro.util.syncpoint import SYNC
 from repro.util.coding import (
     decode_length_prefixed,
@@ -45,20 +49,15 @@ SP_MANIFEST_AFTER_CURRENT = SYNC.declare(
     "manifest:after_current_swap",
     "CURRENT names the new MANIFEST, old one not yet deleted",
 )
-SP_COUNTER_BEFORE_PERSIST = SYNC.declare(
-    "counter:before_persist",
-    "new Merkle root computed, trusted counter not yet advanced",
-)
-SP_COUNTER_AFTER_PERSIST = SYNC.declare(
-    "counter:after_persist",
-    "trusted counter one step ahead, manifest record not yet written",
-)
 
-_TAG_LOG_NUMBER = 1
+_TAG_LOG_NUMBER = 1  # read only from a MANIFEST that names no WAL
 _TAG_NEXT_FILE = 2
 _TAG_LAST_SEQ = 3
 _TAG_DELETED_FILE = 4
 _TAG_NEW_FILE = 5
+_TAG_WAL_ADDED = 6
+_TAG_WAL_SYNCED = 7
+_TAG_WAL_DROPPED = 8
 # bisect keys over a level's sorted, non-overlapping files
 _smallest = attrgetter("smallest")
 _largest = attrgetter("largest")
@@ -129,6 +128,14 @@ class FileMetadata:
         )
 
 
+class NamedWAL(NamedTuple):
+    """A WAL the MANIFEST names: the DEK-ID its envelope must carry, and its
+    payload bytes synced when it was rotated out (0 while it is active)."""
+
+    dek_id: str
+    synced: int = 0
+
+
 @dataclass
 class VersionEdit:
     """A durable delta against the current Version."""
@@ -138,6 +145,9 @@ class VersionEdit:
     last_sequence: int | None = None
     new_files: list[tuple[int, FileMetadata]] = field(default_factory=list)
     deleted_files: list[tuple[int, int]] = field(default_factory=list)
+    new_wals: list[tuple[int, str]] = field(default_factory=list)
+    synced_wals: list[tuple[int, int]] = field(default_factory=list)
+    dropped_wals: list[int] = field(default_factory=list)
 
     def add_file(self, level: int, meta: FileMetadata) -> None:
         self.new_files.append((level, meta))
@@ -147,23 +157,27 @@ class VersionEdit:
 
     def encode(self) -> bytes:
         parts: list[bytes] = []
-        if self.log_number is not None:
-            parts.append(encode_varint64(_TAG_LOG_NUMBER))
-            parts.append(encode_varint64(self.log_number))
-        if self.next_file_number is not None:
-            parts.append(encode_varint64(_TAG_NEXT_FILE))
-            parts.append(encode_varint64(self.next_file_number))
-        if self.last_sequence is not None:
-            parts.append(encode_varint64(_TAG_LAST_SEQ))
-            parts.append(encode_varint64(self.last_sequence))
+        for tag, value in (
+            (_TAG_LOG_NUMBER, self.log_number),
+            (_TAG_NEXT_FILE, self.next_file_number),
+            (_TAG_LAST_SEQ, self.last_sequence),
+        ):
+            if value is not None:
+                parts += (encode_varint64(tag), encode_varint64(value))
         for level, number in self.deleted_files:
-            parts.append(encode_varint64(_TAG_DELETED_FILE))
-            parts.append(encode_varint64(level))
-            parts.append(encode_varint64(number))
+            parts += (encode_varint64(_TAG_DELETED_FILE), encode_varint64(level),
+                      encode_varint64(number))
         for level, meta in self.new_files:
-            parts.append(encode_varint64(_TAG_NEW_FILE))
-            parts.append(encode_varint64(level))
-            parts.append(meta.encode())
+            parts += (encode_varint64(_TAG_NEW_FILE), encode_varint64(level),
+                      meta.encode())
+        for number, dek_id in self.new_wals:
+            parts += (encode_varint64(_TAG_WAL_ADDED), encode_varint64(number),
+                      encode_length_prefixed(dek_id.encode()))
+        for number, length in self.synced_wals:
+            parts += (encode_varint64(_TAG_WAL_SYNCED), encode_varint64(number),
+                      encode_varint64(length))
+        for number in self.dropped_wals:
+            parts += (encode_varint64(_TAG_WAL_DROPPED), encode_varint64(number))
         return b"".join(parts)
 
     @classmethod
@@ -195,13 +209,24 @@ class VersionEdit:
                 level, offset = decode_varint64(buf, offset)
                 meta, offset = FileMetadata.decode(buf, offset)
                 edit.new_files.append((level, meta))
+            elif tag == _TAG_WAL_ADDED:
+                number, offset = decode_varint64(buf, offset)
+                dek_id, offset = decode_length_prefixed(buf, offset)
+                edit.new_wals.append((number, dek_id.decode()))
+            elif tag == _TAG_WAL_SYNCED:
+                number, offset = decode_varint64(buf, offset)
+                length, offset = decode_varint64(buf, offset)
+                edit.synced_wals.append((number, length))
+            elif tag == _TAG_WAL_DROPPED:
+                number, offset = decode_varint64(buf, offset)
+                edit.dropped_wals.append(number)
             else:
                 raise CorruptionError(f"unknown version edit tag {tag}")
         return edit
 
 
 class Version:
-    """Immutable per-level file lists.
+    """Immutable per-level file lists, and the WALs named by number.
 
     Level 0 files may overlap and are ordered newest-first (descending file
     number).  Levels >= 1 are non-overlapping and sorted by smallest key.
@@ -209,10 +234,12 @@ class Version:
 
     def __init__(self, num_levels: int):
         self.levels: list[list[FileMetadata]] = [[] for _ in range(num_levels)]
+        self.wals: dict[int, NamedWAL] = {}
 
     def clone(self) -> "Version":
         version = Version(len(self.levels))
         version.levels = [list(level) for level in self.levels]
+        version.wals = dict(self.wals)
         return version
 
     def apply(self, edit: VersionEdit) -> "Version":
@@ -226,6 +253,14 @@ class Version:
             ]
         for level, meta in edit.new_files:
             version.levels[level].append(meta)
+        wals = version.wals
+        for number, dek_id in edit.new_wals:
+            wals[number] = NamedWAL(dek_id)
+        for number, length in edit.synced_wals:
+            if number in wals:
+                wals[number] = NamedWAL(wals[number].dek_id, length)
+        for number in edit.dropped_wals:
+            wals.pop(number, None)
         # L0 is searched newest-first.  Order by data recency (sequence),
         # not file number: concurrent flushes may finish out of order.
         version.levels[0].sort(key=lambda m: (-m.largest_seq, -m.number))
@@ -299,7 +334,7 @@ class Version:
 
 
 class VersionSet:
-    """Owns the current Version, counters, and the MANIFEST log."""
+    """Owns the current Version, counters, the MANIFEST log and ``anchor``."""
 
     def __init__(
         self,
@@ -321,9 +356,7 @@ class VersionSet:
         self._manifest_number = 0
         self._manifest_dek_id = ""
         self._manifest_failed = False  # a record may sit in its tail unapplied
-        self._trusted_counter = trusted_counter
-        self._stats = stats
-        self._last_root: bytes | None = None
+        self.anchor = FreshnessAnchor(trusted_counter, stats)
 
     # -- counters -----------------------------------------------------------
 
@@ -341,17 +374,21 @@ class VersionSet:
 
     def create_manifest(self) -> None:
         """Start a fresh MANIFEST seeded with a full snapshot of state."""
+        self.anchor.advance(self.current)
         number = self.new_file_number()
         path = manifest_path(self._dbname, number)
         crypto = self._provider.for_new_file(FILE_KIND_MANIFEST, path)
         writer = WALWriter(self._env, path, crypto, file_kind=FILE_KIND_MANIFEST)
         snapshot = VersionEdit(
-            log_number=self.log_number,
+            log_number=self.log_number or None,
             next_file_number=self.next_file_number,
             last_sequence=self.last_sequence,
         )
         for level, meta in self.current.all_files():
             snapshot.add_file(level, meta)
+        wals = self.current.wals.items()
+        snapshot.new_wals = [(number, wal.dek_id) for number, wal in wals]
+        snapshot.synced_wals = [(number, wal.synced) for number, wal in wals]
         writer.add_record(snapshot.encode())
         writer.sync()
 
@@ -382,65 +419,21 @@ class VersionSet:
         if self._manifest is None:
             raise RecoveryError("MANIFEST is not open")
         if self._manifest_failed:
-            # The counter names the failed edit's root: anchor it on what
-            # the fresh MANIFEST holds first, counter-first as below.
-            self._advance_freshness(self.current)
             self.create_manifest()
             self._manifest_failed = False
         edit.next_file_number = self.next_file_number
         next_version = self.current.apply(edit)
-        # Counter-first ordering: the trusted counter learns the new root
-        # BEFORE the manifest record lands.  A crash between the two leaves
-        # the counter one step ahead -- the recoverable direction (the
-        # counter's prev_root still matches storage).  The opposite order
-        # would make every such crash look like a rollback.
-        self._advance_freshness(next_version)
+        self.anchor.advance(next_version)  # counter first
         try:
             self._manifest.add_record(edit.encode())
             self._manifest.sync()
         except BaseException:
             self._manifest_failed = True
+            self.anchor.forget()
             raise
         self.current = next_version
-        if edit.log_number is not None:
-            self.log_number = max(self.log_number, edit.log_number)
         if edit.last_sequence is not None:
             self.last_sequence = max(self.last_sequence, edit.last_sequence)
-
-    # -- freshness ----------------------------------------------------------
-
-    def _advance_freshness(self, version: Version) -> None:
-        if self._trusted_counter is None:
-            return
-        root = merkle_root(version)
-        if root == self._last_root:
-            return  # edit did not change the live file set
-        SYNC.process(SP_COUNTER_BEFORE_PERSIST)
-        self._trusted_counter.advance(root)
-        SYNC.process(SP_COUNTER_AFTER_PERSIST)
-        self._last_root = root
-        if self._stats is not None:
-            self._stats.counter("integrity.freshness_advances").add(1)
-
-    def verify_freshness(self, *, advance: bool) -> str | None:
-        """Open-time check of the recovered state against the counter.
-
-        Returns the disposition (``fresh`` / ``initialized`` /
-        ``torn-recovered``), None when no counter is configured, and
-        raises ``RollbackError`` when storage is older than the counter's
-        anchor.  Only the writer may ``advance`` (bind, re-anchor) it.
-        """
-        if self._trusted_counter is None:
-            return None
-        root = merkle_root(self.current)
-        check = verify_and_advance if advance else verify
-        disposition = check(self._trusted_counter, root)
-        self._last_root = root
-        if self._stats is not None:
-            self._stats.counter("integrity.freshness_checks").add(1)
-            if disposition == "torn-recovered":
-                self._stats.counter("integrity.torn_recoveries").add(1)
-        return disposition
 
     def recover(self) -> None:
         """Rebuild state by replaying the MANIFEST named in CURRENT."""
@@ -448,8 +441,11 @@ class VersionSet:
         path = f"{self._dbname}/{current}"
         if not self._env.file_exists(path):
             raise RecoveryError(f"CURRENT points at missing manifest {current}")
+        raw = self._env.read_file(path)
+        self._manifest_number = (parse_file_name(current) or ("", 0))[1]
+        self._manifest_dek_id = envelope_dek_id(raw)  # retired when replaced
         version = Version(len(self.current.levels))
-        for record in read_wal_records(self._env, path, self._provider):
+        for record in read_log(raw, path, self._provider)[0]:
             edit = VersionEdit.decode(record)
             version = version.apply(edit)
             if edit.log_number is not None:
@@ -466,6 +462,34 @@ class VersionSet:
                 self.next_file_number = max(self.next_file_number, meta.number + 1)
         self.current = version
 
+    def replay_wals(self, listed, *, final: bool) -> Memtable:
+        """Replay the named WALs, oldest first, each through its anchored
+        length (MANIFEST length or floor); one anchored at 0 may be gone when
+        ``final`` (a copy names the primary's active log).  A MANIFEST naming
+        none (older, or repair's) names them by ``log_number`` and ``listed``."""
+        if not self.current.wals:
+            read = self._env.read_file
+            edit = VersionEdit(new_wals=[
+                (number, envelope_dek_id(read(f"{self._dbname}/{name}")))
+                for kind, number, name in listed
+                if kind == "wal" and number >= self.log_number
+            ])
+            self.current, self.log_number = self.current.apply(edit), 0
+        memtable = Memtable()
+        for number, wal in sorted(self.current.wals.items()):
+            path = wal_path(self._dbname, number)
+            anchored = max(wal.synced, self.anchor.floor(number))
+            replayed = replay_wal(
+                self._env, path, self._provider, wal.dek_id, memtable
+            )
+            length, last = replayed or (0, 0)
+            if length < anchored or (replayed is None and not final):
+                raise RollbackError(
+                    f"{path} replays {length} of its {anchored} anchored bytes"
+                )
+            self.last_sequence = max(self.last_sequence, last)
+        return memtable
+
     def close(self) -> None:
         if self._manifest is not None:
             self._manifest.close()
@@ -480,12 +504,17 @@ _READER_ATTEMPTS = 4
 def recover_store(
     env: Env, path: str, provider: CryptoProvider, options, stats, *, writer: bool
 ):
-    """Open a store -- MANIFEST replay, freshness gate, WAL replay, in the
-    only order there is -- for its writer (``DB``: may create it, binds or
-    re-anchors ``options.trusted_counter``) or for anybody else (a
-    ``ReadOnlyInstance``: verifies, writes nothing).  Returns ``(versions,
-    memtable of the replayed WALs, their paths)``; ``RollbackError`` when the
-    file set is older than the counter's anchor."""
+    """Open a store -- MANIFEST replay, freshness gate, replay of the WALs it
+    names -- for its writer (``DB``: may create it) or for anybody else (a
+    ``ReadOnlyInstance``: writes nothing) -> ``(versions, memtable, orphans)``:
+    the one directory listing moves ``next_file_number`` past every file and
+    finds what the MANIFEST does not name.  ``RollbackError`` when the file
+    set is older than the anchor or a named WAL is gone or short; a reader
+    believes it only when every re-read agrees (a live writer moves both)."""
+    listed = [
+        (*parsed, name) for name in env.list_dir(path)
+        if (parsed := parse_file_name(name))
+    ]
     attempts = 1 if writer else _READER_ATTEMPTS
     for attempt in range(1, attempts + 1):
         versions = VersionSet(
@@ -497,25 +526,22 @@ def recover_store(
         elif not options.create_if_missing:
             raise InvalidArgumentError(f"database {path} does not exist")
         try:
-            versions.verify_freshness(advance=writer)
+            versions.anchor.verify(versions.current)
+            memtable = versions.replay_wals(listed, final=attempt == attempts)
             break
         except RollbackError:
             if attempt == attempts:
                 raise
-    memtable = Memtable()
-    old_wals, last_replayed = replay_wals(
-        env, path, provider, versions.log_number, memtable
-    )
-    versions.last_sequence = max(versions.last_sequence, last_replayed)
-    if writer:
-        # A killed writer leaves files the MANIFEST never counted -- the WAL
-        # it rotated to, an SST it had not installed.  A new file must not
-        # take one of their numbers: it would truncate the file, and the
-        # writer's own WAL would then be deleted as a replayed one.
-        for name in env.list_dir(path):
-            parsed = parse_file_name(name)
-            if parsed:
-                versions.next_file_number = max(
-                    versions.next_file_number, parsed[1] + 1
-                )
-    return versions, memtable, old_wals
+    version, orphans = versions.current, []
+    live = {meta.number for __, meta in version.all_files()}
+    for kind, number, name in listed:
+        # A new file must not take the number of one the MANIFEST never
+        # counted (a killed writer's new WAL or uninstalled SST).
+        versions.next_file_number = max(versions.next_file_number, number + 1)
+        if (
+            (kind == "sst" and number not in live)
+            or (kind == "wal" and number not in version.wals)
+            or (kind == "manifest" and number != versions.manifest_number)
+        ):
+            orphans.append(f"{path}/{name}")
+    return versions, memtable, orphans

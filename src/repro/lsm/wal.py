@@ -33,7 +33,7 @@ before units; replay still reads it.
 from __future__ import annotations
 
 from repro.env.base import Env
-from repro.errors import CorruptionError
+from repro.errors import AuthenticationError, CorruptionError, IOError_
 from repro.lsm.envelope import (
     ENVELOPE_VERSION,
     ENVELOPE_VERSION_UNITS,
@@ -42,7 +42,6 @@ from repro.lsm.envelope import (
     decode_envelope,
 )
 from repro.lsm.filecrypto import CryptoProvider, FileCrypto
-from repro.lsm.filename import parse_file_name
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.util.checksum import masked_crc32
@@ -72,7 +71,8 @@ def frame_record(payload: bytes) -> bytes:
 
 
 class WALWriter:
-    """Appends records to a WAL file through a FileCrypto."""
+    """Appends records to a WAL file through a FileCrypto; ``synced`` is the
+    payload bytes (past the envelope) the last ``sync()`` made durable."""
 
     def __init__(
         self,
@@ -80,20 +80,19 @@ class WALWriter:
         path: str,
         crypto: FileCrypto,
         buffer_size: int = 0,
-        sync_writes: bool = False,
         file_kind: int = FILE_KIND_WAL,
     ):
         self.path = path
+        self.dek_id = crypto.dek_id
         self._crypto = crypto
         self.buffer_size = buffer_size
-        self.sync_writes = sync_writes
         self._file = env.new_writable_file(path)
         version = ENVELOPE_VERSION_UNITS if crypto.encrypted else ENVELOPE_VERSION
         header = crypto.envelope(file_kind, version).encode()
         self._file.append(header)
         self._payload_offset = 0          # encrypted+appended payload bytes
         self._buffer = bytearray()        # frames not yet encrypted/appended
-        self.records_written = 0
+        self.synced = 0
         self.buffer_flushes = 0
         self._closed = False
 
@@ -109,11 +108,11 @@ class WALWriter:
         """Append a commit group's records as one write: their frames go
         into the buffer together, or -- unbuffered -- into one unit, so the
         group pays one seal (one cipher-context init) instead of one per
-        record.  One record is exactly what ``add_record`` writes."""
+        record.  One record is exactly what ``add_record`` writes.  Nothing
+        here syncs: ``sync()`` is the one way to durability."""
         with TRACER.span("wal.append") as span:
             frames = frame_records(payloads)
             span.set_attribute("nbytes", len(frames))
-            self.records_written += len(payloads)
             if self.buffer_size > 0:
                 buffer = self._buffer
                 mark = len(buffer)
@@ -132,8 +131,6 @@ class WALWriter:
                         raise
             else:
                 self._append_unit(frames)
-                if self.sync_writes:
-                    self._file.sync()
 
     def _append_unit(self, chunk: bytes) -> None:
         """Persist one write unit at the current payload offset."""
@@ -158,14 +155,13 @@ class WALWriter:
             self._append_unit(chunk)
             self._buffer.clear()
             self.buffer_flushes += 1
-            if self.sync_writes:
-                self._file.sync()
 
     def sync(self) -> None:
         """Flush the application buffer and fsync the file."""
         with TRACER.span("wal.sync"):
             self.flush_buffer()
             self._file.sync()
+            self.synced = self._payload_offset
 
     def close(self) -> None:
         if self._closed:
@@ -181,50 +177,58 @@ class WALWriter:
 
 
 def read_wal_records(env: Env, path: str, provider: CryptoProvider) -> list[bytes]:
-    """Replay a WAL file, returning every intact record payload.
+    """Every intact record payload of a WAL file.  A corrupted or truncated
+    tail ends replay silently (RocksDB's tolerate-corrupted-tail-records): a
+    crash mid-append must not fail recovery, it just loses the torn record."""
+    return read_log(env.read_file(path), path, provider)[0]
 
-    A corrupted or truncated tail ends replay silently (RocksDB's
-    tolerate-corrupted-tail-records behaviour): a crash mid-append must not
-    fail recovery, it just loses the torn tail record.
-    """
-    raw = env.read_file(path)
+
+def replay_wal(
+    env: Env, path: str, provider: CryptoProvider, dek_id: str, mem
+) -> tuple[int, int] | None:
+    """Replay a named WAL into ``mem``: (payload bytes of the whole units
+    that open and parse, last sequence or 0); None when the file is gone.
+    Its envelope must name ``dek_id`` (else ``AuthenticationError``)."""
+    try:
+        raw = env.read_file(path)
+    except IOError_:
+        if env.file_exists(path):
+            raise
+        return None
+    records, length = read_log(raw, path, provider, dek_id)
+    last_sequence = 0
+    for payload in records:
+        first_seq, batch = WriteBatch.deserialize(payload)
+        last_sequence = max(last_sequence, batch.insert_into(mem, first_seq))
+    return length, last_sequence
+
+
+def read_log(
+    raw: bytes, path: str, provider: CryptoProvider, dek_id: str | None = None
+) -> tuple[list[bytes], int]:
+    """(intact records, payload bytes they span) of a log file's ``raw``
+    bytes, checked before the DEK is resolved to be sealed under ``dek_id``."""
     try:
         envelope = decode_envelope(raw[:MAX_ENVELOPE_SIZE])
     except CorruptionError:
         # A system crash can truncate a WAL before even its envelope was
         # synced; an unreadable head means an empty (torn) log, not failure.
-        return []
+        return [], 0
+    if dek_id is not None and envelope.dek_id != dek_id:
+        raise AuthenticationError(
+            f"{path}: sealed under DEK {envelope.dek_id!r}, "
+            f"not the MANIFEST's {dek_id!r}"
+        )
     crypto = provider.for_existing_file(envelope, path)
     body = bytes(raw[envelope.header_size:])
     if envelope.version == ENVELOPE_VERSION_UNITS or crypto.tag_size:
         return _replay_sealed_units(crypto, body)
     # Version 1: plaintext frames, or a legacy stream log's one keystream.
-    records, _ = _parse_frames(crypto.open(body, 0))
-    return records
+    return _parse_frames(crypto.open(body, 0))
 
 
-def replay_wals(
-    env: Env, dbname: str, provider: CryptoProvider, log_number: int, mem
-) -> tuple[list[str], int]:
-    """Replay every WAL of ``dbname`` numbered >= ``log_number`` into
-    ``mem``, oldest first: a writer's recovery and a read-only instance's
-    refresh.  Returns (paths replayed, last sequence seen or 0)."""
-    wals = []
-    for name in env.list_dir(dbname):
-        parsed = parse_file_name(name)
-        if parsed and parsed[0] == "wal" and parsed[1] >= log_number:
-            wals.append((parsed[1], f"{dbname}/{name}"))
-    wals.sort()
-    last_sequence = 0
-    for __, path in wals:
-        for payload in read_wal_records(env, path, provider):
-            first_seq, batch = WriteBatch.deserialize(payload)
-            last_sequence = max(last_sequence, batch.insert_into(mem, first_seq))
-    return [path for __, path in wals], last_sequence
-
-
-def _parse_frames(payload: bytes) -> tuple[list[bytes], bool]:
-    """Parse a run of frames; returns (records, whole payload consumed)."""
+def _parse_frames(payload: bytes) -> tuple[list[bytes], int]:
+    """Parse a run of frames; returns (records, bytes of whole frames)."""
     records: list[bytes] = []
     offset = 0
     total = len(payload)
@@ -243,11 +247,13 @@ def _parse_frames(payload: bytes) -> tuple[list[bytes], bool]:
             break  # corrupt record: stop replay here
         records.append(body)
         offset = pos + length
-    return records, offset == total
+    return records, offset
 
 
-def _replay_sealed_units(crypto: FileCrypto, raw_payload: bytes) -> list[bytes]:
-    """Replay length-prefixed sealed units.
+def _replay_sealed_units(
+    crypto: FileCrypto, raw_payload: bytes
+) -> tuple[list[bytes], int]:
+    """Replay length-prefixed sealed units: (records, bytes of whole units).
 
     An incomplete trailing unit is a torn write and ends replay silently,
     like a torn frame.  A *complete* unit with a bad tag cannot come from a crash
@@ -266,7 +272,7 @@ def _replay_sealed_units(crypto: FileCrypto, raw_payload: bytes) -> list[bytes]:
         unit = crypto.open_unit(raw_payload[pos:pos + sealed_len], pos)
         unit_records, consumed = _parse_frames(unit)
         records.extend(unit_records)
-        if not consumed:
+        if consumed != len(unit):
             break  # authenticated but malformed framing: stop replay
         offset = pos + sealed_len
-    return records
+    return records, offset

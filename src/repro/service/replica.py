@@ -308,30 +308,24 @@ class Replica(ReadOnlyInstance):
             self.last_applied = seq
             self._applied.notify_all()
 
-    def refresh(self, tail: Memtable | None = None) -> None:
+    def refresh(self, tail: Memtable | None = None) -> list[str]:
         """The directory's store under ``tail`` (by default the stream's);
         before the first checkpoint lands, the tail alone."""
         tail = self._tail if tail is None else tail
         if self.env.file_exists(current_path(self.path)):
-            super().refresh(tail)
-        else:
-            self._view = ([tail], Version(self.options.num_levels))
+            return super().refresh(tail)
+        self._view = ([tail], Version(self.options.num_levels))
+        return []
 
     def _install(self, seq: int) -> None:
         """A checkpoint's files are in: serve them under a fresh tail and
         forget what they replace.  Should the open fail, the old view and its
         tail stay, and the stream resumes into them."""
         tail = Memtable()
-        self.refresh(tail)
+        orphans = self.refresh(tail)
         self._tail = tail
-        live = {meta.number for __, meta in self.live_files()}
-        manifest = self.env.read_file(current_path(self.path)).decode().strip()
-        for name in self.env.list_dir(self.path):
-            kind, number = parse_file_name(name) or ("", 0)
-            if (kind == "sst" and number not in live) or (
-                kind == "manifest" and name != manifest
-            ):
-                self.env.delete_file(f"{self.path}/{name}")
+        for path in orphans:
+            self.env.delete_file(path)
         self.checkpoints_received += 1
         self._applied_through(seq)
 

@@ -31,17 +31,13 @@ _STOP = object()
 class DualWALWriter:
     """Plaintext primary + asynchronously encrypted secondary WAL."""
 
-    def __init__(self, env: Env, path: str, crypto: FileCrypto,
-                 sync_writes: bool = False):
+    def __init__(self, env: Env, path: str, crypto: FileCrypto):
         self.path = path
-        self.primary = WALWriter(
-            env, path + ".plain", NULL_CRYPTO, sync_writes=sync_writes
-        )
+        self.primary = WALWriter(env, path + ".plain", NULL_CRYPTO)
         self.secondary = WALWriter(env, path, crypto)
         self._queue: queue.Queue = queue.Queue()
         self._worker = threading.Thread(target=self._drain, daemon=True)
         self._worker.start()
-        self.records_written = 0
 
     def _drain(self) -> None:
         while True:
@@ -55,7 +51,6 @@ class DualWALWriter:
         self.primary.add_record(payload)
         # Asynchronous, encrypted -- this is the (eventual) at-rest copy.
         self._queue.put(payload)
-        self.records_written += 1
 
     def sync(self) -> None:
         self.primary.sync()

@@ -18,9 +18,9 @@ from repro.errors import AuthenticationError, RollbackError
 from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
-from repro.lsm.options import Options
+from repro.lsm.options import Options, WriteOptions
 from repro.lsm.repair import QUARANTINE_SUFFIX, repair_db
-from repro.lsm.version import SP_COUNTER_AFTER_PERSIST
+from repro.integrity.freshness import SP_COUNTER_AFTER_PERSIST
 from repro.shield import ShieldOptions, open_shield_db
 from repro.integrity import MemoryTrustedCounter
 from repro.util.syncpoint import SYNC
@@ -147,6 +147,37 @@ def test_wal_torn_tail_still_recovers():
         assert recovered.get(b"key-0000") == b"value-0000"
     finally:
         recovered.close()
+
+
+def _synced_puts_after_a_flush(scheme):
+    """50 puts and a flush, then 50 synced puts and a clean close: the one
+    WAL left holds the 50 synced writes, and the counter anchors them."""
+    env, counter = MemEnv(), MemoryTrustedCounter()
+    shield = ShieldOptions(kds=InMemoryKDS(), scheme=scheme, trusted_counter=counter)
+    db = open_shield_db("/adv", shield, _options(env))
+    for i in range(50):
+        db.put(b"flushed-%02d" % i, b"v")
+    db.flush()
+    for i in range(50):
+        db.put(b"synced-%02d" % i, b"v", WriteOptions(sync=True))
+    db.close()
+    (wal,) = [name for name in env.list_dir("/adv") if name.endswith(".log")]
+    return env, shield, f"/adv/{wal}"
+
+
+@pytest.mark.parametrize("damage", ["delete", "cut-below-the-floor"])
+@pytest.mark.parametrize("scheme", ["shake-ctr", "shake-etm"])
+def test_a_deleted_or_cut_live_wal_is_a_rollback(scheme, damage):
+    """Synced writes the anchor covers cannot vanish with their log: the
+    MANIFEST names the WAL, the counter holds its synced length."""
+    env, shield, wal = _synced_puts_after_a_flush(scheme)
+    if damage == "delete":
+        env.delete_file(wal)
+    else:
+        raw = env.read_file(wal)
+        env.write_file(wal, raw[: len(raw) // 2])
+    with pytest.raises(RollbackError):
+        open_shield_db("/adv", shield, _options(env))
 
 
 def test_snapshot_replay_raises_rollback():

@@ -458,3 +458,30 @@ def test_a_failing_job_is_attempted_once(job, fault):
     finally:
         SYNC.clear()
         db.close()
+
+
+@pytest.mark.parametrize("system", ["shield", "shield-etm"])
+def test_synced_writes_after_a_failed_switch_record_still_reopen(system):
+    """A memtable switch whose MANIFEST sync fails leaves storage at the old
+    root or the new one, whichever the crash keeps: the synced writes that
+    follow on the old WAL must not anchor the counter to either alone."""
+    env = FaultInjectionEnv(MemEnv())
+    kds, counter = InMemoryKDS(), MemoryTrustedCounter()
+    db = _open(system, env, kds, counter=counter)
+    for i in range(40):
+        db.put(b"key-%04d" % i, b"v%04d" % i)
+    env.fail_syncs(predicate=lambda path: "MANIFEST" in path)
+    with pytest.raises(IOError_):
+        db.flush()
+    env.heal()
+    for i in range(5):
+        db.put(b"synced-%d" % i, b"s", WriteOptions(sync=True))
+    db.simulate_crash()
+    env.crash_system()
+
+    recovered = _open(system, env, kds, counter=counter)
+    try:
+        assert all(recovered.get(b"synced-%d" % i) == b"s" for i in range(5))
+        assert all(recovered.get(b"key-%04d" % i) == b"v%04d" % i for i in range(40))
+    finally:
+        recovered.close()

@@ -1,12 +1,16 @@
 """Tests for the disaggregated-storage substrate: link, remote env, tiered
 env, and the deployment builder."""
 
+import threading
+
 import pytest
 
 from repro.dist.network import NetworkConfig, NetworkLink
 from repro.dist.remote_env import RemoteEnv, StorageServer, TieredEnv
 from repro.dist.deployment import build_ds_deployment
+from repro.dist.readonly import ReadOnlyInstance
 from repro.env.mem import MemEnv
+from repro.errors import ReproError
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.util.clock import VirtualClock
@@ -122,3 +126,31 @@ def test_compute_io_metering():
     assert deployment.compute_io.written_bytes("wal") > 0
     # No offloaded compaction ran: the service meter is untouched.
     assert deployment.service_io.written_bytes() == 0
+
+
+def test_a_readonly_instance_refreshes_beside_a_live_writer():
+    """The writer's flushes drop and delete WALs all the while: a reader
+    whose MANIFEST still named one re-reads, it never fails on the race."""
+    env = MemEnv()
+    db = DB("/rw", Options(env=env, write_buffer_size=4096))
+    done, errors, refreshes = threading.Event(), [], 0
+
+    def write():
+        try:
+            for i in range(6000):
+                db.put(b"key-%05d" % (i % 700), b"x" * 100)
+        finally:
+            done.set()
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    with ReadOnlyInstance("/rw", Options(env=env)) as reader:
+        while not done.is_set():
+            try:
+                reader.refresh()
+            except ReproError as exc:
+                errors.append(exc)
+            refreshes += 1
+    writer.join()
+    db.close()
+    assert refreshes > 20 and errors == []

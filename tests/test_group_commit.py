@@ -249,3 +249,20 @@ def test_batches_remain_atomic_in_groups():
             for i in range(0, 100, 13):
                 assert db.get(b"a-%02d-%03d" % (t, i)) == b"1"
                 assert db.get(b"b-%02d-%03d" % (t, i)) == b"2"
+
+
+@pytest.mark.parametrize("buffer_size", [0, 512])
+@pytest.mark.parametrize("asked", ["wal_sync_writes", "WriteOptions.sync"])
+def test_a_synced_group_costs_one_wal_fsync(asked, buffer_size):
+    """However the sync was asked for, buffered or not: one fsync a group."""
+    env = MemEnv()
+    options = _options(
+        env, wal_buffer_size=buffer_size,
+        wal_sync_writes=asked == "wal_sync_writes",
+    )
+    opts = WriteOptions(sync=asked == "WriteOptions.sync")
+    with DB("/g", options) as db:
+        before = env.sync_count
+        for i in range(10):
+            db.put(b"k%d" % i, b"v", opts)
+        assert env.sync_count - before == 10

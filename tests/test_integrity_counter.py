@@ -1,5 +1,5 @@
 """Unit tests for the freshness substrate: Merkle roots, trusted
-counters, and the verify-and-advance protocol (including the torn-update
+counters, and the freshness anchor's protocol (including the torn-update
 window exercised via sync points)."""
 
 import pytest
@@ -13,11 +13,10 @@ from repro.integrity import (
     ROOT_SIZE,
     TORN_RECOVERED,
     FileTrustedCounter,
+    FreshnessAnchor,
     MemoryTrustedCounter,
     leaf_hash,
     merkle_root,
-    verify,
-    verify_and_advance,
 )
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.options import Options
@@ -139,40 +138,73 @@ def test_memory_counter_fork_is_independent():
 
 
 # --------------------------------------------------------------------------
-# verify_and_advance protocol
+# The anchor's protocol
 # --------------------------------------------------------------------------
 
 
+#: Three store states: three roots.
+R1, R2, OLD = (_version({0: [_meta(n)]}) for n in (1, 2, 3))
+
+
 def test_protocol_dispositions():
+    """A writer verifies, then its first MANIFEST write advances: it binds a
+    never-used counter and re-anchors a torn one; a fresh one stays put."""
     counter = MemoryTrustedCounter()
-    assert verify_and_advance(counter, b"r1") == INITIALIZED
-    assert verify_and_advance(counter, b"r1") == FRESH
-    counter.advance(b"r2")  # counter ran ahead: the torn window
-    assert verify_and_advance(counter, b"r1") == TORN_RECOVERED
-    assert verify_and_advance(counter, b"r1") == FRESH
+    anchor = FreshnessAnchor(counter)
+    assert anchor.verify(R1) == INITIALIZED
+    anchor.advance(R1)
+    assert anchor.verify(R1) == FRESH
+    anchor.advance(R1)
+    assert counter.read().value == 1
+    counter.advance(merkle_root(R2))  # counter ran ahead: the torn window
+    assert anchor.verify(R1) == TORN_RECOVERED
+    anchor.advance(R1)
+    assert anchor.verify(R1) == FRESH
     with pytest.raises(RollbackError):
-        verify_and_advance(counter, b"ancient")
+        anchor.verify(OLD)
 
 
 def test_read_only_verify_classifies_the_same_and_never_advances():
     counter = MemoryTrustedCounter()
-    assert verify(counter, b"r1") == INITIALIZED  # nothing anchored yet
+    anchor = FreshnessAnchor(counter)
+    assert anchor.verify(R1) == INITIALIZED  # nothing anchored yet
     assert counter.read() is None
-    counter.advance(b"r1")
-    counter.advance(b"r2")
+    counter.advance(merkle_root(R1))
+    counter.advance(merkle_root(R2))
     before = counter.read()
-    assert verify(counter, b"r2") == FRESH
-    assert verify(counter, b"r1") == TORN_RECOVERED  # a writer mid-transition
+    assert anchor.verify(R2) == FRESH
+    assert anchor.verify(R1) == TORN_RECOVERED  # a writer mid-transition
     with pytest.raises(RollbackError):
-        verify(counter, b"ancient")
+        anchor.verify(OLD)
     assert counter.read() == before
 
 
 def test_rollback_error_names_counter_value():
     counter = MemoryTrustedCounter()
-    counter.advance(b"current")
+    counter.advance(merkle_root(R1))
     with pytest.raises(RollbackError, match="value 1"):
-        verify_and_advance(counter, b"stale")
+        FreshnessAnchor(counter).verify(OLD)
+
+
+def test_the_floor_rides_in_the_root_and_a_bare_root_has_none():
+    """Sync first: the floor moves only with a synced group, one counter
+    write each, and MANIFEST edits carry it.  A counter as written before
+    WALs were named -- a bare 32-byte root -- anchors no WAL bytes."""
+    counter = MemoryTrustedCounter()
+    anchor = FreshnessAnchor(counter)
+    anchor.verify(R1)
+    anchor.advance(R1)
+    assert counter.read().root == merkle_root(R1)
+    anchor.synced(7, 120)
+    anchor.synced(7, 120)  # nothing new synced: no write
+    assert counter.read().value == 2
+    anchor.advance(R2)
+    reader = FreshnessAnchor(counter)
+    assert reader.verify(R2) == FRESH
+    assert (reader.floor(7), reader.floor(8)) == (120, 0)
+    assert reader.verify(R1) == TORN_RECOVERED  # the previous state's floor
+    assert reader.floor(7) == 120
+    assert FreshnessAnchor(None).verify(R1) is None
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,10 @@ from repro.crypto import xof
 from repro.crypto.cipher import SCHEME_NONE, spec_for
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthenticationError
+from repro.errors import AuthenticationError, RollbackError
+from repro.integrity import (
+    ROOT_SIZE, FileTrustedCounter, MemoryTrustedCounter, merkle_root,
+)
 from repro.lsm.db import DB
 from repro.lsm.envelope import (
     ENVELOPE_VERSION,
@@ -43,6 +46,7 @@ from repro.lsm.filecrypto import (
     make_file_crypto,
 )
 from repro.lsm.options import Options
+from repro.lsm.version import VersionSet
 from repro.lsm.wal import WALWriter, frame_record, read_wal_records
 from repro.tools import sst_dump
 from repro.util.checksum import masked_crc32
@@ -242,6 +246,44 @@ def test_a_legacy_store_opens_reads_writes_and_reopens_as_v2():
         assert dict(db.scan(b"", b"\xff")) == expected
         v2 = {ENVELOPE_VERSION_UNITS}
         assert _log_versions(env) == {FILE_KIND_WAL: v2, FILE_KIND_MANIFEST: v2}
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_a_bare_root_counter_verifies_a_store_that_names_no_wal(kind):
+    """A counter as written before WALs were named holds a bare 32-byte root
+    and no floor: over the legacy store, whose MANIFEST names no WAL, it
+    verifies (any other bare root is a rollback), and the store goes on."""
+    env, provider = MemEnv(), _provider("shake-ctr")
+    for name in sorted(p.name for p in LEGACY_DB_DIR.iterdir()):
+        env.write_file(f"/db/{name}", (LEGACY_DB_DIR / name).read_bytes())
+    versions = VersionSet(env, "/db", provider, Options().num_levels)
+    versions.recover()
+    assert versions.current.wals == {}
+    root = merkle_root(versions.current)
+
+    def counter_holding(bare_root):
+        if kind == "memory":
+            counter = MemoryTrustedCounter()
+        else:
+            env.delete_file("/trusted/counter")
+            counter = FileTrustedCounter(env, "/trusted/counter")
+        counter.advance(bare_root)
+        assert len(counter.read().root) == ROOT_SIZE
+        return counter
+
+    stale = Options(env=env, crypto_provider=provider)
+    stale.trusted_counter = counter_holding(bytes(ROOT_SIZE))
+    with pytest.raises(RollbackError):
+        DB("/db", stale)
+    options = Options(env=env, crypto_provider=provider)
+    options.trusted_counter = counter_holding(root)
+    expected = _legacy_db_contents()
+    with DB("/db", options) as db:
+        assert dict(db.scan(b"", b"\xff")) == expected
+        db.put(b"db-new", b"anchored")
+        expected[b"db-new"] = b"anchored"
+    with DB("/db", options) as db:
+        assert dict(db.scan(b"", b"\xff")) == expected
 
 
 @pytest.mark.parametrize("scheme, buffer_size", sorted(LEGACY_WAL))

@@ -40,7 +40,9 @@ from hypothesis.stateful import (
 from repro.dist.readonly import ReadOnlyInstance
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthenticationError, CorruptionError, ReproError
+from repro.errors import (
+    AuthenticationError, CorruptionError, ReproError, RollbackError,
+)
 from repro.integrity.counter import MemoryTrustedCounter
 from repro.keys.client import KeyClient
 from repro.keys.faulty import FaultyKDS
@@ -52,7 +54,8 @@ from repro.lsm.db import (
     DB, HEALTH_FAILED, HEALTH_HEALTHY,
     SP_COMPACT_AFTER_OUTPUTS, SP_FLUSH_BEFORE_SST,
 )
-from repro.lsm.filename import sst_path
+from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
+from repro.lsm.filename import sst_path, wal_path
 from repro.lsm.options import Options, ReadOptions
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.controller import ControllerConfig
@@ -61,6 +64,7 @@ from repro.service.server import KVServer, ServiceConfig
 from repro.shield.config import DEFAULT_WAL_BUFFER
 from repro.shield.provider import ShieldCryptoProvider
 from repro.tools.dek_audit import audit_directory
+from repro.util.coding import decode_fixed32
 from repro.util.clock import VirtualClock
 from repro.util.syncpoint import SYNC
 from tests import test_obs_e2e as obs_e2e
@@ -92,6 +96,9 @@ ADAPTIVE = ControllerConfig(
     max_flips_per_min=1_000_000,
     write_rate_floor=1.0,
 )
+#: What the storage adversary does to a named WAL (``tamper_with_a_named_wal``):
+#: ``damage`` does each.
+WAL_ATTACKS = ("delete", "cut_at_a_unit", "cut_inside_a_unit", "swap", "splice")
 #: A crash drive's write buffer: two drive batches fill it, so the write
 #: that rotates the WAL can be the one in flight at the kill.
 DRIVE_WRITE_BUFFER = 2048
@@ -255,11 +262,12 @@ class ScanModel(RuleBasedStateMachine):
             adaptive_config=ADAPTIVE,
         ), **overrides)
 
-    def _provider(self, server_id):
-        """SHIELD over the machine's KDS, with the retries and breaker every
-        SHIELD engine has -- on the KDS clock, so backoff never sleeps."""
+    def _provider(self, server_id, kds=None):
+        """SHIELD over the machine's KDS (or ``kds``), with the retries and
+        breaker every SHIELD engine has -- on the KDS clock, so backoff never
+        sleeps."""
         key_client = KeyClient(
-            self.kds, server_id, default_scheme=self.scheme,
+            kds or self.kds, server_id, default_scheme=self.scheme,
             retry_policy=RetryPolicy(rng=random.Random(0), clock=self.kds_clock),
             breaker=CircuitBreaker(clock=self.kds_clock),
         )
@@ -698,6 +706,45 @@ class ScanModel(RuleBasedStateMachine):
         self.env.write_file(path, honest)
         self._reopen_both()  # no quarantine mark outlives the rule
 
+    @precondition(lambda self: self.scheme is not None and self.parked is None)
+    @rule(pick=st.integers(0, 1_000))
+    def tamper_with_a_named_wal(self, pick):
+        """The adversary gets the log.  Two named WALs hold acked, synced
+        writes -- one rotated out (the MANIFEST holds its synced length), one
+        active (the counter's floor does) -- in an image of storage taken
+        while the rotated one's flush is parked.  On a copy of the image
+        each, every one of ``WAL_ATTACKS`` hits the WAL ``pick`` chooses.  A
+        read-only instance and a writer over the copy then raise
+        ``RollbackError``, ``AuthenticationError`` or ``CorruptionError``, or
+        -- the damage beyond every anchored byte -- read every acked write.
+        A swap is the DEK-ID check's to name: ``AuthenticationError``."""
+        self.put(ALL_KEYS[pick % len(ALL_KEYS)], b"in the rotated WAL")
+        self.parked = park_flush(self.db)
+        self.put(ALL_KEYS[(pick + 1) % len(ALL_KEYS)], b"in the active WAL")
+        named = [wal_path(PATH, n) for n in sorted(self.db._versions.current.wals)]
+        image = self.env.fork(durable_only=True)
+        kds, counter = self.kds.fork(), self.counter.fork()
+        expected = {key: self.oracle.get(key) for key in ALL_KEYS}
+        self.unpark_flush()
+        victim, other = named[pick % 2], named[1 - pick % 2]
+        for attack in WAL_ATTACKS:
+            env = image.fork(durable_only=False)
+            damage(env, attack, victim, other, pick)
+            options = self._options(
+                env=env, crypto_provider=self._provider("adversary-1", kds.fork()),
+                wal_buffer_size=DEFAULT_WAL_BUFFER, trusted_counter=counter.fork(),
+            )
+            for open_store in (ReadOnlyInstance, DB):
+                try:
+                    store = open_store(PATH, options)
+                except (RollbackError, CorruptionError) as exc:
+                    assert attack != "swap" or isinstance(exc, AuthenticationError), exc
+                    continue
+                with store:
+                    assert attack != "swap", "a swapped WAL was replayed"
+                    got = {key: store.get(key) for key in ALL_KEYS}
+                    assert got == expected, attack
+
     # -- the property ---------------------------------------------------------
 
     @rule(
@@ -826,6 +873,39 @@ def test_wal_replay_keeps_what_a_snapshot_saw(scheme, restart):
         model.gets_agree_with_the_oracle(ALL_KEYS, snapshot=None)
 
 
+def damage(env, attack, victim, other, pick):
+    """One of ``WAL_ATTACKS`` on the sealed log ``victim``; ``other`` is
+    another named WAL of the store, ``pick`` chooses where."""
+    raw, units = env.read_file(victim), log_units(env, victim)
+    start, size = units[pick % len(units)]
+    if attack == "delete":
+        env.delete_file(victim)
+    elif attack == "cut_at_a_unit":
+        env.write_file(victim, raw[:[*units, (len(raw), 0)][pick % (len(units) + 1)][0]])
+    elif attack == "cut_inside_a_unit":
+        env.write_file(victim, raw[:start + 1 + pick % (size - 1)])
+    elif attack == "swap":
+        env.write_file(victim, env.read_file(other))
+        env.write_file(other, raw)
+    else:  # splice
+        theirs = log_units(env, other)
+        their_start, their_size = theirs[pick % len(theirs)]
+        unit = env.read_file(other)[their_start:their_start + their_size]
+        env.write_file(victim, raw[:start] + unit + raw[start + size:])
+
+
+def log_units(env, path):
+    """``(start, size)`` of every whole unit of a sealed log, in file
+    offsets: its ``sealed_len fixed32`` prefix and the sealed bytes."""
+    raw = env.read_file(path)
+    offset, units = decode_envelope(raw[:MAX_ENVELOPE_SIZE]).header_size, []
+    while offset + 4 <= len(raw):
+        size = 4 + decode_fixed32(raw, offset)[0]
+        units.append((offset, size))
+        offset += size
+    return units
+
+
 READ_ALL = [("get", ALL_KEYS), ("scan", b"", None, None)]
 #: On the engine, over cold files: nothing is written after the flush, so
 #: what a failed flush left behind meets the next ordinary write.  Seed 0
@@ -905,3 +985,13 @@ def test_one_flipped_bloom_bit_is_never_an_answer(scheme):
             assert model.db.get(key) is None
         except CorruptionError:  # AuthenticationError is one
             pass
+
+
+@pytest.mark.parametrize("scheme", ["shake-ctr", "shake-etm"])
+def test_every_attack_on_a_named_wal(scheme):
+    """The adversary's WAL rule on each of the two named WALs, over a tree."""
+    with booted(scheme) as model:
+        model.write([(key, b"v-" + key) for key in ALL_KEYS])
+        model.flush("picker")
+        for pick in range(4):
+            model.tamper_with_a_named_wal(pick)

@@ -9,7 +9,7 @@ from repro.lsm.filecrypto import (
     PlaintextCryptoProvider,
     SingleKeyCryptoProvider,
 )
-from repro.lsm.wal import WALWriter, read_wal_records
+from repro.lsm.wal import WALWriter, frame_record, read_wal_records
 
 
 def _plain_crypto():
@@ -140,17 +140,23 @@ def test_corrupt_middle_stops_replay():
 
 
 def test_sync_writes_flag():
-    env = MemEnv()
-    writer = WALWriter(env, "/1.log", _plain_crypto(), sync_writes=True)
-    writer.add_record(b"r")
-    assert env.sync_count >= 1
-    env.crash_system()
-    assert read_wal_records(env, "/1.log", PlaintextCryptoProvider()) == [b"r"]
+    """Only ``sync()`` syncs: the DB's commit decides when (one fsync a
+    group, however the sync was asked for)."""
+    for buffer_size in (0, 512):
+        env = MemEnv()
+        writer = WALWriter(env, "/1.log", _plain_crypto(), buffer_size=buffer_size)
+        writer.add_record(b"r")
+        assert env.sync_count == 0
+        writer.sync()
+        assert env.sync_count == 1
+        assert writer.synced == len(frame_record(b"r"))  # payload bytes
+        env.crash_system()
+        assert read_wal_records(env, "/1.log", PlaintextCryptoProvider()) == [b"r"]
 
 
 def test_unsynced_buffered_io_lost_on_system_crash():
     env = MemEnv()
-    writer = WALWriter(env, "/1.log", _plain_crypto(), sync_writes=False)
+    writer = WALWriter(env, "/1.log", _plain_crypto())
     writer.add_record(b"r")
     env.crash_system()
     # Even the envelope is gone: nothing was synced.
