@@ -4,7 +4,7 @@ Extra compute instances serve queries from the shared WAL and SST files
 (Section 2.2, Figure 2) and write nothing; each resolves a file's DEK from the
 envelope DEK-ID through its *own* KeyClient, like an offloaded compaction
 worker (Section 5.4).  One is the read half of ``DB``, not a second engine: the
-same open (``recover_store``, its freshness gate), ``lookup``, ``scan_runs``.
+same open (``recover_store``, its freshness gate), the same ``ReadView``.
 A replica is one too, over copies of the files plus a log tail
 (``repro.service.replica``).
 """
@@ -16,10 +16,9 @@ import contextlib
 from repro.errors import AuthenticationError, ReproError
 from repro.lsm.dbformat import MAX_SEQUENCE
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
-from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options
-from repro.lsm.tables import Attribution, TableSet, lookup
+from repro.lsm.tables import Attribution, ReadView, TableSet
 from repro.lsm.version import FileMetadata, Version, recover_store
 from repro.util.stats import StatsRegistry
 
@@ -40,7 +39,7 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
         self._sst_probes = self.stats.counter("db.get_sst_probes")
         self._tables = TableSet(self.env, path, self.provider, self.options)
         self._attributing = Attribution(self._tables, self.stats)
-        self._view = ([], Version(self.options.num_levels))  # memtables, version
+        self._view = self._serving([], Version(self.options.num_levels))
         self.refresh()
 
     def refresh(self, tail: Memtable | None = None) -> list[str]:
@@ -61,43 +60,44 @@ class ReadOnlyInstance(contextlib.AbstractContextManager):
                 for __, meta in version.all_files():
                     self._tables.reader(meta)
             memtables.insert(0, tail)
-        old, self._view = self._view[1].all_files(), (memtables, version)
+        old = self._view.version.all_files()
+        self._view = self._serving(memtables, version)
         live = {meta.number for __, meta in version.all_files()}
         for __, meta in old:
             if meta.number not in live:
                 self._tables.drop(meta.number)
         return orphans
 
-    def _read(self, read_once):
-        """``read_once(memtables, version)``; again when a ``refresh()``
-        replaced the view mid-read, never after a failed tag."""
+    def _serving(self, memtables: list, version: Version) -> ReadView:
+        """Every read's view until the next ``refresh()``.  It pins nothing:
+        the files are the writer's, and a read that lost one reads again."""
+        return ReadView(
+            memtables, version, MAX_SEQUENCE, self._tables, self._sst_probes
+        )
+
+    def _read(self, read):
+        """``read(view)``; again when a ``refresh()`` replaced the view
+        mid-read, never after a failed tag."""
         with self._attributing:
             while True:
                 view = self._view
                 try:
-                    return read_once(*view)
+                    return read(view)
                 except ReproError as exc:
                     if isinstance(exc, AuthenticationError) or self._view is view:
                         raise
 
     def get(self, key: bytes) -> bytes | None:
-        return self._read(lambda memtables, version: lookup(
-            memtables, version, self._tables, self._sst_probes, key, MAX_SEQUENCE
-        ))
+        return self._read(lambda view: view.get(key))
 
     def scan(self, start: bytes = b"", end: bytes | None = None,
              limit: int | None = None) -> list[tuple[bytes, bytes]]:
         """A file is opened (over ``RemoteEnv``: a link ping and reads) when
-        the cursor reaches it, not before: ``scan_runs``."""
-        return self._read(lambda memtables, version: list(scan_runs(
-            [memtable.entries(start) for memtable in memtables],
-            version.runs_for_range(start, end),
-            lambda meta, seek: self._tables.reader(meta).entries_from(seek),
-            start, end, limit,
-        )))
+        the cursor reaches it, not before: ``ReadView.scan``."""
+        return self._read(lambda view: list(view.scan(start, end, limit)[1]))
 
     def live_files(self) -> list[tuple[int, FileMetadata]]:
-        return self._view[1].all_files()
+        return self._view.version.all_files()
 
     def quarantined_files(self) -> list[int]:
         return sorted(self._tables.quarantined)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Collection
 
@@ -28,19 +30,16 @@ from repro.errors import (
     InvalidArgumentError,
     IOError_,
     KeyManagementError,
-    NotFoundError,
 )
 from repro.lsm.compaction import CompactionJob, MergeExecutor
-from repro.lsm.dbformat import MAX_SEQUENCE
 from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL, envelope_dek_id
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
 from repro.lsm.filename import current_path, sst_path, wal_path
-from repro.lsm.iterator import scan_runs
 from repro.lsm.memtable import Memtable
 from repro.lsm.options import Options, ReadOptions, WriteOptions
 from repro.lsm.sst import SSTBuilder, SSTFileInfo
-from repro.lsm.tables import Attribution, TableSet, lookup
-from repro.lsm.version import FileMetadata, VersionEdit, recover_store
+from repro.lsm.tables import Attribution, ReadView, Snapshot, TableSet
+from repro.lsm.version import FileMetadata, Version, VersionEdit, recover_store
 from repro.lsm.wal import WALWriter
 from repro.lsm.write_batch import WriteBatch
 from repro.obs import controller, costs
@@ -173,6 +172,11 @@ class DB:
             on_heal=self._announce,
         )
         self._attributing = Attribution(self._tables, self.stats)
+        # An element per live read view, by its version: appended under the
+        # mutex, popped by a release (one atomic list operation: no lock).
+        # Files compactions removed wait in ``_obsolete`` until none names them.
+        self._pins: defaultdict[Version, list] = defaultdict(list)
+        self._obsolete: list[FileMetadata] = []
 
         self._clock = self.options.clock or RealClock()
         self.signals = SignalEngine(self)
@@ -558,10 +562,12 @@ class DB:
         try:
             if not isinstance(job, CompactionJob):
                 self._flush_job(job)
-            elif job.delete_only:
-                self._apply_delete_only(job)
+            elif job.delete_only:  # FIFO expiry: inputs out, nothing in
+                self._install(job, [])
+                self.stats.counter("db.fifo_expirations").add(len(job.input_files()))
             else:
                 self._run_merge_compaction(job)
+            self._purge()
         except AuthenticationError:
             self.stats.counter("integrity.compaction_auth_aborts").add(1)
         except BaseException as exc:  # noqa: BLE001 - surfaced to writers
@@ -630,19 +636,14 @@ class DB:
         self._delete_db_file(wal_path(self.path, wal_number), wal.dek_id)
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
-        """One MANIFEST edit: the job's inputs out, ``added`` in at its level."""
+        """One MANIFEST edit: the job's inputs out (obsolete), ``added`` in."""
         edit = VersionEdit(
             deleted_files=[(level, meta.number) for level, meta in job.input_files()],
             new_files=[(job.output_level, meta) for meta in added],
         )
         with self._mutex:
             self._versions.log_and_apply(edit)
-
-    def _apply_delete_only(self, job: CompactionJob) -> None:
-        self._install(job, [])
-        for __, meta in job.input_files():
-            self._drop_table(meta)
-        self.stats.counter("db.fifo_expirations").add(len(job.input_files()))
+            self._obsolete += [meta for __, meta in job.input_files()]
 
     def _run_merge_compaction(self, job: CompactionJob) -> None:
         input_bytes = job.total_input_bytes()
@@ -662,9 +663,6 @@ class DB:
             SYNC.process(SP_COMPACT_AFTER_OUTPUTS)
             self._install(job, outputs)
             SYNC.process(SP_COMPACT_AFTER_MANIFEST)
-            for __, meta in job.input_files():
-                self._drop_table(meta)
-
             self.stats.counter("db.compactions").add(1)
             self.stats.counter("db.compaction_bytes_read").add(input_bytes)
             self.stats.counter("db.compaction_bytes_written").add(output_bytes)
@@ -695,10 +693,20 @@ class DB:
     def quarantined_files(self) -> list[int]:
         return sorted(self._tables.quarantined)
 
-    def _drop_table(self, meta: FileMetadata) -> None:
-        """Forget a dead SST file: evict the reader, unlink, retire its DEK."""
-        self._tables.drop(meta.number)
-        self._delete_db_file(sst_path(self.path, meta.number), meta.dek_id)
+    def _purge(self) -> None:
+        """Evict, unlink and retire the DEK of every obsolete file no view holds.
+        Background work runs it, never a read; the next open takes the rest."""
+        with self._mutex:  # a release may pop meanwhile: never a new hold
+            self._pins = defaultdict(list, {v: n for v, n in self._pins.items() if n})
+            held = {
+                meta.number for version in self._pins
+                for __, meta in version.all_files()
+            }
+            doomed = [meta for meta in self._obsolete if meta.number not in held]
+            self._obsolete = [m for m in self._obsolete if m.number in held]
+        for meta in doomed:
+            self._tables.drop(meta.number)
+            self._delete_db_file(sst_path(self.path, meta.number), meta.dek_id)
 
     def _delete_db_file(self, path: str, dek_id: str) -> None:
         self.env.delete_file(path)
@@ -708,68 +716,65 @@ class DB:
     # Read path
     # ------------------------------------------------------------------
 
+    def _view(self, at: int | None = None) -> ReadView:
+        """A read's view, pinned until ``_unpin``: the view of ``at`` if it is
+        a live snapshot of this DB, else one captured in this mutex hold."""
+        with self._mutex:
+            self._check_open()
+            view = getattr(at, "view", None)
+            if view is None or view.tables is not self._tables:
+                memtables = [self._mem]
+                if self._imm:
+                    memtables += [mem for mem, __ in reversed(self._imm)]
+                view = ReadView(
+                    memtables, self._versions.current,
+                    self._versions.last_sequence if at is None else at,
+                    self._tables, self._sst_probes,
+                )
+            self._pins[view.version].append(None)
+        return view
+
+    def _unpin(self, view: ReadView) -> None:
+        """Done with ``view``: the next ``_purge`` may take what only it held."""
+        self._pins[view.version].pop()
+
+    def _retrying(self, span, opts: ReadOptions | None, read, *args):
+        """``read(view, *args)`` on one pinned view, retried after a transient
+        device fault (I/O error, bit flip): persistent corruption surfaces."""
+        view = self._view(None if opts is None else opts.snapshot)
+        try:
+            with self._attributing:
+                for _attempt in range(8):
+                    try:
+                        return read(view, *args)
+                    except AuthenticationError:
+                        # A failed tag is tampering evidence, never a value to
+                        # retry toward: fail fast (and quarantine on the way out).
+                        raise
+                    except (CorruptionError, IOError_):
+                        span.incr("retries")
+                return read(view, *args)
+        finally:
+            self._unpin(view)
+
     def get(self, key: bytes, opts: ReadOptions | None = None) -> bytes | None:
-        snapshot = (
-            MAX_SEQUENCE if opts is None or opts.snapshot is None else opts.snapshot
-        )
         self._gets.add(1)
         self.policy.tick("read")
         with TRACER.span("db.get") as span:
-            value = self._retrying(span, self._get_once, key, snapshot)
+            value = self._retrying(span, opts, ReadView.get, key)
             span.set_attribute("found", value is not None)
             return value
-
-    def _retrying(self, span, read_once, *args):
-        """``read_once(*args)``, retried on errors a fresh version can cure.
-
-        Version snapshots carry no file refcounts; a concurrent compaction
-        may unlink a file we are about to open, or retire its DEK from the
-        KDS.  Retrying with a fresh version is always correct: the data
-        moved, it didn't disappear.
-        """
-        with self._attributing:
-            for _attempt in range(8):
-                try:
-                    return read_once(*args)
-                except AuthenticationError:
-                    # A failed tag is tampering evidence, never a value to
-                    # retry toward: fail fast (and quarantine on the way out).
-                    raise
-                except (
-                    CorruptionError, IOError_, NotFoundError, KeyManagementError
-                ):
-                    # CorruptionError included: a transient device-level
-                    # flip (or injected read chaos) corrupts one read, not
-                    # the file; persistent corruption still surfaces after
-                    # the retries are exhausted.
-                    span.incr("retries")
-            return read_once(*args)
-
-    def _get_once(self, key: bytes, snapshot: int) -> bytes | None:
-        with self._mutex:
-            self._check_open()
-            memtables = [entry[0] for entry in self._imm]
-            memtables.append(self._mem)
-            memtables.reverse()  # newest first
-            version = self._versions.current
-        return lookup(
-            memtables, version, self._tables, self._sst_probes, key, snapshot
-        )
 
     def multi_get(
         self, keys: list[bytes], opts: ReadOptions | None = None
     ) -> dict[bytes, bytes | None]:
-        """Batched point lookups (RocksDB's MultiGet).
-
-        Keys are sorted before probing so SST block loads are shared by
-        neighbouring keys through the block cache within one call.
-        """
-        opts = opts or ReadOptions()
-        snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
-        results: dict[bytes, bytes | None] = {}
+        """Batched lookups (MultiGet) on one view at one sequence: a batch is
+        seen whole or not at all.  Sorted keys share block loads in the cache."""
+        ordered = sorted(set(keys))
         with TRACER.span("db.multi_get", attributes={"keys": len(keys)}) as span:
-            for key in sorted(set(keys)):
-                results[key] = self._retrying(span, self._get_once, key, snapshot)
+            results = self._retrying(
+                span, opts, lambda view: {key: view.get(key) for key in ordered}
+            )
         self.stats.counter("db.multigets").add(1)
         return results
 
@@ -780,51 +785,22 @@ class DB:
         limit: int | None = None,
         opts: ReadOptions | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        """Range scan: [start, end) up to ``limit`` pairs."""
-        opts = opts or ReadOptions()
-        snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
+        """Range scan: [start, end), the iterator's cursor drained to ``limit``."""
         self.policy.tick("read")
         with TRACER.span("db.scan") as span:
-            results, sources, files_opened = self._retrying(
-                span, self._scan_once, start, end, limit, snapshot
-            )
+            opened: list[int] = []  # over every attempt
+
+            def drain(view: ReadView):
+                sources, pairs = view.scan(start, end, limit, opened)
+                return sources, list(pairs)
+
+            sources, results = self._retrying(span, opts, drain)
             span.set_attribute("results", len(results))
             span.set_attribute("sources", sources)
-            span.set_attribute("files_opened", files_opened)
-            return results
-
-    def _scan_sources(self, start: bytes, end: bytes | None):
-        """What a scan of [start, end) merges: the memtable streams and the
-        current version's sorted runs (``Version.runs_for_range``)."""
-        with self._mutex:
-            self._check_open()
-            memtables = [self._mem.entries(start)]
-            memtables.extend(entry[0].entries(start) for entry in self._imm)
-            version = self._versions.current
-        return memtables, version.runs_for_range(start, end)
-
-    def _scan_once(
-        self,
-        start: bytes,
-        end: bytes | None,
-        limit: int | None,
-        snapshot: int,
-    ) -> tuple[list[tuple[bytes, bytes]], int, int]:
-        """One attempt: (pairs, merge sources, files a reader was got for)."""
-        memtables, runs = self._scan_sources(start, end)
-        opened: list[int] = []
-
-        def entries_of(meta: FileMetadata, seek: bytes):
-            opened.append(meta.number)
-            return self._tables.reader(meta).entries_from(seek)
-
-        results = list(
-            scan_runs(memtables, runs, entries_of, start, end, limit, snapshot)
-        )
-        sources = len(memtables) + len(runs)
+            span.set_attribute("files_opened", len(opened))
         self.stats.counter("db.scans").add(1)
         self.stats.counter("db.scan_sources").add(sources)
-        return results, sources, len(opened)
+        return results
 
     def delete_range(
         self, start: bytes, end: bytes, opts: WriteOptions | None = None
@@ -858,46 +834,24 @@ class DB:
         end: bytes | None = None,
         opts: ReadOptions | None = None,
     ):
-        """A streaming forward cursor over [start, end).
-
-        Yields (key, value) pairs lazily.  The cursor reads a consistent
-        snapshot of the sources captured at creation: every file in range
-        is pinned (its reader obtained) now, so files compacted away
-        mid-iteration keep serving through their open readers (POSIX unlink
-        semantics) and iteration never sees torn state; blocks load as the
-        cursor reaches them.  Writes made after creation may or may not be
-        visible; pass ``opts.snapshot`` for an exact cutoff.
-        """
-        opts = opts or ReadOptions()
-        snapshot = opts.snapshot if opts.snapshot is not None else MAX_SEQUENCE
+        """A lazy (key, value) cursor over [start, end) on a view pinned now,
+        exact whatever compaction does; a file is opened when reached, as in
+        ``scan``.  Exhausted, closed or dropped, it lets the view go."""
+        view = self._view(None if opts is None else opts.snapshot)
         with TRACER.span("db.iterator") as span:
-            memtables, runs, pinned = self._retrying(
-                span, self._pin_scan_sources, start, end
-            )
-            span.set_attribute("sources", len(memtables) + len(runs))
-            span.set_attribute("files_opened", len(pinned))
+            sources, pairs = view.scan(start, end)
+            span.set_attribute("sources", sources)
 
         def cursor():
-            with self._attributing:  # reached lazily, long after this call
-                yield from scan_runs(
-                    memtables, runs,
-                    lambda meta, seek: pinned[meta.number].entries_from(seek),
-                    start, end, snapshot_seq=snapshot,
-                )
+            try:
+                with self._attributing:  # reached lazily, long after this call
+                    yield from pairs
+            finally:
+                release()
 
-        return cursor()
-
-    def _pin_scan_sources(self, start: bytes, end: bytes | None):
-        """``_scan_sources`` plus a reader for every file of every run,
-        opened after the mutex is released: no writer or ``get`` waits for
-        a cold open (envelope read, DEK resolution, index load).  A file
-        compacted away in between raises, and ``_retrying`` captures again."""
-        memtables, runs = self._scan_sources(start, end)
-        pinned = {
-            meta.number: self._tables.reader(meta)
-            for run in runs for meta in run
-        }
-        return memtables, runs, pinned
+        lazy = cursor()
+        release = weakref.finalize(lazy, self._unpin, view)  # never started
+        return lazy
 
     def stats_string(self) -> str:
         """A human-readable engine status dump (RocksDB's GetProperty
@@ -969,11 +923,11 @@ class DB:
         signals = self.signals.latest() or self.signals.sample()
         return {"signals": signals, "controller": state}
 
-    def snapshot(self) -> int:
-        """A sequence number usable as ReadOptions.snapshot: best-effort
-        once a compaction, which keeps only each key's newest version,
-        touches the range (documented engine simplification)."""
-        return self.committed_sequence()
+    def snapshot(self) -> Snapshot:
+        """The committed sequence for ``ReadOptions.snapshot``: an ``int`` that
+        pins the memtables and files at it, so a read at it is exact across any
+        compaction, until ``release()`` or a ``with`` block's end."""
+        return Snapshot(self._view(), self._unpin)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1003,6 +957,7 @@ class DB:
             # A crash may cancel claimed work before it ran: closed ends it.
             while self._busy and not self._closed:
                 self._cond.wait()
+        self._purge()
 
     def compact_range(self) -> None:
         """Flush, then drive compaction until the tree is quiescent."""
@@ -1036,6 +991,7 @@ class DB:
             self._busy |= job.input_numbers()
         try:
             self._run_merge_compaction(job)
+            self._purge()
         finally:
             self._release(job.input_numbers())
 
@@ -1044,33 +1000,30 @@ class DB:
     ) -> tuple[list[int], str]:
         """The one copy of an openable store: flush, then ``write(name,
         data)`` every live SST not in ``skip``, the MANIFEST, CURRENT; returns
-        (live SST numbers, MANIFEST name).  List and MANIFEST are read under
-        the mutex; a file retired mid-copy restarts it (numbers are never
-        reused).  Files keep their envelopes (§5.4)."""
-        done = set(skip)
+        (live SST numbers, MANIFEST name): a pinned view's files and the
+        MANIFEST of its hold, so none goes mid-copy.  Files keep their
+        envelopes (§5.4)."""
         while True:
             self.flush()
             with self._mutex:
                 self._check_state()
-                if self._imm:
-                    continue  # switched since the flush: a synced WAL is named
-                live = sorted(meta.number for __, meta in self.live_files())
-                current = self.env.read_file(current_path(self.path))
-                manifest_name = current.decode().strip()
-                manifest = self.env.read_file(f"{self.path}/{manifest_name}")
-            try:
-                for number in live:
-                    if number not in done:
-                        name = f"{number:06d}.sst"
-                        write(name, self.env.read_file(f"{self.path}/{name}"))
-                        done.add(number)
-            except IOError_:
-                if set(live) <= {meta.number for __, meta in self.live_files()}:
-                    raise  # nothing was retired under the copy
-                continue
-            write(manifest_name, manifest)
-            write("CURRENT", current)
-            return live, manifest_name
+                if not self._imm:  # else switched since: a synced WAL is named
+                    view = self._view()
+                    current = self.env.read_file(current_path(self.path))
+                    manifest_name = current.decode().strip()
+                    manifest = self.env.read_file(f"{self.path}/{manifest_name}")
+                    break
+        try:
+            live = sorted(meta.number for __, meta in view.version.all_files())
+            for number in live:
+                if number not in skip:
+                    name = f"{number:06d}.sst"
+                    write(name, self.env.read_file(f"{self.path}/{name}"))
+        finally:
+            self._unpin(view)
+        write(manifest_name, manifest)
+        write("CURRENT", current)
+        return live, manifest_name
 
     def checkpoint(self, dest_path: str) -> None:
         """Create an openable, consistent copy of the database at
@@ -1127,6 +1080,7 @@ class DB:
         with self._mutex:
             self._wal.close()
             self._versions.close()
+        self._purge()
         self._tables.close()
 
     def simulate_crash(self) -> None:

@@ -15,13 +15,14 @@ from __future__ import annotations
 import contextlib
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.env.base import Env
 from repro.errors import AuthenticationError
 from repro.lsm.dbformat import TYPE_PUT
 from repro.lsm.filecrypto import CryptoProvider
 from repro.lsm.filename import parse_file_name, sst_path
+from repro.lsm.iterator import scan_runs
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
 from repro.lsm.version import FileMetadata, Version
@@ -72,10 +73,8 @@ class TableSet:
         return reader
 
     def drop(self, number: int) -> None:
-        """Forget a dead file: evict its reader and its cached blocks."""
+        """Forget a dead file (a DB's: one no view holds): evict reader, blocks."""
         with self._lock:
-            # Dropped without close(): concurrent reads holding the reader
-            # keep working (POSIX unlink semantics).
             reader = self._readers.pop(number, None)
         if reader is not None:
             # Its blocks can never be asked for again; left behind they
@@ -147,29 +146,75 @@ class Attribution(contextlib.AbstractContextManager):
                 self.stats.counter("integrity.quarantines").add(1)
 
 
-def lookup(
-    memtables: list, version: Version, tables: TableSet, probes: Counter,
-    key: bytes, snapshot: int,
-) -> bytes | None:
-    """The one point lookup: ``memtables`` newest first, then the files of
-    ``version`` that may hold ``key``, newest first; the value visible at
-    ``snapshot``, or None.  ``probes`` counts the files asked
-    (``db.get_sst_probes``)."""
-    for memtable in memtables:
-        result = memtable.get(key, snapshot)
-        if result is not None:
-            break
-    else:
-        for __, meta in version.candidates_for_key(key):
-            if meta.smallest_seq > snapshot:
-                continue
-            probes.add(1)
-            result = tables.reader(meta).get(key, snapshot)
-            if tables.quarantined:  # a clean read heals a transient failure
-                tables.clear(meta.number)
+class ReadView:
+    """One read's sources, captured in one hold: memtables newest first, a
+    ``Version``, the sequence it sees.  Every reader's point lookup and scan
+    (DESIGN.md, "Read path"); ``probes`` counts the files a lookup asks."""
+
+    __slots__ = ("memtables", "version", "sequence", "tables", "probes")
+
+    def __init__(self, memtables: list, version: Version, sequence: int,
+                 tables: TableSet, probes: Counter):
+        self.memtables, self.version, self.sequence = memtables, version, sequence
+        self.tables, self.probes = tables, probes
+
+    def get(self, key: bytes) -> bytes | None:
+        """The memtables, then the files that may hold ``key``, newest first."""
+        at = self.sequence
+        for memtable in self.memtables:
+            result = memtable.get(key, at)
             if result is not None:
                 break
         else:
-            return None
-    vtype, value = result
-    return value if vtype == TYPE_PUT else None
+            tables = self.tables
+            for __, meta in self.version.candidates_for_key(key):
+                if meta.smallest_seq > at:
+                    continue
+                self.probes.add(1)
+                result = tables.reader(meta).get(key, at)
+                if tables.quarantined:  # a clean read heals a transient failure
+                    tables.clear(meta.number)
+                if result is not None:
+                    break
+            else:
+                return None
+        vtype, value = result
+        return value if vtype == TYPE_PUT else None
+
+    def scan(
+        self, start: bytes, end: bytes | None, limit: int | None = None,
+        opened: list[int] | None = None,
+    ) -> tuple[int, Iterator[tuple[bytes, bytes]]]:
+        """``(merge sources, lazy pairs)`` of ``scan_runs``; a file's number
+        goes to ``opened`` when the cursor reaches it."""
+        runs = self.version.runs_for_range(start, end)
+
+        def entries_of(meta: FileMetadata, seek: bytes):
+            if opened is not None:
+                opened.append(meta.number)
+            return self.tables.reader(meta).entries_from(seek)
+
+        pairs = scan_runs(
+            [memtable.entries(start) for memtable in self.memtables], runs,
+            entries_of, start, end, limit, self.sequence,
+        )
+        return len(self.memtables) + len(runs), pairs
+
+
+class Snapshot(int, contextlib.AbstractContextManager):
+    """``DB.snapshot()``: a sequence for ``ReadOptions.snapshot`` and ``view``,
+    pinned at it until ``release()`` (or a ``with`` block's end) unpins it."""
+
+    def __new__(cls, view: ReadView, unpin: Callable[[ReadView], None]):
+        self = super().__new__(cls, view.sequence)
+        self.view, self._unpin = view, unpin
+        return self
+
+    def release(self) -> None:
+        """Let the view go (``view`` is None after); later calls do nothing."""
+        view, self.view = self.view, None
+        if view is not None:
+            self._unpin(view)
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()

@@ -314,7 +314,7 @@ class Replica(ReadOnlyInstance):
         tail = self._tail if tail is None else tail
         if self.env.file_exists(current_path(self.path)):
             return super().refresh(tail)
-        self._view = ([tail], Version(self.options.num_levels))
+        self._view = self._serving([tail], Version(self.options.num_levels))
         return []
 
     def _install(self, seq: int) -> None:

@@ -225,13 +225,14 @@ class ScanModel(RuleBasedStateMachine):
         # SHIELD++ freshness rides along, so crashes cover the counter:* points.
         self.counter = None if self.scheme is None else MemoryTrustedCounter()
         self.adaptive = self.served = False
-        self.snapshots: list[tuple[int, int]] = []  # (engine seq, oracle token)
+        # (handle, engine snapshot, oracle token, ``_epoch()`` when taken)
+        self.snapshots: list[tuple] = []
+        self._epoch_base = 0  # compactions of the handles gone
         self.oracle = Oracle()
         self.parked: threading.Event | None = None
         self.in_flight = None  # the batch between its write call and its ack
         self.leaked_by_last_crash = 0
         self.db = self.readonly = None
-        self._compactions = 0
         self._drive_batches = itertools.count()
         self._exit = contextlib.ExitStack()
 
@@ -274,6 +275,8 @@ class ScanModel(RuleBasedStateMachine):
         return ShieldCryptoProvider(key_client, scheme=self.scheme)
 
     def _open(self, **overrides):
+        if self.db is not None:
+            self._epoch_base += self.db.stats.counter("db.compactions").value
         self.db = None  # a kill inside recovery leaves nothing to close
         if self.scheme is not None:
             # The paper's WAL buffer: a synced write flushes it, so a
@@ -288,7 +291,7 @@ class ScanModel(RuleBasedStateMachine):
         # Recovery flushes the replayed WAL to L0 and schedules whatever
         # compaction that makes due: quiescent before the next rule.
         db.wait_for_compaction()
-        self.db, self._compactions = db, 0
+        self.db = db
         self._note_compactions()
 
     def _open_readonly(self):
@@ -304,21 +307,30 @@ class ScanModel(RuleBasedStateMachine):
         self._open()
         self.readonly = self._open_readonly()
 
+    def _epoch(self) -> int:
+        """Compactions so far, every handle's."""
+        ran = 0 if self.db is None else self.db.stats.counter("db.compactions").value
+        return self._epoch_base + ran
+
     def _note_compactions(self):
-        """The engine's documented simplification (``DB.snapshot``): a
-        compaction keeps only the newest version of each key, so a snapshot
-        is exact only until one runs."""
-        ran = self.db.stats.counter("db.compactions").value
-        if ran != self._compactions:
-            self.snapshots.clear()
-            self._compactions = ran
+        """Drop the snapshots carried over a ``reopen`` or ``crash_at`` from
+        a dead handle once a compaction has run since they were taken: to
+        the live handle they are plain sequences, and nothing pins across
+        handles, so the first merge that keeps only each key's newest
+        version ends them.  A snapshot of the live handle pins its view (its
+        memtables and files): it is never dropped."""
+        epoch = self._epoch()
+        self.snapshots = [
+            taken for taken in self.snapshots
+            if taken[0] is self.db or taken[3] == epoch
+        ]
 
     def _live_snapshot(self, pick):
         """``(engine seq, oracle token)`` of a live snapshot, or Nones."""
         self._note_compactions()
         if pick is None or not self.snapshots:
             return None, None
-        return self.snapshots[pick % len(self.snapshots)]
+        return self.snapshots[pick % len(self.snapshots)][1:3]
 
     def teardown(self):
         if self.parked is not None:
@@ -373,7 +385,33 @@ class ScanModel(RuleBasedStateMachine):
 
     @rule()
     def snapshot(self):
-        self.snapshots.append((self.db.snapshot(), self.oracle.snapshot()))
+        self.snapshots.append(
+            (self.db, self.db.snapshot(), self.oracle.snapshot(), self._epoch())
+        )
+
+    @precondition(lambda self: self.parked is None)
+    @rule(pick=st.integers(0, 1_000))
+    def release_a_snapshot(self, pick):
+        """A released snapshot lets its view go: the next
+        ``wait_for_compaction()`` leaves none of the files only it held on
+        storage, unless the live version still names them."""
+        live = [taken for taken in self.snapshots if taken[0] is self.db]
+        if not live:
+            return
+        taken = live[pick % len(live)]
+        # By identity: two snapshots of one sequence are equal ints.
+        self.snapshots = [other for other in self.snapshots if other is not taken]
+        held = {
+            meta.number for other in live if other is not taken
+            for __, meta in other[1].view.version.all_files()
+        }
+        only = {
+            meta.number for __, meta in taken[1].view.version.all_files()
+        } - held
+        taken[1].release()
+        self.db.wait_for_compaction()
+        only -= {meta.number for __, meta in self.db.live_files()}
+        assert [n for n in only if self.env.file_exists(sst_path(PATH, n))] == []
 
     @precondition(lambda self: self.parked is None)
     @rule(key=KEYS, before=st.none() | VALUES, versions=st.integers(4, 16))
@@ -386,12 +424,11 @@ class ScanModel(RuleBasedStateMachine):
         for version in range(versions):
             self.put(key, b"v%d" % version)
         self._settle()
-        if self.snapshots:  # no compaction ran: the snapshot is still exact
-            seq, at = self.snapshots[-1]
-            opts = ReadOptions(snapshot=seq)
-            expected = self.oracle.get(key, at)
-            assert self.db.get(key, opts) == expected, "DB.get"
-            assert self.db.multi_get([key], opts) == {key: expected}, "DB.multi_get"
+        __, seq, at, ___ = self.snapshots[-1]  # the live handle's: exact
+        opts = ReadOptions(snapshot=seq)
+        expected = self.oracle.get(key, at)
+        assert self.db.get(key, opts) == expected, "DB.get"
+        assert self.db.multi_get([key], opts) == {key: expected}, "DB.multi_get"
 
     # -- tree shape -----------------------------------------------------------
 
@@ -424,8 +461,8 @@ class ScanModel(RuleBasedStateMachine):
     @rule()
     def reopen(self):
         """Whatever the memtable held comes back through WAL replay, under
-        the sequence numbers it was written with (snapshots stay exact, until
-        the L0 file recovery adds makes a compaction due)."""
+        the sequence numbers it was written with (snapshots stay exact as
+        plain sequences, until the next compaction: ``_note_compactions``)."""
         self.db.close()
         self._open()
 
@@ -436,6 +473,17 @@ class ScanModel(RuleBasedStateMachine):
         if full:
             self.db.force_compaction()
         self._note_compactions()
+        self._pinned_snapshots_agree()
+
+    def _pinned_snapshots_agree(self):
+        """Whatever compaction just ran, every key reads at each snapshot of
+        the live handle as the oracle had it then: the files it holds are
+        still there."""
+        for handle, seq, at, __ in self.snapshots:
+            if handle is self.db:
+                then = dict(self.oracle.scan(at=at))
+                got = self.db.multi_get(ALL_KEYS, ReadOptions(snapshot=seq))
+                assert got == {key: then.get(key) for key in ALL_KEYS}, seq
 
     # -- crashes --------------------------------------------------------------
 
@@ -486,15 +534,15 @@ class ScanModel(RuleBasedStateMachine):
         SYNC.enable()
         try:
             self._drive(image)
-            merged = SYNC.hits(SP_COMPACT_AFTER_OUTPUTS) > 0
         finally:
+            # A merge that reached its outputs may have installed before the
+            # kill, uncounted by the handle it ran on.
+            self._epoch_base += SYNC.hits(SP_COMPACT_AFTER_OUTPUTS)
             SYNC.clear()
             self.readonly.close()
             if self.db is not None:
                 self.db.simulate_crash()
         assert image, f"{point} never fired in {MAX_DRIVE_STEPS} steps"
-        if merged:  # a merge may have installed before the kill
-            self.snapshots.clear()
 
         # A fork is the inner store's: wrap it again, so that later fault
         # windows still find their injectors.

@@ -149,8 +149,9 @@ def test_spans_separate_many_runs_from_many_blocks():
         assert scan["files_opened"] == math.ceil(LIMIT / files[3].num_entries)
         blocks = scan["block_cache_misses"] + scan.get("block_cache_hits", 0)
         assert blocks <= math.ceil(LIMIT / per_block) + 1
-        # The iterator pins every file from ``start`` on when it is made.
-        assert (cursor["sources"], cursor["files_opened"]) == (2, len(files) - 3)
+        # The iterator's span ends at creation, before the cursor gets any
+        # reader: it has the sources, and readers come as ``scan``'s do.
+        assert cursor == {"sources": 2}
     finally:
         db.close()
 
@@ -263,7 +264,7 @@ def test_corrupt_block_under_stream_cipher_is_a_crc_error_not_a_quarantine(reade
         db.close()
 
 
-# -- DB.iterator: pinned at creation, opened outside the mutex ---------------
+# -- DB.iterator: pinned at creation, opened lazily outside the mutex --------
 
 
 def test_cold_iterator_opens_readers_without_holding_the_engine_mutex():
@@ -279,20 +280,23 @@ def test_cold_iterator_opens_readers_without_holding_the_engine_mutex():
         writer.join(WAIT_S)
         writers.append(writer.is_alive())
 
+    paths = [sst_path("/db", meta.number) for meta in files]
     try:
         env.on_open = put_from_another_thread
         cursor = db.iterator()
+        assert env.opened == []  # a reader is got when the cursor reaches it
+        first = next(cursor)
         assert writers == [False]  # the put finished while a file was opening
-        # Every file of the run is pinned at creation, none twice ...
-        assert sorted(env.opened) == sorted(
-            sst_path("/db", meta.number) for meta in files
-        )
-        # ... so a compaction that deletes them all does not end the cursor.
+        assert env.opened == paths[:1]
+        # A compaction that rewrites every file does not end the cursor: its
+        # view holds them until it is done ...
         db.force_compaction()
-        assert all(
-            not env.file_exists(sst_path("/db", meta.number)) for meta in files
-        )
-        assert list(cursor) == _expected()
+        db.wait_for_compaction()
+        assert all(env.file_exists(path) for path in paths)
+        assert [first, *cursor] == _expected()
+        # ... and then they go.
+        db.wait_for_compaction()
+        assert not any(env.file_exists(path) for path in paths)
     finally:
         db.close()
 
@@ -309,7 +313,9 @@ def test_iterator_recaptures_when_a_file_vanishes_before_it_is_opened():
         assert not compactor.is_alive()
 
     try:
-        env.on_open = compact_away  # the captured version dies mid-pinning
+        # The captured version is compacted away as the cursor opens its
+        # first file: the view it captured still holds every file.
+        env.on_open = compact_away
         assert list(db.iterator()) == _expected()
     finally:
         db.close()
