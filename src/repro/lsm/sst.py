@@ -3,7 +3,8 @@
 Payload layout (everything after the plaintext envelope, and everything
 that gets encrypted)::
 
-    data blocks ...
+    data blocks ...   flag u8 | entries | offset u32 per entry | count u32
+                      (``lsm/block.py``; the flag's bit 1 marks the offsets)
     bloom filter block
     index block       count varint, then per block:
                       last_key lp | offset varint | size varint | crc fixed32
@@ -25,6 +26,14 @@ stream cipher: the payload is the plaintext layout XORed with one
 file-offset keystream) and v2 (v1 under an AEAD) have no trailers; the
 reader still opens them, and compaction rewrites them as v3.
 
+Every data block the builder writes ends in the offset of each of its
+entries, inside the sealed unit and under the index CRC, so a point read
+that misses the block cache slices the keys at the offsets instead of
+decoding every entry.  The format and envelope versions do not change: a
+block's flag byte says whether it has the offsets, and a block without
+them (any v1/v2 file, and v3 files written before the offsets existed) is
+walked in full.
+
 The properties block repeats the DEK-ID (`shield.dek_id`): SST metadata is
 read before data blocks, so a remote server doing offloaded compaction
 learns which DEK to request before touching any data (Section 5.4).
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -45,7 +55,8 @@ from repro.lsm.block import (
     Entry,
     RawEntry,
     encode_entry,
-    unwrap_block,
+    parse_block,
+    stored_raw_entries,
     wrap_block,
 )
 from repro.lsm.bloom import BloomFilter
@@ -125,6 +136,7 @@ class SSTBuilder:
         self._blocks: list[bytes] = []
         self._index: list[tuple[bytes, int, int, int]] = []  # key, off, sz, crc
         self._current = bytearray()
+        self._starts = array("I")  # where each entry of ``_current`` starts
         self._payload_bytes = 0
         self._keys: list[bytes] = []
         self._smallest_key: bytes | None = None
@@ -162,6 +174,7 @@ class SSTBuilder:
             self._largest_seq = seq
         self.num_entries += 1
         current = self._current
+        self._starts.append(len(current))
         current += encoded
         if len(current) >= self._options.block_size:
             self._finish_block()
@@ -169,8 +182,11 @@ class SSTBuilder:
     def _finish_block(self) -> None:
         if not self._current:
             return
-        block = wrap_block(bytes(self._current), self._options.compression)
+        block = wrap_block(
+            bytes(self._current), self._options.compression, self._starts
+        )
         self._current.clear()
+        del self._starts[:]
         self._index.append(
             (self._largest_key, self._payload_bytes, len(block),
              masked_crc32(block))
@@ -431,15 +447,17 @@ class SSTReader:
     def dek_id(self) -> str:
         return self.envelope.dek_id
 
-    def _parse_block(self, raw: bytes, offset: int, crc: int) -> Block:
+    def _check_block(self, raw: bytes, offset: int, crc: int) -> bytes:
         if masked_crc32(raw) != crc:
             raise CorruptionError(f"{self.path}: block checksum mismatch at {offset}")
-        return Block(unwrap_block(raw))
+        return raw
 
     def _read_block(self, block_index: int) -> Block:
         """Read, authenticate/verify and parse one data block (no cache)."""
         __, offset, size, crc = self._index[block_index]
-        return self._parse_block(self._read_payload(offset, size), offset, crc)
+        return parse_block(
+            self._check_block(self._read_payload(offset, size), offset, crc)
+        )
 
     def _load_block(self, block_index: int) -> Block:
         if self._cache is None:
@@ -513,7 +531,7 @@ class SSTReader:
                 start, end - start, sizes=[entry[2] for entry in run]
             )
             for (__, offset, ___, crc), raw in zip(run, units):
-                yield from self._parse_block(raw, offset, crc).raw_entries()
+                yield from stored_raw_entries(self._check_block(raw, offset, crc))
             first = last
 
     def purge_cached_blocks(self) -> None:

@@ -11,8 +11,9 @@ from repro.crypto import xof
 
 _SERVICE_THREADS = ("kv-", "shard-", "replica-")
 
-#: ``--hypothesis-profile=soak``: the model's long budget (test_scan_model.py
-#: reads ``max_examples`` from it); ``--hypothesis-seed=N`` replays a run.
+#: ``--hypothesis-profile=soak``: the long budget (test_scan_model.py and
+#: test_block.py read ``max_examples`` from it); ``--hypothesis-seed=N``
+#: replays a run.
 settings.register_profile("soak", max_examples=1000)
 
 

@@ -3,17 +3,34 @@
 ``decode_block`` / ``search_block`` below are the engine's former block
 codec, kept verbatim as the oracle: they parse eagerly into value-copying
 4-tuples, which is slow and obviously right.  ``Block`` must agree with
-them on every valid block and fail as they do on every damaged one.
+them on every valid block and fail as they do on every damaged one, in
+both layouts: the entries alone (blocks written before the offset
+trailer) and the entries followed by the trailer (what the builder
+writes now).
+
+The two property tests run 150 and 60 examples a commit, and the active
+Hypothesis profile's budget under ``--hypothesis-profile=soak``: ``Block``
+parses offsets read from storage.
 """
 
 import bisect
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.env.mem import MemEnv
 from repro.errors import CorruptionError, InvalidArgumentError
-from repro.lsm.block import Block, encode_entry, unwrap_block, wrap_block
+from repro.lsm.block import (
+    BLOCK_OFFSETS,
+    Block,
+    encode_entry,
+    encode_offsets,
+    parse_block,
+    stored_raw_entries,
+    unwrap_block,
+    wrap_block,
+)
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
 from repro.lsm.envelope import FILE_KIND_SST
 from repro.lsm.filecrypto import PlaintextCryptoProvider
@@ -100,33 +117,74 @@ def _encode(entries: list[Entry]) -> bytes:
     return b"".join(encode_entry(*entry) for entry in entries)
 
 
-@settings(max_examples=150, deadline=None)
+def _starts(entries: list[Entry]) -> array:
+    """Where each entry of ``_encode(entries)`` starts."""
+    starts, size = array("I"), 0
+    for entry in entries:
+        starts.append(size)
+        size += len(encode_entry(*entry))
+    return starts
+
+
+LAYOUTS = ("legacy", "trailer")
+
+
+def _stored(entries: list[Entry], layout: str, compression: str = "none") -> bytes:
+    offsets = _starts(entries) if layout == "trailer" else None
+    return wrap_block(_encode(entries), compression, offsets)
+
+
+def _budget(examples: int) -> int:
+    """``examples`` a commit; the ``soak`` profile's budget when it is loaded."""
+    if settings.get_current_profile_name() == "soak":
+        return settings.default.max_examples
+    return examples
+
+
+def _read_whole(block: Block) -> list[Entry]:
+    """Every entry, by both full walks: a damaged entry fails each."""
+    entries = list(block.entries())
+    assert len(list(block.raw_entries())) == len(entries)
+    return entries
+
+
+@settings(max_examples=_budget(150), deadline=None)
 @given(_blocks(), st.sampled_from(("none", "zlib")))
 def test_block_agrees_with_reference_decoder(entries, compression):
-    raw = unwrap_block(wrap_block(_encode(entries), compression))
+    raw = _encode(entries)
     reference = decode_block(raw)
     assert reference == entries
-    block = Block(raw)
-    assert block.keys == [entry[0] for entry in entries]
+    for layout in LAYOUTS:
+        stored = _stored(entries, layout, compression)
+        trailer = encode_offsets(_starts(entries)) if layout == "trailer" else b""
+        assert unwrap_block(stored) == raw + trailer
+        block = parse_block(stored)
+        _agrees_with_reference(block, reference, raw)
+        # Compaction's path, without a Block, forwards the same tuples.
+        assert list(stored_raw_entries(stored)) == list(block.raw_entries())
+
+
+def _agrees_with_reference(block, reference, raw):
+    assert block.keys == [entry[0] for entry in reference]
     assert list(block.entries()) == reference
+
+    # entries(start_key): starts at, between, before and after the keys.
+    probes = {entry[0] for entry in reference} | {b"", b"\xff" * 301, b"absent"}
+    for start in probes | {entry[0] + b"\x00" for entry in reference}:
+        assert list(block.entries(start)) == [
+            entry for entry in reference if entry[0] >= start
+        ]
 
     # get: every key at every snapshot that separates two versions.
     snapshots = {MAX_SEQUENCE, 0}
-    for __, seq, ___, ____ in entries:
+    for __, seq, ___, ____ in reference:
         snapshots.update((seq, max(seq - 1, 0)))
-    probes = {entry[0] for entry in entries} | {b"", b"\xff" * 301, b"absent"}
     for key in probes:
         for snapshot in snapshots:
             assert block.get(key, snapshot) == search_block(
                 reference, key, snapshot
             )
         assert block.get(key) == search_block(reference, key, MAX_SEQUENCE)
-
-    # entries(start_key): starts at, between, before and after the keys.
-    for start in probes | {entry[0] + b"\x00" for entry in entries}:
-        assert list(block.entries(start)) == [
-            entry for entry in reference if entry[0] >= start
-        ]
 
     # raw_entries: the stored bytes, re-decoded, are the same entries; the
     # tuples sort in block order without a key function.
@@ -138,12 +196,15 @@ def test_block_agrees_with_reference_decoder(entries, compression):
         assert decode_block(encoded) == [entry]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=_budget(60), deadline=None)
 @given(_blocks().filter(bool))
 def test_every_cut_inside_an_entry_is_corruption(entries):
     """A proper prefix either ends on an entry boundary (and is the shorter
-    block) or raises CorruptionError -- never IndexError, never garbage."""
+    block) or raises CorruptionError -- never IndexError, never garbage.
+    With a trailer, the prefix carries the offsets of every entry that
+    starts in it, so a cut entry runs into the trailer."""
     raw = _encode(entries)
+    starts = _starts(entries)
     boundaries = {0: 0}
     for count, entry in enumerate(entries, 1):
         boundaries[len(_encode(entries[:count]))] = count
@@ -156,13 +217,108 @@ def test_every_cut_inside_an_entry_is_corruption(entries):
     } | set(range(0, len(raw), 997))
     for cut in cuts:
         prefix = raw[:cut]
+        with_trailer = prefix + encode_offsets(
+            array("I", [start for start in starts if start < cut])
+        )
         if cut in boundaries:
-            assert list(Block(prefix).entries()) == entries[:boundaries[cut]]
+            expected = entries[:boundaries[cut]]
+            assert list(Block(prefix).entries()) == expected
+            assert _read_whole(Block(with_trailer, indexed=True)) == expected
         else:
             with pytest.raises(CorruptionError):
                 decode_block(prefix)
             with pytest.raises(CorruptionError):
                 Block(prefix)
+            with pytest.raises(CorruptionError):
+                _read_whole(Block(with_trailer, indexed=True))
+
+
+#: A block of four keys, two versions of one, for the damaged trailers.
+_TRAILED = [
+    (b"apple", 9, TYPE_PUT, b"red" * 5),
+    (b"fig", 12, TYPE_PUT, b"purple"),
+    (b"fig", 4, TYPE_DELETE, b""),
+    (b"kiwi", 300, TYPE_PUT, b"green" * 30),
+    (b"plum", 7, TYPE_PUT, b"dark"),
+]
+
+
+def _damaged_trailers():
+    """(case, block bytes) for each way a trailer can lie."""
+    raw, starts = _encode(_TRAILED), _starts(_TRAILED)
+
+    def trailed(offsets, entries=raw, count=None):
+        trailer = encode_offsets(array("I", offsets))
+        if count is not None:
+            trailer = trailer[:-4] + count.to_bytes(4, "little")
+        return entries + trailer
+
+    for count in (len(starts) + 1 + len(raw) // 4, 0xFFFFFFFF):
+        yield "count past the buffer", trailed(starts, count=count)
+    yield "first offset not 0", trailed([1, *starts[1:]])
+    for first, second in ((1, 2), (2, 3)):  # two versions of "fig"; keys
+        swapped = list(starts)
+        swapped[first], swapped[second] = starts[second], starts[first]
+        yield "offsets out of order", trailed(swapped)
+    for inside in range(starts[3] + 1, starts[4]):  # every byte of "kiwi"
+        yield "offset inside an entry", trailed(
+            [*starts[:3], inside, *starts[4:]]
+        )
+    yield "last entry runs into the trailer", trailed(starts, entries=raw[:-1])
+
+
+#: The trailers the constructor refuses before it slices a key, and why.
+_REFUSED_AT_PARSE = {
+    "count past the buffer": "offset count runs past",
+    "first offset not 0": "offsets out of order",
+    "offsets out of order": "offsets out of order",
+}
+
+
+@pytest.mark.parametrize("case", [
+    "count past the buffer", "first offset not 0", "offsets out of order",
+    "offset inside an entry", "last entry runs into the trailer",
+])
+def test_a_damaged_trailer_is_corruption(case):
+    """Each damage is a CorruptionError, from the constructor or from a
+    walk over the whole block, never an IndexError; and no get or scan
+    answers from a damaged block with anything but the block's true
+    answer."""
+    blocks = [buf for name, buf in _damaged_trailers() if name == case]
+    assert blocks
+    for buf in blocks:
+        if case in _REFUSED_AT_PARSE:
+            with pytest.raises(CorruptionError, match=_REFUSED_AT_PARSE[case]):
+                Block(buf, indexed=True)
+        with pytest.raises(CorruptionError):
+            _read_whole(Block(buf, indexed=True))
+        with pytest.raises(CorruptionError):
+            list(stored_raw_entries(bytes([BLOCK_OFFSETS]) + buf))
+        try:
+            block = Block(buf, indexed=True)
+        except CorruptionError:
+            continue
+        for key in (b"", b"apple", b"fig", b"g", b"kiwi", b"plum", b"zz"):
+            for snapshot in (MAX_SEQUENCE, 5):
+                try:
+                    found = block.get(key, snapshot)
+                except CorruptionError:
+                    continue
+                assert found == search_block(_TRAILED, key, snapshot), key
+            try:
+                scanned = list(block.entries(key))
+            except CorruptionError:
+                continue
+            assert scanned == [entry for entry in _TRAILED if entry[0] >= key]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_keys_that_do_not_sort_are_corruption(layout):
+    """A block whose entries are out of key order, with offsets that agree
+    with them, cannot be bisected: the constructor refuses it."""
+    entries = [_TRAILED[3], *_TRAILED[:3], _TRAILED[4]]
+    with pytest.raises(CorruptionError, match="keys out of order"):
+        parse_block(_stored(entries, layout))
 
 
 @pytest.mark.parametrize("value_len", [127, 128, 16383, 16384])

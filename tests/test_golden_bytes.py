@@ -12,9 +12,10 @@ EVP init of the paper's Section 3.2), so their counts follow the chunk and
 WAL-buffer settings: an SST seals runs of whole units of at most one chunk,
 so a 5,000-byte chunk holds one ~4 KiB block and costs 75 inits.
 
-The SST table pins format v3, which the builder writes; format v1/v2 bytes
-are pinned by the files under ``tests/data/`` (``tests/test_sst_formats.py``),
-which the reader must keep opening.  An AEAD file builds its key schedule once and seals
+The SST table pins format v3 with an offset trailer on every data block,
+which the builder writes; format v1/v2 bytes, and v3 bytes from before the
+trailer, are pinned by the files under ``tests/data/``
+(``tests/test_sst_formats.py``), which the reader must keep opening.  An AEAD file builds its key schedule once and seals
 every unit under it, so each AEAD count is 1 whatever the settings; they
 were 78 (SST) and 200 / 24 (WAL) when every unit built its own schedule,
 with every sha256 exactly as it is now.
@@ -49,25 +50,25 @@ WAL_BUFFER_SIZES = [0, 512]
 #: (scheme, threads, chunk) -> (sha256 of the SST file, context inits)
 GOLDEN_SST = {
     ("none", 1, 65536): (
-        "e207a0563f6288ec3be615b06ae4dd289aa05b20a682987afde81713894f33e0", 0),
+        "d59e3d4ed62f0f6382ba914a2ef55b66d584a7e4a568ce298ff6ccaba66b368d", 0),
     ("none", 3, 5000): (
-        "e207a0563f6288ec3be615b06ae4dd289aa05b20a682987afde81713894f33e0", 0),
+        "d59e3d4ed62f0f6382ba914a2ef55b66d584a7e4a568ce298ff6ccaba66b368d", 0),
     ("shake-ctr", 1, 65536): (
-        "6b7cd0d5e74e48e3475039c6e030af4a1090c84b44a5688203fcbe836cd17238", 5),
+        "ca76b886c226bd92baaa5c1fe32b77433eef2141cf4246122c90103a4aa17e9d", 5),
     ("shake-ctr", 3, 5000): (
-        "6b7cd0d5e74e48e3475039c6e030af4a1090c84b44a5688203fcbe836cd17238", 75),
+        "ca76b886c226bd92baaa5c1fe32b77433eef2141cf4246122c90103a4aa17e9d", 75),
     ("chacha20", 1, 65536): (
-        "630deacd6e6d82a14e7eb614230e66fbddb11be4b72a3ad1d900b22623eea3e4", 5),
+        "956acccfb882246af0541be82e1bf98a5a8fcdcfae263ab71737668d6120112a", 5),
     ("chacha20", 3, 5000): (
-        "630deacd6e6d82a14e7eb614230e66fbddb11be4b72a3ad1d900b22623eea3e4", 75),
+        "956acccfb882246af0541be82e1bf98a5a8fcdcfae263ab71737668d6120112a", 75),
     ("shake-etm", 1, 65536): (
-        "f9a1c64ad96da6a762ea10575983d1b09695542213fab385870e3e319f2de5d8", 1),
+        "b841c55b49c248b151e9cfe742919ac0057490074ebc7592f10c682b8e76866d", 1),
     ("shake-etm", 3, 5000): (
-        "f9a1c64ad96da6a762ea10575983d1b09695542213fab385870e3e319f2de5d8", 1),
+        "b841c55b49c248b151e9cfe742919ac0057490074ebc7592f10c682b8e76866d", 1),
     ("chacha20-poly1305", 1, 65536): (
-        "764dd23df2e73ffe9ff904b4351f0c00ce8da58c5df66a305fd9421477ea9969", 1),
+        "a1257800d20de8ea6c2664099c62a0b324a450d37ec69f7439a447caa9e74d2c", 1),
     ("chacha20-poly1305", 3, 5000): (
-        "764dd23df2e73ffe9ff904b4351f0c00ce8da58c5df66a305fd9421477ea9969", 1),
+        "a1257800d20de8ea6c2664099c62a0b324a450d37ec69f7439a447caa9e74d2c", 1),
 }
 #: (scheme, buffer_size) -> (sha256 of the WAL file, context inits)
 GOLDEN_WAL = {

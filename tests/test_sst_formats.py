@@ -3,24 +3,33 @@
 Format v3 keys every unit's stream on its own offset and ends every
 metadata unit in a CRC; formats v1 (one file-offset keystream) and v2 (v1
 under an AEAD) are pinned by small files under ``tests/data/``, written by
-the v1/v2 builder with a fixed key and nonce from ``legacy_entries()``.
+the v1/v2 builder with a fixed key and nonce from ``legacy_entries()``.  So
+are v3 files whose data blocks carry no offset trailer: the builder has
+ended every block in one since, and the reader walks a block without one.
+``python tests/test_sst_formats.py DIR`` writes the v3 files with the
+builder of the tree on ``PYTHONPATH``.
 """
 
 import hashlib
 import itertools
+import sys
 from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 from repro.crypto import xof
-from repro.crypto.cipher import spec_for
+from repro.crypto.cipher import SCHEME_NONE, spec_for
 from repro.env.mem import MemEnv
 from repro.errors import CorruptionError
 from repro.lsm.compaction import CompactionJob, MergeExecutor
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
 from repro.lsm.envelope import FILE_KIND_SST, MAX_ENVELOPE_SIZE, decode_envelope
-from repro.lsm.filecrypto import PlaintextCryptoProvider, SingleKeyCryptoProvider
+from repro.lsm.filecrypto import (
+    PlaintextCryptoProvider,
+    SingleKeyCryptoProvider,
+    make_file_crypto,
+)
 from repro.lsm.options import Options
 from repro.lsm.sst import CRC_SIZE, FOOTER_SIZE, SSTBuilder, SSTReader, sst_format
 from repro.lsm.version import FileMetadata
@@ -41,7 +50,15 @@ LEGACY = {
         "b35b5472586696c0b5a8972350344f12ba131b1d06b88c1eb7c86f10706e2180",
     ("v2", "chacha20-poly1305"):
         "2d7a372ed3bba82db6e54484217d0c5ca16294e365bf1253c92ee13d4f16dbb2",
+    ("v3", "none"):
+        "46cfaf031ecbb92188a49604e59bed2925c4fb8c7735bbeea56608ca14b8fac6",
+    ("v3", "shake-ctr"):
+        "52773ceaf38ec41e2152b72f6da0a5f7a9eb17ec56787c1f3f107bd7c67cfd3c",
+    ("v3", "shake-etm"):
+        "8020c7310d3a0df1ff742b0debd82cbcaf6e73dafc4dc32951bd093d0af65ac1",
 }
+#: The v3 files' schemes: no trailer on any block, under each kind of crypto.
+LEGACY_V3 = ["none", "shake-ctr", "shake-etm"]
 
 
 def legacy_entries():
@@ -59,6 +76,31 @@ def _provider(scheme):
         return PlaintextCryptoProvider()
     key = bytes(range(spec_for(scheme).key_size))
     return SingleKeyCryptoProvider(scheme, key, dek_id="dek-legacy")
+
+
+def _legacy_crypto(scheme):
+    """The legacy key, and the legacy files' fixed nonce."""
+    if scheme == "none":
+        return make_file_crypto(SCHEME_NONE, "", b"", b"")
+    spec = spec_for(scheme)
+    return make_file_crypto(
+        spec.scheme_id, "dek-legacy", bytes(range(spec.key_size)),
+        bytes(range(100, 100 + spec.nonce_size)),
+    )
+
+
+def write_legacy_v3(directory):
+    """Write ``sst-v3-<scheme>.sst`` into ``directory`` with the tree's own
+    builder: run it against a tree whose blocks carry no offset trailer."""
+    for scheme in LEGACY_V3:
+        env, path = MemEnv(), "/legacy.sst"
+        builder = SSTBuilder(
+            env, path, _legacy_crypto(scheme), Options(block_size=1024)
+        )
+        for entry in legacy_entries():
+            builder.add(*entry)
+        builder.finish()
+        (Path(directory) / f"sst-v3-{scheme}.sst").write_bytes(env.read_file(path))
 
 
 def _legacy(env, fmt, scheme, path="/db/000001.sst"):
@@ -134,21 +176,41 @@ def _relabel(env, path, version):
     assert decode_envelope(bytes(raw[:MAX_ENVELOPE_SIZE])).version == version
 
 
-@pytest.mark.parametrize("fmt, scheme", [
-    *sorted(LEGACY), ("v3", "none"), ("v3", "shake-ctr"), ("v3", "shake-etm"),
-])
+@pytest.mark.parametrize("fmt, scheme", sorted(LEGACY))
 def test_a_relabelled_envelope_version_fails_the_open(fmt, scheme):
-    """A v1/v2 file announced as v3, or a v3 file announced as v1/v2, is
-    never read under the other layout: the footer's CRC, magic or tag fails."""
+    """A v1/v2 file announced as v3, or a v3 file (with block trailers or
+    without) announced as v1/v2, is never read under the other layout: the
+    footer's CRC, magic or tag fails."""
     env = MemEnv()
     if fmt == "v3":
-        path = _build(env, scheme).path
-        _relabel(env, path, 1)
+        paths = [_build(env, scheme).path, _legacy(env, fmt, scheme)]
+        version = 1
     else:
-        path = _legacy(env, fmt, scheme)
-        _relabel(env, path, 2)
-    with pytest.raises(CorruptionError):  # AuthenticationError is one
-        SSTReader(env, path, _provider(scheme), Options())
+        paths, version = [_legacy(env, fmt, scheme)], 2
+    for path in paths:
+        _relabel(env, path, version)
+        with pytest.raises(CorruptionError):  # AuthenticationError is one
+            SSTReader(env, path, _provider(scheme), Options())
+
+
+@pytest.mark.parametrize("scheme", LEGACY_V3)
+def test_only_blocks_written_now_carry_an_offset_trailer(scheme):
+    """The builder ends every data block in an offset trailer; the pinned
+    v3 files have none, so reading them back walks every block."""
+    # Imported here: the trees that wrote the pinned files do not have it.
+    from repro.lsm.block import BLOCK_OFFSETS
+
+    env = MemEnv()
+    for path, trailer in (
+        (_build(env, scheme).path, BLOCK_OFFSETS),
+        (_legacy(env, "v3", scheme), 0),
+    ):
+        with closing(SSTReader(env, path, _provider(scheme), Options())) as reader:
+            flags = {
+                reader._read_payload(offset, size)[0]
+                for __, offset, size, ___ in reader._index
+            }
+        assert flags == {trailer}, path
 
 
 @pytest.mark.parametrize("scheme", ["none", "shake-ctr"])
@@ -202,3 +264,7 @@ def test_a_v1_block_read_squeezes_from_its_segments_start(squeezed):
             extra.append(sum(squeezed) - size)
             assert extra[-1] == offset % xof.SEGMENT_SIZE
         assert max(extra) > 0
+
+
+if __name__ == "__main__":
+    write_legacy_v3(sys.argv[1])
