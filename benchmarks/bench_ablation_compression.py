@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.harness import RunResult, format_table
-from repro.bench.systems import make_system
-from repro.bench.valuegen import ValueGenerator
-from repro.bench.keygen import format_key
+from paper import RunResult, format_table, gen, make_system
 from repro.env.mem import MemEnv
 
 _NUM_KEYS = 4000
@@ -29,7 +26,7 @@ def _run(name, system, compression):
     try:
         start = time.perf_counter()
         for i in range(_NUM_KEYS):
-            db.put(format_key(i), _VALUE)
+            db.put(gen.key(i), _VALUE)
         db.compact_range()
         elapsed = time.perf_counter() - start
         sst_bytes = sum(

@@ -13,7 +13,7 @@ import time
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.harness import RunResult, format_table
+from paper import RunResult, format_table
 from repro.env.mem import MemEnv
 from repro.keys.cache import SecureDEKCache
 from repro.keys.kds import SimulatedKDS

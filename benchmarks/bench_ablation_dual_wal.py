@@ -12,7 +12,7 @@ import time
 
 from conftest import emit, run_once
 
-from repro.bench.harness import RunResult, format_table
+from paper import RunResult, format_table
 from repro.crypto.cipher import generate_key, generate_nonce, scheme_id
 from repro.env.mem import MemEnv
 from repro.lsm.filecrypto import FileCrypto

@@ -11,8 +11,7 @@ from dataclasses import replace
 
 from conftest import bench_options, emit, run_once, run_workload_across_systems
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.workloads import WorkloadSpec, fill_random
+from paper import WorkloadSpec, fill_random, format_table, relative_overhead
 
 _SYSTEMS = ["baseline", "encfs", "shield"]
 _VALUE_SIZES = [50, 100, 250, 500, 1000]

@@ -7,15 +7,13 @@ advantage collapses to ~1%.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.harness import RunResult, format_table
-from repro.bench.keygen import UniformKeys
-from repro.bench.valuegen import ValueGenerator
-from repro.bench.systems import make_system
+from paper import RunResult, format_table, gen, make_system
 
 _THREAD_COUNTS = [1, 2, 4, 8]
 _OPS_PER_RUN = 6000
@@ -31,10 +29,11 @@ def _run_threads(system: str, num_threads: int) -> RunResult:
     ops_per_thread = _OPS_PER_RUN // num_threads
     try:
         def writer(thread_id: int):
-            keys = UniformKeys(20_000, seed=thread_id)
-            values = ValueGenerator(100, seed=thread_id)
-            for _ in range(ops_per_thread):
-                db.put(keys.next_key(), values.next_value())
+            rng = random.Random(thread_id)
+            values = gen.Values(thread_id, 100)
+            for version in range(ops_per_thread):
+                index = rng.randrange(20_000)
+                db.put(gen.key(index), values.make(index, version))
 
         threads = [
             threading.Thread(target=writer, args=(t,)) for t in range(num_threads)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from conftest import bench_options, emit, run_once, run_workload_across_systems
 
-from repro.bench.harness import format_table
-from repro.bench.workloads import WorkloadSpec, fill_random
+from paper import WorkloadSpec, fill_random, format_table
 
 _JOB_COUNTS = [1, 2, 4]
 _SPEC = WorkloadSpec(num_ops=6000, keyspace=6000)

@@ -17,11 +17,10 @@ import time
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.workloads import WorkloadSpec, preload
-from repro.bench.systems import make_system
+from paper import gen, make_system
 
 _CHUNK_SIZES = [4 * 1024, 64 * 1024, 512 * 1024, 2 * 1024 * 1024]
-_SPEC = WorkloadSpec(num_ops=0, keyspace=9000, value_size=200)
+_NUM_KEYS = 9000
 
 
 def _compaction_time(system: str, chunk_size: int, threads: int) -> float:
@@ -35,12 +34,9 @@ def _compaction_time(system: str, chunk_size: int, threads: int) -> float:
     db = make_system(system, base_options=options)
     try:
         # Load without compaction, then time one forced major compaction.
-        from repro.bench.valuegen import ValueGenerator
-        from repro.bench.keygen import format_key
-
-        values = ValueGenerator(_SPEC.value_size, seed=1)
-        for index in range(_SPEC.keyspace):
-            db.put(format_key(index), values.next_value())
+        values = gen.Values(1, 200)
+        for index in range(_NUM_KEYS):
+            db.put(gen.key(index), values.make(index, 0))
         db.flush()
         db.wait_for_compaction()
         start = time.perf_counter()

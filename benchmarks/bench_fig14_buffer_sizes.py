@@ -9,9 +9,13 @@ from __future__ import annotations
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.systems import make_system
-from repro.bench.workloads import WorkloadSpec, fill_random
+from paper import (
+    WorkloadSpec,
+    fill_random,
+    format_table,
+    make_system,
+    relative_overhead,
+)
 
 _BUFFER_SIZES = [0, 128, 512, 2048]
 _SPEC = WorkloadSpec(num_ops=6000, keyspace=6000)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from conftest import bench_options, emit, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.workloads import WorkloadSpec, fill_random, preload, read_random
+from paper import WorkloadSpec, fill_random, format_table, read_random, relative_overhead
 from repro.dist.deployment import build_ds_deployment
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB

@@ -10,8 +10,7 @@ from dataclasses import replace
 
 from conftest import best_of, emit, make_ds_db, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.workloads import WorkloadSpec, preload, read_write_mix
+from paper import WorkloadSpec, format_table, preload, read_write_mix, relative_overhead
 
 _SYSTEMS = ["baseline", "shield+walbuf"]
 _RATIOS = [0.25, 0.5, 0.75]

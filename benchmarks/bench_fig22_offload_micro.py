@@ -9,9 +9,17 @@ from __future__ import annotations
 
 from conftest import best_of, emit, make_ds_db, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.mixgraph import MixgraphSpec, preload_mixgraph, run_mixgraph
-from repro.bench.workloads import WorkloadSpec, fill_random, preload, read_random
+from paper import (
+    MixgraphSpec,
+    WorkloadSpec,
+    fill_random,
+    format_table,
+    preload,
+    preload_mixgraph,
+    read_random,
+    relative_overhead,
+    run_mixgraph,
+)
 
 _SYSTEMS = ["baseline", "shield", "shield+walbuf"]
 _WRITE_SPEC = WorkloadSpec(num_ops=4000, keyspace=4000)

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from conftest import best_of, bench_options, emit, make_ds_db, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.ycsb import YCSBSpec, load_ycsb, run_ycsb
+from paper import YCSBSpec, format_table, load_ycsb, relative_overhead, run_ycsb
 
 _SYSTEMS = ["baseline", "shield+walbuf"]
 _WORKLOADS = ["A", "B", "C", "D", "E", "F"]

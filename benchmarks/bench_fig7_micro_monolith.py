@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from conftest import bench_options, emit, run_once, run_workload_across_systems
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.mixgraph import MixgraphSpec, preload_mixgraph, run_mixgraph
-from repro.bench.workloads import WorkloadSpec, fill_random, preload, read_random
+from paper import (
+    MixgraphSpec,
+    WorkloadSpec,
+    fill_random,
+    format_table,
+    preload,
+    preload_mixgraph,
+    read_random,
+    relative_overhead,
+    run_mixgraph,
+)
 
 _SYSTEMS = [
     "baseline",
@@ -89,7 +97,7 @@ def test_fig7_mixgraph(benchmark):
         "Figure 7: mixgraph (monolith)",
         results,
         baseline_name="baseline",
-        extra_columns=["gets", "puts", "seeks"],
+        extra_columns=["get", "put", "scan"],
     )
     emit("fig7_mixgraph", table)
     by_name = {result.name: result for result in results}

@@ -11,8 +11,7 @@ from dataclasses import replace
 
 from conftest import bench_options, emit, run_once, run_workload_across_systems
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.workloads import WorkloadSpec, preload, read_write_mix
+from paper import WorkloadSpec, format_table, preload, read_write_mix, relative_overhead
 
 _SYSTEMS = ["baseline", "encfs", "shield", "shield+walbuf"]
 _RATIOS = [0.0, 0.25, 0.5, 0.75, 1.0]

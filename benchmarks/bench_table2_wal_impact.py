@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from conftest import bench_options, run_once
 
-from repro.bench.harness import format_table, relative_overhead
-from repro.bench.workloads import WorkloadSpec, fill_random
+from paper import WorkloadSpec, fill_random, format_table, relative_overhead
 from repro.env.mem import MemEnv
 from repro.keys.kds import InMemoryKDS
 from repro.shield import ShieldOptions, open_shield_db

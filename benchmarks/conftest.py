@@ -18,10 +18,7 @@ import gc
 import os
 from dataclasses import replace
 
-import pytest
-
-from repro.bench.harness import RunResult, format_table, write_results_json
-from repro.bench.systems import make_system
+from paper import RunResult, WorkloadSpec, fill_random, make_system, read_random
 from repro.lsm.options import Options
 from repro.obs import costs
 
@@ -36,8 +33,6 @@ def _warmup() -> None:
     global _warmed_up
     if _warmed_up:
         return
-    from repro.bench.workloads import WorkloadSpec, fill_random, read_random
-
     # Exercise the full stack (allocator, hashlib, memtable, compaction)
     # so the first measured system isn't penalized by interpreter warmup.
     spec = WorkloadSpec(num_ops=4000, keyspace=4000)
@@ -73,26 +68,53 @@ def bench_options(**overrides) -> Options:
     return Options(**defaults)
 
 
+def collected(fn) -> RunResult:
+    """``fn()`` under ``costs.collect()``: the row carries its own
+    per-op-class encrypt/kds/io breakdown (the paper's latency-attribution
+    decomposition)."""
+    with costs.collect() as breakdown:
+        result = fn()
+    result.breakdown = result.breakdown or breakdown.as_dict()
+    return result
+
+
 def best_of(repeats: int, fn):
-    """Run ``fn`` repeatedly, keep the highest-throughput result.
+    """Run ``fn`` repeatedly (each :func:`collected`), keep the
+    highest-throughput result.
 
     Single-core Python runs drift with allocator/caching warmup; for
     read-style workloads re-running on the same DB and keeping the best of
     two removes the bias that favours whichever system runs later.
-
-    Each attempt runs under ``costs.collect()``, so every kept
-    :class:`RunResult` carries its own per-op-class encrypt/kds/io
-    breakdown (the paper's latency-attribution decomposition).
     """
-    best = None
-    for _ in range(max(1, repeats)):
-        with costs.collect() as breakdown:
-            candidate = fn()
-        if not candidate.breakdown:
-            candidate.breakdown = breakdown.as_dict()
-        if best is None or candidate.throughput > best.throughput:
-            best = candidate
-    return best
+    runs = [collected(fn) for _ in range(max(1, repeats))]
+    return max(runs, key=lambda run: run.throughput)
+
+
+def interleaved_medians(arms: dict, repeats: int) -> list[RunResult]:
+    """Run each arm (a thunk returning a RunResult) ``repeats`` times, each
+    run :func:`collected`.
+
+    The arms take turns in a rotated order, so drift over the experiment
+    (compaction debt, machine load) lands on every arm alike, and each arm
+    reports its median-throughput run: a scheduler hiccup moves one run,
+    not the row.  Each row is named after its arm and lists every run's
+    ops/s in ``extra["runs_ops_per_s"]``.
+    """
+    names = list(arms)
+    runs = {name: [] for name in names}
+    for repeat in range(repeats):
+        shift = repeat % len(names)
+        for name in names[shift:] + names[:shift]:
+            gc.collect()
+            runs[name].append(collected(arms[name]))
+    medians = []
+    for name in names:
+        ranked = sorted(runs[name], key=lambda row: row.throughput)
+        median = ranked[len(ranked) // 2]
+        median.name = name
+        median.extra["runs_ops_per_s"] = ", ".join(f"{r.throughput:,.0f}" for r in ranked)
+        medians.append(median)
+    return medians
 
 
 def run_workload_across_systems(
@@ -189,32 +211,6 @@ def make_ds_db(
             provider=worker.build_provider(), options=engine
         )
     return open_shield_db(path, shield, engine), deployment
-
-
-@pytest.fixture
-def report():
-    """Fixture handing tests the (experiment, title, results, ...) emitter."""
-
-    def _report(
-        experiment: str,
-        title: str,
-        results: list[RunResult],
-        baseline_name: str | None = None,
-        extra_columns: list[str] | None = None,
-    ) -> str:
-        table = format_table(
-            title, results, baseline_name=baseline_name, extra_columns=extra_columns
-        )
-        emit(experiment, table)
-        write_results_json(
-            os.path.join(RESULTS_DIR, f"{experiment}.json"),
-            experiment,
-            results,
-            meta={"title": title, "baseline": baseline_name},
-        )
-        return table
-
-    return _report
 
 
 def run_once(benchmark, experiment_fn):

@@ -13,17 +13,27 @@ produces at larger scale:
 Run:  python examples/benchmark_tour.py
 """
 
+import os
+import sys
 from dataclasses import replace
 
-from repro.bench.harness import ascii_bar_chart, format_table
-from repro.bench.systems import make_system
-from repro.bench.workloads import WorkloadSpec, fill_random, preload, read_random
 from repro.dist.deployment import build_ds_deployment
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import ScaledClock
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks"))
+from paper import (  # noqa: E402  (benchmarks/paper.py: the figures' workloads)
+    WorkloadSpec,
+    ascii_bar_chart,
+    fill_random,
+    format_table,
+    make_system,
+    preload,
+    read_random,
+)
 
 SPEC = WorkloadSpec(num_ops=3000, keyspace=3000)
 OPTIONS = Options(write_buffer_size=128 * 1024)

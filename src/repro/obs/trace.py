@@ -20,8 +20,8 @@ is off.  Sampling is decided once at the trace root and inherited by
 every descendant -- including remote ones -- so a sampled-out request
 produces *zero* sink writes on either side of the wire.
 
-Environment knobs (read at import; the operator's switch for a ``serve`` or
-``dbbench`` process):
+Environment knobs (read at import; the operator's switch for a ``serve``
+process or any other program that imports the engine):
 
 - ``REPRO_TRACE=1``        force-enable the global tracer
 - ``REPRO_TRACE_FILE=p``   also write finished spans to ``p`` as JSONL

@@ -1,10 +1,5 @@
 """Command-line tools.
 
-- ``python -m repro.tools.dbbench`` (``repro-dbbench``) -- the db_bench
-  analogue: run fillrandom/readrandom/mixed/YCSB/mixgraph workloads
-  against any of the systems under test and print the comparison table;
-  ``--remote HOST:PORT`` drives a running server over the socket client
-  instead of an embedded engine.
 - ``python -m repro.tools.serve`` (``repro-serve``) -- launch the
   networked KV front-end (``repro.service``) over a SHIELD-encrypted or
   plaintext engine, optionally sharded.
@@ -14,4 +9,7 @@
 - ``python -m repro.tools.dek_audit`` -- audit a database directory: which
   DEK protects which file, flag plaintext files and duplicate (DEK, nonce)
   pairs.
+
+The paper's db_bench-style workloads are not shipped here; they live next
+to the figure scripts, in ``benchmarks/paper.py``.
 """

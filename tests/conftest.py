@@ -1,6 +1,8 @@
 """Suite-wide fixtures."""
 
 import hashlib
+import os
+import sys
 import threading
 import types
 
@@ -10,6 +12,12 @@ from hypothesis import settings
 from repro.crypto import xof
 
 _SERVICE_THREADS = ("kv-", "shard-", "replica-")
+
+#: The figure library, ``benchmarks/paper.py``: the bench-workload, harness,
+#: trace and property tests import it as ``paper``.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
+)
 
 #: ``--hypothesis-profile=soak``: the long budget (test_scan_model.py and
 #: test_block.py read ``max_examples`` from it); ``--hypothesis-seed=N``

@@ -1,19 +1,30 @@
 """Smoke tests for workloads, YCSB, mixgraph, systems, and the harness."""
 
+import threading
+
 import pytest
 
-from repro.bench.harness import RunResult, format_table, relative_overhead
-from repro.bench.mixgraph import MixgraphSpec, preload_mixgraph, run_mixgraph
-from repro.bench.systems import SYSTEMS, make_system, parse_system
-from repro.bench.workloads import (
+from paper import (
+    SYSTEMS,
+    YCSB_WORKLOADS,
+    MixgraphSpec,
+    RunResult,
     WorkloadSpec,
+    YCSBSpec,
     fill_random,
-    fill_seq,
+    format_table,
+    gen,
+    load_ycsb,
+    make_system,
+    parse_system,
     preload,
+    preload_mixgraph,
     read_random,
     read_write_mix,
+    relative_overhead,
+    run_mixgraph,
+    run_ycsb,
 )
-from repro.bench.ycsb import YCSBSpec, YCSB_WORKLOADS, load_ycsb, run_ycsb
 from repro.errors import InvalidArgumentError
 from repro.lsm.options import Options
 
@@ -54,8 +65,9 @@ def test_parse_system():
 def test_fill_seq_then_point_reads():
     db = make_system("baseline", base_options=_tiny_options())
     with db:
-        fill_seq(db, _tiny_spec())
-        assert db.get(b"0000000000000000") is not None
+        preload(db, _tiny_spec())
+        assert db.get(gen.key(0)) is not None
+        assert db.get(gen.key(299)) is not None
 
 
 def test_read_write_mix_ratio_naming():
@@ -69,15 +81,31 @@ def test_read_write_mix_ratio_naming():
 
 
 def test_read_while_writing():
-    from repro.bench.workloads import read_while_writing
-
+    """Measured reads racing a background writer (db_bench's
+    readwhilewriting) see every preloaded key."""
     db = make_system("baseline", base_options=_tiny_options())
     with db:
         spec = _tiny_spec(num_ops=200, keyspace=200)
         preload(db, spec)
-        result = read_while_writing(db, spec)
+        stop, writes = threading.Event(), []
+
+        def writer():
+            while not stop.is_set() or not writes:
+                fill_random(db, _tiny_spec(num_ops=20, keyspace=200, seed=len(writes)))
+                writes.append(20)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            result = read_random(db, spec)
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
         assert result.ops == 200
-        assert result.extra["background_writes"] > 0
+        assert result.extra == {"get": 200}
+        assert sum(writes) > 0
+        assert all(db.get(gen.key(i)) is not None for i in range(200))
 
 
 def test_mixgraph_runs_and_counts_ops():
@@ -86,10 +114,10 @@ def test_mixgraph_runs_and_counts_ops():
         spec = MixgraphSpec(num_ops=400, keyspace=400)
         preload_mixgraph(db, spec)
         result = run_mixgraph(db, spec)
-        total = result.extra["gets"] + result.extra["puts"] + result.extra["seeks"]
-        assert total == 400
+        assert sum(result.extra.values()) == 400
         # GET-heavy mix.
-        assert result.extra["gets"] > result.extra["puts"] > 0
+        assert result.extra["get"] > result.extra["put"] > 0
+        assert result.extra["scan"] > 0
 
 
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
@@ -100,10 +128,9 @@ def test_ycsb_workloads_run(workload):
         load_ycsb(db, spec)
         result = run_ycsb(db, workload, spec)
         assert result.ops == 150
-        counts = {k: v for k, v in result.extra.items() if v}
-        assert counts  # something ran
+        assert sum(result.extra.values()) == 150
         if workload == "C":
-            assert set(counts) == {"read"}
+            assert set(result.extra) == {"read"}
         if workload == "E":
             assert result.extra["scan"] > 0
 

@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.bench.systems import make_system
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
 from repro.errors import IOError_

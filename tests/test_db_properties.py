@@ -5,7 +5,7 @@ reopens -- for all three systems."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.systems import make_system
+from paper import make_system
 from repro.env.mem import MemEnv
 from repro.lsm.db import DB
 from repro.lsm.options import Options

@@ -2,29 +2,34 @@
 
 import time
 
-from repro.bench.harness import (
-    RunResult,
-    format_table,
-    measure_ops,
-    relative_overhead,
-)
+from paper import RunResult, ascii_bar_chart, format_table, relative_overhead, timed
+
+
+class _SleepyDB:
+    def get(self, key):
+        time.sleep(0.001)
+
+    def put(self, key, value):
+        pass
 
 
 def test_measure_ops_counts_and_times():
-    result = measure_ops("demo", (lambda: time.sleep(0.001) for _ in range(5)))
-    assert result.ops == 5
+    ops = [("get", b"k", None)] * 5 + [("put", b"k", b"v")] * 2
+    result = timed(_SleepyDB(), "demo", iter(ops))
+    assert result.ops == 7
+    assert result.extra == {"get": 5, "put": 2}
     assert result.elapsed_s >= 0.005
-    assert len(result.latencies_s) == 5
+    assert len(result.latencies_s) == 7
     assert result.throughput > 0
-    assert result.mean_us >= 1000
+    assert result.p99_us >= 1000
 
 
 def test_measure_ops_without_latencies():
-    result = measure_ops("demo", (lambda: None for _ in range(10)),
-                         record_latencies=False)
-    assert result.ops == 10
+    result = timed(_SleepyDB(), "demo", iter([]))
+    assert result.ops == 0
     assert result.latencies_s == []
     assert result.p99_us == 0.0
+    assert result.throughput == 0.0
 
 
 def test_run_result_percentiles():
@@ -44,8 +49,6 @@ def test_relative_overhead_zero_baseline():
 
 
 def test_ascii_bar_chart():
-    from repro.bench.harness import ascii_bar_chart
-
     rows = [
         RunResult(name="fast", ops=1000, elapsed_s=1.0),
         RunResult(name="slow", ops=250, elapsed_s=1.0),

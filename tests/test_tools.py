@@ -1,13 +1,11 @@
-"""Tests for the CLI tools (dbbench, sst_dump, dek_audit)."""
-
-import pytest
+"""Tests for the CLI tools (sst_dump, dek_audit, repair)."""
 
 from repro.crypto.cipher import generate_key
 from repro.env.local import LocalEnv
 from repro.lsm.db import DB
 from repro.lsm.filecrypto import SingleKeyCryptoProvider
 from repro.lsm.options import Options
-from repro.tools import dbbench, dek_audit, sst_dump
+from repro.tools import dek_audit, sst_dump
 
 
 def _make_local_db(tmp_path, provider=None, n=300):
@@ -26,63 +24,6 @@ def _make_local_db(tmp_path, provider=None, n=300):
     db.flush()
     db.close()
     return env, path
-
-
-def test_dbbench_fillrandom_runs(capsys):
-    rc = dbbench.main(
-        ["--benchmarks", "fillrandom", "--systems", "baseline,shield",
-         "--num", "400"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "fillrandom" in out
-    assert "baseline" in out
-    assert "shield" in out
-    assert "overhead" in out
-
-
-def test_dbbench_readrandom_and_ycsb(capsys):
-    rc = dbbench.main(
-        ["--benchmarks", "readrandom,ycsb-C", "--systems", "baseline",
-         "--num", "200", "--value-size", "64"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "readrandom" in out
-    assert "ycsb-C" in out
-
-
-def test_dbbench_ds_mode(capsys):
-    rc = dbbench.main(
-        ["--ds", "--benchmarks", "fillrandom",
-         "--systems", "baseline,shield+walbuf", "--num", "200",
-         "--latency-scale", "0.0"]
-    )
-    assert rc == 0
-    assert "overhead" in capsys.readouterr().out
-
-
-def test_dbbench_ds_offload_mode(capsys):
-    rc = dbbench.main(
-        ["--ds", "--offload-compaction", "--benchmarks", "fillrandom",
-         "--systems", "shield", "--num", "200", "--latency-scale", "0.0"]
-    )
-    assert rc == 0
-
-
-def test_dbbench_ds_rejects_encfs():
-    with pytest.raises(SystemExit):
-        dbbench.main(["--ds", "--systems", "encfs", "--num", "10"])
-
-
-def test_dbbench_rejects_unknown_system():
-    with pytest.raises(SystemExit):
-        dbbench.main(["--systems", "mysql"])
-
-
-def test_dbbench_rejects_unknown_benchmark():
-    with pytest.raises(SystemExit):
-        dbbench.main(["--benchmarks", "fizzbuzz", "--num", "10"])
 
 
 def test_sst_dump_plaintext(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Tests for workload trace capture and replay."""
 
-from repro.bench.trace import TracingDB, read_trace, replay_trace
+from paper import TracingDB, read_trace, replay_trace
 from repro.env.mem import MemEnv
 from repro.keys.kds import InMemoryKDS
 from repro.lsm.db import DB
