@@ -27,7 +27,8 @@ def _experiment():
             _SYSTEMS,
             lambda db, spec=spec: fill_random(db, spec),
             base_options=bench_options(write_buffer_size=256 * 1024),
-            fresh_repeats=2,
+            repeats=2,
+            fresh=True,
         )
         blocks[value_size] = results
         by_name = {result.name: result for result in results}

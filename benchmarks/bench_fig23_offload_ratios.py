@@ -7,8 +7,9 @@ the storage server; SHIELD stays within ~6-14% of baseline.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
-from conftest import best_of, emit, make_ds_db, run_once
+from conftest import emit, interleaved_medians, make_ds_db, run_once, settled_run
 
 from paper import WorkloadSpec, format_table, preload, read_write_mix, relative_overhead
 
@@ -22,13 +23,21 @@ def _experiment():
     overheads = {}
     for ratio in _RATIOS:
         spec = replace(_BASE_SPEC, read_fraction=ratio)
-        rows = []
-        for system in _SYSTEMS:
-            db, __ = make_ds_db(system, offload=True)
-            try:
-                preload(db, spec)
-                rows.append(best_of(2, lambda: read_write_mix(db, spec, name=system)))
-            finally:
+        dbs = {}
+        try:
+            for system in _SYSTEMS:
+                dbs[system], __ = make_ds_db(system, offload=True)
+                preload(dbs[system], spec)
+                dbs[system].wait_for_compaction()
+            # The systems take turns: drift over the sweep lands on both.
+            rows = interleaved_medians({
+                system: partial(
+                    settled_run, partial(read_write_mix, spec=spec, name=system), db
+                )
+                for system, db in dbs.items()
+            }, repeats=3)
+        finally:
+            for db in dbs.values():
                 db.close()
         blocks[ratio] = rows
         overheads[ratio] = relative_overhead(rows[0], rows[1])

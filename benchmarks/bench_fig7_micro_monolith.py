@@ -41,7 +41,8 @@ def test_fig7_fillrandom(benchmark):
         lambda: run_workload_across_systems(
             _SYSTEMS,
             lambda db: fill_random(db, _WRITE_SPEC),
-            fresh_repeats=2,
+            repeats=2,
+            fresh=True,
         ),
     )
     table = format_table(
@@ -64,7 +65,7 @@ def test_fig7_readrandom(benchmark):
             _SYSTEMS,
             lambda db: read_random(db, _READ_SPEC),
             preload=lambda db: preload(db, _READ_SPEC),
-            repeats=2,
+            repeats=3,
         )
 
     results = run_once(benchmark, experiment)

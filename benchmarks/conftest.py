@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import os
 from dataclasses import replace
+from functools import partial
 
 from paper import RunResult, WorkloadSpec, fill_random, make_system, read_random
 from repro.lsm.options import Options
@@ -117,44 +118,67 @@ def interleaved_medians(arms: dict, repeats: int) -> list[RunResult]:
     return medians
 
 
+def settled_run(workload, db) -> RunResult:
+    """``workload(db)``, then the DB's background work waited out, outside
+    the timed run: an arm of :func:`interleaved_medians` leaves nothing
+    running into the next arm's turn."""
+    result = workload(db)
+    db.wait_for_compaction()
+    return result
+
+
 def run_workload_across_systems(
     systems: list[str],
     workload,
     base_options: Options | None = None,
     preload=None,
-    make_db=None,
     repeats: int = 1,
-    fresh_repeats: int = 1,
+    fresh: bool = False,
 ) -> list[RunResult]:
-    """Run one workload on a fresh DB per system; returns one row each.
+    """Run one workload on every system; returns one row each, in order.
 
-    ``repeats`` re-runs the workload on the *same* DB and keeps the best
-    (right for read-style workloads); ``fresh_repeats`` rebuilds the DB per
-    attempt and keeps the best (right for fill-style workloads, where a
-    second pass would hit compaction debt instead of a fresh tree).
+    The systems take turns through :func:`interleaved_medians` (``repeats``
+    rounds, each row its system's median run), so drift over the
+    experiment lands on every system alike.  By default each system keeps
+    one preloaded DB for all its runs (right for read-style workloads);
+    ``fresh`` builds, preloads and closes a new DB per run instead (right
+    for fill-style workloads, where a second pass would hit compaction
+    debt instead of a fresh tree).  A run's leftover background work is
+    waited out before the next system's turn.
     """
     _warmup()
     base = base_options or bench_options()
-    results = []
-    for system in systems:
-        gc.collect()  # keep GC pauses from landing inside one system's run
-        best = None
-        for _ in range(max(1, fresh_repeats)):
-            if make_db is not None:
-                db = make_db(system)
-            else:
-                db = make_system(system, base_options=replace(base))
+
+    def open_db(system: str):
+        db = make_system(system, base_options=replace(base))
+        if preload is not None:
+            preload(db)
+        db.wait_for_compaction()
+        return db
+
+    if fresh:
+        def fresh_run(system: str):
+            db = open_db(system)
             try:
-                if preload is not None:
-                    preload(db)
-                result = best_of(repeats, lambda: workload(db))
+                return workload(db)
             finally:
                 db.close()
-            if best is None or result.throughput > best.throughput:
-                best = result
-        best.name = system
-        results.append(best)
-    return results
+
+        return interleaved_medians(
+            {system: partial(fresh_run, system) for system in systems}, repeats
+        )
+    dbs = {}
+    try:
+        for system in systems:
+            dbs[system] = open_db(system)
+        return interleaved_medians(
+            {system: partial(settled_run, workload, db)
+             for system, db in dbs.items()},
+            repeats,
+        )
+    finally:
+        for db in dbs.values():
+            db.close()
 
 
 def emit(experiment: str, table: str) -> None:

@@ -65,28 +65,39 @@ from repro.service import protocol
 from repro.service.protocol import Message
 
 
+#: ``client.<op>`` span names, resolved once per opcode.
+_SPAN_NAMES = protocol.OpNames("client")
+
+
 class _PooledConnection:
     """One socket plus the client-side request-id counter for it."""
 
     def __init__(self, host: str, port: int, timeout_s: float | None,
                  server_id: str | None, request_ids):
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(timeout_s)
-        self._reader = protocol.FrameReader(self.sock)
-        self._request_ids = request_ids
-        if server_id is not None:
-            response = self.request(
-                protocol.OP_AUTH, protocol.encode_auth(server_id)
-            )
-            if response.opcode == protocol.RESP_ERROR:
-                raise protocol.decode_error(response.payload)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.sock.settimeout(timeout_s)
+            self._reader = protocol.FrameReader(self.sock)
+            self._request_ids = request_ids
+            if server_id is not None:
+                response = self.request(
+                    protocol.OP_AUTH, protocol.encode_auth(server_id)
+                )
+                if response.opcode == protocol.RESP_ERROR:
+                    raise protocol.decode_error(response.payload)
+        except BaseException:
+            self.close()  # a refused or garbled AUTH: nobody else holds it
+            raise
 
     def next_request_id(self) -> int:
         return next(self._request_ids)
 
-    def send(self, msg: Message) -> None:
-        protocol.send_message(self.sock, msg)
+    def send(self, opcode: int, request_id: int, payload: bytes = b"",
+             trace: bytes = b"") -> None:
+        self.sock.sendall(
+            protocol.pack_frame(opcode, request_id, payload, trace)
+        )
 
     def read(self) -> Message:
         msg = self._reader.read()
@@ -99,7 +110,7 @@ class _PooledConnection:
     ) -> Message:
         """One in-flight request: send, read the matching response."""
         request_id = self.next_request_id()
-        self.send(Message(opcode, request_id, payload, trace))
+        self.send(opcode, request_id, payload, trace)
         response = self.read()
         if response.request_id != request_id:
             raise ServiceError(
@@ -172,14 +183,15 @@ class Endpoint:
 
     def begin(self, opcode: int, payload: bytes, trace: bytes):
         """Send one request without waiting for the reply; None when the
-        socket failed."""
+        socket failed -- a fresh connection's AUTH exchange included, as
+        :meth:`call` lets the caller retry it."""
         try:
             conn = self.acquire()
-        except OSError:
+        except (OSError, protocol.ProtocolError):
             return None
         request_id = conn.next_request_id()
         try:
-            conn.send(Message(opcode, request_id, payload, trace))
+            conn.send(opcode, request_id, payload, trace)
         except OSError:
             conn.close()
             return None
@@ -351,9 +363,8 @@ class KVClient:
         carries it (default ``home``): the retry budget, backoff and
         counters are always this client's."""
         endpoint = endpoint or self.home
-        op_name = protocol.OPCODE_NAMES.get(opcode, str(opcode))
         started_at = time.monotonic()
-        with TRACER.span(f"client.{op_name}"):
+        with TRACER.span(_SPAN_NAMES[opcode]):
             trace = TRACER.inject()
             for attempt in range(self.max_retries + 1):
                 try:
@@ -513,7 +524,7 @@ class Pipeline:
                         inflight -= 1
                     request_id = conn.next_request_id()
                     id_for_index.append(request_id)
-                    conn.send(Message(opcode, request_id, payload, trace))
+                    conn.send(opcode, request_id, payload, trace)
                     inflight += 1
                 while inflight:
                     response = conn.read()

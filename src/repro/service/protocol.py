@@ -29,18 +29,18 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 from dataclasses import dataclass
 
 from repro import errors
 from repro.errors import CorruptionError
 from repro.lsm.envelope import Envelope, decode_envelope
-from repro.util.checksum import masked_crc32
+from repro.util.checksum import crc32, masked_crc32
 from repro.util.coding import (
     decode_fixed32,
     decode_fixed64,
     decode_length_prefixed,
     decode_varint64,
-    encode_fixed32,
     encode_fixed64,
     encode_length_prefixed,
     encode_varint64,
@@ -98,6 +98,24 @@ OPCODE_NAMES = {
     OP_REPL_SUBSCRIBE: "repl_subscribe",
 }
 
+
+class OpNames(dict):
+    """``{opcode: "<prefix>.<op name>"}``, each name formatted on its
+    opcode's first use: a per-op span or metric name costs one dict hit.
+    An opcode is one byte, so the map stays small whatever a peer sends."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, opcode: int) -> str:
+        name = OPCODE_NAMES.get(opcode, f"op{opcode}")
+        self[opcode] = full = f"{self.prefix}.{name}"
+        return full
+
+
 #: Upper bound on one frame; anything larger is treated as stream corruption.
 MAX_FRAME_SIZE = 64 * 1024 * 1024
 
@@ -109,9 +127,12 @@ class ProtocolError(CorruptionError):
     """The byte stream violated the frame format (bad CRC, bad length)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
-    """One parsed frame.  ``trace`` is the opaque trace-context header."""
+    """One parsed frame.  ``trace`` is the opaque trace-context header.
+
+    Slotted and mutable (so unhashable): a served op builds several, and a
+    frozen dataclass's ``__init__`` costs four times as much."""
 
     opcode: int
     request_id: int
@@ -124,22 +145,32 @@ class Message:
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(msg: Message) -> bytes:
-    """Serialize a message to its on-wire frame (length prefix included)."""
-    if msg.trace:
-        body = (
-            bytes([msg.opcode | TRACE_FLAG])
-            + encode_varint64(msg.request_id)
-            + encode_length_prefixed(msg.trace)
-            + msg.payload
+#: ``length ‖ crc``: the two fixed32 fields ahead of the opcode byte.
+_PREFIX = struct.Struct("<II")
+_LENGTH = struct.Struct("<I")
+
+
+def pack_frame(opcode: int, request_id: int, payload: bytes = b"",
+               trace: bytes = b"") -> bytes:
+    """The on-wire frame (length prefix included) of one message, built
+    from its fields: the one frame encoder.  The CRC runs over the header
+    and then the payload, so the payload is copied once, into the frame."""
+    if trace:
+        head = (
+            bytes((opcode | TRACE_FLAG,))
+            + encode_varint64(request_id)
+            + encode_length_prefixed(trace)
         )
     else:
-        body = bytes([msg.opcode]) + encode_varint64(msg.request_id) + msg.payload
-    return (
-        encode_fixed32(len(body) + 4)
-        + encode_fixed32(masked_crc32(body))
-        + body
-    )
+        head = bytes((opcode,)) + encode_varint64(request_id)
+    return _PREFIX.pack(
+        len(head) + len(payload) + 4, masked_crc32(payload, crc32(head))
+    ) + head + payload
+
+
+def encode_frame(msg: Message) -> bytes:
+    """Serialize a message to its on-wire frame (length prefix included)."""
+    return pack_frame(msg.opcode, msg.request_id, msg.payload, msg.trace)
 
 
 def _parse_header(buf, pos: int) -> tuple[int, int, bytes, int]:
@@ -213,20 +244,29 @@ class FrameSplitter:
     The cursor lives on the splitter and the consumed prefix is trimmed
     once per :meth:`feed`: a pipelined burst costs one pass, and an
     iteration abandoned midway (or ended by a :class:`ProtocolError`)
-    leaves exactly the unconsumed tail buffered.
+    leaves exactly the unconsumed tail buffered.  A chunk fed while
+    nothing is buffered is kept as it came, so a ``recv`` that holds
+    exactly one frame becomes that frame's ``raw`` without a copy; the
+    buffer turns into a ``bytearray`` only when a tail must wait for more.
     """
 
     __slots__ = ("_buf", "_pos")
 
     def __init__(self):
-        self._buf = bytearray()
+        self._buf: bytes | bytearray = b""
         self._pos = 0
 
     def feed(self, data: bytes) -> None:
-        if self._pos:
-            del self._buf[:self._pos]
-            self._pos = 0
-        self._buf += data
+        buf, pos = self._buf, self._pos
+        self._pos = 0
+        if pos >= len(buf):
+            self._buf = bytes(data)  # the chunk itself, when it is bytes
+        elif type(buf) is bytes:
+            self._buf = bytearray(memoryview(buf)[pos:])
+            self._buf += data
+        else:
+            del buf[:pos]
+            buf += data
 
     def next_frame(self) -> Frame | None:
         """The next complete frame, or None until more bytes are fed."""
@@ -234,14 +274,15 @@ class FrameSplitter:
         pos = self._pos
         if len(buf) - pos < 4:
             return None
-        length, __ = decode_fixed32(buf, pos)
+        (length,) = _LENGTH.unpack_from(buf, pos)
         if length < 4 or length > MAX_FRAME_SIZE:
             raise ProtocolError(f"implausible frame length {length}")
         end = pos + 4 + length
         if len(buf) < end:
             return None
         self._pos = end
-        return Frame(bytes(buf[pos:end]))
+        raw = buf[pos:end]  # the kept chunk itself when it is one frame
+        return Frame(raw if type(raw) is bytes else bytes(raw))
 
     def frames(self):
         while (frame := self.next_frame()) is not None:

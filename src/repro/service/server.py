@@ -67,6 +67,9 @@ from repro.util.stats import StatsRegistry
 #: ``listen()`` backlog of both servers' accept sockets.
 ACCEPT_BACKLOG = 64
 
+#: ``server.<op>`` span names, resolved once per opcode.
+_SPAN_NAMES = protocol.OpNames("server")
+
 
 @dataclass
 class ServiceConfig:
@@ -548,16 +551,16 @@ class KVServer:
     def _worker_loop(self) -> None:
         while (item := self._queue.get()) is not None:  # None: stop()
             conn, msg, enqueued_at = item
-            op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
             started = time.perf_counter()
             queue_wait = started - enqueued_at
             self._queue_wait.record(queue_wait)
             reply = answer(
                 self.db, msg, self._transport_sections, self.stats,
-                f"server.{op_name}", {"queue_wait_s": queue_wait},
+                _SPAN_NAMES[msg.opcode], {"queue_wait_s": queue_wait},
             )
             metrics = self._op_metrics.get(msg.opcode)
             if metrics is None:
+                op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
                 metrics = self._op_metrics[msg.opcode] = (
                     self.stats.counter(f"service.{op_name}"),
                     self.stats.histogram(f"service.latency.{op_name}"),

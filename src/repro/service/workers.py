@@ -101,6 +101,9 @@ _GATHER_OPS = frozenset({
     protocol.OP_COMPACT, protocol.OP_HEALTH, protocol.OP_WRITE_BATCH,
 })
 
+#: ``worker.<op>`` span names, resolved once per opcode.
+_SPAN_NAMES = protocol.OpNames("worker")
+
 
 # ---------------------------------------------------------------------------
 # Worker process side
@@ -164,10 +167,9 @@ class _ShardServer:
         return {"server": server}
 
     def _answer(self, msg: Message) -> Message:
-        op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
         return answer(
             self.db, msg, self._transport_sections, self.stats,
-            f"worker.{op_name}",
+            _SPAN_NAMES[msg.opcode],
         )
 
     # -- the front-end's pipe ----------------------------------------------

@@ -29,7 +29,7 @@ def unmask_crc(masked: int) -> int:
     return ((rot >> 17) | (rot << 15)) & 0xFFFFFFFF
 
 
-def masked_crc32(data: bytes) -> int:
-    """``mask_crc(crc32(data))`` in one call: every block read pays it."""
-    crc = zlib.crc32(data)
+def masked_crc32(data: bytes, seed: int = 0) -> int:
+    """``mask_crc(crc32(data, seed))`` in one call: every block read pays it."""
+    crc = zlib.crc32(data, seed)
     return (((crc >> 15) | (crc << 17)) + _MASK_DELTA) & 0xFFFFFFFF

@@ -48,6 +48,10 @@ def encode_varint64(value: int) -> bytes:
         return _BYTE[value]  # lengths and small counts: the common case
     if 0x80 <= value < 0x4000:  # a WAL record's or a 1 KiB value's length
         return _BYTE[(value & 0x7F) | 0x80] + _BYTE[value >> 7]
+    if 0x4000 <= value < 0x200000:  # a long-lived connection's request id
+        return bytes(
+            ((value & 0x7F) | 0x80, ((value >> 7) & 0x7F) | 0x80, value >> 14)
+        )
     if value < 0:
         raise ValueError("varints encode non-negative integers only")
     out = bytearray()
@@ -69,6 +73,10 @@ def decode_varint64(buf: bytes, offset: int = 0) -> tuple[int, int]:
         byte = buf[offset]
         if byte < 0x80:
             return byte, offset + 1  # one byte: the common case
+        if offset + 1 < len(buf):  # two bytes: a 1 KiB value's length
+            second = buf[offset + 1]
+            if second < 0x80:
+                return (byte & 0x7F) | (second << 7), offset + 2
     result = 0
     shift = 0
     pos = offset
@@ -100,6 +108,9 @@ def encode_length_prefixed(data: bytes) -> bytes:
 def decode_length_prefixed(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
     """Decode a varint-length-prefixed byte string; return (data, new_offset)."""
     length, pos = decode_varint64(buf, offset)
-    if pos + length > len(buf):
+    end = pos + length
+    if end > len(buf):
         raise CorruptionError("truncated length-prefixed data")
-    return bytes(buf[pos:pos + length]), pos + length
+    data = buf[pos:end]
+    # A slice of bytes is already a copy; only a view or bytearray needs one.
+    return (data if type(data) is bytes else bytes(data)), end

@@ -11,6 +11,8 @@ test's traced examples use ``traced`` too).
 from __future__ import annotations
 
 import contextlib
+import socket
+import threading
 
 from repro.env.mem import MemEnv
 from repro.env.metered import MeteredEnv
@@ -22,6 +24,7 @@ from repro.obs.trace import TRACER, RingBufferSink
 from repro.service.client import KVClient
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
+from repro.service.workers import _ShardServer
 from repro.shield import ShieldOptions, open_shield_db
 
 
@@ -80,6 +83,40 @@ def test_remote_put_traces_across_four_layers():
     assert wal_span.parent_id == write_span.span_id
     # And it is exactly one trace in the sink for that id.
     assert trace_id in sink.traces()
+
+
+def test_a_direct_get_is_one_trace_across_client_and_worker():
+    """The direct route: a shard worker's loop (in a thread here, set up
+    as in ``test_service_direct``) parents its span under the client's."""
+    db = _open_shield_db("/obs-direct")
+    db.put(b"k", b"v")
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.setblocking(False)
+    frontend_end, worker_end = socket.socketpair()
+    shard = _ShardServer(db, worker_end, listener, ServiceConfig())
+    thread = threading.Thread(target=shard.serve, daemon=True)
+    thread.start()
+    try:
+        with KVClient(*listener.getsockname()) as client:
+            assert client.workers() == []  # a worker is its own endpoint
+            with traced() as sink:
+                assert client.get(b"k") == b"v"
+    finally:
+        frontend_end.close()  # EOF on the pipe: the worker loop ends
+        thread.join(20.0)
+        listener.close()
+        worker_end.close()
+        db.close()
+    assert not thread.is_alive()
+
+    by_name = {span.name: span for span in sink.spans()}
+    client_span, worker_span = by_name["client.get"], by_name["worker.get"]
+    assert list(sink.traces()) == [client_span.trace_id]
+    assert client_span.parent_id is None
+    assert worker_span.parent_id == client_span.span_id
+    assert by_name["db.get"].parent_id == worker_span.span_id
 
 
 def test_sampled_out_remote_request_writes_nothing():

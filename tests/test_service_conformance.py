@@ -240,28 +240,28 @@ def _canonical(reply: p.Message):
     return ("error", type(exc).__name__, str(exc))
 
 
-def _recv_exact(sock, nbytes: int) -> bytes:
-    """Exactly ``nbytes`` off the socket: the recorded hex needs the raw
-    reply bytes, which ``FrameReader`` does not hand out."""
-    data = b""
-    while len(data) < nbytes:
-        chunk = sock.recv(nbytes - len(data))
+def _read_reply(sock, splitter: p.FrameSplitter) -> tuple[str, p.Message]:
+    """The next reply frame off the socket, as ``(raw hex, message)``: the
+    recorded hex needs the raw reply bytes, which ``FrameReader`` does not
+    hand out, so this is the splitter under it, fed by hand."""
+    while (frame := splitter.next_frame()) is None:
+        chunk = sock.recv(p.RECV_SIZE)
         assert chunk, "server closed mid-reply"
-        data += chunk
-    return data
+        splitter.feed(chunk)
+    frame.verify()
+    return frame.raw.hex(), frame.message()
 
 
 def _run_raw(address, session):
     """Send each step as a frame; return ``{step: (frame_hex, answer)}``."""
     out = {}
+    splitter = p.FrameSplitter()
     with socket.create_connection(address, timeout=10.0) as sock:
         for rid, (step, opcode, payload) in enumerate(session, start=1):
             p.send_message(sock, p.Message(opcode, rid, payload))
-            head = _recv_exact(sock, 4)
-            body = _recv_exact(sock, int.from_bytes(head, "little"))
-            reply = p.decode_frame_body(body)
+            raw_hex, reply = _read_reply(sock, splitter)
             assert reply.request_id == rid
-            out[step] = ((head + body).hex(), _canonical(reply))
+            out[step] = (raw_hex, _canonical(reply))
     return out
 
 
@@ -383,11 +383,9 @@ TOPOLOGY_TWO_ENDPOINTS = (
 def _ask_topology(address) -> tuple[str, list]:
     with socket.create_connection(address, timeout=10.0) as sock:
         sock.sendall(bytes.fromhex(TOPOLOGY_REQUEST))
-        head = _recv_exact(sock, 4)
-        body = _recv_exact(sock, int.from_bytes(head, "little"))
-    reply = p.decode_frame_body(body)
+        raw_hex, reply = _read_reply(sock, p.FrameSplitter())
     assert (reply.opcode, reply.request_id) == (p.RESP_OK, 1)
-    return (head + body).hex(), p.decode_topology(reply.payload)
+    return raw_hex, p.decode_topology(reply.payload)
 
 
 def test_topology_exchange_in_every_server_shape(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from repro.dist.sharding import shard_for_key
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.errors import InvalidArgumentError
+from repro.errors import AuthorizationError, InvalidArgumentError
 from repro.keys.kds import SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
@@ -189,13 +189,16 @@ class ScriptedServer:
         with sock:
             while (msg := reader.read()) is not None:
                 self.opcodes.append(msg.opcode)
-                if msg.opcode == protocol.OP_GET:
-                    reply = Message(protocol.RESP_NOT_FOUND, msg.request_id)
-                else:
-                    reply = protocol.error_reply(msg.request_id, InvalidArgumentError(
-                        f"unknown opcode {msg.opcode}"
-                    ))
-                protocol.send_message(sock, reply)
+                sock.sendall(self.reply(msg))
+
+    def reply(self, msg: Message) -> bytes:
+        if msg.opcode == protocol.OP_GET:
+            reply = Message(protocol.RESP_NOT_FOUND, msg.request_id)
+        else:
+            reply = protocol.error_reply(msg.request_id, InvalidArgumentError(
+                f"unknown opcode {msg.opcode}"
+            ))
+        return protocol.encode_frame(reply)
 
     def close(self):
         self.listener.close()
@@ -472,6 +475,71 @@ def test_a_scan_part_that_loses_its_socket_is_retried_alone(tmp_path):
             _break_pooled_connections(client.clients[0].home)
             assert len(client.scan()) == 10
             assert [c.retries for c in client.clients] == [1, 0]
+
+
+class AuthScriptedServer(ScriptedServer):
+    """Answers the first ``garbled`` AUTHs with a frame whose CRC is wrong,
+    refuses ``mallory``, and serves every SCAN one pair."""
+
+    def __init__(self, garbled: int = 0):
+        self.garbled = garbled
+        super().__init__()
+
+    def reply(self, msg: Message) -> bytes:
+        rid = msg.request_id
+        if msg.opcode == protocol.OP_SCAN:
+            return protocol.encode_frame(Message(
+                protocol.RESP_PAIRS, rid, protocol.encode_pairs([(b"k", b"v")])
+            ))
+        assert msg.opcode == protocol.OP_AUTH
+        if protocol.decode_auth(msg.payload) == "mallory":
+            return protocol.encode_frame(protocol.error_reply(
+                rid, AuthorizationError("server 'mallory' is not authorized")
+            ))
+        raw = protocol.encode_frame(Message(protocol.RESP_OK, rid))
+        if self.garbled:
+            self.garbled -= 1
+            raw = raw[:-1] + bytes([raw[-1] ^ 0x01])
+        return raw
+
+
+def test_a_garbled_auth_under_a_scan_part_is_retried_alone():
+    server = AuthScriptedServer(garbled=1)
+    try:
+        with ShardedKVClient(
+            [server.address], server_id="good-client", timeout_s=WAIT_S
+        ) as client:
+            assert client.scan() == [(b"k", b"v")]
+            assert client.clients[0].retries == 1
+    finally:
+        server.close()
+    assert server.opcodes == [
+        protocol.OP_AUTH, protocol.OP_AUTH, protocol.OP_SCAN
+    ]
+
+
+@pytest.mark.parametrize("server_id, error", [
+    ("good-client", protocol.ProtocolError),  # the AUTH reply is garbled
+    ("mallory", AuthorizationError),          # the AUTH is refused
+])
+def test_a_connection_whose_auth_fails_is_closed(monkeypatch, server_id, error):
+    opened = []
+    connect = socket.create_connection
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    server = AuthScriptedServer(garbled=1)
+    try:
+        endpoint = Endpoint(*server.address, timeout_s=WAIT_S, server_id=server_id)
+        with pytest.raises(error):
+            endpoint.acquire()
+    finally:
+        server.close()
+    (sock,) = opened
+    assert sock.fileno() == -1  # closed at once, not left to the collector
 
 
 # -- a worker dies under a direct request ------------------------------------

@@ -7,6 +7,7 @@ over a selector that records every ``modify`` and signals the test through
 events (an empty ``select`` means the loop has consumed all there was).
 """
 
+import itertools
 import os
 import selectors
 import socket
@@ -20,7 +21,7 @@ from repro.errors import CorruptionError
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.service import protocol
-from repro.service.client import KVClient
+from repro.service.client import Endpoint, KVClient, _PooledConnection
 from repro.service.protocol import FrameReader, FrameSplitter, Message, ProtocolError
 from repro.service.server import ServiceConfig
 from repro.service.workers import MultiProcessKVServer
@@ -84,6 +85,16 @@ def test_exactly_one_recv_per_whole_frame():
         assert len(sock.asked) == count
 
 
+def test_a_frame_split_across_two_recvs_behind_a_whole_one():
+    sock = ScriptedSocket([FRAMES[0] + FRAMES[1][:5], FRAMES[1][5:]])
+    reader = FrameReader(sock)
+    assert reader.read() == MESSAGES[0]
+    assert len(sock.asked) == 1
+    assert reader.read() == MESSAGES[1]
+    assert len(sock.asked) == 2
+    assert reader.read() is None
+
+
 def test_no_recv_asks_for_more_than_64_kib():
     big = Message(protocol.OP_PUT, 9, protocol.encode_put(b"k", b"x" * 300_000))
     stream = protocol.encode_frame(big) + FRAMES[0]
@@ -125,6 +136,16 @@ def test_splitter_splits_a_pipelined_burst_in_order():
     splitter.feed(stream[-5:])
     seen += [frame.message() for frame in splitter.frames()]
     assert seen == messages
+
+
+def test_a_chunk_that_is_one_frame_becomes_that_frame_uncopied():
+    splitter = FrameSplitter()
+    for raw, expected in zip(FRAMES, MESSAGES):
+        splitter.feed(raw)
+        frame = splitter.next_frame()
+        assert frame.raw is raw
+        assert frame.message() == expected
+        assert splitter.next_frame() is None
 
 
 def test_abandoned_iteration_keeps_exactly_the_unconsumed_tail():
@@ -169,6 +190,63 @@ def test_frame_key_is_read_in_place():
         protocol.Frame(protocol.encode_frame(
             Message(protocol.OP_GET, 1, b"\x09abc")  # key runs past the frame
         )).key()
+
+
+# -- the client's request bytes ---------------------------------------------
+
+
+class RecordingSocket:
+    """Stands in for a client's connected socket: records every
+    ``sendall`` and answers each request RESP_OK under its id."""
+
+    def __init__(self):
+        self.sent: list[bytes] = []
+        self._replies: deque = deque()
+
+    def sendall(self, data) -> None:
+        self.sent.append(bytes(data))
+        rid = protocol.Frame(bytes(data)).request_id
+        self._replies.append(protocol.encode_frame(Message(protocol.RESP_OK, rid)))
+
+    def recv(self, nbytes: int) -> bytes:
+        return self._replies.popleft() if self._replies else b""
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+REQUEST_ID_VARINTS = {
+    1: "01", 127: "7f", 128: "8001", 16383: "ff7f", 16384: "808001",
+}
+
+
+@pytest.mark.parametrize("trace", [b"", bytes(range(17))], ids=["plain", "traced"])
+@pytest.mark.parametrize("rid", sorted(REQUEST_ID_VARINTS))
+def test_the_client_sends_exactly_the_encoded_frame(monkeypatch, rid, trace):
+    sock = RecordingSocket()
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: sock)
+    get = protocol.encode_key(b"key")
+    scan = protocol.encode_scan(b"a", b"z", 20)
+    conn = _PooledConnection("127.0.0.1", 1, None, None, itertools.count(rid))
+    assert conn.request(protocol.OP_GET, get, trace).request_id == rid
+    endpoint = Endpoint("127.0.0.1", 1)
+    endpoint._request_ids = itertools.count(rid)
+    reply = endpoint.finish(endpoint.begin(protocol.OP_SCAN, scan, trace))
+    assert (reply.opcode, reply.request_id) == (protocol.RESP_OK, rid)
+    assert sock.sent == [
+        protocol.encode_frame(Message(protocol.OP_GET, rid, get, trace)),
+        protocol.encode_frame(Message(protocol.OP_SCAN, rid, scan, trace)),
+    ]
+    varint = bytes.fromhex(REQUEST_ID_VARINTS[rid])
+    for raw in sock.sent:
+        assert raw[9:9 + len(varint)] == varint  # after length, crc, opcode
+        assert raw[8] & protocol.TRACE_FLAG == (protocol.TRACE_FLAG if trace else 0)
 
 
 # -- the front-end's selector traffic ----------------------------------------
