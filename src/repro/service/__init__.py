@@ -9,8 +9,8 @@ read-only compute instances over shared state):
   replication handshake), built from the same coding/checksum primitives
   as the storage formats;
 - :mod:`repro.service.server` -- the serving core every deployment
-  shape shares (the ``admit`` request edge, ``answer`` / ``execute(db,
-  msg)``, the OP_STATS sections, the health / auto-recovery loop) and the
+  shape shares (the ``admit`` request edge, ``answer`` / ``execute``, the
+  OP_STATS sections, the health / auto-recovery loop) and the
   threaded socket server built on it: a ``DB`` or ``ShardedDB`` behind
   per-connection pipelining, a bounded request queue with explicit BUSY
   backpressure, and graceful drain;

@@ -12,7 +12,11 @@ over the socket unchanged.  Transient failures are retried:
 - ``deadline_s`` caps the *total* wall time one request may spend across
   retries and backoff sleeps -- a retry whose sleep would overshoot it is
   not attempted;
-- a connection that errors is discarded, not returned to the pool.
+- a connection that errors is discarded, not returned to the pool -- and
+  so is one whose reply comes back under another request id;
+- ``timeout_s`` is the kernel's, on each ``send`` and ``recv`` call
+  (``SO_SNDTIMEO`` / ``SO_RCVTIMEO`` on a blocking socket): a call that
+  times out is a socket error like any other.
 
 ``pipeline()`` batches many requests onto one connection and matches the
 out-of-order responses by request ID -- the network round-trip is paid
@@ -48,8 +52,10 @@ from __future__ import annotations
 import itertools
 import random
 import socket
+import struct
 import threading
 import time
+from collections import deque
 
 from repro.dist.sharding import (
     merge_health,
@@ -69,15 +75,34 @@ from repro.service.protocol import Message
 _SPAN_NAMES = protocol.OpNames("client")
 
 
+_TIMEVAL = struct.Struct("@ll")
+
+
+def _timeval(seconds: float) -> bytes:
+    """``seconds`` as a ``struct timeval`` (at least 1 µs: 0 would mean
+    "never")."""
+    micros = max(1, round(seconds * 1_000_000))
+    return _TIMEVAL.pack(micros // 1_000_000, micros % 1_000_000)
+
+
 class _PooledConnection:
-    """One socket plus the client-side request-id counter for it."""
+    """One socket plus the client-side request-id counter for it.
+
+    The socket is blocking, and ``timeout_s`` bounds each ``send`` and
+    ``recv`` in the kernel (``SO_SNDTIMEO`` / ``SO_RCVTIMEO``): a Python-level
+    timeout would cost a ``poll`` before every call.  A call that times out
+    raises an ``OSError`` like any other socket failure."""
 
     def __init__(self, host: str, port: int, timeout_s: float | None,
                  server_id: str | None, request_ids):
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         try:
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.sock.settimeout(timeout_s)
+            self.sock.settimeout(None)
+            if timeout_s is not None:
+                limit = _timeval(timeout_s)
+                self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+                self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
             self._reader = protocol.FrameReader(self.sock)
             self._request_ids = request_ids
             if server_id is not None:
@@ -108,12 +133,19 @@ class _PooledConnection:
     def request(
         self, opcode: int, payload: bytes = b"", trace: bytes = b""
     ) -> Message:
-        """One in-flight request: send, read the matching response."""
-        request_id = self.next_request_id()
-        self.send(opcode, request_id, payload, trace)
-        response = self.read()
+        """One round trip: the frame packed once and sent, the reply read
+        and matched to it.  A reply under another request id means the
+        stream is out of step: a :class:`ProtocolError`, so the caller
+        discards the connection as it does a damaged frame."""
+        request_id = next(self._request_ids)
+        self.sock.sendall(
+            protocol.pack_frame(opcode, request_id, payload, trace)
+        )
+        response = self._reader.read()
+        if response is None:
+            raise ConnectionError("server closed the connection")
         if response.request_id != request_id:
-            raise ServiceError(
+            raise protocol.ProtocolError(
                 f"response id {response.request_id} != request id {request_id}"
             )
         return response
@@ -127,7 +159,11 @@ class _PooledConnection:
 
 class Endpoint:
     """One server address: its connection pool and the wire round trips
-    over it.  Retrying and choosing an endpoint are the caller's."""
+    over it.  Retrying and choosing an endpoint are the caller's.
+
+    The pool takes no lock: a ``deque``'s ``pop`` and ``append`` are atomic,
+    and a connection given back past ``pool_size`` (or after :meth:`close`)
+    is closed at once, so at most ``pool_size`` idle connections stay open."""
 
     def __init__(self, host: str, port: int, pool_size: int = 4,
                  timeout_s: float | None = 10.0,
@@ -138,35 +174,39 @@ class Endpoint:
         self.timeout_s = timeout_s
         self.server_id = server_id
         self._request_ids = itertools.count(1)
-        self._pool: list[_PooledConnection] = []
-        self._lock = threading.Lock()
+        self._pool: deque[_PooledConnection] = deque()
         self._closed = False
 
     def acquire(self) -> _PooledConnection:
         """A pooled connection, or a fresh (connected, AUTHed) one."""
         if self._closed:
             raise ServiceError("client is closed")
-        with self._lock:
-            if self._pool:
-                return self._pool.pop()
-        return _PooledConnection(
-            self.host, self.port, self.timeout_s, self.server_id,
-            self._request_ids,
-        )
+        try:
+            return self._pool.pop()
+        except IndexError:
+            return _PooledConnection(
+                self.host, self.port, self.timeout_s, self.server_id,
+                self._request_ids,
+            )
 
     def release(self, conn: _PooledConnection) -> None:
-        with self._lock:
-            if not self._closed and len(self._pool) < self.pool_size:
-                self._pool.append(conn)
-                return
-        conn.close()
+        pool = self._pool
+        pool.append(conn)
+        # Checked after the append: a close() that drained the pool before
+        # it, or a pool another thread filled, gives one connection back.
+        if self._closed or len(pool) > self.pool_size:
+            try:
+                pool.popleft().close()
+            except IndexError:
+                pass
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, []
-        for conn in pool:
-            conn.close()
+        self._closed = True
+        while True:
+            try:
+                self._pool.pop().close()
+            except IndexError:
+                return
 
     def call(self, opcode: int, payload: bytes = b"",
              trace: bytes = b"") -> Message:
@@ -230,6 +270,18 @@ def _bounce(response: Message | None) -> tuple[Exception, str] | None:
     if response.opcode == protocol.RESP_ERROR:
         raise protocol.decode_error(response.payload)
     return None
+
+
+def _attempt(endpoint: Endpoint, opcode: int, payload: bytes, trace: bytes):
+    """One try over ``endpoint``: ``(the answer, None)``, or ``(None,
+    (error, name of the retry counter it falls under))`` for a bounce or a
+    lost socket.  The server's own error (``RESP_ERROR``) is raised."""
+    try:
+        response = endpoint.call(opcode, payload, trace)
+    except (OSError, protocol.ProtocolError) as exc:
+        return None, (exc, "retries")
+    bounce = _bounce(response)
+    return (response, None) if bounce is None else (None, bounce)
 
 
 class KVClient:
@@ -361,29 +413,31 @@ class KVClient:
         """Send one request, retrying BUSY/DEGRADED and transient socket
         errors under the per-request deadline.  ``endpoint`` is whose pool
         carries it (default ``home``): the retry budget, backoff and
-        counters are always this client's."""
+        counters are always this client's.
+
+        The first try is one round trip on a pooled connection; the retry
+        loop is entered only when it bounced or lost its socket."""
         endpoint = endpoint or self.home
         started_at = time.monotonic()
         with TRACER.span(_SPAN_NAMES[opcode]):
             trace = TRACER.inject()
-            for attempt in range(self.max_retries + 1):
-                try:
-                    response = endpoint.call(opcode, payload, trace)
-                except (OSError, protocol.ProtocolError) as exc:
-                    last_error, counter = exc, "retries"
-                else:
-                    bounce = _bounce(response)
-                    if bounce is None:
-                        return response
-                    last_error, counter = bounce
-                self._book(counter)
-                if not self._sleep_within_deadline(started_at, attempt):
-                    break
-            if isinstance(last_error, (BusyError, DegradedError)):
-                raise last_error
-            raise ServiceError(
-                f"request failed after retries: {last_error!r}"
-            )
+            response, failure = _attempt(endpoint, opcode, payload, trace)
+            attempt = 0
+            while failure is not None:
+                self._book(failure[1])
+                if (
+                    attempt == self.max_retries
+                    or not self._sleep_within_deadline(started_at, attempt)
+                ):
+                    error = failure[0]
+                    if isinstance(error, (BusyError, DegradedError)):
+                        raise error
+                    raise ServiceError(
+                        f"request failed after retries: {error!r}"
+                    )
+                response, failure = _attempt(endpoint, opcode, payload, trace)
+                attempt += 1
+            return response
 
     def settle(self, response: Message | None, opcode: int, payload: bytes,
                endpoint: Endpoint | None = None) -> Message:

@@ -168,9 +168,10 @@ class PeerLoop:
         if not data:
             drop(peer)
             return
-        peer.frames.feed(data)
+        frames = peer.frames
+        frames.feed(data)
         try:
-            for frame in peer.frames.frames():
+            while (frame := frames.next_frame()) is not None:
                 on_frame(peer, frame)
                 if not peer.alive:
                     return

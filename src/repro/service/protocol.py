@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import zlib
 from dataclasses import dataclass
 
 from repro import errors
 from repro.errors import CorruptionError
 from repro.lsm.envelope import Envelope, decode_envelope
-from repro.util.checksum import crc32, masked_crc32
+from repro.util.checksum import masked_crc32
 from repro.util.coding import (
     decode_fixed32,
     decode_fixed64,
@@ -139,6 +140,11 @@ class Message:
     payload: bytes = b""
     trace: bytes = b""
 
+    def body(self) -> tuple[bytes, int]:
+        """``(buf, offset)``: the payload is ``buf[offset:]`` (as for
+        :meth:`Frame.body`)."""
+        return self.payload, 0
+
 
 # ---------------------------------------------------------------------------
 # Frame encode / decode
@@ -150,6 +156,10 @@ _PREFIX = struct.Struct("<II")
 _LENGTH = struct.Struct("<I")
 
 
+#: The opcode byte of every opcode, with and without :data:`TRACE_FLAG`.
+_OPCODE_BYTE = [bytes((value,)) for value in range(0x100)]
+
+
 def pack_frame(opcode: int, request_id: int, payload: bytes = b"",
                trace: bytes = b"") -> bytes:
     """The on-wire frame (length prefix included) of one message, built
@@ -157,14 +167,14 @@ def pack_frame(opcode: int, request_id: int, payload: bytes = b"",
     and then the payload, so the payload is copied once, into the frame."""
     if trace:
         head = (
-            bytes((opcode | TRACE_FLAG,))
+            _OPCODE_BYTE[opcode | TRACE_FLAG]
             + encode_varint64(request_id)
             + encode_length_prefixed(trace)
         )
     else:
-        head = bytes((opcode,)) + encode_varint64(request_id)
+        head = _OPCODE_BYTE[opcode] + encode_varint64(request_id)
     return _PREFIX.pack(
-        len(head) + len(payload) + 4, masked_crc32(payload, crc32(head))
+        len(head) + len(payload) + 4, masked_crc32(payload, zlib.crc32(head))
     ) + head + payload
 
 
@@ -232,6 +242,10 @@ class Frame:
 
     def payload(self) -> bytes:
         return self.raw[self._payload_off:]
+
+    def body(self) -> tuple[bytes, int]:
+        """``(buf, offset)``: the payload, in place in ``raw``."""
+        return self.raw, self._payload_off
 
     def message(self) -> Message:
         return Message(self.opcode, self.request_id, self.payload(), self.trace)
@@ -304,13 +318,16 @@ class FrameReader(FrameSplitter):
     def read(self) -> Message | None:
         """The next message, CRC-checked; None when the peer closed
         cleanly (between frames)."""
-        while (frame := self.next_frame()) is None:
+        # Nothing buffered (a reply awaited): straight to the socket.
+        frame = self.next_frame() if len(self._buf) > self._pos else None
+        while frame is None:
             data = self._sock.recv(RECV_SIZE)
             if not data:
                 if len(self._buf) > self._pos:
                     raise ProtocolError("connection closed mid-frame")
                 return None
             self.feed(data)
+            frame = self.next_frame()
         frame.verify()
         return frame.message()
 

@@ -180,9 +180,11 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
             for first_seq, last_seq, payload in records:
                 if last_seq <= position:
                     continue
-                push(protocol.RESP_REPL_FRAME, payload)
+                # The gauge moves before the send: a replica that has
+                # applied the frame must never read a lag the frame closed.
                 position = last_seq
                 position_gauge.set(position)
+                push(protocol.RESP_REPL_FRAME, payload)
                 stats.counter("service.repl_frames").add(1)
     except OSError:
         pass  # replica went away; it will resubscribe with its position

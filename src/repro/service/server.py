@@ -62,6 +62,7 @@ from repro.obs.trace import TRACER
 from repro.service import protocol
 from repro.service.protocol import Message
 from repro.service.replica import ReplicationSource, stream_to_replica
+from repro.util.coding import decode_length_prefixed
 from repro.util.stats import StatsRegistry
 
 #: ``listen()`` backlog of both servers' accept sockets.
@@ -151,7 +152,7 @@ def admit(config: ServiceConfig, kds, stats: StatsRegistry, conn,
     return None
 
 
-def _apply_write(db, rid: int, fn) -> Message:
+def _apply_write(db, fn) -> tuple[int, bytes]:
     """Run a write; map degraded-mode failures to a retriable response.
 
     A write that fails while the engine reports *degraded* (transient
@@ -166,84 +167,89 @@ def _apply_write(db, rid: int, fn) -> Message:
     except (IOError_, KeyManagementError):
         health = db.health()
         if health.get("state") == HEALTH_DEGRADED:
-            return Message(
-                protocol.RESP_DEGRADED, rid, protocol.encode_health(health)
-            )
+            return protocol.RESP_DEGRADED, protocol.encode_health(health)
         raise
-    return Message(
-        protocol.RESP_OK, rid, protocol.encode_sequence(db.committed_sequence())
-    )
+    return protocol.RESP_OK, protocol.encode_sequence(db.committed_sequence())
 
 
-def execute(db, msg: Message, transport_sections=None) -> Message:
-    """Execute one request against an engine; engine errors propagate.
+def execute(db, opcode: int, buf, offset: int = 0,
+            transport_sections=None) -> tuple[int, bytes]:
+    """Execute one request against an engine: ``(reply opcode, reply
+    payload)``; engine errors propagate.
 
+    The request's payload is ``buf[offset:]`` -- a ``Message``'s payload
+    from 0, or a ``Frame``'s raw bytes from its payload offset, so a
+    GET/PUT/DELETE reads its key and value in place.
     ``transport_sections(sections)`` returns what the calling transport adds
     to the engine's OP_STATS sections: at least its ``server`` counters.
     """
-    op = msg.opcode
-    rid = msg.request_id
-    if op == protocol.OP_GET:
-        value = db.get(protocol.decode_key(msg.payload))
+    if opcode == protocol.OP_GET:
+        value = db.get(decode_length_prefixed(buf, offset)[0])
         if value is None:
-            return Message(protocol.RESP_NOT_FOUND, rid)
-        return Message(protocol.RESP_VALUE, rid, protocol.encode_value(value))
-    if op == protocol.OP_PUT:
-        key, value = protocol.decode_put(msg.payload)
-        return _apply_write(db, rid, lambda: db.put(key, value))
-    if op == protocol.OP_DELETE:
-        key = protocol.decode_key(msg.payload)
-        return _apply_write(db, rid, lambda: db.delete(key))
-    if op == protocol.OP_WRITE_BATCH:
-        __, batch = WriteBatch.deserialize(msg.payload)
-        return _apply_write(db, rid, lambda: db.write(batch))
-    if op == protocol.OP_SCAN:
-        start, end, limit = protocol.decode_scan(msg.payload)
+            return protocol.RESP_NOT_FOUND, b""
+        return protocol.RESP_VALUE, protocol.encode_value(value)
+    if opcode == protocol.OP_PUT:
+        key, offset = decode_length_prefixed(buf, offset)
+        value = decode_length_prefixed(buf, offset)[0]
+        return _apply_write(db, lambda: db.put(key, value))
+    if opcode == protocol.OP_DELETE:
+        key = decode_length_prefixed(buf, offset)[0]
+        return _apply_write(db, lambda: db.delete(key))
+    payload = buf[offset:]
+    if opcode == protocol.OP_WRITE_BATCH:
+        __, batch = WriteBatch.deserialize(payload)
+        return _apply_write(db, lambda: db.write(batch))
+    if opcode == protocol.OP_SCAN:
+        start, end, limit = protocol.decode_scan(payload)
         pairs = db.scan(start, end, limit)
-        return Message(protocol.RESP_PAIRS, rid, protocol.encode_pairs(pairs))
-    if op == protocol.OP_STATS:
+        return protocol.RESP_PAIRS, protocol.encode_pairs(pairs)
+    if opcode == protocol.OP_STATS:
         sections = stats_sections(db)
         if transport_sections is not None:
             sections.update(transport_sections(sections))
-        return Message(protocol.RESP_STATS, rid, protocol.encode_stats(sections))
-    if op == protocol.OP_FLUSH:
+        return protocol.RESP_STATS, protocol.encode_stats(sections)
+    if opcode == protocol.OP_FLUSH:
         db.flush()
-        return Message(protocol.RESP_OK, rid)
-    if op == protocol.OP_COMPACT:
+        return protocol.RESP_OK, b""
+    if opcode == protocol.OP_COMPACT:
         db.compact_range()
-        return Message(protocol.RESP_OK, rid)
-    if op == protocol.OP_PING:
-        return Message(protocol.RESP_OK, rid)
-    if op == protocol.OP_HEALTH:
-        return Message(
-            protocol.RESP_STATS, rid, protocol.encode_health(db.health())
-        )
-    if op == protocol.OP_TOPOLOGY:
+        return protocol.RESP_OK, b""
+    if opcode == protocol.OP_PING:
+        return protocol.RESP_OK, b""
+    if opcode == protocol.OP_HEALTH:
+        return protocol.RESP_STATS, protocol.encode_health(db.health())
+    if opcode == protocol.OP_TOPOLOGY:
         # Whoever executes requests against an engine is a leaf: there is no
         # endpoint behind it to route to.  (The multi-process front-end
         # answers this opcode itself, with its workers' endpoints.)
-        return Message(protocol.RESP_OK, rid, protocol.encode_topology(()))
-    raise InvalidArgumentError(f"unknown opcode {op}")
+        return protocol.RESP_OK, protocol.encode_topology(())
+    raise InvalidArgumentError(f"unknown opcode {opcode}")
 
 
-def answer(db, msg: Message, transport_sections, stats: StatsRegistry,
-           span_name: str, attributes: dict | None = None) -> Message:
-    """One admitted request to its reply, for every transport: the span (the
-    wire trace header, if any, parents it under the client's -- one trace
-    across processes), :func:`execute`, every error on the wire, and the
-    ``service.errors`` / ``service.degraded_rejections`` counts."""
+def answer(db, request, transport_sections, stats: StatsRegistry,
+           span_name: str, attributes: dict | None = None) -> bytes:
+    """One admitted request to its reply frame, for every transport: the
+    span (the wire trace header, if any, parents it under the client's --
+    one trace across processes), :func:`execute`, every error on the wire,
+    and the ``service.errors`` / ``service.degraded_rejections`` counts.
+
+    ``request`` is a parsed ``Message`` or a verified ``Frame`` (read in
+    place: a shard worker builds no ``Message`` for it)."""
     with TRACER.span(
-        span_name, parent=TRACER.extract(msg.trace), attributes=attributes
+        span_name, parent=TRACER.extract(request.trace), attributes=attributes
     ) as span:
         try:
-            reply = execute(db, msg, transport_sections)
+            buf, offset = request.body()
+            opcode, payload = execute(
+                db, request.opcode, buf, offset, transport_sections
+            )
         except Exception as exc:  # noqa: BLE001 - every error goes on the wire
             stats.counter("service.errors").add(1)
             span.set_attribute("error", type(exc).__name__)
-            reply = protocol.error_reply(msg.request_id, exc)
-    if reply.opcode == protocol.RESP_DEGRADED:
+            opcode, payload = protocol.RESP_ERROR, protocol.encode_error(exc)
+    if opcode == protocol.RESP_DEGRADED:
         stats.counter("service.degraded_rejections").add(1)
-    return reply
+    return protocol.pack_frame(opcode, request.request_id, payload)
 
 
 def stats_sections(db) -> dict:
@@ -335,8 +341,11 @@ class _Connection:
         self.alive = True
 
     def send(self, msg: Message) -> None:
+        self.send_frame(protocol.encode_frame(msg))
+
+    def send_frame(self, raw: bytes) -> None:
         with self.send_lock:
-            protocol.send_message(self.sock, msg)
+            self.sock.sendall(raw)
 
     def close(self) -> None:
         self.alive = False
@@ -569,7 +578,7 @@ class KVServer:
             metrics[1].record(time.perf_counter() - started)
             if conn.alive:
                 try:
-                    conn.send(reply)
+                    conn.send_frame(reply)
                 except OSError:
                     conn.close()
 

@@ -10,7 +10,8 @@ component encrypts independently, so each shard is self-contained):
 - N **worker processes**, each owning exactly one shard -- its own engine,
   WAL, block cache, DEK cache, and KeyClient -- and each a first-class
   **endpoint**: it answers the normal wire protocol with
-  ``answer(db, msg, ...)`` on an inherited ``socketpair`` from the front-end
+  ``answer(db, frame, ...)`` -- from the verified frame itself, no
+  ``Message`` built -- on an inherited ``socketpair`` from the front-end
   *and* on TCP connections to its own listening port.  It is
   single-threaded on the request path (shared-nothing, shard-per-core; one
   small selector loop over all its sockets), with the core's health loop
@@ -166,10 +167,12 @@ class _ShardServer:
         server.pop("service.health", None)
         return {"server": server}
 
-    def _answer(self, msg: Message) -> Message:
+    def _answer(self, frame: Frame) -> bytes:
+        """The reply frame to a verified request frame, answered from the
+        frame itself: its key and value are read in place."""
         return answer(
-            self.db, msg, self._transport_sections, self.stats,
-            _SPAN_NAMES[msg.opcode],
+            self.db, frame, self._transport_sections, self.stats,
+            _SPAN_NAMES[frame.opcode],
         )
 
     # -- the front-end's pipe ----------------------------------------------
@@ -178,8 +181,7 @@ class _ShardServer:
         """A request the front-end routed here: it was counted and
         authenticated at the front-end's TCP edge."""
         frame.verify()
-        reply = self._answer(frame.message())
-        if not self._io.send(pipe, protocol.encode_frame(reply)):
+        if not self._io.send(pipe, self._answer(frame)):
             self._on_pipe_closed(pipe)
 
     def _on_pipe_closed(self, pipe: Peer) -> None:
@@ -204,13 +206,18 @@ class _ShardServer:
 
     def _on_direct(self, peer: Peer, frame: Frame) -> None:
         frame.verify()  # this socket is a TCP edge: the trust boundary
-        msg = frame.message()
-        _count_op(self.stats, self._op_counters, msg.opcode)
-        reply = admit(self.config, self._auth_kds, self.stats, peer, msg)
-        if reply is None:
+        opcode = frame.opcode
+        _count_op(self.stats, self._op_counters, opcode)
+        refusal = admit(
+            self.config, self._auth_kds, self.stats, peer,
+            frame.message() if opcode == protocol.OP_AUTH else frame,
+        )
+        if refusal is None:
             self._direct_ops.add(1)
-            reply = self._answer(msg)
-        if not self._io.send(peer, protocol.encode_frame(reply)):
+            raw = self._answer(frame)
+        else:
+            raw = protocol.encode_frame(refusal)
+        if not self._io.send(peer, raw):
             self._close_direct(peer)
 
 

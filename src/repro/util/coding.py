@@ -77,6 +77,12 @@ def decode_varint64(buf: bytes, offset: int = 0) -> tuple[int, int]:
             second = buf[offset + 1]
             if second < 0x80:
                 return (byte & 0x7F) | (second << 7), offset + 2
+            if offset + 2 < len(buf):  # three: a long-lived connection's request id
+                third = buf[offset + 2]
+                if third < 0x80:
+                    return (
+                        (byte & 0x7F) | ((second & 0x7F) << 7) | (third << 14)
+                    ), offset + 3
     result = 0
     shift = 0
     pos = offset

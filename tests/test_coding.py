@@ -52,6 +52,25 @@ def test_varint_truncated_raises():
         coding.decode_varint64(b"\x80")
 
 
+@pytest.mark.parametrize("value, encoded", [
+    (16383, "ff7f"),          # the last two-byte varint
+    (16384, "808001"),        # the first three-byte one
+    (2 ** 21 - 1, "ffff7f"),  # the last three-byte one
+    (2 ** 21, "80808001"),    # the first four-byte one: back in the loop
+])
+def test_varint_length_boundaries(value, encoded):
+    buf = bytes.fromhex(encoded)
+    assert coding.encode_varint64(value) == buf
+    assert coding.decode_varint64(buf) == (value, len(buf))
+    assert coding.decode_varint64(b"\x00" + buf + b"\x01", 1) == (value, len(buf) + 1)
+
+
+@pytest.mark.parametrize("truncated", ["8080", "ffff", "808080"])
+def test_a_truncated_multi_byte_varint_raises(truncated):
+    with pytest.raises(CorruptionError, match="truncated varint"):
+        coding.decode_varint64(bytes.fromhex(truncated))
+
+
 def test_varint_too_long_raises():
     with pytest.raises(CorruptionError):
         coding.decode_varint64(b"\xff" * 11)

@@ -11,17 +11,21 @@ import random
 import selectors
 import signal
 import socket
+import struct
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.dist.sharding import shard_for_key
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthorizationError, InvalidArgumentError
+from repro.errors import AuthorizationError, InvalidArgumentError, ServiceError
 from repro.keys.kds import SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
+from repro.service import client as client_module
 from repro.service import protocol
 from repro.service.client import Endpoint, KVClient, ShardedKVClient
 from repro.service.protocol import FrameReader, Message
@@ -217,6 +221,136 @@ def test_an_older_server_is_asked_once_and_served_as_before():
     assert server.opcodes == (
         [protocol.OP_TOPOLOGY] + [protocol.OP_GET] * 5 + [protocol.OP_SCAN]
     )
+
+
+class MisnumberingServer(ScriptedServer):
+    """Answers its first request under the wrong request id."""
+
+    def __init__(self):
+        self.misnumbered = 1
+        super().__init__()
+
+    def reply(self, msg: Message) -> bytes:
+        if self.misnumbered:
+            self.misnumbered -= 1
+            msg = Message(msg.opcode, msg.request_id + 1, msg.payload)
+        return super().reply(msg)
+
+
+class SilentServer(ScriptedServer):
+    """Accepts, reads, never replies."""
+
+    def _serve(self, sock):
+        with sock:
+            while sock.recv(65536):
+                pass
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every client socket ``socket.create_connection`` made, in order."""
+    sockets = []
+    connect = socket.create_connection
+
+    def recording_connect(*args, **kwargs):
+        sockets.append(connect(*args, **kwargs))
+        return sockets[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    return sockets
+
+
+def test_a_reply_under_the_wrong_id_is_retried_on_a_fresh_connection(opened):
+    server = MisnumberingServer()
+    try:
+        with KVClient(*server.address, backoff_base_s=0.001) as client:
+            reply = client.request(protocol.OP_GET, protocol.encode_key(b"k"))
+            assert reply.opcode == protocol.RESP_NOT_FOUND
+            assert client.retries == 1
+            first, second = opened
+            assert first.fileno() == -1  # out of step: closed, never pooled
+            assert [conn.sock for conn in client.home._pool] == [second]
+    finally:
+        server.close()
+    assert server.opcodes == [protocol.OP_GET, protocol.OP_GET]
+
+
+def test_timeouts_are_the_kernels_and_a_timed_out_socket_is_closed(opened):
+    server = SilentServer()
+    try:
+        with KVClient(*server.address, timeout_s=0.2, max_retries=0) as client:
+            started = time.monotonic()
+            with pytest.raises(ServiceError):
+                client.get(b"k")  # the topology times out, then the GET
+            assert time.monotonic() - started < 1.0
+            assert len(client.home._pool) == 0
+            assert len(opened) == 2
+            assert all(sock.fileno() == -1 for sock in opened)
+            client.home.release(client.home.acquire())  # connecting works
+            (conn,) = client.home._pool
+            assert conn.sock.gettimeout() is None  # blocking: no poll per call
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                seconds, micros = struct.unpack(
+                    "@ll", conn.sock.getsockopt(socket.SOL_SOCKET, option, 16)
+                )
+                assert seconds + micros / 1e6 == pytest.approx(0.2, abs=0.01)
+    finally:
+        server.close()
+
+
+class FakeConnection:
+    """Stands in for a pooled connection: who holds it, and whether it
+    was closed."""
+
+    made: list["FakeConnection"] = []
+
+    def __init__(self, *args):
+        self.holder = None
+        self.closed = False
+        FakeConnection.made.append(self)
+
+    def close(self):
+        self.closed = True
+
+
+def test_the_lock_free_pool_under_contention(monkeypatch):
+    monkeypatch.setattr(client_module, "_PooledConnection", FakeConnection)
+    monkeypatch.setattr(FakeConnection, "made", [])
+    endpoint = Endpoint("127.0.0.1", 1, pool_size=3)
+    errors = []
+    start = threading.Barrier(9)
+
+    def hammer():
+        start.wait(WAIT_S)
+        for __ in range(2000):
+            conn = endpoint.acquire()
+            if conn.holder is not None or conn.closed:
+                errors.append("handed out twice, or closed")
+            conn.holder = threading.get_ident()
+            conn.holder = None
+            endpoint.release(conn)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for __ in range(8)]
+        for thread in threads:
+            thread.start()
+        start.wait(WAIT_S)
+        for thread in threads:
+            thread.join(WAIT_S)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    pooled = list(endpoint._pool)
+    assert len(pooled) <= 3
+    assert all(not conn.closed for conn in pooled)
+    assert all(conn.closed for conn in FakeConnection.made if conn not in pooled)
+    endpoint.close()
+    assert all(conn.closed for conn in FakeConnection.made)
+    endpoint.release(FakeConnection())  # given back after close(): closed
+    assert FakeConnection.made[-1].closed and len(endpoint._pool) == 0
 
 
 def test_a_threaded_server_and_a_worker_have_nothing_behind_them(tmp_path):

@@ -584,6 +584,38 @@ def test_a_primary_that_leaves_its_wals_plaintext_streams_in_the_clear():
 # -- (d) the retained log is bounded by what the engine holds unflushed ------
 
 
+def test_the_position_gauge_covers_a_frame_before_the_replica_can_apply_it():
+    """OP_STATS derives a replica's lag from this gauge: once a frame is on
+    the wire, the replica may apply it and its owner read the server's
+    stats, so the gauge must already be at the frame's sequence."""
+    stats = StatsRegistry()
+    gauge = stats.gauge("service.repl_position.replica-1")
+    seen = []
+
+    class _GaugeReadingConn(_CollectingConn):
+        def send(self, msg):
+            if msg.opcode == protocol.RESP_REPL_FRAME:
+                seen.append(gauge.value)
+            super().send(msg)
+
+    db = DB("/edge-gauge", Options(env=MemEnv()))
+    db.put(b"before", b"the source attached")  # so a checkpoint comes first
+    source = ReplicationSource(db)
+    conn = _GaugeReadingConn(3, lambda: [
+        db.put(b"key-%d" % i, b"value") for i in range(3)
+    ])
+    try:
+        stream_to_replica(
+            conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
+                          protocol.encode_repl_subscribe("replica-1", 0)),
+            db, source, stopping=threading.Event(), stats=stats,
+        )
+    finally:
+        source.close()
+        db.close()
+    assert seen == [2, 3, 4]
+
+
 def test_a_server_nobody_subscribes_to_retains_a_bounded_log():
     write_buffer_size = 64 * 1024
     db = DB("/edge-bounded", Options(env=MemEnv(), write_buffer_size=write_buffer_size))
