@@ -73,18 +73,11 @@ def sum_numeric(dicts) -> dict:
 
 
 def _merge_obs(parts) -> dict:
-    """``obs`` sections merged: summed/worst-of signals plus a per-policy
-    controller summary (see repro.obs.signals)."""
-    from repro.obs.controller import merge_controller_states
+    """``obs`` sections merged: summed/worst-of signals (see
+    repro.obs.signals)."""
     from repro.obs.signals import merge_signals
 
-    obs = {"signals": merge_signals([p.get("signals", {}) for p in parts])}
-    controllers = merge_controller_states(
-        [p.get("controller", {}) for p in parts]
-    )
-    if controllers:
-        obs["controller"] = controllers
-    return obs
+    return {"signals": merge_signals([p.get("signals", {}) for p in parts])}
 
 
 def merge_stats(snapshots) -> dict:

@@ -10,9 +10,8 @@
 
 A picker is a list of (trigger, layout) rules; the classic policies the
 paper evaluates (Figure 15) -- leveled, universal (tiered), FIFO -- plus
-lazy-leveling are each one configuration of :class:`ComposedPicker`.  The
-adaptive controller (``repro.obs.controller``) swaps configurations at
-runtime by watching the derived signals.
+lazy-leveling are each one configuration of :class:`ComposedPicker`; a DB
+runs the one ``Options.compaction_style`` names for its whole life.
 
 A picker inspects a Version and proposes a :class:`CompactionJob`; a
 :class:`MergeExecutor` (the DB's or an offloaded worker's) merges its inputs
@@ -474,11 +473,9 @@ class FIFOPicker(ComposedPicker):
         )
 
 
-def make_picker(options: Options, style: str | None = None) -> ComposedPicker:
-    """Build the picker for ``style`` (default: the options' configured
-    style).  The override is how the adaptive controller swaps policies
-    without mutating the shared Options object."""
-    style = style if style is not None else options.compaction_style
+def make_picker(options: Options) -> ComposedPicker:
+    """Build the picker for the options' configured compaction style."""
+    style = options.compaction_style
     if style == COMPACTION_LEVELED:
         return LeveledPicker(options)
     if style == COMPACTION_UNIVERSAL:

@@ -31,7 +31,7 @@ from repro.errors import (
     IOError_,
     KeyManagementError,
 )
-from repro.lsm.compaction import CompactionJob, MergeExecutor
+from repro.lsm.compaction import CompactionJob, MergeExecutor, make_picker
 from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL, envelope_dek_id
 from repro.lsm.filecrypto import CryptoProvider, PlaintextCryptoProvider
 from repro.lsm.filename import current_path, sst_path, wal_path
@@ -42,7 +42,7 @@ from repro.lsm.tables import Attribution, ReadView, Snapshot, TableSet
 from repro.lsm.version import FileMetadata, Version, VersionEdit, recover_store
 from repro.lsm.wal import WALWriter
 from repro.lsm.write_batch import WriteBatch
-from repro.obs import controller, costs
+from repro.obs import costs
 from repro.obs.signals import SignalEngine
 from repro.obs.trace import TRACER
 from repro.util.clock import RealClock
@@ -180,8 +180,7 @@ class DB:
 
         self._clock = self.options.clock or RealClock()
         self.signals = SignalEngine(self)
-        #: The compaction policy in force: ``picker`` and ``offload``.
-        self.policy = controller.PolicyInForce(self, self._announce)
+        self._picker = make_picker(self.options)
         # File numbers claimed by running background work: the WAL of the
         # memtable being flushed, the inputs of each compaction.
         self._busy: set[int] = set()
@@ -523,7 +522,7 @@ class DB:
             return None
         if self._imm and self._imm[0][1] not in self._busy:
             return {self._imm[0][1]}, self._imm[0]
-        job = self.policy.picker.pick(
+        job = self._picker.pick(
             self._versions.current, self._busy | self._tables.quarantined
         )
         if job is None:
@@ -630,9 +629,6 @@ class DB:
                 # while this one is still deleting its WAL.
                 self._announce()
             SYNC.process(SP_FLUSH_AFTER_MANIFEST)
-            # Control-loop tick inside the span: a policy change this
-            # flush provokes parents under db.flush_job in the trace.
-            self.policy.tick("flush")
         self._delete_db_file(wal_path(self.path, wal_number), wal.dek_id)
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
@@ -653,7 +649,7 @@ class DB:
                 "inputs": len(job.input_files()),
                 "input_bytes": input_bytes,
                 "output_level": job.output_level,
-                "offloaded": self.policy.offload,
+                "offloaded": self.options.compaction_service is not None,
             },
         ) as span:
             with costs.attribute(self._bg_costs, "compaction"):
@@ -666,19 +662,15 @@ class DB:
             self.stats.counter("db.compactions").add(1)
             self.stats.counter("db.compaction_bytes_read").add(input_bytes)
             self.stats.counter("db.compaction_bytes_written").add(output_bytes)
-            # Tick inside the span: a policy change provoked by this
-            # compaction parents under db.compaction in the trace.
-            self.policy.tick("compaction")
 
     def _merge(self, job: CompactionJob) -> list[FileMetadata]:
         """Run the merge on this server or the offloaded worker: one
         executor body either way, output numbers from this DB's VersionSet."""
-        executor = (
-            self.options.compaction_service if self.policy.offload
-            else MergeExecutor(
+        executor = self.options.compaction_service
+        if executor is None:
+            executor = MergeExecutor(
                 self.env, self.provider, self.options, tables=self._tables
             )
-        )
         with self._attributing:
             results = executor.merge(
                 self.path, job, self.options.target_file_size,
@@ -759,7 +751,6 @@ class DB:
 
     def get(self, key: bytes, opts: ReadOptions | None = None) -> bytes | None:
         self._gets.add(1)
-        self.policy.tick("read")
         with TRACER.span("db.get") as span:
             value = self._retrying(span, opts, ReadView.get, key)
             span.set_attribute("found", value is not None)
@@ -786,7 +777,6 @@ class DB:
         opts: ReadOptions | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Range scan: [start, end), the iterator's cursor drained to ``limit``."""
-        self.policy.tick("read")
         with TRACER.span("db.scan") as span:
             opened: list[int] = []  # over every attempt
 
@@ -905,23 +895,10 @@ class DB:
             snap["integrity.quarantined_files"] = len(self._tables.quarantined)
         return snap
 
-    def controller_state(self) -> dict | None:
-        """The adaptive controller's current state (None when disabled)."""
-        return self.policy.state()
-
     def obs_dict(self) -> dict:
-        """The OP_STATS ``obs`` section: derived signals (and, when the
-        adaptive loop is on, the controller's state).
-
-        With the controller running, the control loop owns the sampling
-        cadence and this returns its latest sample; otherwise each stats
-        export advances the delta baseline itself.
-        """
-        state = self.controller_state()
-        if state is None:
-            return {"signals": self.signals.sample()}
-        signals = self.signals.latest() or self.signals.sample()
-        return {"signals": signals, "controller": state}
+        """The OP_STATS ``obs`` section: the derived signals since the last
+        export (each export advances the delta baseline)."""
+        return {"signals": self.signals.sample()}
 
     def snapshot(self) -> Snapshot:
         """The committed sequence for ``ReadOptions.snapshot``: an ``int`` that
@@ -982,7 +959,7 @@ class DB:
                 inputs.setdefault(level, []).append(meta)
             output_level = (
                 self.options.num_levels - 1
-                if self.policy.style in ("leveled", "lazy-leveled")
+                if self.options.compaction_style in ("leveled", "lazy-leveled")
                 else 0
             )
             job = CompactionJob(

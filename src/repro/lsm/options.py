@@ -19,7 +19,7 @@ COMPACTION_LEVELED = "leveled"
 COMPACTION_UNIVERSAL = "universal"
 COMPACTION_FIFO = "fifo"
 # Lazy-leveling (Dostoevsky-style hybrid): tiered upper area, leveled
-# bottom -- the middle ground the adaptive controller rests on.
+# bottom -- the middle ground between the two.
 COMPACTION_LAZY_LEVELED = "lazy-leveled"
 
 
@@ -104,15 +104,10 @@ class Options:
     # service (a repro.dist.CompactionService) instead of running locally.
     compaction_service: Optional[object] = None
 
-    # Closed-loop observability: when True the DB hosts an adaptive
-    # compaction controller (repro.obs.controller) that retunes the
-    # picker -- and the offload routing above -- from live derived
-    # signals; False pins the static configured policy.  FIFO trees never
-    # get a controller (the controller refuses lossy policies).
+    # Only False is legal (``validate`` refuses True): there is no adaptive
+    # controller, so a DB runs the picker ``compaction_style`` names for its
+    # whole life.  The field stays for callers that still pass False.
     adaptive_compaction: bool = False
-    # A repro.obs.controller.ControllerConfig overriding thresholds and
-    # stability knobs (None = defaults).
-    adaptive_config: Optional[object] = None
 
     def validate(self) -> None:
         from repro.errors import InvalidArgumentError
@@ -154,6 +149,11 @@ class Options:
         if self.compression not in ("none", "zlib"):
             raise InvalidArgumentError(
                 f"unknown compression: {self.compression}"
+            )
+        if self.adaptive_compaction:
+            raise InvalidArgumentError(
+                "adaptive_compaction: the adaptive compaction controller was "
+                "removed; choose a compaction_style"
             )
 
 

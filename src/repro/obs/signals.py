@@ -109,8 +109,7 @@ class SignalEngine:
     """Computes the derived-signal dict for one :class:`repro.lsm.db.DB`.
 
     ``sample()`` advances the delta baseline (call it on a steady cadence:
-    the control loop, the stats exporter); ``latest()`` returns the most
-    recent sample without advancing anything (cheap, for rendering).
+    the stats exporter does, once per export).
     """
 
     def __init__(self, db, time_fn=None):
@@ -119,7 +118,6 @@ class SignalEngine:
         self._lock = threading.Lock()
         self._prev_raw: dict[str, float] = {}
         self._prev_t: Optional[float] = None
-        self._latest: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -172,14 +170,7 @@ class SignalEngine:
             "encrypt_s_per_compaction_byte": _ratio(encrypt_s, compaction_out),
         }
         signals.update(self._kds_signals())
-        with self._lock:
-            self._latest = signals
         return signals
-
-    def latest(self) -> dict:
-        """The most recent sample (empty dict before the first one)."""
-        with self._lock:
-            return dict(self._latest)
 
     # ------------------------------------------------------------------
 

@@ -259,9 +259,9 @@ def stats_sections(db) -> dict:
     inits, bytes, init-vs-bulk seconds), ``integrity`` (tag verification
     totals plus the engine's ``integrity.*`` gauges: quarantines,
     freshness checks, trusted-counter value), ``keyclient`` (KDS
-    round-trips and cache hits), ``obs`` (derived signals, controller
-    state), ``health`` and ``committed_sequence``.  Each transport adds
-    its own ``server`` section on top.
+    round-trips and cache hits), ``obs`` (derived signals), ``health``
+    and ``committed_sequence``.  Each transport adds its own ``server``
+    section on top.
     """
     engine = db.stats_snapshot()
     crypto = CRYPTO_STATS.snapshot()

@@ -127,8 +127,8 @@ def _cipher_summary(
 
 
 def _obs_lines(obs: dict) -> list[str]:
-    """The derived-signals + controller panel (already windowed/derived
-    server-side; no rate annotation needed)."""
+    """The derived-signals panel (already windowed/derived server-side; no
+    rate annotation needed)."""
     lines: list[str] = []
     signals = obs.get("signals") or {}
     if signals:
@@ -159,31 +159,6 @@ def _obs_lines(obs: dict) -> list[str]:
             f"({_fmt_value(signals.get('kds_count', 0))} calls); "
             f"encrypt {_fmt_value(signals.get('encrypt_s_per_compaction_byte', 0.0))}"
             " s/compaction-byte"
-        )
-    controller = obs.get("controller") or {}
-    if controller:
-        lines.append("== obs: adaptive controller ==")
-        if "policies" in controller:  # merged multi-shard summary
-            spread = ", ".join(
-                f"{policy}x{count}"
-                for policy, count in sorted(controller["policies"].items())
-            )
-            lines.append(
-                f"  policy      {spread} "
-                f"(offload on {controller.get('offload_shards', 0)}"
-                f"/{controller.get('shards', 0)} shards)"
-            )
-        else:
-            lines.append(
-                f"  policy      {controller.get('policy', '?')} "
-                f"(offload={'on' if controller.get('offload') else 'off'}, "
-                f"reason={controller.get('reason', '')})"
-            )
-        lines.append(
-            f"  stability   {_fmt_value(controller.get('ticks', 0))} ticks, "
-            f"{_fmt_value(controller.get('policy_changes', 0))} policy changes, "
-            f"{_fmt_value(controller.get('offload_changes', 0))} offload changes, "
-            f"{_fmt_value(controller.get('frozen_ticks', 0))} frozen"
         )
     return lines
 

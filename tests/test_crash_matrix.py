@@ -30,7 +30,7 @@ def crash(scheme, point):
     still to replay), then kill the engine at ``point``; returns the model
     after its recovery, which must also keep what it is written next (its
     own WAL is intact)."""
-    with booted(scheme, adaptive=point.startswith("controller:")) as model:
+    with booted(scheme) as model:
         assert model.reaches(point)
         model.write([(key, b"v0-" + key) for key in ALL_KEYS[:30]])
         model.flush("picker")

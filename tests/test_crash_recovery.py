@@ -24,7 +24,6 @@ from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
 from repro.lsm.db import DB, SP_FLUSH_BEFORE_SST
 from repro.lsm.options import Options, WriteOptions
-from repro.obs.controller import ControllerConfig
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import VirtualClock
 from repro.util.syncpoint import SYNC
@@ -359,29 +358,21 @@ def _try_recover(env):
 
 def _policy_flip(env):
     """Three runs are no work for the tiered policy and a due merge for the
-    leveled one; the flip happens on the read path, which changes nothing
-    else the background cares about."""
-    options = _options(
-        env, write_buffer_size=1 << 20, compaction_style="universal",
-        level0_file_num_compaction_trigger=3, adaptive_compaction=True,
-        adaptive_config=ControllerConfig(
-            tick_interval_s=0.0, confirm_ticks=1, dwell_s=0.0
-        ),
+    leveled one: a store left by a universal DB and reopened as leveled
+    starts that merge at open, with nothing written since."""
+    options = dict(
+        write_buffer_size=1 << 20, level0_file_num_compaction_trigger=3,
     )
-    with DB("/crash", options) as db:
-        db.signals.sample = dict  # no pressure: the policy stays
+    with DB("/crash", _options(env, compaction_style="universal", **options)) as db:
         for batch in range(3):
             db.put(b"key-%d" % batch, b"value")
             db.flush()
         db.wait_for_compaction()
         assert db.num_files_at_level(0) == 3 and _compactions(db) == 0
-        db.signals.sample = lambda: {
-            "get_ops_per_s": 400.0, "scan_ops_per_s": 100.0
-        }
-        for _ in range(64):  # the read path ticks every 64th read
-            db.get(b"key-0")
-        assert db.controller_state()["active_style"] == "leveled"
-        wait_until(db, lambda: db.num_files_at_level(0) < 3)
+    with DB("/crash", _options(env, compaction_style="leveled", **options)) as db:
+        wait_until(db, lambda: _compactions(db) == 1)  # counted after install
+        assert db.num_files_at_level(0) == 0 and db.num_files_at_level(1) == 1
+        assert db.get(b"key-2") == b"value"
 
 
 def _quarantine_heal(env):

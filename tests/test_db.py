@@ -249,6 +249,17 @@ def test_open_rejects_a_value_the_engine_divides_by_or_indexes_with(
         DB("/db", options)
 
 
+def test_open_refuses_adaptive_compaction():
+    """The adaptive controller is gone: a caller asking for adaptation gets
+    an error at open, not a static policy in silence."""
+    options = _small_options(adaptive_compaction=True)
+    with pytest.raises(InvalidArgumentError, match="controller was removed"):
+        DB("/db", options)
+    with pytest.raises(InvalidArgumentError, match="adaptive_compaction"):
+        Options(adaptive_compaction=True).validate()
+    Options(adaptive_compaction=False).validate()
+
+
 def test_universal_compaction_end_to_end():
     options = _small_options(
         compaction_style="universal", universal_max_sorted_runs=3

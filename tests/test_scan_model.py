@@ -17,9 +17,9 @@ a fault: ``fault_window`` arms one fault on the machine's
 under it, heals it, and demands the engine come back.
 
 One machine per scheme; each example draws the rest of its deployment: the
-adaptive compaction controller (on a virtual clock the machine advances)
-or the static picker, the tracer on or off, and whether fault windows
-reach the engine directly or through a ``KVServer``.
+compaction style (leveled, universal or lazy-leveled), the tracer on or
+off, and whether fault windows reach the engine directly or through a
+``KVServer``.
 
 This is ROADMAP's model-test item: ``Oracle`` is the dict with snapshots
 that item asks for.  Grow this file; do not start another.
@@ -49,16 +49,17 @@ from repro.keys.faulty import FaultyKDS
 from repro.keys.kds import InMemoryKDS
 from repro.keys.resilience import CircuitBreaker, RetryPolicy
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.compaction import make_picker
 from repro.lsm.db import (
     DB, HEALTH_FAILED, HEALTH_HEALTHY,
     SP_COMPACT_AFTER_OUTPUTS, SP_FLUSH_BEFORE_SST,
 )
 from repro.lsm.envelope import MAX_ENVELOPE_SIZE, decode_envelope
 from repro.lsm.filename import sst_path, wal_path
-from repro.lsm.options import Options, ReadOptions
+from repro.lsm.options import (
+    COMPACTION_LAZY_LEVELED, COMPACTION_LEVELED, COMPACTION_UNIVERSAL,
+    Options, ReadOptions,
+)
 from repro.lsm.write_batch import WriteBatch
-from repro.obs.controller import ControllerConfig
 from repro.service.client import KVClient
 from repro.service.server import KVServer, ServiceConfig
 from repro.shield.config import DEFAULT_WAL_BUFFER
@@ -80,22 +81,14 @@ BATCHES = st.lists(st.tuples(KEYS, st.none() | VALUES), min_size=1, max_size=24)
 BOUNDS = st.one_of(KEYS, st.sampled_from([b"", b"k", b"k05x", b"k11\x00", b"zz"]))
 
 #: Every point a crash may land on (the engine's modules have declared them
-#: by now: this file imports the DB, the SHIELD provider and the controller).
+#: by now: this file imports the DB and the SHIELD provider).
 CRASH_POINTS = SYNC.declared()
 #: DEKs one crash may strand: the ``dek:before_retire`` window itself, plus
 #: provisioning between the env fork and the KDS fork inside the capture.
 MAX_LEAKED_DEKS = 3
-#: The adaptive axis: a controller that flips on the first decision the
-#: signals support.  Decisions fall due once a virtual second, and only the
-#: machine moves the clock, so a flip (and the merge it makes due) happens
-#: inside a step that waits for background work, never under a read.
-ADAPTIVE = ControllerConfig(
-    tick_interval_s=1.0,
-    confirm_ticks=1,
-    dwell_s=0.0,
-    max_flips_per_min=1_000_000,
-    write_rate_floor=1.0,
-)
+#: The compaction styles an example draws from (FIFO deletes data the
+#: oracle still holds, so it has no place here).
+STYLES = (COMPACTION_LEVELED, COMPACTION_UNIVERSAL, COMPACTION_LAZY_LEVELED)
 #: What the storage adversary does to a named WAL (``tamper_with_a_named_wal``):
 #: ``damage`` does each.
 WAL_ATTACKS = ("delete", "cut_at_a_unit", "cut_inside_a_unit", "swap", "splice")
@@ -216,15 +209,15 @@ class ScanModel(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.clock = VirtualClock()
-        # The KDS side has a clock of its own: retry backoff never moves the
-        # controller's, and the breaker half-opens when the machine says so.
+        self.clock = VirtualClock()  # a write slowdown never sleeps
+        # The KDS side has a clock of its own: the breaker half-opens when the
+        # machine says so.
         self.kds_clock = VirtualClock()
         self.env = FaultInjectionEnv(MemEnv())
         self.kds = FaultyKDS(InMemoryKDS(), clock=self.kds_clock)
         # SHIELD++ freshness rides along, so crashes cover the counter:* points.
         self.counter = None if self.scheme is None else MemoryTrustedCounter()
-        self.adaptive = self.served = False
+        self.style, self.served = COMPACTION_LEVELED, False
         # (handle, engine snapshot, oracle token, ``_epoch()`` when taken)
         self.snapshots: list[tuple] = []
         self._epoch_base = 0  # compactions of the handles gone
@@ -236,9 +229,9 @@ class ScanModel(RuleBasedStateMachine):
         self._drive_batches = itertools.count()
         self._exit = contextlib.ExitStack()
 
-    def boot(self, adaptive=False, traced=False, served=False):
+    def boot(self, style=COMPACTION_LEVELED, traced=False, served=False):
         """Open the deployment: a writer and a read-only instance over it."""
-        self.adaptive, self.served = adaptive, served
+        self.style, self.served = style, served
         if traced:
             self._exit.enter_context(obs_e2e.traced())
         self._open()
@@ -259,8 +252,7 @@ class ScanModel(RuleBasedStateMachine):
             fanout=2,
             max_background_jobs=1,
             wal_sync_writes=True,
-            adaptive_compaction=self.adaptive,
-            adaptive_config=ADAPTIVE,
+            compaction_style=self.style,
         ), **overrides)
 
     def _provider(self, server_id, kds=None):
@@ -344,7 +336,7 @@ class ScanModel(RuleBasedStateMachine):
     # -- writes ---------------------------------------------------------------
 
     @initialize(
-        adaptive=st.booleans(),
+        style=st.sampled_from(STYLES),
         traced=st.booleans(),
         served=st.booleans(),
         generations=st.lists(
@@ -352,14 +344,14 @@ class ScanModel(RuleBasedStateMachine):
             max_size=12,
         ),
     )
-    def grow_a_tree(self, adaptive, traced, served, generations):
+    def grow_a_tree(self, style, traced, served, generations):
         """Boot the deployment the example drew, then start from a tree, not
         from nothing: each generation rewrites a seeded sample of the key
         space (one key in five deleted) and is flushed, and compacted when
         due, so older versions of a key sit in deeper levels.  Seeds, not
         drawn lists: Hypothesis draws short lists, and short generations
         never fill a level."""
-        self.boot(adaptive, traced, served)
+        self.boot(style, traced, served)
         for seed, size in generations:
             rng = random.Random(seed)
             self.write([
@@ -467,7 +459,6 @@ class ScanModel(RuleBasedStateMachine):
         self._open()
 
     def _settle(self, full=False):
-        self.clock.advance(1.0)  # the controller's next decision falls due
         self.db.flush()
         self.db.wait_for_compaction()
         if full:
@@ -489,11 +480,10 @@ class ScanModel(RuleBasedStateMachine):
 
     def reaches(self, point: str) -> bool:
         """Whether this deployment ever passes ``point``: no DEK or counter
-        without SHIELD, no controller without the adaptive policy."""
-        kind = point.split(":")[0]
-        if kind in ("dek", "counter"):
+        without SHIELD."""
+        if point.split(":")[0] in ("dek", "counter"):
             return self.scheme is not None
-        return kind != "controller" or self.adaptive
+        return True
 
     @precondition(lambda self: self.parked is None)
     @rule(point=st.sampled_from(CRASH_POINTS))
@@ -563,7 +553,6 @@ class ScanModel(RuleBasedStateMachine):
         rotates the WAL (and be in flight at the kill)."""
         steps = itertools.islice(itertools.cycle(DRIVE), MAX_DRIVE_STEPS)
         for step in steps:
-            self.clock.advance(1.0)
             try:
                 if step == "reopen":
                     self.db.close()
@@ -696,7 +685,6 @@ class ScanModel(RuleBasedStateMachine):
                     store.write(write_batch(args[0]))
                     self.oracle.write(args[0])
                 elif op == "flush":
-                    self.clock.advance(1.0)
                     store.flush()
                 elif op == "get":
                     expected = [self.oracle.get(key) for key in args[0]]
@@ -836,12 +824,6 @@ class ScanModel(RuleBasedStateMachine):
             for left, right in zip(files, files[1:]):
                 assert left.largest < right.smallest
 
-    @invariant()
-    def the_picker_is_the_policy_in_force(self):
-        """A flip installs the picker of the policy it reports."""
-        policy = self.db.policy
-        assert type(policy.picker) is type(make_picker(self.db.options, policy.style))
-
 
 #: The machine for each scheme (None: plaintext).
 MACHINES = {
@@ -869,11 +851,11 @@ TestScanModelShakeEtm = _machine("shake-etm")
 
 
 @contextlib.contextmanager
-def booted(scheme, adaptive=False, served=False):
+def booted(scheme, style=COMPACTION_LEVELED, served=False):
     """One machine outside Hypothesis, for a deterministic sequence."""
     model = MACHINES[scheme]()
     try:
-        model.boot(adaptive, served=served)
+        model.boot(style, served=served)
         yield model
     finally:
         model.teardown()

@@ -37,7 +37,9 @@ def _loaded_shield_db(env, kds, scheme, n=600):
     )
     for i in range(n):
         db.put(b"key-%04d" % i, _SECRET + b"-%04d" % i)
-    db.flush()
+    # Quiescent: a merge still running would delete its inputs while the
+    # adversary lists and reads the directory.
+    db.compact_range()
     return db
 
 
@@ -83,7 +85,7 @@ def test_scenario2_unauthorized_user_with_fs_access():
     try:
         for i in range(500):
             db.put(b"key-%04d" % i, _SECRET)
-        db.flush()
+        db.compact_range()
         sst = next(n for n in env.list_dir("/sec") if n.endswith(".sst"))
         envelope = decode_envelope(env.read_file(f"/sec/{sst}")[:MAX_ENVELOPE_SIZE])
         assert envelope.dek_id  # the attacker CAN see this...

@@ -121,39 +121,33 @@ def test_split_batch_routes_every_entry_and_keeps_order():
 
 
 def test_merge_stats_merges_an_op_stats_snapshot_section_by_section():
-    def snapshot(writes, state, write_amp, policy):
+    def snapshot(writes, state, write_amp):
         return {
             "engine": {"db.writes": writes, "db.flag": True},
             "integrity": {"integrity.auth_ok_total": writes},
             "committed_sequence": writes,
             "health": {"state": state, "reason": "", "error": None},
             "replication": {"replica-1": {"position": writes, "lag": 0}},
-            "obs": {
-                "signals": {"write_amp": write_amp, "flush_bytes": 10},
-                "controller": {"policy": policy, "ticks": 1},
-            },
+            "obs": {"signals": {"write_amp": write_amp, "flush_bytes": 10}},
         }
 
     merged = merge_stats([
-        snapshot(3, "healthy", 2.0, "leveled"),
-        snapshot(4, "degraded", 5.0, "universal"),
+        snapshot(3, "healthy", 2.0),
+        snapshot(4, "degraded", 5.0),
     ])
     assert merged["engine"] == {"db.writes": 7, "db.flag": True}
     assert merged["integrity"] == {"integrity.auth_ok_total": 7}
     assert merged["committed_sequence"] == 7
     assert merged["health"]["state"] == "degraded"        # worst-of
     assert merged["replication"] == {}     # per-engine sequence spaces
-    assert merged["obs"]["signals"] == {"write_amp": 5.0, "flush_bytes": 20}
-    assert merged["obs"]["controller"]["policies"] == {
-        "leveled": 1, "universal": 1,
+    assert merged["obs"] == {
+        "signals": {"write_amp": 5.0, "flush_bytes": 20}
     }
 
     # A section only some shards report is still merged; none -> absent.
     partial = merge_stats([{"keyclient": {"keyclient.provisions": 2}}, {}])
     assert partial["keyclient"] == {"keyclient.provisions": 2}
     assert "engine" not in partial and "obs" not in partial
-    no_controller = merge_stats([{"obs": {"signals": {}}}] * 2)
-    assert "controller" not in no_controller["obs"]
     assert merge_stats([]) == {
         "committed_sequence": 0,
         "health": {"state": "healthy", "reason": "", "error": None},

@@ -103,11 +103,6 @@ OBS_SAMPLE = {
             "scan_ops_per_s": 1.0, "kds_p95_s": 0.002, "kds_count": 9,
             "encrypt_s_per_compaction_byte": 1.5e-8,
         },
-        "controller": {
-            "policy": "lazy-leveled", "offload": True, "reason": "mixed",
-            "ticks": 42, "policy_changes": 2, "offload_changes": 1,
-            "frozen_ticks": 0,
-        },
     },
 }
 
@@ -115,29 +110,8 @@ OBS_SAMPLE = {
 def test_render_obs_section():
     out = render(OBS_SAMPLE)
     assert "== obs: derived signals ==" in out
-    assert "== obs: adaptive controller ==" in out
     assert "write 4.2 / read 2 / space 1.1" in out
     assert "L0:2,048" in out
-    assert "lazy-leveled" in out
-    assert "offload=on" in out
-    assert "reason=mixed" in out
-    assert "42 ticks, 2 policy changes" in out
-
-
-def test_render_obs_merged_controller():
-    merged = {
-        "obs": {
-            "signals": {"stall_seconds": 0.0},
-            "controller": {
-                "shards": 4, "policies": {"leveled": 3, "universal": 1},
-                "offload_shards": 2, "ticks": 100, "policy_changes": 5,
-                "offload_changes": 2, "frozen_ticks": 1,
-            },
-        }
-    }
-    out = render(merged)
-    assert "leveledx3, universalx1" in out
-    assert "offload on 2/4 shards" in out
 
 
 def test_live_op_stats_includes_obs_signals():
