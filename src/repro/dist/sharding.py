@@ -129,12 +129,11 @@ def merge_scan_results(per_shard, limit: int | None):
 
     Shards hold disjoint key sets, so the merge never needs tie-breaking,
     and the global top-``limit`` is a subset of the union of per-shard
-    top-``limit`` results (limit pushdown is safe).
+    top-``limit`` results (limit pushdown is safe).  A part is taken at
+    most one pair ahead of the merge: ``protocol.iter_pairs`` parts decode
+    no pair past the limit.
     """
-    merged = heapq.merge(*per_shard)
-    if limit is not None:
-        return list(itertools.islice(merged, limit))
-    return list(merged)
+    return list(itertools.islice(heapq.merge(*per_shard), limit))
 
 
 class ShardedDB:

@@ -5,26 +5,33 @@ Every source (memtable, SST reader) yields entries as
 heap over the sources; duplicate sequences cannot occur, so ordering is
 total.
 
-``heapq.merge`` pulls the first entry of every source before it yields
-anything, so a source costs its first block whether or not a key of it is
-ever returned: a scan's price is its number of sources.  :func:`scan_runs`
+A merge pulls the first entry of every source before it yields anything,
+so a source costs its first block whether or not a key of it is ever
+returned: a scan's price is its number of sources.  :func:`scan_runs`
 keeps that number at memtables + sorted runs (``Version.runs_for_range``),
 not memtables + files.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heapreplace, merge
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.errors import InvalidArgumentError
 from repro.lsm.block import Entry
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE
 
 
+def check_scan_limit(limit: int | None) -> None:
+    """A scan limit, in every shape: None unbounded, 0 no pair, < 0 refused."""
+    if limit is not None and limit < 0:
+        raise InvalidArgumentError(f"scan limit must be >= 0, not {limit}")
+
+
 def merge_entries(sources: list[Iterable[Entry]]) -> Iterator[Entry]:
     """Merge sorted entry streams into one (key asc, seq desc) stream."""
-    return heapq.merge(
+    return merge(
         *sources, key=lambda entry: (entry[0], MAX_SEQUENCE - entry[1])
     )
 
@@ -61,6 +68,8 @@ def key_range(
 ) -> Iterator[tuple[bytes, bytes]]:
     """The (key, value) pairs of a key-ordered stream within [start, end),
     stopping after ``limit`` pairs."""
+    if limit == 0:
+        return
     count = 0
     for key, __, ___, value in entries:
         if key < start:
@@ -92,11 +101,40 @@ def scan_runs(
     are paid only for files a returned key came from (plus, at most, the
     one the merge stopped in).  Only a run's first file can hold keys
     below ``start``; the rest are read from their first entry.
+
+    One loop drains it, ``key_range(newest_visible(merge_entries()))`` its
+    reference: heap items ``(key, -seq, source index, ...)`` need no key
+    function, and a source advances only after its entry is dealt with.
     """
+    check_scan_limit(limit)
+    if limit == 0:
+        return
     sources = list(memtables)
     sources.extend(_chained(run, entries_of, start) for run in runs)
-    merged = newest_visible(merge_entries(sources), snapshot_seq=snapshot_seq)
-    return key_range(merged, start, end, limit)
+    heap = []
+    for index, source in enumerate(map(iter, sources)):
+        for key, seq, vtype, value in source:
+            heap.append((key, -seq, index, vtype, value, source))
+            break
+    heapify(heap)
+    previous_key = None
+    count = 0
+    while heap:
+        key, neg_seq, index, vtype, value, source = heap[0]
+        if end is not None and key >= end:
+            return
+        if key != previous_key and -neg_seq <= snapshot_seq:
+            previous_key = key  # its older versions follow: all skipped
+            if vtype != TYPE_DELETE and key >= start:
+                yield key, value
+                count += 1
+                if count == limit:
+                    return
+        for key, seq, vtype, value in source:
+            heapreplace(heap, (key, -seq, index, vtype, value, source))
+            break
+        else:
+            heappop(heap)
 
 
 def _chained(run: Sequence, entries_of, start: bytes) -> Iterator[Entry]:

@@ -613,7 +613,8 @@ class Pipeline:
 def _scatter_scan(parts: "list[tuple[KVClient, Endpoint]]", payload: bytes,
                   limit: int | None):
     """One SCAN over disjoint shards: send every part, then read every
-    part (the shards work in parallel), k-way merge, limit applied once.
+    part (the shards work in parallel), k-way merge, limit applied once;
+    a part's pairs are decoded only as the merge takes them.
 
     Each part is ``(the client whose retry budget and counters it falls
     under, the endpoint it goes to)``; one that bounced BUSY/DEGRADED or
@@ -630,7 +631,7 @@ def _scatter_scan(parts: "list[tuple[KVClient, Endpoint]]", payload: bytes,
             for (__, endpoint), sent in zip(parts, inflight)
         ]
         return merge_scan_results([
-            protocol.decode_pairs(client.settle(
+            protocol.iter_pairs(client.settle(
                 response, protocol.OP_SCAN, payload, endpoint
             ).payload)
             for (client, endpoint), response in zip(parts, responses)

@@ -32,10 +32,13 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from repro import errors
 from repro.errors import CorruptionError
 from repro.lsm.envelope import Envelope, decode_envelope
+from repro.lsm.iterator import check_scan_limit
 from repro.util.checksum import masked_crc32
 from repro.util.coding import (
     decode_fixed32,
@@ -362,6 +365,7 @@ def decode_put(payload: bytes) -> tuple[bytes, bytes]:
 
 
 def encode_scan(start: bytes, end: bytes | None, limit: int | None) -> bytes:
+    check_scan_limit(limit)  # a negative limit has no encoding: none is sent
     out = encode_length_prefixed(start)
     if end is None:
         out += b"\x00"
@@ -457,21 +461,51 @@ def decode_value(payload: bytes) -> bytes:
 
 
 def encode_pairs(pairs: list[tuple[bytes, bytes]]) -> bytes:
-    parts = [encode_varint64(len(pairs))]
-    for key, value in pairs:
-        parts.append(encode_length_prefixed(key))
-        parts.append(encode_length_prefixed(value))
-    return b"".join(parts)
+    out = bytearray(encode_varint64(len(pairs)))
+    for field in chain.from_iterable(pairs):  # key, value, ...
+        size = len(field)
+        if size < 0x80:
+            out.append(size)
+        elif size < 0x4000:
+            out.append((size & 0x7F) | 0x80)
+            out.append(size >> 7)
+        else:
+            out += encode_varint64(size)
+        out += field
+    return bytes(out)
+
+
+def iter_pairs(payload: bytes) -> Iterator[tuple[bytes, bytes]]:
+    """:func:`encode_pairs`'s pairs, decoded as taken; an overrun is a
+    :class:`CorruptionError` before its pair is out, as are leftover bytes."""
+    count, pos = decode_varint64(payload, 0)
+    size = len(payload)
+    try:
+        for field in range(2 * count):  # key, value, ...: lengths inline
+            length = payload[pos]
+            if length < 0x80:
+                pos += 1
+            elif payload[pos + 1] < 0x80:
+                length = (length & 0x7F) | (payload[pos + 1] << 7)
+                pos += 2
+            else:
+                length, pos = decode_varint64(payload, pos)
+            end = pos + length
+            if end > size:
+                raise CorruptionError("a pair runs past its payload")
+            if field & 1:
+                yield key, payload[pos:end]
+            else:
+                key = payload[pos:end]
+            pos = end
+    except IndexError:
+        raise CorruptionError("truncated pairs payload") from None
+    if pos != size:
+        raise CorruptionError("bytes after the last pair")
 
 
 def decode_pairs(payload: bytes) -> list[tuple[bytes, bytes]]:
-    count, offset = decode_varint64(payload, 0)
-    pairs: list[tuple[bytes, bytes]] = []
-    for __ in range(count):
-        key, offset = decode_length_prefixed(payload, offset)
-        value, offset = decode_length_prefixed(payload, offset)
-        pairs.append((key, value))
-    return pairs
+    return list(iter_pairs(payload))
 
 
 def encode_stats(stats: dict) -> bytes:

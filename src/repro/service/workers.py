@@ -65,6 +65,7 @@ replicas at per-shard servers instead (DESIGN.md §10).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -336,6 +337,7 @@ class MultiProcessKVServer:
         self._forwarded = self.stats.counter("service.forwarded")
         self._auth_kds = auth_kds(self.config, None)  # no engine this side
         self._awaiting_respawn: list[_WorkerHandle] = []
+        self._cpus: list[int] = []  # the CPUs start() found this process on
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -367,6 +369,8 @@ class MultiProcessKVServer:
                 "require_auth needs ServiceConfig.kds: the front-end holds "
                 "no engine whose KDS it could ask"
             )
+        if hasattr(os, "sched_getaffinity"):  # Linux
+            self._cpus = sorted(os.sched_getaffinity(0))
         self._io = PeerLoop()
         self._listener = self._listen(self.config.port)
         # Every shard's listener exists before the first fork, so each
@@ -447,7 +451,8 @@ class MultiProcessKVServer:
         immediately (through the socket *objects*, so a later GC in the
         child cannot double-close a reused fd number) and then owns only
         its half of the pair, its shard's listener and whatever its engine
-        opens.
+        opens.  Worker ``i``, every incarnation of it, pins itself to CPU
+        ``i mod n`` of the front-end's, if let (DESIGN.md §10, "Placement").
         """
         parent_sock, child_sock = socket.socketpair()
         inherited = [parent_sock, self._listener]
@@ -462,6 +467,10 @@ class MultiProcessKVServer:
             # -- child: nothing below may return into the parent's world.
             status = 1
             try:
+                if self._cpus:
+                    with contextlib.suppress(OSError):
+                        cpus = self._cpus
+                        os.sched_setaffinity(0, {cpus[worker.index % len(cpus)]})
                 for sock in inherited:
                     try:
                         sock.close()
@@ -745,11 +754,10 @@ class MultiProcessKVServer:
                 return
         op = gather.opcode
         if op == protocol.OP_SCAN:
-            per_shard = [
-                protocol.decode_pairs(part.payload)
-                for __, part in gather.parts
-            ]
-            merged = merge_scan_results(per_shard, gather.limit)
+            merged = merge_scan_results(
+                [protocol.iter_pairs(part.payload) for __, part in gather.parts],
+                gather.limit,
+            )
             self._reply(conn, Message(
                 protocol.RESP_PAIRS, rid, protocol.encode_pairs(merged)
             ))

@@ -1,9 +1,11 @@
 """Tests for merging iterators and visibility collapsing."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.lsm.dbformat import TYPE_DELETE, TYPE_PUT
-from repro.lsm.iterator import merge_entries, newest_visible, scan_runs
+from repro.errors import InvalidArgumentError
+from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
+from repro.lsm.iterator import key_range, merge_entries, newest_visible, scan_runs
 
 
 def test_merge_two_sources():
@@ -130,3 +132,43 @@ def test_scan_runs_asks_for_a_file_only_when_the_cursor_reaches_it():
     assert list(scan_runs([], runs[1:], entries_of, b"", b"e")) == [
         (b"a", b"a1"), (b"c", b"c2"),
     ]
+
+
+_KEY = st.binary(min_size=1, max_size=2)
+
+
+@given(
+    ops=st.lists(st.tuples(_KEY, st.booleans()), max_size=60),
+    split=st.lists(st.integers(0, 3), max_size=60),
+    start=st.binary(max_size=2),
+    end=st.none() | _KEY,
+    limit=st.none() | st.integers(0, 12),
+    snapshot=st.none() | st.integers(0, 60),
+)
+def test_scan_runs_equals_the_three_stage_pipeline(
+    ops, split, start, end, limit, snapshot
+):
+    """The one-loop drain against ``key_range(newest_visible(merge_entries))``:
+    overwrites and tombstones spread over up to four sources, a snapshot,
+    a range, a limit."""
+    sources = [[], [], [], []]
+    for seq, (key, is_put) in enumerate(ops, start=1):
+        vtype = TYPE_PUT if is_put else TYPE_DELETE
+        owner = split[seq - 1] if seq <= len(split) else 0
+        sources[owner].append((key, seq, vtype, b"v%d" % seq))
+    for source in sources:
+        source.sort(key=lambda entry: (entry[0], MAX_SEQUENCE - entry[1]))
+    at = MAX_SEQUENCE if snapshot is None else snapshot
+    expected = list(key_range(
+        newest_visible(merge_entries(sources), snapshot_seq=at),
+        start, end, limit,
+    ))
+    got = scan_runs(sources, [], None, start, end, limit, at)
+    assert list(got) == expected
+    if limit == 0:
+        assert expected == []
+
+
+def test_a_negative_scan_limit_is_refused():
+    with pytest.raises(InvalidArgumentError):
+        list(scan_runs([[(b"a", 1, TYPE_PUT, b"1")]], [], None, b"", None, -1))

@@ -786,7 +786,7 @@ class ScanModel(RuleBasedStateMachine):
     @rule(
         start=BOUNDS,
         end=st.none() | BOUNDS,
-        limit=st.none() | st.integers(min_value=1, max_value=30),
+        limit=st.none() | st.integers(min_value=0, max_value=30),
         snapshot=st.none() | st.integers(min_value=0, max_value=1_000),
     )
     def scans_agree_with_the_oracle(self, start, end, limit, snapshot):

@@ -65,6 +65,7 @@ SESSION = [
     ("scan-all", p.OP_SCAN, p.encode_scan(b"", None, None)),
     ("scan-limit", p.OP_SCAN, p.encode_scan(b"", None, 3)),
     ("scan-range", p.OP_SCAN, p.encode_scan(b"c", b"g", None)),
+    ("scan-limit-0", p.OP_SCAN, p.encode_scan(b"", None, 0)),
     ("flush", p.OP_FLUSH, b""),
     ("compact", p.OP_COMPACT, b""),
     ("get-after-compact", p.OP_GET, p.encode_key(b"alpha")),
@@ -75,6 +76,11 @@ SESSION = [
     ("repl-subscribe", p.OP_REPL_SUBSCRIBE,
      p.encode_repl_subscribe("replica-1", 0)),
 ]
+
+#: Steps added after the session's frames were recorded, with the request
+#: id each goes out under: past every recorded step's, so no recorded
+#: frame moves.  Every other step's id is its place among the rest.
+LATE_STEP_IDS = {"scan-limit-0": 21}
 
 #: The session against a ``require_auth`` server; AUTH steps are driven
 #: through ``server_id`` on the client shape.
@@ -106,6 +112,9 @@ GOLDEN = {
         "33000000e1de9ee3830d030564656c746107762d64656c7461046563686f06"
         "762d6563686f07666f7874726f7409762d666f7874726f74"
     ),
+    # No pair, in every shape: a limit of 0 returned one pair from
+    # KVServer(DB) before it meant "none" everywhere.
+    "scan-limit-0": "07000000e74141d8831500",
     "flush": "060000009d26eaf1800e",
     "compact": "06000000a3c0ced0800f",
     "get-after-compact": "0e000000d8c6e19b811007762d616c706861",
@@ -256,8 +265,10 @@ def _run_raw(address, session):
     """Send each step as a frame; return ``{step: (frame_hex, answer)}``."""
     out = {}
     splitter = p.FrameSplitter()
+    rids = iter(range(1, len(session) + 1))
     with socket.create_connection(address, timeout=10.0) as sock:
-        for rid, (step, opcode, payload) in enumerate(session, start=1):
+        for step, opcode, payload in session:
+            rid = LATE_STEP_IDS.get(step) or next(rids)
             p.send_message(sock, p.Message(opcode, rid, payload))
             raw_hex, reply = _read_reply(sock, splitter)
             assert reply.request_id == rid
@@ -368,6 +379,15 @@ def test_reply_frames_match_the_parent_commit(results, name):
     for step, __, __payload in SESSION:
         if step not in ("stats", "health"):
             assert results[name][step][0] == golden[step], (name, step)
+
+
+def test_scan_limit_0_returns_no_pair_in_every_shape(results):
+    """``limit=0`` is "no pairs" everywhere: ``KVServer(DB)`` used to answer
+    one pair, the front-end and both client shapes none."""
+    for name in SHAPES:
+        assert results[name]["scan-limit-0"][1] == ("pairs", []), name
+    for name in SERVER_SHAPES:
+        assert results[name]["scan-limit-0"][0] == GOLDEN["scan-limit-0"], name
 
 
 #: The topology exchange, pinned: the request, the answer of a server with

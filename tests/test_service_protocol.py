@@ -1,15 +1,23 @@
 """Tests for the wire protocol: framing, CRC, payload codecs."""
 
+import random
 import socket
 import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import errors
 from repro.lsm.envelope import ENVELOPE_VERSION_UNITS, FILE_KIND_WAL, Envelope
 from repro.service import protocol
 from repro.service.protocol import Message, ProtocolError
+from repro.util.coding import (
+    decode_length_prefixed,
+    decode_varint64,
+    encode_length_prefixed,
+    encode_varint64,
+)
 
 
 def _roundtrip_over_socket(frames: bytes) -> socket.socket:
@@ -162,6 +170,71 @@ def test_pairs_payload_roundtrip():
     pairs = [(b"k%03d" % i, b"v" * i) for i in range(50)]
     assert protocol.decode_pairs(protocol.encode_pairs(pairs)) == pairs
     assert protocol.decode_pairs(protocol.encode_pairs([])) == []
+
+
+def test_a_negative_scan_limit_is_refused_before_it_is_encoded():
+    # It used to go on the wire as "unbounded" (limit + 1 == 0).
+    with pytest.raises(errors.InvalidArgumentError):
+        protocol.encode_scan(b"", None, -1)
+
+
+# -- the pairs codec against the two-helper codec it replaced ----------------
+
+
+def _oracle_encode_pairs(pairs):
+    parts = [encode_varint64(len(pairs))]
+    for key, value in pairs:
+        parts.append(encode_length_prefixed(key))
+        parts.append(encode_length_prefixed(value))
+    return b"".join(parts)
+
+
+def _oracle_decode_pairs(payload):
+    count, offset = decode_varint64(payload, 0)
+    pairs = []
+    for __ in range(count):
+        key, offset = decode_length_prefixed(payload, offset)
+        value, offset = decode_length_prefixed(payload, offset)
+        pairs.append((key, value))
+    return pairs
+
+
+#: Lengths whose varints are one, two and three bytes long, and the edges
+#: between them.
+_LENGTHS = (
+    st.integers(0, 0x7F)
+    | st.integers(0x80, 0x3FFF)
+    | st.integers(0x4000, 20_000)
+    | st.sampled_from([0x7F, 0x80, 0x3FFF, 0x4000])
+)
+
+
+@st.composite
+def _pairs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = draw(st.lists(st.tuples(_LENGTHS, _LENGTHS), max_size=6))
+    return [(rng.randbytes(k), rng.randbytes(v)) for k, v in sizes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=_pairs(), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_pairs_codec_matches_the_codec_it_replaced(pairs, cut):
+    payload = protocol.encode_pairs(pairs)
+    assert payload == _oracle_encode_pairs(pairs)
+    assert protocol.decode_pairs(payload) == _oracle_decode_pairs(payload) == pairs
+    # A cut anywhere leaves a payload whose count promises more than it
+    # holds; a byte past the last pair is not a pair: both are refused,
+    # never answered with a short list.
+    for bad in (payload[:int(cut * len(payload))], payload + b"\x00"):
+        with pytest.raises(errors.CorruptionError):
+            protocol.decode_pairs(bad)
+        # The lazy decoder hands out only whole pairs, in order, before it
+        # raises.
+        taken = []
+        with pytest.raises(errors.CorruptionError):
+            for pair in protocol.iter_pairs(bad):
+                taken.append(pair)
+        assert taken == pairs[:len(taken)]
 
 
 def test_stats_payload_roundtrip():

@@ -234,6 +234,61 @@ def test_graceful_stop_reaps_every_worker(tmp_path):
             os.waitpid(pid, os.WNOHANG)
 
 
+# -- placement ---------------------------------------------------------------
+
+
+def _eventually(predicate, timeout_s=5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+)
+def test_worker_placement_one_cpu_each_kept_across_a_respawn(tmp_path):
+    """Worker i sits on CPU i mod n of the front-end's CPUs, and its
+    respawn on the same one; a front-end confined to one CPU puts every
+    worker there.  (A worker pins itself right after the fork, so its
+    placement is read until it shows.)"""
+    cpus = sorted(os.sched_getaffinity(0))
+    expected = [{cpus[index % len(cpus)]} for index in range(3)]
+
+    def placement(server):
+        pids = server.worker_pids
+        return None not in pids and [os.sched_getaffinity(p) for p in pids]
+
+    config = ServiceConfig(port=0, drain_timeout_s=2.0)
+    with MultiProcessKVServer(
+        str(tmp_path / "mp"), 3, _mem_factory(), config
+    ) as server:
+        assert _eventually(lambda: placement(server) == expected), (
+            placement(server), expected
+        )
+        victim = server.worker_pids[1]
+        os.kill(victim, signal.SIGKILL)
+        assert _eventually(lambda: server.worker_pids[1] not in (victim, None))
+        assert _eventually(lambda: placement(server) == expected), (
+            placement(server), expected
+        )
+
+    original = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpus[-1]})
+    try:
+        confined = MultiProcessKVServer(
+            str(tmp_path / "confined"), 3, _mem_factory(), config
+        ).start()
+    finally:
+        os.sched_setaffinity(0, original)
+    with confined:
+        assert _eventually(
+            lambda: placement(confined) == [{cpus[-1]}] * 3
+        ), placement(confined)
+
+
 # -- backpressure ------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 """Tests for the sharded deployment and the shared secure DEK cache."""
 
+import heapq
+import itertools
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dist.sharding import (
     ShardedDB,
@@ -12,11 +15,13 @@ from repro.dist.sharding import (
     split_batch,
 )
 from repro.env.mem import MemEnv
+from repro.errors import InvalidArgumentError
 from repro.keys.cache import SecureDEKCache
 from repro.keys.kds import SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
+from repro.service import protocol
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import VirtualClock
 
@@ -320,6 +325,59 @@ def test_merge_scan_results_applies_limit_after_merging():
         (b"a", b"1"), (b"b", b"2"), (b"c", b"3"), (b"d", b"4"), (b"e", b"5")
     ]
     assert merge_scan_results([], limit=5) == []
+
+
+def _eager_merge_scan_results(per_shard, limit):
+    """The merge as it was before the gathers took their parts lazily:
+    every part decoded up front, the limit applied after the merge."""
+    merged = heapq.merge(*per_shard)
+    if limit is not None:
+        return list(itertools.islice(merged, limit))
+    return list(merged)
+
+
+@st.composite
+def _disjoint_parts(draw):
+    """Up to four sorted parts over one key set, no key in two parts; any
+    part may be empty."""
+    keys = sorted(draw(st.sets(st.binary(max_size=6), max_size=40)))
+    owners = draw(st.lists(
+        st.integers(0, 3), min_size=len(keys), max_size=len(keys)
+    ))
+    parts = [[] for __ in range(draw(st.integers(1, 4)))]
+    for key, owner in zip(keys, owners):
+        parts[owner % len(parts)].append((key, b"v:" + key))
+    return parts
+
+
+@given(parts=_disjoint_parts(), limit=st.sampled_from([None, 0, 1, 3, 100]))
+def test_the_lazy_gather_equals_the_eager_merge(parts, limit):
+    # 100 is past any union drawn here.
+    payloads = [protocol.encode_pairs(part) for part in parts]
+    expected = _eager_merge_scan_results(parts, limit)
+    decoded = []
+
+    def counted(payload):
+        for pair in protocol.iter_pairs(payload):
+            decoded.append(pair)
+            yield pair
+
+    assert merge_scan_results([counted(p) for p in payloads], limit) == expected
+    # What the merge decoded: its answer plus, at most, one pair ahead in
+    # each part.
+    if limit is not None:
+        assert len(decoded) <= limit + len(parts)
+
+
+def test_a_scan_limit_means_the_same_in_a_sharded_db():
+    with _plain_sharded(3) as cluster:
+        for index in range(20):
+            cluster.put(b"k%02d" % index, b"v")
+        assert cluster.scan(b"", None, limit=0) == []
+        assert len(cluster.scan(b"", None, limit=5)) == 5
+        for db in [cluster, cluster.shards[0]]:
+            with pytest.raises(InvalidArgumentError):
+                db.scan(b"", None, limit=-1)
 
 
 # -- cross-process routing determinism ---------------------------------------
