@@ -1,7 +1,7 @@
 """Serving tier: YCSB A/B/C through the socket front-end.
 
 Not a paper figure -- this measures the repo's own serving tier so the
-network request path (framing, CRC, bounded queue, response matching)
+network request path (framing, CRC, the executor loop, response matching)
 has a tracked number next to the embedded-engine results.  Each workload
 runs the figures' YCSB mix through a :class:`KVClient` against a fresh
 SHIELD engine behind an in-process :class:`KVServer`.  The encrypted
@@ -33,7 +33,7 @@ def _experiment():
             ShieldOptions(kds=InMemoryKDS(), server_id="bench-primary"),
             Options(write_buffer_size=256 * 1024, slowdown_delay_s=0.0),
         )
-        server = KVServer(db, ServiceConfig(num_workers=4, max_queue_depth=64)).start()
+        server = KVServer(db, ServiceConfig()).start()
         client = KVClient(*server.address)
         try:
             load_ycsb(client, _SPEC)

@@ -14,7 +14,7 @@ not memtables + files.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace, merge
+from heapq import heapify, heappop, heapreplace
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -27,59 +27,6 @@ def check_scan_limit(limit: int | None) -> None:
     """A scan limit, in every shape: None unbounded, 0 no pair, < 0 refused."""
     if limit is not None and limit < 0:
         raise InvalidArgumentError(f"scan limit must be >= 0, not {limit}")
-
-
-def merge_entries(sources: list[Iterable[Entry]]) -> Iterator[Entry]:
-    """Merge sorted entry streams into one (key asc, seq desc) stream."""
-    return merge(
-        *sources, key=lambda entry: (entry[0], MAX_SEQUENCE - entry[1])
-    )
-
-
-def newest_visible(
-    entries: Iterable[Entry],
-    snapshot_seq: int = MAX_SEQUENCE,
-    keep_tombstones: bool = False,
-) -> Iterator[Entry]:
-    """Collapse a merged stream to the newest visible version per key.
-
-    Entries with seq > snapshot_seq are invisible.  Tombstones are dropped
-    (the key simply doesn't appear) unless ``keep_tombstones`` -- compaction
-    to a non-bottommost level must preserve them so they keep shadowing
-    older versions in lower levels.
-    """
-    previous_key: bytes | None = None
-    for key, seq, vtype, value in entries:
-        if seq > snapshot_seq:
-            continue
-        if key == previous_key:
-            continue  # an older version of a key we already emitted/decided
-        previous_key = key
-        if vtype == TYPE_DELETE and not keep_tombstones:
-            continue
-        yield (key, seq, vtype, value)
-
-
-def key_range(
-    entries: Iterable[Entry],
-    start: bytes,
-    end: bytes | None,
-    limit: int | None = None,
-) -> Iterator[tuple[bytes, bytes]]:
-    """The (key, value) pairs of a key-ordered stream within [start, end),
-    stopping after ``limit`` pairs."""
-    if limit == 0:
-        return
-    count = 0
-    for key, __, ___, value in entries:
-        if key < start:
-            continue
-        if end is not None and key >= end:
-            return
-        yield (key, value)
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
 def scan_runs(

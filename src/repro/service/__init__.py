@@ -10,10 +10,10 @@ read-only compute instances over shared state):
   as the storage formats;
 - :mod:`repro.service.server` -- the serving core every deployment
   shape shares (the ``admit`` request edge, ``answer`` / ``execute``, the
-  OP_STATS sections, the health / auto-recovery loop) and the
-  threaded socket server built on it: a ``DB`` or ``ShardedDB`` behind
-  per-connection pipelining, a bounded request queue with explicit BUSY
-  backpressure, and graceful drain;
+  OP_STATS sections, the health / auto-recovery loop), the one executor
+  loop that runs it (one engine, one thread, direct connections served in
+  arrival order, replication subscriptions handed to streamer threads) and
+  ``KVServer``, that loop on a thread in front of a ``DB`` or ``ShardedDB``;
 - :mod:`repro.service.client` -- a pooled client (one ``Endpoint`` per
   address under every path) with timeouts, retry-with-backoff on
   BUSY/transient socket errors, and a batched
@@ -24,12 +24,11 @@ read-only compute instances over shared state):
   them (incremental checkpoints) plus its committed WAL records, sealed
   under a per-stream DEK; a replica resolves every DEK through its *own*
   KeyClient, so an unauthorized one never sees plaintext;
-- :mod:`repro.service.workers` -- the second transport over the same
-  core, shared-nothing and shard-per-core: a selectors event-loop
-  front-end routing framed requests to N forked worker processes, each
-  owning one shard (its own WAL, block cache, DEK cache, and KeyClient),
-  with per-worker BUSY backpressure, crash detection + respawn, and
-  scatter-gathered cross-shard operations.
+- :mod:`repro.service.workers` -- shard-per-core: the same loop in N
+  forked worker processes, each owning one shard (its own WAL, block
+  cache, DEK cache, and KeyClient) and its own port, behind a selectors
+  front-end with per-worker BUSY backpressure, crash detection + respawn,
+  and scatter-gathered cross-shard operations.
 """
 
 from repro.service.client import KVClient, Pipeline, ShardedKVClient

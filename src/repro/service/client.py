@@ -23,28 +23,21 @@ out-of-order responses by request ID -- the network round-trip is paid
 once per batch instead of once per operation.
 
 **Layers.**  An :class:`Endpoint` is one address: its connection pool and
-the wire round trips over it (``call``; ``begin``/``finish`` for a request
-whose reply is collected later) -- no retries, no routing.  A
+the wire round trips over it -- no retries, no routing.  A
 :class:`KVClient` is the ``home`` endpoint it was given, the worker
 endpoints it learned, the one retry budget and the DB-shaped API; a
 :class:`ShardedKVClient` is a list of ``KVClient``s.
 
-**Routing.**  A ``KVClient`` is given one address.  On its first keyed
-op it asks that server's topology once (``OP_TOPOLOGY``, over the normal
-pooled, already-AUTHed connection).  A multi-process server answers with
-its shard workers' endpoints; the client then keeps one :class:`Endpoint`
-per worker (``workers()``, shard order), sends GET/PUT/DELETE through the
-pool of the one ``shard_for_key`` names and scatters SCAN over all of them
-(every part sent, then every part read, merged here).  WRITE_BATCH, STATS,
-FLUSH, COMPACT, HEALTH, PING and ``pipeline()`` stay on the given address.
-An empty answer (threaded server, shard worker), an error answer (an older
-server) or a worker endpoint that refuses the first connection (its port
-is not reachable from here) leaves the client on the given address for
-good, exactly as before.  There is nothing to configure, and the retry
-budget, backoff, deadline and ``retries``/``busy_retries``/
-``degraded_retries`` counters are the one client's whichever pool carried
-the request: a worker killed mid-request resets the direct connection,
-which is a transient socket error like any other.
+**Routing** (DESIGN.md §10, "The two routes").  On its first keyed op a
+``KVClient`` asks its server's topology once (``OP_TOPOLOGY``, over the
+normal pooled, already-AUTHed connection).  A multi-process server lists
+its shard workers' endpoints: GET/PUT/DELETE then go to the one
+``shard_for_key`` names and SCAN is scattered over all of them; everything
+else stays on the given address.  An empty answer (a ``KVServer``, a
+shard worker), an error answer (an older server) or a worker endpoint that
+refuses the first connection leaves the client on the given address for
+good.  The retry budget, backoff, deadline and counters are the one
+client's whichever pool carried the request.
 """
 
 from __future__ import annotations
@@ -285,14 +278,9 @@ def _attempt(endpoint: Endpoint, opcode: int, payload: bytes, trace: bytes):
 
 
 class KVClient:
-    """A thread-safe client for one server address.
-
-    Behind a :class:`~repro.service.workers.MultiProcessKVServer` the
-    address is only where the client *starts*: on its first keyed op it
-    asks the server's topology (``OP_TOPOLOGY``, once) and from then on
-    sends GET/PUT/DELETE straight to the owning shard worker and scatters
-    SCAN over all of them -- see the module docstring.
-    """
+    """A thread-safe client for one server address -- behind a
+    multi-process server, only where it *starts* (module docstring,
+    "Routing")."""
 
     def __init__(
         self,

@@ -124,13 +124,11 @@ class ReplicationSource:
             pass
 
 
-def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
+def stream_to_replica(sock, request: Message, db, source: ReplicationSource,
                       stopping: threading.Event, stats) -> None:
-    """Run one replica's stream until disconnect or server shutdown.
-
-    ``conn`` is the server's connection object (``send``/``close``/
-    ``alive``).  This call owns the connection's reader thread.
-    """
+    """Run one replica's stream on ``sock`` (a blocking socket, or anything
+    with ``sendall`` and ``close``) until ``stopping`` is set; a replica that
+    goes away is the ``OSError`` its next send raises."""
     replica_id, position, held = protocol.decode_repl_subscribe(request.payload)
     stream_path = f"{db.path}/replication-{replica_id}"
     crypto = db.provider.for_new_file(FILE_KIND_WAL, stream_path)
@@ -153,10 +151,10 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
             offset += len(payload)  # the stored length: AEAD appends a tag
         else:
             payload = plain
-        conn.send(Message(opcode, 0, payload))
+        protocol.send_message(sock, Message(opcode, 0, payload))
 
     try:
-        conn.send(Message(
+        protocol.send_message(sock, Message(
             protocol.RESP_REPL_ACCEPT,
             request.request_id,
             protocol.encode_repl_accept(
@@ -164,7 +162,7 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
                 db.committed_sequence(),
             ),
         ))
-        while conn.alive and not stopping.is_set():
+        while not stopping.is_set():
             records = source.wait_records_after(position, timeout=0.2)
             if base < source.earliest_sequence:
                 base = position = db.committed_sequence()
@@ -186,10 +184,8 @@ def stream_to_replica(conn, request: Message, db, source: ReplicationSource,
                 position_gauge.set(position)
                 push(protocol.RESP_REPL_FRAME, payload)
                 stats.counter("service.repl_frames").add(1)
-    except OSError:
-        pass  # replica went away; it will resubscribe with its position
     finally:
-        conn.close()
+        sock.close()
         # The stream's DEK goes with it, as a deleted file's does.
         db.provider.on_file_deleted(crypto.dek_id, stream_path)
         streams_gauge.add(-1)

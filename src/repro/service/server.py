@@ -1,4 +1,5 @@
-"""The serving core, and the threaded socket server built on it.
+"""The serving core, the one executor loop that runs it, and KVServer
+(DESIGN.md §6).
 
 **The core** is everything between "a decoded request" and "a reply
 message", written once for every deployment shape: :func:`admit` (the
@@ -9,28 +10,13 @@ degraded-mode write failures mapped to the retriable ``RESP_DEGRADED``),
 :func:`stats_sections` (an engine's OP_STATS sections) and
 :func:`health_loop` (health polling and auto-recovery).  It serves any
 engine with the ``DB`` surface -- a ``DB``, a ``ShardedDB``, one shard
-inside a forked worker -- and never looks at which transport called it.
+inside a forked worker.
 
-**Two transports** carry requests to the core.  This module's
-:class:`KVServer` is threads and a bounded queue over an in-process
-engine (so it can stream replication from the engine's commit hook);
-:mod:`repro.service.workers` is a selectors front-end forwarding frames
-byte-for-byte to forked shard workers.  KVServer's architecture::
-
-    accept thread ── one reader thread per connection
-                         │  parses frames, admit()s them (AUTH inline),
-                         │  hands replication subscriptions to a streamer,
-                         ▼
-                 bounded request queue ── N worker threads call answer()
-                                          and write responses
-
-Backpressure is explicit: when the queue is full the *reader* thread
-answers ``RESP_BUSY`` immediately instead of buffering unboundedly --
-clients are expected to back off and retry (``KVClient`` does).  Because
-responses carry request IDs, a connection may pipeline many requests;
-workers execute them concurrently, so cross-request ordering within one
-connection is not guaranteed (use WRITE_BATCH for atomic multi-key
-writes, as with the embedded engine).
+**The executor loop** (:class:`ServingLoop`) is the one caller of
+:func:`answer`, one request at a time: a request that blocks (a slow KDS
+fetch, a write stall) holds every connection of its loop.  A shard worker
+process runs it (:mod:`repro.service.workers`); :class:`KVServer` runs it
+on a thread.
 
 Authorization reuses the KDS machinery: with ``require_auth`` a
 connection must present a server ID the KDS authorizes before any other
@@ -40,10 +26,9 @@ operation, the same policy gate replicas pass through (Section 5.4's
 
 from __future__ import annotations
 
-import queue
+import contextlib
 import socket
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.crypto.cipher import CRYPTO_STATS
@@ -60,12 +45,13 @@ from repro.lsm.db import HEALTH_DEGRADED
 from repro.lsm.write_batch import WriteBatch
 from repro.obs.trace import TRACER
 from repro.service import protocol
-from repro.service.protocol import Message
+from repro.service.peers import Peer, PeerLoop
+from repro.service.protocol import Frame, Message
 from repro.service.replica import ReplicationSource, stream_to_replica
 from repro.util.coding import decode_length_prefixed
 from repro.util.stats import StatsRegistry
 
-#: ``listen()`` backlog of both servers' accept sockets.
+#: ``listen()`` backlog of every server's accept sockets.
 ACCEPT_BACKLOG = 64
 
 #: ``server.<op>`` span names, resolved once per opcode.
@@ -78,8 +64,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                    # 0 = pick an ephemeral port
-    num_workers: int = 4
-    max_queue_depth: int = 64        # bounded request queue (backpressure)
+    max_queue_depth: int = 64        # a front-end's in-flight window per worker
     require_auth: bool = False       # demand OP_AUTH before serving
     kds: object | None = None        # overrides the provider's KDS for auth
     drain_timeout_s: float = 5.0     # graceful-shutdown drain budget
@@ -227,17 +212,15 @@ def execute(db, opcode: int, buf, offset: int = 0,
 
 
 def answer(db, request, transport_sections, stats: StatsRegistry,
-           span_name: str, attributes: dict | None = None) -> bytes:
-    """One admitted request to its reply frame, for every transport: the
-    span (the wire trace header, if any, parents it under the client's --
-    one trace across processes), :func:`execute`, every error on the wire,
-    and the ``service.errors`` / ``service.degraded_rejections`` counts.
+           span_name: str) -> bytes:
+    """One admitted request to its reply frame: the span (the wire trace
+    header, if any, parents it under the client's -- one trace across
+    processes), :func:`execute`, every error on the wire, and the
+    ``service.errors`` / ``service.degraded_rejections`` counts.
 
-    ``request`` is a parsed ``Message`` or a verified ``Frame`` (read in
-    place: a shard worker builds no ``Message`` for it)."""
-    with TRACER.span(
-        span_name, parent=TRACER.extract(request.trace), attributes=attributes
-    ) as span:
+    ``request`` is a verified ``Frame``, read in place (or a ``Message``:
+    anything with ``opcode``, ``request_id``, ``trace`` and ``body()``)."""
+    with TRACER.span(span_name, parent=TRACER.extract(request.trace)) as span:
         try:
             buf, offset = request.body()
             opcode, payload = execute(
@@ -324,269 +307,107 @@ def health_loop(db, stop: threading.Event, config: ServiceConfig,
 
 
 # ---------------------------------------------------------------------------
-# The threaded transport
+# The one executor loop
 # ---------------------------------------------------------------------------
 
 
-class _Connection:
-    """Book-keeping for one accepted socket."""
-
-    __slots__ = ("sock", "addr", "send_lock", "server_id", "alive")
-
-    def __init__(self, sock: socket.socket, addr):
-        self.sock = sock
-        self.addr = addr
-        self.send_lock = threading.Lock()
-        self.server_id: str | None = None
-        self.alive = True
-
-    def send(self, msg: Message) -> None:
-        self.send_frame(protocol.encode_frame(msg))
-
-    def send_frame(self, raw: bytes) -> None:
-        with self.send_lock:
-            self.sock.sendall(raw)
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+def listen(host: str, port: int) -> socket.socket:
+    """A non-blocking TCP listener on ``(host, port)`` (port 0: ephemeral)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind((host, port))
+    listener.listen(ACCEPT_BACKLOG)
+    listener.setblocking(False)
+    return listener
 
 
-class KVServer:
-    """Serve the wire protocol over TCP in front of an open engine."""
+def count_op(stats: StatsRegistry, counters: dict, opcode: int) -> None:
+    """``service.<op>`` += 1 at a TCP edge; ``counters`` keeps each opcode's
+    Counter after its first use (no name formatting or registry probe per
+    request, and OP_STATS gains no zero rows)."""
+    counter = counters.get(opcode)
+    if counter is None:
+        op_name = protocol.OPCODE_NAMES.get(opcode, f"op{opcode}")
+        counter = counters[opcode] = stats.counter(f"service.{op_name}")
+    counter.add(1)
 
-    def __init__(self, db, config: ServiceConfig | None = None):
+
+class ServingLoop:
+    """The executor loop: one engine, one thread, one
+    :class:`~repro.service.peers.PeerLoop` over three kinds of socket --
+    the *pipe* (frames a multi-process front-end forwards), the listener,
+    and the direct connections accepted from it -- plus the health loop
+    and any replication streams on side threads.  It serves until the
+    pipe's other end closes.
+
+    A direct connection is a TCP edge like the front-end's: frame CRCs are
+    verified, ``admit`` decides who is served, and ops, connections, errors
+    and auth decisions are counted -- in this loop's own registry, which
+    reaches clients through OP_STATS.  Sends never block: a direct client
+    that stops reading grows its own out-buffer, not the engine's latency.
+    The loop never answers ``RESP_BUSY``: requests wait in their socket's
+    buffer.
+
+    ``OP_REPL_SUBSCRIBE`` on a direct connection takes the socket out of
+    the loop and gives it, blocking, to a streamer thread
+    (:func:`~repro.service.replica.stream_to_replica`).  The retained log
+    (:class:`~repro.service.replica.ReplicationSource`) attaches at the
+    first subscription: a loop nobody subscribes to pays no commit
+    listener and retains nothing.
+    """
+
+    def __init__(self, db, pipe: socket.socket, listener: socket.socket,
+                 config: ServiceConfig):
         self.db = db
-        self.config = config or ServiceConfig()
+        self.config = config
         self.stats = StatsRegistry()
-        self._queue_wait = self.stats.histogram("service.queue_wait_s")
-        #: opcode -> its service.<op> counter and service.latency.<op>
-        #: histogram, bound on the opcode's first request.
-        self._op_metrics: dict = {}
-        # Unbounded, so stop()'s sentinels always fit; the reader threads
-        # enforce ``max_queue_depth`` before they put.
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._workers: list[threading.Thread] = []
-        self._conn_threads: list[threading.Thread] = []
-        self._connections: set[_Connection] = set()
-        self._conn_lock = threading.Lock()
+        self._auth_kds = auth_kds(config, db)
+        self._pipe = pipe
+        self._listener = listener
+        self._io = PeerLoop()
+        self._running = True
+        self._direct: set[Peer] = set()
+        self._op_counters: dict = {}  # opcode -> its service.<op> Counter
+        self._direct_ops = self.stats.counter("service.direct")
+        self._direct_open = self.stats.gauge("service.direct_connections")
+        # Set when the loop ends: it ends the health loop and every stream.
         self._stopping = threading.Event()
-        self._started = False
-        # Replication needs the engine's commit hook; a ShardedDB fronts
-        # several engines and is served read/write only (no subscription).
-        self._source: ReplicationSource | None = (
-            ReplicationSource(db) if hasattr(db, "add_commit_listener") else None
+        self._health = threading.Thread(
+            target=health_loop, args=(db, self._stopping, config, self.stats),
+            name="shard-health", daemon=True,
         )
-        self._auth_kds = auth_kds(self.config, db)
-        self._health_thread: threading.Thread | None = None
+        #: Each replication stream's thread and the socket it writes to.
+        self._streams: dict[threading.Thread, socket.socket] = {}
+        self._source: ReplicationSource | None = None  # at the first subscribe
+        pipe.setblocking(False)
+        self._io.add_peer(Peer(pipe), self._on_forwarded, self._on_pipe_closed)
+        self._io.add_listener(listener, self._on_accept)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._listener is None:
-            raise ServiceError("server is not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "KVServer":
-        if self._started:
-            return self
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.config.host, self.config.port))
-        self._listener.listen(ACCEPT_BACKLOG)
-        for index in range(self.config.num_workers):
-            worker = threading.Thread(
-                target=self._worker_loop, name=f"kv-worker-{index}", daemon=True
-            )
-            worker.start()
-            self._workers.append(worker)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="kv-accept", daemon=True
-        )
-        self._accept_thread.start()
-        self._health_thread = threading.Thread(
-            target=health_loop, name="kv-health", daemon=True,
-            args=(self.db, self._stopping, self.config, self.stats),
-        )
-        self._health_thread.start()
-        self._started = True
-        return self
-
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the queue, close."""
-        if not self._started or self._stopping.is_set():
-            return
-        self._stopping.set()
+    def serve(self) -> None:
+        """Serve until the pipe's other end closes (graceful shutdown)."""
+        self._health.start()
         try:
-            # close() alone leaves a thread blocked in accept() asleep (Linux).
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        self._accept_thread.join()
-        # Drain: one sentinel per worker, behind every queued request; a
-        # worker wedged inside a handler is given up on when the budget ends.
-        deadline = time.monotonic() + self.config.drain_timeout_s
-        for __ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join(max(0.0, deadline - time.monotonic()))
-        if self._source is not None:
-            self._source.close()
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            conn.close()
-        self._health_thread.join()
-        for thread in self._conn_threads:
-            thread.join()
-
-    def __enter__(self) -> "KVServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- accept / read path ------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                return  # listener closed during shutdown
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock, addr)
-            with self._conn_lock:
-                self._connections.add(conn)
-            self.stats.counter("service.connections").add(1)
-            thread = threading.Thread(
-                target=self._reader_loop, args=(conn,),
-                name=f"kv-conn-{addr[1]}", daemon=True,
-            )
-            thread.start()
-            # Prune finished readers so a long-lived server doesn't hold a
-            # Thread object per connection it ever accepted.
-            self._conn_threads = [
-                t for t in self._conn_threads if t.is_alive()
-            ]
-            self._conn_threads.append(thread)
-
-    def _reader_loop(self, conn: _Connection) -> None:
-        reader = protocol.FrameReader(conn.sock)
-        try:
-            while conn.alive and not self._stopping.is_set():
-                try:
-                    msg = reader.read()
-                except (protocol.ProtocolError, OSError):
-                    return
-                if msg is None:
-                    return
-                if msg.opcode == protocol.OP_REPL_SUBSCRIBE:
-                    # Exempt from the require_auth gate: the subscription
-                    # carries its own server ID, which _handle_subscribe
-                    # checks against the KDS -- the same policy decision
-                    # OP_AUTH would make.  The connection becomes a one-way
-                    # replication stream; this thread turns into its
-                    # streamer.
-                    self._handle_subscribe(conn, msg)
-                    return
-                reply = admit(
-                    self.config, self._auth_kds, self.stats, conn, msg
-                )
-                if reply is None:
-                    if self._queue.qsize() < self.config.max_queue_depth:
-                        self._queue.put((conn, msg, time.perf_counter()))
-                        continue
-                    self.stats.counter("service.busy_rejections").add(1)
-                    reply = Message(protocol.RESP_BUSY, msg.request_id)
-                try:
-                    conn.send(reply)
-                except OSError:
-                    return
-        finally:
-            conn.close()
-            with self._conn_lock:
-                self._connections.discard(conn)
-
-    # -- replication -------------------------------------------------------
-
-    def _handle_subscribe(self, conn: _Connection, msg: Message) -> None:
-        server_id = protocol.decode_repl_subscribe(msg.payload)[0]
-        if self._source is None:
-            conn.send(protocol.error_reply(msg.request_id, InvalidArgumentError(
-                "this server's engine does not support WAL shipping"
-            )))
-            return
-        if not is_authorized(self._auth_kds, server_id):
-            self.stats.counter("service.auth_rejections").add(1)
-            conn.send(protocol.error_reply(msg.request_id, AuthorizationError(
-                f"replica {server_id!r} is not authorized by the KDS"
-            )))
-            return
-        self.stats.counter("service.replica_subscriptions").add(1)
-        try:
-            stream_to_replica(
-                conn=conn,
-                request=msg,
-                db=self.db,
-                source=self._source,
-                stopping=self._stopping,
-                stats=self.stats,
-            )
-        except ReproError as exc:
-            # Stream setup failed (typically the stream-DEK provisioning
-            # hit a KDS outage): refuse this subscription cleanly instead
-            # of killing the reader thread.  The replica backs off and
-            # resubscribes from its preserved resume position.
-            self.stats.counter("service.repl_refusals").add(1)
-            try:
-                conn.send(protocol.error_reply(msg.request_id, exc))
-            except OSError:
+            while self._running and self._io.poll(None):
                 pass
-
-    # -- execute path ------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while (item := self._queue.get()) is not None:  # None: stop()
-            conn, msg, enqueued_at = item
-            started = time.perf_counter()
-            queue_wait = started - enqueued_at
-            self._queue_wait.record(queue_wait)
-            reply = answer(
-                self.db, msg, self._transport_sections, self.stats,
-                _SPAN_NAMES[msg.opcode], {"queue_wait_s": queue_wait},
-            )
-            metrics = self._op_metrics.get(msg.opcode)
-            if metrics is None:
-                op_name = protocol.OPCODE_NAMES.get(msg.opcode, f"op{msg.opcode}")
-                metrics = self._op_metrics[msg.opcode] = (
-                    self.stats.counter(f"service.{op_name}"),
-                    self.stats.histogram(f"service.latency.{op_name}"),
-                )
-            metrics[0].add(1)
-            metrics[1].record(time.perf_counter() - started)
-            if conn.alive:
-                try:
-                    conn.send_frame(reply)
-                except OSError:
-                    conn.close()
+        finally:
+            self._stopping.set()
+            for peer in list(self._direct):
+                self._close_direct(peer)  # a prompt EOF, not a wait on close()
+            if self._source is not None:
+                self._source.close()
+            for thread, sock in list(self._streams.items()):
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked send
+                thread.join()
+            self._health.join()
+            self._io.close_sock(self._pipe)
+            self._io.close()
 
     def _transport_sections(self, sections: dict) -> dict:
-        """OP_STATS: this transport's own sections on top of the engine's --
-        ``server`` (queue/latency/backpressure counters) and
-        ``replication`` (per-replica stream position, and lag derived
-        from the position gauges against the committed sequence)."""
+        """OP_STATS: this loop's ``server`` counters on top of the engine's
+        sections, and ``replication`` -- per-replica stream position, and
+        lag derived from the position gauges against the committed
+        sequence."""
         server = self.stats.snapshot()
         prefix = "service.repl_position."
         return {
@@ -600,3 +421,180 @@ class KVServer:
                 if name.startswith(prefix)
             },
         }
+
+    def _answer(self, frame: Frame) -> bytes:
+        """The reply frame to a verified request frame, answered from the
+        frame itself: its key and value are read in place."""
+        return answer(
+            self.db, frame, self._transport_sections, self.stats,
+            _SPAN_NAMES[frame.opcode],
+        )
+
+    # -- the pipe ----------------------------------------------------------
+
+    def _on_forwarded(self, pipe: Peer, frame: Frame) -> None:
+        """A request the front-end routed here: it was counted and
+        authenticated at the front-end's TCP edge."""
+        frame.verify()
+        if not self._io.send(pipe, self._answer(frame)):
+            self._on_pipe_closed(pipe)
+
+    def _on_pipe_closed(self, pipe: Peer) -> None:
+        pipe.alive = False
+        self._running = False
+
+    # -- direct connections ------------------------------------------------
+
+    def _on_accept(self) -> None:
+        for peer in self._io.accept(
+            self._listener, self._on_direct, self._close_direct
+        ):
+            self._direct.add(peer)
+            self.stats.counter("service.connections").add(1)
+            self._direct_open.set(len(self._direct))
+
+    def _close_direct(self, peer: Peer) -> None:
+        peer.alive = False
+        self._io.close_sock(peer.sock)
+        self._direct.discard(peer)
+        self._direct_open.set(len(self._direct))
+
+    def _on_direct(self, peer: Peer, frame: Frame) -> None:
+        frame.verify()  # this socket is a TCP edge: the trust boundary
+        opcode = frame.opcode
+        count_op(self.stats, self._op_counters, opcode)
+        if opcode == protocol.OP_REPL_SUBSCRIBE:
+            self._hand_off(peer, frame.message())
+            return
+        refusal = admit(
+            self.config, self._auth_kds, self.stats, peer,
+            frame.message() if opcode == protocol.OP_AUTH else frame,
+        )
+        if refusal is None:
+            self._direct_ops.add(1)
+            raw = self._answer(frame)
+        else:
+            raw = protocol.encode_frame(refusal)
+        if not self._io.send(peer, raw):
+            self._close_direct(peer)
+
+    # -- replication -------------------------------------------------------
+
+    def _hand_off(self, peer: Peer, request: Message) -> None:
+        """A subscription: the connection leaves the loop, blocking, and
+        becomes a one-way stream on a thread of its own.  It is exempt from
+        the require_auth gate: it carries its own server ID, which
+        :meth:`_stream` checks against the KDS -- the same policy
+        decision OP_AUTH would make."""
+        peer.alive = False  # the loop reads nothing more from it
+        self._direct.discard(peer)
+        self._direct_open.set(len(self._direct))
+        self._io.selector.unregister(peer.sock)
+        peer.sock.setblocking(True)
+        # A ShardedDB fronts several engines, each its own sequence space:
+        # there is no one commit hook to stream from.
+        if self._source is None and hasattr(self.db, "add_commit_listener"):
+            self._source = ReplicationSource(self.db)
+        thread = threading.Thread(
+            target=self._stream, args=(peer.sock, request, bytes(peer.outbuf)),
+            name="repl-stream", daemon=True,
+        )
+        self._streams[thread] = peer.sock
+        thread.start()
+
+    def _stream(self, sock: socket.socket, request: Message,
+                unsent: bytes) -> None:
+        """A subscription's thread: the replies the loop had not sent yet,
+        the checks, then the stream until the replica goes away or the loop
+        ends.  A refusal is an error reply (``service.repl_refusals``)."""
+        try:
+            sock.sendall(unsent)
+            server_id = protocol.decode_repl_subscribe(request.payload)[0]
+            if self._source is None:
+                raise InvalidArgumentError(
+                    "this server's engine does not support WAL shipping"
+                )
+            if not is_authorized(self._auth_kds, server_id):
+                self.stats.counter("service.auth_rejections").add(1)
+                raise AuthorizationError(
+                    f"replica {server_id!r} is not authorized by the KDS"
+                )
+            self.stats.counter("service.replica_subscriptions").add(1)
+            # A ReproError from here on is a stream whose setup failed
+            # (typically the stream-DEK provisioning hit a KDS outage): the
+            # replica backs off and resubscribes from its resume position.
+            stream_to_replica(
+                sock, request, self.db, self._source, self._stopping, self.stats
+            )
+        except ReproError as exc:
+            self.stats.counter("service.repl_refusals").add(1)
+            with contextlib.suppress(OSError):
+                protocol.send_message(
+                    sock, protocol.error_reply(request.request_id, exc)
+                )
+        except OSError:
+            pass  # the replica went away; it resubscribes from its position
+        finally:
+            with contextlib.suppress(OSError):
+                sock.close()
+            self._streams.pop(threading.current_thread(), None)
+
+
+# ---------------------------------------------------------------------------
+# KVServer: the loop over one engine, on a thread
+# ---------------------------------------------------------------------------
+
+
+class KVServer:
+    """Serve the wire protocol over TCP in front of an open engine: one
+    :class:`ServingLoop` on a thread of its own, over its own listener."""
+
+    def __init__(self, db, config: ServiceConfig | None = None):
+        self.db = db
+        self.config = config or ServiceConfig()
+        self._listener: socket.socket | None = None
+        self._loop: ServingLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._pipe: socket.socket | None = None  # closed: the loop ends
+
+    @property
+    def address(self) -> tuple[str, int]:
+        if self._listener is None:
+            raise ServiceError("server is not started")
+        return self._listener.getsockname()[:2]
+
+    @property
+    def stats(self) -> StatsRegistry:
+        """The loop's counters (what OP_STATS reports as ``server``)."""
+        if self._loop is None:
+            raise ServiceError("server is not started")
+        return self._loop.stats
+
+    def start(self) -> "KVServer":
+        if self._loop is not None:
+            return self
+        self._listener = listen(self.config.host, self.config.port)
+        self._pipe, loop_end = socket.socketpair()
+        self._loop = ServingLoop(self.db, loop_end, self._listener, self.config)
+        self._thread = threading.Thread(
+            target=self._loop.serve, name="kv-loop", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Graceful shutdown: EOF on the loop's pipe ends it (its direct
+        connections closed, its streams and health loop joined); a loop
+        wedged inside a handler is given up on after ``drain_timeout_s``."""
+        if self._pipe is None:
+            return
+        self._pipe.close()
+        self._pipe = None
+        self._thread.join(self.config.drain_timeout_s)
+        self._listener.close()
+
+    def __enter__(self) -> "KVServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

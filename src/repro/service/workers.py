@@ -1,66 +1,31 @@
-"""Shard-per-core serving: a multi-process KVServer.
+"""Shard-per-core serving: a multi-process KVServer (DESIGN.md §10).
 
-The threaded :class:`~repro.service.server.KVServer` executes every byte
-of framing, crypto, and LSM work under one GIL.  This module is the
-second transport over the same serving core (``server.admit``, ``answer``,
-``stats_sections``, ``health_loop``), split
-along the seams SHIELD's per-file DEK model already provides (each LSM
-component encrypts independently, so each shard is self-contained):
+:class:`~repro.service.server.KVServer` is one executor loop under one
+GIL.  This module runs the same loop
+(:class:`~repro.service.server.ServingLoop`) in N forked processes, split
+along the seams SHIELD's per-file DEK model already provides (each shard
+is self-contained):
 
-- N **worker processes**, each owning exactly one shard -- its own engine,
-  WAL, block cache, DEK cache, and KeyClient -- and each a first-class
-  **endpoint**: it answers the normal wire protocol with
-  ``answer(db, frame, ...)`` -- from the verified frame itself, no
-  ``Message`` built -- on an inherited ``socketpair`` from the front-end
-  *and* on TCP connections to its own listening port.  It is
-  single-threaded on the request path (shared-nothing, shard-per-core; one
-  small selector loop over all its sockets), with the core's health loop
-  on a small side thread.
+- N **worker processes**, each owning one shard -- its own engine, WAL,
+  block cache, DEK cache and KeyClient -- whose loop answers the frames
+  the front-end forwards on an inherited ``socketpair`` *and* direct TCP
+  connections to the shard's own listener.  The parent binds that
+  listener once, before the first fork, and every incarnation of the
+  worker inherits it: the port (``worker_addresses[i]``) never changes,
+  and a connect made during a respawn waits in its backlog.
 - one **event-loop front-end** (``selectors``) that accepts TCP
-  connections, splits frames, routes single-key operations by
+  connections, routes single-key operations by
   :func:`~repro.dist.sharding.shard_for_key`, scatter-gathers the
-  cross-shard operations (SCAN, STATS, FLUSH, COMPACT, HEALTH), splits
+  cross-shard ones (SCAN, STATS, FLUSH, COMPACT, HEALTH), splits
   WRITE_BATCH per shard, and never touches an engine itself.
 
-**Two routes.**  The front-end is the full-service path: any client, any
-opcode, one address.  ``OP_TOPOLOGY`` tells a client the workers'
-endpoints (in shard order), and :class:`~repro.service.client.KVClient`
-then sends GET/PUT/DELETE straight to the owning worker and scatters SCAN
-itself: one round trip and two process wake-ups per op instead of two and
-four.  Everything else stays on the front-end.  A worker's listener is
-created by the parent *once*, before the first fork (``config.host``,
-ephemeral port), and inherited by every incarnation of that worker, so
-the port is stable for the life of the server: the topology never changes
-and there is nothing to re-discover.  A direct connection is a TCP edge
-with the front-end's rules (frame CRC, the same ``admit`` against the same
-``auth_kds``, the same counters, in the worker's ``server`` section), and because
-one thread serves all of a worker's sockets, per-shard ordering holds
-across routes.
-
-Backpressure is per worker queue: when a worker has
-``config.max_queue_depth`` forwarded requests in flight, new requests
-routed to it answer ``RESP_BUSY`` immediately (the client backs off and
-retries); direct requests queue in the connection's socket buffer.  A
-worker that dies mid-request is detected by EOF on its pipe; every
-forwarded request it still owed is answered with the *retriable*
-``RESP_BUSY`` -- never a terminal error -- and the worker is respawned on
-the same shard path and the same listener, so a crash costs the client
-one backoff, not an error.  A direct request in flight sees its
-connection reset -- a transient socket error under the client's retry
-loop -- and the reconnect queues in the (still open) listener's backlog
-until the respawned worker accepts it.
-
-``OP_STATS`` merges the per-worker sections with
-:func:`~repro.dist.sharding.merge_stats`, the same merge ``ShardedDB``
-and ``ShardedKVClient`` use, and adds the front-end's own ``server``
-counters to the workers' (``service.get`` = forwarded + direct;
-``service.forwarded`` / ``service.direct`` / ``service.direct_connections``
-say which route traffic takes), so the layout matches the threaded server
-and ``repro-stats`` and the chaos harness keep working unchanged.
-
-Replication subscriptions are refused here: WAL shipping needs the
-engine's commit hook, which lives in the worker processes.  Point
-replicas at per-shard servers instead (DESIGN.md §10).
+``OP_TOPOLOGY`` tells a :class:`~repro.service.client.KVClient` the
+workers' endpoints; it then sends GET/PUT/DELETE straight to the owning
+worker and scatters SCAN itself (one round trip instead of two).  A direct
+connection is a TCP edge with the front-end's rules, and one thread serves
+all of a worker's sockets, so per-shard ordering holds across routes.  A
+replica subscribes to a worker's own port and follows that shard across
+respawns; the front-end, which holds no engine, refuses subscriptions.
 """
 
 from __future__ import annotations
@@ -88,12 +53,12 @@ from repro.service import protocol
 from repro.service.peers import Peer, PeerLoop
 from repro.service.protocol import Frame, FrameSplitter, Message
 from repro.service.server import (
-    ACCEPT_BACKLOG,
     ServiceConfig,
+    ServingLoop,
     admit,
-    answer,
     auth_kds,
-    health_loop,
+    count_op,
+    listen,
 )
 from repro.util.stats import StatsRegistry
 
@@ -102,136 +67,6 @@ _GATHER_OPS = frozenset({
     protocol.OP_SCAN, protocol.OP_STATS, protocol.OP_FLUSH,
     protocol.OP_COMPACT, protocol.OP_HEALTH, protocol.OP_WRITE_BATCH,
 })
-
-#: ``worker.<op>`` span names, resolved once per opcode.
-_SPAN_NAMES = protocol.OpNames("worker")
-
-
-# ---------------------------------------------------------------------------
-# Worker process side
-# ---------------------------------------------------------------------------
-
-
-class _ShardServer:
-    """A shard worker's serving loop: one engine, one thread, three kinds of
-    socket -- the pipe to the front-end, the shard's listener, and the
-    direct connections accepted from it.
-
-    A direct connection is a TCP edge like the front-end's: frame CRCs are
-    verified, ``admit`` decides who is served, and ops, connections, errors
-    and auth decisions are counted -- in this process's own registry, which
-    reaches clients through OP_STATS (the front-end sums the workers'
-    ``server`` sections).  Sends never block: a direct client that stops
-    reading grows its own out-buffer, not the shard's latency.
-    """
-
-    def __init__(self, db, pipe: socket.socket, listener: socket.socket,
-                 config: ServiceConfig):
-        self.db = db
-        self.config = config
-        self.stats = StatsRegistry()
-        self._auth_kds = auth_kds(config, db)
-        self._listener = listener
-        self._io = PeerLoop()
-        self._running = True
-        self._direct: set[Peer] = set()
-        self._op_counters: dict = {}  # opcode -> its service.<op> Counter
-        self._direct_ops = self.stats.counter("service.direct")
-        self._direct_open = self.stats.gauge("service.direct_connections")
-        pipe.setblocking(False)
-        self._io.add_peer(Peer(pipe), self._on_forwarded, self._on_pipe_closed)
-        self._io.add_listener(listener, self._on_accept)
-
-    def serve(self) -> None:
-        """Serve until the front-end closes the pipe (graceful shutdown)."""
-        stop = threading.Event()
-        health_thread = threading.Thread(
-            target=health_loop, args=(self.db, stop, self.config, self.stats),
-            name="shard-health", daemon=True,
-        )
-        health_thread.start()
-        try:
-            while self._running and self._io.poll(None):
-                pass
-        finally:
-            stop.set()
-            health_thread.join()
-            for peer in list(self._direct):
-                self._close_direct(peer)  # a prompt EOF, not a wait on close()
-            self._io.close()
-
-    def _transport_sections(self, sections: dict) -> dict:
-        # What the front-end sums across workers.  The health loop's gauge
-        # stays here: it is one engine's health rank, and the merged
-        # ``health`` section carries the worst-of verdict.
-        server = self.stats.snapshot()
-        server.pop("service.health", None)
-        return {"server": server}
-
-    def _answer(self, frame: Frame) -> bytes:
-        """The reply frame to a verified request frame, answered from the
-        frame itself: its key and value are read in place."""
-        return answer(
-            self.db, frame, self._transport_sections, self.stats,
-            _SPAN_NAMES[frame.opcode],
-        )
-
-    # -- the front-end's pipe ----------------------------------------------
-
-    def _on_forwarded(self, pipe: Peer, frame: Frame) -> None:
-        """A request the front-end routed here: it was counted and
-        authenticated at the front-end's TCP edge."""
-        frame.verify()
-        if not self._io.send(pipe, self._answer(frame)):
-            self._on_pipe_closed(pipe)
-
-    def _on_pipe_closed(self, pipe: Peer) -> None:
-        pipe.alive = False
-        self._running = False
-
-    # -- direct connections ------------------------------------------------
-
-    def _on_accept(self) -> None:
-        for peer in self._io.accept(
-            self._listener, self._on_direct, self._close_direct
-        ):
-            self._direct.add(peer)
-            self.stats.counter("service.connections").add(1)
-            self._direct_open.set(len(self._direct))
-
-    def _close_direct(self, peer: Peer) -> None:
-        peer.alive = False
-        self._io.close_sock(peer.sock)
-        self._direct.discard(peer)
-        self._direct_open.set(len(self._direct))
-
-    def _on_direct(self, peer: Peer, frame: Frame) -> None:
-        frame.verify()  # this socket is a TCP edge: the trust boundary
-        opcode = frame.opcode
-        _count_op(self.stats, self._op_counters, opcode)
-        refusal = admit(
-            self.config, self._auth_kds, self.stats, peer,
-            frame.message() if opcode == protocol.OP_AUTH else frame,
-        )
-        if refusal is None:
-            self._direct_ops.add(1)
-            raw = self._answer(frame)
-        else:
-            raw = protocol.encode_frame(refusal)
-        if not self._io.send(peer, raw):
-            self._close_direct(peer)
-
-
-def _count_op(stats: StatsRegistry, counters: dict, opcode: int) -> None:
-    """``service.<op>`` += 1 at a TCP edge; ``counters`` keeps each opcode's
-    Counter after its first use (no name formatting or registry probe per
-    request, and OP_STATS gains no zero rows)."""
-    counter = counters.get(opcode)
-    if counter is None:
-        op_name = protocol.OPCODE_NAMES.get(opcode, f"op{opcode}")
-        counter = counters[opcode] = stats.counter(f"service.{op_name}")
-    counter.add(1)
-
 
 # ---------------------------------------------------------------------------
 # Front-end bookkeeping
@@ -249,18 +84,13 @@ class _WorkerHandle:
     def __init__(self, index: int, path: str):
         self.index = index
         self.path = path
-        # The shard's direct endpoint: bound once by the parent, before the
-        # first fork, and inherited by every incarnation of the worker, so
-        # the port outlives a crash and connects queue while it respawns.
-        self.listener: socket.socket | None = None
+        self.listener: socket.socket | None = None  # every incarnation's
         self.pid: int | None = None
         self.sock: socket.socket | None = None
         self.frames = FrameSplitter()
         self.outbuf = bytearray()
-        # The worker serves its pipe in arrival order on one thread, so its
-        # responses come back in exactly the order requests were sent:
-        # in-flight bookkeeping is a FIFO of
-        # ("single", conn, rid) | ("gather", g, idx), matched by order.
+        # In flight, matched to replies by order (pass-through forwarding):
+        # ("single", conn, rid) | ("gather", g, idx).
         self.pending: deque[tuple] = deque()
         self.generation = 0
         self.spawned_at = 0.0
@@ -304,14 +134,10 @@ class MultiProcessKVServer:
     and a respawned worker reopens the same path, so on a durable env a
     crash loses nothing that was acked with a synced WAL.
 
-    **Pass-through forwarding.**  Each worker serves its pipe in arrival
-    order on one thread, so its responses arrive in exactly the order
-    requests were sent.  The front-end exploits that: in-flight bookkeeping is a
-    per-worker FIFO, and routed frames travel *verbatim* in both
-    directions -- no request-id rewrite, no re-encode, no second CRC
-    computation per hop.  The client's CRC is verified once at the TCP
-    edge, and the worker's response CRC reaches the client intact, so
-    the checksum stays end-to-end even through the proxy.
+    **Pass-through forwarding.**  A worker answers its pipe in arrival
+    order, so in-flight bookkeeping is a per-worker FIFO and routed frames
+    travel *verbatim* both ways -- no request-id rewrite, no re-encode, no
+    second CRC per hop: the checksum stays end-to-end through the proxy.
     """
 
     def __init__(self, base_path: str, num_workers: int, make_shard,
@@ -372,11 +198,11 @@ class MultiProcessKVServer:
         if hasattr(os, "sched_getaffinity"):  # Linux
             self._cpus = sorted(os.sched_getaffinity(0))
         self._io = PeerLoop()
-        self._listener = self._listen(self.config.port)
+        self._listener = listen(self.config.host, self.config.port)
         # Every shard's listener exists before the first fork, so each
         # worker can close the others' and no port ever changes.
         for worker in self._workers:
-            worker.listener = self._listen(0)
+            worker.listener = listen(self.config.host, 0)
         for worker in self._workers:
             self._spawn_worker(worker)
         self._io.add_listener(self._listener, self._on_accept)
@@ -387,14 +213,6 @@ class MultiProcessKVServer:
         self._started = True
         return self
 
-    def _listen(self, port: int) -> socket.socket:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, port))
-        listener.listen(ACCEPT_BACKLOG)
-        listener.setblocking(False)
-        return listener
-
     def stop(self) -> None:
         """Graceful shutdown: close the listeners, drop clients, EOF the
         worker pipes (each worker closes its engine and exits), reap."""
@@ -402,8 +220,7 @@ class MultiProcessKVServer:
             return
         self._stopping.set()
         self._loop_thread.join()  # its poll wakes every 50 ms
-        if self._listener is not None:
-            self._io.close_sock(self._listener)
+        self._io.close_sock(self._listener)
         for conn in list(self._clients):
             self._close_client(conn)
         for worker in self._workers:
@@ -472,15 +289,13 @@ class MultiProcessKVServer:
                         cpus = self._cpus
                         os.sched_setaffinity(0, {cpus[worker.index % len(cpus)]})
                 for sock in inherited:
-                    try:
+                    with contextlib.suppress(OSError):
                         sock.close()
-                    except OSError:
-                        pass
                 self._io.close()
                 TRACER.after_fork()
                 db = self._make_shard(worker.index, worker.path)
                 try:
-                    _ShardServer(
+                    ServingLoop(
                         db, child_sock, worker.listener, self.config
                     ).serve()
                     status = 0
@@ -489,10 +304,8 @@ class MultiProcessKVServer:
             except BaseException:  # noqa: BLE001 - child must always _exit
                 status = 1
             finally:
-                try:
+                with contextlib.suppress(OSError):
                     child_sock.close()
-                except OSError:
-                    pass
                 os._exit(status)
         # -- parent
         child_sock.close()
@@ -637,7 +450,7 @@ class MultiProcessKVServer:
         frame.verify()  # the TCP edge is the trust boundary
         op = frame.opcode
         rid = frame.request_id
-        _count_op(self.stats, self._op_counters, op)
+        count_op(self.stats, self._op_counters, op)
         try:
             if op == protocol.OP_REPL_SUBSCRIBE:
                 self._reply_error(conn, rid, InvalidArgumentError(
@@ -798,6 +611,10 @@ class MultiProcessKVServer:
         front-end's own: its counters added to the workers' in ``server``
         (``service.get`` = forwarded here + served direct there), and a
         per-worker ``workers`` summary."""
+        for __, snapshot in snapshots:
+            # One engine's health rank: the merged ``health`` section
+            # carries the worst-of verdict instead.
+            snapshot.get("server", {}).pop("service.health", None)
         merged = merge_stats(snapshot for __, snapshot in snapshots)
         server = merged["server"] = sum_numeric(
             [merged.get("server", {}), self.stats.snapshot()]

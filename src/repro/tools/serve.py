@@ -65,14 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--wal-buffer", type=int, default=512)
     parser.add_argument("--write-buffer-size", type=int, default=4 * 1024 * 1024)
     parser.add_argument("--workers", type=int, default=4,
-                        help="threaded mode: executor threads; "
-                        "--multiprocess: shard worker processes")
+                        help="--multiprocess: the number of shard worker "
+                        "processes (without it the server is one loop)")
     parser.add_argument("--multiprocess", action="store_true",
                         help="shard-per-core serving: fork --workers "
                         "processes, each owning one shard, behind an "
                         "event-loop front-end (--shards is ignored; the "
                         "shard count equals the worker count)")
-    parser.add_argument("--queue-depth", type=int, default=64)
+    parser.add_argument("--queue-depth", type=int, default=64,
+                        help="--multiprocess: forwarded requests in flight "
+                        "per worker before the front-end answers BUSY")
     parser.add_argument("--require-auth", action="store_true",
                         help="demand a KDS-authorized AUTH before serving")
     parser.add_argument("--duration", type=float, default=None,
@@ -116,7 +118,7 @@ def _shard_factory(args, kds, shared_dek_cache):
 
 
 def _make_db(args, kds):
-    """Open the engine for the threaded (single-process) server."""
+    """Open the engine for the single-process server."""
     if args.env == "local":
         LocalEnv().mkdirs(args.db)
     # The CLI's KDS lives and dies with the process; without a durable DEK
@@ -139,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        num_workers=args.workers,
         max_queue_depth=args.queue_depth,
         require_auth=args.require_auth,
         kds=kds,

@@ -1,11 +1,75 @@
-"""Tests for merging iterators and visibility collapsing."""
+"""Tests for merging iterators and visibility collapsing.
+
+``merge_entries``, ``newest_visible`` and ``key_range`` are the oracle:
+the plain heap merge, newest-version collapse and range cut that
+``scan_runs`` (the engine's one scan loop) is checked against, here and
+in the memtable and compaction tests.
+"""
+
+from heapq import merge
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import InvalidArgumentError
+from repro.lsm.block import Entry
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
-from repro.lsm.iterator import key_range, merge_entries, newest_visible, scan_runs
+from repro.lsm.iterator import scan_runs
+
+
+def merge_entries(sources: list[Iterable[Entry]]) -> Iterator[Entry]:
+    """Merge sorted entry streams into one (key asc, seq desc) stream."""
+    return merge(
+        *sources, key=lambda entry: (entry[0], MAX_SEQUENCE - entry[1])
+    )
+
+
+def newest_visible(
+    entries: Iterable[Entry],
+    snapshot_seq: int = MAX_SEQUENCE,
+    keep_tombstones: bool = False,
+) -> Iterator[Entry]:
+    """Collapse a merged stream to the newest visible version per key.
+
+    Entries with seq > snapshot_seq are invisible.  Tombstones are dropped
+    (the key simply doesn't appear) unless ``keep_tombstones`` -- compaction
+    to a non-bottommost level must preserve them so they keep shadowing
+    older versions in lower levels.
+    """
+    previous_key: bytes | None = None
+    for key, seq, vtype, value in entries:
+        if seq > snapshot_seq:
+            continue
+        if key == previous_key:
+            continue  # an older version of a key we already emitted/decided
+        previous_key = key
+        if vtype == TYPE_DELETE and not keep_tombstones:
+            continue
+        yield (key, seq, vtype, value)
+
+
+def key_range(
+    entries: Iterable[Entry],
+    start: bytes,
+    end: bytes | None,
+    limit: int | None = None,
+) -> Iterator[tuple[bytes, bytes]]:
+    """The (key, value) pairs of a key-ordered stream within [start, end),
+    stopping after ``limit`` pairs."""
+    if limit == 0:
+        return
+    count = 0
+    for key, __, ___, value in entries:
+        if key < start:
+            continue
+        if end is not None and key >= end:
+            return
+        yield (key, value)
+        count += 1
+        if limit is not None and count >= limit:
+            return
+
 
 
 def test_merge_two_sources():

@@ -2,8 +2,9 @@
 
 ``src/repro/lsm``, ``src/repro/dist`` and ``src/repro/service`` keep one
 property that is cheap to lose one line at a time: no object reaches into
-another's underscore fields.  ``src/repro/service`` keeps two more: the
-authorization decisions are called from one place (``server.admit``), and
+another's underscore fields.  ``src/repro/service`` keeps three more: the
+authorization decisions are called from one place (``server.admit``), one
+executor loop answers every request (``server.answer`` has one caller), and
 the replication stream never picks its cipher by looking at a scheme's
 flavour (it is one more file of the engine's provider).  And a DEK has one
 lifecycle: outside ``keys/``, only ``shield/provider.py`` provisions,
@@ -73,6 +74,17 @@ def test_the_authorization_decisions_have_one_caller():
             for owner in _enclosing_functions(tree, _calls(tree, decision))
         ]
         assert callers == [("server.py", "admit")], decision
+
+
+def test_answer_has_one_caller_the_executor_loop():
+    """One executor: every request any server answers goes through the one
+    loop's ``_answer`` -- no second dispatcher calls ``server.answer``."""
+    callers = [
+        (name, owner)
+        for name, tree in TREES.items()
+        for owner in _enclosing_functions(tree, _calls(tree, "answer"))
+    ]
+    assert callers == [("server.py", "_answer")]
 
 
 def test_the_replication_stream_does_not_branch_on_the_scheme_flavour():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lsm.dbformat import MAX_SEQUENCE, TYPE_DELETE, TYPE_PUT
-from repro.lsm.iterator import key_range, merge_entries, newest_visible
 from repro.lsm.memtable import Memtable, make_memtable
+from tests.test_iterator import key_range, merge_entries, newest_visible
 
 #: The names ``make_memtable`` still answers to (``benchmarks/perf/layers.py``
 #: asks for "skiplist"): both are the one memtable.

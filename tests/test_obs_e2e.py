@@ -23,8 +23,7 @@ from repro.obs import costs
 from repro.obs.trace import TRACER, RingBufferSink
 from repro.service.client import KVClient
 from repro.service.replica import Replica
-from repro.service.server import KVServer, ServiceConfig
-from repro.service.workers import _ShardServer
+from repro.service.server import KVServer, ServiceConfig, ServingLoop
 from repro.shield import ShieldOptions, open_shield_db
 
 
@@ -56,7 +55,7 @@ def _open_shield_db(path="/obs", kds=None, env=None):
 def test_remote_put_traces_across_four_layers():
     db = _open_shield_db()
     with traced() as sink:
-        with KVServer(db, ServiceConfig(num_workers=2)) as server:
+        with KVServer(db, ServiceConfig()) as server:
             with KVClient(*server.address) as client:
                 client.put(b"traced-key", b"traced-value")
     db.close()
@@ -95,7 +94,7 @@ def test_a_direct_get_is_one_trace_across_client_and_worker():
     listener.listen(8)
     listener.setblocking(False)
     frontend_end, worker_end = socket.socketpair()
-    shard = _ShardServer(db, worker_end, listener, ServiceConfig())
+    shard = ServingLoop(db, worker_end, listener, ServiceConfig())
     thread = threading.Thread(target=shard.serve, daemon=True)
     thread.start()
     try:
@@ -112,7 +111,7 @@ def test_a_direct_get_is_one_trace_across_client_and_worker():
     assert not thread.is_alive()
 
     by_name = {span.name: span for span in sink.spans()}
-    client_span, worker_span = by_name["client.get"], by_name["worker.get"]
+    client_span, worker_span = by_name["client.get"], by_name["server.get"]
     assert list(sink.traces()) == [client_span.trace_id]
     assert client_span.parent_id is None
     assert worker_span.parent_id == client_span.span_id
@@ -122,7 +121,7 @@ def test_a_direct_get_is_one_trace_across_client_and_worker():
 def test_sampled_out_remote_request_writes_nothing():
     db = _open_shield_db()
     with traced(sample_rate=0.0) as sink:
-        with KVServer(db, ServiceConfig(num_workers=2)) as server:
+        with KVServer(db, ServiceConfig()) as server:
             with KVClient(*server.address) as client:
                 client.put(b"silent", b"value")
                 assert client.get(b"silent") == b"value"
@@ -133,7 +132,7 @@ def test_sampled_out_remote_request_writes_nothing():
 def test_op_stats_merges_every_layer():
     kds = InMemoryKDS()
     db = _open_shield_db(kds=kds)
-    with KVServer(db, ServiceConfig(num_workers=2)) as server:
+    with KVServer(db, ServiceConfig()) as server:
         host, port = server.address
         with KVClient(host, port) as client:
             for index in range(50):

@@ -18,11 +18,11 @@ from repro.lsm.compaction import CompactionJob, MergeExecutor
 from repro.lsm.db import DB
 from repro.lsm.dbformat import TYPE_DELETE
 from repro.lsm.filename import sst_path
-from repro.lsm.iterator import merge_entries, newest_visible
 from repro.lsm.options import Options
 from repro.lsm.sst import SSTReader
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.clock import VirtualClock
+from tests.test_iterator import merge_entries, newest_visible
 
 
 def _engine_options(**overrides):

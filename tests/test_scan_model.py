@@ -126,12 +126,10 @@ WINDOW_STEPS = st.lists(
     ),
     max_size=8,
 )
-#: The served axis: one worker behind a one-deep queue, so a pipelined
-#: burst of gets is bounced BUSY and retried; a health loop that recovers
-#: the engine; a client whose backoff is milliseconds.
-SERVED = ServiceConfig(
-    num_workers=1, max_queue_depth=1, health_check_interval_s=0.05
-)
+#: The served axis: the executor loop, serving a pipelined burst of gets
+#: one at a time; a health loop that recovers the engine; a client whose
+#: backoff is milliseconds.
+SERVED = ServiceConfig(health_check_interval_s=0.05)
 SERVED_CLIENT = dict(
     pool_size=1, timeout_s=WAIT_S, max_retries=4,
     backoff_base_s=0.001, backoff_max_s=0.004,
@@ -700,8 +698,7 @@ class ScanModel(RuleBasedStateMachine):
 
     @staticmethod
     def _gets(store, keys):
-        """Point reads; over the wire one pipelined burst, which a one-deep
-        queue bounces BUSY and the client retries."""
+        """Point reads; over the wire one pipelined burst."""
         if isinstance(store, DB):
             return [store.get(key) for key in keys]
         pipe = store.pipeline()

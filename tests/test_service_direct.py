@@ -29,8 +29,8 @@ from repro.service import client as client_module
 from repro.service import protocol
 from repro.service.client import Endpoint, KVClient, ShardedKVClient
 from repro.service.protocol import FrameReader, Message
-from repro.service.server import KVServer, ServiceConfig
-from repro.service.workers import MultiProcessKVServer, _ShardServer
+from repro.service.server import KVServer, ServiceConfig, ServingLoop
+from repro.service.workers import MultiProcessKVServer
 from repro.tools.chaos import ForwardingKVClient
 from tests.test_service_wire_budget import CountingSelector
 
@@ -113,7 +113,7 @@ def test_a_direct_get_costs_the_worker_one_recv_and_one_send():
     counting = CountingListener(listener)
     frontend_end, worker_end = socket.socketpair()
     pipe = CountingSocket(worker_end)
-    shard = _ShardServer(db, pipe, counting, ServiceConfig())
+    shard = ServingLoop(db, pipe, counting, ServiceConfig())
     thread = threading.Thread(target=shard.serve, daemon=True)
     thread.start()
     try:

@@ -106,7 +106,7 @@ def test_encrypted_server_with_replica_crash_and_eavesdropper():
         ShieldOptions(kds=kds, server_id="primary", wal_buffer_size=512),
         Options(env=MemEnv(), write_buffer_size=64 * 1024),
     )
-    server = KVServer(db, ServiceConfig(num_workers=4)).start()
+    server = KVServer(db, ServiceConfig()).start()
     proxy = RecordingProxy(server.address)
     replica = Replica(
         *proxy.address, server_id="replica-1",

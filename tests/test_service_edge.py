@@ -6,8 +6,9 @@ here sleeps; every "it happened" is a reply read off a socket or a
 library wait with a deadline.
 
 The three TCP edges are ``KVServer`` ("threaded"), a shard worker's own
-port ("worker": a ``_ShardServer`` run on a thread, so the test holds its
-engine and its KDS) and ``MultiProcessKVServer``'s front-end ("front-end").
+port ("worker": a ``ServingLoop`` run on a thread with the pipe a worker
+has, so the test holds its engine and its KDS) and
+``MultiProcessKVServer``'s front-end ("front-end").
 """
 
 import contextlib
@@ -31,8 +32,8 @@ from repro.service import protocol
 from repro.service.client import KVClient
 from repro.service.protocol import FrameSplitter, Message
 from repro.service.replica import Replica, ReplicationSource, stream_to_replica
-from repro.service.server import KVServer, ServiceConfig
-from repro.service.workers import MultiProcessKVServer, _ShardServer
+from repro.service.server import KVServer, ServiceConfig, ServingLoop
+from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
 from repro.util.stats import StatsRegistry
 
@@ -68,7 +69,7 @@ def _worker_edge(kds, config):
     listener.listen(8)
     listener.setblocking(False)
     frontend_end, worker_end = socket.socketpair()
-    shard = _ShardServer(db, worker_end, listener, config)
+    shard = ServingLoop(db, worker_end, listener, config)
     thread = threading.Thread(target=shard.serve, daemon=True)
     thread.start()
     try:
@@ -437,28 +438,30 @@ class _PinnedStreamProvider(PlaintextCryptoProvider):
 
 
 class _CollectingConn:
-    """The server-side connection object ``stream_to_replica`` writes to.
-    Runs ``after_checkpoint`` once the checkpoint's position is sent (so
-    what it commits arrives by the tail) and hangs up at ``expect`` log
-    frames."""
+    """The socket ``stream_to_replica`` writes to, keeping every frame as
+    the message it carries.  Runs ``after_checkpoint`` once the
+    checkpoint's position is sent (so what it commits arrives by the tail)
+    and ends the stream (``stopping``) at ``expect`` log frames."""
 
     def __init__(self, expect: int, after_checkpoint):
         self.sent: list[Message] = []
-        self.alive = True
+        self.stopping = threading.Event()
         self._expect = expect
         self._after_checkpoint = after_checkpoint
 
     def frames(self) -> list[Message]:
         return [msg for msg in self.sent if msg.opcode == protocol.RESP_REPL_FRAME]
 
-    def send(self, msg: Message) -> None:
+    def sendall(self, raw: bytes) -> None:
+        msg = protocol.decode_frame_body(raw[4:])
         self.sent.append(msg)
         if msg.opcode == protocol.RESP_REPL_POSITION:
             self._after_checkpoint()
-        self.alive = len(self.frames()) < self._expect
+        if len(self.frames()) >= self._expect:
+            self.stopping.set()
 
     def close(self) -> None:
-        self.alive = False
+        pass
 
 
 def _stream_six_records(db) -> _CollectingConn:
@@ -478,7 +481,7 @@ def _stream_six_records(db) -> _CollectingConn:
         stream_to_replica(
             conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
                           protocol.encode_repl_subscribe("replica-1", 0)),
-            db, source, stopping=threading.Event(), stats=StatsRegistry(),
+            db, source, stopping=conn.stopping, stats=StatsRegistry(),
         )
     finally:
         source.close()
@@ -593,10 +596,10 @@ def test_the_position_gauge_covers_a_frame_before_the_replica_can_apply_it():
     seen = []
 
     class _GaugeReadingConn(_CollectingConn):
-        def send(self, msg):
-            if msg.opcode == protocol.RESP_REPL_FRAME:
+        def sendall(self, raw):
+            if protocol.decode_frame_body(raw[4:]).opcode == protocol.RESP_REPL_FRAME:
                 seen.append(gauge.value)
-            super().send(msg)
+            super().sendall(raw)
 
     db = DB("/edge-gauge", Options(env=MemEnv()))
     db.put(b"before", b"the source attached")  # so a checkpoint comes first
@@ -608,7 +611,7 @@ def test_the_position_gauge_covers_a_frame_before_the_replica_can_apply_it():
         stream_to_replica(
             conn, Message(protocol.OP_REPL_SUBSCRIBE, 1,
                           protocol.encode_repl_subscribe("replica-1", 0)),
-            db, source, stopping=threading.Event(), stats=stats,
+            db, source, stopping=conn.stopping, stats=stats,
         )
     finally:
         source.close()
@@ -617,24 +620,26 @@ def test_the_position_gauge_covers_a_frame_before_the_replica_can_apply_it():
 
 
 def test_a_server_nobody_subscribes_to_retains_a_bounded_log():
+    """Nobody subscribed: no commit listener, nothing retained.  The first
+    subscriber attaches the log; its resume point is older than the log,
+    so it is caught up by one checkpoint, then tails -- and from then on
+    the log holds no more than the engine keeps unflushed."""
     write_buffer_size = 64 * 1024
+
+    def write_all(client, generation):
+        for start in range(0, 20_000, 500):
+            pipe = client.pipeline(max_inflight=64)
+            for i in range(start, start + 500):
+                pipe.put(b"key-%03d" % (i % 500), b"value-%d-%05d" % (generation, i))
+            pipe.execute()
+
     db = DB("/edge-bounded", Options(env=MemEnv(), write_buffer_size=write_buffer_size))
     try:
-        with KVServer(db) as server:
-            with KVClient(*server.address) as client:
-                for start in range(0, 20_000, 500):
-                    pipe = client.pipeline(max_inflight=64)
-                    for i in range(start, start + 500):
-                        pipe.put(b"key-%03d" % (i % 500), b"value-%05d" % i)
-                    pipe.execute()
+        with KVServer(db) as server, KVClient(*server.address) as client:
+            write_all(client, 0)
             assert db.committed_sequence() == 20_000
-            retained = server._source.records_after(0)
-            assert sum(len(payload) for __, __last, payload in retained) <= (
-                3 * write_buffer_size  # the active memtable + two immutable
-            )
-            assert retained[-1][1] == 20_000  # oldest dropped, newest kept
-            # A late subscriber's resume point is older than the log: it is
-            # caught up by checkpoint, then tails.
+            assert server._loop._source is None
+            assert db._commit_listeners == []
             with Replica(*server.address, server_id="late") as replica:
                 assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
                 assert replica.checkpoints_received == 1
@@ -642,5 +647,13 @@ def test_a_server_nobody_subscribes_to_retains_a_bounded_log():
                 db.put(b"live", b"tail")
                 assert replica.wait_until_caught_up(db.committed_sequence(), WAIT_S)
                 assert replica.get(b"live") == b"tail"
+                write_all(client, 1)
+                retained = server._loop._source.records_after(0)
+                assert sum(len(payload) for __, __last, payload in retained) <= (
+                    3 * write_buffer_size  # the active memtable + two immutable
+                )
+                assert retained[-1][1] == 40_001  # oldest dropped, newest kept
+                assert replica.wait_until_caught_up(40_001, WAIT_S)
+                assert replica.scan() == db.scan()
     finally:
         db.close()

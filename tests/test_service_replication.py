@@ -402,6 +402,10 @@ def test_a_streams_dek_is_retired_when_the_stream_ends():
             replica = Replica(*server.address, server_id="replica-1",
                               key_client=KeyClient(kds, "replica-1"))
             replica.start()
+            # Subscribed before the write: the log, attached at the first
+            # subscription, covers every round, and no checkpoint's flush
+            # adds an SST's DEK to the count.
+            assert replica.wait_connected(10.0)
             db.put(b"round-%d" % round_, b"v")
             assert replica.wait_until_caught_up(db.committed_sequence())
             replica.close()
@@ -584,12 +588,14 @@ def test_a_replica_without_a_key_client_is_refused_by_an_encrypted_stream():
     kds = InMemoryKDS()
     db = _shield_db(kds)
     with KVServer(db, ServiceConfig()) as server:
-        db.put(b"k", b"v")
+        # Nothing committed before the log attaches at the subscription: no
+        # checkpoint, so no flush moves the DEK counts under the stream's.
         live, retired = kds.live_dek_count(), db.provider.deks_retired
         keyless = Replica(*server.address, server_id="replica-keyless",
                           auto_reconnect=False)
         keyless.start()
         assert keyless.join(timeout=5.0)
+        db.put(b"k", b"v")
         assert isinstance(keyless.last_error, EncryptionError)
         assert keyless.subscriptions == keyless.frames_received == 0
         assert keyless.checkpoints_received == keyless.file_bytes_received == 0

@@ -1,5 +1,6 @@
 """Tests for the socket server: ops, pipelining, backpressure, auth."""
 
+import os
 import socket
 import threading
 import time
@@ -15,7 +16,9 @@ from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
 from repro.service.client import KVClient
 from repro.service.protocol import Message
+from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
+from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
 
 
@@ -118,9 +121,8 @@ def test_pipeline_mixed_operations_in_order():
     db = _open_db()
     with KVServer(db, ServiceConfig()) as server:
         with KVClient(*server.address) as client:
-            # Answers come back in request order, but KVServer does not
-            # order one connection's requests across its workers: a request
-            # that depends on another goes in a later execute().
+            # Answers come back in request order; a request that depends
+            # on another goes in a later execute().
             pipe = client.pipeline()
             for i in range(30):
                 pipe.put(b"p-%02d" % i, b"v-%02d" % i)
@@ -152,7 +154,7 @@ def test_concurrent_clients_no_cross_talk():
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
-    with KVServer(db, ServiceConfig(num_workers=4)) as server:
+    with KVServer(db, ServiceConfig()) as server:
         threads = [threading.Thread(target=worker, args=(b"t%d" % t,))
                    for t in range(6)]
         for thread in threads:
@@ -185,111 +187,137 @@ def test_raw_pipelined_requests_match_by_id():
 # -- backpressure ------------------------------------------------------------
 
 
-def test_queue_overflow_returns_busy_for_excess_request():
-    """Queue depth N, one blocked worker: request N+2 must bounce BUSY."""
+def test_queue_overflow_returns_busy_for_excess_request(tmp_path):
+    """A front-end's window of N in-flight requests per worker, the worker
+    gated inside the first: requests 2..N fill the window, and request N+1
+    must bounce BUSY before the worker answers anything."""
     depth = 3
-    blocking = _BlockingDB(_open_db())
-    with KVServer(blocking, ServiceConfig(
-        num_workers=1, max_queue_depth=depth,
-    )) as server:
-        with socket.create_connection(server.address) as sock:
-            # Request 1 occupies the only worker...
-            protocol.send_message(sock, Message(
-                protocol.OP_GET, 1, protocol.encode_key(blocking.block_key)
-            ))
-            assert blocking.entered.wait(timeout=5.0)
-            # ...requests 2..N+1 fill the queue...
-            for i in range(depth):
-                protocol.send_message(sock, Message(
-                    protocol.OP_GET, 2 + i, protocol.encode_key(b"q-%d" % i)
-                ))
-            deadline = time.monotonic() + 5.0
-            while (server._queue.qsize() < depth
-                   and time.monotonic() < deadline):
-                time.sleep(0.005)
-            assert server._queue.qsize() == depth
-            # ...and request N+2 must be rejected immediately.
-            protocol.send_message(sock, Message(
-                protocol.OP_GET, 99, protocol.encode_key(b"overflow")
-            ))
-            reader = protocol.FrameReader(sock)
-            response = reader.read()
-            assert response.opcode == protocol.RESP_BUSY
-            assert response.request_id == 99
-            assert server.stats.counter("service.busy_rejections").value == 1
+    gate_r, gate_w = os.pipe()  # the forked worker inherits both ends
 
-            blocking.release.set()
-            done = {response.request_id}
-            while len(done) < 1 + depth + 1:
-                done.add(reader.read().request_id)
-            assert done == {1, 99} | {2 + i for i in range(depth)}
-    blocking.db.close()
+    def gated_shard(index, path):
+        db = _open_db(path)
+
+        class _GatedDB:
+            def get(self, key, opts=None):
+                os.read(gate_r, 1)  # one byte lets one get through
+                return db.get(key, opts)
+
+            def __getattr__(self, name):
+                return getattr(db, name)
+
+        return _GatedDB()
+
+    config = ServiceConfig(max_queue_depth=depth)
+    try:
+        with MultiProcessKVServer(
+            str(tmp_path / "mp"), 1, gated_shard, config
+        ) as server:
+            with socket.create_connection(server.address) as sock:
+                for rid in range(1, depth + 2):
+                    protocol.send_message(sock, Message(
+                        protocol.OP_GET, rid, protocol.encode_key(b"q-%d" % rid)
+                    ))
+                reader = protocol.FrameReader(sock)
+                response = reader.read()
+                assert (response.opcode, response.request_id) == (
+                    protocol.RESP_BUSY, depth + 1
+                )
+                os.write(gate_w, b"g" * depth)
+                answered = [reader.read() for __ in range(depth)]
+                assert [(r.opcode, r.request_id) for r in answered] == [
+                    (protocol.RESP_NOT_FOUND, rid) for rid in range(1, depth + 1)
+                ]
+            with KVClient(*server.address) as client:
+                assert client.stats()["server"]["service.busy_rejections"] == 1
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+
+
+class _ScriptedBusyServer:
+    """A listener that answers the first ``busy`` PUTs ``RESP_BUSY`` and
+    stores the rest; GETs read what was stored, and its topology has
+    nothing behind it.  ``puts`` counts every PUT it was sent."""
+
+    def __init__(self, busy: int):
+        self.busy = busy
+        self.puts = 0
+        self.data: dict = {}
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.thread = threading.Thread(target=self._accept, daemon=True)
+        self.thread.start()
+
+    @property
+    def address(self):
+        return self.listener.getsockname()
+
+    def _reply(self, msg):
+        if msg.opcode == protocol.OP_TOPOLOGY:
+            return protocol.RESP_OK, protocol.encode_topology(())
+        if msg.opcode == protocol.OP_GET:
+            value = self.data.get(protocol.decode_key(msg.payload))
+            if value is None:
+                return protocol.RESP_NOT_FOUND, b""
+            return protocol.RESP_VALUE, protocol.encode_value(value)
+        self.puts += 1
+        if self.puts <= self.busy:
+            return protocol.RESP_BUSY, b""
+        key, value = protocol.decode_put(msg.payload)
+        self.data[key] = value
+        return protocol.RESP_OK, protocol.encode_sequence(len(self.data))
+
+    def _accept(self):
+        while True:
+            try:
+                sock, __ = self.listener.accept()
+            except OSError:
+                return  # close() shut the listener down
+            with sock:
+                reader = protocol.FrameReader(sock)
+                try:
+                    while (msg := reader.read()) is not None:
+                        opcode, payload = self._reply(msg)
+                        protocol.send_message(
+                            sock, Message(opcode, msg.request_id, payload)
+                        )
+                except OSError:
+                    pass
+
+    def close(self):
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        except OSError:
+            pass
+        self.listener.close()
+        self.thread.join(5.0)
+        assert not self.thread.is_alive()
 
 
 def test_client_retries_busy_until_queue_drains():
-    blocking = _BlockingDB(_open_db())
-    with KVServer(blocking, ServiceConfig(
-        num_workers=1, max_queue_depth=1,
-    )) as server:
-        host, port = server.address
-        slow = KVClient(host, port)
-        filler = KVClient(host, port)
-        results: list = []
-        t_slow = threading.Thread(
-            target=lambda: results.append(slow.get(blocking.block_key))
-        )
-        t_slow.start()
-        assert blocking.entered.wait(timeout=5.0)
-        t_fill = threading.Thread(
-            target=lambda: results.append(filler.get(b"filler"))
-        )
-        t_fill.start()
-        deadline = time.monotonic() + 5.0
-        while (server._queue.qsize() < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-
-        writer = KVClient(host, port, max_retries=40)
-        threading.Timer(0.2, blocking.release.set).start()
-        writer.put(b"after-drain", b"made-it")  # BUSY until the drain
-        assert writer.busy_retries > 0
-        t_slow.join()
-        t_fill.join()
-        assert writer.get(b"after-drain") == b"made-it"
-        for client in (slow, filler, writer):
-            client.close()
-    blocking.db.close()
+    server = _ScriptedBusyServer(busy=3)
+    try:
+        with KVClient(*server.address, max_retries=40,
+                      backoff_base_s=0.001, backoff_max_s=0.004) as writer:
+            writer.put(b"after-drain", b"made-it")  # BUSY three times first
+            assert writer.busy_retries == 3
+            assert server.puts == 4
+            assert writer.get(b"after-drain") == b"made-it"
+    finally:
+        server.close()
 
 
 def test_busy_error_surfaces_when_retries_exhausted():
-    blocking = _BlockingDB(_open_db())
-    with KVServer(blocking, ServiceConfig(
-        num_workers=1, max_queue_depth=1,
-    )) as server:
-        host, port = server.address
-        slow = KVClient(host, port)
-        filler = KVClient(host, port)
-        threads = [
-            threading.Thread(target=lambda: slow.get(blocking.block_key)),
-            threading.Thread(target=lambda: filler.get(b"fill")),
-        ]
-        threads[0].start()
-        assert blocking.entered.wait(timeout=5.0)
-        threads[1].start()
-        deadline = time.monotonic() + 5.0
-        while (server._queue.qsize() < 1
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-        impatient = KVClient(host, port, max_retries=2,
-                             backoff_base_s=0.001, backoff_max_s=0.002)
-        with pytest.raises(BusyError):
-            impatient.put(b"nope", b"nope")
-        blocking.release.set()
-        for thread in threads:
-            thread.join()
-        for client in (slow, filler, impatient):
-            client.close()
-    blocking.db.close()
+    server = _ScriptedBusyServer(busy=1_000)
+    try:
+        with KVClient(*server.address, max_retries=2,
+                      backoff_base_s=0.001, backoff_max_s=0.002) as impatient:
+            with pytest.raises(BusyError):
+                impatient.put(b"nope", b"nope")
+            assert impatient.busy_retries == 3  # every BUSY it was sent
+        assert server.puts == 3  # the first try and both retries
+        assert server.data == {}
+    finally:
+        server.close()
 
 
 def test_large_pipeline_does_not_deadlock_on_tcp_buffers():
@@ -299,7 +327,7 @@ def test_large_pipeline_does_not_deadlock_on_tcp_buffers():
     db = _open_db(write_buffer_size=512 * 1024)
     value = b"x" * 4096
     count = 600
-    with KVServer(db, ServiceConfig(num_workers=2)) as server:
+    with KVServer(db, ServiceConfig()) as server:
         with KVClient(*server.address, timeout_s=30.0) as client:
             pipe = client.pipeline(max_inflight=16)
             for i in range(count):
@@ -379,55 +407,52 @@ def test_graceful_stop_completes_inflight_writes():
 
 
 def test_stop_is_prompt_and_joins_every_thread_it_started():
-    """Every thread is woken, not waited out: the accept thread by a shutdown
-    of the listener (a close alone leaves ``accept()`` asleep on Linux), the
-    workers by their sentinels, an idle connection's reader by its socket."""
+    """Every thread is woken, not waited out: the loop by the EOF on its
+    pipe, the health loop by its event, a replication stream by the source
+    closing under it -- and an idle connection is hung up on."""
     db = _open_db()
     server = KVServer(db, ServiceConfig()).start()
+    replica = Replica(*server.address, server_id="r", auto_reconnect=False)
     with KVClient(*server.address) as client, \
-            socket.create_connection(server.address) as idle:
+            socket.create_connection(server.address) as idle, replica:
         client.put(b"k", b"v")
-        deadline = time.monotonic() + 5.0
-        while len(server._conn_threads) < 2 and time.monotonic() < deadline:
-            time.sleep(0.005)
+        assert replica.wait_until_caught_up(db.committed_sequence())
         threads = [
-            server._accept_thread, server._health_thread,
-            *server._workers, *server._conn_threads,
+            server._thread, server._loop._health, *server._loop._streams,
         ]
-        assert len(threads) == 2 + server.config.num_workers + 2
+        assert len(threads) == 3
         started = time.monotonic()
         server.stop()
         elapsed = time.monotonic() - started
         assert idle.recv(1) == b""  # the server hung up on it
     assert [thread.name for thread in threads if thread.is_alive()] == []
-    assert elapsed < 0.5  # ~1 ms; it was 2.0 s, one join timing out
+    assert elapsed < 0.5  # ~1 ms; a join timing out would be 5 s
+    replica.close()
     db.close()
 
 
 def test_stop_returns_despite_full_queue_and_stuck_worker():
-    """Shutdown must stay bounded even when the request queue is full and
-    the only worker is wedged inside a handler (it cannot drain the queue
-    or accept a blocking sentinel put)."""
+    """Shutdown stays bounded (``drain_timeout_s``) while the loop is wedged
+    inside a handler with another request waiting behind it; the loop
+    itself ends once the handler returns."""
     blocking = _BlockingDB(_open_db())
-    server = KVServer(blocking, ServiceConfig(
-        num_workers=1, max_queue_depth=1, drain_timeout_s=0.2,
-    )).start()
+    server = KVServer(blocking, ServiceConfig(drain_timeout_s=0.2)).start()
     sock = socket.create_connection(server.address)
     try:
         protocol.send_message(sock, Message(
             protocol.OP_GET, 1, protocol.encode_key(blocking.block_key)
         ))
-        assert blocking.entered.wait(timeout=5.0)  # worker is wedged
+        assert blocking.entered.wait(timeout=5.0)  # the loop is wedged
         protocol.send_message(sock, Message(
             protocol.OP_GET, 2, protocol.encode_key(b"queued")
         ))
-        deadline = time.monotonic() + 5.0
-        while server._queue.qsize() < 1 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert server._queue.qsize() == 1  # the bounded queue is full
         started = time.monotonic()
         server.stop()
-        assert time.monotonic() - started < 5.0
+        assert 0.2 <= time.monotonic() - started < 5.0
+        assert server._thread.is_alive()
+        blocking.release.set()
+        server._thread.join(5.0)
+        assert not server._thread.is_alive()
     finally:
         blocking.release.set()
         sock.close()
@@ -435,22 +460,53 @@ def test_stop_returns_despite_full_queue_and_stuck_worker():
 
 
 def test_conn_thread_list_is_pruned():
-    """Dead reader threads are dropped at accept time, so the list does
-    not grow with every connection the server ever served."""
+    """No per-connection state outlives its connection: once a client hangs
+    up, the loop holds only its pipe and its listener again."""
     db = _open_db()
     with KVServer(db, ServiceConfig()) as server:
         for __ in range(8):
             with KVClient(*server.address, pool_size=0) as client:
                 client.ping()
-        # Each fresh accept prunes readers that have since finished.
+        loop = server._loop
         deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with KVClient(*server.address, pool_size=0) as client:
-                client.ping()
-            if len(server._conn_threads) <= 3:
-                break
+        while loop._direct and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert len(server._conn_threads) <= 3
+        assert loop._direct == set()
+        assert len(loop._io.selector.get_map()) == 2
+        assert server.stats.counter("service.connections").value >= 8
+        assert server.stats.gauge("service.direct_connections").value == 0
+    db.close()
+
+
+def test_a_subscription_behind_an_unsent_reply_gets_that_reply_first():
+    """A connection that pipelines a scan whose reply outgrows the socket
+    buffer, then subscribes, reads the whole reply before the stream: the
+    loop hands the streamer what it had not sent yet."""
+    db = _open_db(write_buffer_size=64 * 1024 * 1024)
+    value = b"v" * (64 * 1024)
+    for i in range(128):
+        db.put(b"big-%03d" % i, value)
+    with KVServer(db, ServiceConfig()) as server:
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            sock.sendall(
+                protocol.encode_frame(Message(
+                    protocol.OP_SCAN, 1, protocol.encode_scan(b"", None, None)
+                ))
+                + protocol.encode_frame(Message(
+                    protocol.OP_REPL_SUBSCRIBE, 2,
+                    protocol.encode_repl_subscribe("r", db.committed_sequence()),
+                ))
+            )
+            reader = protocol.FrameReader(sock)
+            scan = reader.read()
+            assert (scan.opcode, scan.request_id) == (protocol.RESP_PAIRS, 1)
+            assert protocol.decode_pairs(scan.payload) == [
+                (b"big-%03d" % i, value) for i in range(128)
+            ]
+            accept = reader.read()
+            assert (accept.opcode, accept.request_id) == (
+                protocol.RESP_REPL_ACCEPT, 2
+            )
     db.close()
 
 

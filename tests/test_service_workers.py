@@ -24,6 +24,7 @@ from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
 from repro.service.client import KVClient, ShardedKVClient
 from repro.service.protocol import Message
+from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
@@ -219,6 +220,39 @@ def _worker_crash_is_retriable(tmp_path, client_class):
             assert stats["server"]["service.worker_generation.0"] >= 2
     finally:
         server.stop()
+
+
+def test_a_workers_replica_reads_every_acked_write_across_its_killing(tmp_path):
+    """A replica subscribed to one shard worker's own port: SIGKILL that
+    worker mid-load, and the replica reconnects to its respawn (same port)
+    and reads back every acked write of the shard.  The shards are
+    plaintext: an encrypted shard's replica needs the KDS the workers use,
+    and a forked ``InMemoryKDS`` is a copy (DESIGN.md §10)."""
+    index, shards = 1, 2
+    config = ServiceConfig(port=0, drain_timeout_s=2.0)
+    with MultiProcessKVServer(
+        str(tmp_path / "mp"), shards, _local_factory(), config
+    ) as server, _retrying_client(server) as client, Replica(
+        *server.worker_addresses[index], server_id="shard-replica",
+        reconnect_backoff_s=0.01,
+    ) as replica:
+        assert replica.wait_connected(10.0)
+        acked = {}
+        for i in range(80):
+            if i == 40:
+                victim = server.worker_pids[index]
+                os.kill(victim, signal.SIGKILL)
+            key = b"r-%03d" % i
+            client.put(key, b"v-%03d" % i)
+            acked[key] = b"v-%03d" % i
+        assert _eventually(lambda: server.worker_pids[index] not in (victim, None))
+        shard = {k: v for k, v in acked.items() if shard_for_key(k, shards) == index}
+        assert len(shard) >= 20
+        committed = client.stats()["workers"][str(index)]["committed_sequence"]
+        assert replica.wait_until_caught_up(committed, 20.0)
+        assert {key: replica.get(key) for key in shard} == shard
+        assert replica.subscriptions >= 2  # it followed the respawn
+        assert replica.scan() == sorted(shard.items())
 
 
 def test_graceful_stop_reaps_every_worker(tmp_path):
