@@ -137,10 +137,12 @@ class DB:
         self.stats = StatsRegistry()
         self._gets = self.stats.counter("db.gets")
         self._sst_probes = self.stats.counter("db.get_sst_probes")
-        self._writes = self.stats.counter("db.writes")
-        self._user_write_bytes = self.stats.counter("db.user_write_bytes")
-        self._write_groups = self.stats.counter("db.write_groups")
+        # The commit's metrics are written under the mutex: owned shards.
+        self._writes = self.stats.counter("db.writes").owned()
+        self._user_write_bytes = self.stats.counter("db.user_write_bytes").owned()
+        self._write_groups = self.stats.counter("db.write_groups").owned()
         self._group_size = self.stats.histogram("db.group_size")
+        self._group_size_shard = self._group_size.owned()
         # Always-on breakdown for background work: flush/compaction threads
         # attribute their encryption/KDS/IO seconds here, feeding the
         # encryption-cost-per-byte signal without any bench harness active.
@@ -233,19 +235,34 @@ class DB:
     def write(self, batch: WriteBatch, opts: WriteOptions | None = None) -> None:
         """Group-commit write path (RocksDB's pipelined writer, simplified).
 
-        Every writer enqueues its batch; the first writer to take the
-        leader lock commits *all* queued batches as one group -- one WAL
-        pass (and, with encryption, far fewer cipher-context
-        initializations under contention), one memtable pass, one sync if
-        any member asked for one.  Followers find their request completed
-        when they get the lock and return immediately.
+        A lone writer -- nobody queued, nobody committing -- commits its
+        batch inline: a group of one on the same commit body as any group.
+        A writer that finds the queue non-empty or the write lock held
+        enqueues its batch; the first queued writer to take the lock commits
+        *all* queued batches as one group -- one WAL pass (and, with
+        encryption, far fewer cipher-context initializations under
+        contention), one memtable pass, one sync if any member asked for
+        one.  Followers find their request completed when they get the lock
+        and return immediately.
         """
         ops = len(batch)
         if ops == 0:
             return
-        request = _WriteRequest(batch, opts or _DEFAULT_WRITE_OPTIONS)
+        opts = opts or _DEFAULT_WRITE_OPTIONS
         with TRACER.span("db.write") as span:
             span.set_attribute("ops", ops)
+            # The queue is read without its lock: a benign race.  A writer
+            # that queues after this read blocks on the write lock, as behind
+            # any leader, and is committed by the next holder (at the latest
+            # itself); one that queued before it keeps this writer queuing.
+            if not self._write_queue and self._write_lock.acquire(False):
+                try:
+                    with self._mutex:
+                        self._commit(((batch, opts),))
+                finally:
+                    self._write_lock.release()
+                return
+            request = _WriteRequest(batch, opts)
             with self._queue_lock:
                 self._write_queue.append(request)
             with self._write_lock:
@@ -259,51 +276,8 @@ class DB:
         with self._mutex:
             with self._queue_lock:
                 group, self._write_queue = self._write_queue, []
-            if not group:
-                return
             try:
-                self._check_state()
-                if self._maybe_stall_locked():
-                    self._check_state()  # may have closed/errored meanwhile
-                # Number and serialize the group, log it in one WAL write.
-                wal_enabled = self.options.wal_enabled
-                want_sync = self.options.wal_sync_writes
-                sequence = start = self._versions.last_sequence
-                members = []  # (batch, first sequence, WAL payload or None)
-                logged = []
-                for request in group:
-                    batch, opts = request.batch, request.opts
-                    first_seq = sequence + 1
-                    sequence += len(batch)
-                    payload = None
-                    if wal_enabled and not opts.disable_wal:
-                        payload = batch.serialize(first_seq)
-                        logged.append(payload)
-                        want_sync = want_sync or opts.sync
-                    members.append((batch, first_seq, payload))
-                self._versions.last_sequence = sequence
-                if logged:
-                    self._wal.add_records(logged)
-                mem, listening = self._mem, bool(self._commit_listeners)
-                committed: list[tuple[int, int, bytes]] = []
-                total_bytes = 0
-                for batch, first_seq, payload in members:
-                    last_seq = batch.insert_into(mem, first_seq)
-                    total_bytes += batch.byte_size()
-                    if listening:
-                        if payload is None:
-                            payload = batch.serialize(first_seq)
-                        committed.append((first_seq, last_seq, payload))
-                if want_sync and wal_enabled:
-                    self._wal.sync()
-                    self._versions.anchor.synced(self._wal_number, self._wal.synced)
-                self._notify_commit_listeners(committed)
-                self._writes.add(sequence - start)
-                self._user_write_bytes.add(total_bytes)
-                self._write_groups.add(1)
-                self._group_size.record(len(group))
-                if mem.approximate_size() >= self.options.write_buffer_size:
-                    self._switch_memtable_locked()
+                self._commit([(request.batch, request.opts) for request in group])
             except BaseException as exc:
                 for request in group:
                     request.error = exc
@@ -311,6 +285,56 @@ class DB:
                 return
             for request in group:
                 request.done = True
+
+    def _commit(self, group) -> None:
+        """The one commit body (write lock and mutex held): number ``group``,
+        its ``(batch, opts)`` pairs in order, log it in one WAL write, then
+        insert it into the memtable.  Raises what failed; every member
+        shares the outcome."""
+        self._check_state()
+        if self._maybe_stall_locked():
+            self._check_state()  # may have closed/errored meanwhile
+        wal_enabled = self.options.wal_enabled
+        want_sync = self.options.wal_sync_writes
+        sequence = start = self._versions.last_sequence
+        payloads = []  # each member's WAL payload, None when it skips the WAL
+        unlogged = False
+        for batch, opts in group:
+            if wal_enabled and not opts.disable_wal:
+                payloads.append(batch.serialize(sequence + 1))
+                want_sync = want_sync or opts.sync
+            else:
+                payloads.append(None)
+                unlogged = True
+            sequence += len(batch)
+        self._versions.last_sequence = sequence
+        logged = [p for p in payloads if p is not None] if unlogged else payloads
+        if logged:
+            self._wal.add_records(logged)
+        mem, listening = self._mem, bool(self._commit_listeners)
+        committed: list[tuple[int, int, bytes]] = []
+        total_bytes = 0
+        last_seq = start
+        for (batch, _), payload in zip(group, payloads):
+            first_seq = last_seq + 1
+            last_seq = batch.insert_into(mem, first_seq)
+            total_bytes += batch.byte_size()
+            if listening:
+                if payload is None:
+                    payload = batch.serialize(first_seq)
+                committed.append((first_seq, last_seq, payload))
+        if want_sync and wal_enabled:
+            self._wal.sync()
+            self._versions.anchor.synced(self._wal_number, self._wal.synced)
+        if committed:
+            self._notify_commit_listeners(committed)
+        # Owned shards: the mutex serializes these writes (util/stats.py).
+        self._writes.value += sequence - start
+        self._user_write_bytes.value += total_bytes
+        self._write_groups.value += 1
+        self._group_size.record(len(group), self._group_size_shard)
+        if mem.approximate_size() >= self.options.write_buffer_size:
+            self._switch_memtable_locked()
 
     # -- WAL-tail hook (the serving tier's replication feed) ---------------
 
@@ -334,8 +358,6 @@ class DB:
     def _notify_commit_listeners(
         self, committed: list[tuple[int, int, bytes]]
     ) -> None:
-        if not committed or not self._commit_listeners:
-            return
         for listener in list(self._commit_listeners):
             for first_seq, last_seq, payload in committed:
                 try:
@@ -448,10 +470,10 @@ class DB:
                 time.perf_counter() - stalled_at
             )
             return True
-        l0_count = len(self._versions.current.levels[0])
         if (
             self.options.slowdown_delay_s > 0
-            and l0_count >= self.options.level0_slowdown_writes_trigger
+            and len(self._versions.current.levels[0])
+            >= self.options.level0_slowdown_writes_trigger
         ):
             self.stats.counter("db.slowdown_writes").add(1)
             # Release the mutex while throttled so background jobs and

@@ -32,6 +32,8 @@ before units; replay still reads it.
 
 from __future__ import annotations
 
+import struct
+
 from repro.env.base import Env
 from repro.errors import AuthenticationError, CorruptionError, IOError_
 from repro.lsm.envelope import (
@@ -53,15 +55,26 @@ from repro.util.coding import (
 )
 
 
+_HEAD_1 = struct.Struct("<IB")  # masked CRC, a length under 0x80
+_HEAD_2 = struct.Struct("<IBB")  # masked CRC, a length under 0x4000
+
+
+def frame_head(payload: bytes) -> bytes:
+    """A record frame's header: the payload's masked CRC and its length."""
+    length = len(payload)
+    crc = masked_crc32(payload)
+    if length < 0x80:
+        return _HEAD_1.pack(crc, length)
+    if length < 0x4000:  # a small put's record
+        return _HEAD_2.pack(crc, (length & 0x7F) | 0x80, length >> 7)
+    return encode_fixed32(crc) + encode_varint64(length)
+
+
 def frame_records(payloads: list[bytes]) -> bytes:
     """Build the on-disk frames of ``payloads``, back to back, in one join."""
     parts = []
     for payload in payloads:
-        parts += (
-            encode_fixed32(masked_crc32(payload)),
-            encode_varint64(len(payload)),
-            payload,
-        )
+        parts += (frame_head(payload), payload)
     return b"".join(parts)
 
 
@@ -111,25 +124,28 @@ class WALWriter:
         record.  One record is exactly what ``add_record`` writes.  Nothing
         here syncs: ``sync()`` is the one way to durability."""
         with TRACER.span("wal.append") as span:
-            frames = frame_records(payloads)
-            span.set_attribute("nbytes", len(frames))
             if self.buffer_size > 0:
                 buffer = self._buffer
                 mark = len(buffer)
-                buffer += frames
-                span.set_attribute("buffered", True)
-                if len(buffer) >= self.buffer_size:
-                    try:
+                try:
+                    for payload in payloads:
+                        buffer += frame_head(payload)
+                        buffer += payload
+                    span.set_attribute("nbytes", len(buffer) - mark)
+                    span.set_attribute("buffered", True)
+                    if len(buffer) >= self.buffer_size:
                         self.flush_buffer()
-                    except BaseException:
-                        # This write raises before the memtable gets it:
-                        # none of its frames may be persisted later.  The
-                        # frames before it stay.  (A write whose sync raises
-                        # after this returns is in doubt instead: its frames
-                        # stay buffered, and a later sync persists them.)
-                        del buffer[mark:]
-                        raise
+                except BaseException:
+                    # This write raises before the memtable gets it: none of
+                    # its frames may be persisted later.  The frames before
+                    # it stay.  (A write whose sync raises after this returns
+                    # is in doubt instead: its frames stay buffered, and a
+                    # later sync persists them.)
+                    del buffer[mark:]
+                    raise
             else:
+                frames = frame_records(payloads)
+                span.set_attribute("nbytes", len(frames))
                 self._append_unit(frames)
 
     def _append_unit(self, chunk: bytes) -> None:

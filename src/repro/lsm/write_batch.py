@@ -26,6 +26,7 @@ from repro.util.coding import (
 )
 
 _HEADER = struct.Struct("<QI")  # sequence fixed64, count fixed32
+_ONE_PUT = struct.Struct("<QIBB")  # the header, a put's tag, a key length < 0x80
 _PUT_TAG = bytes((TYPE_PUT,))
 _DELETE_TAG = bytes((TYPE_DELETE,))
 _VALUE_TYPES = (bytes, bytearray, memoryview)
@@ -102,8 +103,14 @@ class WriteBatch:
     # -- serialization -------------------------------------------------------
 
     def serialize(self, sequence: int) -> bytes:
-        parts = [_HEADER.pack(sequence, len(self._ops))]
-        for vtype, key, value in self._ops:
+        ops = self._ops
+        if len(ops) == 1:  # DB.put's batch: one pack, one join
+            vtype, key, value = ops[0]
+            if vtype == TYPE_PUT and len(key) < 0x80:
+                head = _ONE_PUT.pack(sequence, 1, TYPE_PUT, len(key))
+                return b"".join((head, key, encode_varint64(len(value)), value))
+        parts = [_HEADER.pack(sequence, len(ops))]
+        for vtype, key, value in ops:
             if vtype == TYPE_PUT:
                 parts += (
                     _PUT_TAG, encode_varint64(len(key)), key,
@@ -112,6 +119,7 @@ class WriteBatch:
             else:
                 parts += (_DELETE_TAG, encode_varint64(len(key)), key)
         return b"".join(parts)
+
     @staticmethod
     def deserialize(payload: bytes) -> tuple[int, "WriteBatch"]:
         """Parse a WAL payload back into (first_sequence, batch)."""

@@ -11,6 +11,12 @@ it races have returned.  ``reset()`` bumps the metric's epoch; a shard of an
 older epoch reads as zero and is zeroed by its owner on its next write.  A
 thread's shard outlives it only until the next read or registration folds it
 into the metric's base shard, so the shard count follows live threads.
+
+A writer that already serializes its writes under a lock of its own (the
+engine's commit, under the engine mutex) can take an *owned* shard instead
+(``Counter.owned``, ``Histogram.owned``): no thread-local lookup, and an
+owned counter's write is a bare int add.  Reads and ``reset()`` treat it as
+any other shard; it lives as long as the metric.
 """
 
 from __future__ import annotations
@@ -107,11 +113,23 @@ class _Tally:
         self.value = 0
 
 
+class _OwnedTally:
+    """A counter shard its owner adds to directly; ``reset()`` moves the
+    offset up to the value instead of touching the value."""
+
+    __slots__ = ("value", "offset")
+
+    def __init__(self):
+        self.value = 0
+        self.offset = 0
+
+
 class Counter(_Sharded):
     """A thread-safe monotonically increasing counter."""
 
     def __init__(self, name: str = ""):
         self.name = name
+        self._owned: list[_OwnedTally] = []
         super().__init__()
 
     def _new_shard(self) -> _Tally:
@@ -119,6 +137,22 @@ class Counter(_Sharded):
 
     def _absorb(self, shard: _Tally) -> None:
         self._base.value += shard.value
+
+    def owned(self) -> _OwnedTally:
+        """A shard for one writer that holds a lock of its own across every
+        write: the write is ``shard.value += amount``.  A ``reset()`` racing
+        that add may or may not count it, like any write it overlaps."""
+        tally = _OwnedTally()
+        with _REGISTRATION:
+            self._owned.append(tally)
+        return tally
+
+    def reset(self) -> None:
+        with _REGISTRATION:
+            self._epoch += 1
+            self._base = self._new_shard()
+            for tally in self._owned:
+                tally.offset = tally.value
 
     def add(self, amount: int = 1) -> None:
         try:
@@ -135,7 +169,9 @@ class Counter(_Sharded):
     @property
     def value(self) -> int:
         with _REGISTRATION:
-            return sum(shard.value for shard in self._live())
+            return sum(shard.value for shard in self._live()) + sum(
+                tally.value - tally.offset for tally in self._owned
+            )
 
 
 class Gauge:
@@ -265,16 +301,27 @@ class Histogram(_Sharded):
             _folded(-math.inf, aged),
         )
 
-    def record(self, value: float) -> None:
+    def owned(self) -> _Series:
+        """A shard for one writer that holds a lock of its own across every
+        record: ``record(value, shard)`` skips the thread-local lookup.  It
+        keeps the epoch protocol of a thread's shard; nothing folds it."""
+        shard = _Series()
+        with _REGISTRATION:
+            shard.epoch = self._epoch
+            self._shards.add(shard)
+        return shard
+
+    def record(self, value: float, shard: _Series | None = None) -> None:
         if value < 0:
             value = 0.0
         # log(x) / log(growth) is exactly what two-argument math.log computes.
         bucket = 0 if value < 1e-9 else int(math.log(value / 1e-9) / self._LOG_GROWTH) + 1
         now = self._time_fn()
-        try:
-            shard = self._local.shard
-        except AttributeError:
-            shard = self._register()
+        if shard is None:
+            try:
+                shard = self._local.shard
+            except AttributeError:
+                shard = self._register()
         if now >= shard.until or shard.epoch != self._epoch:
             self._turn(shard, now)
         piece = shard.current

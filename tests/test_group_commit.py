@@ -266,3 +266,148 @@ def test_a_synced_group_costs_one_wal_fsync(asked, buffer_size):
         for i in range(10):
             db.put(b"k%d" % i, b"v", opts)
         assert env.sync_count - before == 10
+
+
+# -- the inline commit: a lone writer's group of one ---------------------------
+
+
+def _write_spans(sink):
+    """Each ``db.write`` span with the ``wal.append`` spans under it."""
+    spans = sink.spans()
+    return [
+        (write, [s for s in spans if s.name == "wal.append"
+                 and s.parent_id == write.span_id])
+        for write in spans if write.name == "db.write"
+    ]
+
+
+def test_a_lone_put_and_a_grouped_put_trace_the_same_shape():
+    """``db.write{ops}`` over ``wal.append{nbytes, buffered}``, whether the
+    put committed inline or as the leader of a queued group.  The first put
+    overflows the WAL buffer, so its unit's append is held until the second
+    put has queued behind it."""
+    env = _ParkingEnv(MemEnv())
+    with traced() as sink:
+        db = DB("/g", _options(env, wal_buffer_size=4096))
+        with db:
+            env.armed = True
+            lone = threading.Thread(target=db.put, args=(b"lone", b"x" * 5000))
+            joined = threading.Thread(target=db.put, args=(b"joined", b"v"))
+            try:
+                lone.start()
+                assert env.parked.wait(timeout=30)
+                joined.start()
+                deadline = time.monotonic() + 10
+                while len(db._write_queue) < 1:
+                    assert time.monotonic() < deadline, "the put did not queue"
+            finally:
+                env.release.set()
+                lone.join(timeout=30)
+                joined.join(timeout=30)
+            assert db.stats.histogram("db.group_size").count == 2
+    shapes = {}
+    for write, appends in _write_spans(sink):
+        (append,) = appends
+        assert write.attributes == {"ops": 1}
+        assert set(append.attributes) == {"nbytes", "buffered"}
+        shapes[append.attributes["nbytes"]] = append.attributes["buffered"]
+    frames = [
+        frame_record(WriteBatch().put(key, value).serialize(seq))
+        for seq, key, value in ((1, b"lone", b"x" * 5000), (2, b"joined", b"v"))
+    ]
+    assert shapes == {len(frame): True for frame in frames}
+
+
+def test_a_writer_arriving_during_an_inline_commit_commits_after_it():
+    """The second writer finds the write lock held, queues, and is
+    committed after the inline one: its value of the shared key wins, and
+    both writes survive a close and a reopen."""
+    from repro.env.latency import LatencyEnv, LatencyModel
+
+    model = LatencyModel()
+    env = LatencyEnv(MemEnv(), model)
+    db = DB("/g", _options(env, wal_buffer_size=0))
+    model.write_op_s = 0.2  # every WAL unit's append takes this long
+    first = threading.Thread(
+        target=db.write, args=(WriteBatch().put(b"k", b"first").put(b"a", b"1"),)
+    )
+    second = threading.Thread(
+        target=db.write, args=(WriteBatch().put(b"k", b"second").put(b"b", b"2"),)
+    )
+    try:
+        first.start()
+        deadline = time.monotonic() + 10
+        while not db._write_lock.locked():
+            assert time.monotonic() < deadline, "the first writer did not commit"
+        second.start()
+        while len(db._write_queue) < 1:
+            assert time.monotonic() < deadline, "the second writer did not queue"
+    finally:
+        first.join(timeout=30)
+        second.join(timeout=30)
+    model.write_op_s = 0.0
+    assert db.stats.counter("db.write_groups").value == 2
+    assert db.get(b"k") == b"second"
+    db.close()
+    with DB("/g", _options(env)) as reopened:
+        assert reopened.get(b"k") == b"second"
+        assert reopened.get(b"a") == b"1" and reopened.get(b"b") == b"2"
+
+
+def test_the_inline_writer_refuses_a_background_error_and_a_closed_db():
+    db = DB("/g", _options(MemEnv()))
+    db.put(b"k", b"v")
+    db._bg_error = IOError_("injected")
+    with pytest.raises(IOError_, match="background error"):
+        db.put(b"k", b"w")
+    db._bg_error = None
+    db.close()
+    with pytest.raises(IOError_, match="closed"):
+        db.put(b"k", b"w")
+    assert db.stats.counter("db.writes").value == 1
+
+
+def test_the_inline_writer_waits_at_the_l0_stop_only_while_a_job_is_claimed():
+    """At the stop trigger a lone put goes through with no job claimed, and
+    blocks while one is, until the claim is dropped."""
+    db = DB("/g", _options(
+        MemEnv(), level0_stop_writes_trigger=2,
+        level0_file_num_compaction_trigger=20,
+    ))
+    with db:
+        for i in range(2):
+            db.put(b"seed-%d" % i, b"v")
+            db.flush()
+        assert db.num_files_at_level(0) == 2
+        db.put(b"free", b"v")  # nothing claimed: nothing will lower L0
+        with db._mutex:
+            db._busy.add(-1)  # a job claimed, as _next_work would
+        done = threading.Event()
+        writer = threading.Thread(
+            target=lambda: (db.put(b"held", b"v"), done.set()), daemon=True
+        )
+        writer.start()
+        assert not done.wait(timeout=0.3), "the put ignored the stop trigger"
+        with db._mutex:
+            db._busy.discard(-1)
+            db._cond.notify_all()
+        writer.join(timeout=30)
+        assert done.is_set()
+        assert db.get(b"held") == b"v"
+
+
+@pytest.mark.parametrize("wal", ["wal-on", "wal-off"])
+def test_commit_listeners_see_the_inline_write_exactly(wal):
+    db = DB("/g", _options(MemEnv(), wal_enabled=wal == "wal-on"))
+    seen = []
+    db.add_commit_listener(lambda *record: seen.append(record))
+    with db:
+        db.put(b"a", b"1")
+        batch = WriteBatch().put(b"b", b"2").delete(b"a")
+        db.write(batch)
+        db.put(b"c", b"3", WriteOptions(disable_wal=True))
+    assert seen == [
+        (1, 1, WriteBatch().put(b"a", b"1").serialize(1)),
+        (2, 3, batch.serialize(2)),
+        (4, 4, WriteBatch().put(b"c", b"3").serialize(4)),
+    ]

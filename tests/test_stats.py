@@ -418,6 +418,41 @@ def test_a_reset_mid_stream_leaves_exactly_the_later_adds():
     assert sum(post) <= counter.value <= sum(post) + sum(overlapped) + 8
 
 
+def test_owned_shards_sum_with_thread_shards_and_reset_in_place():
+    """An owned shard (one writer that serializes its writes under a lock
+    of its own) is read and reset like a thread's: its writes sum with
+    every thread's, a reset zeroes it in place, and it keeps counting."""
+    registry = StatsRegistry()
+    counter, hist = registry.counter("ops"), registry.histogram("sizes")
+    tally, series = counter.owned(), hist.owned()
+    lock = threading.Lock()
+
+    def owner(__):
+        for __ in range(500):
+            with lock:
+                tally.value += 2
+                hist.record(1, series)
+
+    def others(__):
+        for __ in range(500):
+            counter.add(1)
+            hist.record(3)
+
+    with _racing(2, owner), _racing(2, others):
+        pass
+    assert counter.value == 2 * 500 * 2 + 2 * 500
+    assert hist.count == 4 * 500 and hist.summary()["sum"] == 2 * 500 * (1 + 3)
+    assert registry.snapshot()["ops"] == counter.value
+    registry.reset()
+    assert counter.value == 0 and hist.count == 0
+    with lock:
+        tally.value += 5
+        hist.record(7, series)
+    counter.add(1)
+    assert counter.value == 6
+    assert hist.count == 1 and hist.max == 7 and hist.window_summary()["count"] == 1
+
+
 def test_short_lived_threads_lose_no_count_and_leave_no_shards_behind():
     counter, hist = Counter("ops"), Histogram("lat")
 
