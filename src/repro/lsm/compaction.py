@@ -1,17 +1,10 @@
-"""Compaction, decomposed along two design-space axes of Sarkar et al.
-("Constructing and Analyzing the LSM Compaction Design Space", VLDB'21):
+"""Compaction: the four policies a DB can run, and the one merge body.
 
-- **Trigger** -- *when* is compaction needed, and how urgently (level-0
-  file count, per-level size scores, sorted-run count, byte budgets,
-  FIFO size/TTL caps)?
-- **Data layout** -- *which* files form a job and where do outputs land
-  (leveled spans with overlap pull-in, tiered run windows, the hybrid
-  lazy-leveling shape, FIFO's delete-only drops)?
-
-A picker is a list of (trigger, layout) rules; the classic policies the
-paper evaluates (Figure 15) -- leveled, universal (tiered), FIFO -- plus
-lazy-leveling are each one configuration of :class:`ComposedPicker`; a DB
-runs the one ``Options.compaction_style`` names for its whole life.
+The paper's Figure 15 policies -- leveled, universal (tiered), FIFO -- and
+lazy-leveling are one :class:`Picker` subclass each, whose ``rules`` list
+the work the tree needs in priority order: (score or None, build the job).
+Module functions supply the scores and the jobs (leveled, tiered, FIFO
+drop).  A DB runs the picker ``Options.compaction_style`` names for life.
 
 A picker inspects a Version and proposes a :class:`CompactionJob`; a
 :class:`MergeExecutor` (the DB's or an offloaded worker's) merges its inputs
@@ -72,272 +65,41 @@ class CompactionJob:
         return sum(meta.size for __, meta in self.input_files())
 
 
-@dataclass
-class CompactionContext:
-    """Everything a picker component may consult for one decision."""
-
-    version: Version
-    compacting: set[int]
-    options: Options
-    now: float = 0.0
+def level_target(options: Options, level: int) -> int:
+    """Leveled byte target of ``level`` >= 1: base * fanout ** (level - 1)."""
+    return options.max_bytes_for_level_base * options.fanout ** (level - 1)
 
 
-def _key_span(files: list[FileMetadata]) -> tuple[bytes, bytes]:
-    return (
-        min(meta.smallest for meta in files),
-        max(meta.largest for meta in files),
-    )
+def live_files(files: list[FileMetadata], compacting: set[int]) -> list[FileMetadata]:
+    """The files no in-flight job holds."""
+    return [meta for meta in files if meta.number not in compacting]
 
 
-def _is_bottommost(version: Version, output_level: int, begin, end) -> bool:
-    """True when no level below output_level holds overlapping data -- the
-    only situation where tombstones can be dropped."""
-    for level in range(output_level + 1, len(version.levels)):
-        if version.overlapping_files(level, begin, end):
-            return False
-    return True
+def _any_busy(files: list[FileMetadata], compacting: set[int]) -> bool:
+    return any(meta.number in compacting for meta in files)
 
 
-def _expired(ctx: CompactionContext) -> list[FileMetadata]:
-    """FIFO: the idle level-0 files older than the TTL (none when off)."""
-    ttl = ctx.options.fifo_ttl_seconds
-    if ttl <= 0:
-        return []
-    return [
-        meta
-        for meta in ctx.version.levels[0]
-        if meta.number not in ctx.compacting
-        and meta.created_at
-        and ctx.now - meta.created_at > ttl
+def _fired(score: float, strictly: bool = False) -> float | None:
+    """``score`` once it reaches 1 (passes 1, ``strictly``), else None."""
+    return score if score > 1.0 or (score == 1.0 and not strictly) else None
+
+
+def worst_level(
+    options: Options, version: Version, compacting: set[int]
+) -> tuple[float | None, int]:
+    """(score, level) of the first L1+ level furthest over its target by
+    live bytes, (None, 0) if none is over.  The last level has no target."""
+    scores = [
+        (sum(m.size for m in live_files(version.levels[level], compacting))
+         / level_target(options, level), level)
+        for level in range(1, len(version.levels) - 1)
     ]
+    score, level = max(scores, key=lambda item: item[0], default=(0.0, 0))
+    return _fired(score, strictly=True), level
 
 
-# ----------------------------------------------------------------------
-# Trigger: when does the tree need work, and how urgently?
-# ----------------------------------------------------------------------
-
-
-class Trigger:
-    """Scores the tree; ``fire`` returns (score, level) when score >= 1,
-    else None.  Higher scores are more urgent; the picker takes the
-    highest-scoring rule (first rule wins ties)."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        raise NotImplementedError
-
-
-class L0CountTrigger(Trigger):
-    """Leveled L0: file count against the compaction trigger."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        count = len(
-            [m for m in ctx.version.levels[0] if m.number not in ctx.compacting]
-        )
-        score = count / ctx.options.level0_file_num_compaction_trigger
-        return (score, 0) if score >= 1.0 else None
-
-
-class LevelSizeTrigger(Trigger):
-    """Leveled L1+: level size against its geometric target; returns the
-    worst level."""
-
-    @staticmethod
-    def level_target(options: Options, level: int) -> int:
-        base = options.max_bytes_for_level_base
-        return base * options.fanout ** (level - 1)
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        best: tuple[float, int] | None = None
-        for level in range(1, len(ctx.version.levels) - 1):
-            size = sum(
-                meta.size
-                for meta in ctx.version.levels[level]
-                if meta.number not in ctx.compacting
-            )
-            score = size / self.level_target(ctx.options, level)
-            if score > 1.0 and (best is None or score > best[0]):
-                best = (score, level)
-        return best
-
-
-class RunCountTrigger(Trigger):
-    """Tiered: sorted-run count against the run cap."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        runs = len(ctx.version.levels[0])
-        cap = ctx.options.universal_max_sorted_runs
-        if runs <= cap:
-            return None
-        return (runs / cap, 0)
-
-
-class L0BytesTrigger(Trigger):
-    """Lazy-leveling spill: total L0 bytes against the L1 byte budget --
-    when the tiered upper area outgrows it, everything spills into the
-    leveled bottom."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        total = sum(meta.size for meta in ctx.version.levels[0])
-        score = total / ctx.options.max_bytes_for_level_base
-        return (score, 0) if score >= 1.0 else None
-
-
-class FIFOTTLTrigger(Trigger):
-    """FIFO expiry: any file older than the TTL fires at maximal urgency."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        return (math.inf, 0) if _expired(ctx) else None
-
-
-class FIFOSizeTrigger(Trigger):
-    """FIFO retention: total size against the table-files cap."""
-
-    def fire(self, ctx: CompactionContext) -> tuple[float, int] | None:
-        total = sum(
-            meta.size
-            for meta in ctx.version.levels[0]
-            if meta.number not in ctx.compacting
-        )
-        score = total / ctx.options.fifo_max_table_files_size
-        return (score, 0) if score > 1.0 else None
-
-
-# ----------------------------------------------------------------------
-# Data layout: which files form the job, and where do outputs land?
-# ----------------------------------------------------------------------
-
-
-class Layout:
-    """Builds a job for the triggered level, or None if blocked (e.g. an
-    in-flight compaction holds a file the job must include)."""
-
-    def build(self, ctx: CompactionContext, level: int) -> CompactionJob | None:
-        raise NotImplementedError
-
-
-class LeveledLayout(Layout):
-    """RocksDB-style leveled: base files merge one level down, pulling in
-    every overlapping file at the output level."""
-
-    def build(self, ctx, level):
-        version, compacting = ctx.version, ctx.compacting
-        if level == 0:
-            # L0 files may overlap each other; an in-flight job holding any
-            # of them forces a wait, or outputs would overlap its outputs.
-            if any(meta.number in compacting for meta in version.levels[0]):
-                return None
-            base_files = list(version.levels[0])
-        else:
-            candidates = [
-                meta
-                for meta in version.levels[level]
-                if meta.number not in compacting
-            ]
-            if not candidates:
-                return None
-            # Oldest file first approximates RocksDB's compaction cursor.
-            base_files = [min(candidates, key=lambda m: m.number)]
-        return build_leveled_job(version, level, base_files, compacting)
-
-
-class LazySpillLayout(Layout):
-    """Lazy-leveling spill: every L0 run merges into the leveled bottom
-    area at L1 (with its overlap), emptying the tiered upper area."""
-
-    def build(self, ctx, level):
-        version, compacting = ctx.version, ctx.compacting
-        if any(meta.number in compacting for meta in version.levels[0]):
-            return None
-        return build_leveled_job(version, 0, list(version.levels[0]), compacting)
-
-
-class TieredLayout(Layout):
-    """Universal/tiered: sorted runs in L0 merge into one bigger run.
-
-    Two merge policies:
-
-    - ``universal_size_ratio is None`` (default): merge *all* runs.
-    - otherwise: RocksDB-style size-ratio merging -- walk runs newest to
-      oldest, extending the candidate window while the next (older) run
-      is no larger than ``(100 + ratio)%`` of the window's accumulated
-      size; merge the window (at least ``min_merge_width`` runs, else
-      fall back to enough newest runs to get back under the run cap).
-    """
-
-    def build(self, ctx, level):
-        version, options = ctx.version, ctx.options
-        if any(meta.number in ctx.compacting for meta in version.levels[0]):
-            return None  # overlapping-output hazard: wait for the running job
-        runs = list(version.levels[0])
-        if len(runs) < options.universal_min_merge_width:
-            return None
-        if options.universal_size_ratio is None:
-            window = runs
-        else:
-            window = self._size_ratio_window(runs, options)
-        if len(window) < 2:
-            return None  # a single-run "merge" would spin forever
-        return CompactionJob(
-            inputs={0: window},
-            output_level=0,
-            bottommost=len(window) == len(version.levels[0])
-            and not any(version.levels[1:]),
-        )
-
-    def _size_ratio_window(
-        self, runs: list[FileMetadata], options: Options
-    ) -> list[FileMetadata]:
-        # L0 is ordered newest first; candidate windows start at the newest
-        # run, matching RocksDB's read-path constraint (merging a middle
-        # window would reorder run recency).
-        ratio = options.universal_size_ratio
-        window = [runs[0]]
-        accumulated = runs[0].size
-        for run in runs[1:]:
-            if run.size * 100 <= accumulated * (100 + ratio):
-                window.append(run)
-                accumulated += run.size
-            else:
-                break
-        if len(window) >= options.universal_min_merge_width:
-            return window
-        # Ratio produced no usable window: merge just enough newest runs to
-        # bring the run count back to the cap.
-        needed = len(runs) - options.universal_max_sorted_runs + 1
-        needed = max(needed, options.universal_min_merge_width)
-        return runs[:needed]
-
-
-class FIFOExpiryLayout(Layout):
-    """FIFO TTL expiry: every file older than the TTL, no merging."""
-
-    def build(self, ctx, level):
-        expired = _expired(ctx)
-        if not expired:
-            return None
-        return CompactionJob(inputs={0: expired}, output_level=0, delete_only=True)
-
-
-class FIFORetentionLayout(Layout):
-    """FIFO size cap: drop the oldest files until back under the cap.
-    Reads of dropped keys fail by design (the paper's Figure 15 notes
-    exactly this for its FIFO readrandom results)."""
-
-    def build(self, ctx, level):
-        files = [
-            m for m in ctx.version.levels[0] if m.number not in ctx.compacting
-        ]
-        cap = ctx.options.fifo_max_table_files_size
-        total = sum(meta.size for meta in files)
-        doomed: list[FileMetadata] = []
-        for meta in sorted(files, key=lambda m: m.number):
-            if total <= cap:
-                break
-            doomed.append(meta)
-            total -= meta.size
-        if not doomed:
-            return None
-        return CompactionJob(inputs={0: doomed}, output_level=0, delete_only=True)
+def _span(files: list[FileMetadata]) -> tuple[bytes, bytes]:
+    return min(m.smallest for m in files), max(m.largest for m in files)
 
 
 def build_leveled_job(
@@ -350,141 +112,228 @@ def build_leveled_job(
     if not base_files:
         return None
     output_level = level + 1
-    begin, end = _key_span(base_files)
-    overlap = version.overlapping_files(output_level, begin, end)
+    overlap = version.overlapping_files(output_level, *_span(base_files))
     # Never drop a busy overlapping file from the input set -- that would
     # produce overlapping files at the output level.  Wait instead.
-    if any(meta.number in compacting for meta in overlap):
+    if _any_busy(overlap, compacting):
         return None
     inputs = {level: base_files}
     if overlap:
         inputs[output_level] = overlap
-        begin = min(begin, min(m.smallest for m in overlap))
-        end = max(end, max(m.largest for m in overlap))
+    # Tombstones drop only where no level below holds any of the job's keys.
+    begin, end = _span(base_files + overlap)
     return CompactionJob(
         inputs=inputs,
         output_level=output_level,
-        bottommost=_is_bottommost(version, output_level, begin, end),
+        bottommost=not any(
+            version.overlapping_files(below, begin, end)
+            for below in range(output_level + 1, len(version.levels))
+        ),
     )
 
 
-# ----------------------------------------------------------------------
-# Composition
-# ----------------------------------------------------------------------
+def leveled_job(
+    version: Version, level: int, compacting: set[int]
+) -> CompactionJob | None:
+    """RocksDB-style leveled: every L0 file, or a deeper level's oldest
+    live file (RocksDB's compaction cursor, roughly), merges one level
+    down with its overlap there.  None when an in-flight job blocks it."""
+    if level == 0:
+        # L0 files may overlap each other; an in-flight job holding any
+        # of them forces a wait, or outputs would overlap its outputs.
+        if _any_busy(version.levels[0], compacting):
+            return None
+        base_files = list(version.levels[0])
+    else:
+        candidates = live_files(version.levels[level], compacting)
+        if not candidates:
+            return None
+        base_files = [min(candidates, key=lambda m: m.number)]
+    return build_leveled_job(version, level, base_files, compacting)
 
 
-@dataclass
-class Rule:
-    """One (trigger, layout) lane of a composed picker."""
+def tiered_job(
+    options: Options, version: Version, compacting: set[int]
+) -> CompactionJob | None:
+    """Universal/tiered: L0's sorted runs merge into one bigger run -- all
+    of them, or with a ``universal_size_ratio`` RocksDB's window: from the
+    newest run (a middle window would reorder run recency), take each older
+    run no larger than ``(100 + ratio)%`` of the window's bytes; too few
+    for ``min_merge_width``, take just enough newest runs to meet the cap."""
+    runs = version.levels[0]
+    if _any_busy(runs, compacting):
+        return None  # overlapping-output hazard: wait for the running job
+    width = options.universal_min_merge_width
+    if len(runs) < width:
+        return None
+    ratio = options.universal_size_ratio
+    window = list(runs)
+    if ratio is not None:
+        window, accumulated = [runs[0]], runs[0].size
+        for run in runs[1:]:
+            if run.size * 100 > accumulated * (100 + ratio):
+                break
+            window.append(run)
+            accumulated += run.size
+        if len(window) < width:
+            needed = len(runs) - options.universal_max_sorted_runs + 1
+            window = runs[: max(needed, width)]
+    if len(window) < 2:
+        return None  # a single-run "merge" would spin forever
+    return CompactionJob(
+        inputs={0: window},
+        output_level=0,
+        bottommost=len(window) == len(runs) and not any(version.levels[1:]),
+    )
 
-    trigger: Trigger
-    layout: Layout
+
+def fifo_drop(files: list[FileMetadata]) -> CompactionJob | None:
+    """FIFO: drop ``files`` from L0, no merging (None when there are none)."""
+    if not files:
+        return None
+    return CompactionJob(inputs={0: files}, output_level=0, delete_only=True)
 
 
-class ComposedPicker:
-    """A compaction policy as a list of (trigger, layout) rules.
+#: One rule: its score (None: no work of this kind now) and its job builder.
+Rule = tuple[float | None, Callable[[], CompactionJob | None]]
 
-    ``pick`` scores every rule's trigger, takes the most urgent (first
-    rule wins ties -- rule order encodes priority) and builds the job
-    through the rule's layout; None means the tree is in shape.  A blocked
-    layout (in-flight conflict) falls through to the next-best rule.
-    """
 
-    def __init__(self, options: Options, rules: list[Rule]):
+class Picker:
+    """A compaction policy: ``pick`` builds the job of the most urgent fired
+    rule (highest score; rule order breaks ties), or of the next-best one
+    while an in-flight job blocks it; None means the tree is in shape."""
+
+    #: A full merge lands at a leveled tree's bottom, else in L0.
+    full_merge_to_bottom = False
+
+    def __init__(self, options: Options):
         self.options = options
-        self.rules = rules
-        self.clock = options.clock or RealClock()
+
+    def rules(self, version: Version, compacting: set[int]) -> list[Rule]:
+        raise NotImplementedError
 
     def pick(self, version: Version, compacting: set[int]) -> CompactionJob | None:
-        ctx = CompactionContext(
-            version=version,
-            compacting=compacting,
-            options=self.options,
-            now=self.clock.now(),
-        )
-        scored: list[tuple[float, int, int]] = []  # (score, order, level)
-        for order, rule in enumerate(self.rules):
-            fired = rule.trigger.fire(ctx)
-            if fired is None:
-                continue
-            score, level = fired
-            scored.append((score, order, level))
-        # Most urgent first; rule order breaks ties (stable priority).
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        for __, order, level in scored:
-            job = self.rules[order].layout.build(ctx, level)
+        fired = [
+            (-score, order, build)
+            for order, (score, build) in enumerate(self.rules(version, compacting))
+            if score is not None
+        ]
+        for __, ___, build in sorted(fired, key=lambda rule: rule[:2]):
+            job = build()
             if job is not None:
                 return job
         return None
 
+    def full_merge(self, version: Version) -> CompactionJob | None:
+        """Every live file merged into one run, whatever the rules say
+        (``DB.force_compaction``); None on an empty tree."""
+        inputs = {
+            level: list(files) for level, files in enumerate(version.levels) if files
+        }
+        if not inputs:
+            return None
+        output_level = self.options.num_levels - 1 if self.full_merge_to_bottom else 0
+        return CompactionJob(inputs=inputs, output_level=output_level, bottommost=True)
 
-class LeveledPicker(ComposedPicker):
+
+def _run_count_score(options: Options, version: Version) -> float | None:
+    """Tiered: every L0 run, busy or not, counts against the run cap."""
+    runs = len(version.levels[0])
+    return _fired(runs / options.universal_max_sorted_runs, strictly=True)
+
+
+class LeveledPicker(Picker):
     """RocksDB-style leveled compaction: L0 count score, size scores above."""
 
-    def __init__(self, options: Options):
-        super().__init__(
-            options,
-            rules=[
-                Rule(L0CountTrigger(), LeveledLayout()),
-                Rule(LevelSizeTrigger(), LeveledLayout()),
-            ],
-        )
+    full_merge_to_bottom = True
+
+    def rules(self, version, compacting):
+        l0 = len(live_files(version.levels[0], compacting))
+        score, level = worst_level(self.options, version, compacting)
+        return [
+            (_fired(l0 / self.options.level0_file_num_compaction_trigger),
+             lambda: leveled_job(version, 0, compacting)),
+            (score, lambda: leveled_job(version, level, compacting)),
+        ]
 
 
-class UniversalPicker(ComposedPicker):
+class UniversalPicker(Picker):
     """Tiered compaction: every file is a sorted run in level 0; when the
     run count exceeds the threshold, runs merge (fewer, larger I/Os -- the
     contrast the paper draws against leveled)."""
 
-    def __init__(self, options: Options):
-        super().__init__(options, rules=[Rule(RunCountTrigger(), TieredLayout())])
+    def rules(self, version, compacting):
+        return [
+            (_run_count_score(self.options, version),
+             lambda: tiered_job(self.options, version, compacting)),
+        ]
 
 
-class LazyLeveledPicker(ComposedPicker):
+class LazyLeveledPicker(Picker):
     """Lazy-leveling (Dostoevsky's hybrid): tier the write-hot upper area,
     level the read-hot bottom.  L0 accumulates sorted runs and merges them
-    tiered while small; once L0 outgrows the L1 byte budget everything
-    spills into the leveled bottom, which then obeys leveled size scores.
-    Cheaper writes than leveled, cheaper reads than tiered -- the natural
-    resting state for mixed workloads."""
+    tiered while small; once L0's bytes outgrow the L1 byte budget every
+    run spills into L1 (with its overlap there), and L1+ obeys leveled
+    size scores.  Cheaper writes than leveled, cheaper reads than tiered."""
 
-    def __init__(self, options: Options):
-        super().__init__(
-            options,
-            rules=[
-                Rule(L0BytesTrigger(), LazySpillLayout()),
-                Rule(RunCountTrigger(), TieredLayout()),
-                Rule(LevelSizeTrigger(), LeveledLayout()),
-            ],
-        )
+    full_merge_to_bottom = True
 
-
-class FIFOPicker(ComposedPicker):
-    """FIFO: never merge; drop the oldest files once total size exceeds the
-    cap, and (with ``fifo_ttl_seconds``) files older than the TTL."""
-
-    def __init__(self, options: Options):
-        super().__init__(
-            options,
-            rules=[
-                Rule(FIFOTTLTrigger(), FIFOExpiryLayout()),
-                Rule(FIFOSizeTrigger(), FIFORetentionLayout()),
-            ],
-        )
+    def rules(self, version, compacting):
+        options = self.options
+        score, level = worst_level(options, version, compacting)
+        return [
+            (_fired(version.level_size(0) / options.max_bytes_for_level_base),
+             lambda: leveled_job(version, 0, compacting)),
+            (_run_count_score(options, version),
+             lambda: tiered_job(options, version, compacting)),
+            (score, lambda: leveled_job(version, level, compacting)),
+        ]
 
 
-def make_picker(options: Options) -> ComposedPicker:
+class FIFOPicker(Picker):
+    """FIFO: never merge; drop files older than ``fifo_ttl_seconds`` (when
+    set), and the oldest while the total exceeds the size cap.  Reads of
+    dropped keys fail by design, as the paper's Figure 15 notes."""
+
+    def rules(self, version, compacting):
+        files = live_files(version.levels[0], compacting)
+        ttl, expired = self.options.fifo_ttl_seconds, []
+        if ttl > 0:  # the one picker that reads the clock
+            now = (self.options.clock or RealClock()).now()
+            expired = [m for m in files if m.created_at and now - m.created_at > ttl]
+        cap = self.options.fifo_max_table_files_size
+        total = sum(meta.size for meta in files)
+        return [
+            (math.inf if expired else None, lambda: fifo_drop(expired)),
+            (_fired(total / cap, strictly=True),
+             lambda: fifo_drop(_oldest_over(files, total - cap))),
+        ]
+
+
+def _oldest_over(files: list[FileMetadata], excess: int) -> list[FileMetadata]:
+    """The oldest files that together hold at least ``excess`` bytes."""
+    doomed: list[FileMetadata] = []
+    for meta in sorted(files, key=lambda m: m.number):
+        if excess <= 0:
+            break
+        doomed.append(meta)
+        excess -= meta.size
+    return doomed
+
+
+_PICKERS = {
+    COMPACTION_LEVELED: LeveledPicker,
+    COMPACTION_UNIVERSAL: UniversalPicker,
+    COMPACTION_LAZY_LEVELED: LazyLeveledPicker,
+    COMPACTION_FIFO: FIFOPicker,
+}
+
+
+def make_picker(options: Options) -> Picker:
     """Build the picker for the options' configured compaction style."""
-    style = options.compaction_style
-    if style == COMPACTION_LEVELED:
-        return LeveledPicker(options)
-    if style == COMPACTION_UNIVERSAL:
-        return UniversalPicker(options)
-    if style == COMPACTION_LAZY_LEVELED:
-        return LazyLeveledPicker(options)
-    if style == COMPACTION_FIFO:
-        return FIFOPicker(options)
-    raise ValueError(f"unknown compaction style {style}")
+    if options.compaction_style not in _PICKERS:
+        raise ValueError(f"unknown compaction style {options.compaction_style}")
+    return _PICKERS[options.compaction_style](options)
 
 
 @dataclass(eq=False)

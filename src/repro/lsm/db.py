@@ -7,9 +7,9 @@ The structure mirrors Figure 1 of the paper:
 - a full memtable becomes immutable and a background *flush* persists it as
   a level-0 SST file, after which its WAL is deleted (and, under SHIELD,
   its DEK retired);
-- background *compaction* (leveled / universal / FIFO) merges SST files;
-  every output file gets fresh crypto from the provider, which is how DEK
-  rotation falls out of compaction for free (Section 5.2).
+- background *compaction* (by the picker ``compaction_style`` names) merges
+  SST files; every output file gets fresh crypto from the provider, which is
+  how DEK rotation falls out of compaction for free (Section 5.2).
 """
 
 from __future__ import annotations
@@ -966,27 +966,16 @@ class DB:
     def force_compaction(self) -> None:
         """Manual major compaction: merge every live SST file into one run.
 
-        Regardless of the picker's triggers, all files merge to the
-        bottommost level (level 0 for universal/FIFO trees).  Under SHIELD
-        this rotates every SST DEK in one pass -- the operational response
-        the paper prescribes for a suspected DEK compromise (Section 5.5).
+        Regardless of the picker's rules, all files merge into the one
+        level the picker's ``full_merge`` names.  Under SHIELD this rotates
+        every SST DEK in one pass -- the operational response the paper
+        prescribes for a suspected DEK compromise (Section 5.5).
         """
         self.compact_range()
         with self._mutex:
-            files = self._versions.current.all_files()
-            if not files:
+            job = self._picker.full_merge(self._versions.current)
+            if job is None:
                 return
-            inputs: dict[int, list[FileMetadata]] = {}
-            for level, meta in files:
-                inputs.setdefault(level, []).append(meta)
-            output_level = (
-                self.options.num_levels - 1
-                if self.options.compaction_style in ("leveled", "lazy-leveled")
-                else 0
-            )
-            job = CompactionJob(
-                inputs=inputs, output_level=output_level, bottommost=True
-            )
             self._busy |= job.input_numbers()
         try:
             self._run_merge_compaction(job)

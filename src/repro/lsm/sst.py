@@ -45,6 +45,7 @@ import bisect
 import heapq
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from repro.crypto.cipher import spec_for
@@ -492,16 +493,21 @@ class SSTReader:
         return None
 
     def entries(self) -> Iterator[Entry]:
-        """Yield every entry in order (full scans, tools)."""
-        for block_index in range(len(self._index)):
-            yield from self._load_block(block_index).entries()
+        """Every entry in order (full scans, tools)."""
+        return self.entries_from(None)
 
-    def entries_from(self, start_key: bytes) -> Iterator[Entry]:
-        """Yield entries with key >= start_key (range scans)."""
-        first = bisect.bisect_left(self._index_keys, start_key)
-        for block_index in range(first, len(self._index)):
-            yield from self._load_block(block_index).entries(start_key)
-            start_key = None  # only the first block can hold smaller keys
+    def entries_from(self, start_key: bytes | None) -> Iterator[Entry]:
+        """Entries with key >= start_key (range scans).  A block loads only
+        when the cursor reaches it, and each entry crosses one generator
+        frame, the block's: the chain hands the blocks' own iterators on."""
+        first = 0
+        if start_key is not None:
+            first = bisect.bisect_left(self._index_keys, start_key)
+        return chain.from_iterable(
+            # Only the first block can hold keys below ``start_key``.
+            self._load_block(index).entries(start_key if index == first else None)
+            for index in range(first, len(self._index))
+        )
 
     def raw_entries(self) -> Iterator[RawEntry]:
         """Yield every entry as (key, MAX_SEQUENCE - seq, vtype, encoded).

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.lsm.compaction import LevelSizeTrigger
+from repro.lsm.compaction import level_target
 
 #: Signal keys guaranteed present in every :meth:`SignalEngine.sample` dict.
 SIGNAL_KEYS = (
@@ -220,7 +220,7 @@ class SignalEngine:
         if l0_files >= options.level0_file_num_compaction_trigger:
             debt[0] = level_sizes[0]
         for level in range(1, len(level_sizes)):
-            target = LevelSizeTrigger.level_target(options, level)
+            target = level_target(options, level)
             over = level_sizes[level] - target
             if over > 0:
                 debt[level] = over

@@ -218,41 +218,28 @@ def test_fifo_under_cap_no_work():
 
 
 # ----------------------------------------------------------------------
-# Composable design-space components (trigger / layout) and the
-# policies composed from them.
+# Rule scores, and the lazy-leveled policy.
 # ----------------------------------------------------------------------
 
-from repro.lsm.compaction import (  # noqa: E402
-    CompactionContext,
-    L0BytesTrigger,
-    L0CountTrigger,
-    LazyLeveledPicker,
-    LevelSizeTrigger,
-    RunCountTrigger,
-)
+from repro.lsm.compaction import LazyLeveledPicker, worst_level  # noqa: E402
 
 
-def _ctx(version, options=None, compacting=None, now=0.0):
-    return CompactionContext(
-        version=version,
-        compacting=compacting or set(),
-        options=options or Options(),
-        now=now,
-    )
+def _score(picker, version, rule=0):
+    """The score of the picker's ``rule``-th rule (None: not fired)."""
+    return picker.rules(version, set())[rule][0]
 
 
 def test_trigger_scores():
     version = _version(l0=[_meta(i) for i in range(1, 5)])
-    ctx = _ctx(version, Options(level0_file_num_compaction_trigger=4))
-    assert L0CountTrigger().fire(ctx) == (1.0, 0)
-    ctx = _ctx(version, Options(level0_file_num_compaction_trigger=8))
-    assert L0CountTrigger().fire(ctx) is None
+    options = Options(level0_file_num_compaction_trigger=4)
+    assert _score(LeveledPicker(options), version) == 1.0
+    options = Options(level0_file_num_compaction_trigger=8)
+    assert _score(LeveledPicker(options), version) is None
     # Run-count trigger fires strictly above the cap.
-    ctx = _ctx(version, Options(universal_max_sorted_runs=4))
-    assert RunCountTrigger().fire(ctx) is None
-    ctx = _ctx(version, Options(universal_max_sorted_runs=3))
-    score, level = RunCountTrigger().fire(ctx)
-    assert score > 1.0 and level == 0
+    options = Options(universal_max_sorted_runs=4)
+    assert _score(UniversalPicker(options), version) is None
+    options = Options(universal_max_sorted_runs=3)
+    assert _score(UniversalPicker(options), version) > 1.0
 
 
 def test_level_size_trigger_picks_worst_level():
@@ -262,18 +249,18 @@ def test_level_size_trigger_picks_worst_level():
     edit.add_file(1, _meta(1, b"a", b"c", size=1500))     # score 1.5
     edit.add_file(2, _meta(2, b"d", b"f", size=30000))    # score 3.0
     version = version.apply(edit)
-    score, level = LevelSizeTrigger().fire(_ctx(version, options))
+    score, level = worst_level(options, version, set())
     assert level == 2
     assert score == 3.0
+    assert _score(LeveledPicker(options), version, rule=1) == 3.0
 
 
 def test_l0_bytes_trigger():
     options = Options(max_bytes_for_level_base=1000)
     version = _version(l0=[_meta(1, size=600), _meta(2, size=600)])
-    score, level = L0BytesTrigger().fire(_ctx(version, options))
-    assert score == 1.2 and level == 0
+    assert _score(LazyLeveledPicker(options), version) == 1.2
     version = _version(l0=[_meta(1, size=100)])
-    assert L0BytesTrigger().fire(_ctx(version, options)) is None
+    assert _score(LazyLeveledPicker(options), version) is None
 
 
 def test_lazy_leveled_tiers_small_l0():
@@ -347,8 +334,8 @@ def test_make_picker_lazy_leveled():
 
 
 def test_leveled_blocked_l0_falls_through_to_level_rule():
-    """The composed picker tries the next-best rule when the best one's
-    layout is blocked by an in-flight job (the monolithic picker gave up)."""
+    """The picker tries the next-best rule when the best one's job is
+    blocked by an in-flight job."""
     options = Options(
         level0_file_num_compaction_trigger=2, max_bytes_for_level_base=1000
     )

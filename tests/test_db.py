@@ -506,3 +506,25 @@ def test_dropped_sst_takes_its_blocks_out_of_the_cache():
         assert db.get_property("repro.block-cache-usage") == 0
         assert db.get(b"key-0007") == b"value-0007"
         assert db.get_property("repro.block-cache-usage") > 0
+
+
+@pytest.mark.parametrize(
+    "style, bottom",
+    [("leveled", True), ("lazy-leveled", True), ("universal", False), ("fifo", False)],
+)
+def test_force_compaction_merges_every_file_into_one_level(style, bottom):
+    """A full merge lands at the bottom level of a leveled tree and in L0,
+    the only level a universal or FIFO tree uses."""
+    options = _small_options(
+        compaction_style=style, fifo_max_table_files_size=1 << 30
+    )
+    with DB("/db", options) as db:
+        for i in range(600):
+            db.put(b"key-%04d" % (i % 300), b"value-%04d" % i)
+        db.force_compaction()
+        files = db._versions.current.all_files()
+        assert files
+        expected = options.num_levels - 1 if bottom else 0
+        assert {level for level, __ in files} == {expected}
+        for i in range(300, 600):
+            assert db.get(b"key-%04d" % (i % 300)) == b"value-%04d" % i

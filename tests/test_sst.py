@@ -366,3 +366,36 @@ def test_a_block_miss_is_one_read_and_one_cipher_pass_of_its_stored_size():
 
         assert cost_of_get(b"key-000500") == [1, stored, 0, 1, stored]
         assert cost_of_get(b"key-000500") == [0, 0, 0, 0, 0]
+
+
+def test_a_scan_loads_a_block_only_when_it_reaches_it(monkeypatch):
+    env = MemEnv()
+    provider = PlaintextCryptoProvider()
+    info, options = _build(env, provider, n=500, options=Options(block_size=256))
+    reader = SSTReader(env, info.path, provider, options)
+    assert len(reader._index) > 3
+    loaded = []
+    load = reader._load_block
+    monkeypatch.setattr(
+        reader, "_load_block", lambda index: loaded.append(index) or load(index)
+    )
+    everything = list(reader.entries())
+    assert loaded == list(range(len(reader._index)))
+
+    loaded.clear()
+    assert next(reader.entries()) == everything[0]
+    assert loaded == [0]
+
+    # From a key inside a middle block: that block only, until the cursor
+    # leaves it; every later block yields from its own first entry.
+    start = b"key-000251"
+    first = bisect.bisect_left(reader._index_keys, start)
+    loaded.clear()
+    cursor = reader.entries_from(start)
+    assert next(cursor)[0] == start
+    assert loaded == [first]
+    assert [entry[0] for entry in cursor][-1] == b"key-000499"
+    assert loaded == list(range(first, len(reader._index)))
+    assert list(reader.entries_from(start)) == [
+        entry for entry in everything if entry[0] >= start
+    ]
