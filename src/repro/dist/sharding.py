@@ -108,6 +108,18 @@ def merge_stats(snapshots) -> dict:
     return out
 
 
+def summarize_parts(snapshots) -> dict:
+    """Each part's ``health`` and ``committed_sequence`` by its index: the
+    per-endpoint section (``workers``, ``endpoints``) beside a merge."""
+    return {
+        str(index): {
+            "health": snap.get("health", {}),
+            "committed_sequence": snap.get("committed_sequence", 0),
+        }
+        for index, snap in enumerate(snapshots)
+    }
+
+
 def split_batch(batch: WriteBatch, route) -> dict:
     """Split a batch into one sub-batch per ``route(key)`` value.
 

@@ -16,9 +16,11 @@ read-only compute instances over shared state):
   ``KVServer``, that loop on a thread in front of a ``DB`` or ``ShardedDB``;
 - :mod:`repro.service.client` -- a pooled client (one ``Endpoint`` per
   address under every path) with timeouts, retry-with-backoff on
-  BUSY/transient socket errors, and a batched
-  pipeline API; duck-types the ``DB`` read/write surface so the existing
-  benchmark workloads run unmodified over the socket;
+  BUSY/transient socket errors, and a batched pipeline API; one
+  ``KVClient`` routes by shard over the workers it learned behind one
+  address or over a given list of servers (``KVClient.over``), and
+  duck-types the ``DB`` read/write surface so the existing benchmark
+  workloads run unmodified over the socket;
 - :mod:`repro.service.replica` -- replication: a replica is a
   ``ReadOnlyInstance`` over store files the primary ships as storage holds
   them (incremental checkpoints) plus its committed WAL records, sealed
@@ -31,7 +33,7 @@ read-only compute instances over shared state):
   and scatter-gathered cross-shard operations.
 """
 
-from repro.service.client import KVClient, Pipeline, ShardedKVClient
+from repro.service.client import KVClient, Pipeline
 from repro.service.protocol import Message, ProtocolError
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
@@ -46,5 +48,4 @@ __all__ = [
     "ProtocolError",
     "Replica",
     "ServiceConfig",
-    "ShardedKVClient",
 ]

@@ -24,9 +24,9 @@ once per batch instead of once per operation.
 
 **Layers.**  An :class:`Endpoint` is one address: its connection pool and
 the wire round trips over it -- no retries, no routing.  A
-:class:`KVClient` is the ``home`` endpoint it was given, the worker
-endpoints it learned, the one retry budget and the DB-shaped API; a
-:class:`ShardedKVClient` is a list of ``KVClient``s.
+:class:`KVClient` is the shard endpoints it routes over (learned behind its
+``home`` endpoint, or given to :meth:`KVClient.over`), the one retry budget
+and the DB-shaped API.
 
 **Routing** (DESIGN.md §10, "The two routes").  On its first keyed op a
 ``KVClient`` asks its server's topology once (``OP_TOPOLOGY``, over the
@@ -36,8 +36,10 @@ its shard workers' endpoints: GET/PUT/DELETE then go to the one
 else stays on the given address.  An empty answer (a ``KVServer``, a
 shard worker), an error answer (an older server) or a worker endpoint that
 refuses the first connection leaves the client on the given address for
-good.  The retry budget, backoff, deadline and counters are the one
-client's whichever pool carried the request.
+good.  A client built over a list of servers (no ``home``) routes keys
+the same way and scatters every cross-shard op over them, merged.  The
+retry budget, backoff, deadline and counters are the one client's
+whichever pool carried the request.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.dist.sharding import (
     merge_stats,
     shard_for_key,
     split_batch,
+    summarize_parts,
 )
 from repro.errors import BusyError, DegradedError, ReproError, ServiceError
 from repro.lsm.write_batch import WriteBatch
@@ -170,6 +173,12 @@ class Endpoint:
         self._pool: deque[_PooledConnection] = deque()
         self._closed = False
 
+    def at(self, host: str, port: int) -> "Endpoint":
+        """An endpoint for another address, pooled and AUTHed as this is."""
+        return Endpoint(
+            host, port, self.pool_size, self.timeout_s, self.server_id
+        )
+
     def acquire(self) -> _PooledConnection:
         """A pooled connection, or a fresh (connected, AUTHed) one."""
         if self._closed:
@@ -279,7 +288,8 @@ def _attempt(endpoint: Endpoint, opcode: int, payload: bytes, trace: bytes):
 
 class KVClient:
     """A thread-safe client for one server address -- behind a
-    multi-process server, only where it *starts* (module docstring,
+    multi-process server, only where it *starts* -- or, built by
+    :meth:`over`, for a list of shard servers (module docstring,
     "Routing")."""
 
     def __init__(
@@ -295,7 +305,7 @@ class KVClient:
         deadline_s: float | None = None,
         rng: random.Random | None = None,
     ):
-        #: The address this client was given.
+        #: The address this client was given; None for one built :meth:`over`.
         self.home = Endpoint(host, port, pool_size, timeout_s, server_id)
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
@@ -310,8 +320,28 @@ class KVClient:
         self._workers: list[Endpoint] | None = None
         self._workers_lock = threading.Lock()
 
+    @classmethod
+    def over(cls, addresses, **kwargs) -> "KVClient":
+        """A client for separate servers, one per shard: ``addresses`` is
+        ``(host, port)`` pairs in shard order, routed by the servers' own
+        :func:`shard_for_key`.  It has no ``home``, so ``pipeline()`` and a
+        ``request()`` naming no endpoint raise :class:`ServiceError`;
+        ``kwargs`` are the constructor's."""
+        addresses = list(addresses)
+        if not addresses:
+            raise ServiceError("at least one endpoint is required")
+        client = cls(*addresses[0], **kwargs)
+        cls._route_over(client, addresses)
+        return client
+
+    def _route_over(self, addresses) -> None:
+        """No ``home``: the shards are ``addresses``, as given."""
+        self._workers = [self.home.at(*address) for address in addresses]
+        self.home = None
+
     def close(self) -> None:
-        self.home.close()
+        if self.home is not None:
+            self.home.close()
         for endpoint in self._workers or ():
             endpoint.close()
 
@@ -324,9 +354,10 @@ class KVClient:
     # -- direct routing ----------------------------------------------------
 
     def workers(self) -> list[Endpoint]:
-        """The shard workers behind ``home``, in shard order: learned on
-        first use and kept for good (a server's topology never changes);
-        empty when every op goes through ``home``."""
+        """The shard endpoints, in shard order: given to :meth:`over`, or
+        the workers behind ``home``, learned on first use and kept for good
+        (a server's topology never changes); empty when every op goes
+        through ``home``."""
         if self._workers is None:
             with self._workers_lock:
                 if self._workers is None:
@@ -347,11 +378,7 @@ class KVClient:
             )
         except ReproError:
             return []
-        home = self.home
-        found = [
-            Endpoint(host, port, home.pool_size, home.timeout_s, home.server_id)
-            for host, port in addresses
-        ]
+        found = [self.home.at(*address) for address in addresses]
         try:
             for endpoint in found:
                 endpoint.release(endpoint.acquire())
@@ -405,7 +432,10 @@ class KVClient:
 
         The first try is one round trip on a pooled connection; the retry
         loop is entered only when it bounced or lost its socket."""
-        endpoint = endpoint or self.home
+        if endpoint is None:
+            endpoint = self.home
+            if endpoint is None:
+                raise ServiceError("this client has no home: name an endpoint")
         started_at = time.monotonic()
         with TRACER.span(_SPAN_NAMES[opcode]):
             trace = TRACER.inject()
@@ -440,6 +470,24 @@ class KVClient:
         self._book(bounce[1])
         return self.request(opcode, payload, endpoint)
 
+    def _scatter(self, opcode: int,
+                 parts: "list[tuple[Endpoint, bytes]]") -> list[Message]:
+        """One request per ``(endpoint, payload)`` part: every part sent,
+        then every part read (the shards work in parallel), then each
+        settled in part order (a bounce retried alone; RESP_ERROR raised)."""
+        with TRACER.span(_SPAN_NAMES[opcode], attributes={"parts": len(parts)}):
+            trace = TRACER.inject()
+            sent = [e.begin(opcode, payload, trace) for e, payload in parts]
+            replies = [e.finish(s) for (e, __), s in zip(parts, sent)]
+            return [self.settle(reply, opcode, payload, e)
+                    for (e, payload), reply in zip(parts, replies)]
+
+    def _each(self, opcode: int) -> list[Message]:
+        """The answer of ``home``, or, with none, of every shard."""
+        if self.home is not None:
+            return [self.request(opcode)]
+        return self._scatter(opcode, [(e, b"") for e in self._workers])
+
     # -- DB-shaped surface -------------------------------------------------
 
     def put(self, key: bytes, value: bytes, opts=None) -> None:
@@ -461,7 +509,15 @@ class KVClient:
         )
 
     def write(self, batch: WriteBatch, opts=None) -> None:
-        self.request(protocol.OP_WRITE_BATCH, batch.serialize(0))
+        """Over a list, one sub-batch per shard, atomic per shard."""
+        if self.home is not None:
+            self.request(protocol.OP_WRITE_BATCH, batch.serialize(0))
+            return
+        per_shard = split_batch(batch, self._owner)
+        self._scatter(protocol.OP_WRITE_BATCH, [
+            (endpoint, per_shard[endpoint].serialize(0))
+            for endpoint in self._workers if endpoint in per_shard
+        ])
 
     def scan(
         self,
@@ -473,35 +529,49 @@ class KVClient:
         payload = protocol.encode_scan(start, end, limit)
         workers = self.workers()
         if workers:
-            return _scatter_scan(
-                [(self, endpoint) for endpoint in workers], payload, limit
-            )
+            # A part's pairs are decoded only as the merge takes them.
+            return merge_scan_results([
+                protocol.iter_pairs(response.payload)
+                for response in self._scatter(
+                    protocol.OP_SCAN, [(e, payload) for e in workers]
+                )
+            ], limit)
         return protocol.decode_pairs(
             self.request(protocol.OP_SCAN, payload).payload
         )
 
     def stats(self) -> dict:
-        response = self.request(protocol.OP_STATS)
-        return protocol.decode_stats(response.payload)
+        """The server's OP_STATS snapshot; over a list, the shards' merged
+        (:func:`merge_stats`) plus an ``endpoints`` section by shard."""
+        snapshots = [protocol.decode_stats(response.payload)
+                     for response in self._each(protocol.OP_STATS)]
+        if self.home is not None:
+            return snapshots[0]
+        merged = merge_stats(snapshots)
+        merged["endpoints"] = summarize_parts(snapshots)
+        return merged
 
     def flush(self) -> None:
-        self.request(protocol.OP_FLUSH)
+        self._each(protocol.OP_FLUSH)
 
     def compact_range(self) -> None:
-        self.request(protocol.OP_COMPACT)
+        self._each(protocol.OP_COMPACT)
 
     def ping(self) -> None:
-        self.request(protocol.OP_PING)
+        self._each(protocol.OP_PING)
 
     def health(self) -> dict:
-        """The server's health verdict (state / reason / error)."""
-        response = self.request(protocol.OP_HEALTH)
-        return protocol.decode_health(response.payload)
+        """The health verdict (state / reason / error); worst-of a list's."""
+        verdicts = [protocol.decode_health(response.payload)
+                    for response in self._each(protocol.OP_HEALTH)]
+        return verdicts[0] if self.home is not None else merge_health(verdicts)
 
     def committed_sequence(self) -> int:
         return int(self.stats().get("committed_sequence", 0))
 
     def pipeline(self, max_inflight: int = 32) -> "Pipeline":
+        if self.home is None:
+            raise ServiceError("a client without a home has no pipeline")
         return Pipeline(self, max_inflight=max_inflight)
 
 
@@ -596,136 +666,3 @@ class Pipeline:
         if opcode == protocol.OP_SCAN:
             return protocol.decode_pairs(response.payload)
         return None
-
-
-def _scatter_scan(parts: "list[tuple[KVClient, Endpoint]]", payload: bytes,
-                  limit: int | None):
-    """One SCAN over disjoint shards: send every part, then read every
-    part (the shards work in parallel), k-way merge, limit applied once;
-    a part's pairs are decoded only as the merge takes them.
-
-    Each part is ``(the client whose retry budget and counters it falls
-    under, the endpoint it goes to)``; one that bounced BUSY/DEGRADED or
-    lost its socket is retried alone, as in ``Pipeline.execute``.
-    """
-    with TRACER.span("client.scan", attributes={"parts": len(parts)}):
-        trace = TRACER.inject()
-        inflight = [
-            endpoint.begin(protocol.OP_SCAN, payload, trace)
-            for __, endpoint in parts
-        ]
-        responses = [
-            endpoint.finish(sent)
-            for (__, endpoint), sent in zip(parts, inflight)
-        ]
-        return merge_scan_results([
-            protocol.iter_pairs(client.settle(
-                response, protocol.OP_SCAN, payload, endpoint
-            ).payload)
-            for (client, endpoint), response in zip(parts, responses)
-        ], limit)
-
-
-class ShardedKVClient:
-    """Client-side shard routing across several KVServer endpoints.
-
-    ``endpoints`` is a list of ``(host, port)`` pairs, one per shard in
-    shard order: single-key operations route by :func:`shard_for_key` --
-    the exact function the servers use, so client and server can never
-    disagree (the function is PYTHONHASHSEED-independent by contract).
-
-    Cross-shard operations scatter to every endpoint and gather:
-    ``scan`` k-way merges the per-shard sorted results and applies the
-    limit once; ``stats`` sums numeric gauges and takes worst-of health;
-    ``flush``/``compact_range`` fan out; ``write`` splits the batch per
-    shard (atomicity holds per shard, as with ``ShardedDB``).
-
-    Every per-endpoint client (``clients``, shard order) keeps
-    ``KVClient``'s retry semantics, so a BUSY or DEGRADED shard backs off
-    independently of the others.
-    """
-
-    def __init__(self, endpoints, **client_kwargs):
-        self.clients = [
-            KVClient(host, port, **client_kwargs) for host, port in endpoints
-        ]
-        if not self.clients:
-            raise ServiceError("at least one endpoint is required")
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.clients)
-
-    def client_for_key(self, key: bytes) -> KVClient:
-        """The endpoint client a key routes to."""
-        return self.clients[shard_for_key(key, len(self.clients))]
-
-    # -- DB-shaped surface -------------------------------------------------
-
-    def put(self, key: bytes, value: bytes, opts=None) -> None:
-        self.client_for_key(key).put(key, value)
-
-    def get(self, key: bytes, opts=None) -> bytes | None:
-        return self.client_for_key(key).get(key)
-
-    def delete(self, key: bytes, opts=None) -> None:
-        self.client_for_key(key).delete(key)
-
-    def write(self, batch: WriteBatch, opts=None) -> None:
-        for client, sub in split_batch(batch, self.client_for_key).items():
-            client.write(sub)
-
-    def scan(
-        self,
-        start: bytes = b"",
-        end: bytes | None = None,
-        limit: int | None = None,
-        opts=None,
-    ) -> list[tuple[bytes, bytes]]:
-        return _scatter_scan(
-            [(client, client.home) for client in self.clients],
-            protocol.encode_scan(start, end, limit), limit,
-        )
-
-    def stats(self) -> dict:
-        """Cross-endpoint merge with the same section layout as one
-        server's OP_STATS (see :func:`merge_stats`), plus an
-        ``endpoints`` section keyed by shard index."""
-        per_endpoint = [client.stats() for client in self.clients]
-        merged = merge_stats(per_endpoint)
-        merged["endpoints"] = {
-            str(index): {
-                "health": snapshot.get("health", {}),
-                "committed_sequence": snapshot.get("committed_sequence", 0),
-            }
-            for index, snapshot in enumerate(per_endpoint)
-        }
-        return merged
-
-    def flush(self) -> None:
-        for client in self.clients:
-            client.flush()
-
-    def compact_range(self) -> None:
-        for client in self.clients:
-            client.compact_range()
-
-    def ping(self) -> None:
-        for client in self.clients:
-            client.ping()
-
-    def health(self) -> dict:
-        return merge_health([client.health() for client in self.clients])
-
-    def committed_sequence(self) -> int:
-        return sum(client.committed_sequence() for client in self.clients)
-
-    def close(self) -> None:
-        for client in self.clients:
-            client.close()
-
-    def __enter__(self) -> "ShardedKVClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

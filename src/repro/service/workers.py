@@ -37,6 +37,7 @@ import socket
 import threading
 import time
 from collections import deque
+from operator import itemgetter
 
 from repro.dist.sharding import (
     merge_health,
@@ -45,6 +46,7 @@ from repro.dist.sharding import (
     shard_for_key,
     split_batch,
     sum_numeric,
+    summarize_parts,
 )
 from repro.errors import InvalidArgumentError, ServiceError
 from repro.lsm.write_batch import WriteBatch
@@ -555,11 +557,14 @@ class MultiProcessKVServer:
         rid = gather.request_id
         if not conn.alive:
             return
-        for __, part in gather.parts:
+        # In shard order, not arrival order: of two failed parts, the
+        # lower shard's answer is the reply, as on a client over a list.
+        parts = [part for __, part in sorted(gather.parts, key=itemgetter(0))]
+        for part in parts:
             if part.opcode == protocol.RESP_ERROR:
                 self._reply(conn, Message(protocol.RESP_ERROR, rid, part.payload))
                 return
-        for __, part in gather.parts:
+        for part in parts:
             if part.opcode == protocol.RESP_DEGRADED:
                 self._reply(conn, Message(
                     protocol.RESP_DEGRADED, rid, part.payload
@@ -568,7 +573,7 @@ class MultiProcessKVServer:
         op = gather.opcode
         if op == protocol.OP_SCAN:
             merged = merge_scan_results(
-                [protocol.iter_pairs(part.payload) for __, part in gather.parts],
+                [protocol.iter_pairs(part.payload) for part in parts],
                 gather.limit,
             )
             self._reply(conn, Message(
@@ -576,27 +581,23 @@ class MultiProcessKVServer:
             ))
             return
         if op == protocol.OP_STATS:
-            snapshots = sorted(
-                (index, protocol.decode_stats(part.payload))
-                for index, part in gather.parts
-            )
+            snapshots = [protocol.decode_stats(part.payload) for part in parts]
             self._reply(conn, Message(
                 protocol.RESP_STATS, rid,
                 protocol.encode_stats(self._merged_stats(snapshots)),
             ))
             return
         if op == protocol.OP_HEALTH:
-            worst = merge_health([
-                protocol.decode_health(part.payload)
-                for __, part in gather.parts
-            ])
+            worst = merge_health(
+                [protocol.decode_health(part.payload) for part in parts]
+            )
             self._reply(conn, Message(
                 protocol.RESP_STATS, rid, protocol.encode_health(worst)
             ))
             return
         if op == protocol.OP_WRITE_BATCH:
             sequence = 0
-            for __, part in gather.parts:
+            for part in parts:
                 if part.payload:
                     sequence = max(sequence, protocol.decode_sequence(part.payload))
             self._reply(conn, Message(
@@ -606,16 +607,16 @@ class MultiProcessKVServer:
         # FLUSH / COMPACT: every part was RESP_OK.
         self._reply(conn, Message(protocol.RESP_OK, rid))
 
-    def _merged_stats(self, snapshots: list[tuple[int, dict]]) -> dict:
+    def _merged_stats(self, snapshots: list[dict]) -> dict:
         """The workers' sections merged (see ``merge_stats``) plus the
         front-end's own: its counters added to the workers' in ``server``
         (``service.get`` = forwarded here + served direct there), and a
         per-worker ``workers`` summary."""
-        for __, snapshot in snapshots:
+        for snapshot in snapshots:
             # One engine's health rank: the merged ``health`` section
             # carries the worst-of verdict instead.
             snapshot.get("server", {}).pop("service.health", None)
-        merged = merge_stats(snapshot for __, snapshot in snapshots)
+        merged = merge_stats(snapshots)
         server = merged["server"] = sum_numeric(
             [merged.get("server", {}), self.stats.snapshot()]
         )
@@ -626,11 +627,5 @@ class MultiProcessKVServer:
             server[f"service.worker_generation.{worker.index}"] = (
                 worker.generation
             )
-        merged["workers"] = {
-            str(index): {
-                "health": snapshot.get("health", {}),
-                "committed_sequence": snapshot.get("committed_sequence", 0),
-            }
-            for index, snapshot in snapshots
-        }
+        merged["workers"] = summarize_parts(snapshots)
         return merged

@@ -28,9 +28,6 @@ class ShieldOptions:
     encrypt_wal: bool = True
     encrypt_sst: bool = True
     encrypt_manifest: bool = True
-    #: SHIELD++ freshness anchor (repro.integrity.counter.TrustedCounter);
-    #: None keeps rollback protection off.
-    trusted_counter: Optional[object] = None
 
     def build_key_client(self) -> KeyClient:
         """Retries transient KDS failures and trips a circuit breaker on
@@ -69,6 +66,4 @@ def open_shield_db(
     options = replace(base_options) if base_options is not None else Options()
     options.crypto_provider = shield.build_provider()
     options.wal_buffer_size = shield.wal_buffer_size
-    if shield.trusted_counter is not None:
-        options.trusted_counter = shield.trusted_counter
     return DB(path, options)

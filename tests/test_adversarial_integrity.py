@@ -28,16 +28,15 @@ from repro.util.syncpoint import SYNC
 _AEAD_SCHEME = "shake-etm"  # the fast AEAD; GCM/Poly1305 are covered in unit tests
 
 
-def _options(env):
+def _options(env, counter=None):
     # A roomy write buffer keeps each explicit flush() to exactly one SST
     # (and no surprise auto-flushes), so tests can target files precisely.
-    return Options(env=env, write_buffer_size=64 * 1024, block_size=512)
+    return Options(env=env, write_buffer_size=64 * 1024, block_size=512,
+                   trusted_counter=counter)
 
 
-def _shield(kds, counter=None, wal_buffer_size=None, **kwargs):
+def _shield(kds, wal_buffer_size=None, **kwargs):
     kwargs.update(kds=kds, scheme=_AEAD_SCHEME)
-    if counter is not None:
-        kwargs["trusted_counter"] = counter
     if wal_buffer_size is not None:
         kwargs["wal_buffer_size"] = wal_buffer_size
     return ShieldOptions(**kwargs)
@@ -153,8 +152,8 @@ def _synced_puts_after_a_flush(scheme):
     """50 puts and a flush, then 50 synced puts and a clean close: the one
     WAL left holds the 50 synced writes, and the counter anchors them."""
     env, counter = MemEnv(), MemoryTrustedCounter()
-    shield = ShieldOptions(kds=InMemoryKDS(), scheme=scheme, trusted_counter=counter)
-    db = open_shield_db("/adv", shield, _options(env))
+    shield = ShieldOptions(kds=InMemoryKDS(), scheme=scheme)
+    db = open_shield_db("/adv", shield, _options(env, counter))
     for i in range(50):
         db.put(b"flushed-%02d" % i, b"v")
     db.flush()
@@ -162,7 +161,7 @@ def _synced_puts_after_a_flush(scheme):
         db.put(b"synced-%02d" % i, b"v", WriteOptions(sync=True))
     db.close()
     (wal,) = [name for name in env.list_dir("/adv") if name.endswith(".log")]
-    return env, shield, f"/adv/{wal}"
+    return env, counter, shield, f"/adv/{wal}"
 
 
 @pytest.mark.parametrize("damage", ["delete", "cut-below-the-floor"])
@@ -170,14 +169,14 @@ def _synced_puts_after_a_flush(scheme):
 def test_a_deleted_or_cut_live_wal_is_a_rollback(scheme, damage):
     """Synced writes the anchor covers cannot vanish with their log: the
     MANIFEST names the WAL, the counter holds its synced length."""
-    env, shield, wal = _synced_puts_after_a_flush(scheme)
+    env, counter, shield, wal = _synced_puts_after_a_flush(scheme)
     if damage == "delete":
         env.delete_file(wal)
     else:
         raw = env.read_file(wal)
         env.write_file(wal, raw[: len(raw) // 2])
     with pytest.raises(RollbackError):
-        open_shield_db("/adv", shield, _options(env))
+        open_shield_db("/adv", shield, _options(env, counter))
 
 
 def test_snapshot_replay_raises_rollback():
@@ -186,7 +185,7 @@ def test_snapshot_replay_raises_rollback():
     env = MemEnv()
     kds = InMemoryKDS()
     counter = MemoryTrustedCounter()
-    db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    db = open_shield_db("/adv", _shield(kds), _options(env, counter))
     for i in range(100):
         db.put(b"key-%04d" % i, b"old-%04d" % i)
     db.flush()
@@ -197,7 +196,7 @@ def test_snapshot_replay_raises_rollback():
 
     # Life goes on: two more flush cycles, so the snapshot's root is
     # neither the counter's current root nor its one-step torn window.
-    db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    db = open_shield_db("/adv", _shield(kds), _options(env, counter))
     for round_ in range(2):
         for i in range(100):
             db.put(b"key-%04d" % i, b"new-%d-%04d" % (round_, i))
@@ -206,7 +205,7 @@ def test_snapshot_replay_raises_rollback():
 
     with pytest.raises(RollbackError):
         open_shield_db(
-            "/adv", _shield(kds_snapshot, counter=counter), _options(snapshot)
+            "/adv", _shield(kds_snapshot), _options(snapshot, counter)
         )
 
 
@@ -215,12 +214,12 @@ def test_fresh_reopen_is_not_a_rollback():
     env = MemEnv()
     kds = InMemoryKDS()
     counter = MemoryTrustedCounter()
-    db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    db = open_shield_db("/adv", _shield(kds), _options(env, counter))
     for i in range(100):
         db.put(b"key-%04d" % i, b"value-%04d" % i)
     db.flush()
     db.close()
-    reopened = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+    reopened = open_shield_db("/adv", _shield(kds), _options(env, counter))
     try:
         assert reopened.get(b"key-0000") == b"value-0000"
         assert reopened.stats_snapshot()["integrity.freshness_checks"] >= 1
@@ -270,8 +269,8 @@ def test_repair_reanchors_trusted_counter():
     env = MemEnv()
     kds = InMemoryKDS()
     counter = MemoryTrustedCounter()
-    shield = _shield(kds, counter=counter)
-    db = open_shield_db("/adv", shield, _options(env))
+    shield = _shield(kds)
+    db = open_shield_db("/adv", shield, _options(env, counter))
     for i in range(200):
         db.put(b"key-%04d" % i, b"value-%04d" % i)
     db.flush()
@@ -284,10 +283,9 @@ def test_repair_reanchors_trusted_counter():
 
     ssts = _sst_paths(env, "/adv")
     _flip_payload_byte(env, ssts[0])
-    repair_options = _options(env)
-    repair_options.trusted_counter = counter
+    repair_options = _options(env, counter)
     repair_db(env, "/adv", provider=shield.build_provider(), options=repair_options)
-    reopened = open_shield_db("/adv", shield, _options(env))
+    reopened = open_shield_db("/adv", shield, _options(env, counter))
     # One more flush pushes the pre-repair root past the one-transition
     # torn-update window; the stolen image must now read as a rollback.
     reopened.put(b"post-repair", b"value")
@@ -297,8 +295,8 @@ def test_repair_reanchors_trusted_counter():
     with pytest.raises(RollbackError):
         open_shield_db(
             "/adv",
-            _shield(pre_repair_kds, counter=counter),
-            _options(pre_repair),
+            _shield(pre_repair_kds),
+            _options(pre_repair, counter),
         )
 
 
@@ -325,7 +323,7 @@ def _three_parked_l0_files(
     who runs it: the DB, or a worker with its own KDS identity.  A merge
     reads (and authenticates) its inputs ``chunk_size`` bytes at a time."""
     env = MemEnv()
-    options = _options(env)
+    options = _options(env, counter)
     options.level0_file_num_compaction_trigger = 100
     options.encryption_chunk_size = chunk_size  # what an offloaded worker sees
     for name, setting in engine.items():
@@ -337,7 +335,7 @@ def _three_parked_l0_files(
         options.compaction_service = CompactionService(
             env, worker.build_provider(), options
         )
-    shield = _shield(kds, counter=counter)
+    shield = _shield(kds)
     db = open_shield_db("/adv", shield, options)
     for batch in range(3):
         for i in range(keys_per_file):
@@ -474,8 +472,7 @@ def _three_versions_of_the_same_keys(route="local"):
 
 
 def _reader(env, kds, counter=None):
-    options = _options(env)
-    options.trusted_counter = counter
+    options = _options(env, counter)
     provider = ShieldOptions(
         kds=kds, scheme=_AEAD_SCHEME, server_id="reader-1"
     ).build_provider()
@@ -504,7 +501,7 @@ def test_sibling_substitution_is_never_a_value_for_the_db(read):
         db.close()
         # The file set is the one the counter anchors, so the freshness gate
         # passes; the substitution must still be caught at the first open.
-        db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+        db = open_shield_db("/adv", _shield(kds), _options(env, counter))
     db.close()
 
 
@@ -627,7 +624,7 @@ def test_a_retired_file_under_a_live_name_is_tampering_for_the_db():
         assert db.health()["reason"] == "quarantined-sst"
         assert retired not in kds.fetched
         db.close()
-        db = open_shield_db("/adv", _shield(kds, counter=counter), _options(env))
+        db = open_shield_db("/adv", _shield(kds), _options(env, counter))
     db.close()
 
 
@@ -706,9 +703,9 @@ def test_manifest_cut_back_under_a_readonly_instance_raises_rollback():
     the first file: every tag verifies, every DEK resolves, and the values
     are three generations old.  Only the counter can tell."""
     env, kds, counter = MemEnv(), InMemoryKDS(), MemoryTrustedCounter()
-    options = _options(env)
+    options = _options(env, counter)
     options.level0_file_num_compaction_trigger = 100
-    with open_shield_db("/adv", _shield(kds, counter=counter), options) as db:
+    with open_shield_db("/adv", _shield(kds), options) as db:
         sealed_prefix = None
         for generation in range(3):
             for i in range(100):
@@ -752,9 +749,9 @@ def test_reader_opened_inside_the_writers_torn_window_still_opens():
             seen["checks"] = readonly.stats.snapshot()["integrity.freshness_checks"]
         seen["advanced"] = counter.read() != before
 
-    options = _options(env)
+    options = _options(env, counter)
     options.level0_file_num_compaction_trigger = 100
-    shield = _shield(kds, counter=counter, wal_buffer_size=0)
+    shield = _shield(kds, wal_buffer_size=0)
     with open_shield_db("/adv", shield, options) as db:
         for i in range(100):
             db.put(b"key-%04d" % i, b"gen-0-%04d" % i)
@@ -786,9 +783,9 @@ class _MovingCounter(MemoryTrustedCounter):
 
 def test_refresh_racing_a_live_writer_rereads_before_believing_a_mismatch():
     env, kds, counter = MemEnv(), InMemoryKDS(), _MovingCounter()
-    options = _options(env)
+    options = _options(env, counter)
     options.level0_file_num_compaction_trigger = 100
-    with open_shield_db("/adv", _shield(kds, counter=counter), options) as db:
+    with open_shield_db("/adv", _shield(kds), options) as db:
         generation = iter(range(1, 100))
 
         def two_transitions():

@@ -48,11 +48,8 @@ def _open(system, env, kds, wal_buffer=0, counter=None):
             _options(EncryptedEnv(env, b"k" * 32), wal_buffer_size=wal_buffer),
         )
     scheme = "shake-etm" if system == "shield-etm" else "shake-ctr"
-    shield = ShieldOptions(
-        kds=kds, scheme=scheme, wal_buffer_size=wal_buffer,
-        trusted_counter=counter,
-    )
-    return open_shield_db("/crash", shield, _options(env))
+    shield = ShieldOptions(kds=kds, scheme=scheme, wal_buffer_size=wal_buffer)
+    return open_shield_db("/crash", shield, _options(env, trusted_counter=counter))
 
 
 class _SharedEncFS:

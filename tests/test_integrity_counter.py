@@ -215,8 +215,9 @@ def test_the_floor_rides_in_the_root_and_a_bare_root_has_none():
 def _open(env, kds, counter):
     return open_shield_db(
         "/t",
-        ShieldOptions(kds=kds, trusted_counter=counter),
-        Options(env=env, write_buffer_size=1024, block_size=512),
+        ShieldOptions(kds=kds),
+        Options(env=env, write_buffer_size=1024, block_size=512,
+                trusted_counter=counter),
     )
 
 

@@ -1,7 +1,7 @@
 """Differential conformance: one scripted session, every deployment shape.
 
 The same requests go to ``KVServer(DB)``, ``KVServer(ShardedDB, 2)``,
-``MultiProcessKVServer(2)``, a ``ShardedKVClient`` over two ``KVServer``s
+``MultiProcessKVServer(2)``, a ``KVClient`` over a list of two ``KVServer``s
 and a ``KVClient`` that found the multi-process server's workers and
 talks to them directly.  Every shape must give the same decoded answers, and the
 three servers must put the same bytes on the wire as they did before the
@@ -29,7 +29,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol as p
-from repro.service.client import KVClient, ShardedKVClient
+from repro.service.client import KVClient
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 
@@ -277,7 +277,7 @@ def _run_raw(address, session):
 
 
 def _call(client, opcode, payload):
-    """One step through the ShardedKVClient's public surface."""
+    """One step through a client's public surface."""
     if opcode == p.OP_PING:
         return client.ping() or ("ok",)
     if opcode == p.OP_PUT:
@@ -299,9 +299,8 @@ def _call(client, opcode, payload):
     if opcode == p.OP_STATS:
         return ("json", client.stats())
     # No client method: send the raw request to one endpoint.
-    if isinstance(client, ShardedKVClient):
-        client = client.client_for_key(b"alpha")
-    return _canonical(client.request(opcode, payload))
+    endpoint = client._owner(b"alpha") if client.home is None else None
+    return _canonical(client.request(opcode, payload, endpoint))
 
 
 def _run_client(client, session):
@@ -319,7 +318,7 @@ def _run(name, tmp_path, session=SESSION, config=None, **client_kwargs):
     with _shape(name, tmp_path, config) as addresses:
         client_kwargs["max_retries"] = 0
         if name == "sharded-client":
-            return _run_client(ShardedKVClient(addresses, **client_kwargs), session)
+            return _run_client(KVClient.over(addresses, **client_kwargs), session)
         if name == "routed-client":
             return _run_client(KVClient(*addresses[0], **client_kwargs), session)
         return _run_raw(addresses[0], session)

@@ -27,7 +27,7 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.service import client as client_module
 from repro.service import protocol
-from repro.service.client import Endpoint, KVClient, ShardedKVClient
+from repro.service.client import Endpoint, KVClient
 from repro.service.protocol import FrameReader, Message
 from repro.service.server import KVServer, ServiceConfig, ServingLoop
 from repro.service.workers import MultiProcessKVServer
@@ -582,7 +582,7 @@ def test_scan_parts_run_in_parallel(tmp_path):
                 for i in range(10):
                     client.put(b"key-%d" % i, b"v")
                 assert len(client.scan()) == 10
-            with ShardedKVClient(
+            with KVClient.over(
                 server.worker_addresses, timeout_s=WAIT_S, max_retries=0
             ) as client:
                 assert len(client.scan(limit=4)) == 4
@@ -604,11 +604,24 @@ def test_a_scan_part_that_loses_its_socket_is_retried_alone(tmp_path):
             _break_pooled_connections(client.workers()[1])
             assert len(client.scan()) == 10
             assert client.retries == 1  # counted on the client the user holds
-        with ShardedKVClient(server.worker_addresses) as client:
+        with KVClient.over(server.worker_addresses) as client:
             assert len(client.scan()) == 10  # pools are warm now
-            _break_pooled_connections(client.clients[0].home)
+            _break_pooled_connections(client.workers()[0])
             assert len(client.scan()) == 10
-            assert [c.retries for c in client.clients] == [1, 0]
+            assert client.retries == 1
+
+
+def test_a_stats_part_that_loses_its_socket_is_retried_alone(tmp_path):
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
+        with KVClient.over(server.worker_addresses) as client:
+            for i in range(10):
+                client.put(b"key-%d" % i, b"v")
+            assert client.stats()["committed_sequence"] == 10  # pools warm
+            _break_pooled_connections(client.workers()[1])
+            stats = client.stats()
+            assert client.retries == 1  # counted once, on the one client
+    assert stats["committed_sequence"] == 10
+    assert set(stats["endpoints"]) == {"0", "1"}
 
 
 class AuthScriptedServer(ScriptedServer):
@@ -640,11 +653,11 @@ class AuthScriptedServer(ScriptedServer):
 def test_a_garbled_auth_under_a_scan_part_is_retried_alone():
     server = AuthScriptedServer(garbled=1)
     try:
-        with ShardedKVClient(
+        with KVClient.over(
             [server.address], server_id="good-client", timeout_s=WAIT_S
         ) as client:
             assert client.scan() == [(b"k", b"v")]
-            assert client.clients[0].retries == 1
+            assert client.retries == 1
     finally:
         server.close()
     assert server.opcodes == [

@@ -1,4 +1,5 @@
-"""Tests for shard-per-core serving: MultiProcessKVServer + ShardedKVClient.
+"""Tests for shard-per-core serving: MultiProcessKVServer, and KVClient
+over a list of separate servers.
 
 The forked workers are real processes, so everything here exercises the
 actual fork/route/gather machinery: the factories below run *inside* the
@@ -16,13 +17,16 @@ import pytest
 from repro.dist.sharding import shard_for_key
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
-from repro.errors import AuthorizationError, IOError_, ServiceError
+from repro.errors import (
+    AuthorizationError, CorruptionError, InvalidArgumentError, IOError_,
+    ServiceError,
+)
 from repro.keys.kds import InMemoryKDS, SimulatedKDS
 from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
-from repro.service.client import KVClient, ShardedKVClient
+from repro.service.client import KVClient
 from repro.service.protocol import Message
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
@@ -536,6 +540,52 @@ def test_worker_health_loop_counters_reach_the_front_end_stats(tmp_path):
         assert stats["health"]["state"] == "healthy"
 
 
+def test_a_gathers_error_is_the_lowest_shards_not_the_first_to_arrive(tmp_path):
+    """Two shards fail one COMPACT differently and shard 1 answers first:
+    the reply is shard 0's error -- the order a client over a list settles
+    its parts in -- not whichever part arrived first."""
+    gate_r, gate_w = os.pipe()  # inherited by both forked workers
+
+    def failing_factory(index, path):
+        db = DB(path, Options(env=MemEnv()))
+
+        class _FailingDB:
+            def compact_range(self):
+                if index == 0:
+                    os.read(gate_r, 1)  # held until shard 1's part is in
+                    raise InvalidArgumentError("shard 0 refuses")
+                raise CorruptionError("shard 1 is damaged")
+
+            def __getattr__(self, name):
+                return getattr(db, name)
+
+        return _FailingDB()
+
+    base = str(tmp_path / "mp")
+    try:
+        with MultiProcessKVServer(base, 2, failing_factory) as server:
+            first = server._workers[0]
+            with socket.create_connection(server.address, timeout=20) as sock:
+                protocol.send_message(sock, Message(protocol.OP_COMPACT, 1))
+                deadline = time.monotonic() + 20
+                while not first.pending:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                (__, gather, __index), = first.pending
+                while not gather.parts:  # shard 1's error is in
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                os.write(gate_w, b"g")
+                reply = protocol.FrameReader(sock).read()
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert [index for index, __ in gather.parts] == [1, 0]  # arrival order
+    assert reply.opcode == protocol.RESP_ERROR
+    error = protocol.decode_error(reply.payload)
+    assert (type(error), str(error)) == (InvalidArgumentError, "shard 0 refuses")
+
+
 # -- encrypted shards --------------------------------------------------------
 
 
@@ -563,7 +613,7 @@ def test_shield_multiprocess_smoke(tmp_path):
             assert stats["health"]["state"] == "healthy"
 
 
-# -- ShardedKVClient ---------------------------------------------------------
+# -- KVClient over a list of servers -----------------------------------------
 
 
 def _start_servers(n):
@@ -587,8 +637,8 @@ def test_sharded_client_fixed_routing():
     backends = _start_servers(3)
     try:
         endpoints = [server.address for _, server in backends]
-        with ShardedKVClient(endpoints) as client:
-            assert client.num_shards == 3
+        with KVClient.over(endpoints) as client:
+            assert len(client.workers()) == 3
             for i in range(40):
                 client.put(b"f-%03d" % i, b"v-%03d" % i)
             for i in range(40):
@@ -629,4 +679,26 @@ def test_sharded_client_fixed_routing():
 
 def test_sharded_client_rejects_bad_configurations():
     with pytest.raises(ServiceError):
-        ShardedKVClient([])
+        KVClient.over([])
+
+
+def test_flush_and_compact_over_a_list_reach_every_server():
+    backends = _start_servers(2)
+    try:
+        with KVClient.over([server.address for _, server in backends]) as client:
+            client.flush()
+            client.compact_range()
+        for _, server in backends:
+            counters = server.stats.snapshot()
+            assert counters["service.flush"] == counters["service.compact"] == 1
+    finally:
+        _stop_servers(backends)
+
+
+def test_a_client_over_a_list_has_no_pipeline_and_no_default_endpoint():
+    with KVClient.over([("127.0.0.1", 1), ("127.0.0.1", 2)]) as client:
+        assert client.home is None
+        with pytest.raises(ServiceError):
+            client.pipeline()
+        with pytest.raises(ServiceError):
+            client.request(protocol.OP_PING)  # nothing is sent: no port 1
