@@ -12,15 +12,13 @@ seam where the paper's two designs plug in:
 
 Implementations here: :class:`LocalEnv` (POSIX files), :class:`MemEnv`
 (in-memory, with process/system crash simulation used by the recovery
-tests), :class:`MeteredEnv` (I/O statistics) and :class:`LatencyEnv`
-(latency/bandwidth injection).
+tests) and :class:`MeteredEnv` (I/O statistics).
 """
 
 from repro.env.base import Env, RandomAccessFile, WritableFile
 from repro.env.local import LocalEnv
 from repro.env.mem import MemEnv
 from repro.env.metered import MeteredEnv, classify_path
-from repro.env.latency import LatencyEnv, LatencyModel
 from repro.env.aligned import AlignedReadEnv
 
 __all__ = [
@@ -32,6 +30,4 @@ __all__ = [
     "MemEnv",
     "MeteredEnv",
     "classify_path",
-    "LatencyEnv",
-    "LatencyModel",
 ]

@@ -5,18 +5,14 @@ counters and histograms; this module turns them into the handful of
 *derived* signals the paper's evaluation reasons about -- write-stall
 time, write/read/space amplification, per-level compaction debt, KDS
 round-trip latency, and encryption cost per compaction byte -- computed
-over a sliding window so a long-running server reports what is happening
-*now*, not since boot.
+over a window so a long-running server reports what is happening *now*,
+not since boot.
 
-Two kinds of windowing, matching how each source metric is stored:
-
-- histogram-backed signals (stall seconds, KDS latency) read the
-  histogram's live time slices via ``window_summary`` -- no reset, no
-  reader/writer race;
-- counter-backed signals (amplifications, rates, encryption cost) are
-  *deltas between successive* :meth:`SignalEngine.sample` calls, so the
-  caller's sampling cadence defines the window.  The first sample falls
-  back to lifetime-cumulative values.
+One windowing rule: every source metric only accumulates, so a signal is
+the *difference between successive* :meth:`SignalEngine.sample` calls --
+a counter's value now minus then, a histogram's cumulative buckets now
+minus then (stall seconds, KDS latency) -- and the caller's sampling
+cadence defines the window.  The first sample is lifetime-cumulative.
 
 The :class:`SignalEngine` is deliberately read-only with respect to the
 DB: it may be called from any thread at any time without perturbing the
@@ -117,6 +113,7 @@ class SignalEngine:
         self._time_fn = time_fn if time_fn is not None else db.clock.now
         self._lock = threading.Lock()
         self._prev_raw: dict[str, float] = {}
+        self._prev_views: dict = {}
         self._prev_t: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -126,13 +123,17 @@ class SignalEngine:
         db = self._db
         now = self._time_fn()
         raw = {name: db.stats.counter(name).value for name in _DELTA_COUNTERS}
-        stall = db.stats.histogram("db.stall_seconds").window_summary()
+        views = {"stall": db.stats.histogram("db.stall_seconds").view()}
+        key_client = getattr(db.provider, "key_client", None)
+        if key_client is not None:
+            views["kds"] = key_client.stats.histogram("keyclient.kds_s").view()
         level_sizes = db.level_sizes()
         l0_files = db.num_files_at_level(0)
 
         with self._lock:
             prev, prev_t = self._prev_raw, self._prev_t
             self._prev_raw, self._prev_t = raw, now
+            prev_views, self._prev_views = self._prev_views, views
 
             def delta(name: str) -> float:
                 return raw[name] - prev.get(name, 0.0)
@@ -149,6 +150,11 @@ class SignalEngine:
             compaction_out = delta("db.compaction_bytes_written")
             encrypt_s = self._encrypt_seconds_delta(prev)
 
+        def interval_summary(name: str) -> dict:
+            view, before = views[name], prev_views.get(name)
+            return (view if before is None else view.since(before)).summary()
+
+        stall = interval_summary("stall")
         debt = self._level_debt(level_sizes, l0_files)
         signals = {
             "interval_s": interval,
@@ -168,8 +174,12 @@ class SignalEngine:
             "get_ops_per_s": _ratio(gets, interval),
             "scan_ops_per_s": _ratio(scans, interval),
             "encrypt_s_per_compaction_byte": _ratio(encrypt_s, compaction_out),
+            "kds_p95_s": 0.0,
+            "kds_count": 0,
         }
-        signals.update(self._kds_signals())
+        if key_client is not None:
+            kds = interval_summary("kds")
+            signals["kds_p95_s"], signals["kds_count"] = kds["p95"], kds["count"]
         return signals
 
     # ------------------------------------------------------------------
@@ -225,10 +235,3 @@ class SignalEngine:
             if over > 0:
                 debt[level] = over
         return debt
-
-    def _kds_signals(self) -> dict:
-        key_client = getattr(self._db.provider, "key_client", None)
-        if key_client is None:
-            return {"kds_p95_s": 0.0, "kds_count": 0}
-        window = key_client.stats.histogram("keyclient.kds_s").window_summary()
-        return {"kds_p95_s": window["p95"], "kds_count": window["count"]}

@@ -13,7 +13,8 @@ over the socket unchanged.  Transient failures are retried:
   retries and backoff sleeps -- a retry whose sleep would overshoot it is
   not attempted;
 - a connection that errors is discarded, not returned to the pool -- and
-  so is one whose reply comes back under another request id;
+  so is one whose reply comes back under another request id, and one that
+  carried ``OP_REPL_SUBSCRIBE`` (the server made it a replication stream);
 - ``timeout_s`` is the kernel's, on each ``send`` and ``recv`` call
   (``SO_SNDTIMEO`` / ``SO_RCVTIMEO`` on a blocking socket): a call that
   times out is a socket error like any other.
@@ -213,14 +214,18 @@ class Endpoint:
     def call(self, opcode: int, payload: bytes = b"",
              trace: bytes = b"") -> Message:
         """One request, one reply.  A connection that errors is discarded,
-        not returned to the pool, and the error propagates."""
+        not returned to the pool, and the error propagates.  So is one that
+        carried a subscription: the server made it a replication stream."""
         conn = self.acquire()
         try:
             response = conn.request(opcode, payload, trace)
         except (OSError, protocol.ProtocolError):
             conn.close()
             raise
-        self.release(conn)
+        if opcode == protocol.OP_REPL_SUBSCRIBE:
+            conn.close()
+        else:
+            self.release(conn)
         return response
 
     def begin(self, opcode: int, payload: bytes, trace: bytes):

@@ -3,14 +3,8 @@ MeteredEnv, and LatencyEnv."""
 
 import pytest
 
-from repro.env import (
-    LatencyEnv,
-    LatencyModel,
-    LocalEnv,
-    MemEnv,
-    MeteredEnv,
-    classify_path,
-)
+from repro.env import LocalEnv, MemEnv, MeteredEnv, classify_path
+from repro.env.latency import LatencyEnv, LatencyModel
 from repro.errors import IOError_
 from repro.util.clock import VirtualClock
 

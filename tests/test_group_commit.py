@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from repro.dist.network import NetworkConfig, NetworkLink
+from repro.dist.remote_env import RemoteEnv, StorageServer
 from repro.env.base import EnvWrapper, WritableFileWrapper
 from repro.env.faulty import FaultInjectionEnv
 from repro.env.mem import MemEnv
@@ -22,6 +24,13 @@ def _options(env, **overrides):
     defaults = dict(env=env, write_buffer_size=64 * 1024, block_size=1024)
     defaults.update(overrides)
     return Options(**defaults)
+
+
+def _remote(rtt_s):
+    """A MemEnv behind a link that charges ``rtt_s`` per append, sync and
+    metadata call (no bandwidth charge); returns the env and its link."""
+    link = NetworkLink(NetworkConfig(rtt_s=rtt_s, bandwidth_bytes_per_s=0))
+    return RemoteEnv(StorageServer(MemEnv()), link), link
 
 
 def _hammer(db, num_threads=6, per_thread=300, value=b"v"):
@@ -48,9 +57,7 @@ def test_groups_form_under_contention():
     # A small WAL-append latency makes the leader hold the commit long
     # enough for followers to pile up, so grouping is deterministic
     # rather than at the mercy of scheduler timing on a loaded machine.
-    from repro.env.latency import LatencyEnv, LatencyModel
-
-    env = LatencyEnv(MemEnv(), LatencyModel(write_op_s=0.0005))
+    env, __ = _remote(0.0005)
     db = DB("/g", _options(env))
     with db:
         errors = _hammer(db)
@@ -322,12 +329,9 @@ def test_a_writer_arriving_during_an_inline_commit_commits_after_it():
     """The second writer finds the write lock held, queues, and is
     committed after the inline one: its value of the shared key wins, and
     both writes survive a close and a reopen."""
-    from repro.env.latency import LatencyEnv, LatencyModel
-
-    model = LatencyModel()
-    env = LatencyEnv(MemEnv(), model)
+    env, link = _remote(0.0)
     db = DB("/g", _options(env, wal_buffer_size=0))
-    model.write_op_s = 0.2  # every WAL unit's append takes this long
+    link.config.rtt_s = 0.2  # every WAL unit's append takes this long
     first = threading.Thread(
         target=db.write, args=(WriteBatch().put(b"k", b"first").put(b"a", b"1"),)
     )
@@ -345,7 +349,7 @@ def test_a_writer_arriving_during_an_inline_commit_commits_after_it():
     finally:
         first.join(timeout=30)
         second.join(timeout=30)
-    model.write_op_s = 0.0
+    link.config.rtt_s = 0.0
     assert db.stats.counter("db.write_groups").value == 2
     assert db.get(b"k") == b"second"
     db.close()

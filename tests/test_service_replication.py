@@ -654,3 +654,27 @@ def test_sharded_db_cannot_be_subscribed():
         assert replica.join(timeout=5.0)
         assert isinstance(replica.last_error, InvalidArgumentError)
     cluster.close()
+
+
+def test_a_subscribe_through_the_client_does_not_pool_the_stream():
+    """The server makes a subscribed connection a replication stream, so
+    the client closes it: the next request on a one-connection pool opens
+    a fresh connection instead of reading a stream frame and retrying."""
+    from repro.service import protocol
+    from repro.service.client import KVClient
+
+    db = _plain_db()
+    db.put(b"k", b"v")
+    with KVServer(db, ServiceConfig()) as server:
+        client = KVClient(*server.address, pool_size=1)
+        try:
+            accept = client.request(
+                protocol.OP_REPL_SUBSCRIBE,
+                protocol.encode_repl_subscribe("replica-1", 0),
+            )
+            assert accept.opcode == protocol.RESP_REPL_ACCEPT
+            assert client.get(b"k") == b"v"
+            assert client.retries == 0
+        finally:
+            client.close()
+    db.close()

@@ -24,8 +24,6 @@ def test_counter():
     counter.add()
     counter.add(5)
     assert counter.value == 6
-    counter.reset()
-    assert counter.value == 0
 
 
 def test_histogram_empty():
@@ -70,8 +68,6 @@ def test_registry_reuse_and_snapshot():
     snap = registry.snapshot()
     assert snap["io.reads"] == 3
     assert snap["lat.count"] == 1
-    registry.reset()
-    assert registry.counter("io.reads").value == 0
 
 
 def test_gauge():
@@ -81,8 +77,6 @@ def test_gauge():
     assert gauge.value == 10.0
     gauge.add(-4.0)
     assert gauge.value == 6.0
-    gauge.reset()
-    assert gauge.value == 0.0
 
 
 def test_registry_gauge_in_snapshot():
@@ -111,132 +105,12 @@ def test_histogram_summary_keys_in_snapshot():
     assert snap["lat.p50"] <= snap["lat.p95"] <= snap["lat.p99"]
 
 
-def test_histogram_reset_in_place():
-    hist = Histogram("lat")
-    hist.record(1.0)
-    hist.reset()
-    assert hist.count == 0
-    assert hist.mean == 0.0
-    assert hist.max == 0.0
-    # The same object keeps recording after a reset.
-    hist.record(2.0)
-    assert hist.count == 1
-    assert hist.max == 2.0
-
-
-def test_registry_reset_keeps_histogram_references_live():
-    """Regression: reset() used to replace histograms with fresh objects,
-    orphaning any held reference -- its records vanished from snapshots."""
-    registry = StatsRegistry()
-    held = registry.histogram("lat")
-    held.record(0.5)
-    registry.gauge("depth").set(3)
-    registry.reset()
-    assert registry.snapshot()["lat.count"] == 0
-    assert registry.snapshot()["depth"] == 0.0
-    # Recording through the pre-reset reference must still be visible.
-    held.record(0.25)
-    snap = registry.snapshot()
-    assert snap["lat.count"] == 1
-    assert registry.histogram("lat") is held
-
-
 def test_percentile_exact():
     values = [float(i) for i in range(1, 101)]
     assert percentile_exact(values, 50) == 50.5
     assert percentile_exact(values, 100) == 100.0
     assert percentile_exact(values, 0) == 1.0
     assert percentile_exact([], 50) == 0.0
-
-
-class _FakeTime:
-    """Deterministic monotonic clock for windowed-histogram tests."""
-
-    def __init__(self, start: float = 1000.0):
-        self.now = start
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def test_window_summary_empty():
-    hist = Histogram("lat")
-    window = hist.window_summary()
-    assert window["count"] == 0
-    assert window["p99"] == 0.0
-
-
-def test_window_summary_reflects_recent_values_only():
-    clock = _FakeTime()
-    hist = Histogram("lat", window_s=60.0, time_fn=clock)
-    # An old burst of slow operations...
-    for _ in range(100):
-        hist.record(1.0)
-    clock.advance(120.0)
-    # ...followed, two minutes later, by fast ones.
-    for _ in range(100):
-        hist.record(0.001)
-    lifetime = hist.summary()
-    window = hist.window_summary()
-    # Lifetime p99 is stuck at the old slow burst; the window moved on.
-    assert lifetime["p99"] > 0.5
-    assert window["p99"] < 0.01
-    assert window["count"] == 100
-    assert lifetime["count"] == 200
-    assert window["sum"] < 1.0
-
-
-def test_window_summary_ages_out_without_reset():
-    clock = _FakeTime()
-    hist = Histogram("lat", window_s=10.0, time_fn=clock)
-    hist.record(5.0)
-    assert hist.window_summary()["count"] == 1
-    clock.advance(30.0)
-    hist.record(0.5)  # the recorder itself rotates/prunes slices
-    window = hist.window_summary()
-    assert window["count"] == 1
-    assert window["max"] == 0.5
-    # The lifetime view still remembers everything.
-    assert hist.summary()["count"] == 2
-    assert hist.summary()["max"] == 5.0
-
-
-def test_window_summary_merges_slices_within_window():
-    clock = _FakeTime()
-    hist = Histogram("lat", window_s=60.0, time_fn=clock)
-    for _ in range(10):
-        hist.record(0.010)
-        clock.advance(5.0)  # spread records across several slices
-    window = hist.window_summary()
-    assert window["count"] == 10
-    assert 0.008 < window["p50"] < 0.012
-
-
-def test_window_summary_custom_span():
-    clock = _FakeTime()
-    hist = Histogram("lat", window_s=60.0, time_fn=clock)
-    hist.record(1.0)
-    clock.advance(40.0)
-    hist.record(2.0)
-    # Full window sees both; a narrow window only the newest (plus at most
-    # one slice of slop, which 40s of spacing comfortably exceeds).
-    assert hist.window_summary()["count"] == 2
-    narrow = hist.window_summary(window_s=10.0)
-    assert narrow["count"] == 1
-    assert narrow["max"] == 2.0
-
-
-def test_reset_clears_window():
-    clock = _FakeTime()
-    hist = Histogram("lat", window_s=60.0, time_fn=clock)
-    hist.record(1.0)
-    hist.reset()
-    assert hist.window_summary()["count"] == 0
-    hist.record(0.25)
-    assert hist.window_summary()["count"] == 1
 
 
 def test_racing_lookups_of_a_new_metric_share_one_object_and_lose_no_increment():
@@ -282,19 +156,17 @@ def test_histogram_buckets_match_the_two_argument_log_form():
     values = edges + [math.nextafter(v, 0.0) for v in edges] \
         + [math.nextafter(v, math.inf) for v in edges] + sweep + [0.0, 5e-10]
     expected = {}
-    hist = Histogram(time_fn=lambda: 0.0)
+    hist = Histogram()
     for value in values:
         bucket = _two_argument_log_bucket(value)
         expected[bucket] = expected.get(bucket, 0) + 1
         hist.record(value)
-    # White box: the folded view, lifetime and windowed, bucket for bucket.
-    assert hist._fold_view().counts == expected
-    assert hist._fold_view(hist._horizon(60.0)).counts == expected
+    # The folded view, bucket for bucket.
+    assert hist.view().counts == expected
     assert hist.min == 0.0 and hist.max == max(values)
     summary = hist.summary()
     assert summary["count"] == len(values) and summary["max"] == max(values)
     assert summary["sum"] == pytest.approx(math.fsum(values))
-    assert hist.window_summary() == summary
 
 
 # -- per-thread shards --------------------------------------------------------
@@ -333,17 +205,17 @@ def test_sharded_counts_are_exact_under_a_short_switch_interval():
         pass
     assert counter.value == 8 * 3000 * 2
     assert hist.count == 8 * 3000
-    assert sum(hist._fold_view().counts.values()) == 8 * 3000
+    assert sum(hist.view().counts.values()) == 8 * 3000
     assert hist.max == 2999 * 1e-6
 
 
 def test_sharded_reads_beside_writers_opening_new_buckets():
-    # A read folds the slice each writer is still recording into.  Every
-    # record here opens a bucket that slice has not seen (the values climb,
-    # and ``hist``'s 1 ms slices start empty), so a fold iterating a live
-    # bucket dict would see it change size mid-loop.
+    # A read folds the shard each writer is still recording into.  Every
+    # record here opens a bucket that shard has not seen (the values
+    # climb), so a fold iterating a live bucket dict would see it change
+    # size mid-loop.
     registry = StatsRegistry()
-    hist, shared = Histogram("lat", window_s=0.008), registry.histogram("lat")
+    hist, shared = Histogram("lat"), registry.histogram("lat")
     start = threading.Barrier(9)
     records = 1500
 
@@ -359,69 +231,16 @@ def test_sharded_reads_beside_writers_opening_new_buckets():
         reads = 0
         while shared.count < 8 * records or reads < 100:
             hist.summary()
-            hist.window_summary()
             registry.snapshot()
             reads += 1
     assert hist.count == shared.count == 8 * records
     assert registry.snapshot()["lat.count"] == 8 * records
 
 
-def test_a_reset_mid_stream_leaves_exactly_the_later_adds():
-    # Exact: every thread holds a stale shard when reset() runs between the
-    # two halves of its stream, and zeroes it on its next write.
-    counter, hist = Counter("ops"), Histogram("lat")
-    halfway, resumed = threading.Barrier(9), threading.Barrier(9)
-
-    def halves(__):
-        for __ in range(500):
-            counter.add(1)
-            hist.record(1e-3)
-        halfway.wait(timeout=30)
-        resumed.wait(timeout=30)
-        for __ in range(700):
-            counter.add(1)
-            hist.record(1e-3)
-
-    with _racing(8, halves):
-        halfway.wait(timeout=30)
-        counter.reset()
-        hist.reset()
-        resumed.wait(timeout=30)
-    assert counter.value == 8 * 700
-    assert hist.count == 8 * 700
-
-    # Racing: an add that saw ``returned`` before it began came after the
-    # reset and must count.  Of the others only those that overlapped it
-    # may: begun after ``began``, or one per thread caught between its
-    # check and its add.
-    counter = Counter("racing")
-    began, returned = threading.Event(), threading.Event()
-    post, overlapped = [0] * 8, [0] * 8
-    start = threading.Barrier(9)
-
-    def racer(slot):
-        start.wait(timeout=30)
-        for __ in range(4000):
-            if returned.is_set():
-                post[slot] += 1
-            elif began.is_set():
-                overlapped[slot] += 1
-            counter.add(1)
-
-    with _racing(8, racer):
-        start.wait(timeout=30)
-        while counter.value < 8000:
-            pass
-        began.set()
-        counter.reset()
-        returned.set()
-    assert sum(post) <= counter.value <= sum(post) + sum(overlapped) + 8
-
-
 def test_owned_shards_sum_with_thread_shards_and_reset_in_place():
     """An owned shard (one writer that serializes its writes under a lock
-    of its own) is read and reset like a thread's: its writes sum with
-    every thread's, a reset zeroes it in place, and it keeps counting."""
+    of its own) is read like a thread's: its writes sum with every
+    thread's, and it keeps counting after the threads are gone."""
     registry = StatsRegistry()
     counter, hist = registry.counter("ops"), registry.histogram("sizes")
     tally, series = counter.owned(), hist.owned()
@@ -443,14 +262,12 @@ def test_owned_shards_sum_with_thread_shards_and_reset_in_place():
     assert counter.value == 2 * 500 * 2 + 2 * 500
     assert hist.count == 4 * 500 and hist.summary()["sum"] == 2 * 500 * (1 + 3)
     assert registry.snapshot()["ops"] == counter.value
-    registry.reset()
-    assert counter.value == 0 and hist.count == 0
     with lock:
         tally.value += 5
         hist.record(7, series)
     counter.add(1)
-    assert counter.value == 6
-    assert hist.count == 1 and hist.max == 7 and hist.window_summary()["count"] == 1
+    assert counter.value == 2 * 500 * 2 + 2 * 500 + 6
+    assert hist.count == 4 * 500 + 1 and hist.max == 7
 
 
 def test_short_lived_threads_lose_no_count_and_leave_no_shards_behind():
@@ -466,7 +283,6 @@ def test_short_lived_threads_lose_no_count_and_leave_no_shards_behind():
             pass
     assert counter.value == 500 * 10
     assert hist.count == 500 * 10
-    assert hist.window_summary()["count"] == 500 * 10
     # Every writer is gone, so the base shard is all that is left (white
     # box: the shard set is what a long-running server would otherwise grow).
     for metric in (counter, hist):
@@ -524,12 +340,32 @@ def test_a_forked_child_can_register_a_shard():
     assert counter.value == 3 and hist.count == 1
 
 
-def test_a_clock_on_a_slice_boundary_turns_the_slice_once():
-    # 74099.8 % 0.1 rounds to just under 0.1: the aligned slice computed
-    # for this instant would end at it, not after it.
-    hist = Histogram("lat", window_s=0.8, time_fn=lambda: 74099.8)
-    for __ in range(100):
-        hist.record(1e-3)
-    live_slices, __ = hist._local.shard.state  # white box: this thread's shard
-    assert len(live_slices) == 1
-    assert hist.window_summary()["count"] == 100
+def test_a_signal_sample_counts_only_what_was_recorded_since_the_last():
+    """Every signal is a delta between two samples: a stall and a KDS round
+    trip recorded before one sample() are gone from the next; one recorded
+    after it is there."""
+    from repro import InMemoryKDS, ShieldOptions, open_shield_db
+    from repro.env.mem import MemEnv
+    from repro.lsm.options import Options
+
+    with open_shield_db(
+        "/signals", ShieldOptions(kds=InMemoryKDS()), Options(env=MemEnv()),
+    ) as db:
+        stalls = db.stats.histogram("db.stall_seconds")
+        stalls.record(0.5)
+        db.put(b"k", b"v")
+        db.flush()  # a new SST: a new DEK from the KDS
+        first = db.signals.sample()  # the first sample is the lifetime
+        assert first["stall_seconds"] == 0.5 and first["stall_count"] == 1
+        assert first["kds_count"] >= 1 and first["kds_p95_s"] > 0.0
+
+        quiet = db.signals.sample()
+        assert quiet["stall_seconds"] == 0.0 and quiet["stall_count"] == 0
+        assert quiet["kds_count"] == 0 and quiet["kds_p95_s"] == 0.0
+
+        stalls.record(0.25)
+        db.put(b"k2", b"v")
+        db.flush()
+        later = db.signals.sample()
+        assert later["stall_seconds"] == 0.25 and later["stall_count"] == 1
+        assert later["kds_count"] >= 1 and later["kds_p95_s"] > 0.0
