@@ -9,10 +9,13 @@ drop).  A DB runs the picker ``Options.compaction_style`` names for life.
 A picker inspects a Version and proposes a :class:`CompactionJob`; a
 :class:`MergeExecutor` (the DB's or an offloaded worker's) merges its inputs
 and the DB applies the resulting VersionEdit.  SHIELD's DEK rotation rides
-on compaction: every output file gets a fresh DEK from the crypto provider
-and every input file's DEK is retired with it (Section 5.2, "Embedding
-DEK-Handling Practices").  A job either rewrites its inputs or (FIFO) drops
-them; none relinks a file, so every compaction job retires its inputs' DEKs.
+on compaction: every file a merge writes gets a fresh DEK from the crypto
+provider and every input file's DEK is retired with it (Section 5.2,
+"Embedding DEK-Handling Practices").  A job rewrites its inputs, drops them
+(FIFO), or -- when nothing at the output level overlaps them and they do
+not overlap each other (:meth:`CompactionJob.is_move`, RocksDB's trivial
+move) -- moves them down a level in one MANIFEST edit: a moved file keeps
+its bytes and its DEK until a later merge consumes it.
 """
 
 from __future__ import annotations
@@ -63,6 +66,18 @@ class CompactionJob:
 
     def total_input_bytes(self) -> int:
         return sum(meta.size for __, meta in self.input_files())
+
+    def is_move(self) -> bool:
+        """Whether the inputs can go down unread: one input level above a
+        leveled output level (so nothing there overlaps them), and no two
+        inputs overlap each other (L0 files may)."""
+        if self.delete_only or self.output_level < 1 or len(self.inputs) != 1:
+            return False
+        [(level, files)] = self.inputs.items()
+        ordered = sorted(files, key=lambda meta: meta.smallest)
+        return level != self.output_level and all(
+            left.largest < right.smallest for left, right in zip(ordered, ordered[1:])
+        )
 
 
 def level_target(options: Options, level: int) -> int:

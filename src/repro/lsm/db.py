@@ -9,7 +9,9 @@ The structure mirrors Figure 1 of the paper:
   its DEK retired);
 - background *compaction* (by the picker ``compaction_style`` names) merges
   SST files; every output file gets fresh crypto from the provider, which is
-  how DEK rotation falls out of compaction for free (Section 5.2).
+  how DEK rotation falls out of compaction for free (Section 5.2).  A job
+  whose inputs overlap nothing below moves them down in one MANIFEST edit
+  instead, bytes and DEKs unchanged (RocksDB's trivial move).
 """
 
 from __future__ import annotations
@@ -586,6 +588,13 @@ class DB:
             elif job.delete_only:  # FIFO expiry: inputs out, nothing in
                 self._install(job, [])
                 self.stats.counter("db.fifo_expirations").add(len(job.input_files()))
+            elif job.is_move():  # nothing below overlaps: relink, read nothing
+                moved = [meta for __, meta in job.input_files()]
+                with TRACER.span("db.move", attributes={
+                    "files": len(moved), "output_level": job.output_level,
+                }):
+                    self._install(job, moved)
+                self.stats.counter("db.trivial_moves").add(len(moved))
             else:
                 self._run_merge_compaction(job)
             self._purge()
@@ -654,14 +663,19 @@ class DB:
         self._delete_db_file(wal_path(self.path, wal_number), wal.dek_id)
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
-        """One MANIFEST edit: the job's inputs out (obsolete), ``added`` in."""
+        """One MANIFEST edit: the job's inputs out, ``added`` in.  An input
+        not among ``added`` is obsolete; a move re-adds every input, so it
+        keeps its reader, its cached blocks and its DEK."""
         edit = VersionEdit(
             deleted_files=[(level, meta.number) for level, meta in job.input_files()],
             new_files=[(job.output_level, meta) for meta in added],
         )
+        kept = {meta.number for meta in added}
         with self._mutex:
             self._versions.log_and_apply(edit)
-            self._obsolete += [meta for __, meta in job.input_files()]
+            self._obsolete += [
+                meta for __, meta in job.input_files() if meta.number not in kept
+            ]
 
     def _run_merge_compaction(self, job: CompactionJob) -> None:
         input_bytes = job.total_input_bytes()
@@ -886,7 +900,7 @@ class DB:
         snap = self.stats.snapshot()
         for name in (
             "db.writes", "db.gets", "db.flushes", "db.compactions",
-            "db.compaction_bytes_read", "db.compaction_bytes_written",
+            "db.trivial_moves", "db.compaction_bytes_read", "db.compaction_bytes_written",
             "db.write_groups", "db.slowdown_writes",
         ):
             if name in snap:

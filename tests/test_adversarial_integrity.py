@@ -314,6 +314,13 @@ class _OutageAfterGrants(FaultyKDS):
         return dek
 
 
+def overlapping_key(batch, i):
+    """Key ``i`` of ``batch`` in three overlapping files: the prefix digit
+    turns with ``i``, so every batch spans all three prefixes and the due
+    job merges the files (disjoint L0 files would move down unread)."""
+    return b"key-%d-%04d" % ((batch + i) % 3, i)
+
+
 def _three_parked_l0_files(
     route, kds, key, keys_per_file=100, counter=None,
     value=lambda batch, i: b"value-%04d" % i, chunk_size=64 * 1024, **engine,
@@ -387,8 +394,7 @@ def test_compaction_over_an_input_tampered_chunks_in_quarantines_and_aborts(rout
 
 def _tampered_input_quarantines_and_aborts(route, skew, **engine):
     env, db = _three_parked_l0_files(
-        route, InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i),
-        **engine,
+        route, InMemoryKDS(), overlapping_key, **engine,
     )
     try:
         inputs = _sst_paths(env, "/adv")
@@ -674,7 +680,7 @@ def test_healed_quarantine_resumes_compaction():
     lifts the mark puts it back, and the merge that was due all along runs
     -- nobody has to flush or ask for it."""
     env, db = _three_parked_l0_files(
-        "local", InMemoryKDS(), lambda batch, i: b"key-%d-%04d" % (batch, i)
+        "local", InMemoryKDS(), overlapping_key
     )
     with db:
         tampered = _sst_paths(env, "/adv")[0]

@@ -277,10 +277,10 @@ def _compactions(db):
     return db.stats.counter("db.compactions").value
 
 
-def _fill(db, memtables):
+def _fill(db, memtables, key=lambda i: b"key-%04d" % i):
     """Write ``memtables`` write buffers' worth through ``put`` alone."""
     for i in range(memtables * 4):
-        db.put(b"key-%04d" % i, b"v" * 1024)
+        db.put(key(i), b"v" * 1024)
 
 
 def _memtable_switch(env):
@@ -296,7 +296,7 @@ def _memtable_switch(env):
 def _flush_install(env):
     options = _options(env, level0_file_num_compaction_trigger=2)
     with DB("/crash", options) as db:
-        _fill(db, 2)
+        _fill(db, 2, key=lambda i: b"key-%d-%04d" % (i % 2, i))  # files overlap
         wait_until(db, lambda: _compactions(db) >= 1)
 
 
@@ -361,8 +361,9 @@ def _policy_flip(env):
         write_buffer_size=1 << 20, level0_file_num_compaction_trigger=3,
     )
     with DB("/crash", _options(env, compaction_style="universal", **options)) as db:
-        for batch in range(3):
-            db.put(b"key-%d" % batch, b"value")
+        for batch in range(3):  # overlapping runs: the due job is a merge
+            for key in (b"key-%d" % batch, b"key-%d" % (batch + 3)):
+                db.put(key, b"value")
             db.flush()
         db.wait_for_compaction()
         assert db.num_files_at_level(0) == 3 and _compactions(db) == 0
@@ -405,7 +406,7 @@ def test_a_failing_job_is_attempted_once(job, fault):
     kds = FaultyKDS(SimulatedKDS(clock=VirtualClock(), request_latency_s=0.0))
     kds.authorize_server("server-1")
     env, db = adversarial._three_parked_l0_files(
-        "local", kds, lambda batch, i: b"key-%d-%04d" % (batch, i)
+        "local", kds, adversarial.overlapping_key
     )
 
     def strike():

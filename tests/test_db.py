@@ -482,11 +482,11 @@ def test_compaction_leaves_the_block_cache_alone():
         before = _cache_stats(db)
         assert before[2] > 0
 
-        # Two L0 files in a key range of their own: the compaction they
-        # trigger reads and drops only files the foreground never read.
+        # Two overlapping L0 files in a key range of their own: the merge
+        # they trigger reads and drops only files the foreground never read.
         for batch in range(2):
             for i in range(40):
-                db.put(b"b-%d-%04d" % (batch, i), b"x" * 20)
+                db.put(b"b-%d-%04d" % ((batch + i) % 2, i), b"x" * 20)
             db.flush()
         db.wait_for_compaction()
         assert db.stats_snapshot()["db.compactions"] >= 2

@@ -114,8 +114,8 @@ def test_offloaded_compaction_data_stays_off_the_link():
     options = deployment.db_options(_engine_options())
     options.compaction_service = deployment.compaction_service(options=options)
     with DB("/db", options) as db:
-        for i in range(3000):
-            db.put(b"key-%05d" % i, b"v" * 50)
+        for i in range(3000):  # every key once, each flush over the whole range
+            db.put(b"key-%05d" % (i * 7 % 3000), b"v" * 50)
         db.compact_range()
     service_read = options.compaction_service.stats.counter(
         "service.bytes_read"
@@ -176,8 +176,8 @@ def test_offloaded_worker_unauthorized_fails():
     from repro.errors import IOError_
 
     with pytest.raises(IOError_):
-        for i in range(3000):
-            db.put(b"key-%05d" % i, b"v" * 50)
+        for i in range(3000):  # every key once, each flush over the whole range
+            db.put(b"key-%05d" % (i * 7 % 3000), b"v" * 50)
         db.compact_range()
     db.simulate_crash()
 
@@ -201,8 +201,8 @@ def test_offloaded_worker_uses_secure_cache(tmp_path):
     )
     db = open_shield_db("/db", compute_shield, engine)
     with db:
-        for i in range(3000):
-            db.put(b"key-%05d" % i, b"v" * 50)
+        for i in range(3000):  # every key once, each flush over the whole range
+            db.put(b"key-%05d" % (i * 7 % 3000), b"v" * 50)
         db.compact_range()
         # Output DEKs the worker provisioned got cached securely on disk.
         assert len(worker_cache) > 0

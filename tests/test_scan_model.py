@@ -26,9 +26,11 @@ that item asks for.  Grow this file; do not start another.
 """
 
 import contextlib
+import functools
 import itertools
 import random
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -97,6 +99,9 @@ WAL_ATTACKS = ("delete", "cut_at_a_unit", "cut_inside_a_unit", "swap", "splice")
 DRIVE_WRITE_BUFFER = 2048
 DRIVE = ("reopen", "write", "write", "flush", "write", "compact")
 MAX_DRIVE_STEPS = 4 * len(DRIVE)
+#: Files the machines moved down unread, by scheme, every handle's: each
+#: machine's budget must move at least one (``_machine``).
+MOVED = Counter()
 
 #: What a fault window arms, by kind: ``arm(env, kds, rng)`` on the
 #: machine's injectors, their draws seeded from the window's.
@@ -225,6 +230,8 @@ class ScanModel(RuleBasedStateMachine):
         self.leaked_by_last_crash = 0
         self.db = self.readonly = None
         self._drive_batches = itertools.count()
+        # Above every key of ALL_KEYS and of any earlier run.
+        self._run_keys = (b"r%06d" % n for n in itertools.count())
         self._exit = contextlib.ExitStack()
 
     def boot(self, style=COMPACTION_LEVELED, traced=False, served=False):
@@ -267,6 +274,7 @@ class ScanModel(RuleBasedStateMachine):
     def _open(self, **overrides):
         if self.db is not None:
             self._epoch_base += self.db.stats.counter("db.compactions").value
+            self._count_moves()
         self.db = None  # a kill inside recovery leaves nothing to close
         if self.scheme is not None:
             # The paper's WAL buffer: a synced write flushes it, so a
@@ -296,6 +304,9 @@ class ScanModel(RuleBasedStateMachine):
         self.db.close()
         self._open()
         self.readonly = self._open_readonly()
+
+    def _count_moves(self):
+        MOVED[self.scheme] += self.db.stats.counter("db.trivial_moves").value
 
     def _epoch(self) -> int:
         """Compactions so far, every handle's."""
@@ -329,6 +340,8 @@ class ScanModel(RuleBasedStateMachine):
         for store in (self.readonly, self.db):
             if store is not None:
                 store.close()
+        if self.db is not None:
+            self._count_moves()
         self._exit.close()
 
     # -- writes ---------------------------------------------------------------
@@ -372,6 +385,17 @@ class ScanModel(RuleBasedStateMachine):
     @rule(key=KEYS)
     def delete(self, key):
         self.write([(key, None)])
+
+    @precondition(lambda self: self.parked is None)
+    @rule(files=st.integers(4, 8), width=st.integers(1, 3))
+    def write_an_ascending_run(self, files, width):
+        """A load in key order: ``files`` flushed files of ``width`` fresh
+        keys each, every key above all written before, so that once L0
+        holds only such files a leveled job moves them down unread (and
+        later rules crash, fault and tamper over moved files)."""
+        for __ in range(files):
+            self.write([(next(self._run_keys), b"run") for __ in range(width)])
+            self._settle()
 
     @rule()
     def snapshot(self):
@@ -831,7 +855,8 @@ MACHINES = {
 
 def _machine(scheme):
     """40 examples a machine on every commit; the ``soak`` profile's budget
-    (``--hypothesis-profile=soak``, see conftest.py) when it is loaded."""
+    (``--hypothesis-profile=soak``, see conftest.py) when it is loaded.  The
+    budget must move a file at least once, or no rule met a moved file."""
     soak = settings.get_current_profile_name() == "soak"
     case = MACHINES[scheme].TestCase
     case.settings = settings(
@@ -839,6 +864,15 @@ def _machine(scheme):
         stateful_step_count=40,
         deadline=None,
     )
+    run = case.runTest
+
+    @functools.wraps(run)
+    def runTest(self):
+        moved = MOVED[scheme]
+        run(self)
+        assert MOVED[scheme] > moved, "no example moved a file down"
+
+    case.runTest = runTest
     return case
 
 
