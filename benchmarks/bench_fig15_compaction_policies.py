@@ -5,11 +5,19 @@ Paper shape (Figure 15): SHIELD tracks unencrypted RocksDB within 0-40%
 policies; FIFO readrandom is excluded (expired keys make reads fail).
 Table 3 reports per-server read/write I/O volumes, with the compaction
 server doing ~5x the compute server's I/O.
+
+Each (policy, system) arm -- a fresh deployment, its fill, its read, its
+I/O bytes -- runs ``_REPEATS`` times through
+:func:`conftest.interleaved_medians`: every row is its arm's median run.
+Table 3's bytes come from the median fill run, and every run of an arm
+must have moved the same bytes.
 """
 
 from __future__ import annotations
 
-from conftest import bench_options, emit, run_once
+from functools import partial
+
+from conftest import bench_options, collected, emit, interleaved_medians, run_once
 
 from paper import WorkloadSpec, fill_random, format_table, read_random, relative_overhead
 from repro.dist.deployment import build_ds_deployment
@@ -22,6 +30,7 @@ _POLICIES = ["leveled", "universal", "fifo"]
 _WRITE_SPEC = WorkloadSpec(num_ops=5000, keyspace=5000)
 _READ_SPEC = WorkloadSpec(num_ops=2500, keyspace=2500)
 _LATENCY_SCALE = 0.02
+_REPEATS = 3
 
 
 def _make_db(system: str, policy: str, deployment):
@@ -46,41 +55,59 @@ def _make_db(system: str, policy: str, deployment):
 
 
 def _experiment():
-    write_rows, read_rows, io_rows = [], [], []
-    overheads = {}
-    for policy in _POLICIES:
-        for system in ("baseline", "shield"):
-            deployment = build_ds_deployment(
-                clock=ScaledClock(_LATENCY_SCALE)
-            )
-            db = _make_db(system, policy, deployment)
-            try:
-                write_result = fill_random(db, _WRITE_SPEC, name=f"{system}/{policy}")
-                write_rows.append(write_result)
-                if policy != "fifo":
-                    read_result = read_random(
-                        db, _READ_SPEC, name=f"{system}/{policy}"
-                    )
-                    read_rows.append(read_result)
-                db.wait_for_compaction()
-            finally:
-                db.close()
-            if system == "shield":
-                compute_w = deployment.compute_io.written_bytes()
-                compute_r = deployment.compute_io.read_bytes()
-                service_w = deployment.service_io.written_bytes()
-                service_r = deployment.service_io.read_bytes()
-                io_rows.append(
-                    (policy, compute_r, compute_w, service_r, service_w)
+    reads: dict[str, list] = {}  # arm -> every run's readrandom row
+    io: dict[str, list] = {}     # arm -> every run's I/O bytes
+
+    def arm(system: str, policy: str):
+        name = f"{system}/{policy}"
+        deployment = build_ds_deployment(clock=ScaledClock(_LATENCY_SCALE))
+        db = _make_db(system, policy, deployment)
+        try:
+            write_result = collected(partial(fill_random, db, _WRITE_SPEC, name=name))
+            if policy != "fifo":
+                reads.setdefault(name, []).append(
+                    collected(partial(read_random, db, _READ_SPEC, name=name))
                 )
-        base = next(r for r in write_rows if r.name == f"baseline/{policy}")
-        shield = next(r for r in write_rows if r.name == f"shield/{policy}")
-        overheads[policy] = relative_overhead(base, shield)
-    return write_rows, read_rows, io_rows, overheads
+            db.wait_for_compaction()
+        finally:
+            db.close()
+        moved = (
+            deployment.compute_io.read_bytes(),
+            deployment.compute_io.written_bytes(),
+            deployment.service_io.read_bytes(),
+            deployment.service_io.written_bytes(),
+        )
+        io.setdefault(name, []).append(moved)
+        write_result.extra["io"] = moved
+        return write_result
+
+    write_rows = interleaved_medians({
+        f"{system}/{policy}": partial(arm, system, policy)
+        for policy in _POLICIES for system in ("baseline", "shield")
+    }, _REPEATS)
+    read_rows = []
+    for name, runs in reads.items():
+        median = sorted(runs, key=lambda row: row.throughput)[len(runs) // 2]
+        median.extra["runs_ops_per_s"] = ", ".join(
+            f"{run.throughput:,.0f}" for run in runs
+        )
+        read_rows.append(median)
+    io_rows = [
+        (row.name.split("/")[1], *row.extra["io"])
+        for row in write_rows if row.name.startswith("shield/")
+    ]
+    overheads = {
+        policy: relative_overhead(
+            next(r for r in write_rows if r.name == f"baseline/{policy}"),
+            next(r for r in write_rows if r.name == f"shield/{policy}"),
+        )
+        for policy in _POLICIES
+    }
+    return write_rows, read_rows, io_rows, overheads, io
 
 
 def test_fig15_table3_compaction_policies(benchmark):
-    write_rows, read_rows, io_rows, overheads = run_once(benchmark, _experiment)
+    write_rows, read_rows, io_rows, overheads, io = run_once(benchmark, _experiment)
     blocks = [
         format_table("Figure 15: fillrandom by compaction policy", write_rows),
         format_table(
@@ -110,6 +137,9 @@ def test_fig15_table3_compaction_policies(benchmark):
 
     # Shape: SHIELD completes under every policy with bounded overhead.
     assert set(overheads) == set(_POLICIES)
+    # The bytes each arm moves do not depend on the draw.
+    for name, moved in io.items():
+        assert len(moved) == _REPEATS and len(set(moved)) == 1, (name, moved)
     # Leveled compaction produces the most compaction-server I/O per byte
     # of compute I/O (Table 3's leveled-vs-FIFO contrast).
     by_policy = {row[0]: row for row in io_rows}

@@ -85,10 +85,10 @@ def merge_stats(snapshots) -> dict:
 
     The layout is fixed and each rule applies at its own place only: the
     counter sections and ``committed_sequence`` are summed, ``health`` is
-    worst-of, ``obs`` merges by its own rules, and ``replication`` is
+    worst-of (and ``server``'s ``service.health``, one engine's rank, is
+    dropped), ``obs`` merges by its own rules, and ``replication`` is
     empty because positions live in each engine's own sequence space.
-    Anything else (``workers``, ``endpoints``) describes one endpoint and
-    is dropped.
+    Anything else (``endpoints``) describes one endpoint and is dropped.
     """
     snapshots = list(snapshots)
     out: dict = {
@@ -102,6 +102,7 @@ def merge_stats(snapshots) -> dict:
         parts = [snap[section] for snap in snapshots if section in snap]
         if parts:
             out[section] = sum_numeric(parts)
+    out.get("server", {}).pop("service.health", None)
     obs_parts = [snap["obs"] for snap in snapshots if "obs" in snap]
     if obs_parts:
         out["obs"] = _merge_obs(obs_parts)
@@ -110,7 +111,7 @@ def merge_stats(snapshots) -> dict:
 
 def summarize_parts(snapshots) -> dict:
     """Each part's ``health`` and ``committed_sequence`` by its index: the
-    per-endpoint section (``workers``, ``endpoints``) beside a merge."""
+    per-endpoint section (``endpoints``) beside a merge."""
     return {
         str(index): {
             "health": snap.get("health", {}),

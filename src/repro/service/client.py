@@ -19,9 +19,9 @@ over the socket unchanged.  Transient failures are retried:
   (``SO_SNDTIMEO`` / ``SO_RCVTIMEO`` on a blocking socket): a call that
   times out is a socket error like any other.
 
-``pipeline()`` batches many requests onto one connection and matches the
-out-of-order responses by request ID -- the network round-trip is paid
-once per batch instead of once per operation.
+``pipeline()`` batches many requests onto one connection per shard and
+matches the out-of-order responses by request ID -- the network round-trip
+is paid once per batch instead of once per operation.
 
 **Layers.**  An :class:`Endpoint` is one address: its connection pool and
 the wire round trips over it -- no retries, no routing.  A
@@ -29,18 +29,19 @@ the wire round trips over it -- no retries, no routing.  A
 ``home`` endpoint, or given to :meth:`KVClient.over`), the one retry budget
 and the DB-shaped API.
 
-**Routing** (DESIGN.md §10, "The two routes").  On its first keyed op a
-``KVClient`` asks its server's topology once (``OP_TOPOLOGY``, over the
-normal pooled, already-AUTHed connection).  A multi-process server lists
-its shard workers' endpoints: GET/PUT/DELETE then go to the one
-``shard_for_key`` names and SCAN is scattered over all of them; everything
-else stays on the given address.  An empty answer (a ``KVServer``, a
-shard worker), an error answer (an older server) or a worker endpoint that
-refuses the first connection leaves the client on the given address for
-good.  A client built over a list of servers (no ``home``) routes keys
-the same way and scatters every cross-shard op over them, merged.  The
-retry budget, backoff, deadline and counters are the one client's
-whichever pool carried the request.
+**Routing** (DESIGN.md §10, "The front-end is a directory").  On its first
+op a ``KVClient`` asks its server's topology once (``OP_TOPOLOGY``, over
+the normal pooled, already-AUTHed connection).  A multi-process server
+lists its shard workers' endpoints; a ``KVServer`` or a shard worker lists
+none, and an older server answers with an error: either way ``home`` is
+then the one shard.  Every op is routed over the shards: GET/PUT/DELETE to
+the one ``shard_for_key`` names, a WRITE_BATCH split per shard, and SCAN,
+FLUSH, COMPACT, HEALTH and STATS scattered over all of them and merged.
+A listed endpoint that cannot be reached fails like any lost socket:
+retries, then a :class:`ServiceError`.  A client built over a list of
+servers (no ``home``) routes the same way.  The retry budget, backoff,
+deadline and counters are the one client's whichever pool carried the
+request.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from repro.dist.sharding import (
     merge_stats,
     shard_for_key,
     split_batch,
+    sum_numeric,
     summarize_parts,
 )
 from repro.errors import BusyError, DegradedError, ReproError, ServiceError
@@ -320,18 +322,19 @@ class KVClient:
         self.retries = 0
         self.busy_retries = 0
         self.degraded_retries = 0
-        # None until asked for; empty after asking = there are none (or
-        # they cannot be reached).
+        # None until learned; then the workers (empty: ``home`` is the one
+        # shard) and the endpoints every op is routed over.
         self._workers: list[Endpoint] | None = None
+        self._shards: list[Endpoint] | None = None
         self._workers_lock = threading.Lock()
 
     @classmethod
     def over(cls, addresses, **kwargs) -> "KVClient":
         """A client for separate servers, one per shard: ``addresses`` is
         ``(host, port)`` pairs in shard order, routed by the servers' own
-        :func:`shard_for_key`.  It has no ``home``, so ``pipeline()`` and a
-        ``request()`` naming no endpoint raise :class:`ServiceError`;
-        ``kwargs`` are the constructor's."""
+        :func:`shard_for_key`.  It has no ``home``, so a ``request()``
+        naming no endpoint raises :class:`ServiceError`; ``kwargs`` are the
+        constructor's."""
         addresses = list(addresses)
         if not addresses:
             raise ServiceError("at least one endpoint is required")
@@ -341,7 +344,9 @@ class KVClient:
 
     def _route_over(self, addresses) -> None:
         """No ``home``: the shards are ``addresses``, as given."""
-        self._workers = [self.home.at(*address) for address in addresses]
+        self._workers = self._shards = [
+            self.home.at(*address) for address in addresses
+        ]
         self.home = None
 
     def close(self) -> None:
@@ -356,49 +361,49 @@ class KVClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- direct routing ----------------------------------------------------
+    # -- routing -----------------------------------------------------------
 
     def workers(self) -> list[Endpoint]:
         """The shard endpoints, in shard order: given to :meth:`over`, or
         the workers behind ``home``, learned on first use and kept for good
-        (a server's topology never changes); empty when every op goes
-        through ``home``."""
+        (a server's topology never changes); empty when ``home`` is itself
+        the one shard."""
         if self._workers is None:
             with self._workers_lock:
                 if self._workers is None:
-                    self._workers = self._learn_workers()
+                    workers = self._learn_workers()
+                    if workers is None:
+                        return []  # this op takes home; the next asks again
+                    self._shards = workers or [self.home]
+                    self._workers = workers
         return self._workers
 
-    def _learn_workers(self) -> list[Endpoint]:
-        """Ask the topology and connect to every endpoint in it.
+    def shards(self) -> list[Endpoint]:
+        """The endpoints every op is routed over, in shard order: the
+        :meth:`workers`, or ``[home]`` when there are none."""
+        return self._shards or self.workers() or [self.home]
 
-        An empty topology (a threaded server, a shard worker), an error
-        reply (an older server: "unknown opcode") and a worker endpoint
-        that cannot be connected to (its port is firewalled) all mean the
-        same: stay on the one address, where nothing is lost but a hop.
-        """
+    def _learn_workers(self) -> list[Endpoint] | None:
+        """The endpoints ``OP_TOPOLOGY`` lists.  An error reply (an older
+        server: "unknown opcode") means there are none, for good; a request
+        that failed after retries (None) decides nothing."""
         try:
-            addresses = protocol.decode_topology(
-                self.request(protocol.OP_TOPOLOGY).payload
-            )
+            reply = self.request(protocol.OP_TOPOLOGY)
+        except (ServiceError, BusyError, DegradedError):
+            return None
         except ReproError:
             return []
-        found = [self.home.at(*address) for address in addresses]
-        try:
-            for endpoint in found:
-                endpoint.release(endpoint.acquire())
-        except (OSError, ReproError):
-            for endpoint in found:
-                endpoint.close()
-            return []
-        return found
+        return [
+            self.home.at(*address)
+            for address in protocol.decode_topology(reply.payload)
+        ]
 
-    def _owner(self, key: bytes) -> Endpoint:
-        """The endpoint that reaches ``key``'s engine in one hop."""
-        workers = self.workers()
-        if not workers:
-            return self.home
-        return workers[shard_for_key(key, len(workers))]
+    def owner(self, key: bytes) -> Endpoint:
+        """The shard endpoint that owns ``key``."""
+        shards = self._shards or self.shards()
+        if len(shards) == 1:
+            return shards[0]
+        return shards[shard_for_key(key, len(shards))]
 
     # -- request core ------------------------------------------------------
 
@@ -487,22 +492,24 @@ class KVClient:
             return [self.settle(reply, opcode, payload, e)
                     for (e, payload), reply in zip(parts, replies)]
 
-    def _each(self, opcode: int) -> list[Message]:
-        """The answer of ``home``, or, with none, of every shard."""
-        if self.home is not None:
-            return [self.request(opcode)]
-        return self._scatter(opcode, [(e, b"") for e in self._workers])
+    def _each(self, opcode: int, payload: bytes = b"") -> list[Message]:
+        """The answer of every shard, in shard order: one request when
+        there is one shard, else scattered."""
+        shards = self.shards()
+        if len(shards) == 1:
+            return [self.request(opcode, payload, shards[0])]
+        return self._scatter(opcode, [(e, payload) for e in shards])
 
     # -- DB-shaped surface -------------------------------------------------
 
     def put(self, key: bytes, value: bytes, opts=None) -> None:
         self.request(
-            protocol.OP_PUT, protocol.encode_put(key, value), self._owner(key)
+            protocol.OP_PUT, protocol.encode_put(key, value), self.owner(key)
         )
 
     def get(self, key: bytes, opts=None) -> bytes | None:
         response = self.request(
-            protocol.OP_GET, protocol.encode_key(key), self._owner(key)
+            protocol.OP_GET, protocol.encode_key(key), self.owner(key)
         )
         if response.opcode == protocol.RESP_NOT_FOUND:
             return None
@@ -510,18 +517,19 @@ class KVClient:
 
     def delete(self, key: bytes, opts=None) -> None:
         self.request(
-            protocol.OP_DELETE, protocol.encode_key(key), self._owner(key)
+            protocol.OP_DELETE, protocol.encode_key(key), self.owner(key)
         )
 
     def write(self, batch: WriteBatch, opts=None) -> None:
-        """Over a list, one sub-batch per shard, atomic per shard."""
-        if self.home is not None:
-            self.request(protocol.OP_WRITE_BATCH, batch.serialize(0))
+        """One sub-batch per shard, atomic per shard."""
+        shards = self.shards()
+        if len(shards) == 1:
+            self.request(protocol.OP_WRITE_BATCH, batch.serialize(0), shards[0])
             return
-        per_shard = split_batch(batch, self._owner)
+        per_shard = split_batch(batch, self.owner)
         self._scatter(protocol.OP_WRITE_BATCH, [
             (endpoint, per_shard[endpoint].serialize(0))
-            for endpoint in self._workers if endpoint in per_shard
+            for endpoint in shards if endpoint in per_shard
         ])
 
     def scan(
@@ -531,28 +539,26 @@ class KVClient:
         limit: int | None = None,
         opts=None,
     ) -> list[tuple[bytes, bytes]]:
-        payload = protocol.encode_scan(start, end, limit)
-        workers = self.workers()
-        if workers:
-            # A part's pairs are decoded only as the merge takes them.
-            return merge_scan_results([
-                protocol.iter_pairs(response.payload)
-                for response in self._scatter(
-                    protocol.OP_SCAN, [(e, payload) for e in workers]
-                )
-            ], limit)
-        return protocol.decode_pairs(
-            self.request(protocol.OP_SCAN, payload).payload
+        return _merge_pairs(
+            self._each(protocol.OP_SCAN, protocol.encode_scan(start, end, limit)),
+            limit,
         )
 
     def stats(self) -> dict:
-        """The server's OP_STATS snapshot; over a list, the shards' merged
-        (:func:`merge_stats`) plus an ``endpoints`` section by shard."""
-        snapshots = [protocol.decode_stats(response.payload)
-                     for response in self._each(protocol.OP_STATS)]
+        """The server's OP_STATS snapshot.  Over several shards, theirs
+        merged (:func:`merge_stats`), a front-end's own ``server`` counters
+        summed in, and an ``endpoints`` section by shard."""
+        workers = self.workers()
+        if not workers:
+            return protocol.decode_stats(self.request(protocol.OP_STATS).payload)
+        parts = [(e, b"") for e in workers]
         if self.home is not None:
-            return snapshots[0]
+            parts.insert(0, (self.home, b""))
+        snapshots = [protocol.decode_stats(response.payload)
+                     for response in self._scatter(protocol.OP_STATS, parts)]
+        own = snapshots.pop(0).get("server", {}) if self.home is not None else {}
         merged = merge_stats(snapshots)
+        merged["server"] = sum_numeric([merged.get("server", {}), own])
         merged["endpoints"] = summarize_parts(snapshots)
         return merged
 
@@ -563,31 +569,46 @@ class KVClient:
         self._each(protocol.OP_COMPACT)
 
     def ping(self) -> None:
-        self._each(protocol.OP_PING)
+        """One round trip to ``home``; with none, to every shard."""
+        if self.home is not None:
+            self.request(protocol.OP_PING)
+        else:
+            self._each(protocol.OP_PING)
 
     def health(self) -> dict:
-        """The health verdict (state / reason / error); worst-of a list's."""
+        """The health verdict (state / reason / error); worst-of the
+        shards'."""
         verdicts = [protocol.decode_health(response.payload)
                     for response in self._each(protocol.OP_HEALTH)]
-        return verdicts[0] if self.home is not None else merge_health(verdicts)
+        return verdicts[0] if len(verdicts) == 1 else merge_health(verdicts)
 
     def committed_sequence(self) -> int:
         return int(self.stats().get("committed_sequence", 0))
 
     def pipeline(self, max_inflight: int = 32) -> "Pipeline":
-        if self.home is None:
-            raise ServiceError("a client without a home has no pipeline")
         return Pipeline(self, max_inflight=max_inflight)
+
+
+def _merge_pairs(parts: list[Message], limit: int | None) -> list:
+    """One SCAN's pairs from its per-shard replies, in shard order."""
+    if len(parts) == 1:
+        return protocol.decode_pairs(parts[0].payload)
+    # A part's pairs are decoded only as the merge takes them.
+    return merge_scan_results(
+        [protocol.iter_pairs(part.payload) for part in parts], limit
+    )
 
 
 class Pipeline:
     """Queue operations, send them in one burst, collect results in order.
 
-    All queued requests travel on a single pooled connection without
-    waiting for individual responses (per-connection pipelining); any that
-    the server bounces with BUSY are retried individually through the
-    client's backoff path.  At most ``max_inflight`` requests are
-    unanswered at once: past that, each send is paired with a read, so an
+    Each op is routed as the client routes it -- a keyed op to its owner,
+    a scan to every shard (merged) -- and every shard's share of the burst
+    travels on one pooled connection to it without waiting for individual
+    responses; the shards work in parallel.  Any reply the server bounces
+    (BUSY, DEGRADED) is retried individually through the client's backoff
+    path.  At most ``max_inflight`` requests are unanswered on one
+    connection at once: past that, each send is paired with a read, so an
     arbitrarily large pipeline cannot fill both TCP buffers and deadlock
     against a server blocked on its own writes.
     """
@@ -597,27 +618,28 @@ class Pipeline:
             raise ValueError("max_inflight must be >= 1")
         self._client = client
         self._max_inflight = max_inflight
-        self._ops: list[tuple[int, bytes]] = []
+        # (opcode, payload, key): a key routes to its owner, None to all.
+        self._ops: list[tuple[int, bytes, bytes | None]] = []
 
     def __len__(self) -> int:
         return len(self._ops)
 
     def put(self, key: bytes, value: bytes) -> "Pipeline":
-        self._ops.append((protocol.OP_PUT, protocol.encode_put(key, value)))
+        self._ops.append((protocol.OP_PUT, protocol.encode_put(key, value), key))
         return self
 
     def get(self, key: bytes) -> "Pipeline":
-        self._ops.append((protocol.OP_GET, protocol.encode_key(key)))
+        self._ops.append((protocol.OP_GET, protocol.encode_key(key), key))
         return self
 
     def delete(self, key: bytes) -> "Pipeline":
-        self._ops.append((protocol.OP_DELETE, protocol.encode_key(key)))
+        self._ops.append((protocol.OP_DELETE, protocol.encode_key(key), key))
         return self
 
     def scan(self, start: bytes = b"", end: bytes | None = None,
              limit: int | None = None) -> "Pipeline":
         self._ops.append(
-            (protocol.OP_SCAN, protocol.encode_scan(start, end, limit))
+            (protocol.OP_SCAN, protocol.encode_scan(start, end, limit), None)
         )
         return self
 
@@ -627,47 +649,79 @@ class Pipeline:
             return []
         ops, self._ops = self._ops, []
         client = self._client
+        shards = client.shards()
+        # Each op's parts, as indexes into ``sends``; each endpoint's lane,
+        # the indexes of the parts it carries, in order.
+        sends: list[tuple[Endpoint, int, bytes]] = []
+        parts_of: list[list[int]] = []
+        lanes: dict[Endpoint, list[int]] = {}
+        for opcode, payload, key in ops:
+            targets = shards if key is None else (client.owner(key),)
+            parts = []
+            for endpoint in targets:
+                parts.append(len(sends))
+                lanes.setdefault(endpoint, []).append(len(sends))
+                sends.append((endpoint, opcode, payload))
+            parts_of.append(parts)
         with TRACER.span("client.pipeline", attributes={"ops": len(ops)}):
-            trace = TRACER.inject()
-            conn = client.home.acquire()
-            responses: dict[int, Message] = {}
-            id_for_index: list[int] = []
-            try:
-                inflight = 0
-                for opcode, payload in ops:
-                    if inflight >= self._max_inflight:
-                        response = conn.read()
-                        responses[response.request_id] = response
-                        inflight -= 1
-                    request_id = conn.next_request_id()
-                    id_for_index.append(request_id)
-                    conn.send(opcode, request_id, payload, trace)
-                    inflight += 1
-                while inflight:
-                    response = conn.read()
-                    responses[response.request_id] = response
-                    inflight -= 1
-            except (OSError, protocol.ProtocolError) as exc:
-                conn.close()
-                raise ServiceError(
-                    f"pipeline failed mid-flight: {exc!r}"
-                ) from exc
-            client.home.release(conn)
-            # A bounced op is retried alone through the slow path (which
-            # backs off) before the ops behind it are looked at.
+            replies = self._run(sends, lanes, TRACER.inject())
+            # A bounced part is retried alone through the slow path (which
+            # backs off) before the parts behind it are looked at.
             return [
-                self._decode(opcode, client.settle(
-                    responses.get(request_id), opcode, payload
-                ))
-                for (opcode, payload), request_id in zip(ops, id_for_index)
+                self._decode(opcode, payload, [
+                    client.settle(replies.get(i), opcode, payload, sends[i][0])
+                    for i in parts
+                ])
+                for (opcode, payload, __), parts in zip(ops, parts_of)
             ]
 
+    def _run(self, sends, lanes: dict, trace: bytes) -> dict[int, Message]:
+        """Every lane's sends on one connection of its endpoint, at most
+        ``max_inflight`` unanswered on each: ``{send index: its reply}``."""
+        conns: dict[Endpoint, _PooledConnection] = {}
+        replies: dict[int, Message] = {}
+        done = False
+        try:
+            for endpoint in lanes:
+                conns[endpoint] = endpoint.acquire()
+            todo = {endpoint: deque(lane) for endpoint, lane in lanes.items()}
+            flying: dict[Endpoint, dict[int, int]] = {e: {} for e in lanes}
+            while any(todo.values()) or any(flying.values()):
+                for endpoint, conn in conns.items():
+                    queue, inflight = todo[endpoint], flying[endpoint]
+                    while queue and len(inflight) < self._max_inflight:
+                        index = queue.popleft()
+                        request_id = conn.next_request_id()
+                        inflight[request_id] = index
+                        __, opcode, payload = sends[index]
+                        conn.send(opcode, request_id, payload, trace)
+                    if inflight:
+                        response = conn.read()
+                        index = inflight.pop(response.request_id, None)
+                        if index is None:
+                            raise protocol.ProtocolError(
+                                f"reply to request {response.request_id}, "
+                                f"which is not in flight"
+                            )
+                        replies[index] = response
+            done = True
+        except (OSError, protocol.ProtocolError) as exc:
+            raise ServiceError(f"pipeline failed mid-flight: {exc!r}") from exc
+        finally:
+            for endpoint, conn in conns.items():
+                if done:
+                    endpoint.release(conn)
+                else:
+                    conn.close()  # its stream is out of step
+        return replies
+
     @staticmethod
-    def _decode(opcode: int, response: Message):
+    def _decode(opcode: int, payload: bytes, parts: list[Message]):
         if opcode == protocol.OP_GET:
+            (response,) = parts
             if response.opcode == protocol.RESP_NOT_FOUND:
                 return None
             return protocol.decode_value(response.payload)
         if opcode == protocol.OP_SCAN:
-            return protocol.decode_pairs(response.payload)
+            return _merge_pairs(parts, protocol.decode_scan(payload)[2])
         return None

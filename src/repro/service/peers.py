@@ -1,10 +1,10 @@
 """The non-blocking peer loop: one selector over framed sockets.
 
-Both ends of shard-per-core serving (:mod:`repro.service.workers`) run the
-same single-threaded loop -- the front-end over its TCP clients and worker
-pipes, each shard worker over its front-end pipe, its listener and its
-direct connections -- so the loop is written once, here.  A *peer* is
-anything with ``sock``, ``frames`` (a
+Both sides of shard-per-core serving (:mod:`repro.service.workers`) run
+the same single-threaded loop -- the front-end over its TCP clients and
+the workers' lifelines, each shard worker (and ``KVServer``) over its
+lifeline, its listener and its connections -- so the loop is written
+once, here.  A *peer* is anything with ``sock``, ``frames`` (a
 :class:`~repro.service.protocol.FrameSplitter`), ``outbuf`` and ``alive``;
 :class:`Peer` is the plain one.
 
@@ -49,10 +49,11 @@ class PeerLoop:
     def __init__(self):
         self.selector = selectors.DefaultSelector()
 
-    def add_listener(self, listener: socket.socket, on_accept) -> None:
-        """``on_accept()`` runs whenever ``listener`` has connections waiting."""
+    def add_listener(self, sock: socket.socket, on_ready) -> None:
+        """``on_ready()`` runs whenever ``sock`` is readable: a listener with
+        connections waiting, or a lifeline whose other end closed."""
         self.selector.register(
-            listener, selectors.EVENT_READ, (None, on_accept, None)
+            sock, selectors.EVENT_READ, (None, on_ready, None)
         )
 
     def add_peer(self, peer, on_frame, drop) -> None:

@@ -64,7 +64,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                    # 0 = pick an ephemeral port
-    max_queue_depth: int = 64        # a front-end's in-flight window per worker
     require_auth: bool = False       # demand OP_AUTH before serving
     kds: object | None = None        # overrides the provider's KDS for auth
     drain_timeout_s: float = 5.0     # graceful-shutdown drain budget
@@ -124,7 +123,7 @@ def admit(config: ServiceConfig, kds, stats: StatsRegistry, conn,
     (:func:`auth_kds`), or the ``require_auth`` refusal -- and None when it
     may be served.  Whatever decoding or authorizing raises is an error
     reply, never a dead thread.  ``msg`` needs ``payload`` only when it is
-    an OP_AUTH (the front-end hands in its undecoded ``Frame`` otherwise).
+    an OP_AUTH (an edge hands in its undecoded ``Frame`` otherwise).
     """
     try:
         if msg.opcode == protocol.OP_AUTH:
@@ -334,22 +333,20 @@ def count_op(stats: StatsRegistry, counters: dict, opcode: int) -> None:
 
 class ServingLoop:
     """The executor loop: one engine, one thread, one
-    :class:`~repro.service.peers.PeerLoop` over three kinds of socket --
-    the *pipe* (frames a multi-process front-end forwards), the listener,
-    and the direct connections accepted from it -- plus the health loop
-    and any replication streams on side threads.  It serves until the
-    pipe's other end closes.
+    :class:`~repro.service.peers.PeerLoop` over its listener and the
+    connections accepted from it, plus the health loop and any replication
+    streams on side threads.  It serves until the other end of its
+    *lifeline* (``pipe``, a socketpair half nobody writes to) closes.
 
-    A direct connection is a TCP edge like the front-end's: frame CRCs are
-    verified, ``admit`` decides who is served, and ops, connections, errors
-    and auth decisions are counted -- in this loop's own registry, which
-    reaches clients through OP_STATS.  Sends never block: a direct client
-    that stops reading grows its own out-buffer, not the engine's latency.
-    The loop never answers ``RESP_BUSY``: requests wait in their socket's
-    buffer.
+    Every connection is a TCP edge: frame CRCs are verified, ``admit``
+    decides who is served, and ops, connections, errors and auth decisions
+    are counted -- in this loop's own registry, which reaches clients
+    through OP_STATS.  Sends never block: a client that stops reading grows
+    its own out-buffer, not the engine's latency.  The loop never answers
+    ``RESP_BUSY``: requests wait in their socket's buffer.
 
-    ``OP_REPL_SUBSCRIBE`` on a direct connection takes the socket out of
-    the loop and gives it, blocking, to a streamer thread
+    ``OP_REPL_SUBSCRIBE`` takes the socket out of the loop and gives it,
+    blocking, to a streamer thread
     (:func:`~repro.service.replica.stream_to_replica`).  The retained log
     (:class:`~repro.service.replica.ReplicationSource`) attaches at the
     first subscription: a loop nobody subscribes to pays no commit
@@ -368,7 +365,6 @@ class ServingLoop:
         self._running = True
         self._direct: set[Peer] = set()
         self._op_counters: dict = {}  # opcode -> its service.<op> Counter
-        self._direct_ops = self.stats.counter("service.direct")
         self._direct_open = self.stats.gauge("service.direct_connections")
         # Set when the loop ends: it ends the health loop and every stream.
         self._stopping = threading.Event()
@@ -380,11 +376,12 @@ class ServingLoop:
         self._streams: dict[threading.Thread, socket.socket] = {}
         self._source: ReplicationSource | None = None  # at the first subscribe
         pipe.setblocking(False)
-        self._io.add_peer(Peer(pipe), self._on_forwarded, self._on_pipe_closed)
+        # Nothing is ever written to the lifeline: readable means EOF.
+        self._io.add_listener(pipe, self._on_lifeline_closed)
         self._io.add_listener(listener, self._on_accept)
 
     def serve(self) -> None:
-        """Serve until the pipe's other end closes (graceful shutdown)."""
+        """Serve until the lifeline's other end closes (graceful shutdown)."""
         self._health.start()
         try:
             while self._running and self._io.poll(None):
@@ -430,20 +427,10 @@ class ServingLoop:
             _SPAN_NAMES[frame.opcode],
         )
 
-    # -- the pipe ----------------------------------------------------------
-
-    def _on_forwarded(self, pipe: Peer, frame: Frame) -> None:
-        """A request the front-end routed here: it was counted and
-        authenticated at the front-end's TCP edge."""
-        frame.verify()
-        if not self._io.send(pipe, self._answer(frame)):
-            self._on_pipe_closed(pipe)
-
-    def _on_pipe_closed(self, pipe: Peer) -> None:
-        pipe.alive = False
+    def _on_lifeline_closed(self) -> None:
         self._running = False
 
-    # -- direct connections ------------------------------------------------
+    # -- connections -------------------------------------------------------
 
     def _on_accept(self) -> None:
         for peer in self._io.accept(
@@ -460,7 +447,7 @@ class ServingLoop:
         self._direct_open.set(len(self._direct))
 
     def _on_direct(self, peer: Peer, frame: Frame) -> None:
-        frame.verify()  # this socket is a TCP edge: the trust boundary
+        frame.verify()  # every socket is a TCP edge: the trust boundary
         opcode = frame.opcode
         count_op(self.stats, self._op_counters, opcode)
         if opcode == protocol.OP_REPL_SUBSCRIBE:
@@ -471,7 +458,6 @@ class ServingLoop:
             frame.message() if opcode == protocol.OP_AUTH else frame,
         )
         if refusal is None:
-            self._direct_ops.add(1)
             raw = self._answer(frame)
         else:
             raw = protocol.encode_frame(refusal)
@@ -583,7 +569,7 @@ class KVServer:
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown: EOF on the loop's pipe ends it (its direct
+        """Graceful shutdown: EOF on the loop's lifeline ends it (its
         connections closed, its streams and health loop joined); a loop
         wedged inside a handler is given up on after ``drain_timeout_s``."""
         if self._pipe is None:

@@ -7,17 +7,16 @@ the model's one oracle.)
 
 **Worker-kill chaos** (:func:`run_worker_chaos`) targets the shard-per-core
 server: a seeded schedule SIGKILLs random worker *processes* of a
-:class:`~repro.service.workers.MultiProcessKVServer` mid-workload.  The
-front-end must answer the dead worker's in-flight requests with the
-retriable BUSY status (the client backs off and retries -- no terminal
-errors), respawn the worker on the same shard path, and every
-acknowledged write must still read back afterwards (the shards run with
-synced WALs, so an ack survives a SIGKILL).  Only *acknowledged*
-operations join the expected state; operations that failed after retries
-are tracked as in-doubt (either outcome is legal).  The CLI runs the
-schedule once per route: with a ``KVClient`` that found the workers and
-talks to them directly (a kill is a reset connection, then a reconnect
-that waits in the shard's listener) and with a forwarding-only client.
+:class:`~repro.service.workers.MultiProcessKVServer` mid-workload, under a
+``KVClient`` that found the workers and talks to each itself.  A kill is a
+reset connection, then a reconnect that waits in the shard's listener
+until the worker is respawned on the same shard path -- a retry, never a
+terminal error -- and every acknowledged write must still read back
+afterwards (the shards run with synced WALs, so an ack survives a
+SIGKILL).  Only *acknowledged* operations join the expected state;
+operations that failed after retries are tracked as in-doubt (either
+outcome is legal).
+
 The engines run *plain* here by design: a respawned worker builds its
 state from the shard directory alone, and the CLI's in-process KDS cannot
 outlive a killed worker -- encrypted worker-respawn needs the shared KDS a
@@ -198,29 +197,10 @@ class _Oracle:
         }
 
 
-class ForwardingKVClient(KVClient):
-    """A client from before ``OP_TOPOLOGY``: it never learns the workers'
-    endpoints, so every op takes the front-end's forwarding route."""
-
-    def workers(self):
-        return []
-
-
-#: The two ways a client's ops reach a shard worker, by the client that
-#: takes each: found workers and talks to them, or knows only the front-end.
-WORKER_CHAOS_ROUTES = {"direct": KVClient, "forwarded": ForwardingKVClient}
-
-
 def run_worker_chaos(
     seed: int = 0, profile: str = "fast", num_workers: int = 3,
-    route: str = "direct",
 ) -> dict:
     """SIGKILL random shard workers mid-workload; verify zero acked loss.
-
-    ``route`` picks the client (see :data:`WORKER_CHAOS_ROUTES`): a killed
-    worker shows up as BUSY from the front-end on the forwarded route and
-    as a reset connection on the direct one; neither may surface as an
-    error or lose an acked write.
 
     The engines are plain (unencrypted) on a local filesystem with synced
     WALs: the respawned worker must rebuild everything from its shard
@@ -239,11 +219,10 @@ def run_worker_chaos(
     server = MultiProcessKVServer(
         f"{base}/db", num_workers, make_shard,
         ServiceConfig(
-            port=0, max_queue_depth=32, health_check_interval_s=0.05,
-            drain_timeout_s=2.0,
+            port=0, health_check_interval_s=0.05, drain_timeout_s=2.0,
         ),
     ).start()
-    client = WORKER_CHAOS_ROUTES[route](
+    client = KVClient(
         *server.address,
         pool_size=2,
         timeout_s=5.0,
@@ -289,11 +268,9 @@ def run_worker_chaos(
 
     counters["worker_crashes"] = int(stats.get("service.worker_crashes", 0))
     counters["worker_respawns"] = int(stats.get("service.worker_respawns", 0))
-    counters["busy_rejections"] = int(stats.get("service.busy_rejections", 0))
     return {
         "seed": seed,
         "profile": profile,
-        "route": route,
         "num_workers": num_workers,
         "kill_schedule": kill_at,
         **oracle.verdict(
@@ -306,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.tools.chaos",
         description="SIGKILL shard workers of the multi-process server under "
-        "a seeded workload, once per route; every acked write must survive.",
+        "a seeded workload; every acked write must survive.",
     )
     parser.add_argument(
         "--num-workers", type=int, default=3, help="shard worker processes"
@@ -318,32 +295,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
-    report: dict = {}
-    ok = True
-    for route in WORKER_CHAOS_ROUTES:
-        workers = run_worker_chaos(
-            seed=args.seed, profile=args.profile,
-            num_workers=args.num_workers, route=route,
-        )
-        report[f"workers-{route}"] = workers
-        ok = ok and workers["ok"]
-        c = workers["counters"]
-        print(
-            f"workers route={route} seed={workers['seed']} "
-            f"profile={workers['profile']} "
-            f"n={workers['num_workers']} ops={c['ops']} acked={c['acked']} "
-            f"kills={c['kills']} respawns={c['worker_respawns']} "
-            f"busy={c['busy_rejections']} "
-            f"verified={workers['keys_verified']}/{workers['keys_tracked']} "
-            f"{'ok' if workers['ok'] else 'FAIL'}"
-        )
-        for miss in workers["mismatches"]:
-            print(f"        mismatch: {json.dumps(miss)}")
+    workers = run_worker_chaos(
+        seed=args.seed, profile=args.profile, num_workers=args.num_workers,
+    )
+    c = workers["counters"]
+    print(
+        f"workers seed={workers['seed']} profile={workers['profile']} "
+        f"n={workers['num_workers']} ops={c['ops']} acked={c['acked']} "
+        f"kills={c['kills']} respawns={c['worker_respawns']} "
+        f"verified={workers['keys_verified']}/{workers['keys_tracked']} "
+        f"{'ok' if workers['ok'] else 'FAIL'}"
+    )
+    for miss in workers["mismatches"]:
+        print(f"        mismatch: {json.dumps(miss)}")
+    report = {"workers": workers}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, default=str)
         print(f"report written to {args.out}")
-    return 0 if ok else 1
+    return 0 if workers["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes, each owning one shard, behind an "
                         "event-loop front-end (--shards is ignored; the "
                         "shard count equals the worker count)")
-    parser.add_argument("--queue-depth", type=int, default=64,
-                        help="--multiprocess: forwarded requests in flight "
-                        "per worker before the front-end answers BUSY")
     parser.add_argument("--require-auth", action="store_true",
                         help="demand a KDS-authorized AUTH before serving")
     parser.add_argument("--duration", type=float, default=None,
@@ -141,7 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        max_queue_depth=args.queue_depth,
         require_auth=args.require_auth,
         kds=kds,
     )

@@ -183,13 +183,6 @@ def render(
             continue
         prev_section = (previous or {}).get(section)
         lines.extend(_section_lines(section, current, prev_section, interval))
-        if section == "server" and "service.forwarded" in current:
-            # A multi-process server: which route the requests took (a
-            # forwarded op pays two more hops than a direct one).
-            lines.append(
-                f"  routed: {_fmt_value(current.get('service.direct', 0))}"
-                f" direct / {_fmt_value(current['service.forwarded'])} forwarded"
-            )
         if section == "crypto":
             lines.extend(_cipher_summary(current, prev_section, interval))
     replication = stats.get("replication")

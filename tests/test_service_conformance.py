@@ -1,19 +1,19 @@
 """Differential conformance: one scripted session, every deployment shape.
 
 The same requests go to ``KVServer(DB)``, ``KVServer(ShardedDB, 2)``,
-``MultiProcessKVServer(2)``, a ``KVClient`` over a list of two ``KVServer``s
-and a ``KVClient`` that found the multi-process server's workers and
-talks to them directly.  Every shape must give the same decoded answers, and the
-three servers must put the same bytes on the wire as they did before the
-serving core was unified: ``GOLDEN`` holds the reply frames recorded at
-the parent commit (``python tests/test_service_conformance.py`` prints
-the table from the current tree).  STATS and HEALTH bodies are JSON and
-are compared decoded.
+a ``KVClient`` over a list of two ``KVServer``s and a ``KVClient`` over
+``MultiProcessKVServer(2)``, which finds the workers and sends every
+request to the owning one itself.  Every shape must give the same decoded
+answers, and the two servers must put the same bytes on the wire as they
+did before the serving core was unified: ``GOLDEN`` holds the reply
+frames recorded at the parent commit (``python
+tests/test_service_conformance.py`` prints the table from the current
+tree).  STATS and HEALTH bodies are JSON and are compared decoded.
 
-The raw sessions speak to one address and never ask for the topology, so
-against the multi-process server they take the front-end's forwarding
-route: its reply frames are pinned exactly as before the shard workers
-became endpoints.  The topology exchange itself is pinned separately.
+The multi-process front-end is a directory: it serves no data request,
+so it takes no raw session.  What it does answer -- the topology
+exchange, and the authentication gate in front of it -- is pinned
+separately.
 """
 
 import contextlib
@@ -34,7 +34,7 @@ from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 
 UNKNOWN_OPCODE = 30
-SERVER_SHAPES = ("threaded-db", "threaded-sharded", "multiprocess")
+SERVER_SHAPES = ("threaded-db", "threaded-sharded")
 SHAPES = SERVER_SHAPES + ("sharded-client", "routed-client")
 STATS_SECTIONS = {
     "server", "engine", "crypto", "integrity", "replication",
@@ -144,9 +144,8 @@ GOLDEN = {
     "authenticated-get": "06000000e45af5db8205",
 }
 
-#: Write acknowledgements carry the engine's committed sequence: one engine
-#: counts every entry, a shard worker only its own (a split batch answers
-#: with the largest).  The subscribe answer is per shape by design.
+#: Write acknowledgements carry the engine's committed sequence.  The
+#: subscribe answer is per shape by design.
 _ONE_ENGINE = {
     "put-alpha": "0e0000007eba623580020100000000000000",
     "put-bravo": "0e00000026e7215880030200000000000000",
@@ -173,21 +172,6 @@ GOLDEN_BY_SHAPE = {
             "4e00000018d37762851414496e76616c6964417267756d656e744572726f"
             "72327468697320736572766572277320656e67696e6520646f6573206e6f"
             "7420737570706f72742057414c207368697070696e67"
-        ),
-    },
-    "multiprocess": {
-        "put-alpha": "0e0000007eba623580020100000000000000",
-        "put-bravo": "0e00000028ccdc5c80030100000000000000",
-        "put-charlie": "0e000000641f8f1080040200000000000000",
-        "put-delta": "0e00000052050de980050200000000000000",
-        "delete": "0e000000894c9b2b80080300000000000000",
-        "write-batch": "0e00000075985f67800a0600000000000000",
-        "repl-subscribe": (
-            "79000000c86debdb851414496e76616c6964417267756d656e744572726f"
-            "725d746865206d756c74692d70726f636573732073657276657220646f65"
-            "73206e6f742073747265616d207265706c69636174696f6e3b2073756273"
-            "637269626520746f2061207065722d73686172642073657276657220696e"
-            "7374656164"
         ),
     },
 }
@@ -299,7 +283,7 @@ def _call(client, opcode, payload):
     if opcode == p.OP_STATS:
         return ("json", client.stats())
     # No client method: send the raw request to one endpoint.
-    endpoint = client._owner(b"alpha") if client.home is None else None
+    endpoint = client.owner(b"alpha") if client.home is None else None
     return _canonical(client.request(opcode, payload, endpoint))
 
 
@@ -428,7 +412,7 @@ def test_topology_exchange_in_every_server_shape(tmp_path):
 
 
 def test_topology_is_behind_the_authentication_gate(tmp_path):
-    for name in SERVER_SHAPES:
+    for name in SERVER_SHAPES + ("multiprocess",):
         session = [("topology", p.OP_TOPOLOGY, b"")]
         got = _run(name, tmp_path / name, session, _auth_config())
         assert got["topology"][1] == (

@@ -1,8 +1,8 @@
-"""The direct route: shard workers as endpoints, ``KVClient`` routing to them.
+"""The one route: shard workers as endpoints, ``KVClient`` routing to them.
 
 In the style of ``test_service_wire_budget.py``: nothing here sleeps or
 times anything.  Syscalls are counted on wrapped sockets, the front-end's
-idleness on a counting selector, and every "the request is now in flight"
+wake-ups on a counting selector, and every "the request is now in flight"
 is a byte read from a pipe the (forked) worker writes to.
 """
 
@@ -31,7 +31,6 @@ from repro.service.client import Endpoint, KVClient
 from repro.service.protocol import FrameReader, Message
 from repro.service.server import KVServer, ServiceConfig, ServingLoop
 from repro.service.workers import MultiProcessKVServer
-from repro.tools.chaos import ForwardingKVClient
 from tests.test_service_wire_budget import CountingSelector
 
 WAIT_S = 20.0
@@ -125,12 +124,7 @@ def test_a_direct_get_costs_the_worker_one_recv_and_one_send():
                 assert (reply.opcode, reply.request_id) == (protocol.RESP_VALUE, rid)
             (direct,) = counting.accepted
             assert (direct.recvs, direct.sends) == (100, 100)
-            assert (pipe.recvs, pipe.sends) == (0, 0)
-            # The same loop still serves the front-end's pipe, one for one.
-            frontend_end.sendall(_get(7, b"k"))
-            assert FrameReader(frontend_end).read().opcode == protocol.RESP_VALUE
-            assert (pipe.recvs, pipe.sends) == (1, 1)
-            assert (direct.recvs, direct.sends) == (100, 100)
+            assert (pipe.recvs, pipe.sends) == (0, 0)  # a lifeline only
     finally:
         frontend_end.close()  # EOF on the pipe: the worker loop ends
         thread.join(WAIT_S)
@@ -221,6 +215,23 @@ def test_an_older_server_is_asked_once_and_served_as_before():
     assert server.opcodes == (
         [protocol.OP_TOPOLOGY] + [protocol.OP_GET] * 5 + [protocol.OP_SCAN]
     )
+
+
+def test_a_topology_that_went_unanswered_is_asked_again(tmp_path):
+    """A topology request that lost its socket decides nothing: that op
+    takes ``home`` (which refuses it), and the next op asks again, so a
+    transient failure never pins the client to the front-end."""
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
+        with KVClient(*server.address, max_retries=0) as client:
+            broken = client.home.acquire()
+            broken.sock.close()  # the topology request's send fails
+            client.home.release(broken)
+            with pytest.raises(InvalidArgumentError, match="OP_TOPOLOGY"):
+                client.put(b"k", b"v")
+            client.put(b"k", b"v")
+            assert client.get(b"k") == b"v"
+            assert len(client.workers()) == 2
+        assert server.stats.snapshot()["service.topology"] == 1
 
 
 class MisnumberingServer(ScriptedServer):
@@ -370,9 +381,11 @@ def test_a_threaded_server_and_a_worker_have_nothing_behind_them(tmp_path):
             assert client.workers() == []
 
 
-def test_unreachable_worker_endpoints_fall_back_to_the_front_end(
+def test_unreachable_worker_endpoints_fail_and_never_misroute(
     tmp_path, monkeypatch
 ):
+    """A listed worker that refuses connections fails its own keys' ops
+    like any lost socket; no key falls back onto another shard."""
     dead = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     dead.bind(("127.0.0.1", 0))
     dead_address = dead.getsockname()
@@ -383,17 +396,28 @@ def test_unreachable_worker_endpoints_fall_back_to_the_front_end(
             MultiProcessKVServer, "worker_addresses",
             property(lambda self: [live[0], dead_address]),
         )
-        with KVClient(*server.address, max_retries=0) as client:
+        acked = []
+        with KVClient(*server.address, max_retries=1,
+                      backoff_base_s=0.001) as client:
             for i in range(20):
-                client.put(b"key-%02d" % i, b"v-%02d" % i)
-            assert client.get(b"key-07") == b"v-07"
-            assert len(client.scan()) == 20
-            assert (client.retries, client.busy_retries) == (0, 0)
-            assert client.workers() == []  # for good
-            counters = client.stats()["server"]
-        assert counters["service.forwarded"] == 22 + 1  # + this STATS
-        assert counters["service.direct"] == 0
-        assert counters["service.topology"] == 1
+                key = b"key-%02d" % i
+                try:
+                    client.put(key, b"v")
+                except ServiceError:
+                    assert shard_for_key(key, 2) == 1
+                else:
+                    acked.append(key)
+            with pytest.raises(ServiceError):
+                client.scan()  # shard 1's part cannot be had
+            assert len(client.workers()) == 2  # no fallback, for good or not
+        monkeypatch.undo()
+        assert acked == [k for k in acked if shard_for_key(k, 2) == 0]
+        assert len(acked) > 0
+        with KVClient.over([live[0]]) as shard_0, \
+                KVClient.over([live[1]]) as shard_1:
+            assert [k for k, __ in shard_0.scan()] == acked
+            assert shard_1.scan() == []
+        assert "service.put" not in server.stats.snapshot()
 
 
 # -- a direct connection is a TCP edge ---------------------------------------
@@ -430,7 +454,8 @@ def test_a_direct_connection_must_authenticate_like_any_other(tmp_path):
             client.put(key, b"v")
             assert client.get(key) == b"v"
             counters = client.stats()["server"]
-        assert counters["service.direct"] == 3  # the served GET, put, get
+        # The refused raw GET, the served one, and the client's put and get.
+        assert (counters["service.get"], counters["service.put"]) == (3 + 1, 1)
         assert counters["service.auth_rejections"] == 1
         assert counters["service.errors"] == 3
         # front-end + 2 workers for the client, 1 raw = 4 accepted AUTHs.
@@ -519,7 +544,7 @@ def test_client_and_workers_agree_on_every_keys_shard(tmp_path):
         with KVClient(*server.address) as client:
             for key in keys:
                 client.put(key, b"v")
-            assert client.stats()["server"]["service.forwarded"] == 1  # STATS
+            assert "service.put" not in server.stats.snapshot()  # no hop
             assert [k for k, __ in client.scan()] == sorted(keys)
         found = set()
         for shard, address in enumerate(server.worker_addresses):
@@ -530,24 +555,23 @@ def test_client_and_workers_agree_on_every_keys_shard(tmp_path):
         assert found == keys
 
 
-def test_op_counts_add_up_across_the_two_routes(tmp_path):
+def test_op_counts_add_up_across_the_shards(tmp_path):
     with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
-        with ForwardingKVClient(*server.address) as old, \
-                KVClient(*server.address) as new:
+        with KVClient(*server.address) as client:
             for i in range(7):
-                old.put(b"key-%d" % i, b"v")
-                assert old.get(b"key-%d" % i) == b"v"
+                client.put(b"key-%d" % i, b"v")
+                assert client.get(b"key-%d" % i) == b"v"
             for i in range(11):
-                assert new.get(b"key-%d" % (i % 7)) == b"v"
-            assert len(old.scan()) == len(new.scan()) == 7
-            counters = new.stats()["server"]
+                assert client.get(b"key-%d" % (i % 7)) == b"v"
+            assert len(client.scan()) == 7
+            counters = client.stats()["server"]
     assert counters["service.get"] == 7 + 11
     assert counters["service.put"] == 7
-    assert counters["service.scan"] == 1 + 2  # a scattered scan counts per part
-    assert counters["service.forwarded"] == 7 + 7 + 1 + 1  # + this STATS
-    assert counters["service.direct"] == 11 + 2
-    # old: 1 to the front-end; new: 1 to the front-end + 1 to each worker.
-    assert counters["service.connections"] == 4
+    assert counters["service.scan"] == 2  # a scattered scan counts per part
+    assert counters["service.topology"] == 1
+    assert counters["service.stats"] == 1 + 2  # the front-end and each worker
+    # 1 to the front-end + 1 to each worker.
+    assert counters["service.connections"] == 3
     assert counters["service.direct_connections"] == 2
     assert counters["service.worker_generation.0"] == 1
 

@@ -6,9 +6,10 @@ here sleeps; every "it happened" is a reply read off a socket or a
 library wait with a deadline.
 
 The three TCP edges are ``KVServer`` ("threaded"), a shard worker's own
-port ("worker": a ``ServingLoop`` run on a thread with the pipe a worker
-has, so the test holds its engine and its KDS) and
-``MultiProcessKVServer``'s front-end ("front-end").
+port ("worker": a ``ServingLoop`` run on a thread with the lifeline a
+worker has, so the test holds its engine and its KDS) and
+``MultiProcessKVServer``'s front-end ("front-end", which serves AUTH, PING,
+TOPOLOGY and STATS itself and no data request).
 """
 
 import contextlib
@@ -136,6 +137,7 @@ def _auth(server_id: str):
 
 PUT = (protocol.OP_PUT, protocol.encode_put(b"k", b"v"))
 GET = (protocol.OP_GET, protocol.encode_key(b"k"))
+PING = (protocol.OP_PING, b"")
 REFUSED = ("AuthorizationError", "server 'mallory' is not authorized by the KDS")
 UNAUTHENTICATED = (
     "AuthorizationError", "connection is not authenticated; send AUTH first"
@@ -181,15 +183,14 @@ def test_every_edge_refuses_an_unauthorized_id_with_the_same_bytes(tmp_path):
     mallory in): it overrides, identically, on all three edges."""
     lax = InMemoryKDS()
     config = ServiceConfig(require_auth=True, kds=_authorizing_kds())
-    requests = [_auth("mallory"), GET, _auth("good-client"), GET]
+    requests = [_auth("mallory"), GET, _auth("good-client"), PING]
     sessions = {}
     for name, edge in _edges(lax, config, tmp_path):
         with edge() as address:
             sessions[name] = _session(address, requests)
     reference = sessions["threaded"]
     assert [answer for __, answer in reference] == [
-        REFUSED, UNAUTHENTICATED,
-        (protocol.RESP_OK, b""), (protocol.RESP_NOT_FOUND, b""),
+        REFUSED, UNAUTHENTICATED, (protocol.RESP_OK, b""), (protocol.RESP_OK, b""),
     ]
     for name, session in sessions.items():
         assert session == reference, name

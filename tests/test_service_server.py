@@ -1,6 +1,5 @@
 """Tests for the socket server: ops, pipelining, backpressure, auth."""
 
-import os
 import socket
 import threading
 import time
@@ -18,7 +17,6 @@ from repro.service.client import KVClient
 from repro.service.protocol import Message
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
-from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
 
 
@@ -185,53 +183,6 @@ def test_raw_pipelined_requests_match_by_id():
 
 
 # -- backpressure ------------------------------------------------------------
-
-
-def test_queue_overflow_returns_busy_for_excess_request(tmp_path):
-    """A front-end's window of N in-flight requests per worker, the worker
-    gated inside the first: requests 2..N fill the window, and request N+1
-    must bounce BUSY before the worker answers anything."""
-    depth = 3
-    gate_r, gate_w = os.pipe()  # the forked worker inherits both ends
-
-    def gated_shard(index, path):
-        db = _open_db(path)
-
-        class _GatedDB:
-            def get(self, key, opts=None):
-                os.read(gate_r, 1)  # one byte lets one get through
-                return db.get(key, opts)
-
-            def __getattr__(self, name):
-                return getattr(db, name)
-
-        return _GatedDB()
-
-    config = ServiceConfig(max_queue_depth=depth)
-    try:
-        with MultiProcessKVServer(
-            str(tmp_path / "mp"), 1, gated_shard, config
-        ) as server:
-            with socket.create_connection(server.address) as sock:
-                for rid in range(1, depth + 2):
-                    protocol.send_message(sock, Message(
-                        protocol.OP_GET, rid, protocol.encode_key(b"q-%d" % rid)
-                    ))
-                reader = protocol.FrameReader(sock)
-                response = reader.read()
-                assert (response.opcode, response.request_id) == (
-                    protocol.RESP_BUSY, depth + 1
-                )
-                os.write(gate_w, b"g" * depth)
-                answered = [reader.read() for __ in range(depth)]
-                assert [(r.opcode, r.request_id) for r in answered] == [
-                    (protocol.RESP_NOT_FOUND, rid) for rid in range(1, depth + 1)
-                ]
-            with KVClient(*server.address) as client:
-                assert client.stats()["server"]["service.busy_rejections"] == 1
-    finally:
-        os.close(gate_r)
-        os.close(gate_w)
 
 
 class _ScriptedBusyServer:

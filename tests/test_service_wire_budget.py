@@ -1,14 +1,13 @@
 """The wire path's budget, as counts: ``recv``s per frame on every blocking
-socket, and selector calls per forwarded frame in the front-end.
+socket, and selector calls per served frame in the executor loop.
 
 Nothing here sleeps or times anything: the blocking reader runs over a
-scripted socket that records what was asked of it, and the front-end runs
-over a selector that records every ``modify`` and signals the test through
-events (an empty ``select`` means the loop has consumed all there was).
+scripted socket that records what was asked of it, and the loop runs over
+a selector that records every ``modify`` and signals the test through
+events.
 """
 
 import itertools
-import os
 import selectors
 import socket
 import threading
@@ -23,9 +22,7 @@ from repro.lsm.options import Options
 from repro.service import protocol
 from repro.service.client import Endpoint, KVClient, _PooledConnection
 from repro.service.protocol import FrameReader, FrameSplitter, Message, ProtocolError
-from repro.service.server import ServiceConfig
-from repro.service.workers import MultiProcessKVServer
-from repro.tools.chaos import ForwardingKVClient
+from repro.service.server import KVServer
 
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
@@ -249,147 +246,85 @@ def test_the_client_sends_exactly_the_encoded_frame(monkeypatch, rid, trace):
         assert raw[8] & protocol.TRACE_FLAG == (protocol.TRACE_FLAG if trace else 0)
 
 
-# -- the front-end's selector traffic ----------------------------------------
+# -- the executor loop's selector traffic ------------------------------------
 
 
 class CountingSelector(selectors.DefaultSelector):
     """Records every ``modify`` and counts the ``select``s that came back
-    with work (``wakes``); ``idle`` is set whenever ``select`` comes back
-    empty, ``cleared`` whenever a socket stops being write-watched."""
+    with work (``wakes``); ``watched`` is set whenever a socket starts
+    being write-watched, ``cleared`` whenever one stops."""
 
     def __init__(self):
         super().__init__()
         self.modifies: list[int] = []
         self.wakes = 0
-        self.idle = threading.Event()
+        self.watched = threading.Event()
         self.cleared = threading.Event()
 
     def modify(self, fileobj, events, data=None):
         self.modifies.append(events)
         key = super().modify(fileobj, events, data)
-        if events == READ:
-            self.cleared.set()
+        (self.cleared if events == READ else self.watched).set()
         return key
 
     def select(self, timeout=None):
         ready = super().select(timeout)
         if ready:
             self.wakes += 1
-        else:
-            self.idle.set()
         return ready
 
 
-def _mem_shard(index, path):
-    return DB(path, Options(env=MemEnv()))
-
-
-def _await_quiet_frontend(server) -> None:
-    """Block until the loop has consumed every byte sent so far."""
-    server._io.selector.idle.clear()
-    assert server._io.selector.idle.wait(WAIT_S)
-
-
-def _await_quiet(server) -> None:
-    """... and every worker has answered what was forwarded to it."""
-    _await_quiet_frontend(server)
-    while any(worker.pending for worker in server._workers):
-        _await_quiet_frontend(server)
-
-
 @pytest.fixture
-def counting_selector(monkeypatch):
+def served(monkeypatch):
+    """A ``KVServer`` over an in-memory engine whose loop runs on a
+    :class:`CountingSelector` (``served.selector``)."""
     monkeypatch.setattr(selectors, "DefaultSelector", CountingSelector)
+    db = DB("/budget", Options(env=MemEnv()))
+    try:
+        with KVServer(db) as server:
+            server.selector = server._loop._io.selector
+            yield server
+    finally:
+        db.close()
 
 
-def test_steady_state_forwarding_never_modifies_the_selector(
-    tmp_path, counting_selector
-):
-    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard) as server:
-        with ForwardingKVClient(*server.address) as client:
-            for i in range(50):
-                client.put(b"key-%03d" % i, b"value-%03d" % i)
-            for i in range(500):
-                assert client.get(b"key-%03d" % (i % 50)) == b"value-%03d" % (i % 50)
-            assert client.scan(b"key-010", None, 3)[0] == (b"key-010", b"value-010")
-        assert server._io.selector.modifies == []
+def test_steady_state_serving_never_modifies_the_selector(served):
+    with KVClient(*served.address) as client:
+        for i in range(50):
+            client.put(b"key-%03d" % i, b"value-%03d" % i)
+        for i in range(500):
+            assert client.get(b"key-%03d" % (i % 50)) == b"value-%03d" % (i % 50)
+        assert client.scan(b"key-010", None, 3)[0] == (b"key-010", b"value-010")
+    assert served.selector.modifies == []
 
 
 def test_replies_to_a_client_that_is_not_reading_arrive_intact_and_in_order(
-    tmp_path, counting_selector
+    served
 ):
     value = bytes(range(256)) * 256  # 64 KiB
     count = 128                      # 8 MiB of replies: more than the socket buffers hold
-    config = ServiceConfig(max_queue_depth=count)
-    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_shard, config) as server:
-        with KVClient(*server.address) as client:
-            client.put(b"big", value)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
-            sock.settimeout(WAIT_S)
-            sock.connect(server.address)
-            sock.sendall(b"".join(
-                protocol.encode_frame(
-                    Message(protocol.OP_GET, rid, protocol.encode_key(b"big"))
-                )
-                for rid in range(1, count + 1)
-            ))
-            _await_quiet(server)  # every reply is now in the kernel or the outbuf
-            assert server._io.selector.modifies == [READ_WRITE]
-            reader = FrameReader(sock)
-            for rid in range(1, count + 1):
-                reply = reader.read()
-                assert (reply.opcode, reply.request_id) == (protocol.RESP_VALUE, rid)
-                assert protocol.decode_value(reply.payload) == value
-            assert server._io.selector.cleared.wait(WAIT_S)
-            assert server._io.selector.modifies == [READ_WRITE, READ]
-        finally:
-            sock.close()
-
-
-def test_large_puts_into_a_full_worker_pipe_all_land(tmp_path, counting_selector):
-    gate_r, gate_w = os.pipe()  # the forked worker inherits both ends
-
-    def gated_shard(index, path):
-        db = _mem_shard(index, path)
-
-        class _GatedDB:
-            def put(self, key, value, opts=None):
-                os.read(gate_r, 1)  # one byte lets one put through
-                return db.put(key, value, opts)
-
-            def __getattr__(self, name):
-                return getattr(db, name)
-
-        return _GatedDB()
-
-    count = 16
-    values = {b"big-%02d" % i: bytes([i]) * (256 * 1024) for i in range(count)}
+    with KVClient(*served.address) as client:
+        client.put(b"big", value)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
-        with MultiProcessKVServer(str(tmp_path / "mp"), 1, gated_shard) as server:
-            with socket.create_connection(server.address, timeout=WAIT_S) as sock:
-                # The worker stops inside this put, so it reads nothing more.
-                protocol.send_message(sock, Message(
-                    protocol.OP_PUT, 1, protocol.encode_put(b"small", b"v")
-                ))
-                _await_quiet_frontend(server)
-                for rid, (key, value) in enumerate(values.items(), start=2):
-                    protocol.send_message(sock, Message(
-                        protocol.OP_PUT, rid, protocol.encode_put(key, value)
-                    ))
-                _await_quiet_frontend(server)  # 4 MiB sit behind a ~200 KiB pipe
-                assert server._io.selector.modifies == [READ_WRITE]
-                os.write(gate_w, b"g" * (count + 1))
-                reader = FrameReader(sock)
-                for rid in range(1, count + 2):
-                    reply = reader.read()
-                    assert (reply.opcode, reply.request_id) == (protocol.RESP_OK, rid)
-                assert server._io.selector.cleared.wait(WAIT_S)
-                assert server._io.selector.modifies == [READ_WRITE, READ]
-            with KVClient(*server.address) as client:
-                for key, value in values.items():
-                    assert client.get(key) == value
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        sock.settimeout(WAIT_S)
+        sock.connect(served.address)
+        sock.sendall(b"".join(
+            protocol.encode_frame(
+                Message(protocol.OP_GET, rid, protocol.encode_key(b"big"))
+            )
+            for rid in range(1, count + 1)
+        ))
+        # The unsent replies wait in the out-buffer, watched, until read.
+        assert served.selector.watched.wait(WAIT_S)
+        assert served.selector.modifies == [READ_WRITE]
+        reader = FrameReader(sock)
+        for rid in range(1, count + 1):
+            reply = reader.read()
+            assert (reply.opcode, reply.request_id) == (protocol.RESP_VALUE, rid)
+            assert protocol.decode_value(reply.payload) == value
+        assert served.selector.cleared.wait(WAIT_S)
+        assert served.selector.modifies == [READ_WRITE, READ]
     finally:
-        os.close(gate_r)
-        os.close(gate_w)
+        sock.close()

@@ -1,12 +1,13 @@
-"""Tests for shard-per-core serving: MultiProcessKVServer, and KVClient
-over a list of separate servers.
+"""Tests for shard-per-core serving: MultiProcessKVServer, the KVClient
+that routes over its workers, and KVClient over a list of separate servers.
 
 The forked workers are real processes, so everything here exercises the
-actual fork/route/gather machinery: the factories below run *inside* the
+actual fork/route/scatter machinery: the factories below run *inside* the
 child after the fork (closures are inherited by fork, nothing is pickled).
 """
 
 import os
+import select
 import signal
 import socket
 import threading
@@ -26,13 +27,12 @@ from repro.lsm.db import DB
 from repro.lsm.options import Options
 from repro.lsm.write_batch import WriteBatch
 from repro.service import protocol
-from repro.service.client import KVClient
+from repro.service.client import Endpoint, KVClient
 from repro.service.protocol import Message
 from repro.service.replica import Replica
 from repro.service.server import KVServer, ServiceConfig
 from repro.service.workers import MultiProcessKVServer
 from repro.shield import ShieldOptions, open_shield_db
-from repro.tools.chaos import ForwardingKVClient
 
 
 def _mem_factory(**options):
@@ -60,33 +60,24 @@ def _local_factory(**options):
     return make_shard
 
 
-def _retrying_client(server, client_class=KVClient, **kwargs):
-    """``KVClient`` finds the workers and talks to them directly;
-    ``ForwardingKVClient`` sends everything through the front-end."""
+def _retrying_client(server, **kwargs):
+    """A ``KVClient`` that finds the workers and talks to each itself."""
     kwargs.setdefault("max_retries", 12)
     kwargs.setdefault("backoff_base_s", 0.005)
     kwargs.setdefault("backoff_max_s", 0.1)
     kwargs.setdefault("timeout_s", 5.0)
-    return client_class(*server.address, **kwargs)
+    return KVClient(*server.address, **kwargs)
 
 
 # -- basic operation routing -------------------------------------------------
 
 
 def test_multiprocess_roundtrip_all_operations(tmp_path):
-    _roundtrip_all_operations(tmp_path, KVClient)
-
-
-def test_multiprocess_roundtrip_through_the_front_end(tmp_path):
-    _roundtrip_all_operations(tmp_path, ForwardingKVClient)
-
-
-def _roundtrip_all_operations(tmp_path, client_class):
     base = str(tmp_path / "mp")
     with MultiProcessKVServer(base, 3, _mem_factory()) as server:
         assert len(server.worker_pids) == 3
         assert all(server.worker_pids)
-        with _retrying_client(server, client_class) as client:
+        with _retrying_client(server) as client:
             client.ping()
             for i in range(30):
                 client.put(b"key-%03d" % i, b"val-%03d" % i)
@@ -112,12 +103,12 @@ def test_merged_stats_shape(tmp_path):
             for i in range(12):
                 client.put(b"s-%d" % i, b"v")
             stats = client.stats()
-    assert set(stats["workers"]) == {"0", "1", "2"}
-    for shard in stats["workers"].values():
+    assert set(stats["endpoints"]) == {"0", "1", "2"}
+    for shard in stats["endpoints"].values():
         assert shard["health"]["state"] == "healthy"
     assert stats["health"]["state"] == "healthy"
     assert stats["committed_sequence"] == sum(
-        shard["committed_sequence"] for shard in stats["workers"].values()
+        shard["committed_sequence"] for shard in stats["endpoints"].values()
     )
     # repro-stats reads these sections; the front-end adds per-worker gauges.
     assert "engine" in stats and "crypto" in stats and "server" in stats
@@ -126,21 +117,12 @@ def test_merged_stats_shape(tmp_path):
 
 
 def test_scatter_gather_scan_matches_single_db(tmp_path):
-    """A cross-shard scan must be indistinguishable from one engine,
-    scattered by the client ..."""
-    _scan_matches_single_db(tmp_path, KVClient)
-
-
-def test_front_end_scatter_gather_scan_matches_single_db(tmp_path):
-    """... or gathered by the front-end."""
-    _scan_matches_single_db(tmp_path, ForwardingKVClient)
-
-
-def _scan_matches_single_db(tmp_path, client_class):
+    """A cross-shard scan, scattered by the client, must be
+    indistinguishable from one engine."""
     reference = DB("/ref", Options(env=MemEnv(), write_buffer_size=64 * 1024))
     base = str(tmp_path / "mp")
     with MultiProcessKVServer(base, 4, _mem_factory()) as server:
-        with _retrying_client(server, client_class) as client:
+        with _retrying_client(server) as client:
             for i in range(80):
                 key, value = b"k-%04d" % (i * 7 % 80), b"v-%04d" % i
                 client.put(key, value)
@@ -182,27 +164,18 @@ def test_write_batch_splits_across_shards(tmp_path):
 
 
 def test_worker_crash_is_retriable_and_respawns(tmp_path):
-    _worker_crash_is_retriable(tmp_path, KVClient)
-
-
-def test_worker_crash_is_retriable_for_a_forwarding_only_client(tmp_path):
-    _worker_crash_is_retriable(tmp_path, ForwardingKVClient)
-
-
-def _worker_crash_is_retriable(tmp_path, client_class):
     base = str(tmp_path / "mp")
     server = MultiProcessKVServer(
-        base, 3, _local_factory(), ServiceConfig(port=0, drain_timeout_s=2.0)
+        base, 2, _local_factory(), ServiceConfig(port=0, drain_timeout_s=2.0)
     )
     server.start()
     try:
-        with _retrying_client(server, client_class) as client:
+        with _retrying_client(server) as client:
             for i in range(30):
                 client.put(b"c-%03d" % i, b"v-%03d" % i)
             victim = server.worker_pids[0]
             os.kill(victim, signal.SIGKILL)
-            # Forwarded, the client sees retriable BUSY while the worker
-            # respawns; direct, a reset connection and a reconnect that waits
+            # The client sees a reset connection and a reconnect that waits
             # in the shard's listener.  The synced WAL means every acked
             # write survives the kill.
             for i in range(30):
@@ -218,10 +191,12 @@ def _worker_crash_is_retriable(tmp_path, client_class):
             assert all(server.worker_pids)
             assert server.worker_pids[0] != victim
 
+            # The front-end's own counters, summed into the shards' merge.
             stats = client.stats()
             assert stats["server"]["service.worker_crashes"] >= 1
             assert stats["server"]["service.worker_respawns"] >= 1
             assert stats["server"]["service.worker_generation.0"] >= 2
+            assert set(stats["endpoints"]) == {"0", "1"}
     finally:
         server.stop()
 
@@ -252,7 +227,7 @@ def test_a_workers_replica_reads_every_acked_write_across_its_killing(tmp_path):
         assert _eventually(lambda: server.worker_pids[index] not in (victim, None))
         shard = {k: v for k, v in acked.items() if shard_for_key(k, shards) == index}
         assert len(shard) >= 20
-        committed = client.stats()["workers"][str(index)]["committed_sequence"]
+        committed = client.stats()["endpoints"][str(index)]["committed_sequence"]
         assert replica.wait_until_caught_up(committed, 20.0)
         assert {key: replica.get(key) for key in shard} == shard
         assert replica.subscriptions >= 2  # it followed the respawn
@@ -327,53 +302,6 @@ def test_worker_placement_one_cpu_each_kept_across_a_respawn(tmp_path):
         ), placement(confined)
 
 
-# -- backpressure ------------------------------------------------------------
-
-
-def test_busy_backpressure_per_worker_queue(tmp_path):
-    """Pipelined writes beyond one worker's queue depth get RESP_BUSY."""
-
-    def slow_factory(index, path):
-        db = DB(path, Options(env=MemEnv(), write_buffer_size=64 * 1024))
-
-        class _SlowDB:
-            def put(self, key, value, opts=None):
-                time.sleep(0.15)
-                return db.put(key, value, opts)
-
-            def __getattr__(self, name):
-                return getattr(db, name)
-
-        return _SlowDB()
-
-    base = str(tmp_path / "mp")
-    config = ServiceConfig(port=0, max_queue_depth=2, drain_timeout_s=1.0)
-    with MultiProcessKVServer(base, 1, slow_factory, config) as server:
-        sock = socket.create_connection(server.address, timeout=10.0)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            blob = b"".join(
-                protocol.encode_frame(Message(
-                    protocol.OP_PUT, rid,
-                    protocol.encode_put(b"slow-%d" % rid, b"v"),
-                ))
-                for rid in range(1, 11)
-            )
-            sock.sendall(blob)
-            reader = protocol.FrameReader(sock)
-            opcodes = [reader.read().opcode for _ in range(10)]
-            assert opcodes.count(protocol.RESP_BUSY) >= 1
-            assert opcodes.count(protocol.RESP_OK) >= 1
-            assert len(opcodes) == 10  # every request was answered
-        finally:
-            sock.close()
-        # BUSY is retriable: the client-side backoff absorbs it.
-        with _retrying_client(server, deadline_s=20.0) as client:
-            client.put(b"retried", b"ok")
-            assert client.get(b"retried") == b"ok"
-            assert client.stats()["server"]["service.busy_rejections"] >= 1
-
-
 # -- auth and protocol edges -------------------------------------------------
 
 
@@ -416,6 +344,76 @@ def test_replication_subscribe_is_rejected(tmp_path):
                 raise protocol.decode_error(resp.payload)
         finally:
             sock.close()
+
+
+#: Every request the front-end refuses, one of each known data opcode.
+DATA_REQUESTS = [
+    (protocol.OP_GET, protocol.encode_key(b"k")),
+    (protocol.OP_PUT, protocol.encode_put(b"k", b"v")),
+    (protocol.OP_DELETE, protocol.encode_key(b"k")),
+    (protocol.OP_WRITE_BATCH, WriteBatch().put(b"k", b"v").serialize(0)),
+    (protocol.OP_SCAN, protocol.encode_scan(b"", None, None)),
+    (protocol.OP_FLUSH, b""),
+    (protocol.OP_COMPACT, b""),
+    (protocol.OP_HEALTH, b""),
+]
+
+
+def _worker_op_counts(server) -> list[dict]:
+    """Each worker's own ``service.<op>`` counters, asked on its port."""
+    names = {f"service.{name}" for name in protocol.OPCODE_NAMES.values()}
+    counts = []
+    for address in server.worker_addresses:
+        with KVClient.over([address]) as worker:  # asks no topology
+            server_section = worker.stats()["server"]
+        counts.append({k: v for k, v in server_section.items() if k in names})
+    return counts
+
+
+def test_the_front_end_refuses_every_data_opcode(tmp_path):
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_factory()) as server:
+        before = _worker_op_counts(server)
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            reader = protocol.FrameReader(sock)
+            for rid, (opcode, payload) in enumerate(DATA_REQUESTS, start=1):
+                protocol.send_message(sock, Message(opcode, rid, payload))
+                reply = reader.read()
+                assert (reply.opcode, reply.request_id) == (
+                    protocol.RESP_ERROR, rid
+                )
+                error = protocol.decode_error(reply.payload)
+                assert isinstance(error, InvalidArgumentError), error
+                assert "OP_TOPOLOGY" in str(error), error
+            protocol.send_message(sock, Message(protocol.OP_PING, 99))
+            assert reader.read().opcode == protocol.RESP_OK  # still served
+        after = _worker_op_counts(server)
+    # Each worker's only new op is the STATS that read its counters.
+    for was, now in zip(before, after):
+        assert now == {**was, "service.stats": was["service.stats"] + 1}
+
+
+def test_a_pipeline_puts_each_op_on_its_owners_port(tmp_path):
+    keys = [b"pk-%03d" % i for i in range(40)]
+    with MultiProcessKVServer(str(tmp_path / "mp"), 2, _mem_factory()) as server:
+        with _retrying_client(server) as client:
+            pipe = client.pipeline(max_inflight=8)
+            for key in keys:
+                pipe.put(key, b"v-" + key)
+            for key in keys:
+                pipe.get(key)
+            pipe.scan(b"pk-", None, 5)
+            results = pipe.execute()
+        assert results[:40] == [None] * 40
+        assert results[40:80] == [b"v-" + key for key in keys]
+        assert results[80] == [(key, b"v-" + key) for key in keys[:5]]
+        counts = _worker_op_counts(server)
+        frontend = server.stats.snapshot()
+    for shard, count in enumerate(counts):
+        owned = sum(shard_for_key(key, 2) == shard for key in keys)
+        assert (count["service.put"], count["service.get"]) == (owned, owned)
+        assert count["service.scan"] == 1  # every shard's part of the scan
+    ops = {f"service.{name}" for name in protocol.OPCODE_NAMES.values()}
+    assert sorted(set(frontend) & ops) == ["service.topology"]
 
 
 def test_frame_splitter_reassembles_split_frames():
@@ -471,9 +469,9 @@ def test_front_end_survives_a_frame_with_a_truncated_header(tmp_path):
             client.ping()
 
 
-def test_passthrough_degraded_write_is_counted_by_the_front_end(tmp_path):
-    """A single-key write travels verbatim in both directions; the
-    front-end still has to see that the worker bounced it DEGRADED."""
+def test_a_degraded_write_is_counted_at_the_workers_edge(tmp_path):
+    """A write the engine refuses while degraded answers the retriable
+    DEGRADED on the worker's own port, and that worker counts it."""
 
     def degraded_factory(index, path):
         db = DB(path, Options(env=MemEnv()))
@@ -493,7 +491,8 @@ def test_passthrough_degraded_write_is_counted_by_the_front_end(tmp_path):
 
     base = str(tmp_path / "mp")
     with MultiProcessKVServer(base, 2, degraded_factory) as server:
-        with socket.create_connection(server.address, timeout=5.0) as sock:
+        address = server.worker_addresses[shard_for_key(b"k", 2)]
+        with socket.create_connection(address, timeout=5.0) as sock:
             protocol.send_message(sock, Message(
                 protocol.OP_PUT, 1, protocol.encode_put(b"k", b"v")
             ))
@@ -540,11 +539,26 @@ def test_worker_health_loop_counters_reach_the_front_end_stats(tmp_path):
         assert stats["health"]["state"] == "healthy"
 
 
-def test_a_gathers_error_is_the_lowest_shards_not_the_first_to_arrive(tmp_path):
+def test_a_gathers_error_is_the_lowest_shards_not_the_first_to_arrive(
+    tmp_path, monkeypatch
+):
     """Two shards fail one COMPACT differently and shard 1 answers first:
-    the reply is shard 0's error -- the order a client over a list settles
-    its parts in -- not whichever part arrived first."""
+    the client raises shard 0's error -- it settles the parts in shard
+    order -- not whichever part arrived first."""
     gate_r, gate_w = os.pipe()  # inherited by both forked workers
+    sent = []
+    begin, finish = Endpoint.begin, Endpoint.finish
+
+    def recording_begin(self, *args):
+        sent.append(begin(self, *args))
+        return sent[-1]
+
+    def finish_after_shard_1(self, part):
+        if part is sent[0]:  # shard 0's part: let it go once shard 1's is in
+            conn = sent[1][0]
+            assert select.select([conn.sock], [], [], 20)[0]
+            os.write(gate_w, b"g")
+        return finish(self, part)
 
     def failing_factory(index, path):
         db = DB(path, Options(env=MemEnv()))
@@ -563,27 +577,17 @@ def test_a_gathers_error_is_the_lowest_shards_not_the_first_to_arrive(tmp_path):
 
     base = str(tmp_path / "mp")
     try:
-        with MultiProcessKVServer(base, 2, failing_factory) as server:
-            first = server._workers[0]
-            with socket.create_connection(server.address, timeout=20) as sock:
-                protocol.send_message(sock, Message(protocol.OP_COMPACT, 1))
-                deadline = time.monotonic() + 20
-                while not first.pending:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
-                (__, gather, __index), = first.pending
-                while not gather.parts:  # shard 1's error is in
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
-                os.write(gate_w, b"g")
-                reply = protocol.FrameReader(sock).read()
+        with MultiProcessKVServer(base, 2, failing_factory) as server, \
+                KVClient(*server.address, timeout_s=20, max_retries=0) as client:
+            client.workers()
+            monkeypatch.setattr(Endpoint, "begin", recording_begin)
+            monkeypatch.setattr(Endpoint, "finish", finish_after_shard_1)
+            with pytest.raises(InvalidArgumentError, match="shard 0 refuses"):
+                client.compact_range()
     finally:
         os.close(gate_r)
         os.close(gate_w)
-    assert [index for index, __ in gather.parts] == [1, 0]  # arrival order
-    assert reply.opcode == protocol.RESP_ERROR
-    error = protocol.decode_error(reply.payload)
-    assert (type(error), str(error)) == (InvalidArgumentError, "shard 0 refuses")
+    assert len(sent) == 2
 
 
 # -- encrypted shards --------------------------------------------------------
@@ -695,10 +699,31 @@ def test_flush_and_compact_over_a_list_reach_every_server():
         _stop_servers(backends)
 
 
-def test_a_client_over_a_list_has_no_pipeline_and_no_default_endpoint():
+def test_a_client_over_a_list_pipelines():
+    backends = _start_servers(2)
+    try:
+        with KVClient.over([server.address for _, server in backends]) as client:
+            pipe = client.pipeline(max_inflight=4)
+            for i in range(20):
+                pipe.put(b"p-%02d" % i, b"v-%02d" % i)
+            pipe.delete(b"p-00").get(b"p-00").get(b"p-07").scan(b"p-", None, 3)
+            results = pipe.execute()
+        assert results[:21] == [None] * 21
+        assert results[21:] == [None, b"v-07", [
+            (b"p-01", b"v-01"), (b"p-02", b"v-02"), (b"p-03", b"v-03"),
+        ]]
+        for i in range(1, 20):  # each put on the shard that owns its key
+            key = b"p-%02d" % i
+            assert backends[shard_for_key(key, 2)][0].get(key) == b"v-%02d" % i
+            assert backends[1 - shard_for_key(key, 2)][0].get(key) is None
+        for __, server in backends:
+            assert server.stats.snapshot()["service.scan"] == 1  # scattered
+    finally:
+        _stop_servers(backends)
+
+
+def test_a_client_over_a_list_has_no_default_endpoint():
     with KVClient.over([("127.0.0.1", 1), ("127.0.0.1", 2)]) as client:
         assert client.home is None
-        with pytest.raises(ServiceError):
-            client.pipeline()
         with pytest.raises(ServiceError):
             client.request(protocol.OP_PING)  # nothing is sent: no port 1
