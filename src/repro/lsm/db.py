@@ -5,8 +5,9 @@ The structure mirrors Figure 1 of the paper:
 - writes append a framed record to the WAL (encryption granularity decided
   by ``Options.wal_buffer_size``), then land in the active memtable;
 - a full memtable becomes immutable and a background *flush* persists it as
-  a level-0 SST file, after which its WAL is deleted (and, under SHIELD,
-  its DEK retired);
+  a level-0 SST file -- the newest version of each key, left decoded in the
+  block cache when readers are using it -- after which its WAL is deleted
+  (and, under SHIELD, its DEK retired);
 - background *compaction* (by the picker ``compaction_style`` names) merges
   SST files; every output file gets fresh crypto from the provider, which is
   how DEK rotation falls out of compaction for free (Section 5.2).  A job
@@ -32,6 +33,7 @@ from repro.errors import (
     InvalidArgumentError,
     IOError_,
     KeyManagementError,
+    ReproError,
 )
 from repro.lsm.compaction import CompactionJob, MergeExecutor, make_picker
 from repro.lsm.envelope import FILE_KIND_SST, FILE_KIND_WAL, envelope_dek_id
@@ -145,6 +147,9 @@ class DB:
         self._write_groups = self.stats.counter("db.write_groups").owned()
         self._group_size = self.stats.histogram("db.group_size")
         self._group_size_shard = self._group_size.owned()
+        # Registered at open, so every stats export names them.
+        self._flush_shadowed = self.stats.counter("db.flush_shadowed")
+        self.stats.counter("db.flush_cached_blocks")
         # Always-on breakdown for background work: flush/compaction threads
         # attribute their encryption/KDS/IO seconds here, feeding the
         # encryption-cost-per-byte signal without any bench harness active.
@@ -213,7 +218,10 @@ class DB:
             new_wals=[(self._wal_number, self._wal.dek_id)],
         )
         if len(recovered) > 0:
-            edit.add_file(0, self._write_sst_from_memtable(recovered))
+            # Every version: nothing pins across handles, so a sequence read
+            # over a reopen stays exact until the next compaction.
+            meta, __ = self._write_sst_from_memtable(recovered, newest_only=False)
+            edit.add_file(0, meta)
         versions.log_and_apply(edit)
         for number, wal in replayed.items():
             self._delete_db_file(wal_path(self.path, number), wal.dek_id)
@@ -608,18 +616,31 @@ class DB:
                 self._workers -= 1
                 self._release(numbers)
 
-    def _write_sst_from_memtable(self, mem: Memtable) -> FileMetadata:
-        """Persist a memtable as a level-0 SST file (caller applies edit)."""
+    def _write_sst_from_memtable(
+        self, mem: Memtable, newest_only: bool = True
+    ) -> tuple[FileMetadata, list[bytes]]:
+        """Persist a memtable as a level-0 SST file (caller applies edit);
+        returns its metadata and its data blocks as they were before sealing.
+
+        With ``newest_only`` the file holds one version per key, the newest,
+        tombstone or not (an L0 file is never bottommost).  No reader loses
+        an older one: a view that predates the flush -- a snapshot's, a
+        cursor's -- pinned this memtable and a version without the file, and
+        every later view's sequence covers every entry in it."""
         number = self._new_file_number()
         path = sst_path(self.path, number)
         crypto = self.provider.for_new_file(FILE_KIND_SST, path)
         builder = SSTBuilder(self.env, path, crypto, self.options)
+        last = None
         for key, seq, vtype, value in mem.entries():
-            builder.add(key, seq, vtype, value)
+            if key != last:
+                builder.add(key, seq, vtype, value)
+                last = key if newest_only else None
         info = builder.finish()
+        self._flush_shadowed.add(len(mem) - info.num_entries)
         self.stats.counter("db.flush_bytes").add(info.file_size)
         self.stats.counter("db.flushes").add(1)
-        return self._file_metadata(number, info)
+        return self._file_metadata(number, info), builder.data_blocks
 
     def _new_file_number(self) -> int:
         with self._mutex:
@@ -645,7 +666,7 @@ class DB:
         ) as span:
             SYNC.process(SP_FLUSH_BEFORE_SST)
             with costs.attribute(self._bg_costs, "flush"):
-                meta = self._write_sst_from_memtable(mem)
+                meta, blocks = self._write_sst_from_memtable(mem)
             SYNC.process(SP_FLUSH_AFTER_SST)
             span.set_attribute("output_bytes", meta.size)
             span.set_attribute("entries", meta.num_entries)
@@ -656,11 +677,40 @@ class DB:
                     new_files=[(0, meta)], dropped_wals=[wal_number],
                 ))
                 self._imm.remove(target)
+                # Warm only a cache readers are using: an empty one stays
+                # empty through a load nothing reads.  The pin, taken in the
+                # hold that installed the file, keeps any purge from dropping
+                # it (and its reader) until its blocks are in: the purge after
+                # this job then takes them out with it.
+                warm = self._block_cache is not None and len(self._block_cache) > 0
+                if warm:
+                    version = self._versions.current
+                    self._pins[version].append(None)
                 # The next memtable is the oldest now: its flush may start
                 # while this one is still deleting its WAL.
                 self._announce()
-            SYNC.process(SP_FLUSH_AFTER_MANIFEST)
+            try:
+                SYNC.process(SP_FLUSH_AFTER_MANIFEST)
+                if warm:
+                    self._warm(meta, blocks)
+            finally:
+                if warm:
+                    self._pins[version].pop()
         self._delete_db_file(wal_path(self.path, wal_number), wal.dek_id)
+
+    def _warm(self, meta: FileMetadata, blocks: list[bytes]) -> None:
+        """Cache a flushed file's blocks through its reader, opened as the
+        first get would open it, so that get reads, checks and decrypts
+        nothing.  Only a flush warms: a compaction's outputs would crowd the
+        cache with files no reader asked for.  A warm that fails costs only
+        the warm; the first get opens the file again and meets the failure
+        itself (a failed tag is still a quarantine mark)."""
+        try:
+            with self._attributing:
+                cached = self._tables.reader(meta).adopt(blocks)
+        except ReproError:
+            return
+        self.stats.counter("db.flush_cached_blocks").add(cached)
 
     def _install(self, job: CompactionJob, added: list[FileMetadata]) -> None:
         """One MANIFEST edit: the job's inputs out, ``added`` in.  An input
@@ -900,7 +950,8 @@ class DB:
         snap = self.stats.snapshot()
         for name in (
             "db.writes", "db.gets", "db.flushes", "db.compactions",
-            "db.trivial_moves", "db.compaction_bytes_read", "db.compaction_bytes_written",
+            "db.trivial_moves", "db.flush_shadowed", "db.flush_cached_blocks",
+            "db.compaction_bytes_read", "db.compaction_bytes_written",
             "db.write_groups", "db.slowdown_writes",
         ):
             if name in snap:

@@ -198,6 +198,12 @@ class SSTBuilder:
     def estimated_size(self) -> int:
         return self._payload_bytes + len(self._current)
 
+    @property
+    def data_blocks(self) -> list[bytes]:
+        """The finished data blocks, in index order, as they were before
+        sealing: what a flush hands the file's reader (``SSTReader.adopt``)."""
+        return self._blocks
+
     @staticmethod
     def _encode_index_block(index: list[tuple[bytes, int, int, int]]) -> bytes:
         index_parts = [encode_varint64(len(index))]
@@ -539,6 +545,25 @@ class SSTReader:
             for (__, offset, ___, crc), raw in zip(run, units):
                 yield from stored_raw_entries(self._check_block(raw, offset, crc))
             first = last
+
+    def adopt(self, blocks: list[bytes]) -> int:
+        """Put ``blocks`` -- this file's data blocks as its builder held them
+        before sealing (``SSTBuilder.data_blocks``) -- in the block cache as
+        misses would have: parsed, under the same key, charged the same
+        stored size.  Each must match its index CRC; its tag is checked the
+        next time it is read from storage.  Returns how many were cached."""
+        if self._cache is None:
+            return 0
+        if len(blocks) != len(self._index):
+            raise InvalidArgumentError(
+                f"{self.path}: {len(blocks)} blocks for {len(self._index)} index entries"
+            )
+        for (__, offset, size, crc), block in zip(self._index, blocks):
+            self._cache.put(
+                (self.path, offset),
+                parse_block(self._check_block(block, offset, crc)), charge=size,
+            )
+        return len(blocks)
 
     def purge_cached_blocks(self) -> None:
         """Drop this file's blocks from the block cache (the file is dead)."""

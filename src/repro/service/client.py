@@ -372,8 +372,6 @@ class KVClient:
             with self._workers_lock:
                 if self._workers is None:
                     workers = self._learn_workers()
-                    if workers is None:
-                        return []  # this op takes home; the next asks again
                     self._shards = workers or [self.home]
                     self._workers = workers
         return self._workers
@@ -383,14 +381,16 @@ class KVClient:
         :meth:`workers`, or ``[home]`` when there are none."""
         return self._shards or self.workers() or [self.home]
 
-    def _learn_workers(self) -> list[Endpoint] | None:
+    def _learn_workers(self) -> list[Endpoint]:
         """The endpoints ``OP_TOPOLOGY`` lists.  An error reply (an older
-        server: "unknown opcode") means there are none, for good; a request
-        that failed after retries (None) decides nothing."""
+        server: "unknown opcode") means there are none, for good.  A request
+        that failed after its retries decides nothing: its retriable
+        ``ServiceError`` fails the op that asked, and the next op asks
+        again (sent to ``home``, the op would meet a front-end's refusal)."""
         try:
             reply = self.request(protocol.OP_TOPOLOGY)
-        except (ServiceError, BusyError, DegradedError):
-            return None
+        except ServiceError:  # BusyError and DegradedError among them
+            raise
         except ReproError:
             return []
         return [

@@ -99,9 +99,12 @@ WAL_ATTACKS = ("delete", "cut_at_a_unit", "cut_inside_a_unit", "swap", "splice")
 DRIVE_WRITE_BUFFER = 2048
 DRIVE = ("reopen", "write", "write", "flush", "write", "compact")
 MAX_DRIVE_STEPS = 4 * len(DRIVE)
-#: Files the machines moved down unread, by scheme, every handle's: each
-#: machine's budget must move at least one (``_machine``).
-MOVED = Counter()
+#: Engine counters the machines tallied, by scheme, every handle's: each
+#: machine's budget must move a file down unread, flush a memtable that
+#: held a shadowed version, and leave a flushed block in the cache
+#: (``_machine``).
+TALLIED = ("db.trivial_moves", "db.flush_shadowed", "db.flush_cached_blocks")
+TALLIES = {name: Counter() for name in TALLIED}
 
 #: What a fault window arms, by kind: ``arm(env, kds, rng)`` on the
 #: machine's injectors, their draws seeded from the window's.
@@ -223,7 +226,7 @@ class ScanModel(RuleBasedStateMachine):
         self.style, self.served = COMPACTION_LEVELED, False
         # (handle, engine snapshot, oracle token, ``_epoch()`` when taken)
         self.snapshots: list[tuple] = []
-        self._epoch_base = 0  # compactions of the handles gone
+        self._epoch_base = 0  # merges and dropped versions of the handles gone
         self.oracle = Oracle()
         self.parked: threading.Event | None = None
         self.in_flight = None  # the batch between its write call and its ack
@@ -273,8 +276,8 @@ class ScanModel(RuleBasedStateMachine):
 
     def _open(self, **overrides):
         if self.db is not None:
-            self._epoch_base += self.db.stats.counter("db.compactions").value
-            self._count_moves()
+            self._epoch_base += self._drops()
+            self._tally()
         self.db = None  # a kill inside recovery leaves nothing to close
         if self.scheme is not None:
             # The paper's WAL buffer: a synced write flushes it, so a
@@ -305,21 +308,29 @@ class ScanModel(RuleBasedStateMachine):
         self._open()
         self.readonly = self._open_readonly()
 
-    def _count_moves(self):
-        MOVED[self.scheme] += self.db.stats.counter("db.trivial_moves").value
+    def _tally(self):
+        for name, tally in TALLIES.items():
+            tally[self.scheme] += self.db.stats.counter(name).value
+
+    def _drops(self) -> int:
+        """The live handle's merges, and the versions its flushes dropped
+        (each keeps only a key's newest version)."""
+        stats = self.db.stats
+        return (stats.counter("db.compactions").value
+                + stats.counter("db.flush_shadowed").value)
 
     def _epoch(self) -> int:
-        """Compactions so far, every handle's."""
-        ran = 0 if self.db is None else self.db.stats.counter("db.compactions").value
-        return self._epoch_base + ran
+        """Merges and dropped versions so far, every handle's."""
+        return self._epoch_base + (0 if self.db is None else self._drops())
 
     def _note_compactions(self):
         """Drop the snapshots carried over a ``reopen`` or ``crash_at`` from
-        a dead handle once a compaction has run since they were taken: to
-        the live handle they are plain sequences, and nothing pins across
-        handles, so the first merge that keeps only each key's newest
-        version ends them.  A snapshot of the live handle pins its view (its
-        memtables and files): it is never dropped."""
+        a dead handle once a merge has run, or a flush dropped a version,
+        since they were taken: to the live handle they are plain sequences,
+        and nothing pins across handles, so the first merge or flush that
+        keeps only each key's newest version ends them.  (A reopen's own
+        flush keeps every version.)  A snapshot of the live handle pins its
+        view (its memtables and files): it is never dropped."""
         epoch = self._epoch()
         self.snapshots = [
             taken for taken in self.snapshots
@@ -341,7 +352,7 @@ class ScanModel(RuleBasedStateMachine):
             if store is not None:
                 store.close()
         if self.db is not None:
-            self._count_moves()
+            self._tally()
         self._exit.close()
 
     # -- writes ---------------------------------------------------------------
@@ -431,13 +442,16 @@ class ScanModel(RuleBasedStateMachine):
     @rule(key=KEYS, before=st.none() | VALUES, versions=st.integers(4, 16))
     def bury_a_snapshot_under_versions(self, key, before, versions):
         """One version of ``key`` in the memtable, a snapshot, then enough
-        newer versions to fill whole blocks, then a flush: the version the
-        snapshot sees lands blocks behind the first one ``key`` is in."""
+        newer versions to fill whole blocks, then a flush that keeps only the
+        newest: the live snapshot still reads its version, from the memtable
+        its view pinned, as it does after any compaction the flush set off."""
         self.write([(key, before)])
         self.snapshot()
         for version in range(versions):
             self.put(key, b"v%d" % version)
+        shadowed = self.db.stats.counter("db.flush_shadowed").value
         self._settle()
+        assert self.db.stats.counter("db.flush_shadowed").value >= shadowed + versions
         __, seq, at, ___ = self.snapshots[-1]  # the live handle's: exact
         opts = ReadOptions(snapshot=seq)
         expected = self.oracle.get(key, at)
@@ -856,7 +870,9 @@ MACHINES = {
 def _machine(scheme):
     """40 examples a machine on every commit; the ``soak`` profile's budget
     (``--hypothesis-profile=soak``, see conftest.py) when it is loaded.  The
-    budget must move a file at least once, or no rule met a moved file."""
+    budget must move a file at least once, or no rule met a moved file; drop
+    a shadowed version in a flush, or no snapshot read across one; and cache
+    a flushed block, or no read met a warmed one."""
     soak = settings.get_current_profile_name() == "soak"
     case = MACHINES[scheme].TestCase
     case.settings = settings(
@@ -868,9 +884,11 @@ def _machine(scheme):
 
     @functools.wraps(run)
     def runTest(self):
-        moved = MOVED[scheme]
+        before = {name: tally[scheme] for name, tally in TALLIES.items()}
         run(self)
-        assert MOVED[scheme] > moved, "no example moved a file down"
+        assert {
+            name for name, tally in TALLIES.items() if tally[scheme] == before[name]
+        } == set(), "a tallied engine counter never moved"
 
     case.runTest = runTest
     return case
@@ -894,9 +912,11 @@ def booted(scheme, style=COMPACTION_LEVELED, served=False):
 
 @pytest.mark.parametrize("scheme", [None, "shake-ctr", "shake-etm"])
 def test_a_snapshot_read_looks_past_a_block_of_newer_versions(scheme):
-    """The versions of one key straddle a block boundary and every one in
-    the first block is newer than the snapshot: the file must read on into
-    the next block, not report a miss that falls through to an older file."""
+    """The versions of one key fill more than a block, every one newer than
+    the snapshot, and the flush keeps only the newest: the snapshot reads
+    its tombstone from the memtable its view pinned, not a miss that falls
+    through to the older file.  (A file holding the versions themselves is
+    ``test_sst.py``'s.)"""
     with booted(scheme) as model:
         db = model.db
         db.put(b"k", b"old")

@@ -399,3 +399,28 @@ def test_a_scan_loads_a_block_only_when_it_reaches_it(monkeypatch):
     assert list(reader.entries_from(start)) == [
         entry for entry in everything if entry[0] >= start
     ]
+
+
+def test_a_read_at_a_sequence_looks_past_blocks_of_newer_versions():
+    """A file may hold many versions of one key (a flush keeps only the
+    newest, but files written before it did not): when every version in a
+    block ending in the key is newer than the read's sequence, the read
+    goes on into the next block instead of reporting a miss."""
+    env = MemEnv()
+    provider = PlaintextCryptoProvider()
+    options = Options(block_size=64)
+    crypto = provider.for_new_file(FILE_KIND_SST, "/1.sst")
+    builder = SSTBuilder(env, "/1.sst", crypto, options)
+    builder.add(b"a", 100, TYPE_PUT, b"a")
+    for seq in range(50, 20, -1):
+        builder.add(b"k", seq, TYPE_PUT, b"new-%d" % seq)
+    builder.add(b"k", 10, TYPE_DELETE, b"")
+    builder.add(b"z", 5, TYPE_PUT, b"z")
+    builder.finish()
+    reader = SSTReader(env, "/1.sst", provider, options)
+    assert reader._index_keys.count(b"k") >= 3  # the versions span blocks
+    assert reader.get(b"k") == (TYPE_PUT, b"new-50")
+    assert reader.get(b"k", 30) == (TYPE_PUT, b"new-30")
+    assert reader.get(b"k", 15) == (TYPE_DELETE, b"")
+    assert reader.get(b"k", 9) is None
+    assert reader.get(b"z", 9) == (TYPE_PUT, b"z")
